@@ -14,13 +14,13 @@ two scans agree on 2-manifolds and the tests pin that down.
 
 Scans sample: none of them can prove a global property, and
 sigma_bounds_scan in particular only reports the extrema of sigma over the
-points it was given.  All randomness is seeded, points are processed in
-parallel, and the aggregation is a deterministic function of the sample
-order, so fixed inputs give bit-identical reports.
+points it was given.  All randomness is seeded, points are processed one
+after another in sample order, each through one PointGeometry, and the
+aggregation is a deterministic function of that order, so fixed inputs
+give bit-identical reports.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -28,35 +28,17 @@ import numpy as np
 
 from .curvature import (
     DegeneratePlaneError,
+    _conjugate_symmetry_residual,
+    _constant_curvature_terms,
     _gs_frame,
     _plane_basis,
-    conjugate_symmetry_residual,
-    constant_curvature_residual,
-    curvature_relation_residuals,
-    ricci,
-    riemann,
-    sectional_tilde,
-    statistical_curvature,
+    _relation_residuals,
+    _ricci,
+    _sectional_tilde,
+    _statistical_curvature,
 )
-from .manifold import (
-    _require,
-    grad_sigma,
-    hess_sigma,
-    laplace_sigma,
-    metric_at,
-    metric_inverse_at,
-    metric_jet,
-    sample_domain,
-    sigma_at,
-    sigma_jet,
-)
-from .statstruct import (
-    ConnKind,
-    connection_coeffs,
-    cubic_form,
-    parallel_volume_residual,
-    trace_K,
-)
+from .manifold import ConnKind, _require, sample_domain, sigma_at
+from .statstruct import _cubic_form, _parallel_volume_residual, _trace_K
 
 
 @dataclass
@@ -98,14 +80,14 @@ def _points(M, points):
     return pts
 
 
-def _careq_worst(M, x, draws):
-    # worst scan value at x over all coordinate planes plus the given
+def _careq_worst(P, draws):
+    # worst scan value at P over all coordinate planes plus the given
     # random plane draws; the value depends on the plane only, not on the
     # orthonormal basis chosen inside it
-    n = M.n
-    g = metric_at(M, x)
-    gS = np.einsum("lm,mkij->lkij", g, statistical_curvature(M, x))
-    H = hess_sigma(M, x)
+    n = P.n
+    g = P.g_spd
+    gS = np.einsum("lm,mkij->lkij", g, _statistical_curvature(P))
+    H = P.hess_sigma
     eye = np.eye(n)
     planes = [(eye[a], eye[b]) for a, b in combinations(range(n), 2)]
     planes.extend((d[:, 0], d[:, 1]) for d in draws)
@@ -134,9 +116,7 @@ def hadamard_scan(M, points, planes_per_point=4, seed=42, tol=0.0):
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((len(pts), planes_per_point, M.n, 2))
 
-    with ThreadPoolExecutor(max_workers=min(8, len(pts))) as ex:
-        vals = list(ex.map(lambda i: _careq_worst(M, pts[i], draws[i]),
-                           range(len(pts))))
+    vals = [_careq_worst(M.at(x), draws[i]) for i, x in enumerate(pts)]
     k = int(np.argmax(vals))
     coord = M.n * (M.n - 1) // 2
     return ScanReport(
@@ -153,14 +133,14 @@ def hadamard_scan(M, points, planes_per_point=4, seed=42, tol=0.0):
     )
 
 
-def _careq2_at(M, x):
-    g = metric_at(M, x)
+def _careq2_at(P):
+    g = P.g_spd
     E = _gs_frame(g)
-    Rg = riemann(M, x, ConnKind.LC_G)
+    Rg = P.riemann(ConnKind.LC_G)
     k = float(np.einsum("lm,mkij,i,j,k,l->", g, Rg, E[0], E[1], E[1], E[0]))
-    _, ds = sigma_jet(M, x, 1)
-    n2 = float(ds @ metric_inverse_at(M, x) @ ds)
-    return 2.0 * k + n2 - laplace_sigma(M, x)
+    ds = P.dsigma
+    n2 = float(ds @ P.g_inv @ ds)
+    return 2.0 * k + n2 - P.laplace_sigma
 
 
 def hadamard2d_scan(M, points, tol=0.0):
@@ -172,8 +152,7 @@ def hadamard2d_scan(M, points, tol=0.0):
     if M.n != 2:
         raise ValueError("the planar scan needs a 2-dimensional manifold")
     pts = _points(M, points)
-    with ThreadPoolExecutor(max_workers=min(8, len(pts))) as ex:
-        vals = list(ex.map(lambda x: _careq2_at(M, x), pts))
+    vals = [_careq2_at(M.at(x)) for x in pts]
     k = int(np.argmax(vals))
     return ScanReport(
         manifold=M.name,
@@ -207,28 +186,25 @@ def _covariant_metric_residual(dg, conn, g):
     )
 
 
-def _identity_residuals(M, x):
-    g, dg = metric_jet(M, x, 1)
-    s = sigma_at(M, x)
-    _, ds = sigma_jet(M, x, 1)
-    gam = connection_coeffs(M, x, ConnKind.LC_G)
-    nab = connection_coeffs(M, x, ConnKind.NABLA)
-    bar = connection_coeffs(M, x, ConnKind.NABLA_BAR)
-    til = connection_coeffs(M, x, ConnKind.LC_G_TILDE)
+def _identity_residuals(P):
+    g, dg, s, ds = P.g, P.dg, P.sigma, P.dsigma
+    gam = P.gamma(ConnKind.LC_G)
+    nab = P.gamma(ConnKind.NABLA)
+    bar = P.gamma(ConnKind.NABLA_BAR)
+    til = P.gamma(ConnKind.LC_G_TILDE)
     es = math.exp(s)
     gt = es * g
     dgt = es * (np.einsum("k,ij->kij", ds, g) + dg)
     lc = _covariant_metric_residual(dg, gam, g)
     lct = _covariant_metric_residual(dgt, til, gt)
-    cod = _covariant_metric_residual(dg, nab, g) - cubic_form(M, x)
+    cod = _covariant_metric_residual(dg, nab, g) - _cubic_form(P)
     dual = (
         dg
         - np.einsum("lki,lj->kij", nab, g)
         - np.einsum("lkj,il->kij", bar, g)
     )
-    eye = np.eye(M.n)
-    sym = np.einsum("ki,j->kij", eye, ds) + np.einsum("kj,i->kij", eye, ds)
-    contrans = til - gam - 0.5 * (sym - np.einsum("ij,k->kij", g, grad_sigma(M, x)))
+    sym = P.projective
+    contrans = til - gam - 0.5 * (sym - np.einsum("ij,k->kij", g, P.grad_sigma))
     proj = til - nab - sym
     return {
         "metric-compatibility": max(
@@ -243,24 +219,23 @@ def _identity_residuals(M, x):
     }
 
 
-def _point_residuals(M, x):
-    out = _identity_residuals(M, x)
-    rel = curvature_relation_residuals(M, x)
+def _point_residuals(P):
+    out = _identity_residuals(P)
+    rel = _relation_residuals(P)
     out["curvature-eq3"] = rel["eq3"]
     out["curvature-eq4"] = rel["eq4"]
     out["curvature-eq5"] = rel["eq5"]
-    ric = ricci(M, x, ConnKind.NABLA)
+    ric = _ricci(P, ConnKind.NABLA)
     out["ricci-symmetry"] = float(np.abs(ric - ric.T).max())
-    out["volume-parallel"] = float(np.abs(parallel_volume_residual(M, x)).max())
-    _, ds = sigma_jet(M, x, 1)
-    out["trace-k"] = float(np.abs(trace_K(M, x) + (M.n + 2) / 2.0 * ds).max())
-    eye = np.eye(M.n)
+    out["volume-parallel"] = float(np.abs(_parallel_volume_residual(P)).max())
+    out["trace-k"] = float(np.abs(_trace_K(P) + (P.n + 2) / 2.0 * P.dsigma).max())
+    eye = np.eye(P.n)
     sec = 0.0
-    for a, b in combinations(range(M.n), 2):
-        direct, via = sectional_tilde(M, x, (eye[a], eye[b]))
+    for a, b in combinations(range(P.n), 2):
+        direct, via = _sectional_tilde(P, (eye[a], eye[b]))
         sec = max(sec, abs(direct - via))
     out["sectional-tilde-agreement"] = sec
-    out["conjugate-symmetry"] = conjugate_symmetry_residual(M, x)
+    out["conjugate-symmetry"] = _conjugate_symmetry_residual(P)
     return out
 
 
@@ -282,19 +257,17 @@ _SUITE_ORDER = (
 _INFORMATIONAL = ("conjugate-symmetry",)
 
 
-def _lambda_fit(M, pts):
+def _lambda_fit(terms, pts):
     # least-squares constant-curvature coefficient over all samples, then
-    # the worst residual that the fitted value leaves behind
+    # the worst residual that the fitted value leaves behind; terms holds
+    # each sample's _constant_curvature_terms for nabla
     num = 0.0
     den = 0.0
-    for x in pts:
-        g = metric_at(M, x)
-        low = np.einsum("lm,mkij->lkij", g, riemann(M, x, ConnKind.NABLA))
-        W = np.einsum("jk,il->lkij", g, g) - np.einsum("ik,jl->lkij", g, g)
+    for low, W in terms:
         num += float(np.sum(low * W))
         den += float(np.sum(W * W))
     lam = num / den
-    res = [constant_curvature_residual(M, x, lam) for x in pts]
+    res = [float(np.abs(low - lam * W).max()) for low, W in terms]
     k = int(np.argmax(res))
     return lam, float(res[k]), pts[k]
 
@@ -310,8 +283,12 @@ def check_suite(M, opts=None):
     """
     opts = opts if opts is not None else CheckOpts()
     pts = [np.array(x) for x in sample_domain(M, opts.samples, seed=opts.seed)]
-    with ThreadPoolExecutor(max_workers=min(8, len(pts))) as ex:
-        rows = list(ex.map(lambda x: _point_residuals(M, x), pts))
+    rows = []
+    terms = []
+    for x in pts:
+        P = M.at(x)
+        rows.append(_point_residuals(P))
+        terms.append(_constant_curvature_terms(P, ConnKind.NABLA))
     spec = f"{opts.samples} seeded domain samples, seed {opts.seed}"
     reports = []
     for name in _SUITE_ORDER:
@@ -327,7 +304,7 @@ def check_suite(M, opts=None):
             passed=None if info else bool(vals[k] <= opts.tol),
             tol=None if info else opts.tol,
         ))
-    lam, res, argp = _lambda_fit(M, pts)
+    lam, res, argp = _lambda_fit(terms, pts)
     reports.append(ScanReport(
         manifold=M.name,
         check="constant-curvature-fit",

@@ -6,7 +6,8 @@ JSON), contrast (print rho(p, q)), check (identity suite as a table),
 hadamard (curvature-sign scan over a coordinate grid).
 
 Exit codes: 0 success or passing scan, 1 failing check or scan, 2
-invalid input, 3 numerical failure such as no converged geodesic.
+invalid input, 3 numerical failure such as no converged geodesic or a
+derivative of g or sigma that cannot be evaluated at a point in the chart.
 Diagnostics are single lines on stderr.  All numbers are printed with
 17 significant digits, so equal seeds give byte-identical output.
 """
@@ -19,26 +20,11 @@ import numpy as np
 
 from .analyze import CheckOpts, check_suite, hadamard_scan
 from .connect import NoConvergenceError, ShootOpts, contrast, shoot_connect
-from .curvature import conjugate_symmetry_residual, ricci
+from .curvature import _conjugate_symmetry_residual, _ricci
+from .exprcore import ExprError
 from .geodesic import GeodesicError, IntegratorOpts, integrate_geodesic
-from .manifold import (
-    DefinitionError,
-    OutOfDomainError,
-    grad_sigma,
-    hess_sigma,
-    laplace_sigma,
-    load_manifold,
-    metric_at,
-    metric_inverse_at,
-    sigma_jet,
-)
-from .statstruct import (
-    ConnKind,
-    conjugate,
-    connection_coeffs,
-    cubic_form,
-    difference_tensor,
-)
+from .manifold import ConnKind, DefinitionError, OutOfDomainError, load_manifold
+from .statstruct import _cubic_form, conjugate
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -154,22 +140,22 @@ def _grid_points(M, spec):
 def _cmd_describe(args):
     M = load_manifold(args.manifold)
     x = _coords(args.at, M.n)
-    s, ds = sigma_jet(M, x, 1)
+    P = M.at(x)
     doc = {
         "manifold": M.name,
         "point": x,
-        "g": metric_at(M, x),
-        "g_inv": metric_inverse_at(M, x),
-        "sigma": s,
-        "dsigma": ds,
-        "grad_sigma": grad_sigma(M, x),
-        "hess_sigma": hess_sigma(M, x),
-        "laplace_sigma": laplace_sigma(M, x),
-        "K": difference_tensor(M, x),
-        "C": cubic_form(M, x),
-        "gamma": {k.value: connection_coeffs(M, x, k) for k in ConnKind},
-        "ricci_nabla": ricci(M, x, ConnKind.NABLA),
-        "conjugate_symmetry_residual": conjugate_symmetry_residual(M, x),
+        "g": P.g_spd,
+        "g_inv": P.g_inv,
+        "sigma": P.sigma,
+        "dsigma": P.dsigma,
+        "grad_sigma": P.grad_sigma,
+        "hess_sigma": P.hess_sigma,
+        "laplace_sigma": P.laplace_sigma,
+        "K": P.K,
+        "C": _cubic_form(P),
+        "gamma": {k.value: P.gamma(k) for k in ConnKind},
+        "ricci_nabla": _ricci(P, ConnKind.NABLA),
+        "conjugate_symmetry_residual": _conjugate_symmetry_residual(P),
     }
     sys.stdout.write(_jtext(doc) + "\n")
     return 0
@@ -350,7 +336,9 @@ def run(argv):
         return _diag(exc, 2)
     except NoConvergenceError as exc:
         return _diag(f"no converged geodesic: {exc}", 3)
-    except GeodesicError as exc:
+    except (GeodesicError, ExprError) as exc:
+        # ExprError here is a derived quantity that cannot be evaluated at
+        # an in-chart point: the definition parsed, so it is numerical
         return _diag(exc, 3)
 
 

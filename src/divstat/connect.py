@@ -17,7 +17,6 @@ helpers raise NoConvergenceError since they must return a number.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,8 @@ from .geodesic import (
     integrate_geodesic,
     reparam_from_tilde,
 )
-from .manifold import _require, metric_at, sigma_at
-from .statstruct import ConnKind, connection_coeffs
+from .manifold import ConnKind, _require, metric_at, sigma_at
+from .statstruct import connection_coeffs
 
 _SCOUT = IntegratorOpts(rtol=1e-5, atol=1e-7)
 _COARSE = IntegratorOpts(rtol=1e-7, atol=1e-9)
@@ -191,19 +190,12 @@ def _solve_bvp(M, p, q, opts):
     starts = _start_velocities(M, p, q, opts)
     gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
     target = 0.25 * opts.eps_bvp
-
-    def run(item):
-        k, v0 = item
-        ok, v, err = _gauss_newton(M, p, q, v0, opts.max_iter, target)
-        return k, ok, v, err
-
-    with ThreadPoolExecutor(max_workers=min(8, len(starts))) as ex:
-        outs = list(ex.map(run, enumerate(starts)))
-    # reduction is a deterministic function of the start index ordering,
-    # independent of branch completion order
+    # starts run in index order, so the reduction is a deterministic
+    # function of that order
     sols = []
     fail = None
-    for k, ok, v, err in sorted(outs, key=lambda o: o[0]):
+    for k, v0 in enumerate(starts):
+        ok, v, err = _gauss_newton(M, p, q, v0, opts.max_iter, target)
         if ok:
             if any(
                 np.linalg.norm(v - s["v0"]) <= 1e-6 * max(1.0, np.linalg.norm(v))

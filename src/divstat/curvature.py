@@ -2,8 +2,11 @@
 
 Conventions: riemann returns R[l,k,i,j] with R(d_i, d_j) d_k = R^l_kij d_l,
 built from R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
-- Gamma^l_jm Gamma^m_ik. Everything runs on the symbolic jets; no finite
-differences enter any curvature quantity.
+- Gamma^l_jm Gamma^m_ik by manifold.PointGeometry.riemann. Everything runs
+on the symbolic jets; no finite differences enter any curvature quantity.
+Each public (M, x) function reads the geometry at x once; the private
+forms take that PointGeometry, so a caller that evaluates several
+quantities at one point shares its tensors.
 
 The identities checked by curvature_relation_residuals are stated with the
 signs that actually close numerically, which for eq5 means
@@ -18,31 +21,16 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .manifold import (
-    _metric_jet_raw,
-    _require,
-    _sigma_jet_raw,
-    christoffel_jet,
-    hess_sigma,
-    metric_at,
-    sigma_at,
-)
-from .statstruct import ConnKind, connection_dcoeffs, difference_jet
+from .manifold import ConnKind
 
 
 class DegeneratePlaneError(ValueError):
     """The two given vectors do not span a 2-plane at the base point."""
 
 
-def _riem_from(gam, dgam):
-    A = dgam.transpose(1, 3, 0, 2) + np.einsum("lim,mjk->lkij", gam, gam)
-    return A - A.transpose(0, 1, 3, 2)
-
-
 def riemann(M, x, kind):
     """Curvature coefficients R[l,k,i,j] of the requested connection at x."""
-    gam, dgam = connection_dcoeffs(M, x, kind)
-    return _riem_from(gam, dgam)
+    return M.at(x).riemann(ConnKind(kind))
 
 
 def _gs_frame(g):
@@ -61,18 +49,22 @@ def _gs_frame(g):
 
 def ricci(M, x, kind):
     """Ric[j,k] = sum_i g(R(e_i, d_j) d_k, e_i) over a g-orthonormal frame."""
-    x = _require(M, x)
-    g = metric_at(M, x)
-    R = riemann(M, x, kind)
+    return _ricci(M.at(x), ConnKind(kind))
+
+
+def _ricci(P, kind):
+    g = P.g_spd
     E = _gs_frame(g)
-    return np.einsum("ia,lkaj,lm,im->jk", E, R, g, E)
+    return np.einsum("ia,lkaj,lm,im->jk", E, P.riemann(kind), g, E)
 
 
 def statistical_curvature(M, x):
     """S = (R + Rbar)/2, coefficientwise."""
-    return 0.5 * (
-        riemann(M, x, ConnKind.NABLA) + riemann(M, x, ConnKind.NABLA_BAR)
-    )
+    return _statistical_curvature(M.at(x))
+
+
+def _statistical_curvature(P):
+    return 0.5 * (P.riemann(ConnKind.NABLA) + P.riemann(ConnKind.NABLA_BAR))
 
 
 def _plane_basis(g, plane):
@@ -98,20 +90,22 @@ def sectional_tilde(M, x, plane):
     on the g-orthonormalized pair. The two must agree; keeping both routes
     separate is the point of the check.
     """
-    x = _require(M, x)
-    g = metric_at(M, x)
+    return _sectional_tilde(M.at(x), plane)
+
+
+def _sectional_tilde(P, plane):
+    g = P.g_spd
     X, Y = _plane_basis(g, plane)
-    es = math.exp(sigma_at(M, x))
+    es = math.exp(P.sigma)
     gt = es * g
-    Rt = riemann(M, x, ConnKind.LC_G_TILDE)
+    Rt = P.riemann(ConnKind.LC_G_TILDE)
     num = float(np.einsum("lm,mkij,i,j,k,l->", gt, Rt, X, Y, Y, X))
     den = float((X @ gt @ X) * (Y @ gt @ Y) - float(X @ gt @ Y) ** 2)
     direct = num / den
 
-    S = statistical_curvature(M, x)
-    H = hess_sigma(M, x)
-    _, ds = _sigma_jet_raw(M, x, 1)
-    n2 = float(ds @ np.linalg.solve(g, ds))
+    S = _statistical_curvature(P)
+    H = P.hess_sigma
+    n2 = float(P.dsigma @ P.grad_sigma)
     sval = float(np.einsum("lm,mkij,i,j,k,l->", g, S, X, Y, Y, X))
     via = (sval - 0.5 * (float(X @ H @ X) + float(Y @ H @ Y) + n2)) / es
     return direct, via
@@ -124,19 +118,20 @@ def curvature_relation_residuals(M, x):
     eq4: R = R_g + alt(nabla_g K) + [K_X, K_Y]Z
     eq5: 2 R_g = R + Rbar - 2 [K_X, K_Y]Z
     """
-    x = _require(M, x)
-    (g,) = _metric_jet_raw(M, x, 0)
-    gam, dgam = christoffel_jet(M, x)
-    K, dK = difference_jet(M, x)
-    Rg = _riem_from(gam, dgam)
-    R = _riem_from(gam + K, dgam + dK)
-    Rb = _riem_from(gam - K, dgam - dK)
+    return _relation_residuals(M.at(x))
+
+
+def _relation_residuals(P):
+    g, gam, K = P.g, P.christoffel, P.K
+    Rg = P.riemann(ConnKind.LC_G)
+    R = P.riemann(ConnKind.NABLA)
+    Rb = P.riemann(ConnKind.NABLA_BAR)
 
     KK = np.einsum("lim,mjk->lkij", K, K)
     KK = KK - KK.transpose(0, 1, 3, 2)
     # (nabla_m K)^l_jk
     DK = (
-        dK
+        P.dK
         + np.einsum("lmi,ijk->mljk", gam, K)
         - np.einsum("imj,lik->mljk", gam, K)
         - np.einsum("imk,lji->mljk", gam, K)
@@ -160,22 +155,26 @@ def conjugate_symmetry_residual(M, x):
     the deviation of Hess sigma from its best trace-fitted multiple of g
     measured through g itself, with no coordinate-dependent norm involved.
     """
-    x = _require(M, x)
-    g = metric_at(M, x)
-    H = hess_sigma(M, x)
-    w = scipy.linalg.eigh(H, g, eigvals_only=True)
+    return _conjugate_symmetry_residual(M.at(x))
+
+
+def _conjugate_symmetry_residual(P):
+    w = scipy.linalg.eigh(P.hess_sigma, P.g_spd, eigvals_only=True)
     return float(w[-1] - w[0])
+
+
+def _constant_curvature_terms(P, kind):
+    # (g(R(di,dj)dk,dl), g_jk g_il - g_ik g_jl), both indexed [l,k,i,j]
+    g = P.g_spd
+    low = np.einsum("lm,mkij->lkij", g, P.riemann(kind))
+    W = np.einsum("jk,il->lkij", g, g) - np.einsum("ik,jl->lkij", g, g)
+    return low, W
 
 
 def constant_curvature_residual(M, x, lam, kind=ConnKind.NABLA):
     """max |g(R(di,dj)dk,dl) - lam (g_jk g_il - g_ik g_jl)| at x."""
-    x = _require(M, x)
-    g = metric_at(M, x)
-    low = np.einsum("lm,mkij->lkij", g, riemann(M, x, kind))
-    want = lam * (
-        np.einsum("jk,il->lkij", g, g) - np.einsum("ik,jl->lkij", g, g)
-    )
-    return float(np.abs(low - want).max())
+    low, W = _constant_curvature_terms(M.at(x), ConnKind(kind))
+    return float(np.abs(low - lam * W).max())
 
 
 def closed_form_residuals(M, x):
@@ -193,24 +192,17 @@ def closed_form_residuals(M, x):
     These are cross-checks only; the primary computation stays with the
     connection jets.
     """
-    x = _require(M, x)
-    g, dg = _metric_jet_raw(M, x, 1)
-    _, ds, d2s = _sigma_jet_raw(M, x, 2)
-    gam, dgam = christoffel_jet(M, x)
-    K, dK = difference_jet(M, x)
-    n = M.n
-    gi = np.linalg.inv(g)
-    grad = gi @ ds
-    dgi = -np.einsum("ka,mab,bl->mkl", gi, dg, gi)
-    dgrad = np.einsum("mkl,l->mk", dgi, ds) + np.einsum("kl,ml->mk", gi, d2s)
-    H = d2s - np.einsum("kij,k->ij", gam, ds)
+    P = M.at(x)
+    g, ds, gam, n = P.g, P.dsigma, P.christoffel, P.n
+    grad, dgrad = P.grad_jet
+    H = P.hess_sigma
     G = dgrad + np.einsum("lim,m->il", gam, grad)  # G[i,l] = (nabla_i grad)^l
     n2 = float(ds @ grad)
-    lap = float(np.einsum("ij,ij->", gi, H))
+    lap = P.laplace_sigma
     eye = np.eye(n)
 
-    Rg = _riem_from(gam, dgam)
-    R = _riem_from(gam + K, dgam + dK)
+    Rg = P.riemann(ConnKind.LC_G)
+    R = P.riemann(ConnKind.NABLA)
     block_h = (
         np.einsum("ik,lj->lkij", H, eye)
         - np.einsum("jk,li->lkij", H, eye)
@@ -226,7 +218,7 @@ def closed_form_residuals(M, x):
     )
     want_R = Rg - 0.5 * block_h + quad
 
-    ric = ricci(M, x, ConnKind.NABLA)
+    ric = _ricci(P, ConnKind.NABLA)
     ric_g = np.einsum("akaj->jk", Rg)
     want_ric = (
         ric_g

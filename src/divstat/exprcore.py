@@ -2,10 +2,17 @@
 
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``,
 with ``^`` right-associative.  Functions: exp, log, sin, cos, sqrt, abs.
-Differentiation is exact and symbolic; the only rewriting ever performed
-is constant folding.  Evaluation outside the real domain of an operation
-raises :class:`EvalDomainError` carrying the offending node -- it never
-returns a silent NaN or infinity.
+Differentiation is exact and symbolic, and the trees themselves are only
+ever rewritten by constant folding.
+
+Evaluation compiles trees to Python functions (compile_many; Expr.eval
+goes through it too).  The emitter folds the exact identities ``e*1``,
+``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and ``e^1`` to ``e``.  A factor
+multiplied by a literal ``0``, or a base raised to a literal ``0``, is not
+evaluated at all, so a domain error inside it is not reported.  Any other
+evaluation outside the real domain of an operation raises
+:class:`EvalDomainError` carrying the offending node -- it never returns a
+silent NaN or infinity.
 """
 
 import math
@@ -21,6 +28,7 @@ __all__ = [
     "EvalDomainError",
     "parse",
     "evaluate",
+    "compile_many",
 ]
 
 _UNARY_OPS = ("neg", "exp", "log", "sin", "cos", "sqrt", "abs")
@@ -65,9 +73,9 @@ class Expr:
         """Evaluate at coordinate tuple `x`."""
         fn = getattr(self, "_fn", None)
         if fn is None:
-            fn = _compile(self)
+            fn = compile_many((self,))
             object.__setattr__(self, "_fn", fn)
-        return fn(x)
+        return fn(x)[0]
 
     def diff(self, i):
         """Exact partial derivative with respect to coordinate `i`."""
@@ -348,79 +356,167 @@ def _bin(op, left, right):
     return Bin(op, left, right)
 
 
-# compilation to a plain python callable; on any non-finite outcome the
-# tree walker re-runs to report the offending node
+# compilation: one python function for a list of roots.  Every distinct
+# subtree is computed once, and exact identities are folded here, never in
+# the trees.  On any exception or non-finite output the guarded tree walker
+# re-runs to name the failing node.
+
+_EMIT_BIN = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+# inlined operations nest at most this deep in one generated expression;
+# CPython's parser stops at 200 levels of parentheses
+_INLINE_DEPTH = 32
 
 
-def _compile(root):
-    nodes = []
-    parts = []
+def _num_key(value):
+    # 0.0 and -0.0 compare equal but must stay distinct literals
+    return ("num", value, math.copysign(1.0, value))
 
-    def emit(e):
+
+def compile_many(roots):
+    """A callable ``f(x)`` returning the tuple of every root's value at `x`.
+
+    Repeated subtrees of the hash-consed trees are computed once.  The
+    emitter folds ``e*1``, ``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and
+    ``e^1`` to ``e``, and ``0*e``, ``e*0`` and ``e^0`` to their constant
+    without evaluating ``e``, so a domain error inside such an ``e`` is
+    not reported.  Any other failure raises :class:`EvalDomainError` with
+    the failing node and point, found by the guarded tree walker.
+    """
+    roots = tuple(roots)
+    rows = []     # structural keys in post-order, so children precede parents
+    index = {}    # structural key -> row
+    seen = {}     # id(node) -> row; structurally shared objects hit here
+
+    def row(key):
+        r = index.get(key)
+        if r is None:
+            r = index[key] = len(rows)
+            rows.append(key)
+        return r
+
+    def is_num(r, value):
+        key = rows[r]
+        return key[0] == "num" and key[1] == value
+
+    def visit(e):
+        r = seen.get(id(e))
+        if r is not None:
+            return r
         if isinstance(e, Num):
-            return repr(e.value)
-        if isinstance(e, Var):
-            return f"x[{e.index}]"
-        nid = len(nodes)
-        nodes.append(e)
-        if isinstance(e, Una):
-            a = emit(e.arg)
-            if e.op == "neg":
-                return f"(-{a})"
-            if e.op == "abs":
-                return f"abs({a})"
-            return f"_u1(_{_UNARY_OPS.index(e.op)}, {a}, {nid})"
-        a, b = emit(e.left), emit(e.right)
-        if e.op == "add":
-            return f"({a} + {b})"
-        if e.op == "sub":
-            return f"({a} - {b})"
-        if e.op == "mul":
-            return f"({a} * {b})"
-        if e.op == "div":
-            return f"_dv({a}, {b}, {nid})"
-        return f"_pw({a}, {b}, {nid})"
+            r = row(_num_key(e.value))
+        elif isinstance(e, Var):
+            r = row(("var", e.index))
+        elif isinstance(e, Una):
+            r = row((e.op, visit(e.arg)))
+        elif e.op == "pow":
+            b = visit(e.right)
+            if is_num(b, 0.0):
+                r = row(_num_key(1.0))
+            else:
+                a = visit(e.left)
+                r = a if is_num(b, 1.0) else row(("pow", a, b))
+        else:
+            a = visit(e.left)
+            if e.op == "mul" and is_num(a, 0.0):
+                r = a
+            else:
+                b = visit(e.right)
+                r = _fold(e.op, a, b, is_num)
+                if r is None:
+                    r = row((e.op, a, b))
+        seen[id(e)] = r
+        return r
 
-    body = emit(root)
-    src = f"def _raw(x):\n    return {body}\n"
+    outs = [visit(e) for e in roots]
 
-    def _u1(fn, v, nid):
+    # use counts over the rows the outputs reach; a row used once is
+    # inlined into its user unless that nests too deep, any other gets a
+    # local
+    uses = [0] * len(rows)
+    for r in outs:
+        uses[r] += 1
+    for r in range(len(rows) - 1, -1, -1):
+        key = rows[r]
+        if uses[r] and key[0] not in ("num", "var"):
+            for c in key[1:]:
+                uses[c] += 1
+
+    code = [None] * len(rows)
+    depth = [0] * len(rows)
+    lines = []
+    for r, (op, *args) in enumerate(rows):
+        if not uses[r]:
+            continue
+        if op == "num":
+            code[r] = repr(args[0])
+            continue
+        if op == "var":
+            text = f"x[{args[0]}]"
+        else:
+            a = [code[c] for c in args]
+            depth[r] = 1 + max(depth[c] for c in args)
+            if op == "neg":
+                text = f"(-{a[0]})"
+            elif op == "pow":
+                text = f"_pow({a[0]}, {a[1]})"
+            elif len(a) == 1:
+                text = f"_{op}({a[0]})"
+            else:
+                text = f"({a[0]} {_EMIT_BIN[op]} {a[1]})"
+        if uses[r] > 1 or depth[r] > _INLINE_DEPTH:
+            lines.append(f"    t{r} = {text}")
+            text = f"t{r}"
+            depth[r] = 0
+        code[r] = text
+    body = "\n".join(lines + [f"    return ({', '.join(code[r] for r in outs)},)"])
+    ns = {f"_{op}": getattr(math, op) for op in ("exp", "log", "sin", "cos", "sqrt")}
+    ns.update(_abs=abs, _pow=math.pow)
+    exec(f"def _kernel(x):\n{body}\n", ns)  # noqa: S102 - generated from validated trees
+    raw = ns["_kernel"]
+    isfinite = math.isfinite
+
+    def kernel(x):
         try:
-            return fn(v)
-        except (ValueError, OverflowError):
-            raise EvalDomainError(nodes[nid], "outside real domain") from None
+            out = raw(x)
+            # a finite sum proves every term finite; an overflowing sum of
+            # finite terms falls through to the exact test
+            if isfinite(sum(out)) or all(map(isfinite, out)):
+                return out
+        except (ArithmeticError, ValueError):
+            pass
+        _walk_failure(roots, x)
 
-    def _dv(a, b, nid):
+    return kernel
+
+
+def _fold(op, a, b, is_num):
+    # the row an exact identity reduces `a op b` to, or None
+    if op == "add":
+        if is_num(b, 0.0):
+            return a
+        if is_num(a, 0.0):
+            return b
+    elif op == "sub":
+        if is_num(b, 0.0):
+            return a
+    elif op == "mul":
+        if is_num(b, 0.0) or is_num(a, 1.0):
+            return b
+        if is_num(b, 1.0):
+            return a
+    elif op == "div":
+        if is_num(b, 1.0):
+            return a
+    return None
+
+
+def _walk_failure(roots, x):
+    for e in roots:
         try:
-            return a / b
-        except ZeroDivisionError:
-            raise EvalDomainError(nodes[nid], "division by zero") from None
-
-    def _pw(a, b, nid):
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError):
-            raise EvalDomainError(nodes[nid], "power outside real domain") from None
-
-    ns = {"_u1": _u1, "_dv": _dv, "_pw": _pw, "abs": abs, "math": math}
-    for k, op in enumerate(_UNARY_OPS):
-        if op not in ("neg", "abs"):
-            ns[f"_{k}"] = getattr(math, op)
-    exec(src, ns)  # noqa: S102 - generated from a validated AST
-    raw = ns["_raw"]
-
-    def fn(x):
-        try:
-            v = raw(x)
+            e._walk_eval(x)
         except EvalDomainError as err:
             raise EvalDomainError(err.node, err.reason, x) from None
-        if math.isfinite(v):
-            return v
-        # locate the offending node with the guarded walker
-        root._walk_eval(x)
-        raise EvalDomainError(root, "non-finite result", x)
-
-    return fn
+    raise EvalDomainError(roots[0], "non-finite result", x)
 
 
 # recursive-descent parser

@@ -7,7 +7,9 @@ the exit parameter is sharp.  Because nabla is projectively equivalent to the
 Levi-Civita connection of gtilde = e^sigma g, a nabla-geodesic becomes a
 gtilde-geodesic under the parameter change ds/dt = e^{2 sigma} along the path
 (and back with the reciprocal weight); reparam_to_tilde / reparam_from_tilde
-perform that change by cumulative Simpson quadrature on the dense samples.
+perform that change by two-point quintic Hermite quadrature between the dense
+samples, with the weight's first two parameter derivatives taken from the
+geodesic equation.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +18,7 @@ import numpy as np
 from scipy.integrate import RK45
 
 from .exprcore import EvalDomainError
-from .manifold import OutOfDomainError, _require, in_domain, sigma_at, sigma_jet
-from .statstruct import ConnKind, connection_coeffs
+from .manifold import ConnKind, OutOfDomainError, _require, in_domain, sigma_at
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -107,11 +108,12 @@ class GeodesicPath:
 
 def _rhs_factory(M, kind):
     n = M.n
+    kind = ConnKind(kind)
 
     def rhs(t, y):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                gam = connection_coeffs(M, y[:n], kind)
+                gam = M.at(y[:n]).gamma(kind)
         except (OutOfDomainError, EvalDomainError) as err:
             raise _DomainExit from err
         if not np.isfinite(gam).all():
@@ -355,11 +357,10 @@ def _reparam(M, path, sign, out_kind, in_kind):
     Fpp = np.empty(m)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
-            sig, dsig, hsig = sigma_jet(M, xs[j], 2)
+            P = M.at(xs[j])
+            sig, dsig, hsig = P.sigma, P.dsigma, P.d2sigma
             v = vs[j]
-            acc = -np.einsum(
-                "kij,i,j->k", connection_coeffs(M, xs[j], in_kind), v, v
-            )
+            acc = -np.einsum("kij,i,j->k", P.gamma(in_kind), v, v)
             lp = sign * float(dsig @ v)
             lpp = sign * float(v @ hsig @ v + dsig @ acc)
             F[j] = np.exp(sign * sig)
@@ -446,7 +447,7 @@ def geodesic_residual(M, kind, path, stride=None):
                 coef = np.linalg.solve(V, xs[win])
                 acc = 2.0 * coef[2] / (scale * scale)
             if i not in gams:
-                gams[i] = connection_coeffs(M, xs[i], kind)
+                gams[i] = M.at(xs[i]).gamma(kind)
             v = vs[i]
             res = acc + (gams[i] @ v) @ v
             worst = max(worst, float(np.abs(res).max()))

@@ -1,24 +1,40 @@
-"""Manifold definitions and the base Riemannian geometry of (M, g).
+"""Manifold definitions and the pointwise geometry of (M, g, sigma).
 
 A manifold is an open subset of R^n in a single chart: coordinate names, a
 boolean domain predicate, a symmetric matrix of metric expressions, and a
-scalar potential sigma.  Everything downstream (connections, curvature,
-geodesics) is derived from the symbolic jets built here at load time.
+scalar potential sigma.  Loading a definition builds the symbolic jets of
+g and sigma up to second order and compiles them into kernels, one per
+group a query can ask for alone: the values of g and sigma, dg, d2g,
+dsigma and d2sigma.
+
+ManifoldDef.at(x) checks the domain once and returns a PointGeometry,
+which evaluates those kernels and derives g^-1, the coefficients of the
+four connections, the difference tensor K, their derivatives and the
+curvature on first use, each at most once.  Everything downstream reads
+pointwise quantities from that object; the (M, x) functions here are thin
+wrappers over it.
+
+Index conventions: connection arrays are gamma[k, i, j] = Gamma^k_ij,
+derivative stacks put the new derivative index first, and curvature
+arrays are R[l, k, i, j] with R(d_i, d_j) d_k = R^l_kij d_l.
 """
 
+import enum
 import json
-import math
 import os
+from functools import cached_property
 
 import numpy as np
 
-from .exprcore import EvalDomainError, ExprError, parse
+from .exprcore import EvalDomainError, ExprError, compile_many, parse
 
 __all__ = [
     "BUILTINS",
+    "ConnKind",
     "DefinitionError",
     "OutOfDomainError",
     "ManifoldDef",
+    "PointGeometry",
     "DomainPred",
     "load_manifold",
     "in_domain",
@@ -39,6 +55,15 @@ __all__ = [
 SPD_EIG_FLOOR = 1e-12
 _SPD_CHECK_SEED = 1723
 _SPD_CHECK_COUNT = 32
+
+
+class ConnKind(enum.Enum):
+    """The four connections attached to (g, sigma)."""
+
+    LC_G = "lc"
+    NABLA = "nabla"
+    NABLA_BAR = "bar"
+    LC_G_TILDE = "lc-tilde"
 
 
 class DefinitionError(Exception):
@@ -196,9 +221,10 @@ BUILTINS = {
 
 
 class ManifoldDef:
-    """Validated manifold definition with precomputed symbolic jets.
+    """Validated manifold definition with its jets compiled into kernels.
 
-    Immutable after construction; all geometry queries are pure.
+    Immutable after construction; all geometry queries are pure and go
+    through at(x), which holds no state between calls.
     """
 
     def __init__(self, doc):
@@ -249,9 +275,12 @@ class ManifoldDef:
         if self.sample_box.shape != (n, 2):
             raise DefinitionError(f"sample_box must be {n} pairs")
         guard_src = doc.get("sample_guard")
-        self.sample_guard = (
-            DomainPred(guard_src, coords) if guard_src is not None else None
-        )
+        try:
+            self.sample_guard = (
+                DomainPred(guard_src, coords) if guard_src is not None else None
+            )
+        except ExprError as err:
+            raise DefinitionError(f"{name}: sample_guard: {err}") from None
 
         # normalized source document, kept so derived manifolds (conjugate)
         # can be rebuilt through the same validation path
@@ -267,30 +296,54 @@ class ManifoldDef:
         if guard_src is not None:
             self.doc["sample_guard"] = guard_src
 
-        # symbolic jets up to second order of g and sigma
-        self._dg = [[[rows[i][j].diff(k) for j in range(n)] for i in range(n)] for k in range(n)]
-        self._d2g = [
-            [[[self._dg[k][i][j].diff(l) for j in range(n)] for i in range(n)] for l in range(n)]
-            for k in range(n)
-        ]
-        self._dsig = [self._sigma.diff(k) for k in range(n)]
-        d2 = [[None] * n for _ in range(n)]
-        for k in range(n):
-            for l in range(k, n):
-                d2[k][l] = d2[l][k] = self._dsig[k].diff(l)
-        self._d2sig = d2
+        # symbolic jets up to second order, one tree per unordered index
+        # pair so that evaluated arrays are exactly symmetric; each kernel
+        # lists its roots in the row-major order of its array
+        sigma = self._sigma
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        pairs = [(min(i, j), max(i, j)) for i in range(n) for j in range(n)]
+        dg = {(k, i, j): rows[i][j].diff(k) for k in range(n) for i, j in upper}
+        d2g = {(k, l, i, j): dg[k, i, j].diff(l) for (k, i, j) in dg for l in range(n)}
+        ds = [sigma.diff(k) for k in range(n)]
+        d2s = {(k, l): ds[k].diff(l) for k, l in upper}
+        self.jet_roots = {
+            "values": [rows[i][j] for i, j in pairs] + [sigma],
+            "dg": [dg[k, i, j] for k in range(n) for i, j in pairs],
+            "d2g": [d2g[k, l, i, j] for k in range(n) for l in range(n) for i, j in pairs],
+            "dsigma": ds,
+            "d2sigma": [d2s[p] for p in pairs],
+        }
+        self.kernels = {
+            group: compile_many(roots) for group, roots in self.jet_roots.items()
+        }
 
         self._spd_spot_check()
 
     def _spd_spot_check(self):
         pts = sample_domain(self, _SPD_CHECK_COUNT, seed=_SPD_CHECK_SEED)
         for x in pts:
-            g = _eval_sym_matrix(self._g, tuple(x))
-            w = np.linalg.eigvalsh(g)
+            w = np.linalg.eigvalsh(self.at(x).g)
             if w.min() <= SPD_EIG_FLOOR:
                 raise DefinitionError(
                     f"{self.name}: metric not SPD at {tuple(x)} (eigenvalues {w})"
                 )
+
+    def _values(self, x):
+        # the entries of g, then sigma, at chart tuple x; None outside the chart
+        try:
+            if self.domain(x):
+                return self.kernels["values"](x)
+        except EvalDomainError:
+            pass
+        return None
+
+    def at(self, x):
+        """The PointGeometry at x; OutOfDomainError outside the chart."""
+        x = _pt(self, x)
+        values = self._values(x)
+        if values is None:
+            raise OutOfDomainError(f"{x} is outside the domain of {self.name}")
+        return PointGeometry(self, x, values)
 
     def __repr__(self):
         return f"ManifoldDef({self.name!r}, n={self.n})"
@@ -317,167 +370,268 @@ def load_manifold(doc):
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
+# pointwise geometry
 
 
 def _pt(M, x):
-    x = tuple(float(c) for c in x)
+    x = tuple(map(float, x))
     if len(x) != M.n:
         raise ValueError(f"expected {M.n} coordinates, got {len(x)}")
     return x
 
 
-def _eval_sym_matrix(rows, x):
-    n = len(rows)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = rows[i][j].eval(x)
-    return out
+class PointGeometry:
+    """The geometry of M at one chart point, each quantity computed once.
+
+    Made by ManifoldDef.at, whose domain check gives g and sigma.  The
+    other attributes evaluate their kernel or derive their tensor on first
+    use and keep it.  A derivative that cannot be evaluated raises
+    EvalDomainError when it is first asked for, so a query never pays for,
+    or fails on, a jet it does not use.
+    """
+
+    def __init__(self, M, x, values):
+        n = M.n
+        self.M = M
+        self.x = x
+        self.n = n
+        self.g = np.array(values[:-1]).reshape(n, n)
+        self.sigma = values[-1]
+        self._by_kind = {}
+
+    def _jet(self, name, shape):
+        return np.array(self.M.kernels[name](self.x)).reshape(shape)
+
+    @cached_property
+    def dg(self):
+        """dg[k, i, j] = d_k g_ij."""
+        n = self.n
+        return self._jet("dg", (n, n, n))
+
+    @cached_property
+    def d2g(self):
+        """d2g[k, l, i, j] = d_l d_k g_ij."""
+        n = self.n
+        return self._jet("d2g", (n, n, n, n))
+
+    @cached_property
+    def dsigma(self):
+        return self._jet("dsigma", (self.n,))
+
+    @cached_property
+    def d2sigma(self):
+        """Exactly symmetric second partials of sigma."""
+        n = self.n
+        return self._jet("d2sigma", (n, n))
+
+    @cached_property
+    def g_spd(self):
+        """g, once it is checked to be positive definite here."""
+        if np.linalg.eigvalsh(self.g).min() <= SPD_EIG_FLOOR:
+            raise OutOfDomainError(f"{self.M.name}: metric not SPD at {self.x}")
+        return self.g
+
+    @cached_property
+    def g_inv(self):
+        return np.linalg.inv(self.g)
+
+    @cached_property
+    def dg_inv(self):
+        """d_m (g^-1) = -g^-1 (d_m g) g^-1."""
+        gi = self.g_inv
+        return -np.einsum("ka,mab,bl->mkl", gi, self.dg, gi)
+
+    @cached_property
+    def grad_sigma(self):
+        """grad sigma = g^-1 dsigma, by a linear solve."""
+        return np.linalg.solve(self.g, self.dsigma)
+
+    @cached_property
+    def grad_jet(self):
+        """(g^-1 dsigma, its derivative [m, k]), both through g^-1 and dg^-1.
+
+        dK and the closed-form checks use this product; K uses grad_sigma,
+        a linear solve, which can differ from it in the last bit.
+        """
+        gi, ds = self.g_inv, self.dsigma
+        dgrad = np.einsum("mkl,l->mk", self.dg_inv, ds) + np.einsum(
+            "kl,ml->mk", gi, self.d2sigma
+        )
+        return gi @ ds, dgrad
+
+    @cached_property
+    def _dg_sym(self):
+        # s[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
+        dg = self.dg
+        return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+
+    @cached_property
+    def christoffel(self):
+        """Levi-Civita coefficients of g."""
+        return 0.5 * np.einsum("kl,ijl->kij", self.g_inv, self._dg_sym)
+
+    @cached_property
+    def dchristoffel(self):
+        """d_m Gamma^k_ij of g, in matrix calculus from the jets."""
+        d2g = self.d2g
+        # d_m s[i,j,l] = d2g[m,i,j,l] + d2g[m,j,i,l] - d2g[m,l,i,j]
+        ds = d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 2, 3, 1)
+        return 0.5 * (
+            np.einsum("mkl,ijl->mkij", self.dg_inv, self._dg_sym)
+            + np.einsum("kl,mijl->mkij", self.g_inv, ds)
+        )
+
+    @cached_property
+    def projective(self):
+        """P[k,i,j] = d_i sigma delta^k_j + d_j sigma delta^k_i."""
+        eye = np.eye(self.n)
+        ds = self.dsigma
+        return np.einsum("ki,j->kij", eye, ds) + np.einsum("kj,i->kij", eye, ds)
+
+    @cached_property
+    def dprojective(self):
+        eye = np.eye(self.n)
+        d2s = self.d2sigma
+        return np.einsum("ki,mj->mkij", eye, d2s) + np.einsum("kj,mi->mkij", eye, d2s)
+
+    @cached_property
+    def K(self):
+        """K[k,i,j] = -(d_i sigma d^k_j + d_j sigma d^k_i + g_ij grad^k)/2."""
+        return -0.5 * (
+            self.projective + np.einsum("ij,k->kij", self.g, self.grad_sigma)
+        )
+
+    @cached_property
+    def dK(self):
+        """dK[m,k,i,j] = d_m K^k_ij."""
+        grad, dgrad = self.grad_jet
+        return -0.5 * (
+            self.dprojective
+            + np.einsum("mij,k->mkij", self.dg, grad)
+            + np.einsum("ij,mk->mkij", self.g, dgrad)
+        )
+
+    def gamma(self, kind):
+        """Coefficients gamma[k,i,j] of the connection `kind`."""
+        key = ("gamma", kind)
+        out = self._by_kind.get(key)
+        if out is None:
+            if kind is ConnKind.LC_G:
+                out = self.christoffel
+            elif kind is ConnKind.NABLA:
+                out = self.christoffel + self.K
+            elif kind is ConnKind.NABLA_BAR:
+                out = self.christoffel - self.K
+            else:
+                out = self.gamma(ConnKind.NABLA) + self.projective
+            self._by_kind[key] = out
+        return out
+
+    def dgamma(self, kind):
+        """dgamma[m,k,i,j] = d_m gamma[k,i,j] of the connection `kind`."""
+        key = ("dgamma", kind)
+        out = self._by_kind.get(key)
+        if out is None:
+            if kind is ConnKind.LC_G:
+                out = self.dchristoffel
+            elif kind is ConnKind.NABLA:
+                out = self.dchristoffel + self.dK
+            elif kind is ConnKind.NABLA_BAR:
+                out = self.dchristoffel - self.dK
+            else:
+                out = self.dgamma(ConnKind.NABLA) + self.dprojective
+            self._by_kind[key] = out
+        return out
+
+    def riemann(self, kind):
+        """R[l,k,i,j] = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
+        key = ("riemann", kind)
+        out = self._by_kind.get(key)
+        if out is None:
+            gam = self.gamma(kind)
+            A = self.dgamma(kind).transpose(1, 3, 0, 2) + np.einsum(
+                "lim,mjk->lkij", gam, gam
+            )
+            out = self._by_kind[key] = A - A.transpose(0, 1, 3, 2)
+        return out
+
+    @cached_property
+    def hess_sigma(self):
+        """Covariant Hessian d_i d_j sigma - Gamma^k_ij d_k sigma."""
+        return self.d2sigma - np.einsum("kij,k->ij", self.christoffel, self.dsigma)
+
+    @cached_property
+    def laplace_sigma(self):
+        return float(np.einsum("ij,ij->", self.g_inv, self.hess_sigma))
+
+
+def _require(M, x):
+    # x as a validated chart tuple; OutOfDomainError outside the chart
+    return M.at(x).x
 
 
 def in_domain(M, x):
     """Chart membership: the predicate holds and g, sigma evaluate finite."""
-    x = _pt(M, x)
-    try:
-        if not M.domain(x):
-            return False
-        M._sigma.eval(x)
-        for i in range(M.n):
-            for j in range(i, M.n):
-                M._g[i][j].eval(x)
-    except EvalDomainError:
-        return False
-    return True
-
-
-def _require(M, x):
-    x = _pt(M, x)
-    if not in_domain(M, x):
-        raise OutOfDomainError(f"{tuple(x)} is outside the domain of {M.name}")
-    return x
+    return M._values(_pt(M, x)) is not None
 
 
 def metric_at(M, x):
     """g(x) as an (n, n) SPD matrix."""
-    x = _require(M, x)
-    g = _eval_sym_matrix(M._g, x)
-    if np.linalg.eigvalsh(g).min() <= SPD_EIG_FLOOR:
-        raise OutOfDomainError(f"{M.name}: metric not SPD at {tuple(x)}")
-    return g
+    return M.at(x).g_spd
 
 
 def metric_inverse_at(M, x):
-    return np.linalg.inv(metric_at(M, x))
+    P = M.at(x)
+    P.g_spd  # outside the SPD region this raises, as metric_at does
+    return P.g_inv
 
 
 def metric_jet(M, x, order):
     """(g,) or (g, dg) or (g, dg, d2g); dg[k,i,j] = d_k g_ij."""
-    x = _require(M, x)
-    return _metric_jet_raw(M, x, order)
-
-
-def _metric_jet_raw(M, x, order):
-    n = M.n
-    g = _eval_sym_matrix(M._g, x)
+    P = M.at(x)
     if order == 0:
-        return (g,)
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                dg[k, i, j] = dg[k, j, i] = M._dg[k][i][j].eval(x)
+        return (P.g,)
     if order == 1:
-        return g, dg
-    d2g = np.empty((n, n, n, n))
-    for k in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    d2g[k, l, i, j] = d2g[k, l, j, i] = M._d2g[k][l][i][j].eval(x)
-    return g, dg, d2g
+        return P.g, P.dg
+    return P.g, P.dg, P.d2g
 
 
 def sigma_at(M, x):
-    x = _require(M, x)
-    return M._sigma.eval(x)
+    return M.at(x).sigma
 
 
 def sigma_jet(M, x, order):
     """(s,) or (s, ds) or (s, ds, d2s) with exact symmetric second order."""
-    x = _require(M, x)
-    return _sigma_jet_raw(M, x, order)
-
-
-def _sigma_jet_raw(M, x, order):
-    n = M.n
-    s = M._sigma.eval(x)
+    P = M.at(x)
     if order == 0:
-        return (s,)
-    ds = np.array([M._dsig[k].eval(x) for k in range(n)])
+        return (P.sigma,)
     if order == 1:
-        return s, ds
-    d2s = np.empty((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            d2s[k, l] = d2s[l, k] = M._d2sig[k][l].eval(x)
-    return s, ds, d2s
-
-
-def _christoffel_from_jet(g, dg):
-    gi = np.linalg.inv(g)
-    s = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    # s[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    return 0.5 * np.einsum("kl,ijl->kij", gi, s)
+        return P.sigma, P.dsigma
+    return P.sigma, P.dsigma, P.d2sigma
 
 
 def christoffel_g(M, x):
     """Levi-Civita coefficients, gamma[k,i,j] = Gamma^k_ij."""
-    x = _require(M, x)
-    g, dg = _metric_jet_raw(M, x, 1)
-    return _christoffel_from_jet(g, dg)
+    return M.at(x).christoffel
 
 
 def christoffel_jet(M, x):
-    """(gamma, dgamma) with dgamma[m,k,i,j] = d_m Gamma^k_ij, exactly.
-
-    d(g^{-1}) = -g^{-1} dg g^{-1} keeps everything in matrix calculus; no
-    finite differences and no symbolic Gamma expressions.
-    """
-    x = _require(M, x)
-    g, dg, d2g = _metric_jet_raw(M, x, 2)
-    gi = np.linalg.inv(g)
-    s = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gam = 0.5 * np.einsum("kl,ijl->kij", gi, s)
-    dgi = -np.einsum("ka,mab,bl->mkl", gi, dg, gi)
-    # ds[m,i,j,l] = d_m s[i,j,l] = d2g[m,i,j,l] + d2g[m,j,i,l] - d2g[m,l,i,j]
-    ds = d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 2, 3, 1)
-    dgam = 0.5 * (
-        np.einsum("mkl,ijl->mkij", dgi, s) + np.einsum("kl,mijl->mkij", gi, ds)
-    )
-    return gam, dgam
+    """(gamma, dgamma) with dgamma[m,k,i,j] = d_m Gamma^k_ij, exactly."""
+    P = M.at(x)
+    return P.christoffel, P.dchristoffel
 
 
 def grad_sigma(M, x):
-    x = _require(M, x)
-    g = _eval_sym_matrix(M._g, x)
-    _, ds = _sigma_jet_raw(M, x, 1)
-    return np.linalg.solve(g, ds)
+    return M.at(x).grad_sigma
 
 
 def hess_sigma(M, x):
     """Covariant Hessian (nabla^g dsigma)_ij = d_i d_j sigma - Gamma^k_ij d_k sigma."""
-    x = _require(M, x)
-    g, dg = _metric_jet_raw(M, x, 1)
-    _, ds, d2s = _sigma_jet_raw(M, x, 2)
-    gam = _christoffel_from_jet(g, dg)
-    return d2s - np.einsum("kij,k->ij", gam, ds)
+    return M.at(x).hess_sigma
 
 
 def laplace_sigma(M, x):
-    x = _require(M, x)
-    gi = np.linalg.inv(_eval_sym_matrix(M._g, x))
-    return float(np.einsum("ij,ij->", gi, hess_sigma(M, x)))
+    return M.at(x).laplace_sigma
 
 
 # ---------------------------------------------------------------------------

@@ -1,66 +1,35 @@
 """Statistical structure derived from a metric and a potential.
 
-Given (g, sigma) with cubic form C = sym(dsigma (x) g), this module builds the
-difference tensor K, the four connections that the pair carries (Levi-Civita
-of g, the statistical connection nabla = LC + K, its conjugate nabla-bar, and
-the Levi-Civita connection of gtilde = e^sigma g), the conjugate structure
-sigma -> -sigma, and the nabla-parallel volume density.
+Given (g, sigma) with cubic form C = sym(dsigma (x) g), this module exposes
+the difference tensor K, the four connections that the pair carries
+(Levi-Civita of g, the statistical connection nabla = LC + K, its conjugate
+nabla-bar, and the Levi-Civita connection of gtilde = e^sigma g), the
+conjugate structure sigma -> -sigma, and the nabla-parallel volume density.
+The tensors themselves are computed by manifold.PointGeometry; the (M, x)
+functions here read them from the geometry at x.
 
 Index conventions follow manifold.py: connection arrays are gamma[k, i, j] =
 Gamma^k_ij and derivative stacks put the new derivative index first.
 """
 
-import enum
-
 import numpy as np
 
-from .manifold import (
-    ManifoldDef,
-    _christoffel_from_jet,
-    _metric_jet_raw,
-    _require,
-    _sigma_jet_raw,
-    christoffel_g,
-    christoffel_jet,
-    metric_at,
-)
-
-
-class ConnKind(enum.Enum):
-    """The four connections attached to (g, sigma)."""
-
-    LC_G = "lc"
-    NABLA = "nabla"
-    NABLA_BAR = "bar"
-    LC_G_TILDE = "lc-tilde"
-
-
-def _difference_from(g, ds):
-    n = len(ds)
-    grad = np.linalg.solve(g, ds)
-    eye = np.eye(n)
-    sym = np.einsum("i,kj->kij", ds, eye) + np.einsum("j,ki->kij", ds, eye)
-    return -0.5 * (sym + np.einsum("ij,k->kij", g, grad))
-
+from .manifold import ConnKind, ManifoldDef
 
 def difference_tensor(M, x):
     """K[k,i,j] = -(d_i sigma d^k_j + d_j sigma d^k_i + g_ij grad^k)/2."""
-    x = _require(M, x)
-    (g,) = _metric_jet_raw(M, x, 0)
-    _, ds = _sigma_jet_raw(M, x, 1)
-    return _difference_from(g, ds)
+    return M.at(x).K
 
 
 def cubic_form(M, x):
-    """Totally symmetric C[i,j,k] = d_i sigma g_jk + d_j sigma g_ki + d_k sigma g_ij.
+    """Totally symmetric C[i,j,k] = d_i sigma g_jk + d_j sigma g_ki + d_k sigma g_ij."""
+    return _cubic_form(M.at(x))
 
-    Each unordered triple is evaluated once and written to all six slots, so
-    permutation symmetry holds exactly, not just to rounding.
-    """
-    x = _require(M, x)
-    (g,) = _metric_jet_raw(M, x, 0)
-    _, ds = _sigma_jet_raw(M, x, 1)
-    n = M.n
+
+def _cubic_form(P):
+    # each unordered triple is evaluated once and written to all six slots,
+    # so permutation symmetry holds exactly, not just to rounding
+    g, ds, n = P.g, P.dsigma, P.n
     C = np.empty((n, n, n))
     for i in range(n):
         for j in range(i, n):
@@ -73,49 +42,20 @@ def cubic_form(M, x):
 
 def cubic_form_via_difference(M, x):
     """Cross-check route C_ijk = -2 g_kl K^l_ij."""
-    x = _require(M, x)
-    g = metric_at(M, x)
-    K = difference_tensor(M, x)
-    return -2.0 * np.einsum("lij,kl->ijk", K, g)
+    P = M.at(x)
+    return -2.0 * np.einsum("lij,kl->ijk", P.K, P.g_spd)
 
 
 def connection_coeffs(M, x, kind):
     """Coefficients gamma[k,i,j] of the requested connection at x."""
     kind = ConnKind(kind)
-    if kind is ConnKind.LC_G:
-        return christoffel_g(M, x)
-    x = _require(M, x)
-    g, dg = _metric_jet_raw(M, x, 1)
-    _, ds = _sigma_jet_raw(M, x, 1)
-    gam = _christoffel_from_jet(g, dg)
-    K = _difference_from(g, ds)
-    if kind is ConnKind.NABLA:
-        return gam + K
-    if kind is ConnKind.NABLA_BAR:
-        return gam - K
-    eye = np.eye(M.n)
-    proj = np.einsum("ki,j->kij", eye, ds) + np.einsum("kj,i->kij", eye, ds)
-    return gam + K + proj
+    return M.at(x).gamma(kind)
 
 
 def difference_jet(M, x):
     """(K, dK) with dK[m,k,i,j] = d_m K^k_ij, from the symbolic jets."""
-    x = _require(M, x)
-    g, dg = _metric_jet_raw(M, x, 1)
-    _, ds, d2s = _sigma_jet_raw(M, x, 2)
-    gi = np.linalg.inv(g)
-    grad = gi @ ds
-    dgi = -np.einsum("ka,mab,bl->mkl", gi, dg, gi)
-    dgrad = np.einsum("mkl,l->mk", dgi, ds) + np.einsum("kl,ml->mk", gi, d2s)
-    eye = np.eye(M.n)
-    K = _difference_from(g, ds)
-    dK = -0.5 * (
-        np.einsum("mi,kj->mkij", d2s, eye)
-        + np.einsum("mj,ki->mkij", d2s, eye)
-        + np.einsum("mij,k->mkij", dg, grad)
-        + np.einsum("ij,mk->mkij", g, dgrad)
-    )
-    return K, dK
+    P = M.at(x)
+    return P.K, P.dK
 
 
 def connection_dcoeffs(M, x, kind):
@@ -125,20 +65,8 @@ def connection_dcoeffs(M, x, kind):
     differentiates numerically.
     """
     kind = ConnKind(kind)
-    gam, dgam = christoffel_jet(M, x)
-    if kind is ConnKind.LC_G:
-        return gam, dgam
-    K, dK = difference_jet(M, x)
-    if kind is ConnKind.NABLA:
-        return gam + K, dgam + dK
-    if kind is ConnKind.NABLA_BAR:
-        return gam - K, dgam - dK
-    x = _require(M, x)
-    _, ds, d2s = _sigma_jet_raw(M, x, 2)
-    eye = np.eye(M.n)
-    proj = np.einsum("ki,j->kij", eye, ds) + np.einsum("kj,i->kij", eye, ds)
-    dproj = np.einsum("ki,mj->mkij", eye, d2s) + np.einsum("kj,mi->mkij", eye, d2s)
-    return gam + K + proj, dgam + dK + dproj
+    P = M.at(x)
+    return P.gamma(kind), P.dgamma(kind)
 
 
 def conjugate(M):
@@ -170,10 +98,8 @@ def _balanced(src):
 
 def volume_density(M, x):
     """theta_0 = e^{-(n+2) sigma / 2} sqrt(det g), the nabla-parallel density."""
-    x = _require(M, x)
-    (g,) = _metric_jet_raw(M, x, 0)
-    (s,) = _sigma_jet_raw(M, x, 0)
-    return float(np.exp(-(M.n + 2) * s / 2.0) * np.sqrt(np.linalg.det(g)))
+    P = M.at(x)
+    return float(np.exp(-(P.n + 2) * P.sigma / 2.0) * np.sqrt(np.linalg.det(P.g)))
 
 
 def parallel_volume_residual(M, x):
@@ -182,21 +108,22 @@ def parallel_volume_residual(M, x):
     d_i log theta_0 = -(n+2)/2 d_i sigma + (1/2) tr(g^{-1} d_i g) by Jacobi's
     formula; factoring theta_0 out keeps the cancellation well conditioned.
     """
-    x = _require(M, x)
-    g, dg = _metric_jet_raw(M, x, 1)
-    s, ds = _sigma_jet_raw(M, x, 1)
-    gi = np.linalg.inv(g)
-    dlog = -(M.n + 2) / 2.0 * ds + 0.5 * np.einsum("kl,ikl->i", gi, dg)
-    nab = _christoffel_from_jet(g, dg) + _difference_from(g, ds)
-    theta = np.exp(-(M.n + 2) * s / 2.0) * np.sqrt(np.linalg.det(g))
-    return theta * (dlog - np.einsum("kik->i", nab))
+    return _parallel_volume_residual(M.at(x))
+
+
+def _parallel_volume_residual(P):
+    n = P.n
+    dlog = -(n + 2) / 2.0 * P.dsigma + 0.5 * np.einsum("kl,ikl->i", P.g_inv, P.dg)
+    theta = np.exp(-(n + 2) * P.sigma / 2.0) * np.sqrt(np.linalg.det(P.g))
+    return theta * (dlog - np.einsum("kik->i", P.gamma(ConnKind.NABLA)))
 
 
 def trace_K(M, x):
     """(tr K)_i = nabla-trace_i - LC-trace_i; equals -(n+2)/2 d_i sigma."""
-    x = _require(M, x)
-    g, dg = _metric_jet_raw(M, x, 1)
-    _, ds = _sigma_jet_raw(M, x, 1)
-    gam = _christoffel_from_jet(g, dg)
-    nab = gam + _difference_from(g, ds)
-    return np.einsum("kik->i", nab) - np.einsum("kik->i", gam)
+    return _trace_K(M.at(x))
+
+
+def _trace_K(P):
+    return np.einsum("kik->i", P.gamma(ConnKind.NABLA)) - np.einsum(
+        "kik->i", P.christoffel
+    )

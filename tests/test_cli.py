@@ -309,6 +309,32 @@ def test_hadamard_rejects_bad_grids(capsys):
         assert err.startswith("divstat:")
 
 
+ABS_WEIGHT = {
+    "name": "abs-weight",
+    "dim": 2,
+    "coords": ["x1", "x2"],
+    "metric": [["1", "0"], ["0", "1"]],
+    "sigma": "abs(x1)",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "--at", "0,0"],
+    ["hadamard", "--grid", "x1:-1:1:3,x2:0:1:2"],
+])
+def test_derivative_error_is_numerical_failure(tmp_path, capsys, argv):
+    # the point lies in the chart and sigma is finite there, but dsigma
+    # = x1/abs(x1) is not: exit 3 with one diagnostic line, no traceback
+    doc = tmp_path / "abs.json"
+    doc.write_text(json.dumps(ABS_WEIGHT))
+    code, out, err = run_out(capsys, [argv[0], str(doc), *argv[1:]])
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("divstat:")
+    assert "x1/abs(x1)" in lines[0]
+
+
 def test_seed_determinism(tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json"):

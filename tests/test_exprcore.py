@@ -5,11 +5,14 @@ checks compare against independent central finite differences.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from divstat.exprcore import (
+    _FUNCTIONS,
     Bin,
     EvalDomainError,
     Num,
@@ -19,6 +22,8 @@ from divstat.exprcore import (
     evaluate,
     parse,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 XY = ("x1", "x2")
 
@@ -254,3 +259,13 @@ def test_print_roundtrip_structures():
 def test_structural_equality():
     assert parse("x1 + x2", XY) == parse("x1+x2", XY)
     assert parse("x1 + x2", XY) != parse("x2 + x1", XY)
+
+
+def test_readme_function_list_matches_parser():
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"the functions `([a-z ]+)`", text).group(1).split()
+    assert listed == list(_FUNCTIONS)
+    for name in listed:
+        assert evaluate(parse(f"{name}(x1)", XY), (0.5, 0.0)) is not None
+    with pytest.raises(ParseError, match="unknown function"):
+        parse("tanh(x1)", XY)

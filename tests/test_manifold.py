@@ -190,6 +190,20 @@ def test_load_rejects_bad_documents():
         load_manifold("nosuch-manifold")
 
 
+def test_load_rejects_bad_sample_guard():
+    # a guard that does not parse is a bad document, like a bad domain
+    doc = {
+        "name": "t",
+        "dim": 2,
+        "coords": ["x1", "x2"],
+        "metric": [["1", "0"], ["0", "1"]],
+        "sigma": "0",
+        "sample_guard": "tanh(x1) > 0",
+    }
+    with pytest.raises(DefinitionError, match="sample_guard"):
+        load_manifold(doc)
+
+
 def test_load_rejects_indefinite_metric():
     doc = {
         "name": "bad",
