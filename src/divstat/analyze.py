@@ -9,8 +9,9 @@ forces the sectional curvature of the conformal metric e^sigma g below
 -e^{-sigma} |dsigma|^2_g / 2, so a clean scan is evidence for the
 Cartan-Hadamard situation in which connecting geodesics are unique.  In
 dimension two the quantity collapses to 2k + |dsigma|^2_g - Lap sigma with
-k the Gauss curvature of g, which hadamard2d_scan evaluates directly; the
-two scans agree on 2-manifolds and the tests pin that down.
+k the Gauss curvature of g, which hadamard2d_scan evaluates directly (2k
+as the scalar curvature of g); the two scans agree on 2-manifolds and the
+tests pin that down.
 
 Scans sample: none of them can prove a global property, and
 sigma_bounds_scan in particular only reports the extrema of sigma over the
@@ -30,7 +31,6 @@ from .curvature import (
     DegeneratePlaneError,
     _conjugate_symmetry_residual,
     _constant_curvature_terms,
-    _gs_frame,
     _plane_basis,
     _relation_residuals,
     _ricci,
@@ -134,13 +134,10 @@ def hadamard_scan(M, points, planes_per_point=4, seed=42, tol=0.0):
 
 
 def _careq2_at(P):
-    g = P.g_spd
-    E = _gs_frame(g)
-    Rg = P.riemann(ConnKind.LC_G)
-    k = float(np.einsum("lm,mkij,i,j,k,l->", g, Rg, E[0], E[1], E[1], E[0]))
-    ds = P.dsigma
-    n2 = float(ds @ P.g_inv @ ds)
-    return 2.0 * k + n2 - P.laplace_sigma
+    # on a surface the scalar curvature g^jk Ric_jk of g is 2k
+    scal = float(np.einsum("jk,jk->", P.g_inv, _ricci(P, ConnKind.LC_G)))
+    n2 = float(P.dsigma @ P.grad_sigma)
+    return scal + n2 - P.laplace_sigma
 
 
 def hadamard2d_scan(M, points, tol=0.0):

@@ -2,11 +2,12 @@
 
 Conventions: riemann returns R[l,k,i,j] with R(d_i, d_j) d_k = R^l_kij d_l,
 built from R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
-- Gamma^l_jm Gamma^m_ik by manifold.PointGeometry.riemann. Everything runs
-on the symbolic jets; no finite differences enter any curvature quantity.
-Each public (M, x) function reads the geometry at x once; the private
-forms take that PointGeometry, so a caller that evaluates several
-quantities at one point shares its tensors.
+- Gamma^l_jm Gamma^m_ik by manifold.PointGeometry.riemann, and ricci
+returns its trace Ric_jk = R^a_kaj.  Everything runs on the symbolic jets;
+no finite differences enter any curvature quantity.  Each public (M, x)
+function reads the geometry at x once; the private forms take that
+PointGeometry, so a caller that evaluates several quantities at one point
+shares its tensors.
 
 The identities checked by curvature_relation_residuals are stated with the
 signs that actually close numerically, which for eq5 means
@@ -33,29 +34,14 @@ def riemann(M, x, kind):
     return M.at(x).riemann(ConnKind(kind))
 
 
-def _gs_frame(g):
-    # Gram-Schmidt on the coordinate frame, in index order; rows are the
-    # frame vectors' coordinate components
-    n = g.shape[0]
-    basis = []
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        for u in basis:
-            v = v - float(u @ g @ v) * u
-        basis.append(v / math.sqrt(v @ g @ v))
-    return np.array(basis)
-
-
 def ricci(M, x, kind):
-    """Ric[j,k] = sum_i g(R(e_i, d_j) d_k, e_i) over a g-orthonormal frame."""
+    """Ric[j,k] = R^a_kaj, the trace of X -> R(X, d_j) d_k."""
     return _ricci(M.at(x), ConnKind(kind))
 
 
 def _ricci(P, kind):
-    g = P.g_spd
-    E = _gs_frame(g)
-    return np.einsum("ia,lkaj,lm,im->jk", E, P.riemann(kind), g, E)
+    P.g_spd  # outside the SPD region this raises, as metric_at does
+    return np.einsum("akaj->jk", P.riemann(kind))
 
 
 def statistical_curvature(M, x):
@@ -194,9 +180,9 @@ def closed_form_residuals(M, x):
     """
     P = M.at(x)
     g, ds, gam, n = P.g, P.dsigma, P.christoffel, P.n
-    grad, dgrad = P.grad_jet
+    grad = P.grad_sigma
     H = P.hess_sigma
-    G = dgrad + np.einsum("lim,m->il", gam, grad)  # G[i,l] = (nabla_i grad)^l
+    G = P.dgrad_sigma + np.einsum("lim,m->il", gam, grad)  # G[i,l] = (nabla_i grad)^l
     n2 = float(ds @ grad)
     lap = P.laplace_sigma
     eye = np.eye(n)
@@ -219,7 +205,7 @@ def closed_form_residuals(M, x):
     want_R = Rg - 0.5 * block_h + quad
 
     ric = _ricci(P, ConnKind.NABLA)
-    ric_g = np.einsum("akaj->jk", Rg)
+    ric_g = _ricci(P, ConnKind.LC_G)
     want_ric = (
         ric_g
         + 0.5 * (n * H - lap * g)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprcore import EvalDomainError, ExprError, compile_many, parse
+from .exprcore import EvalDomainError, Expr, ExprError, ParseError, compile_many, parse
 
 __all__ = [
     "BUILTINS",
@@ -44,7 +44,6 @@ __all__ = [
     "sigma_at",
     "sigma_jet",
     "christoffel_g",
-    "christoffel_jet",
     "grad_sigma",
     "hess_sigma",
     "laplace_sigma",
@@ -142,12 +141,19 @@ def _parse_pred(src, coords, base=0):
     for op in _CMP_OPS:
         k = chunk.find(op)
         if k >= 0:
-            lhs = parse(chunk[:k], coords)
-            rhs = parse(chunk[k + len(op) :], coords)
+            lhs = _parse_at(chunk[:k], coords, off)
+            rhs = _parse_at(chunk[k + len(op) :], coords, off + k + len(op))
             return ("cmp", op, lhs, rhs)
-    raise DefinitionError(
-        f"domain predicate chunk {chunk!r} has no comparison (offset {off + 1})"
-    )
+    raise ParseError(f"domain predicate chunk {chunk!r} has no comparison", off + 1)
+
+
+def _parse_at(src, coords, base):
+    # parse a slice of the predicate that starts at 0-based offset `base`,
+    # so an error offset counts from the start of the whole predicate
+    try:
+        return parse(src, coords)
+    except ParseError as err:
+        raise ParseError(err.reason, base + err.offset) from None
 
 
 def _eval_pred(tree, x):
@@ -223,6 +229,8 @@ BUILTINS = {
 class ManifoldDef:
     """Validated manifold definition with its jets compiled into kernels.
 
+    `sigma` in the document is a source string, or an Expr already parsed
+    over the same coords, which is how conjugate passes its negated tree.
     Immutable after construction; all geometry queries are pure and go
     through at(x), which holds no state between calls.
     """
@@ -252,7 +260,9 @@ class ManifoldDef:
 
         try:
             self.domain = DomainPred(self.domain_src, coords)
-            self._sigma = parse(sigma_src, coords)
+            self._sigma = (
+                sigma_src if isinstance(sigma_src, Expr) else parse(sigma_src, coords)
+            )
             rows = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
@@ -385,9 +395,11 @@ class PointGeometry:
 
     Made by ManifoldDef.at, whose domain check gives g and sigma.  The
     other attributes evaluate their kernel or derive their tensor on first
-    use and keep it.  A derivative that cannot be evaluated raises
-    EvalDomainError when it is first asked for, so a query never pays for,
-    or fails on, a jet it does not use.
+    use and keep it.  Each has one formula: grad_sigma is the linear solve
+    g grad = dsigma, which K, dK, the checks and the scans all read, and
+    dgrad_sigma is its derivative.  A derivative that cannot be evaluated
+    raises EvalDomainError when it is first asked for, so a query never
+    pays for, or fails on, a jet it does not use.
     """
 
     def __init__(self, M, x, values):
@@ -447,17 +459,11 @@ class PointGeometry:
         return np.linalg.solve(self.g, self.dsigma)
 
     @cached_property
-    def grad_jet(self):
-        """(g^-1 dsigma, its derivative [m, k]), both through g^-1 and dg^-1.
-
-        dK and the closed-form checks use this product; K uses grad_sigma,
-        a linear solve, which can differ from it in the last bit.
-        """
-        gi, ds = self.g_inv, self.dsigma
-        dgrad = np.einsum("mkl,l->mk", self.dg_inv, ds) + np.einsum(
-            "kl,ml->mk", gi, self.d2sigma
+    def dgrad_sigma(self):
+        """dgrad[m, k] = d_m (grad sigma)^k, from dg^-1, dsigma and d2sigma."""
+        return np.einsum("mkl,l->mk", self.dg_inv, self.dsigma) + np.einsum(
+            "kl,ml->mk", self.g_inv, self.d2sigma
         )
-        return gi @ ds, dgrad
 
     @cached_property
     def _dg_sym(self):
@@ -504,11 +510,10 @@ class PointGeometry:
     @cached_property
     def dK(self):
         """dK[m,k,i,j] = d_m K^k_ij."""
-        grad, dgrad = self.grad_jet
         return -0.5 * (
             self.dprojective
-            + np.einsum("mij,k->mkij", self.dg, grad)
-            + np.einsum("ij,mk->mkij", self.g, dgrad)
+            + np.einsum("mij,k->mkij", self.dg, self.grad_sigma)
+            + np.einsum("ij,mk->mkij", self.g, self.dgrad_sigma)
         )
 
     def gamma(self, kind):
@@ -613,12 +618,6 @@ def sigma_jet(M, x, order):
 def christoffel_g(M, x):
     """Levi-Civita coefficients, gamma[k,i,j] = Gamma^k_ij."""
     return M.at(x).christoffel
-
-
-def christoffel_jet(M, x):
-    """(gamma, dgamma) with dgamma[m,k,i,j] = d_m Gamma^k_ij, exactly."""
-    P = M.at(x)
-    return P.christoffel, P.dchristoffel
 
 
 def grad_sigma(M, x):

@@ -14,7 +14,9 @@ Gamma^k_ij and derivative stacks put the new derivative index first.
 
 import numpy as np
 
+from .exprcore import Una
 from .manifold import ConnKind, ManifoldDef
+
 
 def difference_tensor(M, x):
     """K[k,i,j] = -(d_i sigma d^k_j + d_j sigma d^k_i + g_ij grad^k)/2."""
@@ -52,12 +54,6 @@ def connection_coeffs(M, x, kind):
     return M.at(x).gamma(kind)
 
 
-def difference_jet(M, x):
-    """(K, dK) with dK[m,k,i,j] = d_m K^k_ij, from the symbolic jets."""
-    P = M.at(x)
-    return P.K, P.dK
-
-
 def connection_dcoeffs(M, x, kind):
     """(gamma, dgamma) for the requested connection, dgamma[m,k,i,j] = d_m gamma[k,i,j].
 
@@ -72,28 +68,13 @@ def connection_dcoeffs(M, x, kind):
 def conjugate(M):
     """The conjugate structure: same metric, sigma -> -sigma.
 
-    Negating twice unwraps rather than nesting, so the operation is an exact
-    involution even at the source level.
+    The parsed sigma tree is negated, and a top-level negation is unwrapped
+    rather than nested, so conjugating twice gives back M's sigma tree
+    (unless that tree is itself a negation of a negation).
     """
-    doc = dict(M.doc)
-    sig = doc["sigma"].strip()
-    if sig.startswith("-(") and sig.endswith(")") and _balanced(sig[2:-1]):
-        doc["sigma"] = sig[2:-1]
-    else:
-        doc["sigma"] = f"-({sig})"
-    return ManifoldDef(doc)
-
-
-def _balanced(src):
-    depth = 0
-    for ch in src:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+    sig = M._sigma
+    neg = sig.arg if isinstance(sig, Una) and sig.op == "neg" else Una("neg", sig)
+    return ManifoldDef(dict(M.doc, sigma=neg))
 
 
 def volume_density(M, x):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from divstat.analyze import hadamard2d_scan
 from divstat.curvature import (
     DegeneratePlaneError,
     closed_form_residuals,
@@ -27,6 +28,7 @@ from divstat.curvature import (
 )
 from divstat.manifold import (
     BUILTINS,
+    OutOfDomainError,
     grad_sigma,
     load_manifold,
     metric_at,
@@ -118,6 +120,48 @@ def test_ricci_nabla_symmetric():
         for x in sample_domain(m, 50, seed=64):
             r = ricci(m, x, ConnKind.NABLA)
             assert np.abs(r - r.T).max() < 1e-9, name
+
+
+def _gram_schmidt(g):
+    # rows are a g-orthonormal frame: Gram-Schmidt on the coordinate frame
+    basis = []
+    for v in np.eye(g.shape[0]):
+        for u in basis:
+            v = v - float(u @ g @ v) * u
+        basis.append(v / math.sqrt(v @ g @ v))
+    return np.array(basis)
+
+
+def test_ricci_matches_its_frame_definition():
+    # Ric_jk = sum_i g(R(e_i, d_j) d_k, e_i) over a g-orthonormal frame e_i
+    for name in BUILTINS:
+        m = load_manifold(name)
+        for x in sample_domain(m, 10, seed=66):
+            g = metric_at(m, x)
+            E = _gram_schmidt(g)
+            for kind in ConnKind:
+                R = riemann(m, x, kind)
+                want = np.einsum("ia,lkaj,lm,im->jk", E, R, g, E)
+                got = ricci(m, x, kind)
+                tol = 1e-12 * (1.0 + np.abs(got).max())
+                assert np.abs(got - want).max() <= tol, (name, kind, x)
+
+
+def test_ricci_outside_the_spd_region_fails():
+    # g is positive definite on the sample box only; x1 < 0 is in the chart
+    m = load_manifold({
+        "name": "t",
+        "dim": 2,
+        "coords": ["x1", "x2"],
+        "metric": [["1", "0"], ["0", "x1"]],
+        "sigma": "x2",
+        "sample_box": [[0.5, 1.0], [-1.0, 1.0]],
+    })
+    x = (-1.0, 0.0)
+    with pytest.raises(OutOfDomainError):
+        ricci(m, x, ConnKind.NABLA)
+    with pytest.raises(OutOfDomainError):
+        hadamard2d_scan(m, [x])
 
 
 def test_statistical_curvature_basics():

@@ -204,6 +204,28 @@ def test_load_rejects_bad_sample_guard():
         load_manifold(doc)
 
 
+def test_domain_parse_errors_name_offsets_in_the_whole_predicate():
+    base = {
+        "name": "t",
+        "dim": 2,
+        "coords": ["x1", "x2"],
+        "metric": [["1", "0"], ["0", "1"]],
+        "sigma": "0",
+    }
+    cases = [
+        ("x2 > 0 and x1 < foo", "unknown identifier 'foo' (offset 17)"),
+        ("x2 > 0 or bar < x1", "unknown identifier 'bar' (offset 11)"),
+        ("x2 > 0 and x1", "domain predicate chunk 'x1' has no comparison (offset 12)"),
+    ]
+    for pred, msg in cases:
+        with pytest.raises(DefinitionError) as ei:
+            load_manifold({**base, "domain": pred})
+        assert str(ei.value) == f"t: {msg}"
+        with pytest.raises(DefinitionError) as ei:
+            load_manifold({**base, "sample_guard": pred})
+        assert str(ei.value) == f"t: sample_guard: {msg}"
+
+
 def test_load_rejects_indefinite_metric():
     doc = {
         "name": "bad",

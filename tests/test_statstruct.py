@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from divstat.exprcore import parse
 from divstat.manifold import (
     BUILTINS,
     load_manifold,
@@ -236,6 +237,29 @@ def test_conjugate_euclidean_is_identity():
         connection_coeffs(eucl, x, ConnKind.NABLA),
         atol=0,
     )
+
+
+def test_conjugate_negates_the_sigma_tree():
+    for name in BUILTINS:
+        m = load_manifold(name)
+        assert conjugate(conjugate(m))._sigma == m._sigma, name
+    base = {
+        "name": "t",
+        "dim": 2,
+        "coords": ["x1", "x2"],
+        "metric": [["1", "0"], ["0", "1"]],
+    }
+    # a top-level negation is unwrapped, not wrapped in a second one
+    m = load_manifold({**base, "sigma": "-(x1^2)"})
+    assert conjugate(m)._sigma == parse("x1^2", base["coords"])
+    # a leading "-(" that does not enclose the whole weight
+    m = load_manifold({**base, "sigma": "-(x1) + (x2)"})
+    c = conjugate(m)
+    for x in sample_domain(m, 10, seed=43):
+        assert sigma_at(c, x) == -sigma_at(m, x)
+    # chart names that are positional names in another order
+    m = load_manifold({**base, "coords": ["x2", "x1"], "sigma": "x2 + 2*x1^2"})
+    assert sigma_at(conjugate(m), (0.5, 0.25)) == -(0.5 + 2 * 0.25**2)
 
 
 def test_volume_density_values():
