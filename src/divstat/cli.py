@@ -201,6 +201,13 @@ def _cmd_connect(args):
             f"(best endpoint error {_fmt(res.endpoint_error)})",
             3,
         )
+    if res.nabla_path is None:
+        return _diag(
+            f"the gtilde geodesic from {args.start} to {args.target} converged, "
+            "but the nabla parameter overflows along the path "
+            "(e^{-2 sigma} is not finite), so no samples are given",
+            3,
+        )
     return 0
 
 

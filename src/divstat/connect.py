@@ -71,7 +71,11 @@ class ConnectResult:
     converged one, or the closest failure); solutions lists every distinct
     converged branch as {start, v0, tilde_length, endpoint_error} so
     geodesic multiplicity stays observable.  nabla_path is None when the
-    best tilde path left the domain with too few samples to reparametrize.
+    best tilde path left the domain with too few samples to reparametrize,
+    or when the nabla parameter cannot be computed along it: the weight
+    e^{-2 sigma} overflows where the path passes close to a complete end
+    such as the puncture of the punctured plane.  That can happen on a
+    converged solve too; converged then still reports the gtilde solve.
     """
 
     converged: bool
@@ -219,7 +223,8 @@ def shoot_connect(M, p, q, opts=None):
 
     Returns a ConnectResult; a problem with no solution (every start
     failed) is reported through converged=False with the closest attempt,
-    not raised.
+    and a nabla parameter that overflows along the best path through
+    nabla_path=None; neither is raised.
     """
     opts = opts if opts is not None else ShootOpts()
     p = np.array(_require(M, p))
@@ -248,7 +253,7 @@ def shoot_connect(M, p, q, opts=None):
         return ConnectResult(
             converged=err <= opts.eps_bvp,
             tilde_path=tilde,
-            nabla_path=reparam_from_tilde(M, tilde),
+            nabla_path=_nabla_or_none(M, tilde),
             tilde_length=best["tilde_length"],
             endpoint_error=err,
             attempts=attempts,
@@ -256,20 +261,25 @@ def shoot_connect(M, p, q, opts=None):
         )
     k, err, v = fail
     tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, v, 1.0, _FINE)
-    try:
-        nab = reparam_from_tilde(M, tilde)
-    except (ValueError, GeodesicError):
-        nab = None
     gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
     return ConnectResult(
         converged=False,
         tilde_path=tilde,
-        nabla_path=nab,
+        nabla_path=_nabla_or_none(M, tilde),
         tilde_length=float(math.sqrt(v @ gt @ v)),
         endpoint_error=err,
         attempts=attempts,
         solutions=[],
     )
+
+
+def _nabla_or_none(M, tilde):
+    # the nabla geodesic of a tilde path, or None where it cannot be had
+    # (see ConnectResult)
+    try:
+        return reparam_from_tilde(M, tilde)
+    except (ValueError, GeodesicError):
+        return None
 
 
 def distance_tilde(M, p, q, opts=None):

@@ -13,9 +13,17 @@ evaluated at all, so a domain error inside it is not reported.  Any other
 evaluation outside the real domain of an operation raises
 :class:`EvalDomainError` carrying the offending node -- it never returns a
 silent NaN or infinity.
+
+The same generated code also runs over numpy columns, one row per point
+(the ``many`` attribute of a compiled kernel).  Rows on which the scalar
+kernel would raise come back as NaN.  Values can differ from the scalar
+ones in the last bits, because numpy's SIMD ``exp`` and ``power`` round
+differently from ``math``'s on a few percent of inputs.
 """
 
 import math
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -120,11 +128,14 @@ class Num(Expr):
 
 
 class Var(Expr):
-    __slots__ = ("index", "name")
+    """Coordinate `index`; `charted` marks a name read from a chart by parse."""
 
-    def __init__(self, index, name=None):
+    __slots__ = ("index", "name", "charted")
+
+    def __init__(self, index, name=None, charted=False):
         object.__setattr__(self, "index", int(index))
         object.__setattr__(self, "name", name if name is not None else f"x{index + 1}")
+        object.__setattr__(self, "charted", bool(charted))
 
     def diff(self, i):
         return Num(1.0 if i == self.index else 0.0)
@@ -133,12 +144,14 @@ class Var(Expr):
         return float(x[self.index])
 
     def __str__(self):
-        # positional-style names are normalized so printing always encodes
-        # the evaluation index; custom chart names print verbatim
+        # a chart's name prints verbatim, so a parsed tree re-parses over the
+        # same coords and a diagnostic names the coordinate the user wrote;
+        # a Var built without a chart has only its index to go by, so a
+        # positional-style name prints by that index
         n = self.name
-        if n[:1] == "x" and n[1:].isdigit() and int(n[1:]) != self.index + 1:
-            return f"x{self.index + 1}"
-        return n
+        if self.charted or not (n[:1] == "x" and n[1:].isdigit()):
+            return n
+        return f"x{self.index + 1}"
 
     def __repr__(self):
         return f"Var({self.index}, {self.name!r})"
@@ -381,6 +394,16 @@ def compile_many(roots):
     without evaluating ``e``, so a domain error inside such an ``e`` is
     not reported.  Any other failure raises :class:`EvalDomainError` with
     the failing node and point, found by the guarded tree walker.
+
+    ``f.many(xs)`` evaluates every row of an ``(N, n)`` array at once and
+    returns an ``(N, len(roots))`` array.  It runs the same generated code
+    with numpy's ufuncs on the coordinate columns.  A row with a
+    non-finite value runs again through ``f``, and so does every row of a
+    batch in which numpy flags a division by zero, an overflow or an
+    invalid operation; a row on which ``f`` raises comes back as NaN, so
+    ``f(row)`` names its node and point.  Values agree with ``f`` to a few
+    ulp: numpy's SIMD ``exp`` and ``power`` round differently from
+    ``math``'s on a few percent of inputs.
     """
     roots = tuple(roots)
     rows = []     # structural keys in post-order, so children precede parents
@@ -469,10 +492,10 @@ def compile_many(roots):
             depth[r] = 0
         code[r] = text
     body = "\n".join(lines + [f"    return ({', '.join(code[r] for r in outs)},)"])
-    ns = {f"_{op}": getattr(math, op) for op in ("exp", "log", "sin", "cos", "sqrt")}
-    ns.update(_abs=abs, _pow=math.pow)
-    exec(f"def _kernel(x):\n{body}\n", ns)  # noqa: S102 - generated from validated trees
-    raw = ns["_kernel"]
+    compiled = compile(f"def _kernel(x):\n{body}\n", "<kernel>", "exec")
+    raw = _exec_kernel(compiled, math, _abs=abs, _pow=math.pow)
+    # the same code over numpy columns: x[i] is coordinate i of every row
+    raw_many = _exec_kernel(compiled, np, _abs=np.abs, _pow=np.power)
     isfinite = math.isfinite
 
     def kernel(x):
@@ -486,7 +509,37 @@ def compile_many(roots):
             pass
         _walk_failure(roots, x)
 
+    def many(xs):
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty((len(xs), len(outs)))
+        try:
+            # a flagged operation is one the scalar kernel may raise on
+            # (or silently pass an infinity through), so no row of a
+            # flagged batch is trusted
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                vals = raw_many(np.ascontiguousarray(xs.T))
+            for j, v in enumerate(vals):
+                out[:, j] = v  # constant roots come back as floats
+            redo = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        except (ArithmeticError, ValueError):
+            redo = range(len(xs))
+        for i in redo:
+            try:
+                out[i] = kernel(tuple(xs[i].tolist()))
+            except EvalDomainError:
+                out[i] = np.nan
+        return out
+
+    kernel.many = many
     return kernel
+
+
+def _exec_kernel(code, lib, **extra):
+    # the kernel function of `code`, with the math of `lib` bound
+    ns = {f"_{op}": getattr(lib, op) for op in ("exp", "log", "sin", "cos", "sqrt")}
+    ns.update(extra)
+    exec(code, ns)  # noqa: S102 - generated from validated trees
+    return ns["_kernel"]
 
 
 def _fold(op, a, b, is_num):
@@ -658,7 +711,7 @@ class _Parser:
                 return _una(t.text, arg)
             if t.text in self.coords:
                 idx = self.coords.index(t.text)
-                return Var(idx, t.text)
+                return Var(idx, t.text, charted=True)
             self.fail(f"unknown identifier {t.text!r}", t)
         if t.kind == "op" and t.text == "(":
             e = self.parse_expr()

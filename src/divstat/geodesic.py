@@ -10,6 +10,14 @@ gtilde-geodesic under the parameter change ds/dt = e^{2 sigma} along the path
 perform that change by two-point quintic Hermite quadrature between the dense
 samples, with the weight's first two parameter derivatives taken from the
 geodesic equation.
+
+The integrator's right-hand side reads the geometry of one point at a time
+(ManifoldDef.at).  The parameter change, the refinement of the samples by
+sigma and geodesic_residual read that of all a path's samples in one
+batched call (ManifoldDef.at_many).  Batched jets come from numpy's ufuncs,
+whose exp and power round differently from math's on a few percent of
+inputs, so their results can differ from a sample-by-sample evaluation in
+the last bits.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +26,7 @@ import numpy as np
 from scipy.integrate import RK45
 
 from .exprcore import EvalDomainError
-from .manifold import ConnKind, OutOfDomainError, _require, in_domain, sigma_at
+from .manifold import ConnKind, OutOfDomainError, _require, in_domain
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -259,19 +267,13 @@ SIGMA_STEP = 0.05
 DENSE_CAP = 8192
 
 
-def _sigma_or_nan(M, x):
-    try:
-        return sigma_at(M, x)
-    except (OutOfDomainError, EvalDomainError):
-        return np.nan
-
-
 def _refine_by_sigma(M, segs, ts, xs, vs):
     # subdivide dense-output intervals until the conformal weight e^{2 sigma}
     # changes slowly across each one; reparametrization quadrature needs the
-    # weight resolved along the path, not just the positions
+    # weight resolved along the path, not just the positions.  sigma is NaN
+    # outside the chart, so no gap there counts as too large
     n = xs.shape[1]
-    sig = np.array([_sigma_or_nan(M, x) for x in xs])
+    sig = M._values_many(xs)[:, -1]
     for _ in range(16):
         gaps = np.abs(np.diff(2.0 * sig))
         bad = np.flatnonzero(gaps > SIGMA_STEP)
@@ -283,7 +285,7 @@ def _refine_by_sigma(M, segs, ts, xs, vs):
         ts = np.insert(ts, pos, mid)
         xs = np.insert(xs, pos, xm, axis=0)
         vs = np.insert(vs, pos, vm, axis=0)
-        sig = np.insert(sig, pos, [_sigma_or_nan(M, x) for x in xm])
+        sig = np.insert(sig, pos, M._values_many(xm)[:, -1])
     return ts, xs, vs
 
 
@@ -343,8 +345,7 @@ def _reparam(M, path, sign, out_kind, in_kind):
     ts = np.asarray(path.ts, dtype=float)
     xs = np.asarray(path.xs, dtype=float)
     vs = np.asarray(path.vs, dtype=float)
-    m = len(ts)
-    if m < 5:
+    if len(ts) < 5:
         raise ValueError("need at least 5 samples to reparametrize")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("path parameters must be strictly increasing")
@@ -352,20 +353,15 @@ def _reparam(M, path, sign, out_kind, in_kind):
     # free from the chain rule plus the geodesic equation, so the new
     # parameter integrates by two-point quintic Hermite quadrature: local,
     # insensitive to grid spacing, per-interval error O(h^7)
-    F = np.empty(m)
-    Fp = np.empty(m)
-    Fpp = np.empty(m)
+    P = M.at_many(xs)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m):
-            P = M.at(xs[j])
-            sig, dsig, hsig = P.sigma, P.dsigma, P.d2sigma
-            v = vs[j]
-            acc = -np.einsum("kij,i,j->k", P.gamma(in_kind), v, v)
-            lp = sign * float(dsig @ v)
-            lpp = sign * float(v @ hsig @ v + dsig @ acc)
-            F[j] = np.exp(sign * sig)
-            Fp[j] = lp * F[j]
-            Fpp[j] = (lpp + lp * lp) * F[j]
+        acc = -np.einsum("nkij,ni,nj->nk", P.gamma(in_kind), vs, vs)
+        lp = sign * np.einsum("ni,ni->n", P.dsigma, vs)
+        lpp = sign * (np.einsum("ni,nij,nj->n", vs, P.d2sigma, vs)
+                      + np.einsum("ni,ni->n", P.dsigma, acc))
+        F = np.exp(sign * P.sigma)
+        Fp = lp * F
+        Fpp = (lpp + lp * lp) * F
     usable = np.all(np.isfinite(F)) and np.all(F > 0.0)
     usable = usable and np.all(np.isfinite(Fp)) and np.all(np.isfinite(Fpp))
     if not usable:
@@ -427,31 +423,31 @@ def geodesic_residual(M, kind, path, stride=None):
         strides = [max(1, min(int(stride), (m - 1) // 4))]
     dt = np.diff(ts)
     uniform = dt.max() - dt.min() < 1e-12 * dt.max()
-    gams = {}
-    best = np.inf
+    centers = {}
     for stride in strides:
-        offs = np.array([-2, -1, 0, 1, 2]) * stride
         lo, hi = 2 * stride, m - 1 - 2 * stride
-        centers = np.unique(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int))
-        worst = 0.0
-        for i in centers:
-            win = i + offs
-            if uniform:
-                h = ts[i + stride] - ts[i]
-                acc = (-xs[win[0]] + 16.0 * xs[win[1]] - 30.0 * xs[win[2]]
-                       + 16.0 * xs[win[3]] - xs[win[4]]) / (12.0 * h * h)
-            else:
-                tau = ts[win] - ts[i]
-                scale = np.abs(tau).max()
-                V = np.vander(tau / scale, 5, increasing=True)
-                coef = np.linalg.solve(V, xs[win])
-                acc = 2.0 * coef[2] / (scale * scale)
-            if i not in gams:
-                gams[i] = M.at(xs[i]).gamma(kind)
-            v = vs[i]
-            res = acc + (gams[i] @ v) @ v
-            worst = max(worst, float(np.abs(res).max()))
+        centers[stride] = np.unique(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int))
+    # the connection at every center of every stride, in one batch
+    at = np.unique(np.concatenate(list(centers.values())))
+    gam = M.at_many(xs[at]).gamma(kind)
+    v = vs[at]
+    # quad[c, k] = Gamma^k_ij v^i v^j at center at[c]
+    quad = np.einsum("ckij,ci,cj->ck", gam, v, v)
+    best = np.inf
+    for stride, cs in centers.items():
+        win = cs[:, None] + stride * np.arange(-2, 3)
+        if uniform:
+            h = ts[cs + stride] - ts[cs]
+            acc = (-xs[win[:, 0]] + 16.0 * xs[win[:, 1]] - 30.0 * xs[win[:, 2]]
+                   + 16.0 * xs[win[:, 3]] - xs[win[:, 4]]) / (12.0 * h * h)[:, None]
+        else:
+            tau = ts[win] - ts[cs][:, None]
+            scale = np.abs(tau).max(axis=1)
+            V = (tau / scale[:, None])[..., None] ** np.arange(5)
+            coef = np.linalg.solve(V, xs[win])
+            acc = 2.0 * coef[:, 2] / (scale * scale)[:, None]
+        res = acc + quad[np.searchsorted(at, cs)]
         # every stride overestimates the true defect (truncation and sample
         # noise only add), so the smallest estimate is the sharpest
-        best = min(best, worst)
+        best = min(best, float(np.abs(res).max()))
     return best

@@ -91,9 +91,28 @@ class DomainPred:
     def __init__(self, src, coords):
         self.src = src
         self.tree = _parse_pred(src, coords)
+        sides = _pred_sides(self.tree)
+        self._sides = compile_many(sides) if sides else None
 
     def __call__(self, x):
         return _eval_pred(self.tree, x)
+
+    def many(self, xs):
+        """The verdict at each row of xs (N, n), or False where unsure.
+
+        Every comparison is evaluated on every row, with `and` / `or`
+        taken elementwise.  A row on which any comparison fails to
+        evaluate reads False, even where the scalar predicate would
+        short-circuit past that comparison, so a True here is always the
+        scalar verdict (up to last-bit rounding at the boundary).
+        """
+        if self._sides is None:
+            return np.ones(len(xs), dtype=bool)
+        vals = self._sides.many(xs)
+        pairs = iter(zip(vals.T[0::2], vals.T[1::2]))
+        with np.errstate(invalid="ignore"):
+            verdict = _many_pred(self.tree, pairs, len(vals))
+        return verdict & ~np.isnan(vals[:, 0])
 
     def __repr__(self):
         return f"DomainPred({self.src!r})"
@@ -173,6 +192,29 @@ def _eval_pred(tree, x):
         return a >= b
     vals = (_eval_pred(t, x) for t in tree[1])
     return all(vals) if tag == "and" else any(vals)
+
+
+_CMP_UFUNCS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def _pred_sides(tree):
+    # both sides of every comparison, in the order _many_pred reads them
+    if tree[0] == "true":
+        return []
+    if tree[0] == "cmp":
+        return [tree[2], tree[3]]
+    return [e for t in tree[1] for e in _pred_sides(t)]
+
+
+def _many_pred(tree, pairs, count):
+    tag = tree[0]
+    if tag == "true":
+        return np.ones(count, dtype=bool)
+    if tag == "cmp":
+        a, b = next(pairs)
+        return _CMP_UFUNCS[tree[1]](a, b)
+    parts = [_many_pred(t, pairs, count) for t in tree[1]]
+    return (np.logical_and if tag == "and" else np.logical_or).reduce(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +389,45 @@ class ManifoldDef:
             pass
         return None
 
+    def _values_many(self, xs):
+        # _values at each row of xs (N, n), NaN rows outside the chart; the
+        # rows the batch rejects are decided by _values itself
+        values = self.kernels["values"].many(xs)
+        unsure = np.isnan(values[:, 0]) | ~self.domain.many(xs)
+        for i in np.flatnonzero(unsure):
+            row = self._values(tuple(xs[i].tolist()))
+            values[i] = np.nan if row is None else row
+        return values
+
     def at(self, x):
         """The PointGeometry at x; OutOfDomainError outside the chart."""
         x = _pt(self, x)
         values = self._values(x)
         if values is None:
-            raise OutOfDomainError(f"{x} is outside the domain of {self.name}")
-        return PointGeometry(self, x, values)
+            raise self._outside(x)
+        g = np.array(values[:-1]).reshape(self.n, self.n)
+        return PointGeometry(self, x, g, values[-1])
+
+    def at_many(self, xs):
+        """The PointGeometry of the batch xs (N, n), one point per row.
+
+        OutOfDomainError names the first row outside the chart, with the
+        message at(row) gives.
+        """
+        xs = np.array(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise ValueError(
+                f"expected an (N, {self.n}) array of points, got shape {xs.shape}"
+            )
+        values = self._values_many(xs)
+        outside = np.flatnonzero(np.isnan(values[:, 0]))
+        if outside.size:
+            raise self._outside(tuple(xs[outside[0]].tolist()))
+        g = values[:, :-1].reshape(len(xs), self.n, self.n)
+        return PointGeometry(self, xs, g, values[:, -1])
+
+    def _outside(self, x):
+        return OutOfDomainError(f"{x} is outside the domain of {self.name}")
 
     def __repr__(self):
         return f"ManifoldDef({self.name!r}, n={self.n})"
@@ -391,28 +465,46 @@ def _pt(M, x):
 
 
 class PointGeometry:
-    """The geometry of M at one chart point, each quantity computed once.
+    """The geometry of M at one chart point or a batch of them.
 
-    Made by ManifoldDef.at, whose domain check gives g and sigma.  The
-    other attributes evaluate their kernel or derive their tensor on first
-    use and keep it.  Each has one formula: grad_sigma is the linear solve
-    g grad = dsigma, which K, dK, the checks and the scans all read, and
-    dgrad_sigma is its derivative.  A derivative that cannot be evaluated
-    raises EvalDomainError when it is first asked for, so a query never
-    pays for, or fails on, a jet it does not use.
+    Made by ManifoldDef.at (x a tuple, sigma a float, g of shape (n, n))
+    or ManifoldDef.at_many (x of shape (N, n), every array with a leading
+    axis of N, sigma of shape (N,)), whose domain check gives g and sigma.
+    The other attributes evaluate their kernel or derive their tensor on
+    first use and keep it.  Each has one formula, written once for both
+    shapes: grad_sigma is the linear solve g grad = dsigma, which K, dK,
+    the checks and the scans all read, and dgrad_sigma is its derivative.
+    A derivative that cannot be evaluated raises EvalDomainError when it
+    is first asked for, so a query never pays for, or fails on, a jet it
+    does not use; in a batch the error names the first failing row, as
+    the single-point kernel does.  Batched values can differ from
+    single-point ones in the last bits (see exprcore).
     """
 
-    def __init__(self, M, x, values):
-        n = M.n
+    def __init__(self, M, x, g, sigma):
         self.M = M
         self.x = x
-        self.n = n
-        self.g = np.array(values[:-1]).reshape(n, n)
-        self.sigma = values[-1]
+        self.n = M.n
+        self.g = g
+        self.sigma = sigma
+        self._lead = g.shape[:-2]  # () for one point, (N,) for a batch
         self._by_kind = {}
 
     def _jet(self, name, shape):
-        return np.array(self.M.kernels[name](self.x)).reshape(shape)
+        kernel = self.M.kernels[name]
+        if not self._lead:
+            return np.array(kernel(self.x)).reshape(shape)
+        out = kernel.many(self.x)
+        failed = np.flatnonzero(np.isnan(out[:, 0]))
+        if failed.size:
+            kernel(tuple(self.x[failed[0]].tolist()))  # raises that row's error
+        return out.reshape(self._lead + shape)
+
+    def _t(self, a, *axes):
+        # permute the per-point axes of a; a batch keeps its leading axis
+        if not self._lead:
+            return a.transpose(axes)
+        return a.transpose(0, *(1 + i for i in axes))
 
     @cached_property
     def dg(self):
@@ -451,40 +543,40 @@ class PointGeometry:
     def dg_inv(self):
         """d_m (g^-1) = -g^-1 (d_m g) g^-1."""
         gi = self.g_inv
-        return -np.einsum("ka,mab,bl->mkl", gi, self.dg, gi)
+        return -np.einsum("...ka,...mab,...bl->...mkl", gi, self.dg, gi)
 
     @cached_property
     def grad_sigma(self):
         """grad sigma = g^-1 dsigma, by a linear solve."""
-        return np.linalg.solve(self.g, self.dsigma)
+        return np.linalg.solve(self.g, self.dsigma[..., None])[..., 0]
 
     @cached_property
     def dgrad_sigma(self):
         """dgrad[m, k] = d_m (grad sigma)^k, from dg^-1, dsigma and d2sigma."""
-        return np.einsum("mkl,l->mk", self.dg_inv, self.dsigma) + np.einsum(
-            "kl,ml->mk", self.g_inv, self.d2sigma
+        return np.einsum("...mkl,...l->...mk", self.dg_inv, self.dsigma) + np.einsum(
+            "...kl,...ml->...mk", self.g_inv, self.d2sigma
         )
 
     @cached_property
     def _dg_sym(self):
         # s[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
         dg = self.dg
-        return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+        return dg + self._t(dg, 1, 0, 2) - self._t(dg, 1, 2, 0)
 
     @cached_property
     def christoffel(self):
         """Levi-Civita coefficients of g."""
-        return 0.5 * np.einsum("kl,ijl->kij", self.g_inv, self._dg_sym)
+        return 0.5 * np.einsum("...kl,...ijl->...kij", self.g_inv, self._dg_sym)
 
     @cached_property
     def dchristoffel(self):
         """d_m Gamma^k_ij of g, in matrix calculus from the jets."""
         d2g = self.d2g
         # d_m s[i,j,l] = d2g[m,i,j,l] + d2g[m,j,i,l] - d2g[m,l,i,j]
-        ds = d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 2, 3, 1)
+        ds = d2g + self._t(d2g, 0, 2, 1, 3) - self._t(d2g, 0, 2, 3, 1)
         return 0.5 * (
-            np.einsum("mkl,ijl->mkij", self.dg_inv, self._dg_sym)
-            + np.einsum("kl,mijl->mkij", self.g_inv, ds)
+            np.einsum("...mkl,...ijl->...mkij", self.dg_inv, self._dg_sym)
+            + np.einsum("...kl,...mijl->...mkij", self.g_inv, ds)
         )
 
     @cached_property
@@ -492,19 +584,21 @@ class PointGeometry:
         """P[k,i,j] = d_i sigma delta^k_j + d_j sigma delta^k_i."""
         eye = np.eye(self.n)
         ds = self.dsigma
-        return np.einsum("ki,j->kij", eye, ds) + np.einsum("kj,i->kij", eye, ds)
+        return np.einsum("ki,...j->...kij", eye, ds) + np.einsum("kj,...i->...kij", eye, ds)
 
     @cached_property
     def dprojective(self):
         eye = np.eye(self.n)
         d2s = self.d2sigma
-        return np.einsum("ki,mj->mkij", eye, d2s) + np.einsum("kj,mi->mkij", eye, d2s)
+        return np.einsum("ki,...mj->...mkij", eye, d2s) + np.einsum(
+            "kj,...mi->...mkij", eye, d2s
+        )
 
     @cached_property
     def K(self):
         """K[k,i,j] = -(d_i sigma d^k_j + d_j sigma d^k_i + g_ij grad^k)/2."""
         return -0.5 * (
-            self.projective + np.einsum("ij,k->kij", self.g, self.grad_sigma)
+            self.projective + np.einsum("...ij,...k->...kij", self.g, self.grad_sigma)
         )
 
     @cached_property
@@ -512,8 +606,8 @@ class PointGeometry:
         """dK[m,k,i,j] = d_m K^k_ij."""
         return -0.5 * (
             self.dprojective
-            + np.einsum("mij,k->mkij", self.dg, self.grad_sigma)
-            + np.einsum("ij,mk->mkij", self.g, self.dgrad_sigma)
+            + np.einsum("...mij,...k->...mkij", self.dg, self.grad_sigma)
+            + np.einsum("...ij,...mk->...mkij", self.g, self.dgrad_sigma)
         )
 
     def gamma(self, kind):
@@ -554,20 +648,20 @@ class PointGeometry:
         out = self._by_kind.get(key)
         if out is None:
             gam = self.gamma(kind)
-            A = self.dgamma(kind).transpose(1, 3, 0, 2) + np.einsum(
-                "lim,mjk->lkij", gam, gam
+            A = self._t(self.dgamma(kind), 1, 3, 0, 2) + np.einsum(
+                "...lim,...mjk->...lkij", gam, gam
             )
-            out = self._by_kind[key] = A - A.transpose(0, 1, 3, 2)
+            out = self._by_kind[key] = A - self._t(A, 0, 1, 3, 2)
         return out
 
     @cached_property
     def hess_sigma(self):
         """Covariant Hessian d_i d_j sigma - Gamma^k_ij d_k sigma."""
-        return self.d2sigma - np.einsum("kij,k->ij", self.christoffel, self.dsigma)
+        return self.d2sigma - np.einsum("...kij,...k->...ij", self.christoffel, self.dsigma)
 
     @cached_property
     def laplace_sigma(self):
-        return float(np.einsum("ij,ij->", self.g_inv, self.hess_sigma))
+        return np.einsum("...ij,...ij->...", self.g_inv, self.hess_sigma)
 
 
 def _require(M, x):

@@ -335,6 +335,35 @@ def test_derivative_error_is_numerical_failure(tmp_path, capsys, argv):
     assert "x1/abs(x1)" in lines[0]
 
 
+def test_diagnostic_names_the_chart_coordinate(tmp_path, capsys):
+    # on a chart whose coords are positional names in the other order the
+    # failing node is printed with the names the user wrote
+    doc = tmp_path / "swapped.json"
+    doc.write_text(json.dumps(dict(ABS_WEIGHT, coords=["x2", "x1"], sigma="abs(x2)")))
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0,0.5"])
+    assert code == 3
+    assert err == "divstat: division by zero in 'x2/abs(x2)' at (0.0, 0.5)\n"
+
+
+def test_connect_converged_but_nabla_parameter_overflows(capsys):
+    # the best gtilde path passes within about 0.078 of the puncture, where
+    # e^{-2 sigma} = e^{4/r^2} overflows: the solve converged, but there
+    # is no nabla parametrization to print
+    code, out, err = run_out(capsys, [
+        "connect", "punctured-plane", "--from", "1.507,0.606",
+        "--to", "-1.313,-0.421", "--multistart", "6",
+    ])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["converged"] is True
+    assert doc["attempts"] == 6
+    assert "samples" not in doc
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("divstat:")
+    assert "nabla parameter overflows" in lines[0]
+
+
 def test_seed_determinism(tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json"):

@@ -148,3 +148,15 @@ def test_contrast_scaling_against_sigma():
     p, q = [0.0, 0.0], [0.5, 0.2]
     d2 = distance_tilde(m, p, q) ** 2
     assert abs(contrast(m, p, q) - math.exp(-sigma_at(m, np.array(p))) * d2) < 1e-9
+
+
+def test_converged_solve_with_overflowing_nabla_parameter():
+    # a converged gtilde solve whose path passes close enough to the
+    # puncture that e^{-2 sigma} overflows is reported, not raised
+    punct = load_manifold("punctured-plane")
+    res = shoot_connect(punct, (1.507, 0.606), (-1.313, -0.421), ShootOpts(multistart=6))
+    assert res.converged
+    assert res.nabla_path is None
+    assert res.tilde_path.status == "completed"
+    assert np.linalg.norm(res.tilde_path.xs, axis=1).min() < 0.078
+    assert res.endpoint_error <= 1e-8

@@ -256,6 +256,17 @@ def test_print_roundtrip_structures():
         assert parse(str(e), XY) == e
 
 
+def test_print_roundtrip_on_a_swapped_chart():
+    # coords that are positional names in the other order print as the
+    # chart names them, so the printed tree re-parses to the same one
+    coords = ("x2", "x1")
+    e = parse("x2 + 2*x1^2", coords)
+    assert str(e) == "x2 + 2.0*x1^2.0"
+    again = parse(str(e), coords)
+    assert again == e
+    assert evaluate(again, (1.0, 3.0)) == evaluate(e, (1.0, 3.0)) == 19.0
+
+
 def test_structural_equality():
     assert parse("x1 + x2", XY) == parse("x1+x2", XY)
     assert parse("x1 + x2", XY) != parse("x2 + x1", XY)

@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 from divstat.exprcore import EvalDomainError
 from divstat.geodesic import (
     ExitedDomainError,
+    GeodesicError,
     GeodesicPath,
     IntegratorOpts,
     exp_map,
@@ -262,3 +263,67 @@ def test_csv_export():
     last = [float(tok) for tok in rows[-1].split(",")]
     assert last[0] == path.ts[-1]
     assert np.allclose(last[1:3], path.xs[-1], atol=0)
+
+
+def _reparam_per_sample(M, path, sign, in_kind):
+    """The parameter change of geodesic._reparam, one sample at a time.
+
+    This is its definition: the weight F = e^{sign * sigma} and its first
+    two parameter derivatives at each sample, then two-point quintic
+    Hermite quadrature.  Returns (ts, vs, quadrature_error).
+    """
+    ts, xs, vs = path.ts, path.xs, path.vs
+    m = len(ts)
+    F = np.empty(m)
+    Fp = np.empty(m)
+    Fpp = np.empty(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            P = M.at(xs[j])
+            sig, dsig, hsig = P.sigma, P.dsigma, P.d2sigma
+            v = vs[j]
+            acc = -np.einsum("kij,i,j->k", P.gamma(in_kind), v, v)
+            lp = sign * float(dsig @ v)
+            lpp = sign * float(v @ hsig @ v + dsig @ acc)
+            F[j] = np.exp(sign * sig)
+            Fp[j] = lp * F[j]
+            Fpp[j] = (lpp + lp * lp) * F[j]
+    if not (np.all(np.isfinite(F)) and np.all(F > 0.0)
+            and np.all(np.isfinite(Fp)) and np.all(np.isfinite(Fpp))):
+        raise GeodesicError("weight overflows or underflows")
+    h = np.diff(ts)
+    seg = (0.5 * h * (F[:-1] + F[1:])
+           + 0.1 * h * h * (Fp[:-1] - Fp[1:])
+           + h ** 3 / 120.0 * (Fpp[:-1] + Fpp[1:]))
+    cubic = 0.5 * h * (F[:-1] + F[1:]) + h * h / 12.0 * (Fp[:-1] - Fp[1:])
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    return s, vs / F[:, None], abs(float(np.sum(seg - cubic)))
+
+
+def test_reparam_matches_its_per_sample_definition():
+    # a gtilde-straight line past the puncture at distance 0.2: sigma moves
+    # fast, so refinement leaves thousands of samples
+    punct = load_manifold("punctured-plane")
+    tilde = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.2), (-2.0, 0.0), 1.0)
+    assert tilde.status == "completed" and len(tilde.ts) > 5000
+    # the other direction reads the same samples as a nabla curve; both
+    # transforms are defined for any sampled curve
+    curve = GeodesicPath(kind=ConnKind.NABLA, ts=tilde.ts, xs=tilde.xs,
+                         vs=tilde.vs, status="completed")
+    for got, path, sign, in_kind in (
+        (reparam_from_tilde(punct, tilde), tilde, -2.0, ConnKind.LC_G_TILDE),
+        (reparam_to_tilde(punct, curve), curve, 2.0, ConnKind.NABLA),
+    ):
+        ts, vs, quad = _reparam_per_sample(punct, path, sign, in_kind)
+        assert np.abs(got.ts - ts).max() <= 1e-13 * np.abs(ts).max()
+        assert np.all(np.abs(got.vs - vs) <= 1e-13 * np.abs(vs))
+        assert abs(got.meta["quadrature_error"] - quad) <= 1e-13 * quad
+        assert np.array_equal(got.xs, path.xs)
+    # passing at 0.06 the path stays in the chart, but e^{-2 sigma} = e^{4/r^2}
+    # overflows
+    close = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.06), (-2.0, 0.0), 1.0)
+    assert close.status == "completed"
+    with pytest.raises(GeodesicError):
+        _reparam_per_sample(punct, close, -2.0, ConnKind.LC_G_TILDE)
+    with pytest.raises(GeodesicError, match="overflows"):
+        reparam_from_tilde(punct, close)

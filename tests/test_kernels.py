@@ -5,15 +5,38 @@ subtrees and folding exact identities; the per-expression walker
 (Expr._walk_eval) and Expr.eval stay the references.  A manifold's
 kernels are split by what a query can ask for alone, so a derivative
 that fails at a point does not take the lower orders down with it.
+The batched forms (kernel.many, DomainPred.many, ManifoldDef.at_many)
+are checked row by row against the single-point ones.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divstat.exprcore import Bin, EvalDomainError, Num, Una, Var, compile_many, parse
-from divstat.manifold import BUILTINS, load_manifold, metric_jet, sample_domain, sigma_jet
+from divstat.exprcore import (
+    Bin,
+    EvalDomainError,
+    Num,
+    Una,
+    Var,
+    _apply_bin,
+    _apply_una,
+    compile_many,
+    parse,
+)
+from divstat.manifold import (
+    BUILTINS,
+    ConnKind,
+    OutOfDomainError,
+    in_domain,
+    load_manifold,
+    metric_jet,
+    sample_domain,
+    sigma_jet,
+)
 
 XY = ("x1", "x2")
 
@@ -113,3 +136,193 @@ def test_deep_expression_compiles():
     e = parse("+".join(["x1"] * 300), XY)
     assert e.eval((1.0, 0.0)) == 300.0
     assert compile_many([e, e.diff(0)])((0.5, 0.0)) == (150.0, 300.0)
+
+
+_EPS = 2.0 ** -52
+
+
+def _drift_bound(e, x):
+    """(value, drift, literal) of `e` at `x`, folding as compile_many does.
+
+    `drift` bounds, to first order, how far two evaluations of `e` can
+    move apart when each rounds exp, log, sin, cos, sqrt and pow to
+    within 2 ulp and the arithmetic operators exactly as IEEE does.
+    `literal` is the constant the emitter folds `e` to, or None.
+    """
+    if isinstance(e, Num):
+        return e.value, 0.0, e.value
+    if isinstance(e, Var):
+        return float(x[e.index]), 0.0, None
+    if isinstance(e, Una):
+        a, da, _ = _drift_bound(e.arg, x)
+        if e.op in ("neg", "abs"):
+            return (-a if e.op == "neg" else abs(a)), da, None
+        r = _apply_una(e.op, a, e, x)
+        slope = {"exp": r, "log": 1.0 / a if a else math.inf, "sin": math.cos(a),
+                 "cos": math.sin(a), "sqrt": 0.5 / r if r else math.inf}[e.op]
+        return r, _moved(slope, da) + 2.0 * _EPS * abs(r), None
+    if e.op == "pow":
+        b, db, lb = _drift_bound(e.right, x)
+        if lb == 0.0:
+            return 1.0, 0.0, 1.0
+        a, da, la = _drift_bound(e.left, x)
+        if lb == 1.0:
+            return a, da, la
+        r = _apply_bin("pow", a, b, e, x)
+        if a == 0.0:
+            slope_a, slope_b = (0.0 if b >= 1.0 else math.inf), 0.0
+        else:
+            slope_a, slope_b = abs(b * r / a), abs(r * math.log(abs(a)))
+        return r, _moved(slope_a, da) + _moved(slope_b, db) + 2.0 * _EPS * abs(r), None
+    a, da, la = _drift_bound(e.left, x)
+    if e.op == "mul" and la == 0.0:
+        return a, 0.0, la
+    b, db, lb = _drift_bound(e.right, x)
+    folded = {
+        "add": (lb == 0.0 and (a, da, la)) or (la == 0.0 and (b, db, lb)),
+        "sub": lb == 0.0 and (a, da, la),
+        "mul": (lb == 0.0 and (b, 0.0, lb)) or (la == 1.0 and (b, db, lb))
+        or (lb == 1.0 and (a, da, la)),
+        "div": lb == 1.0 and (a, da, la),
+    }[e.op]
+    if folded:
+        return folded
+    r = _apply_bin(e.op, a, b, e, x)
+    if e.op in ("add", "sub"):
+        d = da + db
+    elif e.op == "mul":
+        d = _moved(b, da) + _moved(a, db)
+    else:
+        d = _moved(1.0 / b, da) + _moved(a / b / b, db)
+    return r, d + _EPS * abs(r), None
+
+
+def _moved(slope, d):
+    # first-order change |slope| * d; an input that cannot move moves nothing
+    return abs(slope) * d if d else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees, xs=st.lists(st.tuples(_coords, _coords), min_size=1, max_size=6))
+def test_batched_kernel_matches_scalar_rows(tree, xs):
+    roots = [tree, tree.diff(0), tree.diff(1)]
+    kernel = compile_many(roots)
+    got = kernel.many(np.array(xs))
+    assert got.shape == (len(xs), 3)
+    for row, x in zip(got, xs):
+        try:
+            want = kernel(x)
+        except EvalDomainError:
+            # every failing row comes back NaN, so kernel(row) can name it
+            assert np.isnan(row).all()
+            continue
+        for r, b, w in zip(roots, row, want):
+            if b == w:
+                continue
+            # numpy's exp and power may round differently from math's: the
+            # batched value may differ by the drift of a few ulp per call
+            try:
+                _, drift, _ = _drift_bound(r, x)
+            except (EvalDomainError, ZeroDivisionError, OverflowError):
+                drift = math.inf
+            assert abs(b - w) <= 4.0 * drift, (str(r), x, b, w, drift)
+
+
+def test_batch_with_a_failing_row_raises_the_scalar_error():
+    # at this point sigma's jets and g's first derivatives are finite and
+    # g's second derivatives overflow (see test_jet_orders_fail_separately)
+    M = load_manifold("punctured-plane")
+    bad = (0.012957232788265117, 0.05189942006798701)
+    with pytest.raises(EvalDomainError) as single:
+        M.at(bad).d2g
+    P = M.at_many([(1.0, 0.5), bad, (0.5, 1.0)])
+    assert np.isfinite(P.dg).all() and np.isfinite(P.d2sigma).all()
+    with pytest.raises(EvalDomainError) as batch:
+        P.d2g
+    assert str(batch.value.node) == str(single.value.node)
+    assert batch.value.point == single.value.point == bad
+    assert str(batch.value) == str(single.value)
+    # the kernel itself marks the row, and only that row
+    rows = M.kernels["d2g"].many(np.array([(1.0, 0.5), bad]))
+    assert np.isfinite(rows[0]).all() and np.isnan(rows[1]).all()
+    # numpy turns 1/0 into inf and exp(-inf) into a finite 0 without
+    # complaint; the scalar kernel raises at the division, and so the row
+    # is marked too
+    kernel = compile_many([parse("exp(-1/x1)", XY)])
+    rows = kernel.many(np.array([(0.5, 1.0), (0.0, 1.0)]))
+    assert rows[0, 0] == kernel((0.5, 1.0))[0] and np.isnan(rows[1, 0])
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_batched_geometry_matches_single_points(name):
+    M = load_manifold(name)
+    xs = sample_domain(M, 64, seed=9)
+    B = M.at_many(xs)
+    assert B.g.shape == (64, 2, 2) and B.sigma.shape == (64,)
+
+    def close(batch, single):
+        scale = 1.0 + np.abs(single).max()
+        assert np.abs(batch - single).max() <= 1e-13 * scale
+
+    for i, x in enumerate(xs):
+        P = M.at(x)
+        close(B.g[i], P.g)
+        close(B.sigma[i], P.sigma)
+        close(B.dsigma[i], P.dsigma)
+        close(B.d2sigma[i], P.d2sigma)
+        close(B.hess_sigma[i], P.hess_sigma)
+        close(B.laplace_sigma[i], P.laplace_sigma)
+        for kind in ConnKind:
+            close(B.gamma(kind)[i], P.gamma(kind))
+            close(B.dgamma(kind)[i], P.dgamma(kind))
+            close(B.riemann(kind)[i], P.riemann(kind))
+
+
+_PUNCTURED_ROWS = [
+    (0.0, 0.0), (-0.0, 0.0), (1e-200, 0.0), (1e-3, 0.0), (0.05, 0.0),
+    (0.06, 0.0), (0.3, -0.1), (-2.0, 1.0),
+]
+_HALF_PLANE_ROWS = [
+    (0.0, 1.0), (1.0, 1e-3), (0.0, 1e-150), (0.0, 1e-160), (0.0, 1e-300),
+    (0.0, 0.0), (0.0, -0.0), (0.0, -1e-300), (2.0, -1.0),
+]
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("punctured-plane", _PUNCTURED_ROWS),
+    ("half-plane-exp", _HALF_PLANE_ROWS),
+])
+def test_batched_domain_verdicts_match_in_domain(name, rows):
+    # both sides of the wall: the puncture, where exp(2/r^2) overflows
+    # before r reaches 0, and x2 -> 0 on the half plane, where 1/x2^2 does
+    M = load_manifold(name)
+    xs = np.array(rows)
+    want = [in_domain(M, x) for x in rows]
+    assert True in want and False in want
+    values = M._values_many(xs)
+    assert list(~np.isnan(values).any(axis=1)) == want
+    # a True from the batched predicate is always the scalar verdict
+    assert not np.any(M.domain.many(xs) & ~np.array([M.domain(x) for x in rows]))
+    for x, ok in zip(rows, want):
+        if ok:
+            M.at_many([x])
+        else:
+            with pytest.raises(OutOfDomainError) as batch:
+                M.at_many([(1.0, 1.0), x])
+            with pytest.raises(OutOfDomainError) as single:
+                M.at(x)
+            assert str(batch.value) == str(single.value)
+
+
+def test_batched_domain_short_circuit():
+    # the scalar predicate stops at its first deciding comparison; the
+    # batched one evaluates them all and is unsure where one fails, and
+    # _values_many asks the scalar predicate about those rows
+    doc = dict(BUILTINS["euclidean"], name="cut", domain="x2 > 0 or 1/x1 > 0")
+    M = load_manifold(doc)
+    rows = [(0.0, 1.0), (0.0, -1.0), (1.0, -1.0), (-1.0, -1.0)]
+    want = [True, False, True, False]
+    assert [in_domain(M, x) for x in rows] == want
+    assert list(M.domain.many(np.array(rows))) == [False, False, True, False]
+    values = M._values_many(np.array(rows))
+    assert list(~np.isnan(values[:, 0])) == want
