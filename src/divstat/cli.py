@@ -205,7 +205,8 @@ def _cmd_connect(args):
         return _diag(
             f"the gtilde geodesic from {args.start} to {args.target} converged, "
             "but the nabla parameter overflows along the path "
-            "(e^{-2 sigma} is not finite), so no samples are given",
+            "(e^{-2 sigma} is not finite, or too large for the parameter "
+            "to keep increasing in double precision), so no samples are given",
             3,
         )
     return 0

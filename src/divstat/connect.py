@@ -74,8 +74,10 @@ class ConnectResult:
     best tilde path left the domain with too few samples to reparametrize,
     or when the nabla parameter cannot be computed along it: the weight
     e^{-2 sigma} overflows where the path passes close to a complete end
-    such as the puncture of the punctured plane.  That can happen on a
-    converged solve too; converged then still reports the gtilde solve.
+    such as the puncture of the punctured plane, or grows so large there
+    that the parameter's later increments vanish in double precision.
+    That can happen on a converged solve too; converged then still
+    reports the gtilde solve.
     """
 
     converged: bool

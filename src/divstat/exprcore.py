@@ -395,6 +395,10 @@ def compile_many(roots):
     not reported.  Any other failure raises :class:`EvalDomainError` with
     the failing node and point, found by the guarded tree walker.
 
+    ``f.get(x)`` is ``f(x)``, or None where ``f`` would raise, without the
+    walk that names the failing node: for callers that need only the
+    verdict, such as a chart test at many points near its wall.
+
     ``f.many(xs)`` evaluates every row of an ``(N, n)`` array at once and
     returns an ``(N, len(roots))`` array.  It runs the same generated code
     with numpy's ufuncs on the coordinate columns.  A row with a
@@ -498,7 +502,7 @@ def compile_many(roots):
     raw_many = _exec_kernel(compiled, np, _abs=np.abs, _pow=np.power)
     isfinite = math.isfinite
 
-    def kernel(x):
+    def get(x):
         try:
             out = raw(x)
             # a finite sum proves every term finite; an overflowing sum of
@@ -507,7 +511,13 @@ def compile_many(roots):
                 return out
         except (ArithmeticError, ValueError):
             pass
-        _walk_failure(roots, x)
+        return None
+
+    def kernel(x):
+        out = get(x)
+        if out is None:
+            _walk_failure(roots, x)
+        return out
 
     def many(xs):
         xs = np.asarray(xs, dtype=float)
@@ -530,6 +540,7 @@ def compile_many(roots):
                 out[i] = np.nan
         return out
 
+    kernel.get = get
     kernel.many = many
     return kernel
 

@@ -11,22 +11,27 @@ perform that change by two-point quintic Hermite quadrature between the dense
 samples, with the weight's first two parameter derivatives taken from the
 geodesic equation.
 
-The integrator's right-hand side reads the geometry of one point at a time
-(ManifoldDef.at).  The parameter change, the refinement of the samples by
-sigma and geodesic_residual read that of all a path's samples in one
-batched call (ManifoldDef.at_many).  Batched jets come from numpy's ufuncs,
-whose exp and power round differently from math's on a few percent of
-inputs, so their results can differ from a sample-by-sample evaluation in
-the last bits.
+The integrator's right-hand side is one call of the domain predicate and
+one call of the connection's compiled spray (ManifoldDef.spray), on
+Python floats; it never builds a PointGeometry.  A point where the
+predicate fails, or where g, sigma or the acceleration is not finite,
+counts as outside the chart: the step is halved, down to the exit
+bisection window.  The parameter change, the refinement of the samples by
+sigma and geodesic_residual read the geometry of all a path's samples in
+one batched call (ManifoldDef.at_many).  Batched jets come from numpy's
+ufuncs, whose exp and power round differently from math's on a few
+percent of inputs, so their results can differ from a sample-by-sample
+evaluation in the last bits.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import RK45
 
 from .exprcore import EvalDomainError
-from .manifold import ConnKind, OutOfDomainError, _require, in_domain
+from .manifold import ConnKind, _require, in_domain
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -116,21 +121,20 @@ class GeodesicPath:
 
 def _rhs_factory(M, kind):
     n = M.n
-    kind = ConnKind(kind)
+    domain = M.domain
+    spray = M.spray(kind)
 
     def rhs(t, y):
+        y = y.tolist()
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                gam = M.at(y[:n]).gamma(kind)
-        except (OutOfDomainError, EvalDomainError) as err:
+            inside = domain(y)
+        except EvalDomainError as err:
             raise _DomainExit from err
-        if not np.isfinite(gam).all():
+        # the verdict alone: no diagnostic names the node that failed
+        out = spray.get(y) if inside else None
+        if out is None:
             raise _DomainExit
-        v = y[n:]
-        out = np.empty(2 * n)
-        out[:n] = v
-        out[n:] = -(gam @ v) @ v
-        return out
+        return y[n:] + list(out[-n:])
 
     return rhs
 
@@ -138,12 +142,18 @@ def _rhs_factory(M, kind):
 def _chord_ok(M, x_a, x_b):
     # a large step can vault a hole in the chart even though all its stage
     # points land inside; probe the chord of the step at a resolution tied
-    # to the displacement relative to the position scale
-    gap = np.abs(x_b - x_a).max()
-    scale = 1.0 + max(np.abs(x_a).max(), np.abs(x_b).max())
-    k = int(min(31, max(3, np.ceil(gap / (0.03 * scale)))))
-    for frac in np.linspace(0.0, 1.0, k + 2)[1:-1]:
-        if not in_domain(M, (1.0 - frac) * x_a + frac * x_b):
+    # to the displacement relative to the position scale.  x_a and x_b are
+    # sequences of floats
+    gap = max(abs(b - a) for a, b in zip(x_a, x_b))
+    scale = 1.0 + max(max(map(abs, x_a)), max(map(abs, x_b)))
+    r = gap / (0.03 * scale)
+    k = 3 if not r > 3.0 else (31 if r > 30.0 else math.ceil(r))  # ceil(r) in [3, 31]
+    # j * (1 / (k + 1)) is the fraction np.linspace gives, bit for bit
+    step = 1.0 / (k + 1)
+    for j in range(1, k + 1):
+        frac = j * step
+        x = tuple((1.0 - frac) * a + frac * b for a, b in zip(x_a, x_b))
+        if M._values(x) is None:
             return False
     return True
 
@@ -181,9 +191,10 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None):
             break
         # cap the chart displacement of one step so the chord probes below
         # cannot straddle a hole at a scale they do not resolve
-        speed = np.abs(rk.y[n:]).max()
+        y = rk.y.tolist()
+        speed = max(map(abs, y[n:]))
         if speed > 0.0:
-            cap = 0.5 * (1.0 + np.abs(rk.y[:n]).max()) / speed
+            cap = 0.5 * (1.0 + max(map(abs, y[:n]))) / speed
             rk.max_step = min(max_step, cap)
         t_prev, y_prev, f_prev = rk.t, rk.y, rk.f
         try:
@@ -199,7 +210,7 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None):
             status = "step-limit"
             break
         h_used = rk.t - t_prev
-        if not _chord_ok(M, y_prev[:n], rk.y[:n]):
+        if not _chord_ok(M, y[:n], rk.y[:n].tolist()):
             if h_used <= EXIT_BISECT_TOL:
                 status = "exited-domain"
                 break
@@ -212,54 +223,48 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None):
         steps += 1
         if collect:
             segs.append((t_prev, rk.t, y_prev, rk.y, f_prev, rk.f))
-        if escape is not None and np.abs(rk.y[:n]).max() > escape:
+        if escape is not None and max(map(abs, rk.y[:n].tolist())) > escape:
             status = "escaped"
             break
     return status, t_end, y_end, segs
 
 
-def _hermite_eval(seg, tq):
-    # quintic Hermite from (x, v, a) at both step ends; the stored RHS values
-    # make the interpolant match the accelerations the solver actually saw
-    t0, t1, y0, y1, f0, f1 = seg
-    h = t1 - t0
-    u = (np.asarray(tq, dtype=float) - t0) / h
+def _eval_pieces(segs, ts, n):
+    # quintic Hermite from (x, v, a) at both ends of the step that holds
+    # each query time, all times at once; the stored RHS values make the
+    # interpolant match the accelerations the solver actually saw
+    t0, t1, y0, y1, f0, f1 = map(np.array, zip(*segs))
+    k = np.minimum(np.searchsorted(t1, ts, side="left"), len(segs) - 1)
+    h = (t1 - t0)[k]
+    u = (np.asarray(ts, dtype=float) - t0[k]) / h
     w = 1.0 - u
     u2 = u * u
     u3 = u2 * u
     w2 = w * w
     w3 = w2 * w
     # factored basis: bounded factors keep the cancellation error at a few ulp
-    H = np.stack([
+    H = (
         w3 * (1.0 + 3.0 * u + 6.0 * u2),
         u * w3 * (1.0 + 3.0 * u),
         0.5 * u2 * w3,
         u3 * (10.0 - 15.0 * u + 6.0 * u2),
         -u3 * w * (4.0 - 3.0 * u),
         0.5 * u3 * w2,
-    ], axis=-1)
-    Hp = np.stack([
+    )
+    Hp = (
         -30.0 * u2 * w2,
         w2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
         0.5 * u * w2 * (2.0 - 5.0 * u),
         30.0 * u2 * w2,
         -u2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
         0.5 * u2 * w * (3.0 - 5.0 * u),
-    ], axis=-1)
-    n = len(y0) // 2
-    D = np.stack([y0[:n], h * y0[n:], h * h * f0[n:],
-                  y1[:n], h * y1[n:], h * h * f1[n:]])
-    return H @ D, (Hp @ D) / h
-
-
-def _eval_pieces(segs, ts, n):
-    ends = np.array([seg[1] for seg in segs])
-    idx = np.minimum(np.searchsorted(ends, ts, side="left"), len(segs) - 1)
-    xs = np.empty((len(ts), n))
-    vs = np.empty((len(ts), n))
-    for k in np.unique(idx):
-        sel = idx == k
-        xs[sel], vs[sel] = _hermite_eval(segs[k], ts[sel])
+    )
+    h = h[:, None]
+    y0, y1, f0, f1 = y0[k], y1[k], f0[k], f1[k]
+    D = (y0[:, :n], h * y0[:, n:], h * h * f0[:, n:],
+         y1[:, :n], h * y1[:, n:], h * h * f1[:, n:])
+    xs = sum(c[:, None] * d for c, d in zip(H, D))
+    vs = sum(c[:, None] * d for c, d in zip(Hp, D)) / h
     return xs, vs
 
 
@@ -375,6 +380,13 @@ def _reparam(M, path, sign, out_kind, in_kind):
            + h ** 3 / 120.0 * (Fpp[:-1] + Fpp[1:]))
     cubic = 0.5 * h * (F[:-1] + F[1:]) + h * h / 12.0 * (Fp[:-1] - Fp[1:])
     s = np.concatenate([[0.0], np.cumsum(seg)])
+    if np.any(np.diff(s) <= 0.0):
+        # where the weight spans more orders of magnitude than a double
+        # holds, the later increments vanish in the sum
+        raise GeodesicError(
+            "parameter transform loses resolution: the new parameter stops "
+            "increasing along the path"
+        )
     meta = dict(path.meta)
     meta["quadrature_error"] = abs(float(np.sum(seg - cubic)))
     # F is the derivative of the new parameter with respect to the old one

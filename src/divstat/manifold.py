@@ -14,19 +14,42 @@ curvature on first use, each at most once.  Everything downstream reads
 pointwise quantities from that object; the (M, x) functions here are thin
 wrappers over it.
 
+The geodesic integrator asks for one thing only, the spray
+a = -Gamma(v, v) of a connection at (x, v), and ManifoldDef.spray(kind)
+gives it as one more compiled kernel, built on first use from the same
+jet trees: Gamma^k_ij = (g^-1 s_ij)^k / 2 with
+s_ij,l = d_i g_jl + d_j g_il - d_l g_ij, plus the terms of K and of the
+projective change in |v|^2_g grad sigma and (dsigma . v) v.  g^-1 is
+applied by an emitted LDL^T solve, before anything is contracted with v,
+so no intermediate is larger than Gamma or grad sigma themselves.
+PointGeometry.gamma is the reference the spray is tested against.
+
 Index conventions: connection arrays are gamma[k, i, j] = Gamma^k_ij,
 derivative stacks put the new derivative index first, and curvature
 arrays are R[l, k, i, j] with R(d_i, d_j) d_k = R^l_kij d_l.
 """
 
 import enum
+import itertools
 import json
+import operator
 import os
 from functools import cached_property
 
 import numpy as np
 
-from .exprcore import EvalDomainError, Expr, ExprError, ParseError, compile_many, parse
+from .exprcore import (
+    Bin,
+    EvalDomainError,
+    Expr,
+    ExprError,
+    Num,
+    ParseError,
+    Una,
+    Var,
+    compile_many,
+    parse,
+)
 
 __all__ = [
     "BUILTINS",
@@ -93,9 +116,19 @@ class DomainPred:
         self.tree = _parse_pred(src, coords)
         sides = _pred_sides(self.tree)
         self._sides = compile_many(sides) if sides else None
+        self._decide = _decider(self.tree, itertools.count(0, 2))
 
     def __call__(self, x):
-        return _eval_pred(self.tree, x)
+        # every side in one kernel call; where one fails to evaluate, the
+        # tree walk decides, so an `or` whose deciding comparison comes
+        # first keeps its verdict
+        if self._sides is None:
+            return True
+        try:
+            vals = self._sides(x)
+        except EvalDomainError:
+            return _eval_pred(self.tree, x)
+        return self._decide(vals)
 
     def many(self, xs):
         """The verdict at each row of xs (N, n), or False where unsure.
@@ -195,6 +228,21 @@ def _eval_pred(tree, x):
 
 
 _CMP_UFUNCS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+_CMP_FUNCS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _decider(tree, slots):
+    # the predicate as a function of the values of its sides, read in the
+    # order _pred_sides lists them; `slots` counts off each comparison's pair
+    tag = tree[0]
+    if tag == "true":
+        return lambda vals: True
+    if tag == "cmp":
+        cmp, i = _CMP_FUNCS[tree[1]], next(slots)
+        return lambda vals: cmp(vals[i], vals[i + 1])
+    parts = [_decider(t, slots) for t in tree[1]]
+    join = all if tag == "and" else any
+    return lambda vals: join(p(vals) for p in parts)
 
 
 def _pred_sides(tree):
@@ -274,7 +322,9 @@ class ManifoldDef:
     `sigma` in the document is a source string, or an Expr already parsed
     over the same coords, which is how conjugate passes its negated tree.
     Immutable after construction; all geometry queries are pure and go
-    through at(x), which holds no state between calls.
+    through at(x), which holds no state between calls.  The one exception
+    is the cache of spray kernels, which spray(kind) fills on first use:
+    loading a manifold does not pay for sprays that nothing integrates.
     """
 
     def __init__(self, doc):
@@ -368,8 +418,29 @@ class ManifoldDef:
         self.kernels = {
             group: compile_many(roots) for group, roots in self.jet_roots.items()
         }
+        self._sprays = {}
 
         self._spd_spot_check()
+
+    def spray(self, kind):
+        """The compiled spray of the connection `kind`.
+
+        Called on the 2n floats (x, v), the kernel returns the entries of
+        g and sigma at x, as the "values" kernel lists them, and then the
+        n components of the acceleration a = -Gamma(v, v).  Because the
+        values come first, the kernel raises EvalDomainError (its get
+        returns None) exactly where the values kernel does, and also where
+        a is not finite; the domain predicate is left to the caller.  Each
+        kind is compiled on its first use and kept on this object.
+        """
+        kind = ConnKind(kind)
+        kernel = self._sprays.get(kind)
+        if kernel is None:
+            coeffs = _SPRAY_COEFFS[kind]
+            roots = self.jet_roots
+            acc = _spray_roots(self._g, roots["dg"], roots["dsigma"], *coeffs)
+            kernel = self._sprays[kind] = compile_many(roots["values"] + acc)
+        return kernel
 
     def _spd_spot_check(self):
         pts = sample_domain(self, _SPD_CHECK_COUNT, seed=_SPD_CHECK_SEED)
@@ -384,7 +455,7 @@ class ManifoldDef:
         # the entries of g, then sigma, at chart tuple x; None outside the chart
         try:
             if self.domain(x):
-                return self.kernels["values"](x)
+                return self.kernels["values"].get(x)
         except EvalDomainError:
             pass
         return None
@@ -431,6 +502,126 @@ class ManifoldDef:
 
     def __repr__(self):
         return f"ManifoldDef({self.name!r}, n={self.n})"
+
+
+# (c1, c2) in Gamma(v, v) = Gamma_g(v, v) + c1 |v|^2_g grad sigma
+# + c2 (dsigma . v) v: K(v, v) = -|v|^2_g grad sigma / 2 - (dsigma . v) v,
+# and the projective term of lc-tilde adds 2 (dsigma . v) v to nabla's
+_SPRAY_COEFFS = {
+    ConnKind.LC_G: (0.0, 0.0),
+    ConnKind.NABLA: (-0.5, -1.0),
+    ConnKind.NABLA_BAR: (0.5, 1.0),
+    ConnKind.LC_G_TILDE: (-0.5, 1.0),
+}
+
+
+def _spray_roots(g, dg, dsigma, c1, c2):
+    """Trees of a^k = -Gamma^k_ij v^i v^j, velocity v^i being Var(n + i).
+
+    g is the n x n grid of metric trees, dg the "dg" jet roots (row-major
+    d_k g_ij) and dsigma the "dsigma" ones.  Every term applies g^-1 to a
+    jet first and meets v last, so an intermediate overflows only where
+    Gamma or grad sigma does.
+    """
+    n = len(g)
+    v = [Var(n + i, f"v{i + 1}") for i in range(n)]
+
+    def d(k, i, j):  # d_k g_ij
+        return dg[(k * n + i) * n + j]
+
+    solve = _ldlt_solver(g)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    terms = [[] for _ in range(n)]
+    for i, j in upper:
+        s = [_sub(_sum([d(i, j, l), d(j, i, l)]), d(l, i, j)) for l in range(n)]
+        # Gamma^k_ij v^i v^j, counting (i, j) and (j, i) once each
+        vv = _prod(Num(1.0 if i == j else 2.0), v[i], v[j])
+        for k, z in enumerate(solve(s)):
+            terms[k].append(_prod(Num(0.5), z, vv))
+    if c1:
+        # c1 |v|^2_g grad^k, with grad^k g_ij formed before it meets v
+        grad = solve(dsigma)
+        for k in range(n):
+            for i, j in upper:
+                m = 1.0 if i == j else 2.0
+                terms[k].append(_prod(Num(c1 * m), grad[k], g[i][j], v[i], v[j]))
+    if c2:
+        dv = _sum([_prod(dsigma[i], v[i]) for i in range(n)])
+        for k in range(n):
+            terms[k].append(_prod(Num(c2), dv, v[k]))
+    return [_neg(_sum(t)) for t in terms]
+
+
+def _ldlt_solver(g):
+    # g = L D L^T without pivoting (g is SPD in the chart), as trees; the
+    # returned function maps the trees of b to those of g^-1 b.  No
+    # determinant is formed: it overflows long before g does
+    n = len(g)
+    L = [[None] * n for _ in range(n)]
+    D = [None] * n
+    for j in range(n):
+        # E[i] = L_ij D_j, the part of column j before the division
+        E = [_sub(g[i][j], _sum([_prod(L[i][k], L[j][k], D[k]) for k in range(j)]))
+             for i in range(j, n)]
+        D[j] = E[0]
+        for i in range(j + 1, n):
+            L[i][j] = _div(E[i - j], D[j])
+
+    def solve(b):
+        y = []
+        for i in range(n):
+            y.append(_sub(b[i], _sum([_prod(L[i][k], y[k]) for k in range(i)])))
+        x = [None] * n
+        for i in reversed(range(n)):
+            z = _div(y[i], D[i])
+            x[i] = _sub(z, _sum([_prod(L[k][i], x[k]) for k in range(i + 1, n)]))
+        return x
+
+    return solve
+
+
+# tree constructors that drop exact zeros and unit factors, so a diagonal
+# metric's solve is one division per component
+
+
+def _zero(e):
+    return isinstance(e, Num) and e.value == 0.0
+
+
+def _sum(terms):
+    terms = [t for t in terms if not _zero(t)]
+    if not terms:
+        return Num(0.0)
+    out = terms[0]
+    for t in terms[1:]:
+        out = Bin("add", out, t)
+    return out
+
+
+def _prod(*factors):
+    if any(map(_zero, factors)):
+        return Num(0.0)
+    factors = [f for f in factors if not (isinstance(f, Num) and f.value == 1.0)]
+    if not factors:
+        return Num(1.0)
+    out = factors[0]
+    for f in factors[1:]:
+        out = Bin("mul", out, f)
+    return out
+
+
+def _neg(e):
+    return Num(-e.value) if isinstance(e, Num) else Una("neg", e)
+
+
+def _sub(a, b):
+    if _zero(b):
+        return a
+    return _neg(b) if _zero(a) else Bin("sub", a, b)
+
+
+def _div(a, b):
+    return Num(0.0) if _zero(a) else Bin("div", a, b)
 
 
 def load_manifold(doc):

@@ -24,6 +24,9 @@ from divstat.geodesic import (
     GeodesicError,
     GeodesicPath,
     IntegratorOpts,
+    _chord_ok,
+    _eval_pieces,
+    _integrate_core,
     exp_map,
     geodesic_residual,
     integrate_geodesic,
@@ -301,11 +304,13 @@ def _reparam_per_sample(M, path, sign, in_kind):
 
 
 def test_reparam_matches_its_per_sample_definition():
-    # a gtilde-straight line past the puncture at distance 0.2: sigma moves
-    # fast, so refinement leaves thousands of samples
+    # a gtilde-straight line past the puncture at distance 0.4: sigma moves
+    # fast, so refinement leaves over a thousand samples, and the weights
+    # e^{-+4/r^2} still span few enough orders of magnitude for both new
+    # parameters to keep increasing (at 0.2 they do not: see below)
     punct = load_manifold("punctured-plane")
-    tilde = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.2), (-2.0, 0.0), 1.0)
-    assert tilde.status == "completed" and len(tilde.ts) > 5000
+    tilde = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.4), (-2.0, 0.0), 1.0)
+    assert tilde.status == "completed" and len(tilde.ts) > 1000
     # the other direction reads the same samples as a nabla curve; both
     # transforms are defined for any sampled curve
     curve = GeodesicPath(kind=ConnKind.NABLA, ts=tilde.ts, xs=tilde.xs,
@@ -327,3 +332,135 @@ def test_reparam_matches_its_per_sample_definition():
         _reparam_per_sample(punct, close, -2.0, ConnKind.LC_G_TILDE)
     with pytest.raises(GeodesicError, match="overflows"):
         reparam_from_tilde(punct, close)
+
+
+def test_reparam_raises_where_the_new_parameter_stops_increasing():
+    # past the puncture at 0.2 the weight e^{-2 sigma} = e^{4/r^2} reaches
+    # e^100: the nabla parameter grows to about 4.8e41, and the increments
+    # of order one after the pass vanish in the sum.  Read as a nabla curve,
+    # the same samples have weight e^{-100} there, whose increments vanish
+    # against the parameter gathered before the pass.
+    punct = load_manifold("punctured-plane")
+    tilde = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.2), (-2.0, 0.0), 1.0)
+    assert tilde.status == "completed" and len(tilde.ts) > 5000
+    curve = GeodesicPath(kind=ConnKind.NABLA, ts=tilde.ts, xs=tilde.xs,
+                         vs=tilde.vs, status="completed")
+    for transform, path, sign, in_kind in (
+        (reparam_from_tilde, tilde, -2.0, ConnKind.LC_G_TILDE),
+        (reparam_to_tilde, curve, 2.0, ConnKind.NABLA),
+    ):
+        # the definition itself gives a parameter with zero steps
+        ts, _, _ = _reparam_per_sample(punct, path, sign, in_kind)
+        assert np.any(np.diff(ts) <= 0.0)
+        with pytest.raises(GeodesicError, match="stops increasing"):
+            transform(punct, path)
+
+
+def _hermite_per_segment(seg, tq):
+    """The quintic Hermite dense output of one step, at the times tq.
+
+    This is its definition: (x, h v, h^2 a) at both ends of the step
+    against the factored quintic basis, one step at a time.
+    """
+    t0, t1, y0, y1, f0, f1 = seg
+    h = t1 - t0
+    u = (np.asarray(tq, dtype=float) - t0) / h
+    w = 1.0 - u
+    H = np.stack([
+        w**3 * (1.0 + 3.0 * u + 6.0 * u**2),
+        u * w**3 * (1.0 + 3.0 * u),
+        0.5 * u**2 * w**3,
+        u**3 * (10.0 - 15.0 * u + 6.0 * u**2),
+        -u**3 * w * (4.0 - 3.0 * u),
+        0.5 * u**3 * w**2,
+    ], axis=-1)
+    Hp = np.stack([
+        -30.0 * u**2 * w**2,
+        w**2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
+        0.5 * u * w**2 * (2.0 - 5.0 * u),
+        30.0 * u**2 * w**2,
+        -u**2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
+        0.5 * u**2 * w * (3.0 - 5.0 * u),
+    ], axis=-1)
+    n = len(y0) // 2
+    D = np.stack([y0[:n], h * y0[n:], h * h * f0[n:],
+                  y1[:n], h * y1[n:], h * h * f1[n:]])
+    return H @ D, (Hp @ D) / h
+
+
+def _eval_pieces_per_segment(segs, ts, n):
+    ends = np.array([seg[1] for seg in segs])
+    idx = np.minimum(np.searchsorted(ends, ts, side="left"), len(segs) - 1)
+    xs = np.empty((len(ts), n))
+    vs = np.empty((len(ts), n))
+    for k in np.unique(idx):
+        sel = idx == k
+        xs[sel], vs[sel] = _hermite_per_segment(segs[k], ts[sel])
+    return xs, vs
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_dense_output_matches_per_segment_hermite(name):
+    M = load_manifold(name)
+    rng = np.random.default_rng(91)
+    for kind in ConnKind:
+        x0 = sample_domain(M, 1, seed=92)[0]
+        v0 = rng.standard_normal(2)
+        v0 = 0.7 * v0 / np.linalg.norm(v0)
+        status, t_end, _, segs = _integrate_core(M, kind, x0, v0, 1.0, IntegratorOpts(), True)
+        assert len(segs) >= 48, (name, kind, status)
+        # the sample grid, random times, and every step end
+        ts = np.sort(np.concatenate([
+            np.linspace(0.0, t_end, 129),
+            rng.uniform(0.0, t_end, 200),
+            [seg[1] for seg in segs],
+        ]))
+        xs, vs = _eval_pieces(segs, ts, 2)
+        xr, vr = _eval_pieces_per_segment(segs, ts, 2)
+        assert np.abs(xs - xr).max() <= 1e-13 * np.abs(xr).max(), (name, kind)
+        assert np.abs(vs - vr).max() <= 1e-13 * np.abs(vr).max(), (name, kind)
+
+
+def _chord_ok_numpy(M, x_a, x_b):
+    """The chord probe on numpy arrays, np.linspace's fractions: the reference."""
+    gap = np.abs(x_b - x_a).max()
+    scale = 1.0 + max(np.abs(x_a).max(), np.abs(x_b).max())
+    k = int(min(31, max(3, np.ceil(gap / (0.03 * scale)))))
+    for frac in np.linspace(0.0, 1.0, k + 2)[1:-1]:
+        if not in_domain(M, (1.0 - frac) * x_a + frac * x_b):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name, center, spread", [
+    # chords near and across the puncture, and across the wall x2 = 0
+    ("punctured-plane", (0.0, 0.0), 0.12),
+    ("half-plane-exp", (0.0, 0.05), 0.2),
+])
+def test_scalar_chord_probe_matches_numpy(name, center, spread):
+    M = load_manifold(name)
+    rng = np.random.default_rng(93)
+    verdicts = []
+    while len(verdicts) < 6000:
+        x_a = np.array(center) + spread * rng.uniform(-1.0, 1.0, 2)
+        if not in_domain(M, x_a):
+            continue
+        # lengths from far below to far above the probe spacing
+        x_b = x_a + 10.0 ** rng.uniform(-4.0, 0.5) * rng.standard_normal(2)
+        want = _chord_ok_numpy(M, x_a, x_b)
+        assert _chord_ok(M, x_a.tolist(), x_b.tolist()) == want, (x_a, x_b)
+        verdicts.append(want)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_singular_metric_exits_the_domain():
+    # g = diag(x1^2, 1) is singular on x1 = 0, which the chart does not
+    # exclude: the spray's LDL^T solve divides by zero there, and the
+    # integrator reports an exit rather than raising
+    M = load_manifold({
+        "name": "singular-line", "dim": 2, "coords": ["x1", "x2"],
+        "metric": [["x1^2", "0"], ["0", "1"]], "sigma": "0",
+    })
+    path = integrate_geodesic(M, ConnKind.LC_G, (0.0, 0.5), (1.0, 0.0), 1.0)
+    assert path.status == "exited-domain"
+    assert len(path.ts) == 1 and path.ts[0] == 0.0

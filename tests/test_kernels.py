@@ -6,9 +6,13 @@ subtrees and folding exact identities; the per-expression walker
 kernels are split by what a query can ask for alone, so a derivative
 that fails at a point does not take the lower orders down with it.
 The batched forms (kernel.many, DomainPred.many, ManifoldDef.at_many)
-are checked row by row against the single-point ones.
+are checked row by row against the single-point ones.  The spray kernels
+(ManifoldDef.spray) are checked against -Gamma(v, v) from
+PointGeometry.gamma, and the compiled domain predicate against its tree
+walk.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -27,10 +31,13 @@ from divstat.exprcore import (
     compile_many,
     parse,
 )
+from divstat.geodesic import _DomainExit, _rhs_factory
 from divstat.manifold import (
     BUILTINS,
     ConnKind,
+    DomainPred,
     OutOfDomainError,
+    _eval_pred,
     in_domain,
     load_manifold,
     metric_jet,
@@ -91,6 +98,18 @@ def test_compile_many_matches_walker(tree, x):
         return
     if want is not None:
         assert list(got) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees, x=st.tuples(_coords, _coords))
+def test_kernel_get_is_the_verdict(tree, x):
+    # get gives the kernel's values, and None exactly where it raises
+    kernel = compile_many([tree, tree.diff(0)])
+    try:
+        want = kernel(x)
+    except EvalDomainError:
+        want = None
+    assert kernel.get(x) == want
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -326,3 +345,148 @@ def test_batched_domain_short_circuit():
     assert list(M.domain.many(np.array(rows))) == [False, False, True, False]
     values = M._values_many(np.array(rows))
     assert list(~np.isnan(values[:, 0])) == want
+
+
+@pytest.mark.parametrize("src", [
+    "x2 > 0 or log(x2) < 1",
+    "sqrt(x1) < 2 or x2 >= 0.5 and x1 <= 3",
+    "log(x1) > -1 and x2 < 1/x1",
+    "x1^2 + x2^2 > 0",
+    "true",
+])
+def test_domain_predicate_matches_its_tree_walk(src):
+    # the compiled sides decide where they all evaluate; elsewhere the
+    # walk short-circuits, so the verdict, or the error, is the walk's
+    pred = DomainPred(src, XY)
+    rng = np.random.default_rng(7)
+    rows = [(0.0, 0.0), (-0.0, 1.0), (1.0, 0.0), (-1.0, -1.0), (4.0, 0.5)]
+    rows += [tuple(x) for x in rng.uniform(-2.0, 4.0, (400, 2)).tolist()]
+    outcomes = set()
+    for x in rows:
+        try:
+            want = _eval_pred(pred.tree, x)
+        except EvalDomainError as err:
+            want = str(err)
+        try:
+            got = pred(x)
+        except EvalDomainError as err:
+            got = str(err)
+        assert got == want, (src, x)
+        outcomes.add(type(want))
+    assert bool in outcomes
+
+
+def _spray(M, kind, x, v):
+    return np.array(M.spray(kind)((*x, *v))[-M.n:])
+
+
+def _spray_reference(M, kind, x, v):
+    """-Gamma(v, v) from PointGeometry, and the size of its largest term."""
+    P = M.at(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = -np.einsum("kij,i,j->k", P.gamma(kind), v, v)
+        parts = [np.abs(P.christoffel).max(), np.abs(P.K).max(),
+                 np.abs(P.projective).max()]
+    return want, max(parts) * np.abs(v).sum() ** 2
+
+
+_SKEW_2D = {
+    "name": "skew-2d", "dim": 2, "coords": ["a", "b"],
+    "metric": [["2 + a^2", "a*b/2"], ["a*b/2", "1 + exp(b)/3"]],
+    "sigma": "a - b^2/3",
+}
+_SKEW_3D = {
+    "name": "skew-3d", "dim": 3, "coords": ["x1", "x2", "x3"],
+    "metric": [["2 + x1^2", "0.3*x2", "0.1*x3"],
+               ["0.3*x2", "1 + x2^2", "0.2*sin(x1)"],
+               ["0.1*x3", "0.2*sin(x1)", "1.5 + x3^2"]],
+    "sigma": "sin(x1) + x2*x3",
+}
+
+
+@pytest.mark.parametrize("doc", sorted(BUILTINS) + [_SKEW_2D, _SKEW_3D],
+                         ids=lambda d: d if isinstance(d, str) else d["name"])
+def test_spray_matches_point_geometry(doc):
+    # the two definitions with off-diagonal entries reach every entry of
+    # the LDL^T solve, which the diagonal built-ins fold away
+    M = load_manifold(doc)
+    rng = np.random.default_rng(11)
+    for kind in ConnKind:
+        for x in sample_domain(M, 24, seed=12):
+            v = 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal(M.n)
+            want, scale = _spray_reference(M, kind, x, v)
+            got = _spray(M, kind, x, v)
+            assert np.abs(got - want).max() <= 1e-13 * scale, (kind, x, v)
+
+
+def test_spray_is_finite_near_the_puncture():
+    # between r = 0.0532 and 0.08, exp(2/r^2) runs from 1e307 down to
+    # 1e135: wherever gamma and its contraction are finite, so is the spray
+    M = load_manifold("punctured-plane")
+    rng = np.random.default_rng(13)
+    compared = 0
+    for _ in range(200):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        x = rng.uniform(0.0532, 0.08) * np.array([math.cos(angle), math.sin(angle)])
+        v = rng.uniform(0.0, 10.0) * rng.standard_normal(2) / math.sqrt(2.0)
+        v = v if np.linalg.norm(v) <= 10.0 else 10.0 * v / np.linalg.norm(v)
+        for kind in ConnKind:
+            try:
+                want, scale = _spray_reference(M, kind, x, v)
+            except EvalDomainError:
+                continue  # a jet of g overflows here
+            if not (np.isfinite(want).all() and np.isfinite(scale)):
+                continue
+            got = _spray(M, kind, x, v)
+            assert np.abs(got - want).max() <= 1e-13 * scale, (kind, x, v)
+            compared += 1
+    assert compared > 200
+
+
+def _old_rhs_exits(M, kind, x, v):
+    # where a right-hand side read from PointGeometry leaves the chart
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gam = M.at(x).gamma(kind)
+            acc = -np.einsum("kij,i,j->k", gam, v, v)
+    except (OutOfDomainError, EvalDomainError):
+        return True
+    return not (np.isfinite(gam).all() and np.isfinite(acc).all())
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("punctured-plane", _PUNCTURED_ROWS),
+    ("half-plane-exp", _HALF_PLANE_ROWS),
+])
+def test_rhs_exits_on_the_wall_rows(name, rows):
+    # the RHS leaves the chart wherever M.at does, and wherever a jet the
+    # connection needs fails there
+    M = load_manifold(name)
+    v = np.array([0.3, -0.2])
+    for kind in ConnKind:
+        rhs = _rhs_factory(M, kind)
+        for x in rows:
+            y = np.array([*x, *v])
+            if _old_rhs_exits(M, kind, x, v):
+                with pytest.raises(_DomainExit):
+                    rhs(0.0, y)
+                continue
+            assert in_domain(M, x)
+            out = np.array(rhs(0.0, y))
+            want, scale = _spray_reference(M, kind, x, v)
+            assert np.array_equal(out[:2], v)
+            assert np.abs(out[2:] - want).max() <= 1e-13 * scale, (kind, x)
+
+
+def test_each_manifold_has_its_own_spray():
+    # manifolds made and dropped in turn: a kernel cached by anything but
+    # the manifold itself could outlive it and serve the next one
+    x, v = (0.3, -0.4), np.array([0.7, 0.2])
+    for c in (1.0, 2.0, 3.0, 4.0):
+        doc = dict(BUILTINS["paraboloid"], name=f"tilted-{c}", sigma=f"{c}*x1 - x2")
+        M = load_manifold(doc)
+        want, scale = _spray_reference(M, ConnKind.NABLA, x, v)
+        got = _spray(M, ConnKind.NABLA, x, v)
+        assert np.abs(got - want).max() <= 1e-13 * scale, c
+        del M
+        gc.collect()
