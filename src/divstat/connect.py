@@ -90,7 +90,7 @@ class ConnectResult:
 
 
 def _endpoint(M, p, v, io, escape=None):
-    status, _, y_end, _ = _integrate_core(
+    status, _, y_end, _, _ = _integrate_core(
         M, ConnKind.LC_G_TILDE, p, v, 1.0, io, False, escape=escape
     )
     if status != "completed":

@@ -128,14 +128,13 @@ class Num(Expr):
 
 
 class Var(Expr):
-    """Coordinate `index`; `charted` marks a name read from a chart by parse."""
+    """Coordinate `index`, printed by its name (by default x<index + 1>)."""
 
-    __slots__ = ("index", "name", "charted")
+    __slots__ = ("index", "name")
 
-    def __init__(self, index, name=None, charted=False):
+    def __init__(self, index, name=None):
         object.__setattr__(self, "index", int(index))
         object.__setattr__(self, "name", name if name is not None else f"x{index + 1}")
-        object.__setattr__(self, "charted", bool(charted))
 
     def diff(self, i):
         return Num(1.0 if i == self.index else 0.0)
@@ -144,14 +143,9 @@ class Var(Expr):
         return float(x[self.index])
 
     def __str__(self):
-        # a chart's name prints verbatim, so a parsed tree re-parses over the
-        # same coords and a diagnostic names the coordinate the user wrote;
-        # a Var built without a chart has only its index to go by, so a
-        # positional-style name prints by that index
-        n = self.name
-        if self.charted or not (n[:1] == "x" and n[1:].isdigit()):
-            return n
-        return f"x{self.index + 1}"
+        # a parsed tree re-parses over the same coords, and a diagnostic
+        # names the coordinate the user wrote
+        return self.name
 
     def __repr__(self):
         return f"Var({self.index}, {self.name!r})"
@@ -722,7 +716,7 @@ class _Parser:
                 return _una(t.text, arg)
             if t.text in self.coords:
                 idx = self.coords.index(t.text)
-                return Var(idx, t.text, charted=True)
+                return Var(idx, t.text)
             self.fail(f"unknown identifier {t.text!r}", t)
         if t.kind == "op" and t.text == "(":
             e = self.parse_expr()

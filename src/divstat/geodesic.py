@@ -1,9 +1,11 @@
 """Geodesic integration and the parameter exchange with the conformal metric.
 
 Geodesics of any of the four connections solve x'' + Gamma(x', x') = 0 in the
-chart.  The integrator is an adaptive RK5(4) loop; when a trial step needs
-points outside the chart domain the step is bisected down to a 1e-10 window so
-the exit parameter is sharp.  Because nabla is projectively equivalent to the
+chart.  The integrator is an adaptive Dormand-Prince 5(4) loop on Python
+floats with the coefficients and step controller of scipy's RK45, so its
+steps follow RK45's up to rounding; when a trial step needs points outside
+the chart domain the step is bisected down to a 1e-10 window so the exit
+parameter is sharp.  Because nabla is projectively equivalent to the
 Levi-Civita connection of gtilde = e^sigma g, a nabla-geodesic becomes a
 gtilde-geodesic under the parameter change ds/dt = e^{2 sigma} along the path
 (and back with the reciprocal weight); reparam_to_tilde / reparam_from_tilde
@@ -24,11 +26,11 @@ percent of inputs, so their results can differ from a sample-by-sample
 evaluation in the last bits.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .exprcore import EvalDomainError
 from .manifold import ConnKind, _require, in_domain
@@ -64,7 +66,6 @@ class IntegratorOpts:
     atol: float = 1e-11
     max_steps: int = 10**6
     dense_samples: int = 129
-    max_step: float | None = None
 
     def __post_init__(self):
         if self.rtol <= 0.0 or self.atol <= 0.0:
@@ -73,8 +74,6 @@ class IntegratorOpts:
             raise ValueError("max_steps must be at least 1")
         if self.dense_samples < 2:
             raise ValueError("dense_samples must be at least 2")
-        if self.max_step is not None and self.max_step <= 0.0:
-            raise ValueError("max_step must be positive when given")
 
 
 @dataclass
@@ -83,7 +82,9 @@ class GeodesicPath:
 
     status is "completed", "exited-domain" (stopped just inside the chart
     boundary), or "step-limit" (budget or step-size underflow; the prefix
-    that was integrated is still returned).
+    that was integrated is still returned).  meta["integrator"] counts the
+    accepted and rejected steps, the chord rewinds and the domain-exit
+    halvings of the integration.
     """
 
     kind: ConnKind
@@ -120,21 +121,22 @@ class GeodesicPath:
 
 
 def _rhs_factory(M, kind):
+    # the geodesic equation as a first-order system on the list of 2n
+    # floats y = (x, v): returns (v, -Gamma(v, v)), or raises _DomainExit
     n = M.n
     domain = M.domain
-    spray = M.spray(kind)
+    spray = M.spray(kind).get
 
-    def rhs(t, y):
-        y = y.tolist()
+    def rhs(y):
         try:
             inside = domain(y)
         except EvalDomainError as err:
             raise _DomainExit from err
         # the verdict alone: no diagnostic names the node that failed
-        out = spray.get(y) if inside else None
+        out = spray(y) if inside else None
         if out is None:
             raise _DomainExit
-        return y[n:] + list(out[-n:])
+        return [*y[n:], *out[-n:]]
 
     return rhs
 
@@ -158,7 +160,114 @@ def _chord_ok(M, x_a, x_b):
     return True
 
 
+# The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5), with the coefficients and step controller of scipy's RK45, so that
+# step sequences match scipy's and results differ only by rounding.  A_s
+# builds stage s + 2 from stages 1..s + 1; B gives the order-5 solution
+# and E, over all seven stages, its error estimate.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5
+
+
+@functools.cache
+def _dopri5(N):
+    """One Dormand-Prince 5(4) step on N floats, emitted as straight-line code.
+
+    step(rhs, y, f, h, rtol, atol) takes the state y and its derivative
+    f = rhs(y), as lists, and returns (y_new, rhs(y_new), error) with error
+    the RMS norm of the embedded estimate scaled by
+    atol + max(|y|, |y_new|) * rtol, as scipy's RK45 computes it.  Zero
+    tableau entries are left out; a _DomainExit from rhs propagates.
+    """
+    def combo(coeffs, i):
+        # sum_s c_s k_s[i] over the nonzero c_s, left to right
+        return " + ".join(f"k{s}_{i} * {c!r}"
+                          for s, c in enumerate(coeffs, start=1) if c != 0.0)
+
+    def names(fmt):
+        return ", ".join(fmt.format(i) for i in range(N)) + ","
+
+    lines = [f"    {names('y{}')} = y", f"    {names('k1_{}')} = f"]
+    for s, row in enumerate(_DP_A, start=2):
+        stage = ", ".join(f"y{i} + ({combo(row, i)}) * h" for i in range(N))
+        lines.append(f"    {names(f'k{s}_{{}}')} = rhs([{stage}])")
+    lines += [f"    n{i} = y{i} + h * ({combo(_DP_B, i)})" for i in range(N)]
+    lines.append(f"    {names('k7_{}')} = rhs([{names('n{}')}])")
+    lines += [f"    e{i} = ({combo(_DP_E, i)}) * h"
+              f" / (atol + _max(abs(y{i}), abs(n{i})) * rtol)" for i in range(N)]
+    sq = " + ".join(f"e{i} * e{i}" for i in range(N))
+    lines.append(f"    return [{names('n{}')}], [{names('k7_{}')}], "
+                 f"_sqrt({sq}) / {N ** 0.5!r}")
+    src = "def step(rhs, y, f, h, rtol, atol):\n" + "\n".join(lines) + "\n"
+    ns = {"_max": max, "_sqrt": math.sqrt}
+    exec(compile(src, f"<dopri5 N={N}>", "exec"), ns)  # noqa: S102 - fixed template
+    return ns["step"]
+
+
+def _rms(xs):
+    return math.sqrt(sum(a * a for a in xs)) / len(xs) ** 0.5
+
+
+def _initial_step(rhs, y, f, t1, max_step, rtol, atol):
+    # scipy's select_initial_step for an order-4 error estimate from t = 0
+    # (Hairer, Norsett & Wanner, II.4)
+    scale = [atol + abs(a) * rtol for a in y]
+    d0 = _rms([a / s for a, s in zip(y, scale)])
+    d1 = _rms([a / s for a, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t1)
+    f1 = rhs([a + h0 * b for a, b in zip(y, f)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t1, max_step)
+
+
+def _advance(step, rhs, t, y, f, h_abs, cap, t1, rtol, atol, counts):
+    # one accepted step from (t, y, f), trying h_abs capped at cap and
+    # shrinking on error rejections: (t_new, y_new, f_new, next h_abs), or
+    # None once the step falls below ten spacings of the doubles at t
+    min_step = 10 * (math.nextafter(t, math.inf) - t)
+    h = cap if h_abs > cap else max(h_abs, min_step)
+    rejected = False
+    while h >= min_step:
+        t_new = min(t + h, t1)
+        h = t_new - t
+        y_new, f_new, err = step(rhs, y, f, h, rtol, atol)
+        if err < 1.0:
+            factor = _MAX_FACTOR
+            if err > 0.0:
+                factor = min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            if rejected:
+                factor = min(1.0, factor)
+            return t_new, y_new, f_new, h * factor
+        h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+        rejected = True
+        counts["rejected"] += 1
+    return None
+
+
 def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None):
+    """Integrate the geodesic from (x0, v0) over [0, t1].
+
+    Returns (status, t_end, y_end, segs, counts): the status, the last
+    accepted parameter and state (x, v), the accepted steps as
+    (t, t_new, y, y_new, f, f_new) when collect is set, and the counts of
+    accepted and rejected steps, chord rewinds and domain-exit halvings.
+    """
     x0 = np.array(_require(M, x0), dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (M.n,):
@@ -169,64 +278,61 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None):
     if not t1 > 0.0:
         raise ValueError("t1 must be positive")
     n = M.n
-    y0 = np.concatenate([x0, v0])
     rhs = _rhs_factory(M, kind)
-    max_step = np.inf if opts.max_step is None else opts.max_step
-    if collect:
-        # keep steps short enough that the dense interpolant tracks the
-        # acceleration, not just the position, of the solution
-        max_step = min(max_step, t1 / 48.0)
+    step = _dopri5(2 * n)
+    rtol, atol = opts.rtol, opts.atol
+    # keep steps short enough that the dense interpolant tracks the
+    # acceleration, not just the position, of the solution
+    max_step = t1 / 48.0 if collect else math.inf
+    counts = {"accepted": 0, "rejected": 0, "rewinds": 0, "halvings": 0}
+    t, y = 0.0, x0.tolist() + v0.tolist()
     try:
-        rk = RK45(rhs, 0.0, y0, t_bound=t1,
-                  rtol=opts.rtol, atol=opts.atol, max_step=max_step)
+        f = rhs(y)
+        h_abs = _initial_step(rhs, y, f, t1, max_step, rtol, atol)
     except _DomainExit:
-        return "exited-domain", 0.0, y0, []
+        return "exited-domain", 0.0, np.array(y), [], counts
     segs = []
     status = "completed"
-    steps = 0
-    t_end, y_end = 0.0, y0
-    while rk.status == "running":
-        if steps >= opts.max_steps:
+    while t < t1:
+        if counts["accepted"] >= opts.max_steps:
             status = "step-limit"
             break
         # cap the chart displacement of one step so the chord probes below
         # cannot straddle a hole at a scale they do not resolve
-        y = rk.y.tolist()
+        cap = max_step
         speed = max(map(abs, y[n:]))
         if speed > 0.0:
-            cap = 0.5 * (1.0 + max(map(abs, y[:n]))) / speed
-            rk.max_step = min(max_step, cap)
-        t_prev, y_prev, f_prev = rk.t, rk.y, rk.f
+            cap = min(max_step, 0.5 * (1.0 + max(map(abs, y[:n]))) / speed)
         try:
-            rk.step()
+            done = _advance(step, rhs, t, y, f, h_abs, cap, t1, rtol, atol, counts)
         except _DomainExit:
-            if rk.h_abs <= EXIT_BISECT_TOL:
+            if h_abs <= EXIT_BISECT_TOL:
                 status = "exited-domain"
                 break
-            rk.h_abs = 0.5 * rk.h_abs
+            h_abs *= 0.5
+            counts["halvings"] += 1
             continue
-        if rk.status == "failed":
+        if done is None:
             # step-size underflow: stiffness, reported through the status
             status = "step-limit"
             break
-        h_used = rk.t - t_prev
-        if not _chord_ok(M, y[:n], rk.y[:n].tolist()):
-            if h_used <= EXIT_BISECT_TOL:
+        t_new, y_new, f_new, h_next = done
+        if not _chord_ok(M, y[:n], y_new[:n]):
+            if t_new - t <= EXIT_BISECT_TOL:
                 status = "exited-domain"
                 break
             # rewind to the last good state and retry with half the step
-            rk = RK45(rhs, t_prev, y_prev, t_bound=t1,
-                      rtol=opts.rtol, atol=opts.atol, max_step=max_step,
-                      first_step=min(0.5 * h_used, t1 - t_prev))
+            h_abs = min(0.5 * (t_new - t), t1 - t)
+            counts["rewinds"] += 1
             continue
-        t_end, y_end = rk.t, rk.y
-        steps += 1
+        counts["accepted"] += 1
         if collect:
-            segs.append((t_prev, rk.t, y_prev, rk.y, f_prev, rk.f))
-        if escape is not None and max(map(abs, rk.y[:n].tolist())) > escape:
+            segs.append((t, t_new, y, y_new, f, f_new))
+        t, y, f, h_abs = t_new, y_new, f_new, h_next
+        if escape is not None and max(map(abs, y[:n])) > escape:
             status = "escaped"
             break
-    return status, t_end, y_end, segs
+    return status, t, np.array(y), segs, counts
 
 
 def _eval_pieces(segs, ts, n):
@@ -306,7 +412,7 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
     """
     opts = opts if opts is not None else IntegratorOpts()
     kind = ConnKind(kind)
-    status, t_end, y_end, segs = _integrate_core(M, kind, x0, v0, t1, opts, True)
+    status, t_end, y_end, segs, counts = _integrate_core(M, kind, x0, v0, t1, opts, True)
     n = M.n
     if not segs:
         ts = np.zeros(1)
@@ -324,14 +430,15 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
         while keep > 1 and not in_domain(M, xs[keep - 1]):
             keep -= 1
         ts, xs, vs = ts[:keep], xs[:keep], vs[:keep]
-    return GeodesicPath(kind=kind, ts=ts, xs=xs, vs=vs, status=status)
+    return GeodesicPath(kind=kind, ts=ts, xs=xs, vs=vs, status=status,
+                        meta={"integrator": counts})
 
 
 def exp_map(M, kind, p, v, opts=None):
     """Endpoint of the unit-time geodesic from p with initial velocity v."""
     opts = opts if opts is not None else IntegratorOpts()
     kind = ConnKind(kind)
-    status, t_end, y_end, _ = _integrate_core(M, kind, p, v, 1.0, opts, False)
+    status, t_end, y_end, _, _ = _integrate_core(M, kind, p, v, 1.0, opts, False)
     if status == "exited-domain":
         raise ExitedDomainError(
             f"geodesic left the domain of {M.name} at parameter {t_end:.12g}",

@@ -166,7 +166,8 @@ def _random_expr(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.5:
             return Num(round(float(rng.uniform(-3, 3)), 3))
-        return Var(int(rng.integers(0, 2)), XY[int(rng.integers(0, 2))])
+        k = int(rng.integers(0, 2))
+        return Var(k, XY[k])
     op = rng.choice(["add", "sub", "mul", "div", "pow", "exp", "log", "sin", "cos", "sqrt", "neg"])
     a = _random_expr(rng, depth - 1)
     if op in ("add", "sub", "mul"):

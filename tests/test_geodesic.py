@@ -16,17 +16,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
+from scipy.integrate._ivp.common import select_initial_step
 from scipy.optimize import brentq
 
 from divstat.exprcore import EvalDomainError
 from divstat.geodesic import (
+    EXIT_BISECT_TOL,
     ExitedDomainError,
     GeodesicError,
     GeodesicPath,
     IntegratorOpts,
     _chord_ok,
+    _DomainExit,
     _eval_pieces,
+    _initial_step,
     _integrate_core,
+    _rhs_factory,
     exp_map,
     geodesic_residual,
     integrate_geodesic,
@@ -362,7 +368,8 @@ def _hermite_per_segment(seg, tq):
     This is its definition: (x, h v, h^2 a) at both ends of the step
     against the factored quintic basis, one step at a time.
     """
-    t0, t1, y0, y1, f0, f1 = seg
+    t0, t1 = seg[:2]
+    y0, y1, f0, f1 = map(np.asarray, seg[2:])
     h = t1 - t0
     u = (np.asarray(tq, dtype=float) - t0) / h
     w = 1.0 - u
@@ -407,7 +414,7 @@ def test_dense_output_matches_per_segment_hermite(name):
         x0 = sample_domain(M, 1, seed=92)[0]
         v0 = rng.standard_normal(2)
         v0 = 0.7 * v0 / np.linalg.norm(v0)
-        status, t_end, _, segs = _integrate_core(M, kind, x0, v0, 1.0, IntegratorOpts(), True)
+        status, t_end, _, segs, _ = _integrate_core(M, kind, x0, v0, 1.0, IntegratorOpts(), True)
         assert len(segs) >= 48, (name, kind, status)
         # the sample grid, random times, and every step end
         ts = np.sort(np.concatenate([
@@ -464,3 +471,151 @@ def test_singular_metric_exits_the_domain():
     path = integrate_geodesic(M, ConnKind.LC_G, (0.0, 0.5), (1.0, 0.0), 1.0)
     assert path.status == "exited-domain"
     assert len(path.ts) == 1 and path.ts[0] == 0.0
+
+
+def _integrate_core_rk45(M, kind, x0, v0, t1, opts, collect, escape=None):
+    """The integrator loop driven by scipy's RK45: the reference.
+
+    Returns (status, t_end, y_end, segs, accepted steps), with segs as
+    geodesic._integrate_core gives them when collect is set.
+    """
+    n = M.n
+    y0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)])
+    rhs_list = _rhs_factory(M, kind)
+
+    def rhs(t, y):
+        return rhs_list(y.tolist())
+
+    max_step = t1 / 48.0 if collect else np.inf
+    try:
+        rk = RK45(rhs, 0.0, y0, t_bound=t1,
+                  rtol=opts.rtol, atol=opts.atol, max_step=max_step)
+    except _DomainExit:
+        return "exited-domain", 0.0, y0, [], 0
+    segs = []
+    status = "completed"
+    steps = 0
+    t_end, y_end = 0.0, y0
+    while rk.status == "running":
+        if steps >= opts.max_steps:
+            status = "step-limit"
+            break
+        y = rk.y.tolist()
+        speed = max(map(abs, y[n:]))
+        if speed > 0.0:
+            cap = 0.5 * (1.0 + max(map(abs, y[:n]))) / speed
+            rk.max_step = min(max_step, cap)
+        t_prev, y_prev, f_prev = rk.t, rk.y, rk.f
+        try:
+            rk.step()
+        except _DomainExit:
+            if rk.h_abs <= EXIT_BISECT_TOL:
+                status = "exited-domain"
+                break
+            rk.h_abs = 0.5 * rk.h_abs
+            continue
+        if rk.status == "failed":
+            status = "step-limit"
+            break
+        h_used = rk.t - t_prev
+        if not _chord_ok(M, y[:n], rk.y[:n].tolist()):
+            if h_used <= EXIT_BISECT_TOL:
+                status = "exited-domain"
+                break
+            rk = RK45(rhs, t_prev, y_prev, t_bound=t1,
+                      rtol=opts.rtol, atol=opts.atol, max_step=max_step,
+                      first_step=min(0.5 * h_used, t1 - t_prev))
+            continue
+        t_end, y_end = rk.t, rk.y
+        steps += 1
+        if collect:
+            segs.append((t_prev, rk.t, y_prev, rk.y, f_prev, rk.f))
+        if escape is not None and max(map(abs, rk.y[:n].tolist())) > escape:
+            status = "escaped"
+            break
+    return status, t_end, y_end, segs, steps
+
+
+def _assert_same_run(M, kind, x0, v0, t1, opts, collect, escape=None, t_tol=1e-12):
+    got = _integrate_core(M, kind, x0, v0, t1, opts, collect, escape)
+    want = _integrate_core_rk45(M, kind, x0, v0, t1, opts, collect, escape)
+    assert got[0] == want[0], (M.name, kind, got[0], want[0])
+    if got[0] == "completed":
+        assert got[4]["accepted"] == want[4], (M.name, kind)
+        ends, ends_want = [s[1] for s in got[3]], [s[1] for s in want[3]]
+        assert np.abs(np.subtract(ends, ends_want)).max(initial=0.0) <= t_tol * t1
+        scale = np.abs(want[2]).max()
+        assert np.abs(got[2] - want[2]).max() <= 1e-12 * scale, (M.name, kind)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_integrator_matches_scipy_rk45(name):
+    M = load_manifold(name)
+    rng = np.random.default_rng(95)
+    for kind in ConnKind:
+        x0 = sample_domain(M, 1, seed=96)[0]
+        v0 = rng.standard_normal(2)
+        v0 = 0.7 * v0 / np.linalg.norm(v0)
+        got = _assert_same_run(M, kind, x0, v0, 1.0, IntegratorOpts(), True)
+        assert got[0] == "completed" and len(got[3]) >= 48, (name, kind)
+        # over a longer range the error control, not the t1/48 cap, sets
+        # most steps.  The embedded error estimate cancels down to about
+        # rtol times the solution, so summing its terms in another order
+        # (numpy's BLAS may also fuse multiply-adds) moves each step by up
+        # to about eps / rtol relative; the endpoint stays at rounding level
+        _assert_same_run(M, kind, x0, v0, 4.0, IntegratorOpts(), True, t_tol=1e-6)
+
+
+def test_integrator_matches_scipy_rk45_at_walls_and_limits():
+    punct = load_manifold("punctured-plane")
+    tilde = ConnKind.LC_G_TILDE
+    # into the puncture: domain exits halve the step down to the bisection
+    got = _assert_same_run(punct, tilde, (1.0, 0.0), (-1.0, 0.0), 1.0, IntegratorOpts(), False)
+    assert got[0] == "exited-domain" and got[4]["halvings"] > 0
+    # a long step past the puncture: the chord probe rewinds it
+    x0, v0 = (0.3456209967315167, -0.7556183548414255), (-0.5079181629548555, 1.3164552433014556)
+    opts = IntegratorOpts(rtol=1e-5, atol=1e-7)
+    got = _assert_same_run(punct, tilde, x0, v0, 1.0, opts, False)
+    assert got[0] == "completed" and got[4]["rewinds"] > 0
+    # a path that leaves the problem's scale
+    got = _assert_same_run(punct, tilde, (1.0, 0.5), (3.0, 2.0), 1.0, opts, False, escape=2.0)
+    assert got[0] == "escaped"
+    para = load_manifold("paraboloid")
+    got = _assert_same_run(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 10.0,
+                           IntegratorOpts(max_steps=2), True)
+    assert got[0] == "step-limit" and got[4]["accepted"] == 2
+
+
+def test_initial_step_matches_scipy():
+    rng = np.random.default_rng(97)
+    for name in sorted(BUILTINS):
+        M = load_manifold(name)
+        for kind in ConnKind:
+            rhs = _rhs_factory(M, kind)
+            for x in sample_domain(M, 5, seed=98):
+                y = [*x.tolist(), *(rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 1)).tolist()]
+                f = rhs(y)
+                for t1, max_step, rtol, atol in ((1.0, np.inf, 1e-9, 1e-11),
+                                                 (2.0, 2.0 / 48.0, 1e-5, 1e-7)):
+                    want = select_initial_step(
+                        lambda t, yy: np.asarray(rhs(yy.tolist())), 0.0, np.array(y), t1,
+                        max_step, np.array(f), 1.0, 4, rtol, atol)
+                    got = _initial_step(rhs, y, f, t1, max_step, rtol, atol)
+                    assert abs(got - want) <= 1e-14 * want, (name, kind, y)
+
+
+def test_integrator_counts_in_meta():
+    punct = load_manifold("punctured-plane")
+    path = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.0), (-1.0, 0.0), 1.0)
+    assert path.status == "exited-domain"
+    counts = path.meta["integrator"]
+    assert counts["halvings"] >= 1 and counts["accepted"] >= 1
+    para = load_manifold("paraboloid")
+    path = integrate_geodesic(para, ConnKind.NABLA, (0.3, -0.2), (1.0, 0.5), 1.0)
+    assert path.status == "completed"
+    counts = path.meta["integrator"]
+    assert counts["halvings"] == 0 and counts["rewinds"] == 0
+    assert counts["accepted"] >= 48
+    # the counts travel with the path through the parameter change
+    assert reparam_to_tilde(para, path).meta["integrator"] == counts
