@@ -18,10 +18,9 @@ helpers raise NoConvergenceError since they must return a number.
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .geodesic import (
     GeodesicError,
@@ -37,6 +36,11 @@ from .statstruct import connection_coeffs
 _SCOUT = IntegratorOpts(rtol=1e-5, atol=1e-7)
 _COARSE = IntegratorOpts(rtol=1e-7, atol=1e-9)
 _FINE = IntegratorOpts(rtol=1e-10, atol=1e-12)
+# the integration tiers of a shooting start, each with the defect below
+# which the next takes over: far from the basin only a descent direction is
+# needed, so trial paths run at scout tolerance; convergence is only ever
+# declared from a fine-tolerance defect, and the fine tier is never left
+_TIERS = ((_SCOUT, 1e-2), (_COARSE, 1e-5), (_FINE, 0.0))
 
 
 class NoConvergenceError(Exception):
@@ -89,15 +93,6 @@ class ConnectResult:
     solutions: list = field(default_factory=list)
 
 
-def _endpoint(M, p, v, io, escape=None):
-    status, _, y_end, _, _ = _integrate_core(
-        M, ConnKind.LC_G_TILDE, p, v, 1.0, io, False, escape=escape
-    )
-    if status != "completed":
-        return None
-    return y_end[: M.n]
-
-
 def _gauss_newton(M, p, q, v0, max_iter, target):
     # damped Gauss-Newton on r(v) = exptilde_p(v) - q
     n = len(p)
@@ -109,13 +104,13 @@ def _gauss_newton(M, p, q, v0, max_iter, target):
     escape = 50.0 * (1.0 + max(np.abs(p).max(), np.abs(q).max()))
 
     def defect(vv, io):
-        x = _endpoint(M, p, vv, io, escape)
-        return None if x is None else x - q
+        # the endpoint's miss, or None where the trial path did not complete
+        status, _, y_end, _, _ = _integrate_core(
+            M, ConnKind.LC_G_TILDE, p, vv, 1.0, io, False, escape=escape
+        )
+        return y_end[:n] - q if status == "completed" else None
 
-    # three integration tiers: far from the basin only a descent direction
-    # is needed, so trial paths run at scout tolerance; convergence is only
-    # ever declared from a fine-tolerance defect
-    io = _SCOUT
+    tier, io = 0, _SCOUT
     r = defect(v, io)
     if r is None:
         return False, v, np.inf
@@ -127,14 +122,9 @@ def _gauss_newton(M, p, q, v0, max_iter, target):
         # cannot even halve are stuck on a wall or a fold, so cut them loose
         if len(history) > 5 and history[-1] > 0.5 * history[-6]:
             return False, v, err
-        if io is _SCOUT and err < 1e-2:
-            io = _COARSE
-            r = defect(v, io)
-            if r is None:
-                return False, v, err
-            err = float(np.linalg.norm(r))
-        if io is _COARSE and err < 1e-5:
-            io = _FINE
+        while err < _TIERS[tier][1]:
+            tier += 1
+            io = _TIERS[tier][0]
             r = defect(v, io)
             if r is None:
                 return False, v, err
@@ -154,36 +144,53 @@ def _gauss_newton(M, p, q, v0, max_iter, target):
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
-        lam, moved = 1.0, False
-        for _ in range(12):
-            vn = v + lam * step
+        for halvings in range(12):
+            vn = v + 0.5**halvings * step
             rn = defect(vn, io)
             if rn is not None and np.linalg.norm(rn) < err:
                 v, r, err = vn, rn, float(np.linalg.norm(rn))
-                moved = True
                 break
-            lam *= 0.5
-        if not moved or np.linalg.norm(v) > limit:
+        else:
+            return False, v, err
+        if np.linalg.norm(v) > limit:
             return False, v, err
         history.append(err)
     return err <= target and io is _FINE, v, err
 
 
+def _halton(k, n):
+    # points 1..k of the unscrambled Halton sequence in n dimensions:
+    # coordinate j of point i is the radical inverse of i in the j-th prime
+    # base, so every coordinate lies strictly inside (0, 1)
+    primes, b = [], 1
+    while len(primes) < n:
+        b += 1
+        if all(b % f for f in primes):
+            primes.append(b)
+    pts = np.empty((k, n))
+    for j, b in enumerate(primes):
+        for i in range(k):
+            idx, scale, u = i + 1, 1.0 / b, 0.0
+            while idx > 0:
+                idx, digit = divmod(idx, b)
+                u += digit * scale
+                scale /= b
+            pts[i, j] = u
+    return pts
+
+
 def _start_velocities(M, p, q, opts):
     # start 0 is the chart difference; the rest come from a deterministic
-    # low-discrepancy sphere sequence, rotated by the seed and scaled by
-    # the chart distance
+    # low-discrepancy sphere sequence (Halton points through the inverse
+    # normal CDF), rotated by the seed and scaled by the chart distance
     n = M.n
     d = q - p
     starts = [d.copy()]
     k = int(opts.multistart) - 1
     if k > 0:
-        halton = qmc.Halton(d=n, scramble=False)
-        halton.fast_forward(1)
-        dirs = ndtri(halton.random(k))
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        dirs /= norms
+        # no direction is zero: the base-3 coordinate is never 1/2
+        dirs = np.vectorize(NormalDist().inv_cdf)(_halton(k, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         rng = np.random.default_rng(opts.seed)
         rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
         mags = np.linalg.norm(d) * (1.0 + 0.5 * (np.arange(k) % 4))
@@ -192,30 +199,31 @@ def _start_velocities(M, p, q, opts):
 
 
 def _solve_bvp(M, p, q, opts):
-    # returns (solutions sorted by (length, start index), best failure)
+    # returns (distinct solutions sorted by (length, start index), the best
+    # failure or None, the number of starts); solutions and failure are
+    # records {start, v0, tilde_length, endpoint_error}
     starts = _start_velocities(M, p, q, opts)
     gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
     target = 0.25 * opts.eps_bvp
     # starts run in index order, so the reduction is a deterministic
     # function of that order
-    sols = []
-    fail = None
+    sols, fail = [], None
     for k, v0 in enumerate(starts):
         ok, v, err = _gauss_newton(M, p, q, v0, opts.max_iter, target)
-        if ok:
-            if any(
-                np.linalg.norm(v - s["v0"]) <= 1e-6 * max(1.0, np.linalg.norm(v))
-                for s in sols
-            ):
-                continue
-            sols.append({
-                "start": k,
-                "v0": v,
-                "tilde_length": float(math.sqrt(v @ gt @ v)),
-                "endpoint_error": err,
-            })
-        elif fail is None or err < fail[1]:
-            fail = (k, err, v)
+        rec = {
+            "start": k,
+            "v0": v,
+            "tilde_length": float(math.sqrt(v @ gt @ v)),
+            "endpoint_error": err,
+        }
+        if not ok:
+            if fail is None or err < fail["endpoint_error"]:
+                fail = rec
+        elif not any(
+            np.linalg.norm(v - s["v0"]) <= 1e-6 * max(1.0, np.linalg.norm(v))
+            for s in sols
+        ):
+            sols.append(rec)
     sols.sort(key=lambda s: (s["tilde_length"], s["start"]))
     return sols, fail, len(starts)
 
@@ -226,62 +234,35 @@ def shoot_connect(M, p, q, opts=None):
     Returns a ConnectResult; a problem with no solution (every start
     failed) is reported through converged=False with the closest attempt,
     and a nabla parameter that overflows along the best path through
-    nabla_path=None; neither is raised.
+    nabla_path=None; neither is raised.  For p == q the one solution is
+    the constant path, with no start attempted.
     """
     opts = opts if opts is not None else ShootOpts()
     p = np.array(_require(M, p))
     q = np.array(_require(M, q))
     if np.array_equal(p, q):
-        v = np.zeros(M.n)
-        tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, v, 1.0, _FINE)
-        return ConnectResult(
-            converged=True,
-            tilde_path=tilde,
-            nabla_path=reparam_from_tilde(M, tilde),
-            tilde_length=0.0,
-            endpoint_error=0.0,
-            attempts=0,
-            solutions=[{
-                "start": 0, "v0": v, "tilde_length": 0.0, "endpoint_error": 0.0,
-            }],
-        )
-    sols, fail, attempts = _solve_bvp(M, p, q, opts)
-    if sols:
-        best = sols[0]
-        tilde = integrate_geodesic(
-            M, ConnKind.LC_G_TILDE, p, best["v0"], 1.0, _FINE
-        )
-        err = float(np.linalg.norm(tilde.xs[-1] - q))
-        return ConnectResult(
-            converged=err <= opts.eps_bvp,
-            tilde_path=tilde,
-            nabla_path=_nabla_or_none(M, tilde),
-            tilde_length=best["tilde_length"],
-            endpoint_error=err,
-            attempts=attempts,
-            solutions=sols,
-        )
-    k, err, v = fail
-    tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, v, 1.0, _FINE)
-    gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
+        sols = [{"start": 0, "v0": np.zeros(M.n), "tilde_length": 0.0,
+                 "endpoint_error": 0.0}]
+        fail, attempts = None, 0
+    else:
+        sols, fail, attempts = _solve_bvp(M, p, q, opts)
+    best = sols[0] if sols else fail
+    tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, best["v0"], 1.0, _FINE)
+    # a solution's error is re-measured on the fine path it is reported by
+    err = float(np.linalg.norm(tilde.xs[-1] - q)) if sols else fail["endpoint_error"]
+    try:
+        nabla = reparam_from_tilde(M, tilde)
+    except (ValueError, GeodesicError):
+        nabla = None  # see ConnectResult
     return ConnectResult(
-        converged=False,
+        converged=bool(sols) and err <= opts.eps_bvp,
         tilde_path=tilde,
-        nabla_path=_nabla_or_none(M, tilde),
-        tilde_length=float(math.sqrt(v @ gt @ v)),
+        nabla_path=nabla,
+        tilde_length=best["tilde_length"],
         endpoint_error=err,
         attempts=attempts,
-        solutions=[],
+        solutions=sols,
     )
-
-
-def _nabla_or_none(M, tilde):
-    # the nabla geodesic of a tilde path, or None where it cannot be had
-    # (see ConnectResult)
-    try:
-        return reparam_from_tilde(M, tilde)
-    except (ValueError, GeodesicError):
-        return None
 
 
 def distance_tilde(M, p, q, opts=None):
@@ -300,7 +281,8 @@ def distance_tilde(M, p, q, opts=None):
     sols, fail, _ = _solve_bvp(M, p, q, opts)
     if not sols:
         raise NoConvergenceError(
-            f"no converged geodesic from {p} to {q} on {M.name}", fail[1]
+            f"no converged geodesic from {p} to {q} on {M.name}",
+            fail["endpoint_error"],
         )
     return sols[0]["tilde_length"]
 
@@ -352,16 +334,7 @@ def contrast_structure_check(M, p, h, opts=None):
     def rho(a, b):
         key = (a.tobytes(), b.tobytes())
         if key not in cache:
-            if np.array_equal(a, b):
-                cache[key] = 0.0
-            else:
-                sols, fail, _ = _solve_bvp(M, a, b, opts)
-                if not sols:
-                    raise NoConvergenceError(
-                        f"stencil pair {a} -> {b} failed to connect", fail[1]
-                    )
-                d = sols[0]["tilde_length"]
-                cache[key] = math.exp(-sigma_at(M, a)) * d * d
+            cache[key] = contrast(M, a, b, opts)
         return cache[key]
 
     E = h * np.eye(n)

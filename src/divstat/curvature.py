@@ -20,7 +20,6 @@ signs that actually close numerically, which for eq5 means
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .manifold import ConnKind
 
@@ -145,7 +144,11 @@ def conjugate_symmetry_residual(M, x):
 
 
 def _conjugate_symmetry_residual(P):
-    w = scipy.linalg.eigh(P.hess_sigma, P.g_spd, eigvals_only=True)
+    # the eigenvalues of the pencil (Hess sigma, g) by the Cholesky
+    # reduction g = L L^T: those of L^-1 Hess sigma L^-T
+    L = np.linalg.cholesky(P.g_spd)
+    A = np.linalg.solve(L, P.hess_sigma)
+    w = np.linalg.eigvalsh(np.linalg.solve(L, A.T))
     return float(w[-1] - w[0])
 
 

@@ -330,25 +330,39 @@ class ManifoldDef:
     def __init__(self, doc):
         try:
             name = doc["name"]
-            n = int(doc["dim"])
-            coords = tuple(doc["coords"])
+            n = doc["dim"]
+            coords = doc["coords"]
             metric_src = doc["metric"]
             sigma_src = doc["sigma"]
         except (KeyError, TypeError) as err:
             raise DefinitionError(f"bad manifold document: {err!r}") from None
-        if n < 2:
-            raise DefinitionError(f"dim must be >= 2, got {n}")
-        if len(coords) != n:
-            raise DefinitionError(f"expected {n} coordinate names, got {len(coords)}")
+        domain_src = doc.get("domain", "true")
+        guard_src = doc.get("sample_guard")
+        dim_ok = isinstance(n, int) and not isinstance(n, bool) and n >= 2
+        for key, ok, want in (
+            ("name", isinstance(name, str), "a string"),
+            ("dim", dim_ok, "an integer >= 2"),
+            ("coords", dim_ok and _list_of(coords, n, str), f"{n} names"),
+            (
+                "metric",
+                dim_ok and _list_of(metric_src, n, (list, tuple))
+                and all(_list_of(row, n, str) for row in metric_src),
+                f"{n} rows of {n} expression strings",
+            ),
+            ("sigma", isinstance(sigma_src, (str, Expr)), "an expression string"),
+            ("domain", isinstance(domain_src, str), "a predicate"),
+            ("sample_guard", isinstance(guard_src, (str, type(None))), "a predicate"),
+        ):
+            if not ok:
+                raise DefinitionError(f"{key} must be {want}, got {doc[key]!r}")
+        coords = tuple(coords)
         if len(set(coords)) != n:
             raise DefinitionError("coordinate names must be distinct")
-        if len(metric_src) != n or any(len(row) != n for row in metric_src):
-            raise DefinitionError(f"metric must be {n}x{n}")
 
         self.name = name
         self.n = n
         self.coords = coords
-        self.domain_src = doc.get("domain", "true")
+        self.domain_src = domain_src
 
         try:
             self.domain = DomainPred(self.domain_src, coords)
@@ -371,12 +385,13 @@ class ManifoldDef:
         self._g = rows
 
         box = doc.get("sample_box")
-        if box is None:
-            box = [[-1.0, 1.0]] * n
-        self.sample_box = np.asarray(box, dtype=float)
-        if self.sample_box.shape != (n, 2):
-            raise DefinitionError(f"sample_box must be {n} pairs")
-        guard_src = doc.get("sample_guard")
+        try:
+            box = np.asarray([[-1.0, 1.0]] * n if box is None else box, dtype=float)
+        except (TypeError, ValueError):
+            box = None
+        if box is None or box.shape != (n, 2):
+            raise DefinitionError(f"sample_box must be {n} pairs of numbers")
+        self.sample_box = box
         try:
             self.sample_guard = (
                 DomainPred(guard_src, coords) if guard_src is not None else None
@@ -622,6 +637,13 @@ def _sub(a, b):
 
 def _div(a, b):
     return Num(0.0) if _zero(a) else Bin("div", a, b)
+
+
+def _list_of(seq, count, kind):
+    # a list or tuple of `count` entries, each of type `kind`
+    return isinstance(seq, (list, tuple)) and len(seq) == count and all(
+        isinstance(s, kind) for s in seq
+    )
 
 
 def load_manifold(doc):

@@ -318,6 +318,36 @@ ABS_WEIGHT = {
 }
 
 
+_BAD_FIELDS = [
+    {"metric": [[1, 0], [0, 1]]},
+    {"metric": None},
+    {"metric": ["10", "01"]},
+    {"sigma": 0},
+    {"sigma": ["0"]},
+    {"domain": 5},
+    {"sample_guard": 3},
+    {"dim": 2.5},
+    {"dim": "2"},
+    {"coords": [1, 2]},
+    {"name": 3},
+    {"sample_box": [[{}, 1], [0, 1]]},
+]
+
+
+@pytest.mark.parametrize("bad", _BAD_FIELDS, ids=json.dumps)
+def test_non_string_definition_fields_are_invalid_input(tmp_path, capsys, bad):
+    # each document differs from a valid one in one field: exit 2 with one
+    # diagnostic line that names the field, and no traceback
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, **bad)))
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0.3,0.2"])
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("divstat:")
+    assert next(iter(bad)) in lines[0]
+    assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["describe", "--at", "0,0"],
     ["hadamard", "--grid", "x1:-1:1:3,x2:0:1:2"],
@@ -385,12 +415,17 @@ def test_seed_determinism(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_entry_points():
+def _same_divstat_env():
     # The subprocesses must run the same copy of divstat as this process.
     env = dict(os.environ)
     head = str(Path(divstat.__file__).resolve().parents[1])
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = head + (os.pathsep + rest if rest else "")
+    return env
+
+
+def test_entry_points():
+    env = _same_divstat_env()
     proc = subprocess.run(
         [sys.executable, "-m", "divstat", "describe", "euclidean", "--at", "0,0"],
         capture_output=True, text=True, env=env,
@@ -414,6 +449,26 @@ def test_entry_points():
     )
     assert proc.returncode == 0
     assert "result: pass" in proc.stdout
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency: importing every divstat module
+    # in a fresh interpreter loads no scipy module
+    script = (
+        "import pkgutil, importlib, sys, divstat\n"
+        "for m in pkgutil.iter_modules(divstat.__path__):\n"
+        "    importlib.import_module('divstat.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('divstat.')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=_same_divstat_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, scipy_mods = proc.stdout.splitlines()
+    assert "'divstat.cli'" in loaded and "'divstat.connect'" in loaded
+    assert scipy_mods == "[]"
 
 
 @pytest.mark.skipif(

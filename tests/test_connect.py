@@ -14,14 +14,19 @@ Closed-form oracles:
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from divstat.connect import (
     ConnectResult,
     NoConvergenceError,
     ShootOpts,
+    _halton,
+    _start_velocities,
     contrast,
     contrast_structure_check,
     distance_symmetry_gap,
@@ -160,3 +165,50 @@ def test_converged_solve_with_overflowing_nabla_parameter():
     assert res.tilde_path.status == "completed"
     assert np.linalg.norm(res.tilde_path.xs, axis=1).min() < 0.078
     assert res.endpoint_error <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_start_velocities_match_the_scipy_reference(n):
+    # scipy's unscrambled Halton sequence from index 1 and its ndtri are
+    # the reference: the points agree bit for bit, and the starts up to
+    # the rounding of the inverse normal CDF
+    M = SimpleNamespace(n=n)
+    p = np.linspace(-0.3, 0.4, n)
+    q = p + np.linspace(0.5, -0.2, n)
+    for multistart in (2, 7, 64):
+        k = multistart - 1
+        halton = qmc.Halton(d=n, scramble=False)
+        halton.fast_forward(1)
+        pts = halton.random(k)
+        assert np.array_equal(_halton(k, n), pts)
+        opts = ShootOpts(multistart=multistart, seed=5)
+        got = _start_velocities(M, p, q, opts)
+        dirs = ndtri(pts)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        rot = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))[0]
+        mags = np.linalg.norm(q - p) * (1.0 + 0.5 * (np.arange(k) % 4))
+        want = [q - p] + [mags[i] * (rot @ dirs[i]) for i in range(k)]
+        assert len(got) == multistart
+        assert np.array_equal(got[0], want[0])
+        for a, b in zip(got, want):
+            assert np.linalg.norm(a - b) <= 1e-15 * np.linalg.norm(b)
+
+
+def test_shoot_connect_same_point():
+    m = load_manifold("paraboloid")
+    p = np.array([0.3, -0.2])
+    res = shoot_connect(m, p, p)
+    assert res.converged
+    assert res.attempts == 0
+    assert res.tilde_length == 0.0 and res.endpoint_error == 0.0
+    assert len(res.solutions) == 1
+    sol = res.solutions[0]
+    assert sol["start"] == 0 and sol["tilde_length"] == 0.0
+    assert np.array_equal(sol["v0"], np.zeros(2))
+    # the dense output and the nabla parameter map interpolate constant
+    # samples, so the paths stay at p up to rounding, with zero velocity
+    assert np.array_equal(res.tilde_path.xs[-1], p)
+    assert np.abs(res.tilde_path.xs - p).max() <= 1e-15
+    assert res.nabla_path is not None
+    assert np.abs(res.nabla_path.xs - p).max() <= 1e-15
+    assert np.all(res.nabla_path.vs == 0.0)

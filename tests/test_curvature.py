@@ -13,10 +13,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from divstat.analyze import hadamard2d_scan
 from divstat.curvature import (
     DegeneratePlaneError,
+    _conjugate_symmetry_residual,
     closed_form_residuals,
     conjugate_symmetry_residual,
     constant_curvature_residual,
@@ -263,6 +265,28 @@ def test_conjugate_symmetry_residual():
     half = load_manifold("half-plane-exp")
     got = conjugate_symmetry_residual(half, (0.0, 1.0))
     assert abs(got - math.exp(-1.0)) < 1e-12
+
+
+_SKEW_3D = {
+    "name": "skew-3d", "dim": 3, "coords": ["x1", "x2", "x3"],
+    "metric": [["2 + x1^2", "0.3*x2", "0.1*x3"],
+               ["0.3*x2", "1 + x2^2", "0.2*sin(x1)"],
+               ["0.1*x3", "0.2*sin(x1)", "1.5 + x3^2"]],
+    "sigma": "sin(x1) + x2*x3",
+}
+
+
+@pytest.mark.parametrize("doc", sorted(BUILTINS) + [_SKEW_3D],
+                         ids=lambda d: d if isinstance(d, str) else d["name"])
+def test_conjugate_symmetry_residual_matches_scipy_eigh(doc):
+    # scipy's generalized symmetric eigensolver is the reference for the
+    # Cholesky reduction; skew-3d has off-diagonal entries in g everywhere
+    M = load_manifold(doc)
+    for x in sample_domain(M, 50, seed=19):
+        P = M.at(x)
+        w = scipy.linalg.eigh(P.hess_sigma, P.g_spd, eigvals_only=True)
+        got = _conjugate_symmetry_residual(P)
+        assert abs(got - (w[-1] - w[0])) <= 1e-15 * (1.0 + np.abs(w).max()), x
 
 
 def test_constant_curvature_residual_values():
