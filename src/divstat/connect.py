@@ -41,6 +41,8 @@ _FINE = IntegratorOpts(rtol=1e-10, atol=1e-12)
 # needed, so trial paths run at scout tolerance; convergence is only ever
 # declared from a fine-tolerance defect, and the fine tier is never left
 _TIERS = ((_SCOUT, 1e-2), (_COARSE, 1e-5), (_FINE, 0.0))
+# Gauss-Newton iterations per start
+_MAX_ITER = 60
 
 
 class NoConvergenceError(Exception):
@@ -54,15 +56,12 @@ class NoConvergenceError(Exception):
 @dataclass
 class ShootOpts:
     multistart: int = 16
-    max_iter: int = 60
     eps_bvp: float = 1e-8
     seed: int = 42
 
     def __post_init__(self):
         if int(self.multistart) < 1:
             raise ValueError("multistart must be at least 1")
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be at least 1")
         if not self.eps_bvp > 0.0:
             raise ValueError("eps_bvp must be positive")
 
@@ -93,7 +92,7 @@ class ConnectResult:
     solutions: list = field(default_factory=list)
 
 
-def _gauss_newton(M, p, q, v0, max_iter, target):
+def _gauss_newton(M, p, q, v0, target):
     # damped Gauss-Newton on r(v) = exptilde_p(v) - q
     n = len(p)
     v = np.asarray(v0, dtype=float).copy()
@@ -116,7 +115,7 @@ def _gauss_newton(M, p, q, v0, max_iter, target):
         return False, v, np.inf
     err = float(np.linalg.norm(r))
     history = [err]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # closing nine orders of magnitude within the iteration budget needs
         # a mean contraction near 0.2 per five iterations; branches that
         # cannot even halve are stuck on a wall or a fold, so cut them loose
@@ -209,7 +208,7 @@ def _solve_bvp(M, p, q, opts):
     # function of that order
     sols, fail = [], None
     for k, v0 in enumerate(starts):
-        ok, v, err = _gauss_newton(M, p, q, v0, opts.max_iter, target)
+        ok, v, err = _gauss_newton(M, p, q, v0, target)
         rec = {
             "start": k,
             "v0": v,

@@ -8,11 +8,11 @@ ever rewritten by constant folding.
 Evaluation compiles trees to Python functions (compile_many; Expr.eval
 goes through it too).  The emitter folds the exact identities ``e*1``,
 ``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and ``e^1`` to ``e``.  A factor
-multiplied by a literal ``0``, or a base raised to a literal ``0``, is not
-evaluated at all, so a domain error inside it is not reported.  Any other
-evaluation outside the real domain of an operation raises
-:class:`EvalDomainError` carrying the offending node -- it never returns a
-silent NaN or infinity.
+multiplied by a literal ``0``, a divisor under a literal ``0`` numerator,
+or a base raised to a literal ``0``, is not evaluated at all, so a domain
+error inside it is not reported.  Any other evaluation outside the real
+domain of an operation raises :class:`EvalDomainError` carrying the
+offending node -- it never returns a silent NaN or infinity.
 
 The same generated code also runs over numpy columns, one row per point
 (the ``many`` attribute of a compiled kernel).  Rows on which the scalar
@@ -384,10 +384,11 @@ def compile_many(roots):
 
     Repeated subtrees of the hash-consed trees are computed once.  The
     emitter folds ``e*1``, ``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and
-    ``e^1`` to ``e``, and ``0*e``, ``e*0`` and ``e^0`` to their constant
-    without evaluating ``e``, so a domain error inside such an ``e`` is
-    not reported.  Any other failure raises :class:`EvalDomainError` with
-    the failing node and point, found by the guarded tree walker.
+    ``e^1`` to ``e``, and ``0*e``, ``e*0``, ``0/e`` and ``e^0`` to their
+    constant without evaluating ``e``, so a domain error inside such an
+    ``e`` is not reported.  Any other failure raises
+    :class:`EvalDomainError` with the failing node and point, found by the
+    guarded tree walker.
 
     ``f.get(x)`` is ``f(x)``, or None where ``f`` would raise, without the
     walk that names the failing node: for callers that need only the
@@ -438,7 +439,7 @@ def compile_many(roots):
                 r = a if is_num(b, 1.0) else row(("pow", a, b))
         else:
             a = visit(e.left)
-            if e.op == "mul" and is_num(a, 0.0):
+            if e.op in ("mul", "div") and is_num(a, 0.0):
                 r = a
             else:
                 b = visit(e.right)

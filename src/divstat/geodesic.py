@@ -522,7 +522,7 @@ def reparam_from_tilde(M, path):
     return _reparam(M, path, -2.0, ConnKind.NABLA, ConnKind.LC_G_TILDE)
 
 
-def geodesic_residual(M, kind, path, stride=None):
+def geodesic_residual(M, kind, path):
     """Worst defect max_k |x''^k + Gamma^k_ij x'^i x'^j| over interior samples.
 
     Acceleration is estimated from the sampled positions by fourth-order
@@ -536,10 +536,7 @@ def geodesic_residual(M, kind, path, stride=None):
     m = len(ts)
     if m < 5:
         raise ValueError("need at least 5 samples for a fourth-order residual")
-    if stride is None:
-        strides = [s for s in (1, 2, 4, 8) if 4 * s <= m - 1]
-    else:
-        strides = [max(1, min(int(stride), (m - 1) // 4))]
+    strides = [s for s in (1, 2, 4, 8) if 4 * s <= m - 1]
     dt = np.diff(ts)
     uniform = dt.max() - dt.min() < 1e-12 * dt.max()
     centers = {}

@@ -34,19 +34,19 @@ import itertools
 import json
 import operator
 import os
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from .exprcore import (
-    Bin,
     EvalDomainError,
     Expr,
     ExprError,
     Num,
     ParseError,
-    Una,
     Var,
+    _bin,
+    _una,
     compile_many,
     parse,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "hess_sigma",
     "laplace_sigma",
     "sample_domain",
-    "sample_box_points",
 ]
 
 SPD_EIG_FLOOR = 1e-12
@@ -86,6 +85,17 @@ class ConnKind(enum.Enum):
     NABLA = "nabla"
     NABLA_BAR = "bar"
     LC_G_TILDE = "lc-tilde"
+
+
+# kind -> (a, b) with Gamma_kind = Gamma_g + a K + b P, K the difference
+# tensor and P the projective term: nabla = Gamma_g + K, its dual
+# Gamma_g - K, and the Levi-Civita connection of e^sigma g is nabla + P
+_CONN_TERMS = {
+    ConnKind.LC_G: (0, 0),
+    ConnKind.NABLA: (1, 0),
+    ConnKind.NABLA_BAR: (-1, 0),
+    ConnKind.LC_G_TILDE: (1, 1),
+}
 
 
 class DefinitionError(Exception):
@@ -142,9 +152,8 @@ class DomainPred:
         if self._sides is None:
             return np.ones(len(xs), dtype=bool)
         vals = self._sides.many(xs)
-        pairs = iter(zip(vals.T[0::2], vals.T[1::2]))
         with np.errstate(invalid="ignore"):
-            verdict = _many_pred(self.tree, pairs, len(vals))
+            verdict = self._decide(vals.T)
         return verdict & ~np.isnan(vals[:, 0])
 
     def __repr__(self):
@@ -227,13 +236,13 @@ def _eval_pred(tree, x):
     return all(vals) if tag == "and" else any(vals)
 
 
-_CMP_UFUNCS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 _CMP_FUNCS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _decider(tree, slots):
     # the predicate as a function of the values of its sides, read in the
-    # order _pred_sides lists them; `slots` counts off each comparison's pair
+    # order _pred_sides lists them; `slots` counts off each comparison's
+    # pair.  The values are floats, or numpy columns decided elementwise
     tag = tree[0]
     if tag == "true":
         return lambda vals: True
@@ -241,28 +250,17 @@ def _decider(tree, slots):
         cmp, i = _CMP_FUNCS[tree[1]], next(slots)
         return lambda vals: cmp(vals[i], vals[i + 1])
     parts = [_decider(t, slots) for t in tree[1]]
-    join = all if tag == "and" else any
-    return lambda vals: join(p(vals) for p in parts)
+    join = operator.and_ if tag == "and" else operator.or_
+    return lambda vals: reduce(join, [p(vals) for p in parts])
 
 
 def _pred_sides(tree):
-    # both sides of every comparison, in the order _many_pred reads them
+    # both sides of every comparison, in the order _decider reads them
     if tree[0] == "true":
         return []
     if tree[0] == "cmp":
         return [tree[2], tree[3]]
     return [e for t in tree[1] for e in _pred_sides(t)]
-
-
-def _many_pred(tree, pairs, count):
-    tag = tree[0]
-    if tag == "true":
-        return np.ones(count, dtype=bool)
-    if tag == "cmp":
-        a, b = next(pairs)
-        return _CMP_UFUNCS[tree[1]](a, b)
-    parts = [_many_pred(t, pairs, count) for t in tree[1]]
-    return (np.logical_and if tag == "and" else np.logical_or).reduce(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +449,8 @@ class ManifoldDef:
         kind = ConnKind(kind)
         kernel = self._sprays.get(kind)
         if kernel is None:
-            coeffs = _SPRAY_COEFFS[kind]
             roots = self.jet_roots
-            acc = _spray_roots(self._g, roots["dg"], roots["dsigma"], *coeffs)
+            acc = _spray_roots(self._g, roots["dg"], roots["dsigma"], *_CONN_TERMS[kind])
             kernel = self._sprays[kind] = compile_many(roots["values"] + acc)
         return kernel
 
@@ -519,25 +516,18 @@ class ManifoldDef:
         return f"ManifoldDef({self.name!r}, n={self.n})"
 
 
-# (c1, c2) in Gamma(v, v) = Gamma_g(v, v) + c1 |v|^2_g grad sigma
-# + c2 (dsigma . v) v: K(v, v) = -|v|^2_g grad sigma / 2 - (dsigma . v) v,
-# and the projective term of lc-tilde adds 2 (dsigma . v) v to nabla's
-_SPRAY_COEFFS = {
-    ConnKind.LC_G: (0.0, 0.0),
-    ConnKind.NABLA: (-0.5, -1.0),
-    ConnKind.NABLA_BAR: (0.5, 1.0),
-    ConnKind.LC_G_TILDE: (-0.5, 1.0),
-}
-
-
-def _spray_roots(g, dg, dsigma, c1, c2):
+def _spray_roots(g, dg, dsigma, a, b):
     """Trees of a^k = -Gamma^k_ij v^i v^j, velocity v^i being Var(n + i).
 
-    g is the n x n grid of metric trees, dg the "dg" jet roots (row-major
-    d_k g_ij) and dsigma the "dsigma" ones.  Every term applies g^-1 to a
-    jet first and meets v last, so an intermediate overflows only where
-    Gamma or grad sigma does.
+    Gamma = Gamma_g + a K + b P, with K(v, v) = -|v|^2_g grad sigma / 2
+    - (dsigma . v) v and P(v, v) = 2 (dsigma . v) v, so Gamma(v, v) =
+    Gamma_g(v, v) + c1 |v|^2_g grad sigma + c2 (dsigma . v) v with
+    c1 = -a/2 and c2 = 2b - a.  g is the n x n grid of metric trees, dg
+    the "dg" jet roots (row-major d_k g_ij) and dsigma the "dsigma" ones.
+    Every term applies g^-1 to a jet first and meets v last, so an
+    intermediate overflows only where Gamma or grad sigma does.
     """
+    c1, c2 = -a / 2, 2 * b - a
     n = len(g)
     v = [Var(n + i, f"v{i + 1}") for i in range(n)]
 
@@ -548,7 +538,7 @@ def _spray_roots(g, dg, dsigma, c1, c2):
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     terms = [[] for _ in range(n)]
     for i, j in upper:
-        s = [_sub(_sum([d(i, j, l), d(j, i, l)]), d(l, i, j)) for l in range(n)]
+        s = [_bin("sub", _bin("add", d(i, j, l), d(j, i, l)), d(l, i, j)) for l in range(n)]
         # Gamma^k_ij v^i v^j, counting (i, j) and (j, i) once each
         vv = _prod(Num(1.0 if i == j else 2.0), v[i], v[j])
         for k, z in enumerate(solve(s)):
@@ -564,79 +554,45 @@ def _spray_roots(g, dg, dsigma, c1, c2):
         dv = _sum([_prod(dsigma[i], v[i]) for i in range(n)])
         for k in range(n):
             terms[k].append(_prod(Num(c2), dv, v[k]))
-    return [_neg(_sum(t)) for t in terms]
+    return [_una("neg", _sum(t)) for t in terms]
 
 
 def _ldlt_solver(g):
     # g = L D L^T without pivoting (g is SPD in the chart), as trees; the
     # returned function maps the trees of b to those of g^-1 b.  No
-    # determinant is formed: it overflows long before g does
+    # determinant is formed: it overflows long before g does.  The
+    # emitter folds the exact zeros, so a diagonal metric's solve is one
+    # division per component
     n = len(g)
     L = [[None] * n for _ in range(n)]
     D = [None] * n
     for j in range(n):
         # E[i] = L_ij D_j, the part of column j before the division
-        E = [_sub(g[i][j], _sum([_prod(L[i][k], L[j][k], D[k]) for k in range(j)]))
+        E = [_bin("sub", g[i][j], _sum([_prod(L[i][k], L[j][k], D[k]) for k in range(j)]))
              for i in range(j, n)]
         D[j] = E[0]
         for i in range(j + 1, n):
-            L[i][j] = _div(E[i - j], D[j])
+            L[i][j] = _bin("div", E[i - j], D[j])
 
     def solve(b):
         y = []
         for i in range(n):
-            y.append(_sub(b[i], _sum([_prod(L[i][k], y[k]) for k in range(i)])))
+            y.append(_bin("sub", b[i], _sum([_prod(L[i][k], y[k]) for k in range(i)])))
         x = [None] * n
         for i in reversed(range(n)):
-            z = _div(y[i], D[i])
-            x[i] = _sub(z, _sum([_prod(L[k][i], x[k]) for k in range(i + 1, n)]))
+            z = _bin("div", y[i], D[i])
+            x[i] = _bin("sub", z, _sum([_prod(L[k][i], x[k]) for k in range(i + 1, n)]))
         return x
 
     return solve
 
 
-# tree constructors that drop exact zeros and unit factors, so a diagonal
-# metric's solve is one division per component
-
-
-def _zero(e):
-    return isinstance(e, Num) and e.value == 0.0
-
-
 def _sum(terms):
-    terms = [t for t in terms if not _zero(t)]
-    if not terms:
-        return Num(0.0)
-    out = terms[0]
-    for t in terms[1:]:
-        out = Bin("add", out, t)
-    return out
+    return reduce(partial(_bin, "add"), terms, Num(0.0))
 
 
 def _prod(*factors):
-    if any(map(_zero, factors)):
-        return Num(0.0)
-    factors = [f for f in factors if not (isinstance(f, Num) and f.value == 1.0)]
-    if not factors:
-        return Num(1.0)
-    out = factors[0]
-    for f in factors[1:]:
-        out = Bin("mul", out, f)
-    return out
-
-
-def _neg(e):
-    return Num(-e.value) if isinstance(e, Num) else Una("neg", e)
-
-
-def _sub(a, b):
-    if _zero(b):
-        return a
-    return _neg(b) if _zero(a) else Bin("sub", a, b)
-
-
-def _div(a, b):
-    return Num(0.0) if _zero(a) else Bin("div", a, b)
+    return reduce(partial(_bin, "mul"), factors)
 
 
 def _list_of(seq, count, kind):
@@ -823,37 +779,27 @@ class PointGeometry:
             + np.einsum("...ij,...mk->...mkij", self.g, self.dgrad_sigma)
         )
 
+    def _conn(self, key, kind, base, k, p):
+        # base + a k + b p for the (a, b) of kind, read from the attributes
+        # named; a term whose coefficient is 0 is never computed
+        out = self._by_kind.get((key, kind))
+        if out is None:
+            a, b = _CONN_TERMS[kind]
+            out = getattr(self, base)
+            if a:
+                out = out + a * getattr(self, k)
+            if b:
+                out = out + b * getattr(self, p)
+            self._by_kind[key, kind] = out
+        return out
+
     def gamma(self, kind):
         """Coefficients gamma[k,i,j] of the connection `kind`."""
-        key = ("gamma", kind)
-        out = self._by_kind.get(key)
-        if out is None:
-            if kind is ConnKind.LC_G:
-                out = self.christoffel
-            elif kind is ConnKind.NABLA:
-                out = self.christoffel + self.K
-            elif kind is ConnKind.NABLA_BAR:
-                out = self.christoffel - self.K
-            else:
-                out = self.gamma(ConnKind.NABLA) + self.projective
-            self._by_kind[key] = out
-        return out
+        return self._conn("gamma", kind, "christoffel", "K", "projective")
 
     def dgamma(self, kind):
         """dgamma[m,k,i,j] = d_m gamma[k,i,j] of the connection `kind`."""
-        key = ("dgamma", kind)
-        out = self._by_kind.get(key)
-        if out is None:
-            if kind is ConnKind.LC_G:
-                out = self.dchristoffel
-            elif kind is ConnKind.NABLA:
-                out = self.dchristoffel + self.dK
-            elif kind is ConnKind.NABLA_BAR:
-                out = self.dchristoffel - self.dK
-            else:
-                out = self.dgamma(ConnKind.NABLA) + self.dprojective
-            self._by_kind[key] = out
-        return out
+        return self._conn("dgamma", kind, "dchristoffel", "dK", "dprojective")
 
     def riemann(self, kind):
         """R[l,k,i,j] = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
@@ -944,16 +890,10 @@ def laplace_sigma(M, x):
 # sampling
 
 
-def sample_box_points(M, count, rng):
-    lo = M.sample_box[:, 0]
-    hi = M.sample_box[:, 1]
-    return rng.uniform(lo, hi, size=(count, M.n))
-
-
-def sample_domain(M, count, seed=0, rng=None):
+def sample_domain(M, count, seed=0):
     """`count` in-domain points from the sample box, deterministic per seed."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    lo, hi = M.sample_box[:, 0], M.sample_box[:, 1]
     out = []
     attempts = 0
     limit = 200 * count + 1000
@@ -963,10 +903,10 @@ def sample_domain(M, count, seed=0, rng=None):
                 f"{M.name}: could not draw {count} in-domain samples "
                 f"({len(out)} found in {attempts} attempts)"
             )
-        batch = sample_box_points(M, min(count, 64), rng)
+        batch = rng.uniform(lo, hi, size=(min(count, 64), M.n))
         attempts += len(batch)
         for x in batch:
-            tx = tuple(x)
+            tx = tuple(x.tolist())
             ok = in_domain(M, tx)
             if ok and M.sample_guard is not None:
                 try:

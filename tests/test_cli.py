@@ -471,6 +471,25 @@ def test_runtime_imports_no_scipy():
     assert scipy_mods == "[]"
 
 
+def test_sample_guard_runs_on_floats(tmp_path):
+    # sampling hands the guard plain floats: on numpy scalars the compiled
+    # guard's overflow printed a RuntimeWarning before the tree walk
+    # rejected the point
+    doc = tmp_path / "guard.json"
+    doc.write_text(json.dumps({
+        "name": "g", "dim": 2, "coords": ["x1", "x2"],
+        "metric": [["1", "0"], ["0", "1"]], "sigma": "0.1*x1",
+        "sample_guard": "x1 * 1e300 * 1e10 < 1 or x2 > -10",
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "divstat", "check", str(doc), "--samples", "5"],
+        capture_output=True, text=True, env=_same_divstat_env(),
+    )
+    assert proc.returncode == 0
+    assert "result: pass" in proc.stdout
+    assert proc.stderr == ""
+
+
 @pytest.mark.skipif(
     shutil.which("divstat") is None,
     reason="divstat console script not on PATH (package not installed)",

@@ -137,10 +137,12 @@ def test_jet_orders_fail_separately():
 
 
 def test_folded_factor_is_not_evaluated():
-    # 0*log(x1) is folded to 0, so log of a negative value is never taken;
-    # the unfolded product still reports it
+    # 0*log(x1) and 0/log(x1) are folded to 0, so log of a negative value
+    # is never taken; the unfolded product still reports it
     folded = Bin("mul", Num(0.0), Una("log", Var(0, "x1")))
     assert compile_many([folded])((-1.0, 0.0)) == (0.0,)
+    quotient = Bin("div", Num(0.0), Una("log", Var(0, "x1")))
+    assert compile_many([quotient])((-1.0, 0.0)) == (0.0,)
     assert compile_many([Bin("pow", Una("log", Var(0, "x1")), Num(0.0))])((-1.0, 0.0)) == (1.0,)
     kept = Bin("mul", Num(2.0), Una("log", Var(0, "x1")))
     with pytest.raises(EvalDomainError) as ei:
@@ -194,7 +196,7 @@ def _drift_bound(e, x):
             slope_a, slope_b = abs(b * r / a), abs(r * math.log(abs(a)))
         return r, _moved(slope_a, da) + _moved(slope_b, db) + 2.0 * _EPS * abs(r), None
     a, da, la = _drift_bound(e.left, x)
-    if e.op == "mul" and la == 0.0:
+    if e.op in ("mul", "div") and la == 0.0:
         return a, 0.0, la
     b, db, lb = _drift_bound(e.right, x)
     folded = {
@@ -356,13 +358,17 @@ def test_batched_domain_short_circuit():
 ])
 def test_domain_predicate_matches_its_tree_walk(src):
     # the compiled sides decide where they all evaluate; elsewhere the
-    # walk short-circuits, so the verdict, or the error, is the walk's
+    # walk short-circuits, so the verdict, or the error, is the walk's.
+    # The batched verdict is True only where the scalar one is, and equal
+    # to it wherever every side evaluates
     pred = DomainPred(src, XY)
     rng = np.random.default_rng(7)
     rows = [(0.0, 0.0), (-0.0, 1.0), (1.0, 0.0), (-1.0, -1.0), (4.0, 0.5)]
     rows += [tuple(x) for x in rng.uniform(-2.0, 4.0, (400, 2)).tolist()]
+    batch = pred.many(np.array(rows))
+    assert batch.dtype == bool and batch.shape == (len(rows),)
     outcomes = set()
-    for x in rows:
+    for x, many in zip(rows, batch):
         try:
             want = _eval_pred(pred.tree, x)
         except EvalDomainError as err:
@@ -373,6 +379,9 @@ def test_domain_predicate_matches_its_tree_walk(src):
             got = str(err)
         assert got == want, (src, x)
         outcomes.add(type(want))
+        assert not many or want is True, (src, x)
+        if pred._sides is None or pred._sides.get(x) is not None:
+            assert many == want, (src, x)
     assert bool in outcomes
 
 
