@@ -15,30 +15,37 @@ tests pin that down.
 
 Scans sample: none of them can prove a global property, and
 sigma_bounds_scan in particular only reports the extrema of sigma over the
-points it was given.  All randomness is seeded, points are processed one
-after another in sample order, each through one PointGeometry, and the
-aggregation is a deterministic function of that order, so fixed inputs
-give bit-identical reports.
+points it was given.  All randomness is seeded.  The points are read in
+blocks of _BLOCK rows in sample order, each block through one batched
+PointGeometry (ManifoldDef.at_many), so a scan's memory does not grow with
+its grid.  Each point's values are computed from its own row, and the
+aggregation does not depend on where the blocks split: the worst point is
+the first sample attaining the max, and the constant-curvature fit sums
+over the whole sample set.  Fixed inputs give bit-identical reports.
 """
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .curvature import (
-    DegeneratePlaneError,
     _conjugate_symmetry_residual,
     _constant_curvature_terms,
+    _max_abs,
     _plane_basis,
+    _quad,
     _relation_residuals,
     _ricci,
     _sectional_tilde,
     _statistical_curvature,
 )
-from .manifold import ConnKind, _require, sample_domain, sigma_at
+from .manifold import ConnKind, sample_domain
 from .statstruct import _cubic_form, _parallel_volume_residual, _trace_K
+
+# rows per ManifoldDef.at_many call: large enough that numpy's per-call
+# cost vanishes, small enough that a block's tensors stay a few MB
+_BLOCK = 2048
 
 
 @dataclass
@@ -73,34 +80,53 @@ class CheckOpts:
             raise ValueError("tol must be positive")
 
 
-def _points(M, points):
-    pts = [np.array(_require(M, x)) for x in points]
-    if not pts:
+def _rows(points):
+    xs = np.array(points, dtype=float)
+    if not xs.size:
         raise ValueError("need at least one sample point")
-    return pts
+    return xs
+
+
+def _blocks(M, xs):
+    # the geometry of the rows of xs, one batch per _BLOCK rows in sample
+    # order; at_many raises for the first row outside the chart
+    for start in range(0, len(xs), _BLOCK):
+        yield M.at_many(xs[start:start + _BLOCK])
+
+
+def _worst(M, check, spec, vals, xs, tol):
+    # the report on the first sample attaining the largest value, judged
+    # against tol, or informational when tol is None
+    k = int(np.argmax(vals))
+    return ScanReport(
+        manifold=M.name,
+        check=check,
+        sample_spec=spec,
+        worst_value=float(vals[k]),
+        worst_point=xs[k],
+        passed=None if tol is None else bool(vals[k] <= tol),
+        tol=tol,
+    )
 
 
 def _careq_worst(P, draws):
-    # worst scan value at P over all coordinate planes plus the given
-    # random plane draws; the value depends on the plane only, not on the
-    # orthonormal basis chosen inside it
+    # the worst scan value at each point of P over all coordinate planes
+    # plus that point's random planes, draws[..., plane, :, (u, v)]; the
+    # value depends on the plane only, not on the orthonormal basis chosen
+    # inside it, and a degenerate plane is left out
     n = P.n
     g = P.g_spd
-    gS = np.einsum("lm,mkij->lkij", g, _statistical_curvature(P))
-    H = P.hess_sigma
+    gS = np.einsum("...lm,...mkij->...lkij", g, _statistical_curvature(P))
+    H = P.hess_sigma[..., None, :, :]
+    a, b = np.array(list(combinations(range(n), 2))).T
     eye = np.eye(n)
-    planes = [(eye[a], eye[b]) for a, b in combinations(range(n), 2)]
-    planes.extend((d[:, 0], d[:, 1]) for d in draws)
-    worst = -math.inf
-    for u, v in planes:
-        try:
-            X, Y = _plane_basis(g, (u, v))
-        except DegeneratePlaneError:
-            continue
-        sval = float(np.einsum("lkij,i,j,k,l->", gS, X, Y, Y, X))
-        val = 2.0 * sval - float(X @ H @ X) - float(Y @ H @ Y)
-        worst = max(worst, val)
-    return worst
+    shape = draws.shape[:-3] + (len(a), n)  # the coordinate planes at each point
+    U = np.concatenate([np.broadcast_to(eye[a], shape), draws[..., 0]], axis=-2)
+    V = np.concatenate([np.broadcast_to(eye[b], shape), draws[..., 1]], axis=-2)
+    X, Y, ok = _plane_basis(g[..., None, :, :], U, V)
+    sval = np.einsum("...lkij,...pi,...pj,...pk,...pl->...p", gS, X, Y, Y, X)
+    val = 2.0 * sval - _quad(X, H, X) - _quad(Y, H, Y)
+    return np.where(ok, val, -np.inf).max(axis=-1)
 
 
 def hadamard_scan(M, points, planes_per_point=4, seed=42):
@@ -109,34 +135,29 @@ def hadamard_scan(M, points, planes_per_point=4, seed=42):
     Each point is tested on every coordinate plane plus planes_per_point
     seeded pseudo-random planes, all g-orthonormalized.
     """
-    pts = _points(M, points)
+    xs = _rows(points)
     planes_per_point = int(planes_per_point)
     if planes_per_point < 0:
         raise ValueError("planes_per_point must be nonnegative")
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((len(pts), planes_per_point, M.n, 2))
-
-    vals = [_careq_worst(M.at(x), draws[i]) for i, x in enumerate(pts)]
-    k = int(np.argmax(vals))
+    # block by block, the draws continue one stream in sample order, so
+    # every point gets the planes one draw for all points would give it
+    vals = np.concatenate([
+        _careq_worst(P, rng.standard_normal((len(P.x), planes_per_point, M.n, 2)))
+        for P in _blocks(M, xs)
+    ])
     coord = M.n * (M.n - 1) // 2
-    return ScanReport(
-        manifold=M.name,
-        check="cartan-hadamard",
-        sample_spec=(
-            f"{len(pts)} points, {coord} coordinate planes"
-            f" + {planes_per_point} random planes each, seed {seed}"
-        ),
-        worst_value=float(vals[k]),
-        worst_point=pts[k],
-        passed=bool(vals[k] <= 0.0),
-        tol=0.0,
+    spec = (
+        f"{len(xs)} points, {coord} coordinate planes"
+        f" + {planes_per_point} random planes each, seed {seed}"
     )
+    return _worst(M, "cartan-hadamard", spec, vals, xs, 0.0)
 
 
 def _careq2_at(P):
     # on a surface the scalar curvature g^jk Ric_jk of g is 2k
-    scal = float(np.einsum("jk,jk->", P.g_inv, _ricci(P, ConnKind.LC_G)))
-    n2 = float(P.dsigma @ P.grad_sigma)
+    scal = np.einsum("...jk,...jk->...", P.g_inv, _ricci(P, ConnKind.LC_G))
+    n2 = np.einsum("...i,...i->...", P.dsigma, P.grad_sigma)
     return scal + n2 - P.laplace_sigma
 
 
@@ -148,18 +169,9 @@ def hadamard2d_scan(M, points):
     """
     if M.n != 2:
         raise ValueError("the planar scan needs a 2-dimensional manifold")
-    pts = _points(M, points)
-    vals = [_careq2_at(M.at(x)) for x in pts]
-    k = int(np.argmax(vals))
-    return ScanReport(
-        manifold=M.name,
-        check="cartan-hadamard-2d",
-        sample_spec=f"{len(pts)} points",
-        worst_value=float(vals[k]),
-        worst_point=pts[k],
-        passed=bool(vals[k] <= 0.0),
-        tol=0.0,
-    )
+    xs = _rows(points)
+    vals = np.concatenate([_careq2_at(P) for P in _blocks(M, xs)])
+    return _worst(M, "cartan-hadamard-2d", f"{len(xs)} points", vals, xs, 0.0)
 
 
 def sigma_bounds_scan(M, samples):
@@ -168,18 +180,18 @@ def sigma_bounds_scan(M, samples):
     A sampling heuristic only: it reports evidence about boundedness of
     sigma, it cannot certify a global bound.
     """
-    pts = _points(M, samples)
-    vals = np.array([sigma_at(M, x) for x in pts])
+    xs = _rows(samples)
+    vals = np.concatenate([P.sigma for P in _blocks(M, xs)])
     i = int(np.argmin(vals))
     j = int(np.argmax(vals))
-    return float(vals[i]), pts[i], float(vals[j]), pts[j]
+    return float(vals[i]), xs[i], float(vals[j]), xs[j]
 
 
 def _covariant_metric_residual(dg, conn, g):
     return (
         dg
-        - np.einsum("lki,lj->kij", conn, g)
-        - np.einsum("lkj,il->kij", conn, g)
+        - np.einsum("...lki,...lj->...kij", conn, g)
+        - np.einsum("...lkj,...il->...kij", conn, g)
     )
 
 
@@ -189,30 +201,26 @@ def _identity_residuals(P):
     nab = P.gamma(ConnKind.NABLA)
     bar = P.gamma(ConnKind.NABLA_BAR)
     til = P.gamma(ConnKind.LC_G_TILDE)
-    es = math.exp(s)
+    es = np.exp(s)[..., None, None]
     gt = es * g
-    dgt = es * (np.einsum("k,ij->kij", ds, g) + dg)
+    dgt = es[..., None] * (np.einsum("...k,...ij->...kij", ds, g) + dg)
     lc = _covariant_metric_residual(dg, gam, g)
     lct = _covariant_metric_residual(dgt, til, gt)
     cod = _covariant_metric_residual(dg, nab, g) - _cubic_form(P)
     dual = (
         dg
-        - np.einsum("lki,lj->kij", nab, g)
-        - np.einsum("lkj,il->kij", bar, g)
+        - np.einsum("...lki,...lj->...kij", nab, g)
+        - np.einsum("...lkj,...il->...kij", bar, g)
     )
     sym = P.projective
-    contrans = til - gam - 0.5 * (sym - np.einsum("ij,k->kij", g, P.grad_sigma))
+    contrans = til - gam - 0.5 * (sym - np.einsum("...ij,...k->...kij", g, P.grad_sigma))
     proj = til - nab - sym
     return {
-        "metric-compatibility": max(
-            float(np.abs(lc).max()), float(np.abs(lct).max())
-        ),
-        "codazzi": float(np.abs(cod).max()),
-        "duality": float(np.abs(dual).max()),
-        "connection-mean": float(np.abs(nab + bar - 2.0 * gam).max()),
-        "conformal-projective": max(
-            float(np.abs(contrans).max()), float(np.abs(proj).max())
-        ),
+        "metric-compatibility": np.maximum(_max_abs(P, lc), _max_abs(P, lct)),
+        "codazzi": _max_abs(P, cod),
+        "duality": _max_abs(P, dual),
+        "connection-mean": _max_abs(P, nab + bar - 2.0 * gam),
+        "conformal-projective": np.maximum(_max_abs(P, contrans), _max_abs(P, proj)),
     }
 
 
@@ -223,14 +231,14 @@ def _point_residuals(P):
     out["curvature-eq4"] = rel["eq4"]
     out["curvature-eq5"] = rel["eq5"]
     ric = _ricci(P, ConnKind.NABLA)
-    out["ricci-symmetry"] = float(np.abs(ric - ric.T).max())
-    out["volume-parallel"] = float(np.abs(_parallel_volume_residual(P)).max())
-    out["trace-k"] = float(np.abs(_trace_K(P) + (P.n + 2) / 2.0 * P.dsigma).max())
+    out["ricci-symmetry"] = _max_abs(P, ric - np.swapaxes(ric, -1, -2))
+    out["volume-parallel"] = _max_abs(P, _parallel_volume_residual(P))
+    out["trace-k"] = _max_abs(P, _trace_K(P) + (P.n + 2) / 2.0 * P.dsigma)
     eye = np.eye(P.n)
     sec = 0.0
     for a, b in combinations(range(P.n), 2):
         direct, via = _sectional_tilde(P, (eye[a], eye[b]))
-        sec = max(sec, abs(direct - via))
+        sec = np.maximum(sec, np.abs(direct - via))
     out["sectional-tilde-agreement"] = sec
     out["conjugate-symmetry"] = _conjugate_symmetry_residual(P)
     return out
@@ -239,19 +247,13 @@ def _point_residuals(P):
 _INFORMATIONAL = ("conjugate-symmetry",)
 
 
-def _lambda_fit(terms, pts):
-    # least-squares constant-curvature coefficient over all samples, then
-    # the worst residual that the fitted value leaves behind; terms holds
-    # each sample's _constant_curvature_terms for nabla
-    num = 0.0
-    den = 0.0
-    for low, W in terms:
-        num += float(np.sum(low * W))
-        den += float(np.sum(W * W))
-    lam = num / den
-    res = [float(np.abs(low - lam * W).max()) for low, W in terms]
-    k = int(np.argmax(res))
-    return lam, float(res[k]), pts[k]
+def _lambda_fit(terms):
+    # least-squares constant-curvature coefficient over all samples, and
+    # the residual that the fitted value leaves at each sample; terms
+    # holds each block's _constant_curvature_terms for nabla
+    low, W = (np.concatenate(t) for t in zip(*terms))
+    lam = float(np.sum(low * W)) / float(np.sum(W * W))
+    return lam, np.abs(low - lam * W).reshape(len(low), -1).max(axis=1)
 
 
 def check_suite(M, opts=None):
@@ -264,38 +266,22 @@ def check_suite(M, opts=None):
     without a verdict.
     """
     opts = opts if opts is not None else CheckOpts()
-    pts = [np.array(x) for x in sample_domain(M, opts.samples, seed=opts.seed)]
-    rows = []
+    xs = sample_domain(M, opts.samples, seed=opts.seed)
+    rows = {}
     terms = []
-    for x in pts:
-        P = M.at(x)
-        rows.append(_point_residuals(P))
+    for P in _blocks(M, xs):
+        # every block lists the checks in the order _point_residuals builds them
+        for name, vals in _point_residuals(P).items():
+            rows.setdefault(name, []).append(vals)
         terms.append(_constant_curvature_terms(P, ConnKind.NABLA))
     spec = f"{opts.samples} seeded domain samples, seed {opts.seed}"
-    reports = []
-    # every row lists the checks in the order _point_residuals builds them
-    for name in rows[0]:
-        vals = [row[name] for row in rows]
-        k = int(np.argmax(vals))
-        info = name in _INFORMATIONAL
-        reports.append(ScanReport(
-            manifold=M.name,
-            check=name,
-            sample_spec=spec,
-            worst_value=float(vals[k]),
-            worst_point=pts[k],
-            passed=None if info else bool(vals[k] <= opts.tol),
-            tol=None if info else opts.tol,
-        ))
-    lam, res, argp = _lambda_fit(terms, pts)
-    reports.append(ScanReport(
-        manifold=M.name,
-        check="constant-curvature-fit",
-        sample_spec=spec,
-        worst_value=res,
-        worst_point=argp,
-        passed=None,
-        tol=None,
-        extra={"lambda": lam},
-    ))
+    reports = [
+        _worst(M, name, spec, np.concatenate(vals), xs,
+               None if name in _INFORMATIONAL else opts.tol)
+        for name, vals in rows.items()
+    ]
+    lam, res = _lambda_fit(terms)
+    fit = _worst(M, "constant-curvature-fit", spec, res, xs, None)
+    fit.extra["lambda"] = lam
+    reports.append(fit)
     return reports

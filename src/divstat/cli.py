@@ -342,6 +342,10 @@ def run(argv):
     except (DefinitionError, OutOfDomainError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         return _diag(exc, 2)
+    except MemoryError as exc:
+        # numpy refuses an array too large for the request (a grid or a
+        # plane count) before allocating any of it
+        return _diag(f"request too large: {exc}", 2)
     except NoConvergenceError as exc:
         return _diag(f"no converged geodesic: {exc}", 3)
     except (GeodesicError, ExprError) as exc:

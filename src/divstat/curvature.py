@@ -7,7 +7,9 @@ returns its trace Ric_jk = R^a_kaj.  Everything runs on the symbolic jets;
 no finite differences enter any curvature quantity.  Each public (M, x)
 function reads the geometry at x once; the private forms take that
 PointGeometry, so a caller that evaluates several quantities at one point
-shares its tensors.
+shares its tensors.  The private forms are written once for both shapes
+of PointGeometry: on a batch from ManifoldDef.at_many every result gains
+the batch's leading axis, and a residual is one max per row.
 
 The identities checked by curvature_relation_residuals are stated with the
 signs that actually close numerically, which for eq5 means
@@ -16,8 +18,6 @@ signs that actually close numerically, which for eq5 means
 
 (the bracket term enters eq4 and eq5 with opposite signs).
 """
-
-import math
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def ricci(M, x, kind):
 
 def _ricci(P, kind):
     P.g_spd  # outside the SPD region this raises, as metric_at does
-    return np.einsum("akaj->jk", P.riemann(kind))
+    return np.einsum("...akaj->...jk", P.riemann(kind))
 
 
 def statistical_curvature(M, x):
@@ -52,16 +52,26 @@ def _statistical_curvature(P):
     return 0.5 * (P.riemann(ConnKind.NABLA) + P.riemann(ConnKind.NABLA_BAR))
 
 
-def _plane_basis(g, plane):
-    u, v = (np.asarray(w, dtype=float) for w in plane)
-    nu2 = float(u @ g @ u)
-    nv2 = float(v @ g @ v)
-    uv = float(u @ g @ v)
-    if nu2 <= 0.0 or nv2 <= 0.0 or nu2 * nv2 - uv * uv <= 1e-10 * nu2 * nv2:
-        raise DegeneratePlaneError("vectors do not span a 2-plane")
-    X = u / math.sqrt(nu2)
-    w = v - float(X @ g @ v) * X
-    return X, w / math.sqrt(w @ g @ w)
+def _max_abs(P, a):
+    # max |a| over each point's entries: one number per row of a batch
+    return np.abs(a).reshape(P._lead + (-1,)).max(axis=-1)
+
+
+def _quad(a, g, b):
+    # a^T g b over the trailing axes, as (a @ g) @ b
+    return np.einsum("...j,...j->...", np.einsum("...i,...ij->...j", a, g), b)
+
+
+def _plane_basis(g, u, v):
+    # g-orthonormal (X, Y) spanning each plane (u, v), g (..., n, n)
+    # broadcasting against u, v (..., n), and ok, False where the vectors
+    # do not span a 2-plane (X and Y are finite there, and meaningless)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    nu2, nv2, uv = _quad(u, g, u), _quad(v, g, v), _quad(u, g, v)
+    ok = ~((nu2 <= 0.0) | (nv2 <= 0.0) | (nu2 * nv2 - uv * uv <= 1e-10 * nu2 * nv2))
+    X = u / np.sqrt(np.where(ok, nu2, 1.0))[..., None]
+    w = v - _quad(X, g, v)[..., None] * X
+    return X, w / np.sqrt(np.where(ok, _quad(w, g, w), 1.0))[..., None], ok
 
 
 def sectional_tilde(M, x, plane):
@@ -75,24 +85,28 @@ def sectional_tilde(M, x, plane):
     on the g-orthonormalized pair. The two must agree; keeping both routes
     separate is the point of the check.
     """
-    return _sectional_tilde(M.at(x), plane)
+    direct, via = _sectional_tilde(M.at(x), plane)
+    return float(direct), float(via)
 
 
 def _sectional_tilde(P, plane):
+    # plane is (u, v), each of shape (n,) or one vector per row of P
     g = P.g_spd
-    X, Y = _plane_basis(g, plane)
-    es = math.exp(P.sigma)
-    gt = es * g
+    X, Y, ok = _plane_basis(g, *plane)
+    if not np.all(ok):
+        raise DegeneratePlaneError("vectors do not span a 2-plane")
+    es = np.exp(P.sigma)
+    gt = es[..., None, None] * g
     Rt = P.riemann(ConnKind.LC_G_TILDE)
-    num = float(np.einsum("lm,mkij,i,j,k,l->", gt, Rt, X, Y, Y, X))
-    den = float((X @ gt @ X) * (Y @ gt @ Y) - float(X @ gt @ Y) ** 2)
+    num = np.einsum("...lm,...mkij,...i,...j,...k,...l->...", gt, Rt, X, Y, Y, X)
+    den = _quad(X, gt, X) * _quad(Y, gt, Y) - _quad(X, gt, Y) ** 2
     direct = num / den
 
     S = _statistical_curvature(P)
     H = P.hess_sigma
-    n2 = float(P.dsigma @ P.grad_sigma)
-    sval = float(np.einsum("lm,mkij,i,j,k,l->", g, S, X, Y, Y, X))
-    via = (sval - 0.5 * (float(X @ H @ X) + float(Y @ H @ Y) + n2)) / es
+    n2 = np.einsum("...i,...i->...", P.dsigma, P.grad_sigma)
+    sval = np.einsum("...lm,...mkij,...i,...j,...k,...l->...", g, S, X, Y, Y, X)
+    via = (sval - 0.5 * (_quad(X, H, X) + _quad(Y, H, Y) + n2)) / es
     return direct, via
 
 
@@ -103,7 +117,7 @@ def curvature_relation_residuals(M, x):
     eq4: R = R_g + alt(nabla_g K) + [K_X, K_Y]Z
     eq5: 2 R_g = R + Rbar - 2 [K_X, K_Y]Z
     """
-    return _relation_residuals(M.at(x))
+    return {k: float(v) for k, v in _relation_residuals(M.at(x)).items()}
 
 
 def _relation_residuals(P):
@@ -112,24 +126,24 @@ def _relation_residuals(P):
     R = P.riemann(ConnKind.NABLA)
     Rb = P.riemann(ConnKind.NABLA_BAR)
 
-    KK = np.einsum("lim,mjk->lkij", K, K)
-    KK = KK - KK.transpose(0, 1, 3, 2)
+    KK = np.einsum("...lim,...mjk->...lkij", K, K)
+    KK = KK - P._t(KK, 0, 1, 3, 2)
     # (nabla_m K)^l_jk
     DK = (
         P.dK
-        + np.einsum("lmi,ijk->mljk", gam, K)
-        - np.einsum("imj,lik->mljk", gam, K)
-        - np.einsum("imk,lji->mljk", gam, K)
+        + np.einsum("...lmi,...ijk->...mljk", gam, K)
+        - np.einsum("...imj,...lik->...mljk", gam, K)
+        - np.einsum("...imk,...lji->...mljk", gam, K)
     )
-    B = DK.transpose(1, 3, 0, 2)
-    alt = B - B.transpose(0, 1, 3, 2)
+    B = P._t(DK, 1, 3, 0, 2)
+    alt = B - P._t(B, 0, 1, 3, 2)
 
-    low_R = np.einsum("lm,mkij->lkij", g, R)
-    low_Rb_swapped = np.einsum("km,mlij->lkij", g, Rb)
+    low_R = np.einsum("...lm,...mkij->...lkij", g, R)
+    low_Rb_swapped = np.einsum("...km,...mlij->...lkij", g, Rb)
     return {
-        "eq3": float(np.abs(low_R + low_Rb_swapped).max()),
-        "eq4": float(np.abs(R - Rg - alt - KK).max()),
-        "eq5": float(np.abs(2.0 * Rg - R - Rb + 2.0 * KK).max()),
+        "eq3": _max_abs(P, low_R + low_Rb_swapped),
+        "eq4": _max_abs(P, R - Rg - alt - KK),
+        "eq5": _max_abs(P, 2.0 * Rg - R - Rb + 2.0 * KK),
     }
 
 
@@ -140,7 +154,7 @@ def conjugate_symmetry_residual(M, x):
     the deviation of Hess sigma from its best trace-fitted multiple of g
     measured through g itself, with no coordinate-dependent norm involved.
     """
-    return _conjugate_symmetry_residual(M.at(x))
+    return float(_conjugate_symmetry_residual(M.at(x)))
 
 
 def _conjugate_symmetry_residual(P):
@@ -148,15 +162,15 @@ def _conjugate_symmetry_residual(P):
     # reduction g = L L^T: those of L^-1 Hess sigma L^-T
     L = np.linalg.cholesky(P.g_spd)
     A = np.linalg.solve(L, P.hess_sigma)
-    w = np.linalg.eigvalsh(np.linalg.solve(L, A.T))
-    return float(w[-1] - w[0])
+    w = np.linalg.eigvalsh(np.linalg.solve(L, np.swapaxes(A, -1, -2)))
+    return w[..., -1] - w[..., 0]
 
 
 def _constant_curvature_terms(P, kind):
     # (g(R(di,dj)dk,dl), g_jk g_il - g_ik g_jl), both indexed [l,k,i,j]
     g = P.g_spd
-    low = np.einsum("lm,mkij->lkij", g, P.riemann(kind))
-    W = np.einsum("jk,il->lkij", g, g) - np.einsum("ik,jl->lkij", g, g)
+    low = np.einsum("...lm,...mkij->...lkij", g, P.riemann(kind))
+    W = np.einsum("...jk,...il->...lkij", g, g) - np.einsum("...ik,...jl->...lkij", g, g)
     return low, W
 
 

@@ -216,7 +216,14 @@ def _dopri5(N):
 
 
 def _rms(xs):
-    return math.sqrt(sum(a * a for a in xs)) / len(xs) ** 0.5
+    sq = sum(a * a for a in xs)
+    if sq == math.inf:
+        # the squares overflow: rescale by the largest magnitude, so that
+        # the norm is infinite only where it does not fit in a double
+        big = max(map(abs, xs))
+        if big < math.inf:
+            return big * math.sqrt(sum((a / big) ** 2 for a in xs) / len(xs))
+    return math.sqrt(sq) / len(xs) ** 0.5
 
 
 def _initial_step(rhs, y, f, t1, max_step, rtol, atol):
@@ -228,7 +235,8 @@ def _initial_step(rhs, y, f, t1, max_step, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t1)
     f1 = rhs([a + h0 * b for a, b in zip(y, f)])
-    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    # h0 is 0 where d1 is infinite; numpy's division would give inf there
+    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

@@ -699,9 +699,11 @@ class PointGeometry:
 
     @cached_property
     def g_spd(self):
-        """g, once it is checked to be positive definite here."""
-        if np.linalg.eigvalsh(self.g).min() <= SPD_EIG_FLOOR:
-            raise OutOfDomainError(f"{self.M.name}: metric not SPD at {self.x}")
+        """g, once it is checked to be positive definite (at every row of a batch)."""
+        bad = np.flatnonzero(np.linalg.eigvalsh(self.g).min(axis=-1) <= SPD_EIG_FLOOR)
+        if bad.size:
+            x = tuple(self.x[bad[0]].tolist()) if self._lead else self.x
+            raise OutOfDomainError(f"{self.M.name}: metric not SPD at {x}")
         return self.g
 
     @cached_property

@@ -6,7 +6,8 @@ the difference tensor K, the four connections that the pair carries
 nabla-bar, and the Levi-Civita connection of gtilde = e^sigma g), the
 conjugate structure sigma -> -sigma, and the nabla-parallel volume density.
 The tensors themselves are computed by manifold.PointGeometry; the (M, x)
-functions here read them from the geometry at x.
+functions here read them from the geometry at x.  The private forms take
+a PointGeometry of either shape, one point or a batch of rows.
 
 Index conventions follow manifold.py: connection arrays are gamma[k, i, j] =
 Gamma^k_ij and derivative stacks put the new derivative index first.
@@ -32,13 +33,14 @@ def _cubic_form(P):
     # each unordered triple is evaluated once and written to all six slots,
     # so permutation symmetry holds exactly, not just to rounding
     g, ds, n = P.g, P.dsigma, P.n
-    C = np.empty((n, n, n))
+    C = np.empty(P._lead + (n, n, n))
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                v = ds[i] * g[j, k] + ds[j] * g[k, i] + ds[k] * g[i, j]
-                C[i, j, k] = C[i, k, j] = C[j, i, k] = v
-                C[j, k, i] = C[k, i, j] = C[k, j, i] = v
+                v = (ds[..., i] * g[..., j, k] + ds[..., j] * g[..., k, i]
+                     + ds[..., k] * g[..., i, j])
+                C[..., i, j, k] = C[..., i, k, j] = C[..., j, i, k] = v
+                C[..., j, k, i] = C[..., k, i, j] = C[..., k, j, i] = v
     return C
 
 
@@ -94,9 +96,9 @@ def parallel_volume_residual(M, x):
 
 def _parallel_volume_residual(P):
     n = P.n
-    dlog = -(n + 2) / 2.0 * P.dsigma + 0.5 * np.einsum("kl,ikl->i", P.g_inv, P.dg)
+    dlog = -(n + 2) / 2.0 * P.dsigma + 0.5 * np.einsum("...kl,...ikl->...i", P.g_inv, P.dg)
     theta = np.exp(-(n + 2) * P.sigma / 2.0) * np.sqrt(np.linalg.det(P.g))
-    return theta * (dlog - np.einsum("kik->i", P.gamma(ConnKind.NABLA)))
+    return theta[..., None] * (dlog - np.einsum("...kik->...i", P.gamma(ConnKind.NABLA)))
 
 
 def trace_K(M, x):
@@ -105,6 +107,6 @@ def trace_K(M, x):
 
 
 def _trace_K(P):
-    return np.einsum("kik->i", P.gamma(ConnKind.NABLA)) - np.einsum(
-        "kik->i", P.christoffel
+    return np.einsum("...kik->...i", P.gamma(ConnKind.NABLA)) - np.einsum(
+        "...kik->...i", P.christoffel
     )

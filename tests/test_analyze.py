@@ -12,10 +12,13 @@ Closed-form oracles used below:
 """
 
 import math
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from divstat import analyze
 from divstat.analyze import (
     CheckOpts,
     ScanReport,
@@ -24,8 +27,11 @@ from divstat.analyze import (
     hadamard_scan,
     sigma_bounds_scan,
 )
-from divstat.curvature import sectional_tilde
+from divstat.curvature import ricci, sectional_tilde
 from divstat.manifold import (
+    BUILTINS,
+    ConnKind,
+    OutOfDomainError,
     load_manifold,
     metric_inverse_at,
     sample_domain,
@@ -224,3 +230,166 @@ def test_scan_determinism():
     r2 = hadamard_scan(half, pts, planes_per_point=4, seed=11)
     assert r1.worst_value == r2.worst_value
     assert np.array_equal(r1.worst_point, r2.worst_point)
+
+
+# ---------------------------------------------------------------------------
+# the scans read their geometry in blocks of rows; per-point references
+
+
+def _close(got, want):
+    # 1e-12 relative, or absolute for values below 1 (residuals at
+    # rounding level differ between summation orders in their own last bits)
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _ref_hadamard(M, pts, planes, seed):
+    # M.at(x) per point, Gram-Schmidt in g plane by plane, and every
+    # point's planes drawn in one call
+    draws = np.random.default_rng(seed).standard_normal((len(pts), planes, M.n, 2))
+    eye = np.eye(M.n)
+    coord = [(eye[a], eye[b]) for a, b in combinations(range(M.n), 2)]
+    vals = []
+    for x, d in zip(pts, draws):
+        P = M.at(x)
+        g, H = P.g_spd, P.hess_sigma
+        S = 0.5 * (P.riemann(ConnKind.NABLA) + P.riemann(ConnKind.NABLA_BAR))
+        best = -math.inf
+        for u, v in coord + [(p[:, 0], p[:, 1]) for p in d]:
+            X = u / math.sqrt(u @ g @ u)
+            w = v - (X @ g @ v) * X
+            Y = w / math.sqrt(w @ g @ w)
+            sval = np.einsum("lm,mkij,i,j,k,l->", g, S, X, Y, Y, X)
+            best = max(best, 2.0 * sval - X @ H @ X - Y @ H @ Y)
+        vals.append(best)
+    return vals
+
+
+def _ref_hadamard2d(M, pts):
+    vals = []
+    for x in pts:
+        P = M.at(x)
+        scal = float(np.einsum("jk,jk->", P.g_inv, ricci(M, x, "lc")))
+        vals.append(scal + float(P.dsigma @ P.grad_sigma) - P.laplace_sigma)
+    return vals
+
+
+def _ref_check_suite(M, opts):
+    # the suite's per-point helpers on one M.at(x) at a time, aggregated
+    # in a Python loop
+    pts = sample_domain(M, opts.samples, seed=opts.seed)
+    rows, num, den, terms = [], 0.0, 0.0, []
+    for x in pts:
+        P = M.at(x)
+        rows.append(analyze._point_residuals(P))
+        low, W = analyze._constant_curvature_terms(P, ConnKind.NABLA)
+        num += float(np.sum(low * W))
+        den += float(np.sum(W * W))
+        terms.append((low, W))
+    lam = num / den
+    out = {name: [float(r[name]) for r in rows] for name in rows[0]}
+    out["constant-curvature-fit"] = [float(np.abs(lo - lam * W).max()) for lo, W in terms]
+    return pts, out, lam
+
+
+# curved in 3-D, so that a point's value depends on which planes it draws
+SKEW3 = {
+    "name": "skew-3d",
+    "dim": 3,
+    "coords": ["x1", "x2", "x3"],
+    "metric": [["2 + x1^2", "0.3*x2", "0.1*x3"],
+               ["0.3*x2", "1 + x2^2", "0.2*sin(x1)"],
+               ["0.1*x3", "0.2*sin(x1)", "1.5 + x3^2"]],
+    "sigma": "sin(x1) + x2*x3",
+}
+
+SCAN_DOCS = sorted(BUILTINS) + [EUCL3, SKEW3]
+
+
+@pytest.mark.parametrize("doc", SCAN_DOCS, ids=lambda d: d if isinstance(d, str) else d["name"])
+def test_batched_scans_match_per_point_reference(doc):
+    M = load_manifold(doc)
+    pts = sample_domain(M, 40, seed=13)
+    rep = hadamard_scan(M, pts, planes_per_point=3, seed=8)
+    ref = _ref_hadamard(M, pts, 3, 8)
+    k = int(np.argmax(ref))
+    assert _close(rep.worst_value, ref[k]) and rep.passed == (ref[k] <= 0.0)
+    assert np.array_equal(rep.worst_point, pts[k])
+    if M.n == 2:
+        rep = hadamard2d_scan(M, pts)
+        ref = _ref_hadamard2d(M, pts)
+        k = int(np.argmax(ref))
+        assert _close(rep.worst_value, ref[k]) and rep.passed == (ref[k] <= 0.0)
+        assert np.array_equal(rep.worst_point, pts[k])
+    smin, pmin, smax, pmax = sigma_bounds_scan(M, pts)
+    ref = [sigma_at(M, x) for x in pts]
+    assert _close(smin, min(ref)) and _close(smax, max(ref))
+    assert np.array_equal(pmin, pts[int(np.argmin(ref))])
+    assert np.array_equal(pmax, pts[int(np.argmax(ref))])
+
+    opts = CheckOpts(samples=30, seed=5)
+    pts, ref, lam = _ref_check_suite(M, opts)
+    reports = check_suite(M, opts)
+    assert [r.check for r in reports] == list(ref)
+    for r in reports:
+        vals = ref[r.check]
+        worst = max(vals)
+        assert _close(r.worst_value, worst), (r.check, r.worst_value, worst)
+        if r.passed is not None:
+            assert r.passed == (worst <= opts.tol), r.check
+        if worst > 1e-6:  # above rounding noise the worst sample is unique
+            assert np.array_equal(r.worst_point, pts[int(np.argmax(vals))]), r.check
+    assert _close(reports[-1].extra["lambda"], lam)
+
+
+@pytest.mark.parametrize("doc", SCAN_DOCS, ids=lambda d: d if isinstance(d, str) else d["name"])
+def test_scans_do_not_depend_on_the_block_size(doc, monkeypatch):
+    M = load_manifold(doc)
+    pts = sample_domain(M, 30, seed=17)
+    opts = CheckOpts(samples=30, seed=3)
+
+    def scans():
+        out = [hadamard_scan(M, pts, planes_per_point=2, seed=4)]
+        if M.n == 2:
+            out.append(hadamard2d_scan(M, pts))
+        return out + check_suite(M, opts), sigma_bounds_scan(M, pts)
+
+    whole, bounds = scans()
+    monkeypatch.setattr(analyze, "_BLOCK", 7)
+    split, bounds7 = scans()
+    for a, b in zip(whole, split):
+        assert a.check == b.check and a.passed == b.passed, a.check
+        assert np.array_equal(a.worst_point, b.worst_point), a.check
+        assert _close(b.worst_value, a.worst_value), a.check
+        if "lambda" in a.extra:
+            assert _close(b.extra["lambda"], a.extra["lambda"])
+    for a, b in zip(bounds, bounds7):
+        assert np.array_equal(a, b)
+
+
+def test_degenerate_plane_in_a_batch_is_skipped():
+    # every value on the half plane is below -2; a zero plane left in
+    # would read 0
+    M = load_manifold("half-plane-exp")
+    B = M.at_many([(0.5, 0.5), (1.0, 2.0)])
+    draws = np.random.default_rng(2).standard_normal((2, 2, 2, 2))
+    want = analyze._careq_worst(B, draws)
+    assert (want < -2.0).all()
+    bad = np.concatenate([draws, np.zeros((2, 2, 2, 2))], axis=1)
+    bad[1, 2, :, 0] = bad[1, 2, :, 1] = (1.0, -3.0)  # two equal vectors
+    assert np.array_equal(analyze._careq_worst(B, bad), want)
+
+
+def test_scan_raises_the_first_outside_row(monkeypatch):
+    half = load_manifold("half-plane-exp")
+    xs = np.linspace(-1.0, 1.0, 3)
+    ys = np.linspace(1.0, -1.0, 5)  # crosses the wall x2 = 0 on every column
+    grid = [(x, y) for x in xs for y in ys]
+    first = next(p for p in grid if p[1] <= 0.0)
+    with pytest.raises(OutOfDomainError) as want:
+        half.at(first)
+    msg = re.escape(str(want.value))
+    for block in (analyze._BLOCK, 4):
+        monkeypatch.setattr(analyze, "_BLOCK", block)
+        for scan in (hadamard_scan, hadamard2d_scan, sigma_bounds_scan):
+            with pytest.raises(OutOfDomainError, match=f"^{msg}$"):
+                scan(half, grid)

@@ -167,6 +167,16 @@ def test_geodesic_stops_at_chart_boundary(tmp_path, capsys):
     assert abs(last[0] - 2.0) < 1e-6
 
 
+def test_geodesic_at_a_speed_whose_square_overflows(capsys):
+    # the initial step's scaled norm of (x, v) would square 1e161
+    code, out, err = run_out(capsys, [
+        "geodesic", "euclidean", "--conn", "lc", "--from", "0,0",
+        "--vel", "1e150,0", "--t-max", "1",
+    ])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "# status=completed"
+
+
 def test_geodesic_rejects_bad_options(capsys):
     base = ["geodesic", "euclidean", "--from", "0,0", "--vel", "1,0"]
     for extra in (
@@ -307,6 +317,39 @@ def test_hadamard_rejects_bad_grids(capsys):
         code, out, err = run_out(capsys, ["hadamard", "euclidean", "--grid", grid])
         assert code == 2, grid
         assert err.startswith("divstat:")
+
+
+NOT_SPD = {
+    "name": "t",
+    "dim": 2,
+    "coords": ["x1", "x2"],
+    "domain": "x1 > -1",
+    "metric": [["1", "0"], ["0", "x1"]],
+    "sigma": "0.1*x1",
+    "sample_box": [[0.5, 2], [-1, 1]],
+}
+
+
+def test_hadamard_names_the_first_point_where_g_is_not_spd(tmp_path, capsys):
+    # the scan reads its geometry in batches; the diagnostic still names
+    # one point, the first grid row where g is not positive definite
+    doc = tmp_path / "t.json"
+    doc.write_text(json.dumps(NOT_SPD))
+    code, out, err = run_out(capsys, ["hadamard", str(doc), "--grid", "x1:-0.5:1:4,x2:0:1:2"])
+    assert code == 2 and out == ""
+    assert err == "divstat: t: metric not SPD at (-0.5, 0.0)\n"
+
+
+def test_oversized_scan_is_invalid_input(capsys):
+    # numpy refuses the plane draws up front (hundreds of TiB) and
+    # allocates nothing; the refusal is one diagnostic line and exit 2
+    code, out, err = run_out(capsys, [
+        "hadamard", "euclidean", "--grid", "x1:0:1:18,x2:0:1:18",
+        "--planes", "100000000000",
+    ])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("divstat:")
 
 
 ABS_WEIGHT = {

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import RK45
+from scipy.integrate._ivp import common as _ivp_common
 from scipy.integrate._ivp.common import select_initial_step
 from scipy.optimize import brentq
 
@@ -603,6 +604,36 @@ def test_initial_step_matches_scipy():
                         max_step, np.array(f), 1.0, 4, rtol, atol)
                     got = _initial_step(rhs, y, f, t1, max_step, rtol, atol)
                     assert abs(got - want) <= 1e-14 * want, (name, kind, y)
+
+
+def _scaled_norm(x):
+    # scipy's RMS norm, rescaled by the largest magnitude before squaring
+    big = np.abs(x).max()
+    if big == 0.0 or big == np.inf:
+        return big
+    return big * np.linalg.norm(x / big) / x.size ** 0.5
+
+
+@pytest.mark.parametrize("speed", [1e150, 1e300])
+def test_initial_step_at_overflowing_speeds_matches_scipy(speed, monkeypatch):
+    # at 1e150 the squares of the scaled state overflow, and scipy's norm
+    # is inf where the rescaled one is not.  At 1e300 and atol 1e-11 the
+    # scaled velocity itself is inf, so h0 = 0 and both steps are 0,
+    # scipy's by dividing by h0
+    monkeypatch.setattr(_ivp_common, "norm", _scaled_norm)
+    rhs = _rhs_factory(load_manifold("euclidean"), ConnKind.LC_G)
+    y = [0.0, 0.0, speed, 0.0]
+    f = rhs(y)
+    got = []
+    for t1, max_step, rtol, atol in ((1.0, np.inf, 1e-9, 1e-11),
+                                     (2.0, 2.0 / 48.0, 1e-5, 1e-7)):
+        with np.errstate(all="ignore"):
+            want = select_initial_step(
+                lambda t, yy: np.asarray(rhs(yy.tolist())), 0.0, np.array(y), t1,
+                max_step, np.array(f), 1.0, 4, rtol, atol)
+        got.append(_initial_step(rhs, y, f, t1, max_step, rtol, atol))
+        assert abs(got[-1] - want) <= 1e-14 * want, (speed, got[-1], want)
+    assert (got[0] == 0.0) == (speed == 1e300) and got[1] > 0.0
 
 
 def test_integrator_counts_in_meta():
