@@ -196,12 +196,12 @@ def _covariant_metric_residual(dg, conn, g):
 
 
 def _identity_residuals(P):
-    g, dg, s, ds = P.g, P.dg, P.sigma, P.dsigma
+    g, dg, ds = P.g, P.dg, P.dsigma
     gam = P.gamma(ConnKind.LC_G)
     nab = P.gamma(ConnKind.NABLA)
     bar = P.gamma(ConnKind.NABLA_BAR)
     til = P.gamma(ConnKind.LC_G_TILDE)
-    es = np.exp(s)[..., None, None]
+    es = P.exp_sigma[..., None, None]
     gt = es * g
     dgt = es[..., None] * (np.einsum("...k,...ij->...kij", ds, g) + dg)
     lc = _covariant_metric_residual(dg, gam, g)

@@ -95,7 +95,7 @@ def _sectional_tilde(P, plane):
     X, Y, ok = _plane_basis(g, *plane)
     if not np.all(ok):
         raise DegeneratePlaneError("vectors do not span a 2-plane")
-    es = np.exp(P.sigma)
+    es = P.exp_sigma
     gt = es[..., None, None] * g
     Rt = P.riemann(ConnKind.LC_G_TILDE)
     num = np.einsum("...lm,...mkij,...i,...j,...k,...l->...", gt, Rt, X, Y, Y, X)

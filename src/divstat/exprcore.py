@@ -6,8 +6,9 @@ Differentiation is exact and symbolic, and the trees themselves are only
 ever rewritten by constant folding.
 
 Evaluation compiles trees to Python functions (compile_many; Expr.eval
-goes through it too).  The emitter folds the exact identities ``e*1``,
-``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and ``e^1`` to ``e``.  A factor
+goes through it too), whose bodies _emit writes, also for the geodesic
+integrator.  The emitter folds the exact identities ``e*1``, ``1*e``,
+``e+0``, ``0+e``, ``e-0``, ``e/1`` and ``e^1`` to ``e``.  A factor
 multiplied by a literal ``0``, a divisor under a literal ``0`` numerator,
 or a base raised to a literal ``0``, is not evaluated at all, so a domain
 error inside it is not reported.  Any other evaluation outside the real
@@ -379,32 +380,14 @@ def _num_key(value):
     return ("num", value, math.copysign(1.0, value))
 
 
-def compile_many(roots):
-    """A callable ``f(x)`` returning the tuple of every root's value at `x`.
+def _emit(roots, arg, prefix, named=False):
+    """compile_many's kernel body for `roots` as (lines, outputs), unindented.
 
-    Repeated subtrees of the hash-consed trees are computed once.  The
-    emitter folds ``e*1``, ``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and
-    ``e^1`` to ``e``, and ``0*e``, ``e*0``, ``0/e`` and ``e^0`` to their
-    constant without evaluating ``e``, so a domain error inside such an
-    ``e`` is not reported.  Any other failure raises
-    :class:`EvalDomainError` with the failing node and point, found by the
-    guarded tree walker.
-
-    ``f.get(x)`` is ``f(x)``, or None where ``f`` would raise, without the
-    walk that names the failing node: for callers that need only the
-    verdict, such as a chart test at many points near its wall.
-
-    ``f.many(xs)`` evaluates every row of an ``(N, n)`` array at once and
-    returns an ``(N, len(roots))`` array.  It runs the same generated code
-    with numpy's ufuncs on the coordinate columns.  A row with a
-    non-finite value runs again through ``f``, and so does every row of a
-    batch in which numpy flags a division by zero, an overflow or an
-    invalid operation; a row on which ``f`` raises comes back as NaN, so
-    ``f(row)`` names its node and point.  Values agree with ``f`` to a few
-    ulp: numpy's SIMD ``exp`` and ``power`` round differently from
-    ``math``'s on a few percent of inputs.
+    Coordinate i is the text arg(i), and locals are named prefix + row.
+    Each output is a literal, an argument, a local, or (unless `named`)
+    an inlined expression.  The lines need _exec_kernel's names, raise
+    what the operations raise and pass non-finite values through.
     """
-    roots = tuple(roots)
     rows = []     # structural keys in post-order, so children precede parents
     index = {}    # structural key -> row
     seen = {}     # id(node) -> row; structurally shared objects hit here
@@ -453,10 +436,10 @@ def compile_many(roots):
 
     # use counts over the rows the outputs reach; a row used once is
     # inlined into its user unless that nests too deep, any other gets a
-    # local
+    # local, and so does every output when `named` is set
     uses = [0] * len(rows)
     for r in outs:
-        uses[r] += 1
+        uses[r] += 2 if named else 1
     for r in range(len(rows) - 1, -1, -1):
         key = rows[r]
         if uses[r] and key[0] not in ("num", "var"):
@@ -473,7 +456,7 @@ def compile_many(roots):
             code[r] = repr(args[0])
             continue
         if op == "var":
-            text = f"x[{args[0]}]"
+            text = arg(args[0])
         else:
             a = [code[c] for c in args]
             depth[r] = 1 + max(depth[c] for c in args)
@@ -485,16 +468,48 @@ def compile_many(roots):
                 text = f"_{op}({a[0]})"
             else:
                 text = f"({a[0]} {_EMIT_BIN[op]} {a[1]})"
-        if uses[r] > 1 or depth[r] > _INLINE_DEPTH:
-            lines.append(f"    t{r} = {text}")
-            text = f"t{r}"
+        # an argument that is a plain name is read as it is
+        if (uses[r] > 1 or depth[r] > _INLINE_DEPTH) and not text.isidentifier():
+            lines.append(f"{prefix}{r} = {text}")
+            text = f"{prefix}{r}"
             depth[r] = 0
         code[r] = text
-    body = "\n".join(lines + [f"    return ({', '.join(code[r] for r in outs)},)"])
-    compiled = compile(f"def _kernel(x):\n{body}\n", "<kernel>", "exec")
-    raw = _exec_kernel(compiled, math, _abs=abs, _pow=math.pow)
+    return lines, [code[r] for r in outs]
+
+
+def compile_many(roots):
+    """A callable ``f(x)`` returning the tuple of every root's value at `x`.
+
+    Repeated subtrees of the hash-consed trees are computed once.  The
+    emitter folds ``e*1``, ``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and
+    ``e^1`` to ``e``, and ``0*e``, ``e*0``, ``0/e`` and ``e^0`` to their
+    constant without evaluating ``e``, so a domain error inside such an
+    ``e`` is not reported.  Any other failure raises
+    :class:`EvalDomainError` with the failing node and point, found by the
+    guarded tree walker.
+
+    ``f.get(x)`` is ``f(x)``, or None where ``f`` would raise, without the
+    walk that names the failing node: for callers that need only the
+    verdict, such as a chart test at many points near its wall.
+
+    ``f.many(xs)`` evaluates every row of an ``(N, n)`` array at once and
+    returns an ``(N, len(roots))`` array.  It runs the same generated code
+    with numpy's ufuncs on the coordinate columns.  A row with a
+    non-finite value runs again through ``f``, and so does every row of a
+    batch in which numpy flags a division by zero, an overflow or an
+    invalid operation; a row on which ``f`` raises comes back as NaN, so
+    ``f(row)`` names its node and point.  Values agree with ``f`` to a few
+    ulp: numpy's SIMD ``exp`` and ``power`` round differently from
+    ``math``'s on a few percent of inputs.
+    """
+    roots = tuple(roots)
+    lines, outs = _emit(roots, "x[{}]".format, "t")
+    body = "".join(f"    {line}\n" for line in lines)
+    body += f"    return ({', '.join(outs)},)\n"
+    compiled = compile(f"def _kernel(x):\n{body}", "<kernel>", "exec")
+    raw = _exec_kernel(compiled, math)
     # the same code over numpy columns: x[i] is coordinate i of every row
-    raw_many = _exec_kernel(compiled, np, _abs=np.abs, _pow=np.power)
+    raw_many = _exec_kernel(compiled, np)
     isfinite = math.isfinite
 
     def get(x):
@@ -537,12 +552,15 @@ def compile_many(roots):
 
     kernel.get = get
     kernel.many = many
+    kernel.roots = roots
     return kernel
 
 
 def _exec_kernel(code, lib, **extra):
-    # the kernel function of `code`, with the math of `lib` bound
+    # the _kernel function of `code`, with the math of `lib` (math or
+    # numpy) bound to the names _emit's lines use
     ns = {f"_{op}": getattr(lib, op) for op in ("exp", "log", "sin", "cos", "sqrt")}
+    ns["_abs"], ns["_pow"] = (abs, math.pow) if lib is math else (np.abs, np.power)
     ns.update(extra)
     exec(code, ns)  # noqa: S102 - generated from validated trees
     return ns["_kernel"]

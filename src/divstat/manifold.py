@@ -22,7 +22,8 @@ s_ij,l = d_i g_jl + d_j g_il - d_l g_ij, plus the terms of K and of the
 projective change in |v|^2_g grad sigma and (dsigma . v) v.  g^-1 is
 applied by an emitted LDL^T solve, before anything is contracted with v,
 so no intermediate is larger than Gamma or grad sigma themselves.
-PointGeometry.gamma is the reference the spray is tested against.
+PointGeometry.gamma is the reference the spray is tested against.  The
+integrator's emitted steps inline its code after the predicate's (_inline).
 
 Index conventions: connection arrays are gamma[k, i, j] = Gamma^k_ij,
 derivative stacks put the new derivative index first, and curvature
@@ -32,7 +33,6 @@ arrays are R[l, k, i, j] with R(d_i, d_j) d_k = R^l_kij d_l.
 import enum
 import itertools
 import json
-import operator
 import os
 from functools import cached_property, partial, reduce
 
@@ -44,8 +44,10 @@ from .exprcore import (
     ExprError,
     Num,
     ParseError,
+    Una,
     Var,
     _bin,
+    _emit,
     _una,
     compile_many,
     parse,
@@ -126,7 +128,7 @@ class DomainPred:
         self.tree = _parse_pred(src, coords)
         sides = _pred_sides(self.tree)
         self._sides = compile_many(sides) if sides else None
-        self._decide = _decider(self.tree, itertools.count(0, 2))
+        self._decide = eval(f"lambda v: {_verdict(self.tree, 'v[{}]'.format)}")  # noqa: S307
 
     def __call__(self, x):
         # every side in one kernel call; where one fails to evaluate, the
@@ -236,26 +238,24 @@ def _eval_pred(tree, x):
     return all(vals) if tag == "and" else any(vals)
 
 
-_CMP_FUNCS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def _decider(tree, slots):
-    # the predicate as a function of the values of its sides, read in the
-    # order _pred_sides lists them; `slots` counts off each comparison's
-    # pair.  The values are floats, or numpy columns decided elementwise
+def _verdict(tree, side, slots=None):
+    # the predicate as one Python expression of its side values, side(i)
+    # naming value i in _pred_sides order.  & and | decide floats and numpy
+    # columns (elementwise) alike, so this is the predicate's only decider:
+    # for one point, for a batch, and inlined in emitted code
+    slots = itertools.count(0, 2) if slots is None else slots
     tag = tree[0]
     if tag == "true":
-        return lambda vals: True
+        return "True"
     if tag == "cmp":
-        cmp, i = _CMP_FUNCS[tree[1]], next(slots)
-        return lambda vals: cmp(vals[i], vals[i + 1])
-    parts = [_decider(t, slots) for t in tree[1]]
-    join = operator.and_ if tag == "and" else operator.or_
-    return lambda vals: reduce(join, [p(vals) for p in parts])
+        i = next(slots)
+        return f"({side(i)} {tree[1]} {side(i + 1)})"
+    join = " & " if tag == "and" else " | "
+    return "(" + join.join(_verdict(t, side, slots) for t in tree[1]) + ")"
 
 
 def _pred_sides(tree):
-    # both sides of every comparison, in the order _decider reads them
+    # both sides of every comparison, in the order _verdict reads them
     if tree[0] == "true":
         return []
     if tree[0] == "cmp":
@@ -320,9 +320,10 @@ class ManifoldDef:
     `sigma` in the document is a source string, or an Expr already parsed
     over the same coords, which is how conjugate passes its negated tree.
     Immutable after construction; all geometry queries are pure and go
-    through at(x), which holds no state between calls.  The one exception
-    is the cache of spray kernels, which spray(kind) fills on first use:
-    loading a manifold does not pay for sprays that nothing integrates.
+    through at(x), which holds no state between calls.  The exceptions
+    are the caches of compiled code that spray(kind) and the geodesic
+    integrator fill on first use: loading a manifold does not pay for
+    sprays, steps or chord probes that nothing integrates.
     """
 
     def __init__(self, doc):
@@ -432,6 +433,7 @@ class ManifoldDef:
             group: compile_many(roots) for group, roots in self.jet_roots.items()
         }
         self._sprays = {}
+        self._integrator = {}  # geodesic's fused steps and chord probe
 
         self._spd_spot_check()
 
@@ -453,6 +455,31 @@ class ManifoldDef:
             acc = _spray_roots(self._g, roots["dg"], roots["dsigma"], *_CONN_TERMS[kind])
             kernel = self._sprays[kind] = compile_many(roots["values"] + acc)
         return kernel
+
+    def _inline(self, kernel, args, prefix, outside):
+        """(lines, names): the chart test, then `kernel`, at the local floats args.
+
+        The lines run `outside` where the predicate is False, and assign
+        kernel's values to `names`.  Where a side or a value does not
+        evaluate or is not finite they raise ArithmeticError or ValueError,
+        and _values and kernel.get must decide: an `or` can hold where a
+        later side fails, and a test's sum can overflow over finite values.
+        """
+        def finite(names):
+            # get's test; literals are finite, and a repeat proves nothing
+            names = [a for a in dict.fromkeys(names) if a.isidentifier()]
+            if not names:
+                return []
+            return [f"if not _isfinite({' + '.join(names)}): raise ArithmeticError"]
+
+        lines = []
+        if self.domain._sides is not None:
+            body, sides = _emit(self.domain._sides.roots, args.__getitem__,
+                                prefix + "d", named=True)
+            lines += body + finite(sides)
+            lines.append(f"if not {_verdict(self.domain.tree, sides.__getitem__)}: {outside}")
+        body, outs = _emit(kernel.roots, args.__getitem__, prefix + "v", named=True)
+        return lines + body + finite(outs), outs
 
     def _spd_spot_check(self):
         pts = sample_domain(self, _SPD_CHECK_COUNT, seed=_SPD_CHECK_SEED)
@@ -705,6 +732,17 @@ class PointGeometry:
             x = tuple(self.x[bad[0]].tolist()) if self._lead else self.x
             raise OutOfDomainError(f"{self.M.name}: metric not SPD at {x}")
         return self.g
+
+    @cached_property
+    def exp_sigma(self):
+        """e^sigma, the conformal factor of gtilde; EvalDomainError where it overflows."""
+        with np.errstate(over="ignore"):
+            es = np.exp(self.sigma)
+        bad = np.flatnonzero(np.isinf(es))
+        if bad.size:
+            x = tuple(self.x[bad[0]].tolist()) if self._lead else self.x
+            raise EvalDomainError(Una("exp", self.M._sigma), "overflow", x)
+        return es
 
     @cached_property
     def g_inv(self):

@@ -418,6 +418,18 @@ def test_diagnostic_names_the_chart_coordinate(tmp_path, capsys):
     assert err == "divstat: division by zero in 'x2/abs(x2)' at (0.0, 0.5)\n"
 
 
+def test_check_where_the_conformal_factor_overflows(tmp_path, capsys):
+    # e^sigma overflows for x1 > 709.78/400, inside the sample box: exit 3
+    # naming the first such sample, not nan residuals and numpy warnings
+    doc = tmp_path / "steep.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, name="steep", domain="true",
+                                   sigma="400*x1", sample_box=[[1, 2], [-1, 1]])))
+    code, out, err = run_out(capsys, ["check", str(doc)])
+    assert code == 3 and out == ""
+    assert err == ("divstat: overflow in 'exp(400.0*x1)' at "
+                   "(1.8585979199113825, 0.3947360581187278)\n")
+
+
 def test_connect_converged_but_nabla_parameter_overflows(capsys):
     # the best gtilde path passes within about 0.078 of the puncture, where
     # e^{-2 sigma} = e^{4/r^2} overflows: the solve converged, but there

@@ -13,6 +13,7 @@ Closed-form oracles used here:
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from divstat.geodesic import (
     GeodesicPath,
     IntegratorOpts,
     _chord_ok,
+    _chord_probe,
     _DomainExit,
     _eval_pieces,
     _initial_step,
@@ -457,6 +459,7 @@ def test_scalar_chord_probe_matches_numpy(name, center, spread):
         x_b = x_a + 10.0 ** rng.uniform(-4.0, 0.5) * rng.standard_normal(2)
         want = _chord_ok_numpy(M, x_a, x_b)
         assert _chord_ok(M, x_a.tolist(), x_b.tolist()) == want, (x_a, x_b)
+        assert _chord_probe(M)(M, x_a.tolist(), x_b.tolist()) == want, (x_a, x_b)
         verdicts.append(want)
     assert 100 < sum(verdicts) < len(verdicts) - 100
 
@@ -586,6 +589,38 @@ def test_integrator_matches_scipy_rk45_at_walls_and_limits():
     got = _assert_same_run(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 10.0,
                            IntegratorOpts(max_steps=2), True)
     assert got[0] == "step-limit" and got[4]["accepted"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_integrator_counts_rhs_calls(name, monkeypatch):
+    # RK45 calls the RHS once for f0, once for its initial step and six
+    # times per step attempt, as the count in meta["integrator"] says
+    calls = []
+    factory = _rhs_factory
+
+    def counting(M, kind):
+        rhs = factory(M, kind)
+        return lambda y: calls.append(1) or rhs(y)
+
+    monkeypatch.setattr(sys.modules[__name__], "_rhs_factory", counting)
+    M = load_manifold(name)
+    rng = np.random.default_rng(95)
+    compared = 0
+    for kind in ConnKind:
+        x0 = sample_domain(M, 1, seed=96)[0]
+        v0 = rng.standard_normal(2)
+        v0 = 0.7 * v0 / np.linalg.norm(v0)
+        for t1 in (1.0, 4.0):
+            del calls[:]
+            want = _integrate_core_rk45(M, kind, x0, v0, t1, IntegratorOpts(), True)
+            if want[0] != "completed":
+                continue
+            counts = integrate_geodesic(M, kind, x0, v0, t1).meta["integrator"]
+            assert counts["accepted"] == want[4]
+            assert counts["rhs_calls"] == len(calls) == 2 + 6 * (
+                counts["accepted"] + counts["rejected"]), (name, kind, t1)
+            compared += 1
+    assert compared >= 6
 
 
 def test_initial_step_matches_scipy():

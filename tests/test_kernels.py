@@ -9,9 +9,11 @@ The batched forms (kernel.many, DomainPred.many, ManifoldDef.at_many)
 are checked row by row against the single-point ones.  The spray kernels
 (ManifoldDef.spray) are checked against -Gamma(v, v) from
 PointGeometry.gamma, and the compiled domain predicate against its tree
-walk.
+walk.  The integrator's fused steps, which inline the chart test and the
+spray, are checked bit for bit against the generic step on the RHS.
 """
 
+import builtins
 import gc
 import math
 
@@ -31,7 +33,14 @@ from divstat.exprcore import (
     compile_many,
     parse,
 )
-from divstat.geodesic import _DomainExit, _rhs_factory
+from divstat.geodesic import (
+    _chord_probe,
+    _DomainExit,
+    _dopri5,
+    _fused_step,
+    _rhs_factory,
+    integrate_geodesic,
+)
 from divstat.manifold import (
     BUILTINS,
     ConnKind,
@@ -498,3 +507,134 @@ def test_each_manifold_has_its_own_spray():
         assert np.abs(got - want).max() <= 1e-13 * scale, c
         del M
         gc.collect()
+
+
+def _step_outcome(step, rhs, y, f, h):
+    # the step's (y_new, f_new, err) as bit patterns, or the exit
+    try:
+        y_new, f_new, err = step(rhs, y, f, h, 1e-9, 1e-11)
+    except _DomainExit:
+        return "exit"
+    return [float.hex(a) for a in (*y_new, *f_new, err)]
+
+
+def _assert_fused_is_generic(M, kind, states, steps):
+    # the fused step against the generic one on the same RHS, and the
+    # number of states on which the fused step fell back to the RHS
+    rhs = _rhs_factory(M, kind)
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return rhs(y)
+
+    fused, generic = _fused_step(M, kind), _dopri5(2 * M.n)
+    fallbacks = 0
+    outcomes = set()
+    for y, f in states:
+        for h in steps:
+            got = _step_outcome(fused, counted, y, f, h)
+            want = _step_outcome(generic, rhs, y, f, h)
+            assert got == want, (M.name, kind, y, h)
+            outcomes.add(got == "exit")
+            fallbacks += bool(calls)
+            calls.clear()
+    return fallbacks, outcomes
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_fused_step_is_the_generic_step(name):
+    M = load_manifold(name)
+    rng = np.random.default_rng(17)
+    for kind in ConnKind:
+        rhs = _rhs_factory(M, kind)
+        states = []
+        for x in sample_domain(M, 12, seed=18):
+            y = [*x.tolist(), *(10.0 ** rng.uniform(-2, 1) * rng.standard_normal(2)).tolist()]
+            states.append((y, rhs(y)))
+        fallbacks, _ = _assert_fused_is_generic(M, kind, states, (1e-3, 0.05, 0.4, 2.0))
+        assert fallbacks == 0, (name, kind)
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("punctured-plane", _PUNCTURED_ROWS),
+    ("half-plane-exp", _HALF_PLANE_ROWS),
+])
+def test_fused_step_on_the_wall_rows(name, rows):
+    # steps from each wall row, inward and outward; the start's own RHS
+    # need not exist, so f is a fixed vector
+    M = load_manifold(name)
+    states = [([*x, *v], [*v, 0.5, -0.5]) for x in rows for v in ((0.3, -0.2), (-2.0, 3.0))]
+    for kind in ConnKind:
+        _, outcomes = _assert_fused_is_generic(M, kind, states, (1e-6, 0.01, 0.3))
+        assert outcomes == {True, False}, kind
+
+
+@pytest.mark.parametrize("domain", ["log(x1) < 5 or x2 > 0", "x2 > 0 or log(x1) < 5"])
+def test_fused_step_where_a_predicate_side_fails(domain):
+    # left of x1 = 0 the log side does not evaluate: the compiled sides
+    # fail, and the generic predicate's walk decides, raising where the
+    # failing side comes first and short-circuiting past it where x2 > 0
+    # comes first
+    M = load_manifold(dict(BUILTINS["euclidean"], name="cut", domain=domain))
+    states = [([x1, x2, -1.0, v2], [-1.0, v2, 0.0, 0.0])
+              for x1 in (0.05, -0.5) for x2 in (0.01, 1.0, -1.0) for v2 in (-1.0, 1.0)]
+    fallbacks, outcomes = _assert_fused_is_generic(M, ConnKind.LC_G, states, (0.02, 0.2))
+    assert fallbacks > 0 and outcomes == {True, False}
+
+
+def test_fused_step_where_the_spray_overflows():
+    # speeds where v^2 terms overflow, some where only the finiteness
+    # test's sum over finite values does
+    M = load_manifold("paraboloid")
+    rng = np.random.default_rng(19)
+    for kind in ConnKind:
+        states = []
+        for _ in range(40):
+            v = 10.0 ** rng.uniform(150.0, 156.0) * rng.standard_normal(2)
+            states.append(([0.3, -0.2, *v.tolist()], [*v.tolist(), 0.0, 0.0]))
+        fallbacks, outcomes = _assert_fused_is_generic(M, kind, states, (1e-300, 1e-160))
+        assert fallbacks > 0 and True in outcomes, kind
+
+
+def test_each_manifold_has_its_own_fused_code():
+    # as with the sprays: each manifold compiles its own steps and probe,
+    # keeps them, and a dropped manifold's code never serves the next one
+    y = [0.3, -0.4, 0.7, 0.2]
+    for c in (1.0, 2.0, 3.0, 4.0):
+        doc = dict(BUILTINS["paraboloid"], name=f"tilted-{c}", sigma=f"{c}*x1 - x2")
+        M = load_manifold(doc)
+        rhs = _rhs_factory(M, ConnKind.NABLA)
+        step = _fused_step(M, ConnKind.NABLA)
+        assert _fused_step(M, "nabla") is step and _chord_probe(M) is _chord_probe(M)
+        want = _step_outcome(_dopri5(4), rhs, y, rhs(y), 0.1)
+        assert _step_outcome(step, rhs, y, rhs(y), 0.1) == want, c
+        del M, rhs, step
+        gc.collect()
+
+
+def test_integrator_code_compiles_on_first_use_only(monkeypatch):
+    # loading and pointwise geometry compile no integrator code; the first
+    # integration of a kind compiles its spray and fused step, and the
+    # manifold's chord probe once; later integrations compile nothing
+    compiled = []
+    real = builtins.compile
+
+    def counting(src, filename, *args, **kwargs):
+        compiled.append(filename)
+        return real(src, filename, *args, **kwargs)
+
+    _dopri5(4)  # the generic step is shared by every manifold of the size
+    monkeypatch.setattr(builtins, "compile", counting)
+    M = load_manifold(dict(BUILTINS["punctured-plane"], name="fresh"))
+    loaded = len(compiled)
+    M.at((0.3, 0.4)).gamma(ConnKind.NABLA)
+    assert len(compiled) == loaded and not M._sprays and not M._integrator
+    for kind, new in ((ConnKind.NABLA, ["<kernel>", "<step fresh nabla>", "<probe fresh>"]),
+                      (ConnKind.LC_G, ["<kernel>", "<step fresh lc>"])):
+        del compiled[:]
+        integrate_geodesic(M, kind, (1.0, 0.5), (0.2, 0.1), 1.0)
+        assert compiled == new, kind
+        del compiled[:]
+        integrate_geodesic(M, kind, (0.5, 1.0), (0.1, -0.3), 1.0)
+        assert compiled == [], kind
