@@ -338,7 +338,9 @@ def run(argv):
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
     try:
-        return _DISPATCH[args.cmd](args)
+        # numpy overflows are numerical failures, not warnings beside nan
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _DISPATCH[args.cmd](args)
     except (DefinitionError, OutOfDomainError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         return _diag(exc, 2)
@@ -352,6 +354,8 @@ def run(argv):
         # ExprError here is a derived quantity that cannot be evaluated at
         # an in-chart point: the definition parsed, so it is numerical
         return _diag(exc, 3)
+    except FloatingPointError as exc:
+        return _diag(f"numerical failure: {exc}", 3)
 
 
 def main():

@@ -96,11 +96,12 @@ def _sectional_tilde(P, plane):
     if not np.all(ok):
         raise DegeneratePlaneError("vectors do not span a 2-plane")
     es = P.exp_sigma
-    gt = es[..., None, None] * g
+    # with gtilde = e^sigma g the ratio is num_g / (e^sigma den_g), which
+    # stays finite where e^{2 sigma} overflows
     Rt = P.riemann(ConnKind.LC_G_TILDE)
-    num = np.einsum("...lm,...mkij,...i,...j,...k,...l->...", gt, Rt, X, Y, Y, X)
-    den = _quad(X, gt, X) * _quad(Y, gt, Y) - _quad(X, gt, Y) ** 2
-    direct = num / den
+    num = np.einsum("...lm,...mkij,...i,...j,...k,...l->...", g, Rt, X, Y, Y, X)
+    den = _quad(X, g, X) * _quad(Y, g, Y) - _quad(X, g, Y) ** 2
+    direct = num / (es * den)
 
     S = _statistical_curvature(P)
     H = P.hess_sigma

@@ -2,6 +2,10 @@
 
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``,
 with ``^`` right-associative.  Functions: exp, log, sin, cos, sqrt, abs.
+Literals must be finite doubles.  A domain predicate (parse_pred) joins
+comparisons ``expr (< | <= | > | >=) expr``, or the word ``true``, by
+``and`` and ``or``, ``and`` binding tighter; parentheses belong to the
+expressions, and error offsets count in the whole predicate.
 Differentiation is exact and symbolic, and the trees themselves are only
 ever rewritten by constant folding.
 
@@ -36,6 +40,7 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "parse",
+    "parse_pred",
     "evaluate",
     "compile_many",
 ]
@@ -57,7 +62,6 @@ class ParseError(ExprError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
-        self.reason = message
 
 
 class EvalDomainError(ExprError):
@@ -630,9 +634,12 @@ def _tokenize(src):
                         j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"bad number {text!r}", i + 1) from None
+            if math.isinf(value):
+                # emitted code spells a literal by its repr, and inf is no name
+                raise ParseError("number out of range", i + 1)
             toks.append(_Token("num", text, i))
             i = j
             continue
@@ -643,7 +650,7 @@ def _tokenize(src):
             toks.append(_Token("ident", src[i:j], i))
             i = j
             continue
-        if c in "+-*/^()<>=&|!,":
+        if c in "+-*/^()<>=":
             toks.append(_Token("op", c, i))
             i += 1
             continue
@@ -653,6 +660,12 @@ def _tokenize(src):
 
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
+
+
+def _ends_term(tok):
+    # what may follow a predicate term: a joining word or the end (only an
+    # identifier's text is a word)
+    return tok.kind == "eof" or tok.text in ("and", "or")
 
 
 class _Parser:
@@ -679,6 +692,40 @@ class _Parser:
         if t.kind == "op" and t.text == text:
             return self.take()
         self.fail(f"expected {text!r}")
+
+    def whole(self, rule):
+        out = rule()
+        t = self.peek()
+        if t.kind != "eof":
+            self.fail(f"unexpected token {t.text!r}", t)
+        return out
+
+    def parse_pred(self, words=("or", "and")):
+        # `or`-terms of `and`-terms of comparisons, each list flattened
+        if not words:
+            return self.parse_cmp()
+        terms = [self.parse_pred(words[1:])]
+        while self.peek().text == words[0]:
+            self.take()
+            terms.append(self.parse_pred(words[1:]))
+        return terms[0] if len(terms) == 1 else (words[0], terms)
+
+    def parse_cmp(self):
+        first = self.peek()
+        if first.text == "true" and _ends_term(self.toks[self.k + 1]):
+            self.take()
+            return ("true",)
+        lhs = self.parse_expr()
+        t = self.take()
+        if t.kind == "op" and t.text in "<>":
+            op = t.text
+            if self.peek().text == "=" and self.peek().pos == t.pos + 1:
+                op += self.take().text
+            return ("cmp", op, lhs, self.parse_expr())
+        if _ends_term(t):
+            chunk = self.src[first.pos : t.pos].rstrip()
+            self.fail(f"domain predicate chunk {chunk!r} has no comparison", first)
+        self.fail(f"unexpected token {t.text!r}", t)
 
     def parse_expr(self):
         return self.parse_add()
@@ -749,8 +796,14 @@ class _Parser:
 def parse(src, coords):
     """Parse `src` over coordinate names `coords` into an Expr."""
     p = _Parser(src, coords)
-    e = p.parse_expr()
-    t = p.peek()
-    if t.kind != "eof":
-        p.fail(f"unexpected token {t.text!r}", t)
-    return e
+    return p.whole(p.parse_expr)
+
+
+def parse_pred(src, coords):
+    """Parse the domain predicate `src` over `coords` into a tuple tree.
+
+    A node is ``("true",)``, ``("cmp", op, lhs, rhs)`` with Expr sides, or
+    ``("or" | "and", [node, ...])`` with two or more children.
+    """
+    p = _Parser(src, coords)
+    return p.whole(p.parse_pred)

@@ -2,10 +2,10 @@
 
 A manifold is an open subset of R^n in a single chart: coordinate names, a
 boolean domain predicate, a symmetric matrix of metric expressions, and a
-scalar potential sigma.  Loading a definition builds the symbolic jets of
-g and sigma up to second order and compiles them into kernels, one per
-group a query can ask for alone: the values of g and sigma, dg, d2g,
-dsigma and d2sigma.
+scalar potential sigma, all parsed by exprcore.  Loading a definition
+builds the symbolic jets of g and sigma up to second order and compiles
+them into kernels, one per group a query can ask for alone: the values of
+g and sigma, dg, d2g, dsigma and d2sigma.
 
 ManifoldDef.at(x) checks the domain once and returns a PointGeometry,
 which evaluates those kernels and derives g^-1, the coefficients of the
@@ -43,7 +43,6 @@ from .exprcore import (
     Expr,
     ExprError,
     Num,
-    ParseError,
     Una,
     Var,
     _bin,
@@ -51,6 +50,7 @@ from .exprcore import (
     _una,
     compile_many,
     parse,
+    parse_pred,
 )
 
 __all__ = [
@@ -112,20 +112,17 @@ class OutOfDomainError(Exception):
 # domain predicates: comparisons joined by `and` / `or`
 
 
-_CMP_OPS = ("<=", ">=", "<", ">")
-
-
 class DomainPred:
     """Boolean predicate over chart coordinates.
 
-    Grammar: comparisons `expr (< | <= | > | >=) expr` joined by `and`/`or`
-    (`and` binds tighter).  Parentheses belong to the arithmetic expressions,
-    not the boolean layer.  The constant predicate is spelled `true`.
+    exprcore.parse_pred reads `src` into `tree`: comparisons
+    `expr (< | <= | > | >=) expr`, or the constant `true`, joined by
+    `and`/`or` (`and` binds tighter).
     """
 
     def __init__(self, src, coords):
         self.src = src
-        self.tree = _parse_pred(src, coords)
+        self.tree = parse_pred(src, coords)
         sides = _pred_sides(self.tree)
         self._sides = compile_many(sides) if sides else None
         self._decide = eval(f"lambda v: {_verdict(self.tree, 'v[{}]'.format)}")  # noqa: S307
@@ -160,63 +157,6 @@ class DomainPred:
 
     def __repr__(self):
         return f"DomainPred({self.src!r})"
-
-
-def _split_keyword(src, word, base):
-    """Top-level split on a keyword, returning chunks with global offsets."""
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    n = len(src)
-    w = len(word)
-    while i < n:
-        c = src[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif (
-            depth == 0
-            and src[i : i + w] == word
-            and (i == 0 or not (src[i - 1].isalnum() or src[i - 1] == "_"))
-            and (i + w == n or not (src[i + w].isalnum() or src[i + w] == "_"))
-        ):
-            parts.append((src[start:i], base + start))
-            start = i + w
-            i += w
-            continue
-        i += 1
-    parts.append((src[start:], base + start))
-    return parts
-
-
-def _parse_pred(src, coords, base=0):
-    ors = _split_keyword(src, "or", base)
-    if len(ors) > 1:
-        return ("or", [_parse_pred(s, coords, b) for s, b in ors])
-    ands = _split_keyword(src, "and", base)
-    if len(ands) > 1:
-        return ("and", [_parse_pred(s, coords, b) for s, b in ands])
-    chunk, off = src.strip(), base + (len(src) - len(src.lstrip()))
-    if chunk == "true":
-        return ("true",)
-    for op in _CMP_OPS:
-        k = chunk.find(op)
-        if k >= 0:
-            lhs = _parse_at(chunk[:k], coords, off)
-            rhs = _parse_at(chunk[k + len(op) :], coords, off + k + len(op))
-            return ("cmp", op, lhs, rhs)
-    raise ParseError(f"domain predicate chunk {chunk!r} has no comparison", off + 1)
-
-
-def _parse_at(src, coords, base):
-    # parse a slice of the predicate that starts at 0-based offset `base`,
-    # so an error offset counts from the start of the whole predicate
-    try:
-        return parse(src, coords)
-    except ParseError as err:
-        raise ParseError(err.reason, base + err.offset) from None
 
 
 def _eval_pred(tree, x):
@@ -487,7 +427,7 @@ class ManifoldDef:
             w = np.linalg.eigvalsh(self.at(x).g)
             if w.min() <= SPD_EIG_FLOOR:
                 raise DefinitionError(
-                    f"{self.name}: metric not SPD at {tuple(x)} (eigenvalues {w})"
+                    f"{self.name}: metric not SPD at {tuple(x.tolist())} (eigenvalues {w})"
                 )
 
     def _values(self, x):

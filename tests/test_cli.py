@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -428,6 +430,64 @@ def test_check_where_the_conformal_factor_overflows(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == ("divstat: overflow in 'exp(400.0*x1)' at "
                    "(1.8585979199113825, 0.3947360581187278)\n")
+
+
+def test_numpy_overflow_is_numerical_failure(tmp_path, capsys):
+    # sigma = -1e300: the volume form's e^{-(n+2) sigma/2} overflows, and
+    # e^sigma is 0; exit 3 with one line, not warnings and nan residuals
+    doc = tmp_path / "deep.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, domain="true", sigma="-(1e300)")))
+    code, out, err = run_out(capsys, ["check", str(doc), "--samples", "3"])
+    assert code == 3 and out == ""
+    assert err == "divstat: numerical failure: overflow encountered in exp\n"
+
+
+def test_literal_out_of_range_is_invalid_input(tmp_path, capsys):
+    # emitted code would spell 1e999 as inf, an undefined name
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, sigma="1e999*x1")))
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0.5,0.5"])
+    assert code == 2 and out == ""
+    assert err == "divstat: cut-plane: number out of range (offset 1)\n"
+
+
+# hostile definition documents: well-formed expressions over extreme
+# literals, and token soups, in one field of a valid document
+
+_ATOMS = st.sampled_from(["x1", "x2", "0", "2.5", "1e300", "1e-320", "1e999"])
+_EXPRS = st.recursive(_ATOMS, lambda e: st.one_of(
+    st.tuples(e, st.sampled_from("+-*/^"), e).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+    st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs", "-"]), e).map(
+        lambda t: f"{t[0]}({t[1]})"),
+), max_leaves=5)
+_SOUPS = st.lists(st.sampled_from([
+    "x1", "x2", "0", "1e999", "1e-320", "(", ")", "+", "*", "^", "exp", "<", ">",
+    "=", "and", "or", "true", "&", "|", "!", ",",
+]), min_size=1, max_size=8).map(" ".join)
+_CMPS = st.tuples(_EXPRS, st.sampled_from(["<", "<=", ">", ">="]), _EXPRS).map(" ".join)
+_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["domain", "sample_guard"]),
+              st.one_of(_CMPS, st.lists(_CMPS, min_size=2, max_size=3).map(" or ".join), _SOUPS)),
+    st.tuples(st.sampled_from(["sigma", "metric"]), st.one_of(_EXPRS, _SOUPS)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=_FIELDS)
+def test_hostile_documents_exit_cleanly(tmp_path, capsys, field):
+    key, text = field
+    value = [[text, "0"], ["0", "1"]] if key == "metric" else text
+    doc = tmp_path / "hostile.json"
+    doc.write_text(json.dumps({**CUT_PLANE, "domain": "true", key: value}))
+    for argv in (["describe", str(doc), "--at", "0.5,0.5"],
+                 ["check", str(doc), "--samples", "3"]):
+        code, out, err = run_out(capsys, argv)
+        assert code in (0, 1, 2, 3), (field, argv)
+        if code in (2, 3):
+            assert len(err.splitlines()) == 1 and err.startswith("divstat: "), (field, err)
+        else:
+            assert err == "", (field, argv, err)
 
 
 def test_connect_converged_but_nabla_parameter_overflows(capsys):

@@ -232,6 +232,18 @@ def test_sectional_tilde_agreement_and_oracles():
     assert direct == 0.0 and via == 0.0
 
 
+def test_sectional_tilde_where_the_square_of_the_weight_overflows():
+    # at (1.8, 0) e^sigma = e^360 is finite and e^{2 sigma} is not; in 2-D
+    # gtilde = e^sigma delta has Gauss curvature -e^{-sigma} laplace(sigma)/2,
+    # and laplace(sigma) = 2 here
+    steep = load_manifold(dict(BUILTINS["euclidean"], name="steep",
+                               sigma="200*x1 + x2^2", sample_box=[[1, 2], [-1, 1]]))
+    direct, via = sectional_tilde(steep, (1.8, 0.0), (np.array([1.0, 0.0]), np.array([0.3, 1.0])))
+    want = -math.exp(-360.0)
+    assert abs(direct / want - 1.0) < 1e-12
+    assert abs(via / want - 1.0) < 1e-12
+
+
 def test_sectional_tilde_rejects_degenerate_plane():
     para = load_manifold("paraboloid")
     with pytest.raises(DegeneratePlaneError):

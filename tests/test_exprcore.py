@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divstat.exprcore import (
     _FUNCTIONS,
@@ -21,6 +23,7 @@ from divstat.exprcore import (
     Var,
     evaluate,
     parse,
+    parse_pred,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -281,3 +284,94 @@ def test_readme_function_list_matches_parser():
         assert evaluate(parse(f"{name}(x1)", XY), (0.5, 0.0)) is not None
     with pytest.raises(ParseError, match="unknown function"):
         parse("tanh(x1)", XY)
+
+
+def test_literals_must_fit_a_double():
+    # emitted code spells a literal by its repr, so an infinite one is
+    # refused where it stands; a subnormal one reads back exactly
+    for src, offset in [("x1 + 1e999", 6), ("2*x1^1E+400", 6)]:
+        with pytest.raises(ParseError) as ei:
+            parse(src, XY)
+        assert str(ei.value) == f"number out of range (offset {offset})"
+    with pytest.raises(ParseError, match=r"^number out of range \(offset 11\)$"):
+        parse_pred("x1 > 0 or 1e999 < x2", XY)
+    assert evaluate(parse("1e-320*x1", XY), (2.0, 0.0)) == 2.0 * 1e-320
+
+
+# domain predicates: trees printed with random whitespace parse back to
+# themselves, and any string of the predicate alphabet raises ParseError at
+# an offset inside it (or one past its end)
+
+_SIDES = ["x1", "-x2", "x1^2 + x2^2", "1/(x1 - 3)", "2*log(x2)", "0.49", "1e-320", "(x1)"]
+_TERMS = st.one_of(
+    st.just(("true",)),
+    st.tuples(st.just("cmp"), st.sampled_from(["<", "<=", ">", ">="]),
+              st.sampled_from(_SIDES), st.sampled_from(_SIDES)),
+)
+_ANDS = st.one_of(_TERMS, st.lists(_TERMS, min_size=2, max_size=3).map(lambda ts: ("and", ts)))
+_PREDS = st.one_of(_ANDS, st.lists(_ANDS, min_size=2, max_size=3).map(lambda ts: ("or", ts)))
+
+
+def _print_pred(tree, ws):
+    # ws(k) draws whitespace of at least k characters
+    if tree[0] == "true":
+        return "true"
+    if tree[0] == "cmp":
+        return f"{tree[2]}{ws(0)}{tree[1]}{ws(0)}{tree[3]}"
+    return f"{ws(1)}{tree[0]}{ws(1)}".join(_print_pred(t, ws) for t in tree[1])
+
+
+def _parsed_sides(tree):
+    if tree[0] == "cmp":
+        return ("cmp", tree[1], parse(tree[2], XY), parse(tree[3], XY))
+    if tree[0] == "true":
+        return tree
+    return (tree[0], [_parsed_sides(t) for t in tree[1]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tree=_PREDS, data=st.data())
+def test_printed_predicates_parse_to_their_trees(tree, data):
+    def ws(k):
+        return data.draw(st.text(" \t\n", min_size=k, max_size=k + 2))
+
+    src = ws(0) + _print_pred(tree, ws) + ws(0)
+    assert parse_pred(src, XY) == _parsed_sides(tree), src
+
+
+_SOUP = st.lists(st.sampled_from([
+    "x1", "x2", "0", "2.5", "1e999", "1e-320", "1.2.3", ".", "(", ")", "<", ">", "=",
+    "<=", ">=", "and", "or", "true", "+", "-", "*", "/", "^", "&", "|", "!", ",",
+    "log", "foo", " ", "",
+]), max_size=12)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(parts=_SOUP, sep=st.sampled_from(["", " "]))
+def test_predicate_soups_raise_only_parse_errors(parts, sep):
+    src = sep.join(parts)
+    for rule in (parse_pred, parse):
+        try:
+            rule(src, XY)
+        except ParseError as err:
+            assert 1 <= err.offset <= len(src) + 1, (src, str(err))
+
+
+@pytest.mark.parametrize("src, msg", [
+    ("x1 & x2 > 0", "unexpected character '&' (offset 4)"),
+    ("x1 != 0", "unexpected character '!' (offset 4)"),
+    ("x1 > 0, x2 > 0", "unexpected character ',' (offset 7)"),
+    ("x1 + > 2", "unexpected token '>' (offset 6)"),
+    ("x1 = 0", "unexpected token '=' (offset 4)"),
+    ("x1 < = 2", "unexpected token '=' (offset 6)"),
+    ("x1 < 2 >= 3", "unexpected token '>' (offset 8)"),
+    ("x1 > 0 and", "unexpected end of input (offset 11)"),
+    ("or x1 > 0", "unknown identifier 'or' (offset 1)"),
+    ("(x1 > 0)", "expected ')' (offset 5)"),
+    ("true > 0", "unknown identifier 'true' (offset 1)"),
+    ("", "unexpected end of input (offset 1)"),
+])
+def test_predicate_parse_errors(src, msg):
+    with pytest.raises(ParseError) as ei:
+        parse_pred(src, XY)
+    assert str(ei.value) == msg
