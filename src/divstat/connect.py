@@ -5,7 +5,11 @@ value problem: gtilde = e^{sigma} g has the same geodesic images, its
 geodesics have conserved speed, and the parameter map back to nabla is a
 plain quadrature.  So the solver shoots gtilde-geodesics from p with a
 damped Gauss-Newton iteration on the endpoint defect and reparametrizes
-the winner.  The canonical contrast rho(p, q) = e^{-sigma(p)} dtilde^2
+the winner.  Each Gauss-Newton Jacobian is a forward difference taken on
+the base path's own accepted steps (geodesic._replay: Bock's internal
+numerical differentiation), so a column runs no step controller and
+differences the same discrete map as the defect it corrects.  The
+canonical contrast rho(p, q) = e^{-sigma(p)} dtilde^2
 comes from the shortest connecting geodesic found; differentiating it on
 the diagonal recovers g and the nabla connection, which
 contrast_structure_check verifies by finite differences.
@@ -27,6 +31,7 @@ from .geodesic import (
     GeodesicPath,
     IntegratorOpts,
     _integrate_core,
+    _replay,
     integrate_geodesic,
     reparam_from_tilde,
 )
@@ -92,6 +97,24 @@ class ConnectResult:
     solutions: list = field(default_factory=list)
 
 
+def _jacobian(M, p, q, v, r, steps):
+    # d exptilde_p / dv at v by forward differences, each column replayed
+    # on the base path's own accepted steps, so that it differences one
+    # discrete map: r is the base path's miss, which the replay of v
+    # reproduces bit for bit.  None where a column leaves the chart
+    n = len(p)
+    delta = 1e-6 * max(np.linalg.norm(v), 1e-8)
+    J = np.empty((n, n))
+    for c in range(n):
+        vp = v.copy()
+        vp[c] += delta
+        y = _replay(M, ConnKind.LC_G_TILDE, p, vp, steps)
+        if y is None:
+            return None
+        J[:, c] = (y[:n] - q - r) / delta
+    return J
+
+
 def _gauss_newton(M, p, q, v0, target):
     # damped Gauss-Newton on r(v) = exptilde_p(v) - q
     n = len(p)
@@ -103,14 +126,16 @@ def _gauss_newton(M, p, q, v0, target):
     escape = 50.0 * (1.0 + max(np.abs(p).max(), np.abs(q).max()))
 
     def defect(vv, io):
-        # the endpoint's miss, or None where the trial path did not complete
+        # the endpoint's miss and the path's accepted step sizes, or
+        # (None, steps) where the trial path did not complete
+        steps = []
         status, _, y_end, _, _ = _integrate_core(
-            M, ConnKind.LC_G_TILDE, p, vv, 1.0, io, False, escape=escape
+            M, ConnKind.LC_G_TILDE, p, vv, 1.0, io, False, escape=escape, steps=steps
         )
-        return y_end[:n] - q if status == "completed" else None
+        return (y_end[:n] - q if status == "completed" else None), steps
 
     tier, io = 0, _SCOUT
-    r = defect(v, io)
+    r, steps = defect(v, io)
     if r is None:
         return False, v, np.inf
     err = float(np.linalg.norm(r))
@@ -124,30 +149,24 @@ def _gauss_newton(M, p, q, v0, target):
         while err < _TIERS[tier][1]:
             tier += 1
             io = _TIERS[tier][0]
-            r = defect(v, io)
+            r, steps = defect(v, io)
             if r is None:
                 return False, v, err
             err = float(np.linalg.norm(r))
         if err <= target and io is _FINE:
             return True, v, err
-        delta = 1e-6 * max(np.linalg.norm(v), 1e-8)
-        J = np.empty((n, n))
-        for c in range(n):
-            vp = v.copy()
-            vp[c] += delta
-            rc = defect(vp, io)
-            if rc is None:
-                return False, v, err
-            J[:, c] = (rc - r) / delta
+        J = _jacobian(M, p, q, v, r, steps)
+        if J is None:
+            return False, v, err
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         for halvings in range(12):
             vn = v + 0.5**halvings * step
-            rn = defect(vn, io)
+            rn, sn = defect(vn, io)
             if rn is not None and np.linalg.norm(rn) < err:
-                v, r, err = vn, rn, float(np.linalg.norm(rn))
+                v, r, steps, err = vn, rn, sn, float(np.linalg.norm(rn))
                 break
         else:
             return False, v, err

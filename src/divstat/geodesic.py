@@ -22,9 +22,18 @@ on the right-hand side (one predicate call and one spray call) or
 _chord_ok decides, with the same result.  A point where the predicate
 fails, or where g, sigma or the acceleration is not finite, counts as
 outside the chart: the step is halved, down to the exit bisection window.
+_replay takes the accepted step sizes an integration recorded through
+the same steps again, with no step control, from any start: from the
+integration's own start it gives its endpoint bit for bit, which makes
+it the shooting Jacobian's column integrator.
+
 The parameter change, the refinement of the samples by sigma and
 geodesic_residual read the geometry of all a path's samples in one
-batched call (ManifoldDef.at_many).  Batched jets come from numpy's
+batched call.  The refinement's rounds evaluate the dense output's
+positions only, and the inserted samples' velocities in one pass at the
+end.  The parameter change checks its weight e^{+-2 sigma} first and
+takes Gamma(v, v) from the connection's spray kernel (spray(kind).many),
+never building the connection tensors.  Batched jets come from numpy's
 ufuncs, whose exp and power round differently from math's on a few
 percent of inputs, so their results can differ from a sample-by-sample
 evaluation in the last bits.
@@ -356,13 +365,14 @@ def _advance(step, rhs, t, y, f, h_abs, cap, t1, rtol, atol, counts):
     return None
 
 
-def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None):
+def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None):
     """Integrate the geodesic from (x0, v0) over [0, t1].
 
     Returns (status, t_end, y_end, segs, counts): the status, the last
     accepted parameter and state (x, v), the accepted steps as
     (t, t_new, y, y_new, f, f_new) when collect is set, and the counts of
-    GeodesicPath.meta["integrator"].
+    GeodesicPath.meta["integrator"].  Where steps is a list, the size of
+    each accepted step is appended to it, for _replay.
     """
     x0 = np.array(_require(M, x0), dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -425,6 +435,8 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None):
         counts["accepted"] += 1
         if collect:
             segs.append((t, t_new, y, y_new, f, f_new))
+        if steps is not None:
+            steps.append(t_new - t)
         t, y, f, h_abs = t_new, y_new, f_new, h_next
         if escape is not None and max(map(abs, y[:n])) > escape:
             status = "escaped"
@@ -432,12 +444,51 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None):
     return status, t, np.array(y), segs, counts
 
 
-def _eval_pieces(segs, ts, n):
+def _replay(M, kind, x0, v0, steps):
+    """The state (x, v) after the step sizes `steps` from (x0, v0), or None.
+
+    The accepted steps of an _integrate_core run, taken again with the
+    same fused step and chord probe but no step control: no initial step,
+    no error test, no rejected attempt.  From the run's own start the
+    state is the run's endpoint, bit for bit; from a nearby start it is
+    the same discrete map's value, which is what a forward difference of
+    the endpoint needs (internal numerical differentiation: Bock 1981;
+    Hairer, Norsett & Wanner, Solving ODEs I, II.4).  None where a stage
+    or a chord leaves the chart.
+    """
+    n = M.n
+    rhs = _rhs_factory(M, kind)
+    step = _fused_step(M, kind)
+    probe = _chord_probe(M)
+    y = [*map(float, x0), *map(float, v0)]
+    try:
+        f = rhs(y)
+        for h in steps:
+            # the error estimate is not read; unit tolerances keep it finite
+            y_new, f, _ = step(rhs, y, f, h, 1.0, 1.0)
+            if not probe(M, y[:n], y_new[:n]):
+                return None
+            y = y_new
+    except _DomainExit:
+        return None
+    return np.array(y)
+
+
+def _stack(segs):
+    # the accepted steps of _integrate_core as arrays (t0, t1, y0, y1, f0,
+    # f1), one row per step: what _eval_pieces reads
+    return tuple(map(np.array, zip(*segs)))
+
+
+def _eval_pieces(pieces, ts, n, velocities=True):
     # quintic Hermite from (x, v, a) at both ends of the step that holds
     # each query time, all times at once; the stored RHS values make the
-    # interpolant match the accelerations the solver actually saw
-    t0, t1, y0, y1, f0, f1 = map(np.array, zip(*segs))
-    k = np.minimum(np.searchsorted(t1, ts, side="left"), len(segs) - 1)
+    # interpolant match the accelerations the solver actually saw.
+    # pieces is _stack's; returns (xs, vs), vs None unless velocities is
+    # set.  Each time's row is computed alone, so any subset of the times
+    # gives the same rows bit for bit
+    t0, t1, y0, y1, f0, f1 = pieces
+    k = np.minimum(np.searchsorted(t1, ts, side="left"), len(t1) - 1)
     h = (t1 - t0)[k]
     u = (np.asarray(ts, dtype=float) - t0[k]) / h
     w = 1.0 - u
@@ -454,6 +505,13 @@ def _eval_pieces(segs, ts, n):
         -u3 * w * (4.0 - 3.0 * u),
         0.5 * u3 * w2,
     )
+    h = h[:, None]
+    y0, y1, f0, f1 = y0[k], y1[k], f0[k], f1[k]
+    D = (y0[:, :n], h * y0[:, n:], h * h * f0[:, n:],
+         y1[:, :n], h * y1[:, n:], h * h * f1[:, n:])
+    xs = sum(c[:, None] * d for c, d in zip(H, D))
+    if not velocities:
+        return xs, None
     Hp = (
         -30.0 * u2 * w2,
         w2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
@@ -462,11 +520,6 @@ def _eval_pieces(segs, ts, n):
         -u2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
         0.5 * u2 * w * (3.0 - 5.0 * u),
     )
-    h = h[:, None]
-    y0, y1, f0, f1 = y0[k], y1[k], f0[k], f1[k]
-    D = (y0[:, :n], h * y0[:, n:], h * h * f0[:, n:],
-         y1[:, :n], h * y1[:, n:], h * h * f1[:, n:])
-    xs = sum(c[:, None] * d for c, d in zip(H, D))
     vs = sum(c[:, None] * d for c, d in zip(Hp, D)) / h
     return xs, vs
 
@@ -475,25 +528,33 @@ SIGMA_STEP = 0.05
 DENSE_CAP = 8192
 
 
-def _refine_by_sigma(M, segs, ts, xs, vs):
+def _refine_by_sigma(M, pieces, ts, xs, vs):
     # subdivide dense-output intervals until the conformal weight e^{2 sigma}
     # changes slowly across each one; reparametrization quadrature needs the
     # weight resolved along the path, not just the positions.  sigma is NaN
-    # outside the chart, so no gap there counts as too large
+    # outside the chart, so no gap there counts as too large.  The rounds
+    # read positions only; the inserted samples' velocities come at the end
+    # in one pass, the same rows _eval_pieces gives for each round's times
     n = xs.shape[1]
     sig = M._values_many(xs)[:, -1]
+    new = np.zeros(len(ts), dtype=bool)
     for _ in range(16):
         gaps = np.abs(np.diff(2.0 * sig))
         bad = np.flatnonzero(gaps > SIGMA_STEP)
         if bad.size == 0 or len(ts) + bad.size > DENSE_CAP:
             break
         mid = 0.5 * (ts[bad] + ts[bad + 1])
-        xm, vm = _eval_pieces(segs, mid, n)
+        xm, _ = _eval_pieces(pieces, mid, n, velocities=False)
         pos = bad + 1
         ts = np.insert(ts, pos, mid)
         xs = np.insert(xs, pos, xm, axis=0)
-        vs = np.insert(vs, pos, vm, axis=0)
+        new = np.insert(new, pos, True)
         sig = np.insert(sig, pos, M._values_many(xm)[:, -1])
+    if new.any():
+        vs_all = np.empty_like(xs)
+        vs_all[~new] = vs
+        vs_all[new] = _eval_pieces(pieces, ts[new], n)[1]
+        vs = vs_all
     return ts, xs, vs
 
 
@@ -516,12 +577,13 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
         xs = y_end[:n].reshape(1, n).copy()
         vs = y_end[n:].reshape(1, n).copy()
     else:
+        pieces = _stack(segs)
         ts = np.linspace(0.0, t_end, opts.dense_samples)
-        xs, vs = _eval_pieces(segs, ts, n)
+        xs, vs = _eval_pieces(pieces, ts, n)
         xs[0], vs[0] = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
         xs[-1], vs[-1] = y_end[:n], y_end[n:]
         if status == "completed":
-            ts, xs, vs = _refine_by_sigma(M, segs, ts, xs, vs)
+            ts, xs, vs = _refine_by_sigma(M, pieces, ts, xs, vs)
     if status == "exited-domain":
         keep = len(ts)
         while keep > 1 and not in_domain(M, xs[keep - 1]):
@@ -548,6 +610,10 @@ def exp_map(M, kind, p, v, opts=None):
     return y_end[:M.n].copy()
 
 
+_DIVERGES = ("parameter transform diverges: the conformal weight overflows "
+             "or underflows along the path")
+
+
 def _reparam(M, path, sign, out_kind, in_kind):
     if ConnKind(path.kind) is not in_kind:
         raise ValueError(f"expected a {in_kind.value} path, got {path.kind}")
@@ -561,23 +627,23 @@ def _reparam(M, path, sign, out_kind, in_kind):
     # parameter derivatives of F = e^{sign * sigma} along the path come for
     # free from the chain rule plus the geodesic equation, so the new
     # parameter integrates by two-point quintic Hermite quadrature: local,
-    # insensitive to grid spacing, per-interval error O(h^7)
+    # insensitive to grid spacing, per-interval error O(h^7).  The weight
+    # is checked before any derivative is evaluated, and the acceleration
+    # is the integrator's own spray kernel
     P = M.at_many(xs)
+    with np.errstate(over="ignore"):
+        F = np.exp(sign * P.sigma)
+    if not (np.all(np.isfinite(F)) and np.all(F > 0.0)):
+        raise GeodesicError(_DIVERGES)
+    acc = M.spray(in_kind).many(np.hstack([xs, vs]))[:, -M.n:]
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = -np.einsum("nkij,ni,nj->nk", P.gamma(in_kind), vs, vs)
         lp = sign * np.einsum("ni,ni->n", P.dsigma, vs)
         lpp = sign * (np.einsum("ni,nij,nj->n", vs, P.d2sigma, vs)
                       + np.einsum("ni,ni->n", P.dsigma, acc))
-        F = np.exp(sign * P.sigma)
         Fp = lp * F
         Fpp = (lpp + lp * lp) * F
-    usable = np.all(np.isfinite(F)) and np.all(F > 0.0)
-    usable = usable and np.all(np.isfinite(Fp)) and np.all(np.isfinite(Fpp))
-    if not usable:
-        raise GeodesicError(
-            "parameter transform diverges: the conformal weight overflows "
-            "or underflows along the path"
-        )
+    if not (np.all(np.isfinite(Fp)) and np.all(np.isfinite(Fpp))):
+        raise GeodesicError(_DIVERGES)
     h = np.diff(ts)
     seg = (0.5 * h * (F[:-1] + F[1:])
            + 0.1 * h * h * (Fp[:-1] - Fp[1:])

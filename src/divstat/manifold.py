@@ -303,24 +303,28 @@ class ManifoldDef:
         self.coords = coords
         self.domain_src = domain_src
 
-        try:
-            self.domain = DomainPred(self.domain_src, coords)
-            self._sigma = (
-                sigma_src if isinstance(sigma_src, Expr) else parse(sigma_src, coords)
-            )
-            rows = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    e = parse(metric_src[i][j], coords)
-                    if parse(metric_src[j][i], coords) != e:
-                        raise DefinitionError(
-                            f"metric not syntactically symmetric at ({i},{j})"
-                        )
-                    # one shared node per unordered pair keeps evaluated
-                    # matrices exactly symmetric
-                    rows[i][j] = rows[j][i] = e
-        except ExprError as err:
-            raise DefinitionError(f"{name}: {err}") from None
+        def parsed(key, read, src):
+            # read(src, coords); a parse error names the field it is in
+            try:
+                return read(src, coords)
+            except ExprError as err:
+                raise DefinitionError(f"{name}: {key}: {err}") from None
+
+        self.domain = parsed("domain", DomainPred, self.domain_src)
+        self._sigma = (
+            sigma_src if isinstance(sigma_src, Expr) else parsed("sigma", parse, sigma_src)
+        )
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                e = parsed(f"metric[{i}][{j}]", parse, metric_src[i][j])
+                if parsed(f"metric[{j}][{i}]", parse, metric_src[j][i]) != e:
+                    raise DefinitionError(
+                        f"metric not syntactically symmetric at ({i},{j})"
+                    )
+                # one shared node per unordered pair keeps evaluated
+                # matrices exactly symmetric
+                rows[i][j] = rows[j][i] = e
         self._g = rows
 
         box = doc.get("sample_box")
@@ -331,12 +335,9 @@ class ManifoldDef:
         if box is None or box.shape != (n, 2):
             raise DefinitionError(f"sample_box must be {n} pairs of numbers")
         self.sample_box = box
-        try:
-            self.sample_guard = (
-                DomainPred(guard_src, coords) if guard_src is not None else None
-            )
-        except ExprError as err:
-            raise DefinitionError(f"{name}: sample_guard: {err}") from None
+        self.sample_guard = (
+            parsed("sample_guard", DomainPred, guard_src) if guard_src is not None else None
+        )
 
         # normalized source document, kept so derived manifolds (conjugate)
         # can be rebuilt through the same validation path

@@ -23,6 +23,8 @@ import importlib
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -43,6 +45,7 @@ from divstat.cli import run
 from divstat.manifold import load_manifold
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 CUT_PLANE = {
     "name": "cut-plane",
@@ -448,7 +451,21 @@ def test_literal_out_of_range_is_invalid_input(tmp_path, capsys):
     doc.write_text(json.dumps(dict(CUT_PLANE, sigma="1e999*x1")))
     code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0.5,0.5"])
     assert code == 2 and out == ""
-    assert err == "divstat: cut-plane: number out of range (offset 1)\n"
+    assert err == "divstat: cut-plane: sigma: number out of range (offset 1)\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma", "1e999*x1", "sigma: number out of range (offset 1)"),
+    ("metric", [["1", "0"], ["0", "x2 +"]], "metric[1][1]: unexpected end of input (offset 5)"),
+    ("metric", [["1", "foo"], ["foo", "1"]], "metric[0][1]: unknown identifier 'foo' (offset 1)"),
+    ("domain", "x1 < 2 and x2", "domain: domain predicate chunk 'x2' has no comparison (offset 12)"),
+])
+def test_parse_errors_name_their_field(tmp_path, capsys, field, value, message):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, **{field: value})))
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0.5,0.5"])
+    assert code == 2 and out == ""
+    assert err == f"divstat: cut-plane: {message}\n"
 
 
 # hostile definition documents: well-formed expressions over extreme
@@ -623,3 +640,39 @@ def test_installed_console_script():
 def test_cut_plane_doc_loads():
     M = load_manifold(CUT_PLANE)
     assert M.name == "cut-plane" and M.n == 2
+
+
+# the README's examples print what the code prints
+
+def _readme_blocks():
+    # the bodies of the README's fenced code blocks, in order
+    return re.findall(r"```\w*\n(.*?)```", README.read_text(), re.S)
+
+
+@pytest.mark.parametrize("command", ["contrast", "hadamard"])
+def test_readme_shell_examples_print_what_the_code_prints(capsys, command):
+    block = next(b for b in _readme_blocks() if b.startswith(f"$ divstat {command} "))
+    line, _, want = block.partition("\n")
+    code, out, err = run_out(capsys, shlex.split(line)[2:])
+    assert code == 0 and err == ""
+    assert out == want
+
+
+def test_readme_connect_example_prints_what_the_code_prints(capsys):
+    blocks = _readme_blocks()
+    i = next(i for i, b in enumerate(blocks) if b.startswith("divstat connect "))
+    code, out, err = run_out(capsys, shlex.split(blocks[i])[1:])
+    assert code == 0 and err == ""
+    got = json.loads(out)
+    assert got.pop("samples")
+    # the example elides the samples
+    want = json.loads(re.sub(r',\s*"samples": \[ \.\.\. \]', "", blocks[i + 1]))
+    assert list(got.items()) == list(want.items())
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    block = next(b for b in _readme_blocks() if b.startswith("from divstat."))
+    exec(block, {})  # noqa: S102 - the README's own example
+    comments = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(") and "# " in line]
+    assert capsys.readouterr().out.splitlines() == comments

@@ -22,10 +22,14 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from divstat.connect import (
+    _COARSE,
+    _FINE,
+    _SCOUT,
     ConnectResult,
     NoConvergenceError,
     ShootOpts,
     _halton,
+    _jacobian,
     _start_velocities,
     contrast,
     contrast_structure_check,
@@ -33,8 +37,8 @@ from divstat.connect import (
     distance_tilde,
     shoot_connect,
 )
-from divstat.geodesic import geodesic_residual
-from divstat.manifold import load_manifold, metric_at, sigma_at
+from divstat.geodesic import _integrate_core, geodesic_residual
+from divstat.manifold import BUILTINS, load_manifold, metric_at, sigma_at
 from divstat.statstruct import ConnKind, conjugate
 
 
@@ -100,6 +104,34 @@ def test_punctured_antipodal_fails_same_side_works():
     t = (res2.nabla_path.xs - p) @ (q - p) / np.dot(q - p, q - p)
     offsets = res2.nabla_path.xs - (p + t[:, None] * (q - p))
     assert np.abs(offsets).max() < 1e-6
+
+
+@pytest.mark.parametrize("opts", [_SCOUT, _COARSE, _FINE])
+def test_replayed_jacobian_on_the_punctured_plane_is_the_identity(opts):
+    # e^sigma g is the Euclidean metric of the chart, so exptilde_p(v) is
+    # p + v and its derivative the identity; the columns replay the base
+    # path's steps, from starts that pass the puncture at 0.62 and 0.3
+    m = load_manifold("punctured-plane")
+    p, q = np.array([1.0, 0.0]), np.array([0.2, 1.0])
+    for v in (np.array([-0.7, 0.9]), np.array([-2.0, 0.6])):
+        steps = []
+        status, _, y_end, _, _ = _integrate_core(
+            m, ConnKind.LC_G_TILDE, p, v, 1.0, opts, False, steps=steps)
+        assert status == "completed" and steps
+        J = _jacobian(m, p, q, v, y_end[:2] - q, steps)
+        assert np.abs(J - np.eye(2)).max() <= 1e-8, (v, J)
+
+
+def test_jacobian_column_that_leaves_the_chart_is_none():
+    # a straight line that ends 1e-9 short of the wall x2 = 1: the column
+    # that speeds it up crosses the wall
+    m = load_manifold(dict(BUILTINS["euclidean"], name="below-one", domain="x2 < 1"))
+    p, v = np.zeros(2), np.array([0.0, 1.0 - 1e-9])
+    steps = []
+    status, _, y_end, _, _ = _integrate_core(
+        m, ConnKind.LC_G_TILDE, p, v, 1.0, _SCOUT, False, steps=steps)
+    assert status == "completed"
+    assert _jacobian(m, p, np.array([0.0, 0.5]), v, y_end[:2] - [0.0, 0.5], steps) is None
 
 
 def test_contrast_values():

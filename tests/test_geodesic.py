@@ -24,7 +24,9 @@ from scipy.optimize import brentq
 
 from divstat.exprcore import EvalDomainError
 from divstat.geodesic import (
+    DENSE_CAP,
     EXIT_BISECT_TOL,
+    SIGMA_STEP,
     ExitedDomainError,
     GeodesicError,
     GeodesicPath,
@@ -35,7 +37,10 @@ from divstat.geodesic import (
     _eval_pieces,
     _initial_step,
     _integrate_core,
+    _refine_by_sigma,
+    _replay,
     _rhs_factory,
+    _stack,
     exp_map,
     geodesic_residual,
     integrate_geodesic,
@@ -425,10 +430,119 @@ def test_dense_output_matches_per_segment_hermite(name):
             rng.uniform(0.0, t_end, 200),
             [seg[1] for seg in segs],
         ]))
-        xs, vs = _eval_pieces(segs, ts, 2)
+        xs, vs = _eval_pieces(_stack(segs), ts, 2)
         xr, vr = _eval_pieces_per_segment(segs, ts, 2)
         assert np.abs(xs - xr).max() <= 1e-13 * np.abs(xr).max(), (name, kind)
         assert np.abs(vs - vr).max() <= 1e-13 * np.abs(vr).max(), (name, kind)
+
+
+def _refine_per_round(M, segs, ts, xs, vs):
+    """The refinement by sigma, one round at a time: the reference.
+
+    Each round bisects every gap where 2 sigma moves by more than
+    SIGMA_STEP and evaluates the dense output, positions and velocities,
+    at the new times.  Returns (ts, xs, vs, capped), capped telling
+    whether DENSE_CAP, not a resolved weight, ended the rounds.
+    """
+    pieces = _stack(segs)
+    sig = M._values_many(xs)[:, -1]
+    for _ in range(16):
+        bad = np.flatnonzero(np.abs(np.diff(2.0 * sig)) > SIGMA_STEP)
+        if bad.size == 0 or len(ts) + bad.size > DENSE_CAP:
+            return ts, xs, vs, bad.size > 0
+        mid = 0.5 * (ts[bad] + ts[bad + 1])
+        xm, vm = _eval_pieces(pieces, mid, xs.shape[1])
+        ts = np.insert(ts, bad + 1, mid)
+        xs = np.insert(xs, bad + 1, xm, axis=0)
+        vs = np.insert(vs, bad + 1, vm, axis=0)
+        sig = np.insert(sig, bad + 1, M._values_many(xm)[:, -1])
+    return ts, xs, vs, False
+
+
+@pytest.mark.parametrize("name, kind, x0, v0, capped", [
+    # gtilde-straight lines past the puncture: at 0.4 and 0.2 the weight is
+    # resolved within the cap, closer in DENSE_CAP ends the rounds
+    ("punctured-plane", ConnKind.LC_G_TILDE, (1.0, 0.4), (-2.0, 0.0), False),
+    ("punctured-plane", ConnKind.LC_G_TILDE, (1.0, 0.2), (-2.0, 0.0), False),
+    ("punctured-plane", ConnKind.LC_G_TILDE, (1.0, 0.1), (-2.0, 0.0), True),
+    ("punctured-plane", ConnKind.LC_G_TILDE, (1.0, 0.06), (-2.0, 0.0), True),
+    ("punctured-plane", ConnKind.NABLA, (0.3, 0.9), (0.4, -1.5), False),
+    ("half-plane-exp", ConnKind.NABLA, (0.2920, 6.6583), (165.1962, 159.1254), False),
+    ("paraboloid", ConnKind.LC_G, (0.3, -0.2), (4.0, 1.0), False),
+])
+def test_refine_by_sigma_matches_the_per_round_reference(name, kind, x0, v0, capped):
+    M = load_manifold(name)
+    opts = IntegratorOpts()
+    status, t_end, y_end, segs, _ = _integrate_core(M, kind, x0, v0, 1.0, opts, True)
+    assert status == "completed"
+    ts = np.linspace(0.0, t_end, opts.dense_samples)
+    xs, vs = _eval_pieces(_stack(segs), ts, 2)
+    xs[0], vs[0] = x0, v0
+    xs[-1], vs[-1] = y_end[:2], y_end[2:]
+    want = _refine_per_round(M, segs, ts, xs, vs)
+    assert want[3] == capped and len(want[0]) > len(ts)
+    got = _refine_by_sigma(M, _stack(segs), ts, xs, vs)
+    path = integrate_geodesic(M, kind, x0, v0, 1.0, opts)
+    for a, b, c in zip(want[:3], got, (path.ts, path.xs, path.vs)):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_replay_of_the_recorded_steps_is_the_endpoint(name):
+    # the step sizes an integration records, taken again from its start,
+    # give its endpoint bit for bit: also where steps were rejected,
+    # rewound by the chord probe or capped by t1 / 48
+    M = load_manifold(name)
+    rng = np.random.default_rng(94)
+    runs = 0
+    for kind in ConnKind:
+        x0 = sample_domain(M, 1, seed=97)[0]
+        for speed, opts, collect in ((0.7, IntegratorOpts(rtol=1e-5, atol=1e-7), False),
+                                     (2.0, IntegratorOpts(), True)):
+            v0 = rng.standard_normal(2)
+            v0 = speed * v0 / np.linalg.norm(v0)
+            steps = []
+            status, t_end, y_end, _, counts = _integrate_core(
+                M, kind, x0, v0, 1.0, opts, collect, steps=steps)
+            if status != "completed":
+                continue
+            assert len(steps) == counts["accepted"] and math.fsum(steps) == pytest.approx(t_end)
+            got = _replay(M, kind, x0, v0, steps)
+            assert [a.hex() for a in got] == [a.hex() for a in y_end], (name, kind)
+            runs += 1
+    assert runs >= 6, name
+    # a step past the puncture that the chord probe rewinds
+    punct = load_manifold("punctured-plane")
+    x0, v0 = (0.3456209967315167, -0.7556183548414255), (-0.5079181629548555, 1.3164552433014556)
+    steps = []
+    status, _, y_end, _, counts = _integrate_core(
+        punct, ConnKind.LC_G_TILDE, x0, v0, 1.0, IntegratorOpts(rtol=1e-5, atol=1e-7), False,
+        steps=steps)
+    assert status == "completed" and counts["rewinds"] > 0
+    got = _replay(punct, ConnKind.LC_G_TILDE, x0, v0, steps)
+    assert [a.hex() for a in got] == [a.hex() for a in y_end]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_spray_acceleration_on_a_path_matches_gamma(name):
+    # the reparametrization reads -Gamma(v, v) from the batched spray, the
+    # integrator's kernel; PointGeometry.gamma is its reference
+    M = load_manifold(name)
+    rng = np.random.default_rng(99)
+    for kind in ConnKind:
+        x0 = sample_domain(M, 1, seed=100)[0]
+        v0 = rng.standard_normal(2)
+        path = integrate_geodesic(M, kind, x0, 0.7 * v0 / np.linalg.norm(v0), 1.0)
+        xs, vs = path.xs, path.vs
+        got = M.spray(kind).many(np.hstack([xs, vs]))[:, -2:]
+        P = M.at_many(xs)
+        want = -np.einsum("nkij,ni,nj->nk", P.gamma(kind), vs, vs)
+        # relative to the largest coefficient of the four connections: the
+        # terms of lc-tilde on the punctured plane are that large and
+        # cancel to 0, since e^sigma g is flat there
+        big = np.max([np.abs(P.gamma(k)).max(axis=(1, 2, 3)) for k in ConnKind], axis=0)
+        scale = big * np.einsum("ni,ni->n", vs, vs)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale[:, None]), (name, kind)
 
 
 def _chord_ok_numpy(M, x_a, x_b):

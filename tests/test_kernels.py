@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divstat.connect import ShootOpts, shoot_connect
 from divstat.exprcore import (
     Bin,
     EvalDomainError,
@@ -638,3 +639,10 @@ def test_integrator_code_compiles_on_first_use_only(monkeypatch):
         del compiled[:]
         integrate_geodesic(M, kind, (0.5, 1.0), (0.1, -0.3), 1.0)
         assert compiled == [], kind
+    # a shooting solve, its Jacobian replays and its reparametrization
+    # compile the lc-tilde spray and step, and the probe, and nothing else
+    S = load_manifold(dict(BUILTINS["punctured-plane"], name="shot"))
+    del compiled[:]
+    res = shoot_connect(S, (1.0, 0.5), (0.4, 1.2), ShootOpts(multistart=2))
+    assert res.converged and res.nabla_path is not None
+    assert compiled == ["<kernel>", "<step shot lc-tilde>", "<probe shot>"]

@@ -220,7 +220,7 @@ def test_domain_parse_errors_name_offsets_in_the_whole_predicate():
     for pred, msg in cases:
         with pytest.raises(DefinitionError) as ei:
             load_manifold({**base, "domain": pred})
-        assert str(ei.value) == f"t: {msg}"
+        assert str(ei.value) == f"t: domain: {msg}"
         with pytest.raises(DefinitionError) as ei:
             load_manifold({**base, "sample_guard": pred})
         assert str(ei.value) == f"t: sample_guard: {msg}"
