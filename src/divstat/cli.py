@@ -14,6 +14,7 @@ Diagnostics are single lines on stderr.  All numbers are printed with
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -90,8 +91,20 @@ def _coords(text, n):
     return vals
 
 
+def _negative_number(tok):
+    # "-1,0", "-.5e3" or "-inf": its first comma field is a number
+    if not tok.startswith("-"):
+        return False
+    try:
+        float(tok.split(",")[0])
+    except ValueError:
+        return False
+    return True
+
+
 def _fuse_negative_values(argv):
-    # argparse reads "-1,0" as an option; glue such values onto their flag
+    # argparse reads "-1,0" or "-inf" as an option; glue such values onto
+    # their flag
     out = []
     i = 0
     while i < len(argv):
@@ -100,9 +113,7 @@ def _fuse_negative_values(argv):
             tok.startswith("--")
             and "=" not in tok
             and i + 1 < len(argv)
-            and len(argv[i + 1]) > 1
-            and argv[i + 1][0] == "-"
-            and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")
+            and _negative_number(argv[i + 1])
         ):
             out.append(tok + "=" + argv[i + 1])
             i += 2
@@ -165,8 +176,8 @@ def _cmd_geodesic(args):
     M = load_manifold(args.manifold)
     x0 = _coords(args.start, M.n)
     v0 = _coords(args.vel, M.n)
-    if not args.t_max > 0.0:
-        raise ValueError("--t-max must be positive")
+    if not 0.0 < args.t_max < math.inf:
+        raise ValueError("--t-max must be positive and finite")
     opts = IntegratorOpts(dense_samples=args.steps)
     path = integrate_geodesic(M, ConnKind(args.conn), x0, v0, args.t_max, opts)
     if args.out:

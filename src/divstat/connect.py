@@ -8,11 +8,13 @@ damped Gauss-Newton iteration on the endpoint defect and reparametrizes
 the winner.  Each Gauss-Newton Jacobian is a forward difference taken on
 the base path's own accepted steps (geodesic._replay: Bock's internal
 numerical differentiation), so a column runs no step controller and
-differences the same discrete map as the defect it corrects.  The
-canonical contrast rho(p, q) = e^{-sigma(p)} dtilde^2
-comes from the shortest connecting geodesic found; differentiating it on
-the diagonal recovers g and the nabla connection, which
-contrast_structure_check verifies by finite differences.
+differences the same discrete map as the defect it corrects.  Starts run
+in index order, and a start that reaches the coarse tier within _JOIN of
+a branch an earlier start converged to joins it and stops: it would only
+find that branch again.  The canonical contrast rho(p, q) =
+e^{-sigma(p)} dtilde^2 comes from the shortest connecting geodesic found;
+differentiating it on the diagonal recovers g and the nabla connection,
+which contrast_structure_check verifies by finite differences.
 
 Failure to connect is informative output (see the punctured plane, where
 the antipodal problem has no solution), so shoot_connect reports a
@@ -48,6 +50,11 @@ _FINE = IntegratorOpts(rtol=1e-10, atol=1e-12)
 _TIERS = ((_SCOUT, 1e-2), (_COARSE, 1e-5), (_FINE, 0.0))
 # Gauss-Newton iterations per start
 _MAX_ITER = 60
+# two converged velocities within _SAME (relative) are one branch; a start
+# at the coarse or fine tier whose iterate comes within _JOIN of a branch an
+# earlier start found joins that branch and stops
+_SAME = 1e-6
+_JOIN = 1e3 * _SAME
 
 
 class NoConvergenceError(Exception):
@@ -77,15 +84,24 @@ class ConnectResult:
 
     tilde_path/nabla_path describe the best geodesic found (the shortest
     converged one, or the closest failure); solutions lists every distinct
-    converged branch as {start, v0, tilde_length, endpoint_error} so
-    geodesic multiplicity stays observable.  nabla_path is None when the
-    best tilde path left the domain with too few samples to reparametrize,
-    or when the nabla parameter cannot be computed along it: the weight
-    e^{-2 sigma} overflows where the path passes close to a complete end
-    such as the puncture of the punctured plane, or grows so large there
-    that the parameter's later increments vanish in double precision.
-    That can happen on a converged solve too; converged then still
-    reports the gtilde solve.
+    converged branch as {start, v0, tilde_length, endpoint_error}, sorted
+    by length, so geodesic multiplicity stays observable.
+
+    starts has one record {start, ended, branch, endpoint_error} per start,
+    in start order (none for p == q).  ended is "converged", "joined" (at
+    coarse tolerance the start came within _JOIN of a branch an earlier
+    start had found, and stopped) or "failed"; branch is the index into
+    solutions of the branch the start reached, or None; endpoint_error is
+    the defect it ended with.  A joined start adds no solution, just as a
+    start that converges onto a known branch adds none.
+
+    nabla_path is None when the best tilde path left the domain with too
+    few samples to reparametrize, or when the nabla parameter cannot be
+    computed along it: the weight e^{-2 sigma} overflows where the path
+    passes close to a complete end such as the puncture of the punctured
+    plane, or grows so large there that the parameter's later increments
+    vanish in double precision.  That can happen on a converged solve
+    too; converged then still reports the gtilde solve.
     """
 
     converged: bool
@@ -95,6 +111,7 @@ class ConnectResult:
     endpoint_error: float
     attempts: int
     solutions: list = field(default_factory=list)
+    starts: list = field(default_factory=list)
 
 
 def _jacobian(M, p, q, v, r, steps):
@@ -115,8 +132,11 @@ def _jacobian(M, p, q, v, r, steps):
     return J
 
 
-def _gauss_newton(M, p, q, v0, target):
-    # damped Gauss-Newton on r(v) = exptilde_p(v) - q
+def _gauss_newton(M, p, q, v0, target, found):
+    # damped Gauss-Newton on r(v) = exptilde_p(v) - q.  Returns (ok, v,
+    # err, joined): ok where the start ended on a branch, joined the index
+    # into `found` (the velocities of branches earlier starts converged
+    # to) of the branch it joined, or None where it converged itself
     n = len(p)
     v = np.asarray(v0, dtype=float).copy()
     limit = 50.0 * (np.linalg.norm(q - p) + 1.0)
@@ -137,7 +157,7 @@ def _gauss_newton(M, p, q, v0, target):
     tier, io = 0, _SCOUT
     r, steps = defect(v, io)
     if r is None:
-        return False, v, np.inf
+        return False, v, np.inf, None
     err = float(np.linalg.norm(r))
     history = [err]
     for _ in range(_MAX_ITER):
@@ -145,19 +165,25 @@ def _gauss_newton(M, p, q, v0, target):
         # a mean contraction near 0.2 per five iterations; branches that
         # cannot even halve are stuck on a wall or a fold, so cut them loose
         if len(history) > 5 and history[-1] > 0.5 * history[-6]:
-            return False, v, err
+            return False, v, err, None
         while err < _TIERS[tier][1]:
             tier += 1
             io = _TIERS[tier][0]
             r, steps = defect(v, io)
             if r is None:
-                return False, v, err
+                return False, v, err, None
             err = float(np.linalg.norm(r))
         if err <= target and io is _FINE:
-            return True, v, err
+            return True, v, err, None
+        # inside the coarse basin of a branch already found, the rest of
+        # the iteration would only find it again
+        if tier:
+            for i, s in enumerate(found):
+                if np.linalg.norm(v - s) <= _JOIN * max(1.0, np.linalg.norm(s)):
+                    return True, v, err, i
         J = _jacobian(M, p, q, v, r, steps)
         if J is None:
-            return False, v, err
+            return False, v, err, None
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
@@ -169,11 +195,11 @@ def _gauss_newton(M, p, q, v0, target):
                 v, r, steps, err = vn, rn, sn, float(np.linalg.norm(rn))
                 break
         else:
-            return False, v, err
+            return False, v, err, None
         if np.linalg.norm(v) > limit:
-            return False, v, err
+            return False, v, err, None
         history.append(err)
-    return err <= target and io is _FINE, v, err
+    return err <= target and io is _FINE, v, err, None
 
 
 def _halton(k, n):
@@ -218,16 +244,18 @@ def _start_velocities(M, p, q, opts):
 
 def _solve_bvp(M, p, q, opts):
     # returns (distinct solutions sorted by (length, start index), the best
-    # failure or None, the number of starts); solutions and failure are
-    # records {start, v0, tilde_length, endpoint_error}
+    # failure or None, one record per start); solutions and failure are
+    # records {start, v0, tilde_length, endpoint_error}, the per-start
+    # records {start, ended, branch, endpoint_error}
     starts = _start_velocities(M, p, q, opts)
     gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
     target = 0.25 * opts.eps_bvp
     # starts run in index order, so the reduction is a deterministic
     # function of that order
-    sols, fail = [], None
+    sols, fail, ends = [], None, []
     for k, v0 in enumerate(starts):
-        ok, v, err = _gauss_newton(M, p, q, v0, target)
+        ok, v, err, joined = _gauss_newton(
+            M, p, q, v0, target, [s["v0"] for s in sols])
         rec = {
             "start": k,
             "v0": v,
@@ -237,13 +265,23 @@ def _solve_bvp(M, p, q, opts):
         if not ok:
             if fail is None or err < fail["endpoint_error"]:
                 fail = rec
-        elif not any(
-            np.linalg.norm(v - s["v0"]) <= 1e-6 * max(1.0, np.linalg.norm(v))
-            for s in sols
-        ):
-            sols.append(rec)
+            ends.append((k, "failed", None, err))
+            continue
+        ended = "converged" if joined is None else "joined"
+        if joined is None:
+            # a start that converged onto a known branch adds no solution
+            joined = next((i for i, s in enumerate(sols) if np.linalg.norm(
+                v - s["v0"]) <= _SAME * max(1.0, np.linalg.norm(v))), len(sols))
+            if joined == len(sols):
+                sols.append(rec)
+        ends.append((k, ended, sols[joined]["start"], err))
     sols.sort(key=lambda s: (s["tilde_length"], s["start"]))
-    return sols, fail, len(starts)
+    rank = {s["start"]: i for i, s in enumerate(sols)}
+    records = [
+        {"start": k, "ended": ended, "branch": rank.get(b), "endpoint_error": err}
+        for k, ended, b, err in ends
+    ]
+    return sols, fail, records
 
 
 def shoot_connect(M, p, q, opts=None):
@@ -261,9 +299,9 @@ def shoot_connect(M, p, q, opts=None):
     if np.array_equal(p, q):
         sols = [{"start": 0, "v0": np.zeros(M.n), "tilde_length": 0.0,
                  "endpoint_error": 0.0}]
-        fail, attempts = None, 0
+        fail, starts = None, []
     else:
-        sols, fail, attempts = _solve_bvp(M, p, q, opts)
+        sols, fail, starts = _solve_bvp(M, p, q, opts)
     best = sols[0] if sols else fail
     tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, best["v0"], 1.0, _FINE)
     # a solution's error is re-measured on the fine path it is reported by
@@ -278,8 +316,9 @@ def shoot_connect(M, p, q, opts=None):
         nabla_path=nabla,
         tilde_length=best["tilde_length"],
         endpoint_error=err,
-        attempts=attempts,
+        attempts=len(starts),
         solutions=sols,
+        starts=starts,
     )
 
 

@@ -548,10 +548,8 @@ def compile_many(roots):
         except (ArithmeticError, ValueError):
             redo = range(len(xs))
         for i in redo:
-            try:
-                out[i] = kernel(tuple(xs[i].tolist()))
-            except EvalDomainError:
-                out[i] = np.nan
+            row = get(tuple(xs[i].tolist()))
+            out[i] = np.nan if row is None else row
         return out
 
     kernel.get = get

@@ -94,8 +94,9 @@ class GeodesicPath:
     """Sampled solution of the geodesic equation for one connection.
 
     status is "completed", "exited-domain" (stopped just inside the chart
-    boundary), or "step-limit" (budget or step-size underflow; the prefix
-    that was integrated is still returned).  meta["integrator"] counts the
+    boundary, or at the last state before one that overflows), or
+    "step-limit" (budget or step-size underflow; the prefix that was
+    integrated is still returned).  meta["integrator"] counts the
     accepted and rejected steps, the chord rewinds and the domain-exit
     halvings of the integration, and its RHS evaluations: 2 for the first
     derivative and step size, and 6 per step attempt, also where an
@@ -381,8 +382,8 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     if not np.all(np.isfinite(v0)):
         raise ValueError("velocity components must be finite")
     t1 = float(t1)
-    if not t1 > 0.0:
-        raise ValueError("t1 must be positive")
+    if not 0.0 < t1 < math.inf:
+        raise ValueError("t1 must be positive and finite")
     n = M.n
     rhs = _rhs_factory(M, kind)
     step = _fused_step(M, kind)
@@ -424,6 +425,10 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
             status = "step-limit"
             break
         t_new, y_new, f_new, h_next = done
+        if not all(map(math.isfinite, y_new)):
+            # the state no longer fits in doubles: it has left every chart
+            status = "exited-domain"
+            break
         if not probe(M, y[:n], y_new[:n]):
             if t_new - t <= EXIT_BISECT_TOL:
                 status = "exited-domain"

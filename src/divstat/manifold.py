@@ -133,9 +133,8 @@ class DomainPred:
         # first keeps its verdict
         if self._sides is None:
             return True
-        try:
-            vals = self._sides(x)
-        except EvalDomainError:
+        vals = self._sides.get(x)
+        if vals is None:
             return _eval_pred(self.tree, x)
         return self._decide(vals)
 
@@ -886,16 +885,22 @@ def sample_domain(M, count, seed=0):
             )
         batch = rng.uniform(lo, hi, size=(min(count, 64), M.n))
         attempts += len(batch)
-        for x in batch:
-            tx = tuple(x.tolist())
-            ok = in_domain(M, tx)
-            if ok and M.sample_guard is not None:
-                try:
-                    ok = M.sample_guard(tx)
-                except EvalDomainError:
-                    ok = False
-            if ok:
-                out.append(x)
-                if len(out) == count:
-                    break
+        out.extend(batch[_sample_ok(M, batch)][: count - len(out)])
     return np.asarray(out)
+
+
+def _sample_ok(M, xs):
+    # in_domain and sample_guard at each row of xs (N, n).  The rows the
+    # batches reject are decided one by one, as _values_many does; a guard
+    # that cannot be evaluated there is False
+    ok = ~np.isnan(M._values_many(xs)[:, 0])
+    guard = M.sample_guard
+    if guard is not None:
+        held = guard.many(xs)
+        for i in np.flatnonzero(ok & ~held):
+            try:
+                held[i] = guard(tuple(xs[i].tolist()))
+            except EvalDomainError:
+                held[i] = False
+        ok &= held
+    return ok

@@ -42,6 +42,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 
 import divstat
 from divstat.cli import run
+from divstat.geodesic import IntegratorOpts
 from divstat.manifold import load_manifold
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -188,11 +189,16 @@ def test_geodesic_rejects_bad_options(capsys):
         ["--conn", "warp", "--t-max", "1"],
         ["--conn", "lc", "--t-max", "0"],
         ["--conn", "lc", "--t-max", "-2"],
+        ["--conn", "lc", "--t-max", "inf"],
+        ["--conn", "lc", "--t-max", "-inf"],
         ["--conn", "lc", "--t-max", "1", "--steps", "1"],
     ):
         code, out, err = run_out(capsys, base + extra)
         assert code == 2, extra
         assert err != ""
+    code, out, err = run_out(capsys, base + ["--conn", "lc", "--t-max", "-nan"])
+    assert code == 2
+    assert err == "divstat: --t-max must be positive and finite\n"
 
 
 def test_connect_json_paraboloid(tmp_path, capsys):
@@ -505,6 +511,53 @@ def test_hostile_documents_exit_cleanly(tmp_path, capsys, field):
             assert len(err.splitlines()) == 1 and err.startswith("divstat: "), (field, err)
         else:
             assert err == "", (field, argv, err)
+
+
+# hostile argument vectors: extreme magnitudes, non-finite strings, points
+# on and across chart walls, huge parameter ranges, too few samples
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "nan", "-nan", "inf", "-inf", "1e-300", "-1e300", "1e300"]),
+    st.builds("{}{}e{}".format, st.sampled_from(["", "-"]), st.integers(1, 9),
+              st.integers(-300, 300)),
+)
+# the half-plane's wall x2 = 0, the puncture (x1^2 + x2^2 underflows to 0
+# near it), and the cut plane's wall x1 = 2 with its neighbouring doubles
+_WALLS = st.sampled_from(["0", "1e-170", "-1e-200", "2", "1.9999999999999998",
+                          "2.0000000000000004"])
+_POINTS = st.lists(st.one_of(_NUMBERS, _WALLS), min_size=2, max_size=2).map(",".join)
+_CHARTS = st.sampled_from(["euclidean", "paraboloid", "punctured-plane",
+                           "half-plane-exp", "cut-plane"])
+_ARGVS = st.one_of(
+    st.tuples(st.just("describe"), _CHARTS, st.just("--at"), _POINTS),
+    st.tuples(
+        st.just("geodesic"), _CHARTS,
+        st.just("--conn"), st.sampled_from(["lc", "nabla", "bar", "lc-tilde"]),
+        st.just("--from"), _POINTS, st.just("--vel"), _POINTS,
+        st.just("--t-max"), st.one_of(_NUMBERS, st.sampled_from(["1", "1e308"])),
+        st.just("--steps"), st.sampled_from(["0", "1", "2"]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGVS)
+def test_hostile_argument_vectors_exit_cleanly(tmp_path, capsys, monkeypatch, argv):
+    # a closed geodesic runs to the step budget: a small one keeps each
+    # example short, and ends such paths `step-limit` as the default does
+    monkeypatch.setattr(
+        "divstat.cli.IntegratorOpts",
+        lambda **kw: IntegratorOpts(max_steps=2000, **kw))
+    doc = tmp_path / "cut-plane"
+    doc.write_text(json.dumps(CUT_PLANE))
+    argv = [str(doc) if a == "cut-plane" else a for a in argv]
+    code, out, err = run_out(capsys, argv)
+    assert code in (0, 1, 2, 3), argv
+    if code in (2, 3):
+        assert len(err.splitlines()) == 1 and err.startswith("divstat: "), (argv, err)
+    else:
+        assert err == "", (argv, err)
 
 
 def test_connect_converged_but_nabla_parameter_overflows(capsys):

@@ -21,6 +21,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+import divstat.connect
 from divstat.connect import (
     _COARSE,
     _FINE,
@@ -28,8 +29,10 @@ from divstat.connect import (
     ConnectResult,
     NoConvergenceError,
     ShootOpts,
+    _gauss_newton,
     _halton,
     _jacobian,
+    _solve_bvp,
     _start_velocities,
     contrast,
     contrast_structure_check,
@@ -38,7 +41,7 @@ from divstat.connect import (
     shoot_connect,
 )
 from divstat.geodesic import _integrate_core, geodesic_residual
-from divstat.manifold import BUILTINS, load_manifold, metric_at, sigma_at
+from divstat.manifold import BUILTINS, load_manifold, metric_at, sample_domain, sigma_at
 from divstat.statstruct import ConnKind, conjugate
 
 
@@ -91,6 +94,8 @@ def test_punctured_antipodal_fails_same_side_works():
     res = shoot_connect(m, [1.0, 0.0], [-1.0, 0.0])
     assert not res.converged
     assert res.endpoint_error > 0.05
+    assert len(res.starts) == res.attempts == 16
+    assert all(s["ended"] == "failed" and s["branch"] is None for s in res.starts)
     with pytest.raises(NoConvergenceError) as exc:
         distance_tilde(m, [1.0, 0.0], [-1.0, 0.0])
     assert exc.value.best_error > 0.05
@@ -244,3 +249,104 @@ def test_shoot_connect_same_point():
     assert res.nabla_path is not None
     assert np.abs(res.nabla_path.xs - p).max() <= 1e-15
     assert np.all(res.nabla_path.vs == 0.0)
+
+
+# criterion 10's points: its pairs are (_HALF[i], _HALF[20 + i])
+_HALF = sample_domain(load_manifold("half-plane-exp"), 40, seed=42)
+
+
+def test_start_records_on_a_cartan_hadamard_pair():
+    # one branch (criterion 10): every start converges to it or joins it
+    m = load_manifold("half-plane-exp")
+    res = shoot_connect(m, _HALF[0], _HALF[20], ShootOpts(multistart=6, seed=42))
+    assert res.converged and len(res.solutions) == 1
+    assert [s["start"] for s in res.starts] == list(range(6))
+    assert all(s["ended"] in ("converged", "joined") and s["branch"] == 0
+               for s in res.starts)
+    assert res.starts[0]["ended"] == "converged"
+    assert any(s["ended"] == "joined" for s in res.starts)
+    # a joined start stopped inside the coarse basin: below the scout
+    # tier's threshold, above the convergence target
+    for s in res.starts:
+        if s["ended"] == "joined":
+            assert 0.25 * 1e-8 < s["endpoint_error"] < 1e-2
+
+
+def _reference_bvp(M, p, q, opts):
+    # every start run to its end with no branch to join, its converged
+    # velocity kept unless one within 1e-6 (relative) is kept already
+    gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
+    sols, fail = [], None
+    for k, v0 in enumerate(_start_velocities(M, p, q, opts)):
+        ok, v, err, joined = _gauss_newton(M, p, q, v0, 0.25 * opts.eps_bvp, [])
+        assert joined is None
+        rec = {"start": k, "v0": v, "tilde_length": float(math.sqrt(v @ gt @ v)),
+               "endpoint_error": err}
+        if not ok:
+            if fail is None or err < fail["endpoint_error"]:
+                fail = rec
+        elif not any(np.linalg.norm(v - s["v0"]) <= 1e-6 * max(1.0, np.linalg.norm(v))
+                     for s in sols):
+            sols.append(rec)
+    sols.sort(key=lambda s: (s["tilde_length"], s["start"]))
+    return sols, fail
+
+
+def _same_record(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a["start"] == b["start"] and a["v0"].tobytes() == b["v0"].tobytes()
+            and a["tilde_length"] == b["tilde_length"]
+            and a["endpoint_error"] == b["endpoint_error"])
+
+
+JOIN_CASES = [
+    # one pair per class of the shooting benchmark, six starts
+    ("half-plane-exp", (0.1182, 7.9603), (2.685, 7.1345), 6),
+    ("paraboloid", (-0.1063, 0.522), (-0.0884, 0.2216), 6),
+    ("punctured-plane", (-1.2651, 1.317), (1.3063, -1.588), 6),
+    # criterion 10's pairs
+    *[("half-plane-exp", tuple(_HALF[i]), tuple(_HALF[20 + i]), 6) for i in range(4)],
+    # paraboloid pairs with two and three branches, sixteen starts
+    ("paraboloid", (0.5566, 0.4514), (0.5653, -0.3332), 16),
+    ("paraboloid", (-0.3251, 1.1708), (-0.8185, 0.3696), 16),
+    ("paraboloid", (-0.0425, 1.1685), (1.3021, -0.4266), 16),
+]
+
+
+def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
+    # a start that joins a branch found before it adds nothing to the
+    # result: the solutions and the best failure are those of running every
+    # start to its end, with strictly fewer integrations
+    calls = {}
+
+    def counted(name):
+        fn = getattr(divstat.connect, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(divstat.connect, name, wrapper)
+
+    counted("_integrate_core")
+    counted("_replay")
+    multi = 0
+    for name, p, q, k in JOIN_CASES:
+        m = load_manifold(name)
+        p, q = np.array(p), np.array(q)
+        opts = ShootOpts(multistart=k, seed=42)
+        results, work = [], []
+        for solve in (_reference_bvp, _solve_bvp):
+            calls.update(_integrate_core=0, _replay=0)
+            results.append(solve(m, p, q, opts))
+            work.append(dict(calls))
+        (want, want_fail), (sols, fail, starts) = results
+        assert len(sols) == len(want), (name, p, q)
+        assert all(_same_record(a, b) for a, b in zip(sols, want)), (name, p, q)
+        assert _same_record(fail, want_fail), (name, p, q)
+        assert any(s["ended"] == "joined" for s in starts), (name, p, q)
+        assert work[1]["_integrate_core"] < work[0]["_integrate_core"], (name, p, q)
+        assert work[1]["_replay"] < work[0]["_replay"], (name, p, q)
+        multi += len(sols) >= 2
+    assert multi >= 2

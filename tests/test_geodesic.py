@@ -162,10 +162,22 @@ def test_step_limit_reported():
     assert path.ts[-1] < 10.0
 
 
+def test_a_state_that_overflows_ends_the_path():
+    # the position passes the largest double near t = 1.8e8: the path ends
+    # there, at its last finite state, instead of stepping on at infinity
+    eu = load_manifold("euclidean")
+    path = integrate_geodesic(eu, ConnKind.LC_G, (0.0, 0.0), (1e300, 0.0), 1e308,
+                              IntegratorOpts(dense_samples=3))
+    assert path.status == "exited-domain"
+    assert np.all(np.isfinite(path.xs)) and path.xs[-1, 0] > 1e307
+    assert path.meta["integrator"]["accepted"] < 2000
+
+
 def test_integrate_validates_input():
     para = load_manifold("paraboloid")
-    with pytest.raises(ValueError):
-        integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 0.0)
+    for t1 in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), t1)
     half = load_manifold("half-plane-exp")
     with pytest.raises(OutOfDomainError):
         integrate_geodesic(half, ConnKind.LC_G, (0.0, -1.0), (1.0, 0.0), 1.0)

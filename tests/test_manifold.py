@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from divstat.exprcore import EvalDomainError
 from divstat.manifold import (
     BUILTINS,
     DefinitionError,
@@ -268,6 +269,72 @@ def test_sample_domain_deterministic():
     assert (r > 0.1).all()  # guarded away from the overflow wall
     for x in a:
         assert in_domain(punc, x)
+
+
+def _sample_domain_by_points(M, count, seed):
+    # the scalar reference: one draw at a time through in_domain and the
+    # guard, a guard that cannot be evaluated meaning False
+    rng = np.random.default_rng(seed)
+    lo, hi = M.sample_box[:, 0], M.sample_box[:, 1]
+    out, attempts, limit = [], 0, 200 * count + 1000
+    while len(out) < count:
+        if attempts >= limit:
+            raise DefinitionError(
+                f"{M.name}: could not draw {count} in-domain samples "
+                f"({len(out)} found in {attempts} attempts)")
+        batch = rng.uniform(lo, hi, size=(min(count, 64), M.n))
+        attempts += len(batch)
+        for x in batch:
+            tx = tuple(x.tolist())
+            ok = in_domain(M, tx)
+            if ok and M.sample_guard is not None:
+                try:
+                    ok = M.sample_guard(tx)
+                except EvalDomainError:
+                    ok = False
+            if ok:
+                out.append(x)
+                if len(out) == count:
+                    break
+    return np.asarray(out)
+
+
+_PLANE = {"name": "guarded", "dim": 2, "coords": ["x1", "x2"],
+          "metric": [["1", "0"], ["0", "1"]], "sigma": "0.1*x1"}
+
+
+@pytest.mark.parametrize("doc", [
+    *BUILTINS,
+    # the `or` side overflows where the first side is false
+    dict(_PLANE, sample_guard="x1 > 0.3 or exp(800*x2) > 5"),
+    # a second side that overflows on nearly every draw: numpy flags each
+    # batch, and the rows it rejects are decided one by one
+    dict(_PLANE, sample_guard="x2 > 0 or x1 * 1e300 * 1e10 < 1"),
+    # a guard that cannot be evaluated on half the box
+    dict(_PLANE, domain="x1^2 + x2^2 > 0.04", sample_guard="log(x1) < -0.5 or x2 > 0.5"),
+])
+def test_sample_domain_matches_the_scalar_loop(doc):
+    m = load_manifold(doc)
+    for seed in range(4):
+        for count in (1, 32, 100):
+            got = sample_domain(m, count, seed=seed)
+            want = _sample_domain_by_points(m, count, seed)
+            assert got.shape == want.shape == (count, 2)
+            assert got.tobytes() == want.tobytes(), (doc, seed, count)
+
+
+def test_sample_domain_limit_message():
+    m = load_manifold(dict(_PLANE, sample_guard="x1 > 2 or log(x1 - 0.5) > 9",
+                           sample_box=[[2, 3], [-1, 1]]))
+    # a box where the guard holds on no draw and cannot be evaluated on
+    # half of them: loading would have refused it
+    m.sample_box = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(DefinitionError) as got:
+        sample_domain(m, 5, seed=1)
+    with pytest.raises(DefinitionError) as want:
+        _sample_domain_by_points(m, 5, 1)
+    assert str(got.value) == str(want.value)
+    assert "attempts" in str(got.value)
 
 
 def test_metric_compatibility_invariant():
