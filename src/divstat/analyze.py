@@ -201,11 +201,9 @@ def _identity_residuals(P):
     nab = P.gamma(ConnKind.NABLA)
     bar = P.gamma(ConnKind.NABLA_BAR)
     til = P.gamma(ConnKind.LC_G_TILDE)
-    es = P.exp_sigma[..., None, None]
-    gt = es * g
-    dgt = es[..., None] * (np.einsum("...k,...ij->...kij", ds, g) + dg)
     lc = _covariant_metric_residual(dg, gam, g)
-    lct = _covariant_metric_residual(dgt, til, gt)
+    # nabla-tilde(e^sigma g) / e^sigma, exactly: in g's units, whatever the weight
+    lct = _covariant_metric_residual(np.einsum("...k,...ij->...kij", ds, g) + dg, til, g)
     cod = _covariant_metric_residual(dg, nab, g) - _cubic_form(P)
     dual = (
         dg
@@ -260,10 +258,12 @@ def check_suite(M, opts=None):
     """Evaluate every structural identity at seeded domain samples.
 
     Returns a list of ScanReports, one per check, in a fixed order.  The
-    pass/fail checks compare the worst sampled residual against opts.tol;
-    the conjugate-symmetry residual and the constant-curvature fit (best
-    lambda by least squares, stored under extra["lambda"]) are reported
-    without a verdict.
+    pass/fail checks compare the worst sampled residual against opts.tol,
+    each in g's units (metric compatibility of the Levi-Civita connection
+    of e^sigma g is taken on e^sigma g divided by e^sigma, so a large
+    weight does not scale it); the conjugate-symmetry residual and the
+    constant-curvature fit (best lambda by least squares, stored under
+    extra["lambda"]) are reported without a verdict.
     """
     opts = opts if opts is not None else CheckOpts()
     xs = sample_domain(M, opts.samples, seed=opts.seed)

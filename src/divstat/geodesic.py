@@ -17,11 +17,13 @@ Each step is emitted per manifold and connection: every stage inlines,
 on local Python floats, the domain predicate and the connection's spray
 (ManifoldDef.spray) with get's finiteness test, and the chord probe
 inlines the predicate and the values of g and sigma the same way; no
-PointGeometry is built.  Where the inlined code raises, the generic step
-on the right-hand side (one predicate call and one spray call) or
-_chord_ok decides, with the same result.  A point where the predicate
-fails, or where g, sigma or the acceleration is not finite, counts as
-outside the chart: the step is halved, down to the exit bisection window.
+PointGeometry is built.  Both are compiled on the first integration and
+kept in the manifold's cache of compiled code (ManifoldDef.compiled).
+Where the inlined code raises, the generic step on the right-hand side
+(one predicate call and one spray call) or _chord_ok decides, with the
+same result.  A point where the predicate fails, or where g, sigma or
+the acceleration is not finite, counts as outside the chart: the step is
+halved, down to the exit bisection window.
 _replay takes the accepted step sizes an integration recorded through
 the same steps again, with no step control, from any start: from the
 integration's own start it gives its endpoint bit for bit, which makes
@@ -256,39 +258,35 @@ def _fused_step(M, kind):
     """_dopri5(2n) with M's chart test and kind's spray inlined in the stages.
 
     Same signature and results, bit for bit; where the inlined code raises,
-    the generic step on rhs decides.  Compiled on first use, kept on M.
+    the generic step on rhs decides.  Compiled on first use, kept in M's
+    cache (M.compiled).
     """
     kind = ConnKind(kind)
-    step = M._integrator.get(kind)
-    if step is None:
-        n = M.n
-        spray = M.spray(kind)
+    n = M.n
 
-        def stage(s, state):
-            # the positions z, then the velocities, which are the first n
-            # derivatives; the spray's last n values are the other n
-            args = [f"z{s}_{i}" for i in range(n)] + [f"k{s}_{i}" for i in range(n)]
-            lines, outs = M._inline(spray, args, f"_{s}", "raise _DomainExit")
-            return ([f"{a} = {e}" for a, e in zip(args, state)] + lines
-                    + [f"k{s}_{n + i} = {a}" for i, a in enumerate(outs[-n:])])
+    def stage(s, state):
+        # the positions z, then the velocities, which are the first n
+        # derivatives; the spray's last n values are the other n
+        args = [f"z{s}_{i}" for i in range(n)] + [f"k{s}_{i}" for i in range(n)]
+        lines, outs = M._inline(M.spray(kind), args, f"_{s}", "raise _DomainExit")
+        return ([f"{a} = {e}" for a, e in zip(args, state)] + lines
+                + [f"k{s}_{n + i} = {a}" for i, a in enumerate(outs[-n:])])
 
-        step = M._integrator[kind] = _exec(
-            "rhs, y, f, h, rtol, atol", _dp_lines(2 * n, stage),
-            f"<step {M.name} {kind.value}>", "return _generic(rhs, y, f, h, rtol, atol)",
-            _generic=_dopri5(2 * n), _DomainExit=_DomainExit)
-    return step
+    return M.compiled(("step", kind), lambda: _exec(
+        "rhs, y, f, h, rtol, atol", _dp_lines(2 * n, stage),
+        f"<step {M.name} {kind.value}>", "return _generic(rhs, y, f, h, rtol, atol)",
+        _generic=_dopri5(2 * n), _DomainExit=_DomainExit))
 
 
 def _chord_probe(M):
     """_chord_ok(M, x_a, x_b) with M's chart test inlined at each point.
 
     Where the inlined code raises, _chord_ok decides.  Compiled on first
-    use, kept on M.
+    use, kept in M's cache (M.compiled).
     """
-    probe = M._integrator.get("probe")
-    if probe is None:
+    def build():
         a, b, x = ([f"{c}{i}" for i in range(M.n)] for c in "abx")
-        lines, _ = M._inline(M.kernels["values"], x, "_", "return False")
+        lines, _ = M._inline(M.compiled("values"), x, "_", "return False")
         gap = ", ".join(f"abs({q} - {p})" for p, q in zip(a, b))
         body = [
             f"{', '.join(a)}, = x_a",
@@ -306,10 +304,10 @@ def _chord_probe(M):
             *(f"    {line}" for line in lines),
             "return True",
         ]
-        probe = M._integrator["probe"] = _exec(
-            "M, x_a, x_b", body, f"<probe {M.name}>", "return _chord_ok(M, x_a, x_b)",
-            _ceil=math.ceil, _chord_ok=_chord_ok)
-    return probe
+        return _exec("M, x_a, x_b", body, f"<probe {M.name}>",
+                     "return _chord_ok(M, x_a, x_b)", _ceil=math.ceil, _chord_ok=_chord_ok)
+
+    return M.compiled("probe", build)
 
 
 def _rms(xs):
@@ -693,9 +691,10 @@ def reparam_from_tilde(M, path):
 def geodesic_residual(M, kind, path):
     """Worst defect max_k |x''^k + Gamma^k_ij x'^i x'^j| over interior samples.
 
-    Acceleration is estimated from the sampled positions by fourth-order
-    differences (the classical five-point stencil on uniform grids, a local
-    quartic fit otherwise); velocities are taken from the stored samples.
+    Acceleration is estimated from the sampled positions by a local
+    quartic fit through five samples, fourth-order accurate (on a uniform
+    grid, the classical five-point stencil up to rounding); velocities are
+    taken from the stored samples.
     """
     kind = ConnKind(kind)
     ts = np.asarray(path.ts, dtype=float)
@@ -705,8 +704,6 @@ def geodesic_residual(M, kind, path):
     if m < 5:
         raise ValueError("need at least 5 samples for a fourth-order residual")
     strides = [s for s in (1, 2, 4, 8) if 4 * s <= m - 1]
-    dt = np.diff(ts)
-    uniform = dt.max() - dt.min() < 1e-12 * dt.max()
     centers = {}
     for stride in strides:
         lo, hi = 2 * stride, m - 1 - 2 * stride
@@ -720,16 +717,10 @@ def geodesic_residual(M, kind, path):
     best = np.inf
     for stride, cs in centers.items():
         win = cs[:, None] + stride * np.arange(-2, 3)
-        if uniform:
-            h = ts[cs + stride] - ts[cs]
-            acc = (-xs[win[:, 0]] + 16.0 * xs[win[:, 1]] - 30.0 * xs[win[:, 2]]
-                   + 16.0 * xs[win[:, 3]] - xs[win[:, 4]]) / (12.0 * h * h)[:, None]
-        else:
-            tau = ts[win] - ts[cs][:, None]
-            scale = np.abs(tau).max(axis=1)
-            V = (tau / scale[:, None])[..., None] ** np.arange(5)
-            coef = np.linalg.solve(V, xs[win])
-            acc = 2.0 * coef[:, 2] / (scale * scale)[:, None]
+        tau = ts[win] - ts[cs][:, None]
+        scale = np.abs(tau).max(axis=1)
+        V = (tau / scale[:, None])[..., None] ** np.arange(5)
+        acc = 2.0 * np.linalg.solve(V, xs[win])[:, 2] / (scale * scale)[:, None]
         res = acc + quad[np.searchsorted(at, cs)]
         # every stride overestimates the true defect (truncation and sample
         # noise only add), so the smallest estimate is the sharpest

@@ -3,9 +3,13 @@
 A manifold is an open subset of R^n in a single chart: coordinate names, a
 boolean domain predicate, a symmetric matrix of metric expressions, and a
 scalar potential sigma, all parsed by exprcore.  Loading a definition
-builds the symbolic jets of g and sigma up to second order and compiles
-them into kernels, one per group a query can ask for alone: the values of
-g and sigma, dg, d2g, dsigma and d2sigma.
+builds the symbolic jets of g and sigma up to second order, in groups a
+query can ask for alone: the values of g and sigma, dg, d2g, dsigma and
+d2sigma.  It checks g positive definite at 32 seeded samples, with the
+test every metric query makes (PointGeometry.g_spd).  Each group is
+compiled into a kernel when it is first read; ManifoldDef.compiled(key)
+is the one cache of a manifold's compiled code, the sprays and the
+integrator's emitted steps included.
 
 ManifoldDef.at(x) checks the domain once and returns a PointGeometry,
 which evaluates those kernels and derives g^-1, the coefficients of the
@@ -16,12 +20,12 @@ wrappers over it.
 
 The geodesic integrator asks for one thing only, the spray
 a = -Gamma(v, v) of a connection at (x, v), and ManifoldDef.spray(kind)
-gives it as one more compiled kernel, built on first use from the same
-jet trees: Gamma^k_ij = (g^-1 s_ij)^k / 2 with
-s_ij,l = d_i g_jl + d_j g_il - d_l g_ij, plus the terms of K and of the
-projective change in |v|^2_g grad sigma and (dsigma . v) v.  g^-1 is
-applied by an emitted LDL^T solve, before anything is contracted with v,
-so no intermediate is larger than Gamma or grad sigma themselves.
+gives it as one more compiled kernel, built from the same jet trees:
+Gamma^k_ij = (g^-1 s_ij)^k / 2 with s_ij,l = d_i g_jl + d_j g_il - d_l g_ij,
+plus the terms of K and of the projective change in |v|^2_g grad sigma
+and (dsigma . v) v.  g^-1 is applied by an emitted LDL^T solve, before
+anything is contracted with v, so no intermediate is larger than Gamma
+or grad sigma themselves.
 PointGeometry.gamma is the reference the spray is tested against.  The
 integrator's emitted steps inline its code after the predicate's (_inline).
 
@@ -76,8 +80,6 @@ __all__ = [
 ]
 
 SPD_EIG_FLOOR = 1e-12
-_SPD_CHECK_SEED = 1723
-_SPD_CHECK_COUNT = 32
 
 
 class ConnKind(enum.Enum):
@@ -139,20 +141,26 @@ class DomainPred:
         return self._decide(vals)
 
     def many(self, xs):
-        """The verdict at each row of xs (N, n), or False where unsure.
+        """The verdict at each row of xs (N, n).
 
         Every comparison is evaluated on every row, with `and` / `or`
-        taken elementwise.  A row on which any comparison fails to
-        evaluate reads False, even where the scalar predicate would
-        short-circuit past that comparison, so a True here is always the
-        scalar verdict (up to last-bit rounding at the boundary).
+        taken elementwise.  The rows this rejects, among them every row on
+        which a comparison fails to evaluate, are decided again by the
+        scalar predicate, and read False where it raises EvalDomainError.
+        So every verdict is the scalar one, up to last-bit rounding at the
+        boundary on the rows the batch accepts.
         """
         if self._sides is None:
             return np.ones(len(xs), dtype=bool)
         vals = self._sides.many(xs)
         with np.errstate(invalid="ignore"):
-            verdict = self._decide(vals.T)
-        return verdict & ~np.isnan(vals[:, 0])
+            verdict = self._decide(vals.T) & ~np.isnan(vals[:, 0])
+        for i in np.flatnonzero(~verdict):
+            try:
+                verdict[i] = self(tuple(xs[i].tolist()))
+            except EvalDomainError:
+                pass
+        return verdict
 
     def __repr__(self):
         return f"DomainPred({self.src!r})"
@@ -254,15 +262,13 @@ BUILTINS = {
 
 
 class ManifoldDef:
-    """Validated manifold definition with its jets compiled into kernels.
+    """Validated manifold definition with the symbolic jets of g and sigma.
 
     `sigma` in the document is a source string, or an Expr already parsed
     over the same coords, which is how conjugate passes its negated tree.
     Immutable after construction; all geometry queries are pure and go
-    through at(x), which holds no state between calls.  The exceptions
-    are the caches of compiled code that spray(kind) and the geodesic
-    integrator fill on first use: loading a manifold does not pay for
-    sprays, steps or chord probes that nothing integrates.
+    through at(x), which holds no state between calls.  The exception is
+    the one cache of compiled code, compiled(key), filled on first use.
     """
 
     def __init__(self, doc):
@@ -369,13 +375,35 @@ class ManifoldDef:
             "dsigma": ds,
             "d2sigma": [d2s[p] for p in pairs],
         }
-        self.kernels = {
-            group: compile_many(roots) for group, roots in self.jet_roots.items()
-        }
-        self._sprays = {}
-        self._integrator = {}  # geodesic's fused steps and chord probe
+        self._compiled = {}
 
-        self._spd_spot_check()
+        # g is checked at seeded samples, as every metric query checks it
+        try:
+            self.at_many(sample_domain(self, 32, seed=1723)).g_spd
+        except OutOfDomainError as err:
+            raise DefinitionError(str(err)) from None
+
+    def compiled(self, key, build=None):
+        """The compiled code kept under `key`, built on its first use.
+
+        A jet group name (a key of jet_roots) gives that group's kernel,
+        and a ConnKind the spray of that connection (spray(kind)).  Under
+        any other key, build() makes the code the first time; the geodesic
+        integrator keeps its emitted steps and chord probe so.  Loading
+        compiles the "values" kernel only.
+        """
+        code = self._compiled.get(key)
+        if code is None:
+            if build is not None:
+                code = build()
+            elif isinstance(key, ConnKind):
+                roots = self.jet_roots
+                acc = _spray_roots(self._g, roots["dg"], roots["dsigma"], *_CONN_TERMS[key])
+                code = compile_many(roots["values"] + acc)
+            else:
+                code = compile_many(self.jet_roots[key])
+            self._compiled[key] = code
+        return code
 
     def spray(self, kind):
         """The compiled spray of the connection `kind`.
@@ -385,16 +413,9 @@ class ManifoldDef:
         n components of the acceleration a = -Gamma(v, v).  Because the
         values come first, the kernel raises EvalDomainError (its get
         returns None) exactly where the values kernel does, and also where
-        a is not finite; the domain predicate is left to the caller.  Each
-        kind is compiled on its first use and kept on this object.
+        a is not finite; the domain predicate is left to the caller.
         """
-        kind = ConnKind(kind)
-        kernel = self._sprays.get(kind)
-        if kernel is None:
-            roots = self.jet_roots
-            acc = _spray_roots(self._g, roots["dg"], roots["dsigma"], *_CONN_TERMS[kind])
-            kernel = self._sprays[kind] = compile_many(roots["values"] + acc)
-        return kernel
+        return self.compiled(ConnKind(kind))
 
     def _inline(self, kernel, args, prefix, outside):
         """(lines, names): the chart test, then `kernel`, at the local floats args.
@@ -421,32 +442,19 @@ class ManifoldDef:
         body, outs = _emit(kernel.roots, args.__getitem__, prefix + "v", named=True)
         return lines + body + finite(outs), outs
 
-    def _spd_spot_check(self):
-        pts = sample_domain(self, _SPD_CHECK_COUNT, seed=_SPD_CHECK_SEED)
-        for x in pts:
-            w = np.linalg.eigvalsh(self.at(x).g)
-            if w.min() <= SPD_EIG_FLOOR:
-                raise DefinitionError(
-                    f"{self.name}: metric not SPD at {tuple(x.tolist())} (eigenvalues {w})"
-                )
-
     def _values(self, x):
         # the entries of g, then sigma, at chart tuple x; None outside the chart
         try:
             if self.domain(x):
-                return self.kernels["values"].get(x)
+                return self.compiled("values").get(x)
         except EvalDomainError:
             pass
         return None
 
     def _values_many(self, xs):
-        # _values at each row of xs (N, n), NaN rows outside the chart; the
-        # rows the batch rejects are decided by _values itself
-        values = self.kernels["values"].many(xs)
-        unsure = np.isnan(values[:, 0]) | ~self.domain.many(xs)
-        for i in np.flatnonzero(unsure):
-            row = self._values(tuple(xs[i].tolist()))
-            values[i] = np.nan if row is None else row
+        # _values at each row of xs (N, n), NaN rows outside the chart
+        values = self.compiled("values").many(xs)
+        values[~self.domain.many(xs)] = np.nan
         return values
 
     def at(self, x):
@@ -627,7 +635,7 @@ class PointGeometry:
         self._by_kind = {}
 
     def _jet(self, name, shape):
-        kernel = self.M.kernels[name]
+        kernel = self.M.compiled(name)
         if not self._lead:
             return np.array(kernel(self.x)).reshape(shape)
         out = kernel.many(self.x)
@@ -885,22 +893,9 @@ def sample_domain(M, count, seed=0):
             )
         batch = rng.uniform(lo, hi, size=(min(count, 64), M.n))
         attempts += len(batch)
-        out.extend(batch[_sample_ok(M, batch)][: count - len(out)])
+        # in_domain and the sample guard at each row
+        ok = ~np.isnan(M._values_many(batch)[:, 0])
+        if M.sample_guard is not None:
+            ok &= M.sample_guard.many(batch)
+        out.extend(batch[ok][: count - len(out)])
     return np.asarray(out)
-
-
-def _sample_ok(M, xs):
-    # in_domain and sample_guard at each row of xs (N, n).  The rows the
-    # batches reject are decided one by one, as _values_many does; a guard
-    # that cannot be evaluated there is False
-    ok = ~np.isnan(M._values_many(xs)[:, 0])
-    guard = M.sample_guard
-    if guard is not None:
-        held = guard.many(xs)
-        for i in np.flatnonzero(ok & ~held):
-            try:
-                held[i] = guard(tuple(xs[i].tolist()))
-            except EvalDomainError:
-                held[i] = False
-        ok &= held
-    return ok

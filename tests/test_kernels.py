@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divstat import manifold
 from divstat.connect import ShootOpts, shoot_connect
 from divstat.exprcore import (
     Bin,
@@ -128,7 +129,7 @@ def test_kernels_match_expr_eval_bitwise(name):
     for x in sample_domain(M, 64, seed=5):
         x = tuple(float(c) for c in x)
         for group, roots in M.jet_roots.items():
-            got = np.array(M.kernels[group](x))
+            got = np.array(M.compiled(group)(x))
             want = np.array([r.eval(x) for r in roots])
             # tobytes: signed zeros count
             assert got.tobytes() == want.tobytes(), (group, x)
@@ -274,7 +275,7 @@ def test_batch_with_a_failing_row_raises_the_scalar_error():
     assert batch.value.point == single.value.point == bad
     assert str(batch.value) == str(single.value)
     # the kernel itself marks the row, and only that row
-    rows = M.kernels["d2g"].many(np.array([(1.0, 0.5), bad]))
+    rows = M.compiled("d2g").many(np.array([(1.0, 0.5), bad]))
     assert np.isfinite(rows[0]).all() and np.isnan(rows[1]).all()
     # numpy turns 1/0 into inf and exp(-inf) into a finite 0 without
     # complaint; the scalar kernel raises at the division, and so the row
@@ -347,14 +348,14 @@ def test_batched_domain_verdicts_match_in_domain(name, rows):
 
 def test_batched_domain_short_circuit():
     # the scalar predicate stops at its first deciding comparison; the
-    # batched one evaluates them all and is unsure where one fails, and
-    # _values_many asks the scalar predicate about those rows
+    # batched one evaluates them all, and asks the scalar predicate about
+    # the rows it rejects, among them those where one fails
     doc = dict(BUILTINS["euclidean"], name="cut", domain="x2 > 0 or 1/x1 > 0")
     M = load_manifold(doc)
     rows = [(0.0, 1.0), (0.0, -1.0), (1.0, -1.0), (-1.0, -1.0)]
     want = [True, False, True, False]
     assert [in_domain(M, x) for x in rows] == want
-    assert list(M.domain.many(np.array(rows))) == [False, False, True, False]
+    assert list(M.domain.many(np.array(rows))) == want
     values = M._values_many(np.array(rows))
     assert list(~np.isnan(values[:, 0])) == want
 
@@ -615,34 +616,57 @@ def test_each_manifold_has_its_own_fused_code():
 
 
 def test_integrator_code_compiles_on_first_use_only(monkeypatch):
-    # loading and pointwise geometry compile no integrator code; the first
-    # integration of a kind compiles its spray and fused step, and the
-    # manifold's chord probe once; later integrations compile nothing
-    compiled = []
+    # loading compiles the domain predicate, the sample guard and the
+    # values kernel, and nothing else; each jet compiles on its first read;
+    # the first integration of a kind compiles its spray and fused step,
+    # and the manifold's chord probe once; later uses compile nothing
+    compiled, asked = [], []
     real = builtins.compile
 
     def counting(src, filename, *args, **kwargs):
         compiled.append(filename)
         return real(src, filename, *args, **kwargs)
 
+    def asking(roots):
+        asked.append(tuple(roots))
+        return compile_many(roots)
+
+    def news(M):
+        # what was compiled since the last call: compile_many's kernels,
+        # named by what M reads them as, and the file names compile saw
+        known = {tuple(roots): group for group, roots in M.jet_roots.items()}
+        known[M.domain._sides.roots] = "domain"
+        known[M.sample_guard._sides.roots] = "guard"
+        values = tuple(M.jet_roots["values"])
+        out = [known.get(r, "spray" if r[:len(values)] == values else r) for r in asked]
+        out = (out, compiled[:])
+        del asked[:], compiled[:]
+        return out
+
     _dopri5(4)  # the generic step is shared by every manifold of the size
     monkeypatch.setattr(builtins, "compile", counting)
+    monkeypatch.setattr(manifold, "compile_many", asking)
     M = load_manifold(dict(BUILTINS["punctured-plane"], name="fresh"))
-    loaded = len(compiled)
-    M.at((0.3, 0.4)).gamma(ConnKind.NABLA)
-    assert len(compiled) == loaded and not M._sprays and not M._integrator
+    assert news(M) == (["domain", "guard", "values"], ["<kernel>"] * 3)
+    for group in ("dsigma", "dg", "d2sigma", "d2g"):
+        getattr(M.at((0.3, 0.4)), group)
+        assert news(M) == ([group], ["<kernel>"]), group
+        getattr(M.at_many([(0.5, 0.2), (-1.0, 0.7)]), group)
+        assert news(M) == ([], []), group
+    M.at((0.3, 0.4)).riemann(ConnKind.NABLA)
+    assert news(M) == ([], [])
     for kind, new in ((ConnKind.NABLA, ["<kernel>", "<step fresh nabla>", "<probe fresh>"]),
                       (ConnKind.LC_G, ["<kernel>", "<step fresh lc>"])):
-        del compiled[:]
         integrate_geodesic(M, kind, (1.0, 0.5), (0.2, 0.1), 1.0)
-        assert compiled == new, kind
-        del compiled[:]
+        assert news(M) == (["spray"], new), kind
         integrate_geodesic(M, kind, (0.5, 1.0), (0.1, -0.3), 1.0)
-        assert compiled == [], kind
+        assert news(M) == ([], []), kind
     # a shooting solve, its Jacobian replays and its reparametrization
-    # compile the lc-tilde spray and step, and the probe, and nothing else
+    # compile the lc-tilde spray and step, the probe, and the dsigma and
+    # d2sigma kernels the reparametrization reads, and nothing else
     S = load_manifold(dict(BUILTINS["punctured-plane"], name="shot"))
-    del compiled[:]
+    news(S)
     res = shoot_connect(S, (1.0, 0.5), (0.4, 1.2), ShootOpts(multistart=2))
     assert res.converged and res.nabla_path is not None
-    assert compiled == ["<kernel>", "<step shot lc-tilde>", "<probe shot>"]
+    assert news(S) == (["spray", "dsigma", "d2sigma"],
+                       ["<kernel>", "<step shot lc-tilde>", "<probe shot>", "<kernel>", "<kernel>"])

@@ -238,8 +238,7 @@ def test_load_rejects_indefinite_metric():
     with pytest.raises(DefinitionError) as ei:
         load_manifold(doc)
     assert str(ei.value) == (
-        "bad: metric not SPD at (-0.6816920285312484, -0.3625406643531197) "
-        "(eigenvalues [-1.  1.])"
+        "bad: metric not SPD at (-0.6816920285312484, -0.3625406643531197)"
     )
 
 
