@@ -28,6 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .exprcore import EvalDomainError, Una
 from .geodesic import (
     GeodesicError,
     GeodesicPath,
@@ -248,7 +249,10 @@ def _solve_bvp(M, p, q, opts):
     # records {start, v0, tilde_length, endpoint_error}, the per-start
     # records {start, ended, branch, endpoint_error}
     starts = _start_velocities(M, p, q, opts)
-    gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
+    try:
+        gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
+    except OverflowError:  # the error PointGeometry.exp_sigma raises
+        raise EvalDomainError(Una("exp", M._sigma), "overflow", p.tolist()) from None
     target = 0.25 * opts.eps_bvp
     # starts run in index order, so the reduction is a deterministic
     # function of that order

@@ -14,16 +14,16 @@ samples, with the weight's first two parameter derivatives taken from the
 geodesic equation.
 
 Each step is emitted per manifold and connection: every stage inlines,
-on local Python floats, the domain predicate and the connection's spray
-(ManifoldDef.spray) with get's finiteness test, and the chord probe
-inlines the predicate and the values of g and sigma the same way; no
+on local Python floats, the chart test and the connection's spray
+(ManifoldDef._inline, ManifoldDef.spray), and the chord probe inlines
+the chart test and the values of g and sigma the same way; no
 PointGeometry is built.  Both are compiled on the first integration and
 kept in the manifold's cache of compiled code (ManifoldDef.compiled).
-Where the inlined code raises, the generic step on the right-hand side
-(one predicate call and one spray call) or _chord_ok decides, with the
-same result.  A point where the predicate fails, or where g, sigma or
-the acceleration is not finite, counts as outside the chart: the step is
-halved, down to the exit bisection window.
+A point outside the chart (see manifold), or where the acceleration is
+not finite, stops the stage, and the step is halved, down to the exit
+bisection window.  The generic step on the right-hand side (_dopri5 on
+_rhs_factory's RHS) and _chord_ok, which decide the same way, are the
+references the emitted code is tested against.
 _replay takes the accepted step sizes an integration recorded through
 the same steps again, with no step control, from any start: from the
 integration's own start it gives its endpoint bit for bit, which makes
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprcore import EvalDomainError, _exec_kernel
+from .exprcore import _exec_kernel
 from .manifold import ConnKind, _require, in_domain
 
 # unreachable parameter gap left by the exit bisection
@@ -146,12 +146,8 @@ def _rhs_factory(M, kind):
     spray = M.spray(kind).get
 
     def rhs(y):
-        try:
-            inside = domain(y)
-        except EvalDomainError as err:
-            raise _DomainExit from err
         # the verdict alone: no diagnostic names the node that failed
-        out = spray(y) if inside else None
+        out = spray(y) if domain(y) else None
         if out is None:
             raise _DomainExit
         return [*y[n:], *out[-n:]]
@@ -233,7 +229,7 @@ def _names(fmt, N):
 def _exec(params, lines, filename, fallback=None, **names):
     # the function of `params` with `lines` as its body, compiled; with a
     # fallback, that statement runs where the lines raise ArithmeticError
-    # or ValueError
+    # or ValueError: where inlined code does not evaluate (_inline)
     if fallback:
         lines = ["try:", *(f"    {line}" for line in lines),
                  "except (ArithmeticError, ValueError):", f"    {fallback}"]
@@ -247,6 +243,7 @@ def _dopri5(N):
     """The generic step on N floats: step(rhs, y, f, h, rtol, atol).
 
     Each stage calls rhs on a list, so a _DomainExit from rhs propagates.
+    The fused steps are tested against it on _rhs_factory's RHS.
     """
     def stage(s, state):
         return [f"{_names(f'k{s}_{{}}', N)} = rhs([{', '.join(state)}])"]
@@ -255,11 +252,11 @@ def _dopri5(N):
 
 
 def _fused_step(M, kind):
-    """_dopri5(2n) with M's chart test and kind's spray inlined in the stages.
+    """step(y, f, h, rtol, atol): _dopri5(2n) on _rhs_factory(M, kind)'s RHS.
 
-    Same signature and results, bit for bit; where the inlined code raises,
-    the generic step on rhs decides.  Compiled on first use, kept in M's
-    cache (M.compiled).
+    M's chart test and kind's spray are inlined in the stages: the same
+    results bit for bit, and _DomainExit where a stage leaves the chart.
+    Compiled on first use, kept in M's cache (M.compiled).
     """
     kind = ConnKind(kind)
     n = M.n
@@ -273,16 +270,14 @@ def _fused_step(M, kind):
                 + [f"k{s}_{n + i} = {a}" for i, a in enumerate(outs[-n:])])
 
     return M.compiled(("step", kind), lambda: _exec(
-        "rhs, y, f, h, rtol, atol", _dp_lines(2 * n, stage),
-        f"<step {M.name} {kind.value}>", "return _generic(rhs, y, f, h, rtol, atol)",
-        _generic=_dopri5(2 * n), _DomainExit=_DomainExit))
+        "y, f, h, rtol, atol", _dp_lines(2 * n, stage), f"<step {M.name} {kind.value}>",
+        "raise _DomainExit from None", _DomainExit=_DomainExit))
 
 
 def _chord_probe(M):
-    """_chord_ok(M, x_a, x_b) with M's chart test inlined at each point.
+    """probe(x_a, x_b): _chord_ok(M, x_a, x_b) with M's chart test inlined.
 
-    Where the inlined code raises, _chord_ok decides.  Compiled on first
-    use, kept in M's cache (M.compiled).
+    Compiled on first use, kept in M's cache (M.compiled).
     """
     def build():
         a, b, x = ([f"{c}{i}" for i in range(M.n)] for c in "abx")
@@ -304,8 +299,8 @@ def _chord_probe(M):
             *(f"    {line}" for line in lines),
             "return True",
         ]
-        return _exec("M, x_a, x_b", body, f"<probe {M.name}>",
-                     "return _chord_ok(M, x_a, x_b)", _ceil=math.ceil, _chord_ok=_chord_ok)
+        return _exec("x_a, x_b", body, f"<probe {M.name}>", "return False",
+                     _ceil=math.ceil)
 
     return M.compiled("probe", build)
 
@@ -339,7 +334,7 @@ def _initial_step(rhs, y, f, t1, max_step, rtol, atol):
     return min(100 * h0, h1, t1, max_step)
 
 
-def _advance(step, rhs, t, y, f, h_abs, cap, t1, rtol, atol, counts):
+def _advance(step, t, y, f, h_abs, cap, t1, rtol, atol, counts):
     # one accepted step from (t, y, f), trying h_abs capped at cap and
     # shrinking on error rejections: (t_new, y_new, f_new, next h_abs), or
     # None once the step falls below ten spacings of the doubles at t
@@ -350,7 +345,7 @@ def _advance(step, rhs, t, y, f, h_abs, cap, t1, rtol, atol, counts):
         t_new = min(t + h, t1)
         h = t_new - t
         counts["rhs_calls"] += 6
-        y_new, f_new, err = step(rhs, y, f, h, rtol, atol)
+        y_new, f_new, err = step(y, f, h, rtol, atol)
         if err < 1.0:
             factor = _MAX_FACTOR
             if err > 0.0:
@@ -410,7 +405,7 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
         if speed > 0.0:
             cap = min(max_step, 0.5 * (1.0 + max(map(abs, y[:n]))) / speed)
         try:
-            done = _advance(step, rhs, t, y, f, h_abs, cap, t1, rtol, atol, counts)
+            done = _advance(step, t, y, f, h_abs, cap, t1, rtol, atol, counts)
         except _DomainExit:
             if h_abs <= EXIT_BISECT_TOL:
                 status = "exited-domain"
@@ -427,7 +422,7 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
             # the state no longer fits in doubles: it has left every chart
             status = "exited-domain"
             break
-        if not probe(M, y[:n], y_new[:n]):
+        if not probe(y[:n], y_new[:n]):
             if t_new - t <= EXIT_BISECT_TOL:
                 status = "exited-domain"
                 break
@@ -468,8 +463,8 @@ def _replay(M, kind, x0, v0, steps):
         f = rhs(y)
         for h in steps:
             # the error estimate is not read; unit tolerances keep it finite
-            y_new, f, _ = step(rhs, y, f, h, 1.0, 1.0)
-            if not probe(M, y[:n], y_new[:n]):
+            y_new, f, _ = step(y, f, h, 1.0, 1.0)
+            if not probe(y[:n], y_new[:n]):
                 return None
             y = y_new
     except _DomainExit:

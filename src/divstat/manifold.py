@@ -29,6 +29,11 @@ or grad sigma themselves.
 PointGeometry.gamma is the reference the spray is tested against.  The
 integrator's emitted steps inline its code after the predicate's (_inline).
 
+A point is in the chart where every side of every comparison in the
+domain, and every entry of g and sigma, evaluates finite, and the
+comparisons, joined by `and` / `or`, hold: DomainPred, _values and
+_inline all decide that, and the sample guard is decided the same way.
+
 Index conventions: connection arrays are gamma[k, i, j] = Gamma^k_ij,
 derivative stacks put the new derivative index first, and curvature
 arrays are R[l, k, i, j] with R(d_i, d_j) d_k = R^l_kij d_l.
@@ -119,7 +124,8 @@ class DomainPred:
 
     exprcore.parse_pred reads `src` into `tree`: comparisons
     `expr (< | <= | > | >=) expr`, or the constant `true`, joined by
-    `and`/`or` (`and` binds tighter).
+    `and`/`or` (`and` binds tighter).  It holds where every side
+    evaluates finite and the joined comparisons hold.
     """
 
     def __init__(self, src, coords):
@@ -130,59 +136,27 @@ class DomainPred:
         self._decide = eval(f"lambda v: {_verdict(self.tree, 'v[{}]'.format)}")  # noqa: S307
 
     def __call__(self, x):
-        # every side in one kernel call; where one fails to evaluate, the
-        # tree walk decides, so an `or` whose deciding comparison comes
-        # first keeps its verdict
         if self._sides is None:
             return True
         vals = self._sides.get(x)
-        if vals is None:
-            return _eval_pred(self.tree, x)
-        return self._decide(vals)
+        return vals is not None and self._decide(vals)
 
     def many(self, xs):
         """The verdict at each row of xs (N, n).
 
         Every comparison is evaluated on every row, with `and` / `or`
-        taken elementwise.  The rows this rejects, among them every row on
-        which a comparison fails to evaluate, are decided again by the
-        scalar predicate, and read False where it raises EvalDomainError.
-        So every verdict is the scalar one, up to last-bit rounding at the
-        boundary on the rows the batch accepts.
+        taken elementwise; a row on which a side fails (a NaN row of the
+        sides' batch) is False.  So every verdict is the scalar one, up to
+        last-bit rounding of the sides at the boundary (see exprcore).
         """
         if self._sides is None:
             return np.ones(len(xs), dtype=bool)
         vals = self._sides.many(xs)
         with np.errstate(invalid="ignore"):
-            verdict = self._decide(vals.T) & ~np.isnan(vals[:, 0])
-        for i in np.flatnonzero(~verdict):
-            try:
-                verdict[i] = self(tuple(xs[i].tolist()))
-            except EvalDomainError:
-                pass
-        return verdict
+            return self._decide(vals.T) & ~np.isnan(vals[:, 0])
 
     def __repr__(self):
         return f"DomainPred({self.src!r})"
-
-
-def _eval_pred(tree, x):
-    tag = tree[0]
-    if tag == "true":
-        return True
-    if tag == "cmp":
-        _, op, lhs, rhs = tree
-        a = lhs.eval(x)
-        b = rhs.eval(x)
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
-    vals = (_eval_pred(t, x) for t in tree[1])
-    return all(vals) if tag == "and" else any(vals)
 
 
 def _verdict(tree, side, slots=None):
@@ -420,18 +394,18 @@ class ManifoldDef:
     def _inline(self, kernel, args, prefix, outside):
         """(lines, names): the chart test, then `kernel`, at the local floats args.
 
-        The lines run `outside` where the predicate is False, and assign
-        kernel's values to `names`.  Where a side or a value does not
-        evaluate or is not finite they raise ArithmeticError or ValueError,
-        and _values and kernel.get must decide: an `or` can hold where a
-        later side fails, and a test's sum can overflow over finite values.
+        Where x is outside the chart, or kernel's get would give None, the
+        lines run `outside`, or raise ArithmeticError or ValueError where a
+        side or a value does not evaluate; elsewhere they assign kernel's
+        values to `names`.
         """
         def finite(names):
             # get's test; literals are finite, and a repeat proves nothing
             names = [a for a in dict.fromkeys(names) if a.isidentifier()]
             if not names:
                 return []
-            return [f"if not _isfinite({' + '.join(names)}): raise ArithmeticError"]
+            each = " and ".join(f"_isfinite({a})" for a in names)
+            return [f"if not (_isfinite({' + '.join(names)}) or {each}): {outside}"]
 
         lines = []
         if self.domain._sides is not None:
@@ -444,12 +418,7 @@ class ManifoldDef:
 
     def _values(self, x):
         # the entries of g, then sigma, at chart tuple x; None outside the chart
-        try:
-            if self.domain(x):
-                return self.compiled("values").get(x)
-        except EvalDomainError:
-            pass
-        return None
+        return self.compiled("values").get(x) if self.domain(x) else None
 
     def _values_many(self, xs):
         # _values at each row of xs (N, n), NaN rows outside the chart
@@ -675,7 +644,8 @@ class PointGeometry:
     @cached_property
     def g_spd(self):
         """g, once it is checked to be positive definite (at every row of a batch)."""
-        bad = np.flatnonzero(np.linalg.eigvalsh(self.g).min(axis=-1) <= SPD_EIG_FLOOR)
+        eig = np.linalg.eigvalsh(self.g)  # a relative floor: c g gets g's verdict
+        bad = np.flatnonzero(eig[..., 0] <= SPD_EIG_FLOOR * eig[..., -1])
         if bad.size:
             x = tuple(self.x[bad[0]].tolist()) if self._lead else self.x
             raise OutOfDomainError(f"{self.M.name}: metric not SPD at {x}")

@@ -431,7 +431,8 @@ def test_diagnostic_names_the_chart_coordinate(tmp_path, capsys):
 
 def test_check_where_the_conformal_factor_overflows(tmp_path, capsys):
     # e^sigma overflows for x1 > 709.78/400, inside the sample box: exit 3
-    # naming the first such sample, not nan residuals and numpy warnings
+    # naming the first such sample, not nan residuals and numpy warnings,
+    # nor a traceback from connect and contrast
     doc = tmp_path / "steep.json"
     doc.write_text(json.dumps(dict(CUT_PLANE, name="steep", domain="true",
                                    sigma="400*x1", sample_box=[[1, 2], [-1, 1]])))
@@ -439,6 +440,14 @@ def test_check_where_the_conformal_factor_overflows(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == ("divstat: overflow in 'exp(400.0*x1)' at "
                    "(1.8585979199113825, 0.3947360581187278)\n")
+    # a shooting solve forms e^sigma g at its start: the same line there
+    doc.write_text(json.dumps(dict(CUT_PLANE, name="heavy", domain="true",
+                                   sigma="800 + 0.1*x1")))
+    for argv in (["connect", str(doc), "--from", "0,0", "--to", "1,0"],
+                 ["contrast", str(doc), "--p", "0,0", "--q", "1,0"]):
+        code, out, err = run_out(capsys, argv)
+        assert code == 3 and out == "", argv
+        assert err == "divstat: overflow in 'exp(800.0 + 0.1*x1)' at (0.0, 0.0)\n", argv
 
 
 def test_numpy_overflow_is_numerical_failure(tmp_path, capsys):

@@ -585,7 +585,7 @@ def test_scalar_chord_probe_matches_numpy(name, center, spread):
         x_b = x_a + 10.0 ** rng.uniform(-4.0, 0.5) * rng.standard_normal(2)
         want = _chord_ok_numpy(M, x_a, x_b)
         assert _chord_ok(M, x_a.tolist(), x_b.tolist()) == want, (x_a, x_b)
-        assert _chord_probe(M)(M, x_a.tolist(), x_b.tolist()) == want, (x_a, x_b)
+        assert _chord_probe(M)(x_a.tolist(), x_b.tolist()) == want, (x_a, x_b)
         verdicts.append(want)
     assert 100 < sum(verdicts) < len(verdicts) - 100
 

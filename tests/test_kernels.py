@@ -14,6 +14,7 @@ spray, are checked bit for bit against the generic step on the RHS.
 """
 
 import builtins
+import functools
 import gc
 import math
 
@@ -48,7 +49,6 @@ from divstat.manifold import (
     ConnKind,
     DomainPred,
     OutOfDomainError,
-    _eval_pred,
     in_domain,
     load_manifold,
     metric_jet,
@@ -347,17 +347,37 @@ def test_batched_domain_verdicts_match_in_domain(name, rows):
 
 
 def test_batched_domain_short_circuit():
-    # the scalar predicate stops at its first deciding comparison; the
-    # batched one evaluates them all, and asks the scalar predicate about
-    # the rows it rejects, among them those where one fails
+    # no short circuit: a side that fails to evaluate puts the point
+    # outside, also where the other side of its `or` holds, for the scalar
+    # predicate and the batched one alike
     doc = dict(BUILTINS["euclidean"], name="cut", domain="x2 > 0 or 1/x1 > 0")
     M = load_manifold(doc)
     rows = [(0.0, 1.0), (0.0, -1.0), (1.0, -1.0), (-1.0, -1.0)]
-    want = [True, False, True, False]
+    want = [False, False, True, False]
     assert [in_domain(M, x) for x in rows] == want
     assert list(M.domain.many(np.array(rows))) == want
     values = M._values_many(np.array(rows))
     assert list(~np.isnan(values[:, 0])) == want
+
+
+def _walk_pred(tree, x):
+    # the chart rule on the tree walk: False where any side of any
+    # comparison fails to evaluate, else the comparisons joined by and / or
+    try:
+        for e in manifold._pred_sides(tree):
+            e._walk_eval(x)
+    except EvalDomainError:
+        return False
+
+    def decide(t):
+        if t[0] == "true":
+            return True
+        if t[0] == "cmp":
+            a, b = t[2]._walk_eval(x), t[3]._walk_eval(x)
+            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[t[1]]
+        return (all if t[0] == "and" else any)(decide(u) for u in t[1])
+
+    return decide(tree)
 
 
 @pytest.mark.parametrize("src", [
@@ -368,10 +388,8 @@ def test_batched_domain_short_circuit():
     "true",
 ])
 def test_domain_predicate_matches_its_tree_walk(src):
-    # the compiled sides decide where they all evaluate; elsewhere the
-    # walk short-circuits, so the verdict, or the error, is the walk's.
-    # The batched verdict is True only where the scalar one is, and equal
-    # to it wherever every side evaluates
+    # the compiled predicate, for one point and for a batch, against the
+    # chart rule read off the tree walk
     pred = DomainPred(src, XY)
     rng = np.random.default_rng(7)
     rows = [(0.0, 0.0), (-0.0, 1.0), (1.0, 0.0), (-1.0, -1.0), (4.0, 0.5)]
@@ -380,20 +398,10 @@ def test_domain_predicate_matches_its_tree_walk(src):
     assert batch.dtype == bool and batch.shape == (len(rows),)
     outcomes = set()
     for x, many in zip(rows, batch):
-        try:
-            want = _eval_pred(pred.tree, x)
-        except EvalDomainError as err:
-            want = str(err)
-        try:
-            got = pred(x)
-        except EvalDomainError as err:
-            got = str(err)
-        assert got == want, (src, x)
-        outcomes.add(type(want))
-        assert not many or want is True, (src, x)
-        if pred._sides is None or pred._sides.get(x) is not None:
-            assert many == want, (src, x)
-    assert bool in outcomes
+        want = _walk_pred(pred.tree, x)
+        assert pred(x) is want and many == want, (src, x)
+        outcomes.add(want)
+    assert True in outcomes
 
 
 def _spray(M, kind, x, v):
@@ -511,37 +519,31 @@ def test_each_manifold_has_its_own_spray():
         gc.collect()
 
 
-def _step_outcome(step, rhs, y, f, h):
+def _step_outcome(step, y, f, h):
     # the step's (y_new, f_new, err) as bit patterns, or the exit
     try:
-        y_new, f_new, err = step(rhs, y, f, h, 1e-9, 1e-11)
+        y_new, f_new, err = step(y, f, h, 1e-9, 1e-11)
     except _DomainExit:
         return "exit"
     return [float.hex(a) for a in (*y_new, *f_new, err)]
 
 
+def _generic_step(M, kind):
+    # the generic step on the RHS, as a step(y, f, h, rtol, atol)
+    return functools.partial(_dopri5(2 * M.n), _rhs_factory(M, kind))
+
+
 def _assert_fused_is_generic(M, kind, states, steps):
-    # the fused step against the generic one on the same RHS, and the
-    # number of states on which the fused step fell back to the RHS
-    rhs = _rhs_factory(M, kind)
-    calls = []
-
-    def counted(y):
-        calls.append(y)
-        return rhs(y)
-
-    fused, generic = _fused_step(M, kind), _dopri5(2 * M.n)
-    fallbacks = 0
-    outcomes = set()
+    # the fused step against the generic one on the RHS; returns the
+    # outcome of every (state, step) in order
+    fused, generic = _fused_step(M, kind), _generic_step(M, kind)
+    outcomes = []
     for y, f in states:
         for h in steps:
-            got = _step_outcome(fused, counted, y, f, h)
-            want = _step_outcome(generic, rhs, y, f, h)
-            assert got == want, (M.name, kind, y, h)
-            outcomes.add(got == "exit")
-            fallbacks += bool(calls)
-            calls.clear()
-    return fallbacks, outcomes
+            got = _step_outcome(fused, y, f, h)
+            assert got == _step_outcome(generic, y, f, h), (M.name, kind, y, h)
+            outcomes.append(got)
+    return outcomes
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -554,8 +556,7 @@ def test_fused_step_is_the_generic_step(name):
         for x in sample_domain(M, 12, seed=18):
             y = [*x.tolist(), *(10.0 ** rng.uniform(-2, 1) * rng.standard_normal(2)).tolist()]
             states.append((y, rhs(y)))
-        fallbacks, _ = _assert_fused_is_generic(M, kind, states, (1e-3, 0.05, 0.4, 2.0))
-        assert fallbacks == 0, (name, kind)
+        _assert_fused_is_generic(M, kind, states, (1e-3, 0.05, 0.4, 2.0))
 
 
 @pytest.mark.parametrize("name, rows", [
@@ -568,21 +569,22 @@ def test_fused_step_on_the_wall_rows(name, rows):
     M = load_manifold(name)
     states = [([*x, *v], [*v, 0.5, -0.5]) for x in rows for v in ((0.3, -0.2), (-2.0, 3.0))]
     for kind in ConnKind:
-        _, outcomes = _assert_fused_is_generic(M, kind, states, (1e-6, 0.01, 0.3))
-        assert outcomes == {True, False}, kind
+        outcomes = _assert_fused_is_generic(M, kind, states, (1e-6, 0.01, 0.3))
+        assert {o == "exit" for o in outcomes} == {True, False}, kind
 
 
 @pytest.mark.parametrize("domain", ["log(x1) < 5 or x2 > 0", "x2 > 0 or log(x1) < 5"])
 def test_fused_step_where_a_predicate_side_fails(domain):
-    # left of x1 = 0 the log side does not evaluate: the compiled sides
-    # fail, and the generic predicate's walk decides, raising where the
-    # failing side comes first and short-circuiting past it where x2 > 0
-    # comes first
-    M = load_manifold(dict(BUILTINS["euclidean"], name="cut", domain=domain))
+    # left of x1 = 0 the log side does not evaluate, so the point is
+    # outside whatever x2 is, and the order of the `or` changes nothing
     states = [([x1, x2, -1.0, v2], [-1.0, v2, 0.0, 0.0])
               for x1 in (0.05, -0.5) for x2 in (0.01, 1.0, -1.0) for v2 in (-1.0, 1.0)]
-    fallbacks, outcomes = _assert_fused_is_generic(M, ConnKind.LC_G, states, (0.02, 0.2))
-    assert fallbacks > 0 and outcomes == {True, False}
+    outcomes = []
+    for src in (domain, " or ".join(reversed(domain.split(" or ")))):
+        M = load_manifold(dict(BUILTINS["euclidean"], name="cut", domain=src))
+        outcomes.append(_assert_fused_is_generic(M, ConnKind.LC_G, states, (0.02, 0.2)))
+    assert outcomes[0] == outcomes[1]
+    assert {o == "exit" for o in outcomes[0]} == {True, False}
 
 
 def test_fused_step_where_the_spray_overflows():
@@ -595,8 +597,8 @@ def test_fused_step_where_the_spray_overflows():
         for _ in range(40):
             v = 10.0 ** rng.uniform(150.0, 156.0) * rng.standard_normal(2)
             states.append(([0.3, -0.2, *v.tolist()], [*v.tolist(), 0.0, 0.0]))
-        fallbacks, outcomes = _assert_fused_is_generic(M, kind, states, (1e-300, 1e-160))
-        assert fallbacks > 0 and True in outcomes, kind
+        outcomes = _assert_fused_is_generic(M, kind, states, (1e-300, 1e-160))
+        assert "exit" in outcomes, kind
 
 
 def test_each_manifold_has_its_own_fused_code():
@@ -609,8 +611,8 @@ def test_each_manifold_has_its_own_fused_code():
         rhs = _rhs_factory(M, ConnKind.NABLA)
         step = _fused_step(M, ConnKind.NABLA)
         assert _fused_step(M, "nabla") is step and _chord_probe(M) is _chord_probe(M)
-        want = _step_outcome(_dopri5(4), rhs, y, rhs(y), 0.1)
-        assert _step_outcome(step, rhs, y, rhs(y), 0.1) == want, c
+        want = _step_outcome(_generic_step(M, ConnKind.NABLA), y, rhs(y), 0.1)
+        assert _step_outcome(step, y, rhs(y), 0.1) == want, c
         del M, rhs, step
         gc.collect()
 

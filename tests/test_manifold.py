@@ -228,18 +228,23 @@ def test_domain_parse_errors_name_offsets_in_the_whole_predicate():
 
 
 def test_load_rejects_indefinite_metric():
-    doc = {
-        "name": "bad",
-        "dim": 2,
-        "coords": ["x1", "x2"],
-        "metric": [["1", "0"], ["0", "-1"]],
-        "sigma": "0",
-    }
-    with pytest.raises(DefinitionError) as ei:
-        load_manifold(doc)
-    assert str(ei.value) == (
-        "bad: metric not SPD at (-0.6816920285312484, -0.3625406643531197)"
-    )
+    # the SPD floor is relative to the largest eigenvalue: c g gets the
+    # verdict g gets, however small or large c is
+    for c in ("1e-13", "1", "1e13"):
+        doc = {
+            "name": "bad",
+            "dim": 2,
+            "coords": ["x1", "x2"],
+            "metric": [[c, "0"], ["0", f"-{c}"]],
+            "sigma": "0",
+        }
+        with pytest.raises(DefinitionError) as ei:
+            load_manifold(doc)
+        assert str(ei.value) == (
+            "bad: metric not SPD at (-0.6816920285312484, -0.3625406643531197)"
+        ), c
+        M = load_manifold(dict(doc, name="good", metric=[[c, "0"], ["0", c]]))
+        assert np.array_equal(metric_at(M, (0.1, 0.2)), float(c) * np.eye(2)), c
 
 
 def test_domain_predicate_from_json():
