@@ -9,12 +9,13 @@ the winner.  Each Gauss-Newton Jacobian is a forward difference taken on
 the base path's own accepted steps (geodesic._replay: Bock's internal
 numerical differentiation), so a column runs no step controller and
 differences the same discrete map as the defect it corrects.  Starts run
-in index order, and a start that reaches the coarse tier within _JOIN of
-a branch an earlier start converged to joins it and stops: it would only
-find that branch again.  The canonical contrast rho(p, q) =
-e^{-sigma(p)} dtilde^2 comes from the shortest connecting geodesic found;
-differentiating it on the diagonal recovers g and the nabla connection,
-which contrast_structure_check verifies by finite differences.
+in index order, and a start whose iterate comes within _JOIN of a branch
+an earlier start converged to, at any tier, joins it and stops: it is in
+that branch's Newton basin and would only find it again.  The canonical
+contrast rho(p, q) = e^{-sigma(p)} dtilde^2 comes from the shortest
+connecting geodesic found; differentiating it on the diagonal recovers g
+and the nabla connection, which contrast_structure_check verifies by
+finite differences.
 
 Failure to connect is informative output (see the punctured plane, where
 the antipodal problem has no solution), so shoot_connect reports a
@@ -52,8 +53,8 @@ _TIERS = ((_SCOUT, 1e-2), (_COARSE, 1e-5), (_FINE, 0.0))
 # Gauss-Newton iterations per start
 _MAX_ITER = 60
 # two converged velocities within _SAME (relative) are one branch; a start
-# at the coarse or fine tier whose iterate comes within _JOIN of a branch an
-# earlier start found joins that branch and stops
+# whose iterate comes within _JOIN of a branch an earlier start found, at
+# any tier, joins that branch and stops
 _SAME = 1e-6
 _JOIN = 1e3 * _SAME
 
@@ -89,12 +90,14 @@ class ConnectResult:
     by length, so geodesic multiplicity stays observable.
 
     starts has one record {start, ended, branch, endpoint_error} per start,
-    in start order (none for p == q).  ended is "converged", "joined" (at
-    coarse tolerance the start came within _JOIN of a branch an earlier
-    start had found, and stopped) or "failed"; branch is the index into
-    solutions of the branch the start reached, or None; endpoint_error is
-    the defect it ended with.  A joined start adds no solution, just as a
-    start that converges onto a known branch adds none.
+    in start order (none for p == q).  ended is "converged", "joined" (an
+    iterate of the start came within _JOIN of a branch an earlier start
+    had found, and it stopped there, at whatever tier it had reached) or
+    "failed"; branch is the index into solutions of the branch the start
+    reached, or None; endpoint_error is the defect it ended with, for a
+    joined start measured at the tier it had reached.  A joined start adds
+    no solution, just as a start that converges onto a known branch adds
+    none.
 
     nabla_path is None when the best tilde path left the domain with too
     few samples to reparametrize, or when the nabla parameter cannot be
@@ -162,6 +165,11 @@ def _gauss_newton(M, p, q, v0, target, found):
     err = float(np.linalg.norm(r))
     history = [err]
     for _ in range(_MAX_ITER):
+        # inside the Newton basin of a branch already found, at whatever
+        # tier, the rest of the iteration would only find it again
+        for i, s in enumerate(found):
+            if np.linalg.norm(v - s) <= _JOIN * max(1.0, np.linalg.norm(s)):
+                return True, v, err, i
         # closing nine orders of magnitude within the iteration budget needs
         # a mean contraction near 0.2 per five iterations; branches that
         # cannot even halve are stuck on a wall or a fold, so cut them loose
@@ -176,12 +184,6 @@ def _gauss_newton(M, p, q, v0, target, found):
             err = float(np.linalg.norm(r))
         if err <= target and io is _FINE:
             return True, v, err, None
-        # inside the coarse basin of a branch already found, the rest of
-        # the iteration would only find it again
-        if tier:
-            for i, s in enumerate(found):
-                if np.linalg.norm(v - s) <= _JOIN * max(1.0, np.linalg.norm(s)):
-                    return True, v, err, i
         J = _jacobian(M, p, q, v, r, steps)
         if J is None:
             return False, v, err, None

@@ -31,11 +31,13 @@ it the shooting Jacobian's column integrator.
 
 The parameter change, the refinement of the samples by sigma and
 geodesic_residual read the geometry of all a path's samples in one
-batched call.  The refinement's rounds evaluate the dense output's
-positions only, and the inserted samples' velocities in one pass at the
-end.  The parameter change checks its weight e^{+-2 sigma} first and
-takes Gamma(v, v) from the connection's spray kernel (spray(kind).many),
-never building the connection tensors.  Batched jets come from numpy's
+batched call.  Each round of the refinement tests only the gaps the
+round before bisected, a gap that passed once passing for good, and
+evaluates positions at their midpoints only; the inserted samples are
+merged once at the end, their velocities in one pass.  The parameter
+change checks its weight e^{+-2 sigma} first and takes Gamma(v, v) from
+the connection's spray kernel (spray(kind).many), never building the
+connection tensors.  Batched jets come from numpy's
 ufuncs, whose exp and power round differently from math's on a few
 percent of inputs, so their results can differ from a sample-by-sample
 evaluation in the last bits.
@@ -472,6 +474,9 @@ def _replay(M, kind, x0, v0, steps):
     return np.array(y)
 
 
+_TABLE = ("x(t0)", "h v(t0)", "h^2 a(t0)", "x(t1)", "h v(t1)", "h^2 a(t1)")
+
+
 def _stack(segs):
     # the accepted steps of _integrate_core as arrays (t0, t1, y0, y1, f0,
     # f1), one row per step: what _eval_pieces reads
@@ -484,7 +489,9 @@ def _eval_pieces(pieces, ts, n, velocities=True):
     # interpolant match the accelerations the solver actually saw.
     # pieces is _stack's; returns (xs, vs), vs None unless velocities is
     # set.  Each time's row is computed alone, so any subset of the times
-    # gives the same rows bit for bit
+    # gives the same rows bit for bit.  Raises GeodesicError where a
+    # position, or the Hermite data _TABLE of the step it is formed from,
+    # do not fit in a double
     t0, t1, y0, y1, f0, f1 = pieces
     k = np.minimum(np.searchsorted(t1, ts, side="left"), len(t1) - 1)
     h = (t1 - t0)[k]
@@ -505,9 +512,18 @@ def _eval_pieces(pieces, ts, n, velocities=True):
     )
     h = h[:, None]
     y0, y1, f0, f1 = y0[k], y1[k], f0[k], f1[k]
-    D = (y0[:, :n], h * y0[:, n:], h * h * f0[:, n:],
-         y1[:, :n], h * y1[:, n:], h * h * f1[:, n:])
-    xs = sum(c[:, None] * d for c, d in zip(H, D))
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = (y0[:, :n], h * y0[:, n:], h * h * f0[:, n:],
+             y1[:, :n], h * y1[:, n:], h * h * f1[:, n:])
+        xs = sum(c[:, None] * d for c, d in zip(H, D))
+    # a datum that does not fit in a double leaves its row of xs inf or nan
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        term = next((j for j, d in enumerate(D) if not np.isfinite(d[i]).all()), None)
+        raise GeodesicError(
+            f"dense output overflows: {'x(t)' if term is None else _TABLE[term]} "
+            f"is not finite on the step [{float(t0[k[i]])!r}, {float(t1[k[i]])!r}]")
     if not velocities:
         return xs, None
     Hp = (
@@ -530,29 +546,38 @@ def _refine_by_sigma(M, pieces, ts, xs, vs):
     # subdivide dense-output intervals until the conformal weight e^{2 sigma}
     # changes slowly across each one; reparametrization quadrature needs the
     # weight resolved along the path, not just the positions.  sigma is NaN
-    # outside the chart, so no gap there counts as too large.  The rounds
-    # read positions only; the inserted samples' velocities come at the end
-    # in one pass, the same rows _eval_pieces gives for each round's times
+    # outside the chart, so no gap there counts as too large.  A gap that
+    # passes keeps its ends, so it passes in every later round: each round
+    # tests only the frontier, the halves of the gaps the round before
+    # bisected, and evaluates positions at their midpoints only.  A gap is
+    # (left time, right time, 2 sigma at both ends, key of its left end),
+    # the key being the sample index plus the dyadic fraction of the
+    # original gap, exact in a double, which orders the one merge at the
+    # end; the inserted samples' velocities come there in one pass
     n = xs.shape[1]
-    sig = M._values_many(xs)[:, -1]
-    new = np.zeros(len(ts), dtype=bool)
+    s2 = 2.0 * M._values_many(xs)[:, -1]
+    gaps = (ts[:-1], ts[1:], s2[:-1], s2[1:], np.arange(len(ts) - 1.0))
+    width, size, added = 1.0, len(ts), []
     for _ in range(16):
-        gaps = np.abs(np.diff(2.0 * sig))
-        bad = np.flatnonzero(gaps > SIGMA_STEP)
-        if bad.size == 0 or len(ts) + bad.size > DENSE_CAP:
+        bad = np.abs(gaps[3] - gaps[2]) > SIGMA_STEP
+        count = np.count_nonzero(bad)
+        if count == 0 or size + count > DENSE_CAP:
             break
-        mid = 0.5 * (ts[bad] + ts[bad + 1])
+        t_lo, t_hi, s_lo, s_hi, key = (a[bad] for a in gaps)
+        mid = 0.5 * (t_lo + t_hi)
         xm, _ = _eval_pieces(pieces, mid, n, velocities=False)
-        pos = bad + 1
-        ts = np.insert(ts, pos, mid)
-        xs = np.insert(xs, pos, xm, axis=0)
-        new = np.insert(new, pos, True)
-        sig = np.insert(sig, pos, M._values_many(xm)[:, -1])
-    if new.any():
-        vs_all = np.empty_like(xs)
-        vs_all[~new] = vs
-        vs_all[new] = _eval_pieces(pieces, ts[new], n)[1]
-        vs = vs_all
+        sm = 2.0 * M._values_many(xm)[:, -1]
+        width *= 0.5
+        added.append((mid, xm, key + width))
+        size += count
+        gaps = tuple(map(np.concatenate, ((t_lo, mid), (mid, t_hi), (s_lo, sm),
+                                          (sm, s_hi), (key, key + width))))
+    if added:
+        tm, xm, km = map(np.concatenate, zip(*added))
+        order = np.argsort(np.concatenate((np.arange(len(ts)), km)))
+        ts = np.concatenate((ts, tm))[order]
+        xs = np.concatenate((xs, xm))[order]
+        vs = np.concatenate((vs, _eval_pieces(pieces, tm, n)[1]))[order]
     return ts, xs, vs
 
 
@@ -564,7 +589,9 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
     where e^{2 sigma} moves quickly between neighbours, so reparametrization
     quadrature stays accurate on stiff conformal factors.  Leaving the chart
     or exhausting the step budget is reported through the status field,
-    never raised.
+    never raised; a step that holds a sample and whose Hermite data h v
+    or h^2 a do not fit in a double (steps of 1e154 and more) raises
+    GeodesicError naming it.
     """
     opts = opts if opts is not None else IntegratorOpts()
     kind = ConnKind(kind)

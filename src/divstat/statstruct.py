@@ -15,7 +15,7 @@ Gamma^k_ij and derivative stacks put the new derivative index first.
 
 import numpy as np
 
-from .exprcore import Una
+from .exprcore import EvalDomainError, Una
 from .manifold import ConnKind, ManifoldDef
 
 
@@ -81,8 +81,19 @@ def conjugate(M):
 
 def volume_density(M, x):
     """theta_0 = e^{-(n+2) sigma / 2} sqrt(det g), the nabla-parallel density."""
-    P = M.at(x)
-    return float(np.exp(-(P.n + 2) * P.sigma / 2.0) * np.sqrt(np.linalg.det(P.g)))
+    return float(_volume_form(M.at(x)))
+
+
+def _volume_form(P):
+    # theta_0 at P's points; EvalDomainError at the first point where it
+    # does not fit in a double
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = np.exp(-(P.n + 2) * P.sigma / 2.0) * np.sqrt(np.linalg.det(P.g))
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        x = np.reshape(P.x, (-1, P.n))[bad[0]]
+        raise EvalDomainError("e^{-(n+2) sigma/2} sqrt(det g)", "overflow", x.tolist())
+    return theta
 
 
 def parallel_volume_residual(M, x):
@@ -97,8 +108,7 @@ def parallel_volume_residual(M, x):
 def _parallel_volume_residual(P):
     n = P.n
     dlog = -(n + 2) / 2.0 * P.dsigma + 0.5 * np.einsum("...kl,...ikl->...i", P.g_inv, P.dg)
-    theta = np.exp(-(n + 2) * P.sigma / 2.0) * np.sqrt(np.linalg.det(P.g))
-    return theta[..., None] * (dlog - np.einsum("...kik->...i", P.gamma(ConnKind.NABLA)))
+    return _volume_form(P)[..., None] * (dlog - np.einsum("...kik->...i", P.gamma(ConnKind.NABLA)))
 
 
 def trace_K(M, x):

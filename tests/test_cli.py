@@ -452,12 +452,26 @@ def test_check_where_the_conformal_factor_overflows(tmp_path, capsys):
 
 def test_numpy_overflow_is_numerical_failure(tmp_path, capsys):
     # sigma = -1e300: the volume form's e^{-(n+2) sigma/2} overflows, and
-    # e^sigma is 0; exit 3 with one line, not warnings and nan residuals
+    # e^sigma is 0; exit 3 with one line naming the quantity and the first
+    # sample, not warnings and nan residuals
     doc = tmp_path / "deep.json"
     doc.write_text(json.dumps(dict(CUT_PLANE, domain="true", sigma="-(1e300)")))
     code, out, err = run_out(capsys, ["check", str(doc), "--samples", "3"])
     assert code == 3 and out == ""
-    assert err == "divstat: numerical failure: overflow encountered in exp\n"
+    assert err == ("divstat: overflow in 'e^{-(n+2) sigma/2} sqrt(det g)' at "
+                   "(0.5479120971119267, -0.12224312049589536)\n")
+
+
+def test_geodesic_whose_dense_output_overflows(capsys):
+    # the path reaches x1 = 1e308 in steps of 1e154 and more, where the
+    # Hermite term h^2 a no longer fits in a double: exit 3, naming it and
+    # the step that holds the middle sample
+    code, out, err = run_out(capsys, [
+        "geodesic", "euclidean", "--conn", "lc", "--from", "0,0", "--vel", "1,0",
+        "--t-max", "1e308", "--steps", "3"])
+    assert code == 3 and out == ""
+    assert err == ("divstat: dense output overflows: h^2 a(t0) is not finite on the step "
+                   "[4.871075588443622e+307, 5.079408921776956e+307]\n")
 
 
 def test_literal_out_of_range_is_invalid_input(tmp_path, capsys):

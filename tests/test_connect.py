@@ -350,3 +350,28 @@ def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
         assert work[1]["_replay"] < work[0]["_replay"], (name, p, q)
         multi += len(sols) >= 2
     assert multi >= 2
+
+
+@pytest.mark.parametrize("name, p, q", [JOIN_CASES[0][:3], JOIN_CASES[2][:3]])
+def test_later_starts_join_before_the_fine_tier(monkeypatch, name, p, q):
+    # once start 0 has found the one branch, every later start reaches
+    # its basin at the scout or coarse tier and joins there, before it
+    # integrates at fine tolerance
+    fine, start = [], [-1]
+    gauss_newton, core = divstat.connect._gauss_newton, divstat.connect._integrate_core
+
+    def next_start(*args):
+        start[0] += 1
+        return gauss_newton(*args)
+
+    def integrate(M, kind, x0, v0, t1, opts, *args, **kwargs):
+        if opts is _FINE:
+            fine.append(start[0])
+        return core(M, kind, x0, v0, t1, opts, *args, **kwargs)
+
+    monkeypatch.setattr(divstat.connect, "_gauss_newton", next_start)
+    monkeypatch.setattr(divstat.connect, "_integrate_core", integrate)
+    _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
+                              ShootOpts(multistart=6, seed=42))
+    assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * 5
+    assert start[0] == 5 and fine and set(fine) == {0}

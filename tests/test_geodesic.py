@@ -448,6 +448,22 @@ def test_dense_output_matches_per_segment_hermite(name):
         assert np.abs(vs - vr).max() <= 1e-13 * np.abs(vr).max(), (name, kind)
 
 
+def test_dense_output_overflow_names_the_step():
+    # steps of 1e154 and more: h^2 overflows, and h^2 a is 0 * inf.  Only
+    # the steps that hold a sample count: with 2 samples the overflowing
+    # steps lie between them and the path completes, with 3 the middle
+    # sample falls in one of them
+    M = load_manifold("euclidean")
+    path = integrate_geodesic(M, ConnKind.LC_G, (0.0, 0.0), (1.0, 0.0), 1e156,
+                              IntegratorOpts(dense_samples=2))
+    assert path.status == "completed" and path.xs[-1, 0] == 9.9999999999999979e+155
+    with pytest.raises(GeodesicError) as info:
+        integrate_geodesic(M, ConnKind.LC_G, (0.0, 0.0), (1.0, 0.0), 1e156,
+                           IntegratorOpts(dense_samples=3))
+    assert str(info.value) == ("dense output overflows: h^2 a(t0) is not finite on the "
+                               "step [4.910539231648054e+155, 5.118872564981387e+155]")
+
+
 def _refine_per_round(M, segs, ts, xs, vs):
     """The refinement by sigma, one round at a time: the reference.
 
