@@ -285,8 +285,15 @@ def _diag(message, code):
     return code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # a usage error is one diagnostic line from run(), not argparse's
+    # usage block; subcommand parsers inherit this class
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="divstat",
         description="chart computations for metrics paired with a "
         "conformal weight function",
@@ -346,7 +353,10 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(_fuse_negative_values(list(argv)))
+    except argparse.ArgumentError as exc:
+        return _diag(exc, 2)
     except SystemExit as exc:
+        # --help, after printing the help
         return 0 if not exc.code else int(exc.code)
     try:
         # numpy overflows are numerical failures, not warnings beside nan

@@ -251,9 +251,13 @@ def _solve_bvp(M, p, q, opts):
     # records {start, v0, tilde_length, endpoint_error}, the per-start
     # records {start, ended, branch, endpoint_error}
     starts = _start_velocities(M, p, q, opts)
+    P = M.at(p)
+    # math.exp, not P.exp_sigma: numpy's exp rounds differently on a few
+    # percent of inputs, which would move tilde_length's last bits
     try:
-        gt = math.exp(sigma_at(M, p)) * metric_at(M, p)
-    except OverflowError:  # the error PointGeometry.exp_sigma raises
+        gt = math.exp(P.sigma) * P.g_spd
+    except OverflowError:
+        # the error P.exp_sigma gives where e^sigma overflows
         raise EvalDomainError(Una("exp", M._sigma), "overflow", p.tolist()) from None
     target = 0.25 * opts.eps_bvp
     # starts run in index order, so the reduction is a deterministic

@@ -27,6 +27,7 @@ differently from ``math``'s on a few percent of inputs.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +46,22 @@ __all__ = [
     "compile_many",
 ]
 
-_UNARY_OPS = ("neg", "exp", "log", "sin", "cos", "sqrt", "abs")
-_BINARY_OPS = ("add", "sub", "mul", "div", "pow")
+_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
+_UNARY_OPS = ("neg",) + _FUNCTIONS
 
 # printing precedence levels
 _P_ADD, _P_MUL, _P_UNARY, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
+
+# each binary op's symbol and precedence, for the parser, the printer and
+# the emitter alike; ^ is right-associative, the others left-associative
+_BINARY_OPS = {
+    "add": ("+", _P_ADD),
+    "sub": ("-", _P_ADD),
+    "mul": ("*", _P_MUL),
+    "div": ("/", _P_MUL),
+    "pow": ("^", _P_POW),
+}
+_OP_OF = {sym: op for op, (sym, _) in _BINARY_OPS.items()}
 
 
 class ExprError(Exception):
@@ -76,7 +88,11 @@ class EvalDomainError(ExprError):
 
 
 class Expr:
-    """Immutable expression node."""
+    """Expression node, equal and hashed by structure.
+
+    A node is never modified after it is built: compiled kernels, and the
+    kernel eval keeps on the node, hold the tree as it was compiled.
+    """
 
     __slots__ = ("_fn",)
 
@@ -86,8 +102,7 @@ class Expr:
         """Evaluate at coordinate tuple `x`."""
         fn = getattr(self, "_fn", None)
         if fn is None:
-            fn = compile_many((self,))
-            object.__setattr__(self, "_fn", fn)
+            fn = self._fn = compile_many((self,))
         return fn(x)[0]
 
     def diff(self, i):
@@ -103,11 +118,12 @@ def evaluate(expr, x):
     return expr.eval(x)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Num(Expr):
-    __slots__ = ("value",)
+    value: float
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", float(value))
+    def __post_init__(self):
+        self.value = float(self.value)
 
     @property
     def prec(self):
@@ -122,24 +138,18 @@ class Num(Expr):
     def __str__(self):
         return repr(self.value)
 
-    def __repr__(self):
-        return f"Num({self.value!r})"
 
-    def __eq__(self, other):
-        return type(other) is Num and other.value == self.value
-
-    def __hash__(self):
-        return hash(("num", self.value))
-
-
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Expr):
     """Coordinate `index`, printed by its name (by default x<index + 1>)."""
 
-    __slots__ = ("index", "name")
+    index: int
+    name: str | None = None
 
-    def __init__(self, index, name=None):
-        object.__setattr__(self, "index", int(index))
-        object.__setattr__(self, "name", name if name is not None else f"x{index + 1}")
+    def __post_init__(self):
+        self.index = int(self.index)
+        if self.name is None:
+            self.name = f"x{self.index + 1}"
 
     def diff(self, i):
         return Num(1.0 if i == self.index else 0.0)
@@ -152,29 +162,20 @@ class Var(Expr):
         # names the coordinate the user wrote
         return self.name
 
-    def __repr__(self):
-        return f"Var({self.index}, {self.name!r})"
 
-    def __eq__(self, other):
-        return type(other) is Var and other.index == self.index and other.name == self.name
-
-    def __hash__(self):
-        return hash(("var", self.index, self.name))
-
-
+@dataclass(slots=True, unsafe_hash=True)
 class Una(Expr):
-    __slots__ = ("op", "arg")
+    op: str
+    arg: Expr
+
+    def __post_init__(self):
+        if self.op not in _UNARY_OPS:
+            raise ValueError(f"unknown unary op {self.op!r}")
 
     @property
     def prec(self):
         # function applications print as atoms; only neg is an operator
         return _P_UNARY if self.op == "neg" else _P_ATOM
-
-    def __init__(self, op, arg):
-        if op not in _UNARY_OPS:
-            raise ValueError(f"unknown unary op {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "arg", arg)
 
     def diff(self, i):
         f, op = self.arg, self.op
@@ -208,33 +209,20 @@ class Una(Expr):
             return f"-{s}"
         return f"{self.op}({self.arg})"
 
-    def __repr__(self):
-        return f"Una({self.op!r}, {self.arg!r})"
 
-    def __eq__(self, other):
-        return type(other) is Una and other.op == self.op and other.arg == self.arg
-
-    def __hash__(self):
-        return hash(("una", self.op, self.arg))
-
-
+@dataclass(slots=True, unsafe_hash=True)
 class Bin(Expr):
-    __slots__ = ("op", "left", "right")
+    op: str
+    left: Expr
+    right: Expr
 
-    def __init__(self, op, left, right):
-        if op not in _BINARY_OPS:
-            raise ValueError(f"unknown binary op {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __post_init__(self):
+        if self.op not in _BINARY_OPS:
+            raise ValueError(f"unknown binary op {self.op!r}")
 
     @property
     def prec(self):
-        if self.op in ("add", "sub"):
-            return _P_ADD
-        if self.op in ("mul", "div"):
-            return _P_MUL
-        return _P_POW
+        return _BINARY_OPS[self.op][1]
 
     def diff(self, i):
         f, g, op = self.left, self.right, self.op
@@ -263,37 +251,15 @@ class Bin(Expr):
         return _apply_bin(self.op, a, b, self, x)
 
     def __str__(self):
-        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/", "pow": "^"}[self.op]
-        p = self.prec
-        ls, rs = str(self.left), str(self.right)
-        if self.op == "pow":
-            # right-associative: parenthesize the base at equal precedence
-            if self.left.prec <= p:
-                ls = f"({ls})"
-            if self.right.prec < p:
-                rs = f"({rs})"
-        else:
-            if self.left.prec < p:
-                ls = f"({ls})"
-            # left-associative: parenthesize the right operand at equal
-            # precedence so the printed tree re-parses to the same shape
-            if self.right.prec <= p:
-                rs = f"({rs})"
+        sym, p = _BINARY_OPS[self.op]
+        # the operand on the associating side is parenthesized at equal
+        # precedence too, so the printed tree re-parses to the same shape
+        lp, rp = (p + 1, p) if self.op == "pow" else (p, p + 1)
+        ls = str(self.left) if self.left.prec >= lp else f"({self.left})"
+        rs = str(self.right) if self.right.prec >= rp else f"({self.right})"
+        if p == _P_ADD:
+            sym = f" {sym} "
         return f"{ls}{sym}{rs}"
-
-    def __repr__(self):
-        return f"Bin({self.op!r}, {self.left!r}, {self.right!r})"
-
-    def __eq__(self, other):
-        return (
-            type(other) is Bin
-            and other.op == self.op
-            and other.left == self.left
-            and other.right == self.right
-        )
-
-    def __hash__(self):
-        return hash(("bin", self.op, self.left, self.right))
 
 
 # evaluation guards; shared by the tree walker and compiled code
@@ -373,7 +339,6 @@ def _bin(op, left, right):
 # the trees.  On any exception or non-finite output the guarded tree walker
 # re-runs to name the failing node.
 
-_EMIT_BIN = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 # inlined operations nest at most this deep in one generated expression;
 # CPython's parser stops at 200 levels of parentheses
 _INLINE_DEPTH = 32
@@ -471,7 +436,7 @@ def _emit(roots, arg, prefix, named=False):
             elif len(a) == 1:
                 text = f"_{op}({a[0]})"
             else:
-                text = f"({a[0]} {_EMIT_BIN[op]} {a[1]})"
+                text = f"({a[0]} {_BINARY_OPS[op][0]} {a[1]})"
         # an argument that is a plain name is read as it is
         if (uses[r] > 1 or depth[r] > _INLINE_DEPTH) and not text.isidentifier():
             lines.append(f"{prefix}{r} = {text}")
@@ -484,11 +449,12 @@ def _emit(roots, arg, prefix, named=False):
 def compile_many(roots):
     """A callable ``f(x)`` returning the tuple of every root's value at `x`.
 
-    Repeated subtrees of the hash-consed trees are computed once.  The
-    emitter folds ``e*1``, ``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and
-    ``e^1`` to ``e``, and ``0*e``, ``e*0``, ``0/e`` and ``e^0`` to their
-    constant without evaluating ``e``, so a domain error inside such an
-    ``e`` is not reported.  Any other failure raises
+    A repeated subtree is computed once, whether the trees reuse one node
+    object or hold structurally equal copies.  The emitter folds ``e*1``,
+    ``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and ``e^1`` to ``e``, and
+    ``0*e``, ``e*0``, ``0/e`` and ``e^0`` to their constant without
+    evaluating ``e``, so a domain error inside such an ``e`` is not
+    reported.  Any other failure raises
     :class:`EvalDomainError` with the failing node and point, found by the
     guarded tree walker.
 
@@ -657,9 +623,6 @@ def _tokenize(src):
     return toks
 
 
-_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
-
-
 def _ends_term(tok):
     # what may follow a predicate term: a joining word or the end (only an
     # identifier's text is a word)
@@ -725,45 +688,28 @@ class _Parser:
             self.fail(f"domain predicate chunk {chunk!r} has no comparison", first)
         self.fail(f"unexpected token {t.text!r}", t)
 
-    def parse_expr(self):
-        return self.parse_add()
-
-    def parse_add(self):
-        e = self.parse_mul()
+    def parse_expr(self, prec=_P_ADD):
+        # one left-associative level per precedence below unary minus
+        if prec == _P_UNARY:
+            return self.parse_unary()
+        e = self.parse_expr(prec + 1)
         while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in "+-":
-                self.take()
-                rhs = self.parse_mul()
-                e = _bin("add" if t.text == "+" else "sub", e, rhs)
-            else:
+            op = _OP_OF.get(self.peek().text)
+            if op is None or _BINARY_OPS[op][1] != prec:
                 return e
-
-    def parse_mul(self):
-        e = self.parse_unary()
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in "*/":
-                self.take()
-                rhs = self.parse_unary()
-                e = _bin("mul" if t.text == "*" else "div", e, rhs)
-            else:
-                return e
+            self.take()
+            e = _bin(op, e, self.parse_expr(prec + 1))
 
     def parse_unary(self):
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
+        # unary minus binds looser than a right-associative ^
+        if self.peek().text == "-":
             self.take()
             return _una("neg", self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self):
         base = self.parse_atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.take()
-            return _bin("pow", base, self.parse_unary())
-        return base
+        if _OP_OF.get(self.peek().text) != "pow":
+            return base
+        self.take()
+        return _bin("pow", base, self.parse_unary())
 
     def parse_atom(self):
         t = self.take()

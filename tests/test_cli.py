@@ -201,6 +201,31 @@ def test_geodesic_rejects_bad_options(capsys):
     assert err == "divstat: --t-max must be positive and finite\n"
 
 
+_LINE = ["geodesic", "euclidean", "--conn", "lc", "--from", "0,0", "--vel", "1,0",
+         "--t-max", "1"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (_LINE + ["--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+    (["connect", "paraboloid", "--from", "0,0", "--to", "1,0", "--multistart", "1.5"],
+     "argument --multistart"),
+    (_LINE[:3] + ["warp"] + _LINE[4:], "argument --conn: invalid choice: 'warp'"),
+    (["describe", "paraboloid"], "required: --at"),
+    ([], "required: command"),
+    (["describe", "paraboloid", "--at", "0,0", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_errors_are_one_line(capsys, argv, names):
+    code, out, err = run_out(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("divstat: ") and names in err
+
+
+def test_help_prints_to_stdout(capsys):
+    code, out, err = run_out(capsys, ["geodesic", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: divstat geodesic") and "--steps" in out
+
+
 def test_connect_json_paraboloid(tmp_path, capsys):
     dest = tmp_path / "conn.json"
     argv = ["connect", "paraboloid", "--from", "0,0", "--to", "1,0",
@@ -558,7 +583,7 @@ _ARGVS = st.one_of(
         st.just("--conn"), st.sampled_from(["lc", "nabla", "bar", "lc-tilde"]),
         st.just("--from"), _POINTS, st.just("--vel"), _POINTS,
         st.just("--t-max"), st.one_of(_NUMBERS, st.sampled_from(["1", "1e308"])),
-        st.just("--steps"), st.sampled_from(["0", "1", "2"]),
+        st.just("--steps"), st.sampled_from(["0", "1", "2", "abc", "1.5"]),
     ),
 )
 

@@ -274,6 +274,23 @@ def test_print_roundtrip_on_a_swapped_chart():
 def test_structural_equality():
     assert parse("x1 + x2", XY) == parse("x1+x2", XY)
     assert parse("x1 + x2", XY) != parse("x2 + x1", XY)
+    # a coordinate is its index and its name: index 0 named y is another tree
+    assert parse("2*x1", XY) != parse("2*y", ("y", "x2"))
+    assert Num(0.0) == Num(-0.0)
+    a, b = parse("-exp(x1)^2/(x2 - 1)", XY), parse("-exp(x1) ^ 2 / (x2-1)", XY)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, Num(0.0), Num(-0.0)}) == 2
+
+
+def test_node_construction_checks_and_coerces():
+    with pytest.raises(ValueError, match="unknown unary op 'tanh'"):
+        Una("tanh", Var(0))
+    with pytest.raises(ValueError, match="unknown binary op 'mod'"):
+        Bin("mod", Var(0), Num(2.0))
+    two = Num("2")
+    assert type(two.value) is float and two == Num(2.0)
+    v = Var(1.0)
+    assert type(v.index) is int and v == Var(1, "x2")
 
 
 def test_readme_function_list_matches_parser():
