@@ -377,6 +377,9 @@ def run(argv):
         return _diag(exc, 3)
     except FloatingPointError as exc:
         return _diag(f"numerical failure: {exc}", 3)
+    except RecursionError:
+        # a derived tree too deep to walk: MAX_DEPTH bounds parsed ones only
+        return _diag("expression nested too deeply", 2)
 
 
 def main():

@@ -30,12 +30,12 @@ class DegeneratePlaneError(ValueError):
 
 def riemann(M, x, kind):
     """Curvature coefficients R[l,k,i,j] of the requested connection at x."""
-    return M.at(x).riemann(ConnKind(kind))
+    return M.at(x).riemann(kind)
 
 
 def ricci(M, x, kind):
     """Ric[j,k] = R^a_kaj, the trace of X -> R(X, d_j) d_k."""
-    return _ricci(M.at(x), ConnKind(kind))
+    return _ricci(M.at(x), kind)
 
 
 def _ricci(P, kind):
@@ -177,7 +177,7 @@ def _constant_curvature_terms(P, kind):
 
 def constant_curvature_residual(M, x, lam, kind=ConnKind.NABLA):
     """max |g(R(di,dj)dk,dl) - lam (g_jk g_il - g_ik g_jl)| at x."""
-    low, W = _constant_curvature_terms(M.at(x), ConnKind(kind))
+    low, W = _constant_curvature_terms(M.at(x), kind)
     return float(np.abs(low - lam * W).max())
 
 

@@ -566,6 +566,11 @@ def _walk_failure(roots, x):
 
 # recursive-descent parser
 
+# the parser's deepest recursion, in calls, and deepest tree, / and ^ counting
+# two levels: tree walks recurse per level, and a second derivative is about
+# three times as deep as a product, six times as deep as a quotient
+MAX_DEPTH = 300
+
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
@@ -654,6 +659,11 @@ class _Parser:
             return self.take()
         self.fail(f"expected {text!r}")
 
+    def bound(self, depth):
+        if depth > MAX_DEPTH:
+            self.fail("expression nested too deeply")
+        return depth
+
     def whole(self, rule):
         out = rule()
         t = self.peek()
@@ -676,60 +686,65 @@ class _Parser:
         if first.text == "true" and _ends_term(self.toks[self.k + 1]):
             self.take()
             return ("true",)
-        lhs = self.parse_expr()
+        lhs = self.parse_expr()[0]
         t = self.take()
         if t.kind == "op" and t.text in "<>":
             op = t.text
             if self.peek().text == "=" and self.peek().pos == t.pos + 1:
                 op += self.take().text
-            return ("cmp", op, lhs, self.parse_expr())
+            return ("cmp", op, lhs, self.parse_expr()[0])
         if _ends_term(t):
             chunk = self.src[first.pos : t.pos].rstrip()
             self.fail(f"domain predicate chunk {chunk!r} has no comparison", first)
         self.fail(f"unexpected token {t.text!r}", t)
 
-    def parse_expr(self, prec=_P_ADD):
-        # one left-associative level per precedence below unary minus
+    def parse_expr(self, prec=_P_ADD, nesting=1):
+        # one left-associative level per precedence below unary minus.  The
+        # expression rules give (tree, depth), the depth as MAX_DEPTH counts it
         if prec == _P_UNARY:
-            return self.parse_unary()
-        e = self.parse_expr(prec + 1)
+            return self.parse_unary(nesting + 1)
+        e, depth = self.parse_expr(prec + 1, nesting + 1)
         while True:
             op = _OP_OF.get(self.peek().text)
             if op is None or _BINARY_OPS[op][1] != prec:
-                return e
+                return e, depth
             self.take()
-            e = _bin(op, e, self.parse_expr(prec + 1))
+            rhs, d = self.parse_expr(prec + 1, nesting + 1)
+            e, depth = _bin(op, e, rhs), self.bound(1 + (op == "div") + max(depth, d))
 
-    def parse_unary(self):
-        # unary minus binds looser than a right-associative ^
+    def parse_unary(self, nesting):
+        # unary minus binds looser than a right-associative ^; all recursion passes here
+        self.bound(nesting)
         if self.peek().text == "-":
             self.take()
-            return _una("neg", self.parse_unary())
-        base = self.parse_atom()
+            arg, depth = self.parse_unary(nesting + 1)
+            return _una("neg", arg), self.bound(depth + 1)
+        base, depth = self.parse_atom(nesting + 1)
         if _OP_OF.get(self.peek().text) != "pow":
-            return base
+            return base, depth
         self.take()
-        return _bin("pow", base, self.parse_unary())
+        exponent, d = self.parse_unary(nesting + 1)
+        return _bin("pow", base, exponent), self.bound(2 + max(depth, d))
 
-    def parse_atom(self):
+    def parse_atom(self, nesting):
         t = self.take()
         if t.kind == "num":
-            return Num(float(t.text))
+            return Num(float(t.text)), 1
         if t.kind == "ident":
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
                 if t.text not in _FUNCTIONS:
                     self.fail(f"unknown function {t.text!r}", t)
                 self.take()
-                arg = self.parse_expr()
+                arg, depth = self.parse_expr(nesting=nesting + 1)
                 self.expect_op(")")
-                return _una(t.text, arg)
+                return _una(t.text, arg), self.bound(depth + 1)
             if t.text in self.coords:
                 idx = self.coords.index(t.text)
-                return Var(idx, t.text)
+                return Var(idx, t.text), 1
             self.fail(f"unknown identifier {t.text!r}", t)
         if t.kind == "op" and t.text == "(":
-            e = self.parse_expr()
+            e = self.parse_expr(nesting=nesting + 1)
             self.expect_op(")")
             return e
         if t.kind == "eof":
@@ -740,7 +755,7 @@ class _Parser:
 def parse(src, coords):
     """Parse `src` over coordinate names `coords` into an Expr."""
     p = _Parser(src, coords)
-    return p.whole(p.parse_expr)
+    return p.whole(p.parse_expr)[0]
 
 
 def parse_pred(src, coords):

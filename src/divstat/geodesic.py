@@ -22,8 +22,7 @@ kept in the manifold's cache of compiled code (ManifoldDef.compiled).
 A point outside the chart (see manifold), or where the acceleration is
 not finite, stops the stage, and the step is halved, down to the exit
 bisection window.  The generic step on the right-hand side (_dopri5 on
-_rhs_factory's RHS) and _chord_ok, which decide the same way, are the
-references the emitted code is tested against.
+_rhs_factory's RHS) is the reference the emitted step is tested against.
 _replay takes the accepted step sizes an integration recorded through
 the same steps again, with no step control, from any start: from the
 integration's own start it gives its endpoint bit for bit, which makes
@@ -54,6 +53,8 @@ from .manifold import ConnKind, _require, in_domain
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
+# accepted steps after which an integration stops, status "step-limit"
+MAX_STEPS = 10**6
 
 
 class GeodesicError(Exception):
@@ -81,14 +82,11 @@ class _DomainExit(Exception):
 class IntegratorOpts:
     rtol: float = 1e-9
     atol: float = 1e-11
-    max_steps: int = 10**6
     dense_samples: int = 129
 
     def __post_init__(self):
         if self.rtol <= 0.0 or self.atol <= 0.0:
             raise ValueError("integrator tolerances must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
         if self.dense_samples < 2:
             raise ValueError("dense_samples must be at least 2")
 
@@ -117,10 +115,6 @@ class GeodesicPath:
     @property
     def samples(self):
         return [(float(t), self.xs[i], self.vs[i]) for i, t in enumerate(self.ts)]
-
-    @property
-    def endpoint(self):
-        return self.xs[-1]
 
     def to_csv(self, dest):
         """Write samples as CSV; dest is a path or an open text file."""
@@ -155,25 +149,6 @@ def _rhs_factory(M, kind):
         return [*y[n:], *out[-n:]]
 
     return rhs
-
-
-def _chord_ok(M, x_a, x_b):
-    # a large step can vault a hole in the chart even though all its stage
-    # points land inside; probe the chord of the step at a resolution tied
-    # to the displacement relative to the position scale.  x_a and x_b are
-    # sequences of floats
-    gap = max(abs(b - a) for a, b in zip(x_a, x_b))
-    scale = 1.0 + max(max(map(abs, x_a)), max(map(abs, x_b)))
-    r = gap / (0.03 * scale)
-    k = 3 if not r > 3.0 else (31 if r > 30.0 else math.ceil(r))  # ceil(r) in [3, 31]
-    # j * (1 / (k + 1)) is the fraction np.linspace gives, bit for bit
-    step = 1.0 / (k + 1)
-    for j in range(1, k + 1):
-        frac = j * step
-        x = tuple((1.0 - frac) * a + frac * b for a, b in zip(x_a, x_b))
-        if M._values(x) is None:
-            return False
-    return True
 
 
 # The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -277,9 +252,12 @@ def _fused_step(M, kind):
 
 
 def _chord_probe(M):
-    """probe(x_a, x_b): _chord_ok(M, x_a, x_b) with M's chart test inlined.
+    """probe(x_a, x_b): whether the chord from x_a to x_b stays in M's chart.
 
-    Compiled on first use, kept in M's cache (M.compiled).
+    A large step can vault a hole in the chart with all its stage points
+    inside.  The chord is tested at np.linspace's k interior fractions, k =
+    ceil(r) clamped to [3, 31] (3 for a NaN r), r the largest coordinate gap
+    over 0.03 (1 + the largest |coordinate|).  Kept in M.compiled.
     """
     def build():
         a, b, x = ([f"{c}{i}" for i in range(M.n)] for c in "abx")
@@ -397,7 +375,7 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     segs = []
     status = "completed"
     while t < t1:
-        if counts["accepted"] >= opts.max_steps:
+        if counts["accepted"] >= MAX_STEPS:
             status = "step-limit"
             break
         # cap the chart displacement of one step so the chord probes below

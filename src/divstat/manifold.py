@@ -39,6 +39,7 @@ derivative stacks put the new derivative index first, and curvature
 arrays are R[l, k, i, j] with R(d_i, d_j) d_k = R^l_kij d_l.
 """
 
+import copy
 import enum
 import itertools
 import json
@@ -49,7 +50,6 @@ import numpy as np
 
 from .exprcore import (
     EvalDomainError,
-    Expr,
     ExprError,
     Num,
     Una,
@@ -238,11 +238,11 @@ BUILTINS = {
 class ManifoldDef:
     """Validated manifold definition with the symbolic jets of g and sigma.
 
-    `sigma` in the document is a source string, or an Expr already parsed
-    over the same coords, which is how conjugate passes its negated tree.
-    Immutable after construction; all geometry queries are pure and go
-    through at(x), which holds no state between calls.  The exception is
-    the one cache of compiled code, compiled(key), filled on first use.
+    Every expression in the document is a source string; `doc` keeps a
+    deep copy of the document as given.  Immutable after construction; all
+    geometry queries are pure and go through at(x), which holds no state
+    between calls.  The exception is the one cache of compiled code,
+    compiled(key), filled on first use.
     """
 
     def __init__(self, doc):
@@ -267,7 +267,7 @@ class ManifoldDef:
                 and all(_list_of(row, n, str) for row in metric_src),
                 f"{n} rows of {n} expression strings",
             ),
-            ("sigma", isinstance(sigma_src, (str, Expr)), "an expression string"),
+            ("sigma", isinstance(sigma_src, str), "an expression string"),
             ("domain", isinstance(domain_src, str), "a predicate"),
             ("sample_guard", isinstance(guard_src, (str, type(None))), "a predicate"),
         ):
@@ -280,7 +280,6 @@ class ManifoldDef:
         self.name = name
         self.n = n
         self.coords = coords
-        self.domain_src = domain_src
 
         def parsed(key, read, src):
             # read(src, coords); a parse error names the field it is in
@@ -289,10 +288,8 @@ class ManifoldDef:
             except ExprError as err:
                 raise DefinitionError(f"{name}: {key}: {err}") from None
 
-        self.domain = parsed("domain", DomainPred, self.domain_src)
-        self._sigma = (
-            sigma_src if isinstance(sigma_src, Expr) else parsed("sigma", parse, sigma_src)
-        )
+        self.domain = parsed("domain", DomainPred, domain_src)
+        self._sigma = parsed("sigma", parse, sigma_src)
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -318,19 +315,7 @@ class ManifoldDef:
             parsed("sample_guard", DomainPred, guard_src) if guard_src is not None else None
         )
 
-        # normalized source document, kept so derived manifolds (conjugate)
-        # can be rebuilt through the same validation path
-        self.doc = {
-            "name": name,
-            "dim": n,
-            "coords": list(coords),
-            "metric": [list(row) for row in metric_src],
-            "sigma": sigma_src,
-            "domain": self.domain_src,
-            "sample_box": [[float(a), float(b)] for a, b in self.sample_box],
-        }
-        if guard_src is not None:
-            self.doc["sample_guard"] = guard_src
+        self.doc = copy.deepcopy(doc)
 
         # symbolic jets up to second order, one tree per unordered index
         # pair so that evaluated arrays are exactly symmetric; each kernel
@@ -738,8 +723,9 @@ class PointGeometry:
         )
 
     def _conn(self, key, kind, base, k, p):
-        # base + a k + b p for the (a, b) of kind, read from the attributes
-        # named; a term whose coefficient is 0 is never computed
+        # base + a k + b p for the (a, b) of kind (a ConnKind or its name),
+        # read from the attributes named; a zero-coefficient term is skipped
+        kind = ConnKind(kind)
         out = self._by_kind.get((key, kind))
         if out is None:
             a, b = _CONN_TERMS[kind]
@@ -761,7 +747,7 @@ class PointGeometry:
 
     def riemann(self, kind):
         """R[l,k,i,j] = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
-        key = ("riemann", kind)
+        key = ("riemann", ConnKind(kind))
         out = self._by_kind.get(key)
         if out is None:
             gam = self.gamma(kind)

@@ -15,7 +15,7 @@ Gamma^k_ij and derivative stacks put the new derivative index first.
 
 import numpy as np
 
-from .exprcore import EvalDomainError, Una
+from .exprcore import EvalDomainError, Una, _una
 from .manifold import ConnKind, ManifoldDef
 
 
@@ -52,7 +52,6 @@ def cubic_form_via_difference(M, x):
 
 def connection_coeffs(M, x, kind):
     """Coefficients gamma[k,i,j] of the requested connection at x."""
-    kind = ConnKind(kind)
     return M.at(x).gamma(kind)
 
 
@@ -62,7 +61,6 @@ def connection_dcoeffs(M, x, kind):
     All derivatives come from the symbolic jets of g and sigma; nothing here
     differentiates numerically.
     """
-    kind = ConnKind(kind)
     P = M.at(x)
     return P.gamma(kind), P.dgamma(kind)
 
@@ -70,13 +68,13 @@ def connection_dcoeffs(M, x, kind):
 def conjugate(M):
     """The conjugate structure: same metric, sigma -> -sigma.
 
-    The parsed sigma tree is negated, and a top-level negation is unwrapped
-    rather than nested, so conjugating twice gives back M's sigma tree
-    (unless that tree is itself a negation of a negation).
+    The parsed sigma tree is negated, a top-level negation unwrapped and a
+    constant folded, and printed as the new sigma, so conjugating twice gives
+    back M's sigma tree (unless that tree is a negation of a negation).
     """
     sig = M._sigma
-    neg = sig.arg if isinstance(sig, Una) and sig.op == "neg" else Una("neg", sig)
-    return ManifoldDef(dict(M.doc, sigma=neg))
+    neg = sig.arg if isinstance(sig, Una) and sig.op == "neg" else _una("neg", sig)
+    return ManifoldDef(dict(M.doc, sigma=str(neg)))
 
 
 def volume_density(M, x):

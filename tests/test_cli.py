@@ -41,8 +41,9 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
     import tomli as tomllib
 
 import divstat
+import divstat.geodesic
 from divstat.cli import run
-from divstat.geodesic import IntegratorOpts
+from divstat.exprcore import MAX_DEPTH
 from divstat.manifold import load_manifold
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -522,6 +523,51 @@ def test_parse_errors_name_their_field(tmp_path, capsys, field, value, message):
     assert err == f"divstat: cut-plane: {message}\n"
 
 
+# sigma sources of n terms, factors, quotients, nested parentheses, nested
+# calls, unary minuses and powers, with the largest n that MAX_DEPTH (300)
+# admits, as the README lists them: a sum's or a product's tree is n levels
+# deep, a quotient or a power counts two levels, and a pair of parentheses or
+# a call costs the parser five calls of recursion
+_DEEP = {
+    "sum": (lambda n: "+".join(("x1", "x2")[i % 2] for i in range(n)), 300),
+    "product": (lambda n: "*".join(("x1", "x2")[i % 2] for i in range(n)), 300),
+    "quotient": (lambda n: "/".join(("x1", "x2")[i % 2] for i in range(n)), 150),
+    "parentheses": (lambda n: "(" * n + "x1" + ")" * n, 59),
+    "sin": (lambda n: "sin(" * n + "x1" + ")" * n, 59),
+    "minus": (lambda n: "-" * n + "x1", 296),
+    "power": (lambda n: "x1" + "^1.0001" * n, 149),
+}
+
+
+@pytest.mark.parametrize("shape", list(_DEEP))
+def test_nesting_is_bounded_by_the_parser(tmp_path, capsys, shape):
+    source, largest = _DEEP[shape]
+    assert MAX_DEPTH == 300
+    doc = tmp_path / "deep.json"
+    base = dict(CUT_PLANE, name="deep", sample_box=[[0.99, 1.01], [0.99, 1.01]])
+    # at the bound the definition loads, and describe evaluates the deepest
+    # trees there are, the second derivatives of sigma
+    doc.write_text(json.dumps(dict(base, sigma=source(largest))))
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "1,1"])
+    assert code == 0 and err == ""
+    # one more, and the parser refuses it: invalid input
+    doc.write_text(json.dumps(dict(base, sigma=source(largest + 1))))
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "1,1"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("divstat: deep: sigma: expression nested too deeply (offset ")
+
+
+def test_derived_tree_too_deep_to_print_is_one_line(tmp_path, capsys):
+    # the quotient loads, but at (0.0085, 0.0085) its first derivatives
+    # overflow in a node about 450 levels deep, too deep to print
+    doc = tmp_path / "deep.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, name="deep", sigma=_DEEP["quotient"][0](150))))
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0.0085,0.0085"])
+    assert code == 2 and out == ""
+    assert err == "divstat: expression nested too deeply\n"
+
+
 # hostile definition documents: well-formed expressions over extreme
 # literals, and token soups, in one field of a valid document
 
@@ -594,9 +640,7 @@ _ARGVS = st.one_of(
 def test_hostile_argument_vectors_exit_cleanly(tmp_path, capsys, monkeypatch, argv):
     # a closed geodesic runs to the step budget: a small one keeps each
     # example short, and ends such paths `step-limit` as the default does
-    monkeypatch.setattr(
-        "divstat.cli.IntegratorOpts",
-        lambda **kw: IntegratorOpts(max_steps=2000, **kw))
+    monkeypatch.setattr(divstat.geodesic, "MAX_STEPS", 2000)
     doc = tmp_path / "cut-plane"
     doc.write_text(json.dumps(CUT_PLANE))
     argv = [str(doc) if a == "cut-plane" else a for a in argv]

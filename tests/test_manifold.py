@@ -13,6 +13,7 @@ import pytest
 from divstat.exprcore import EvalDomainError
 from divstat.manifold import (
     BUILTINS,
+    ConnKind,
     DefinitionError,
     OutOfDomainError,
     christoffel_g,
@@ -113,6 +114,21 @@ def test_sigma_derivatives_halfplane():
     assert abs(laplace_sigma(half, (0.0, 1.0)) - e1) < 1e-15
     # Lap sigma = y^2 e^{-y}
     assert abs(laplace_sigma(half, (1.0, 3.0)) - 9.0 * math.exp(-3.0)) < 1e-14
+
+
+@pytest.mark.parametrize("kind", list(ConnKind), ids=lambda k: k.value)
+def test_connection_tables_take_a_kind_or_its_name(kind):
+    para = load_manifold("paraboloid")
+    for x in ((0.3, -0.7), (1.2, 0.4)):
+        by_kind, by_name = para.at(x), para.at(x)
+        for table in ("gamma", "dgamma", "riemann"):
+            want = getattr(by_kind, table)(kind)
+            got = getattr(by_name, table)(kind.value)
+            assert np.array_equal(got, want), table
+            assert getattr(by_name, table)(kind) is got  # one cache entry
+    for table in ("gamma", "dgamma", "riemann"):
+        with pytest.raises(ValueError):
+            getattr(para.at((0.0, 0.0)), table)("nabla-hat")
 
 
 def test_domain_membership():

@@ -5,6 +5,7 @@ points of the curvature-one example manifold (g = 2/(1+r^2) delta,
 sigma = -log((1+r^2)/2)), where dsigma(1,0) = (-1,0) and g(1,0) = id.
 """
 
+import json
 import math
 
 import numpy as np
@@ -260,6 +261,23 @@ def test_conjugate_negates_the_sigma_tree():
     # chart names that are positional names in another order
     m = load_manifold({**base, "coords": ["x2", "x1"], "sigma": "x2 + 2*x1^2"})
     assert sigma_at(conjugate(m), (0.5, 0.25)) == -(0.5 + 2 * 0.25**2)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_conjugate_document_is_plain_json(name):
+    conj = conjugate(load_manifold(name))
+    again = load_manifold(json.loads(json.dumps(conj.doc)))
+    assert again._sigma == conj._sigma
+
+
+def test_document_is_kept_as_given():
+    doc = json.loads(json.dumps(BUILTINS["paraboloid"]))
+    m = load_manifold(doc)
+    doc["sigma"] = "0"
+    doc["metric"][0][0] = "1"
+    doc["sample_box"][0][0] = 0.0
+    assert m.doc == BUILTINS["paraboloid"]
+    assert conjugate(m).doc["metric"] == BUILTINS["paraboloid"]["metric"]
 
 
 def test_volume_density_values():
