@@ -7,7 +7,9 @@ comparisons ``expr (< | <= | > | >=) expr``, or the word ``true``, by
 ``and`` and ``or``, ``and`` binding tighter; parentheses belong to the
 expressions, and error offsets count in the whole predicate.
 Differentiation is exact and symbolic, and the trees themselves are only
-ever rewritten by constant folding.
+ever rewritten by constant folding.  A node keeps its derivatives, so a
+jet is a DAG, and every walk (_walk) visits each distinct node once on an
+explicit stack: no tree is too deep to differentiate, compile or print.
 
 Evaluation compiles trees to Python functions (compile_many; Expr.eval
 goes through it too), whose bodies _emit writes, also for the geodesic
@@ -27,23 +29,14 @@ differently from ``math``'s on a few percent of inputs.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Expr",
-    "Num",
-    "Var",
-    "Una",
-    "Bin",
-    "ExprError",
-    "ParseError",
-    "EvalDomainError",
-    "parse",
-    "parse_pred",
-    "evaluate",
-    "compile_many",
+    "Expr", "Num", "Var", "Una", "Bin", "ExprError", "ParseError",
+    "EvalDomainError", "parse", "parse_pred", "evaluate", "compile_many",
 ]
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
@@ -81,22 +74,27 @@ class EvalDomainError(ExprError):
 
     def __init__(self, node, reason, point=None):
         at = f" at {tuple(point)}" if point is not None else ""
-        super().__init__(f"{reason} in '{node}'{at}")
+        text = _text(node, _EXCERPT) if isinstance(node, Expr) else node
+        super().__init__(f"{reason} in '{text}'{at}")
         self.node = node
         self.reason = reason
         self.point = None if point is None else tuple(point)
 
 
 class Expr:
-    """Expression node, equal and hashed by structure.
+    """Expression node, equal by structure.
 
-    A node is never modified after it is built: compiled kernels, and the
-    kernel eval keeps on the node, hold the tree as it was compiled.
+    diff(i) is the exact partial derivative by coordinate i.  A node is
+    never modified after it is built: compiled kernels, and the kernel
+    eval keeps on the node, hold the tree as it was compiled, and the `_d`
+    slot keeps the node's derivative by each coordinate once diff has built
+    it.  So a subtree that several nodes share is differentiated once, and
+    a jet is a DAG.  == compares whole trees on one _walk; hash reads a
+    node's own fields and not its children, so equal trees hash equal
+    without a walk.  No slot takes part in ==, hash or repr.
     """
 
-    __slots__ = ("_fn",)
-
-    prec = _P_ATOM
+    __slots__ = ("_fn", "_d")
 
     def eval(self, x):
         """Evaluate at coordinate tuple `x`."""
@@ -105,12 +103,30 @@ class Expr:
             fn = self._fn = compile_many((self,))
         return fn(x)[0]
 
-    def diff(self, i):
-        """Exact partial derivative with respect to coordinate `i`."""
-        raise NotImplementedError
-
     def _walk_eval(self, x):
-        raise NotImplementedError
+        # the guarded reference evaluation, which names a failing node
+        return _walk((self,), lambda e: e.value if isinstance(e, Num) else float(x[e.index]),
+                     lambda e: _eval_step(e, x))[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        shapes = {}  # each distinct shape met, numbered
+
+        def number(key):
+            return shapes.setdefault(key, len(shapes))
+
+        def step(e):
+            if isinstance(e, Una):
+                return number((e.op, (yield e.arg)))
+            return number((e.op, (yield e.left), (yield e.right)))
+
+        a, b = _walk((self, other), lambda e: number(
+            ("num", e.value) if isinstance(e, Num) else ("var", e.index, e.name)), step)
+        return a == b
+
+    def __str__(self):
+        return _text(self)
 
 
 def evaluate(expr, x):
@@ -118,28 +134,18 @@ def evaluate(expr, x):
     return expr.eval(x)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False, unsafe_hash=True)
 class Num(Expr):
     value: float
 
     def __post_init__(self):
         self.value = float(self.value)
 
-    @property
-    def prec(self):
-        return _P_UNARY if self.value < 0 else _P_ATOM
-
     def diff(self, i):
         return Num(0.0)
 
-    def _walk_eval(self, x):
-        return self.value
 
-    def __str__(self):
-        return repr(self.value)
-
-
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False, unsafe_hash=True)
 class Var(Expr):
     """Coordinate `index`, printed by its name (by default x<index + 1>)."""
 
@@ -154,135 +160,170 @@ class Var(Expr):
     def diff(self, i):
         return Num(1.0 if i == self.index else 0.0)
 
-    def _walk_eval(self, x):
-        return float(x[self.index])
 
-    def __str__(self):
-        # a parsed tree re-parses over the same coords, and a diagnostic
-        # names the coordinate the user wrote
-        return self.name
-
-
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False, unsafe_hash=True)
 class Una(Expr):
     op: str
-    arg: Expr
+    arg: Expr = field(hash=False)
 
     def __post_init__(self):
         if self.op not in _UNARY_OPS:
             raise ValueError(f"unknown unary op {self.op!r}")
 
-    @property
-    def prec(self):
-        # function applications print as atoms; only neg is an operator
-        return _P_UNARY if self.op == "neg" else _P_ATOM
-
     def diff(self, i):
-        f, op = self.arg, self.op
-        df = f.diff(i)
-        if op == "neg":
-            return _una("neg", df)
-        if op == "exp":
-            return _bin("mul", _una("exp", f), df)
-        if op == "log":
-            return _bin("div", df, f)
-        if op == "sin":
-            return _bin("mul", _una("cos", f), df)
-        if op == "cos":
-            return _una("neg", _bin("mul", _una("sin", f), df))
-        if op == "sqrt":
-            return _bin("div", df, _bin("mul", Num(2.0), _una("sqrt", f)))
-        # abs: sign(f) * f', undefined at f == 0 (the division reports it)
-        return _bin("mul", _bin("div", f, _una("abs", f)), df)
-
-    def _walk_eval(self, x):
-        v = self.arg._walk_eval(x)
-        if self.op == "neg":
-            return -v
-        return _apply_una(self.op, v, self, x)
-
-    def __str__(self):
-        if self.op == "neg":
-            s = str(self.arg)
-            if self.arg.prec < _P_UNARY:
-                s = f"({s})"
-            return f"-{s}"
-        return f"{self.op}({self.arg})"
+        return _diff(self, i)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False, unsafe_hash=True)
 class Bin(Expr):
     op: str
-    left: Expr
-    right: Expr
+    left: Expr = field(hash=False)
+    right: Expr = field(hash=False)
 
     def __post_init__(self):
         if self.op not in _BINARY_OPS:
             raise ValueError(f"unknown binary op {self.op!r}")
 
-    @property
-    def prec(self):
-        return _BINARY_OPS[self.op][1]
-
     def diff(self, i):
-        f, g, op = self.left, self.right, self.op
-        if op == "add":
-            return _bin("add", f.diff(i), g.diff(i))
-        if op == "sub":
-            return _bin("sub", f.diff(i), g.diff(i))
-        if op == "mul":
-            return _bin("add", _bin("mul", f.diff(i), g), _bin("mul", f, g.diff(i)))
-        if op == "div":
-            num = _bin("sub", _bin("mul", f.diff(i), g), _bin("mul", f, g.diff(i)))
-            return _bin("div", num, _bin("mul", g, g))
-        # pow
-        if isinstance(g, Num):
-            c = g.value
-            step = _bin("mul", Num(c), _bin("pow", f, Num(c - 1.0)))
-            return _bin("mul", step, f.diff(i))
-        # general exponent: f^g * (g' log f + g f'/f)
-        t1 = _bin("mul", g.diff(i), _una("log", f))
-        t2 = _bin("mul", g, _bin("div", f.diff(i), f))
-        return _bin("mul", self, _bin("add", t1, t2))
+        return _diff(self, i)
 
-    def _walk_eval(self, x):
-        a = self.left._walk_eval(x)
-        b = self.right._walk_eval(x)
-        return _apply_bin(self.op, a, b, self, x)
 
-    def __str__(self):
-        sym, p = _BINARY_OPS[self.op]
+# walks: one explicit stack, children first, each distinct node once
+
+
+def _walk(roots, leaf, step):
+    # each root's value, children first, without recursion: leaf(e) gives a
+    # Num's or Var's value, and step(e) of a Una or Bin is a generator that
+    # yields the children it needs, in order, is sent their values and
+    # returns e's.  Each distinct Una and Bin (by identity) is stepped once
+    done = {}  # id(node) -> value; the roots keep every node alive
+    get, inner, out = done.get, (Una, Bin), []
+    for node in roots:
+        keys, sends = [], []  # id and send of each node being stepped
+        while True:
+            if not isinstance(node, inner):
+                value = leaf(node)
+            else:
+                value = get(id(node), done)
+                if value is done:
+                    keys.append(id(node))
+                    sends.append(step(node).send)
+                    value = None
+            while sends:
+                try:
+                    node = sends[-1](value)
+                    break
+                except StopIteration as stop:
+                    value = done[keys.pop()] = stop.value
+                    sends.pop()
+            else:
+                out.append(value)
+                break
+    return out
+
+
+# each unary op's derivative, from its argument f and the derivative df
+_CHAIN = {
+    "neg": lambda f, df: _una("neg", df),
+    "exp": lambda f, df: _bin("mul", _una("exp", f), df),
+    "log": lambda f, df: _bin("div", df, f),
+    "sin": lambda f, df: _bin("mul", _una("cos", f), df),
+    "cos": lambda f, df: _una("neg", _bin("mul", _una("sin", f), df)),
+    "sqrt": lambda f, df: _bin("div", df, _bin("mul", Num(2.0), _una("sqrt", f))),
+    # sign(f) f', undefined at f == 0 (the division reports it)
+    "abs": lambda f, df: _bin("mul", _bin("div", f, _una("abs", f)), df),
+}
+
+
+def _diff(root, i):
+    # root's derivative by coordinate i; every Una and Bin node keeps its
+    # derivatives in its _d slot, so none is built twice
+    def step(e):
+        memo = getattr(e, "_d", None)
+        if memo is None:
+            memo = e._d = {}
+        if i in memo:
+            return memo[i]
+        if isinstance(e, Una):
+            d = _CHAIN[e.op](e.arg, (yield e.arg))
+        else:
+            f, g, op = e.left, e.right, e.op
+            df, dg = (yield f), (yield g)
+            if op in ("add", "sub"):
+                d = _bin(op, df, dg)
+            elif op == "mul":
+                d = _bin("add", _bin("mul", df, g), _bin("mul", f, dg))
+            elif op == "div":
+                num = _bin("sub", _bin("mul", df, g), _bin("mul", f, dg))
+                d = _bin("div", num, _bin("mul", g, g))
+            elif isinstance(g, Num):
+                c = g.value
+                d = _bin("mul", _bin("mul", Num(c), _bin("pow", f, Num(c - 1.0))), df)
+            else:
+                # general exponent: f^g * (g' log f + g f'/f)
+                t1 = _bin("mul", dg, _una("log", f))
+                d = _bin("mul", e, _bin("add", t1, _bin("mul", g, _bin("div", df, f))))
+        memo[i] = d
+        return d
+
+    return _walk((root,), lambda e: e.diff(i), step)[0]
+
+
+def _eval_step(e, x):
+    # _walk's step for the guarded evaluation at x
+    if isinstance(e, Una):
+        v = yield e.arg
+        return -v if e.op == "neg" else _apply_una(e.op, v, e, x)
+    a = yield e.left
+    return _apply_bin(e.op, a, (yield e.right), e, x)
+
+
+# an EvalDomainError quotes this many characters of its node at most: a
+# derived node printed as a tree can be far longer than its DAG
+_EXCERPT = 100
+
+
+def _text(root, limit=None):
+    # root's text, which parses back to root over the same coordinates, or
+    # with a limit its first `limit` characters, then "..." if it is longer
+    cut = None if limit is None else limit + 1
+
+    def leaf(e):
+        # e's (text, printing precedence); a diagnostic names the coordinate
+        # the user wrote
+        if isinstance(e, Var):
+            return e.name, _P_ATOM
+        return repr(e.value), _P_UNARY if e.value < 0 else _P_ATOM
+
+    def step(e):
+        if isinstance(e, Una):
+            s, q = yield e.arg
+            if e.op != "neg":
+                return f"{e.op}({s})"[:cut], _P_ATOM
+            return (f"-({s})" if q < _P_UNARY else f"-{s}")[:cut], _P_UNARY
+        sym, p = _BINARY_OPS[e.op]
         # the operand on the associating side is parenthesized at equal
         # precedence too, so the printed tree re-parses to the same shape
-        lp, rp = (p + 1, p) if self.op == "pow" else (p, p + 1)
-        ls = str(self.left) if self.left.prec >= lp else f"({self.left})"
-        rs = str(self.right) if self.right.prec >= rp else f"({self.right})"
-        if p == _P_ADD:
-            sym = f" {sym} "
-        return f"{ls}{sym}{rs}"
+        lp, rp = (p + 1, p) if e.op == "pow" else (p, p + 1)
+        (ls, lq), (rs, rq) = (yield e.left), (yield e.right)
+        ls = ls if lq >= lp else f"({ls})"
+        rs = rs if rq >= rp else f"({rs})"
+        return f"{ls}{f' {sym} ' if p == _P_ADD else sym}{rs}"[:cut], p
+
+    s = _walk((root,), leaf, step)[0][0]
+    return s if limit is None or len(s) <= limit else s[:limit] + "..."
 
 
-# evaluation guards; shared by the tree walker and compiled code
+# evaluation guards; shared by the guarded walk and constant folding
 
 
 def _apply_una(op, v, node, x=None):
+    if op == "log" and v <= 0.0:
+        raise EvalDomainError(node, "log of non-positive value", x)
+    if op == "sqrt" and v < 0.0:
+        raise EvalDomainError(node, "sqrt of negative value", x)
     try:
-        if op == "exp":
-            r = math.exp(v)
-        elif op == "log":
-            if v <= 0.0:
-                raise EvalDomainError(node, "log of non-positive value", x)
-            r = math.log(v)
-        elif op == "sin":
-            r = math.sin(v)
-        elif op == "cos":
-            r = math.cos(v)
-        elif op == "sqrt":
-            if v < 0.0:
-                raise EvalDomainError(node, "sqrt of negative value", x)
-            r = math.sqrt(v)
-        else:
-            r = abs(v)
+        r = abs(v) if op == "abs" else getattr(math, op)(v)
     except OverflowError:
         raise EvalDomainError(node, "overflow", x) from None
     if not math.isfinite(r):
@@ -334,10 +375,7 @@ def _bin(op, left, right):
     return Bin(op, left, right)
 
 
-# compilation: one python function for a list of roots.  Every distinct
-# subtree is computed once, and exact identities are folded here, never in
-# the trees.  On any exception or non-finite output the guarded tree walker
-# re-runs to name the failing node.
+# compilation: one python function for a list of roots (compile_many)
 
 # inlined operations nest at most this deep in one generated expression;
 # CPython's parser stops at 200 levels of parentheses
@@ -357,9 +395,8 @@ def _emit(roots, arg, prefix, named=False):
     an inlined expression.  The lines need _exec_kernel's names, raise
     what the operations raise and pass non-finite values through.
     """
-    rows = []     # structural keys in post-order, so children precede parents
-    index = {}    # structural key -> row
-    seen = {}     # id(node) -> row; structurally shared objects hit here
+    rows = []     # structural keys, children before parents
+    index = {}    # structural key -> row; structurally equal copies hit here
 
     def row(key):
         r = index.get(key)
@@ -372,36 +409,27 @@ def _emit(roots, arg, prefix, named=False):
         key = rows[r]
         return key[0] == "num" and key[1] == value
 
-    def visit(e):
-        r = seen.get(id(e))
-        if r is not None:
-            return r
-        if isinstance(e, Num):
-            r = row(_num_key(e.value))
-        elif isinstance(e, Var):
-            r = row(("var", e.index))
-        elif isinstance(e, Una):
-            r = row((e.op, visit(e.arg)))
-        elif e.op == "pow":
-            b = visit(e.right)
-            if is_num(b, 0.0):
-                r = row(_num_key(1.0))
-            else:
-                a = visit(e.left)
-                r = a if is_num(b, 1.0) else row(("pow", a, b))
-        else:
-            a = visit(e.left)
-            if e.op in ("mul", "div") and is_num(a, 0.0):
-                r = a
-            else:
-                b = visit(e.right)
-                r = _fold(e.op, a, b, is_num)
-                if r is None:
-                    r = row((e.op, a, b))
-        seen[id(e)] = r
-        return r
+    def leaf(e):
+        return row(_num_key(e.value) if isinstance(e, Num) else ("var", e.index))
 
-    outs = [visit(e) for e in roots]
+    def step(e):
+        # a ^ reads its exponent first; 0*e, 0/e and e^0 never read e
+        if isinstance(e, Una):
+            return row((e.op, (yield e.arg)))
+        if e.op == "pow":
+            b = yield e.right
+            if is_num(b, 0.0):
+                return row(_num_key(1.0))
+            a = yield e.left
+            return a if is_num(b, 1.0) else row(("pow", a, b))
+        a = yield e.left
+        if e.op in ("mul", "div") and is_num(a, 0.0):
+            return a
+        b = yield e.right
+        r = _fold(e.op, a, b, is_num)
+        return row((e.op, a, b)) if r is None else r
+
+    outs = _walk(roots, leaf, step)
 
     # use counts over the rows the outputs reach; a row used once is
     # inlined into its user unless that nests too deep, any other gets a
@@ -450,13 +478,10 @@ def compile_many(roots):
     """A callable ``f(x)`` returning the tuple of every root's value at `x`.
 
     A repeated subtree is computed once, whether the trees reuse one node
-    object or hold structurally equal copies.  The emitter folds ``e*1``,
-    ``1*e``, ``e+0``, ``0+e``, ``e-0``, ``e/1`` and ``e^1`` to ``e``, and
-    ``0*e``, ``e*0``, ``0/e`` and ``e^0`` to their constant without
-    evaluating ``e``, so a domain error inside such an ``e`` is not
-    reported.  Any other failure raises
-    :class:`EvalDomainError` with the failing node and point, found by the
-    guarded tree walker.
+    object or hold structurally equal copies, and the emitter folds exact
+    identities as the module docstring lists them.  Any other failure
+    raises :class:`EvalDomainError` with the failing node and point, found
+    by the guarded walk (Expr._walk_eval's).
 
     ``f.get(x)`` is ``f(x)``, or None where ``f`` would raise, without the
     walk that names the failing node: for callers that need only the
@@ -496,7 +521,10 @@ def compile_many(roots):
     def kernel(x):
         out = get(x)
         if out is None:
-            _walk_failure(roots, x)
+            # the first node, in walk order, that fails at x raises
+            for r in roots:
+                r._walk_eval(x)
+            raise EvalDomainError(roots[0], "non-finite result", x)
         return out
 
     def many(xs):
@@ -536,49 +564,25 @@ def _exec_kernel(code, lib, **extra):
 
 def _fold(op, a, b, is_num):
     # the row an exact identity reduces `a op b` to, or None
-    if op == "add":
-        if is_num(b, 0.0):
-            return a
-        if is_num(a, 0.0):
-            return b
-    elif op == "sub":
-        if is_num(b, 0.0):
-            return a
-    elif op == "mul":
-        if is_num(b, 0.0) or is_num(a, 1.0):
-            return b
-        if is_num(b, 1.0):
-            return a
-    elif op == "div":
-        if is_num(b, 1.0):
-            return a
+    if op in ("add", "sub", "mul") and is_num(b, 0.0):
+        return b if op == "mul" else a
+    if (op == "add" and is_num(a, 0.0)) or (op == "mul" and is_num(a, 1.0)):
+        return b
+    if op in ("mul", "div") and is_num(b, 1.0):
+        return a
     return None
-
-
-def _walk_failure(roots, x):
-    for e in roots:
-        try:
-            e._walk_eval(x)
-        except EvalDomainError as err:
-            raise EvalDomainError(err.node, err.reason, x) from None
-    raise EvalDomainError(roots[0], "non-finite result", x)
 
 
 # recursive-descent parser
 
-# the parser's deepest recursion, in calls, and deepest tree, / and ^ counting
-# two levels: tree walks recurse per level, and a second derivative is about
-# three times as deep as a product, six times as deep as a quotient
+# the parser's deepest recursion, in calls: five per pair of parentheses or
+# function call, one per unary minus or ^.  Nothing else recurses per level
+# of a tree, so a sum, product or quotient of any length parses
 MAX_DEPTH = 300
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos  # 0-based byte offset
+# pos is the 0-based byte offset
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(src):
@@ -659,11 +663,6 @@ class _Parser:
             return self.take()
         self.fail(f"expected {text!r}")
 
-    def bound(self, depth):
-        if depth > MAX_DEPTH:
-            self.fail("expression nested too deeply")
-        return depth
-
     def whole(self, rule):
         out = rule()
         t = self.peek()
@@ -686,62 +685,59 @@ class _Parser:
         if first.text == "true" and _ends_term(self.toks[self.k + 1]):
             self.take()
             return ("true",)
-        lhs = self.parse_expr()[0]
+        lhs = self.parse_expr()
         t = self.take()
         if t.kind == "op" and t.text in "<>":
             op = t.text
             if self.peek().text == "=" and self.peek().pos == t.pos + 1:
                 op += self.take().text
-            return ("cmp", op, lhs, self.parse_expr()[0])
+            return ("cmp", op, lhs, self.parse_expr())
         if _ends_term(t):
             chunk = self.src[first.pos : t.pos].rstrip()
             self.fail(f"domain predicate chunk {chunk!r} has no comparison", first)
         self.fail(f"unexpected token {t.text!r}", t)
 
     def parse_expr(self, prec=_P_ADD, nesting=1):
-        # one left-associative level per precedence below unary minus.  The
-        # expression rules give (tree, depth), the depth as MAX_DEPTH counts it
+        # one left-associative level per precedence below unary minus;
+        # `nesting` counts the calls that recursion has made
         if prec == _P_UNARY:
             return self.parse_unary(nesting + 1)
-        e, depth = self.parse_expr(prec + 1, nesting + 1)
+        e = self.parse_expr(prec + 1, nesting + 1)
         while True:
             op = _OP_OF.get(self.peek().text)
             if op is None or _BINARY_OPS[op][1] != prec:
-                return e, depth
+                return e
             self.take()
-            rhs, d = self.parse_expr(prec + 1, nesting + 1)
-            e, depth = _bin(op, e, rhs), self.bound(1 + (op == "div") + max(depth, d))
+            e = _bin(op, e, self.parse_expr(prec + 1, nesting + 1))
 
     def parse_unary(self, nesting):
         # unary minus binds looser than a right-associative ^; all recursion passes here
-        self.bound(nesting)
+        if nesting > MAX_DEPTH:
+            self.fail("expression nested too deeply")
         if self.peek().text == "-":
             self.take()
-            arg, depth = self.parse_unary(nesting + 1)
-            return _una("neg", arg), self.bound(depth + 1)
-        base, depth = self.parse_atom(nesting + 1)
+            return _una("neg", self.parse_unary(nesting + 1))
+        base = self.parse_atom(nesting + 1)
         if _OP_OF.get(self.peek().text) != "pow":
-            return base, depth
+            return base
         self.take()
-        exponent, d = self.parse_unary(nesting + 1)
-        return _bin("pow", base, exponent), self.bound(2 + max(depth, d))
+        return _bin("pow", base, self.parse_unary(nesting + 1))
 
     def parse_atom(self, nesting):
         t = self.take()
         if t.kind == "num":
-            return Num(float(t.text)), 1
+            return Num(float(t.text))
         if t.kind == "ident":
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
                 if t.text not in _FUNCTIONS:
                     self.fail(f"unknown function {t.text!r}", t)
                 self.take()
-                arg, depth = self.parse_expr(nesting=nesting + 1)
+                arg = self.parse_expr(nesting=nesting + 1)
                 self.expect_op(")")
-                return _una(t.text, arg), self.bound(depth + 1)
+                return _una(t.text, arg)
             if t.text in self.coords:
-                idx = self.coords.index(t.text)
-                return Var(idx, t.text), 1
+                return Var(self.coords.index(t.text), t.text)
             self.fail(f"unknown identifier {t.text!r}", t)
         if t.kind == "op" and t.text == "(":
             e = self.parse_expr(nesting=nesting + 1)
@@ -755,7 +751,7 @@ class _Parser:
 def parse(src, coords):
     """Parse `src` over coordinate names `coords` into an Expr."""
     p = _Parser(src, coords)
-    return p.whole(p.parse_expr)[0]
+    return p.whole(p.parse_expr)
 
 
 def parse_pred(src, coords):

@@ -43,6 +43,7 @@ import copy
 import enum
 import itertools
 import json
+import math
 import os
 from functools import cached_property, partial, reduce
 
@@ -294,10 +295,8 @@ class ManifoldDef:
         for i in range(n):
             for j in range(i, n):
                 e = parsed(f"metric[{i}][{j}]", parse, metric_src[i][j])
-                if parsed(f"metric[{j}][{i}]", parse, metric_src[j][i]) != e:
-                    raise DefinitionError(
-                        f"metric not syntactically symmetric at ({i},{j})"
-                    )
+                if j > i and parsed(f"metric[{j}][{i}]", parse, metric_src[j][i]) != e:
+                    raise DefinitionError(f"metric not syntactically symmetric at ({i},{j})")
                 # one shared node per unordered pair keeps evaluated
                 # matrices exactly symmetric
                 rows[i][j] = rows[j][i] = e
@@ -308,8 +307,11 @@ class ManifoldDef:
             box = np.asarray([[-1.0, 1.0]] * n if box is None else box, dtype=float)
         except (TypeError, ValueError):
             box = None
-        if box is None or box.shape != (n, 2):
-            raise DefinitionError(f"sample_box must be {n} pairs of numbers")
+        # a width that is finite in floats bounds both ends, and NaN fails it
+        if box is None or box.shape != (n, 2) or not all(
+                lo <= hi and math.isfinite(hi - lo) for lo, hi in box.tolist()):
+            raise DefinitionError(f"sample_box must be {n} pairs lo <= hi of numbers, "
+                                  f"a finite width apart, got {doc['sample_box']!r}")
         self.sample_box = box
         self.sample_guard = (
             parsed("sample_guard", DomainPred, guard_src) if guard_src is not None else None
@@ -318,21 +320,17 @@ class ManifoldDef:
         self.doc = copy.deepcopy(doc)
 
         # symbolic jets up to second order, one tree per unordered index
-        # pair so that evaluated arrays are exactly symmetric; each kernel
-        # lists its roots in the row-major order of its array
+        # pair so that evaluated arrays are exactly symmetric (diff keeps
+        # each derivative on its node); each kernel lists its roots in the
+        # row-major order of its array
         sigma = self._sigma
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
-        pairs = [(min(i, j), max(i, j)) for i in range(n) for j in range(n)]
-        dg = {(k, i, j): rows[i][j].diff(k) for k in range(n) for i, j in upper}
-        d2g = {(k, l, i, j): dg[k, i, j].diff(l) for (k, i, j) in dg for l in range(n)}
-        ds = [sigma.diff(k) for k in range(n)]
-        d2s = {(k, l): ds[k].diff(l) for k, l in upper}
+        g = [rows[i][j] for i in range(n) for j in range(n)]
         self.jet_roots = {
-            "values": [rows[i][j] for i, j in pairs] + [sigma],
-            "dg": [dg[k, i, j] for k in range(n) for i, j in pairs],
-            "d2g": [d2g[k, l, i, j] for k in range(n) for l in range(n) for i, j in pairs],
-            "dsigma": ds,
-            "d2sigma": [d2s[p] for p in pairs],
+            "values": g + [sigma],
+            "dg": [e.diff(k) for k in range(n) for e in g],
+            "d2g": [e.diff(k).diff(l) for k in range(n) for l in range(n) for e in g],
+            "dsigma": [sigma.diff(k) for k in range(n)],
+            "d2sigma": [sigma.diff(min(k, l)).diff(max(k, l)) for k in range(n) for l in range(n)],
         }
         self._compiled = {}
 
@@ -356,9 +354,8 @@ class ManifoldDef:
             if build is not None:
                 code = build()
             elif isinstance(key, ConnKind):
-                roots = self.jet_roots
-                acc = _spray_roots(self._g, roots["dg"], roots["dsigma"], *_CONN_TERMS[key])
-                code = compile_many(roots["values"] + acc)
+                acc = _spray_roots(self._g, self._sigma, *_CONN_TERMS[key])
+                code = compile_many(self.jet_roots["values"] + acc)
             else:
                 code = compile_many(self.jet_roots[key])
             self._compiled[key] = code
@@ -445,14 +442,14 @@ class ManifoldDef:
         return f"ManifoldDef({self.name!r}, n={self.n})"
 
 
-def _spray_roots(g, dg, dsigma, a, b):
+def _spray_roots(g, sigma, a, b):
     """Trees of a^k = -Gamma^k_ij v^i v^j, velocity v^i being Var(n + i).
 
     Gamma = Gamma_g + a K + b P, with K(v, v) = -|v|^2_g grad sigma / 2
     - (dsigma . v) v and P(v, v) = 2 (dsigma . v) v, so Gamma(v, v) =
     Gamma_g(v, v) + c1 |v|^2_g grad sigma + c2 (dsigma . v) v with
-    c1 = -a/2 and c2 = 2b - a.  g is the n x n grid of metric trees, dg
-    the "dg" jet roots (row-major d_k g_ij) and dsigma the "dsigma" ones.
+    c1 = -a/2 and c2 = 2b - a.  g is the n x n grid of metric trees and
+    sigma the weight's tree; diff keeps their derivatives, the jets' trees.
     Every term applies g^-1 to a jet first and meets v last, so an
     intermediate overflows only where Gamma or grad sigma does.
     """
@@ -461,8 +458,9 @@ def _spray_roots(g, dg, dsigma, a, b):
     v = [Var(n + i, f"v{i + 1}") for i in range(n)]
 
     def d(k, i, j):  # d_k g_ij
-        return dg[(k * n + i) * n + j]
+        return g[i][j].diff(k)
 
+    dsigma = [sigma.diff(k) for k in range(n)]
     solve = _ldlt_solver(g)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     terms = [[] for _ in range(n)]

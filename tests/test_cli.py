@@ -354,6 +354,12 @@ def test_hadamard_rejects_bad_grids(capsys):
         code, out, err = run_out(capsys, ["hadamard", "euclidean", "--grid", grid])
         assert code == 2, grid
         assert err.startswith("divstat:")
+    # a bound that is not finite, or a span that overflows, is named with
+    # its segment
+    for seg in ("x1:nan:1:3", "x1:-inf:1:3", "x1:-1e308:1e308:3"):
+        code, out, err = run_out(capsys, ["hadamard", "euclidean", "--grid", seg + ",x2:0:1:3"])
+        assert (code, out) == (2, "")
+        assert err == f"divstat: grid segment '{seg}' needs finite bounds and span\n"
 
 
 NOT_SPD = {
@@ -411,6 +417,10 @@ _BAD_FIELDS = [
     {"coords": [1, 2]},
     {"name": 3},
     {"sample_box": [[{}, 1], [0, 1]]},
+    {"sample_box": [[float("nan"), 1], [0, 1]]},
+    {"sample_box": [[-float("inf"), 1], [0, 1]]},
+    {"sample_box": [[1, -1], [0, 1]]},
+    {"sample_box": [[-1e308, 1e308], [0, 1]]},
 ]
 
 
@@ -524,32 +534,35 @@ def test_parse_errors_name_their_field(tmp_path, capsys, field, value, message):
 
 
 # sigma sources of n terms, factors, quotients, nested parentheses, nested
-# calls, unary minuses and powers, with the largest n that MAX_DEPTH (300)
-# admits, as the README lists them: a sum's or a product's tree is n levels
-# deep, a quotient or a power counts two levels, and a pair of parentheses or
-# a call costs the parser five calls of recursion
+# calls, unary minuses and powers.  No walk over a tree recurses, so sums,
+# products and quotients of any length load (n here is about where a
+# recursive walk used up the default stack); only the parser's own recursion
+# is bounded, MAX_DEPTH (300) calls, five per pair of parentheses or call and
+# one per unary minus or ^, and for those shapes n is the largest it admits
 _DEEP = {
-    "sum": (lambda n: "+".join(("x1", "x2")[i % 2] for i in range(n)), 300),
-    "product": (lambda n: "*".join(("x1", "x2")[i % 2] for i in range(n)), 300),
-    "quotient": (lambda n: "/".join(("x1", "x2")[i % 2] for i in range(n)), 150),
-    "parentheses": (lambda n: "(" * n + "x1" + ")" * n, 59),
-    "sin": (lambda n: "sin(" * n + "x1" + ")" * n, 59),
-    "minus": (lambda n: "-" * n + "x1", 296),
-    "power": (lambda n: "x1" + "^1.0001" * n, 149),
+    "sum": (lambda n: "+".join(("x1", "x2")[i % 2] for i in range(n)), 982, False),
+    "product": (lambda n: "*".join(("x1", "x2")[i % 2] for i in range(n)), 327, False),
+    "quotient": (lambda n: "/".join(("x1", "x2")[i % 2] for i in range(n)), 300, False),
+    "parentheses": (lambda n: "(" * n + "x1" + ")" * n, 59, True),
+    "sin": (lambda n: "sin(" * n + "x1" + ")" * n, 59, True),
+    "minus": (lambda n: "-" * n + "x1", 296, True),
+    "power": (lambda n: "x1" + "^1.0001" * n, 296, True),
 }
 
 
 @pytest.mark.parametrize("shape", list(_DEEP))
 def test_nesting_is_bounded_by_the_parser(tmp_path, capsys, shape):
-    source, largest = _DEEP[shape]
+    source, largest, bounded = _DEEP[shape]
     assert MAX_DEPTH == 300
     doc = tmp_path / "deep.json"
     base = dict(CUT_PLANE, name="deep", sample_box=[[0.99, 1.01], [0.99, 1.01]])
-    # at the bound the definition loads, and describe evaluates the deepest
-    # trees there are, the second derivatives of sigma
+    # the definition loads, and describe evaluates the deepest trees there
+    # are, the second derivatives of sigma
     doc.write_text(json.dumps(dict(base, sigma=source(largest))))
     code, out, err = run_out(capsys, ["describe", str(doc), "--at", "1,1"])
     assert code == 0 and err == ""
+    if not bounded:
+        return
     # one more, and the parser refuses it: invalid input
     doc.write_text(json.dumps(dict(base, sigma=source(largest + 1))))
     code, out, err = run_out(capsys, ["describe", str(doc), "--at", "1,1"])
@@ -560,12 +573,57 @@ def test_nesting_is_bounded_by_the_parser(tmp_path, capsys, shape):
 
 def test_derived_tree_too_deep_to_print_is_one_line(tmp_path, capsys):
     # the quotient loads, but at (0.0085, 0.0085) its first derivatives
-    # overflow in a node about 450 levels deep, too deep to print
+    # overflow in a node about 450 levels deep, whose text the message cuts
     doc = tmp_path / "deep.json"
     doc.write_text(json.dumps(dict(CUT_PLANE, name="deep", sigma=_DEEP["quotient"][0](150))))
     code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0.0085,0.0085"])
-    assert code == 2 and out == ""
-    assert err == "divstat: expression nested too deeply\n"
+    assert code == 3 and out == ""
+    # the node's text opens with hundreds of parentheses; 100 characters of it
+    assert err == "divstat: overflow in '" + "(" * 100 + "...' at (0.0085, 0.0085)\n"
+
+
+_DEEP_GUARD = """
+import contextlib, io, json, sys
+from divstat.cli import run
+from divstat.manifold import ManifoldDef
+from divstat.statstruct import conjugate
+
+sys.setrecursionlimit(250)
+base, cases, path = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+results = []
+for sigma, at in cases:
+    with open(path, "w") as fh:
+        json.dump(dict(base, sigma=sigma), fh)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["describe", path, "--at", at])
+    if code == 0:
+        conjugate(ManifoldDef(dict(base, sigma=sigma))).at((1.0, 1.0)).hess_sigma
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_deep_trees_need_no_deep_stack(tmp_path):
+    # with a recursion limit far below the trees' depth, a walk that
+    # recursed once per level would fail here: loading, describe and
+    # conjugate on a long sum and product, and the failing-node message
+    base = dict(CUT_PLANE, name="deep", sample_box=[[0.99, 1.01], [0.99, 1.01]])
+    cases = [
+        (_DEEP["sum"][0](982), "1,1"),
+        (_DEEP["product"][0](327), "1,1"),
+        (_DEEP["quotient"][0](150), "0.0085,0.0085"),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_GUARD, json.dumps(base), json.dumps(cases),
+         str(tmp_path / "deep.json")],
+        capture_output=True, text=True, timeout=120, env=_same_divstat_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    (sum_code, sum_err), (prod_code, prod_err), (quot_code, quot_err) = json.loads(proc.stdout)
+    assert (sum_code, sum_err, prod_code, prod_err) == (0, "", 0, "")
+    assert quot_code == 3 and len(quot_err.splitlines()) == 1
+    assert quot_err.startswith("divstat: overflow in '")
 
 
 # hostile definition documents: well-formed expressions over extreme
@@ -669,6 +727,19 @@ def test_connect_converged_but_nabla_parameter_overflows(capsys):
     assert len(lines) == 1
     assert lines[0].startswith("divstat:")
     assert "nabla parameter overflows" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "euclidean", "--samples", "2"],
+    ["hadamard", "euclidean", "--grid", "x1:0:1:2,x2:0:1:2"],
+    ["connect", "euclidean", "--from", "0,0", "--to", "1,0", "--multistart", "1"],
+    ["contrast", "euclidean", "--p", "0,0", "--q", "1,0"],
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    # numpy's generators take non-negative seeds; the line names --seed
+    code, out, err = run_out(capsys, argv + ["--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "divstat: argument --seed: expected a non-negative integer, got '-1'\n"
 
 
 def test_seed_determinism(tmp_path, capsys):

@@ -156,6 +156,35 @@ def test_diff_abs():
         evaluate(e.diff(0), (0.0, 0.0))
 
 
+def test_derivatives_are_built_once_and_shared():
+    # each node keeps its derivative by each coordinate: asking again gives
+    # the same object, and a product's derivative reuses its factors'
+    e = parse("x1*sin(x2)*exp(x1*x2)", XY)
+    d = e.diff(0)
+    assert e.diff(0) is d and d.diff(1) is d.diff(1)
+    assert d.left.left is e.left.diff(0)
+    # the memo takes no part in equality or printing
+    assert d == parse(str(d), XY) and str(d) == str(parse(str(d), XY))
+
+
+def test_walks_do_not_recurse_per_level():
+    # a 4000-term sum is a tree 4000 levels deep: differentiating, compiling,
+    # evaluating, printing and comparing it take no stack per level
+    deep = parse("+".join(["x1", "x2"] * 2000), XY)
+    assert deep == parse(str(deep), XY) and deep != parse(str(deep) + " + x1", XY)
+    assert deep._walk_eval((1.0, 2.0)) == evaluate(deep, (1.0, 2.0)) == 6000.0
+    assert deep.diff(0) == Num(2000.0)
+    err = parse("+".join(["x1"] * 2000) + "+ log(x2)", XY)
+    with pytest.raises(EvalDomainError) as ei:
+        evaluate(err, (1.0, -1.0))
+    assert str(ei.value).startswith("log of non-positive value in 'log(x2)'")
+    # a failing node with a long text is quoted in a bounded excerpt
+    with pytest.raises(EvalDomainError) as ei:
+        evaluate(parse(f"1/({deep} - 6000)", XY), (1.0, 2.0))
+    head = "1.0/(" + "x1 + x2 + " * 10
+    assert str(ei.value) == f"division by zero in '{head[:100]}...' at (1.0, 2.0)"
+
+
 def _central_fd(e, i, x, h):
     xp = list(x)
     xm = list(x)
