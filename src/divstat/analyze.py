@@ -34,14 +34,12 @@ from .curvature import (
     _constant_curvature_terms,
     _max_abs,
     _plane_basis,
-    _quad,
     _relation_residuals,
-    _ricci,
+    _scan_term,
     _sectional_tilde,
-    _statistical_curvature,
 )
 from .manifold import ConnKind, sample_domain
-from .statstruct import _cubic_form, _parallel_volume_residual, _trace_K
+from .statstruct import _parallel_volume_residual, _trace_K
 
 # rows per ManifoldDef.at_many call: large enough that numpy's per-call
 # cost vanishes, small enough that a block's tensors stay a few MB
@@ -109,24 +107,23 @@ def _worst(M, check, spec, vals, xs, tol):
     )
 
 
+def _coordinate_planes(n):
+    # (U, V), each (planes, n): the coordinate planes (e_a, e_b), a < b
+    a, b = np.array(list(combinations(range(n), 2))).T
+    return np.eye(n)[a], np.eye(n)[b]
+
+
 def _careq_worst(P, draws):
     # the worst scan value at each point of P over all coordinate planes
     # plus that point's random planes, draws[..., plane, :, (u, v)]; the
     # value depends on the plane only, not on the orthonormal basis chosen
     # inside it, and a degenerate plane is left out
-    n = P.n
-    g = P.g_spd
-    gS = np.einsum("...lm,...mkij->...lkij", g, _statistical_curvature(P))
-    H = P.hess_sigma[..., None, :, :]
-    a, b = np.array(list(combinations(range(n), 2))).T
-    eye = np.eye(n)
-    shape = draws.shape[:-3] + (len(a), n)  # the coordinate planes at each point
-    U = np.concatenate([np.broadcast_to(eye[a], shape), draws[..., 0]], axis=-2)
-    V = np.concatenate([np.broadcast_to(eye[b], shape), draws[..., 1]], axis=-2)
-    X, Y, ok = _plane_basis(g[..., None, :, :], U, V)
-    sval = np.einsum("...lkij,...pi,...pj,...pk,...pl->...p", gS, X, Y, Y, X)
-    val = 2.0 * sval - _quad(X, H, X) - _quad(Y, H, Y)
-    return np.where(ok, val, -np.inf).max(axis=-1)
+    E, F = _coordinate_planes(P.n)
+    shape = draws.shape[:-3] + E.shape  # the coordinate planes at each point
+    U = np.concatenate([np.broadcast_to(E, shape), draws[..., 0]], axis=-2)
+    V = np.concatenate([np.broadcast_to(F, shape), draws[..., 1]], axis=-2)
+    X, Y, ok = _plane_basis(P.g_spd[..., None, :, :], U, V)
+    return np.where(ok, _scan_term(P, X, Y), -np.inf).max(axis=-1)
 
 
 def hadamard_scan(M, points, planes_per_point=4, seed=42):
@@ -156,9 +153,8 @@ def hadamard_scan(M, points, planes_per_point=4, seed=42):
 
 def _careq2_at(P):
     # on a surface the scalar curvature g^jk Ric_jk of g is 2k
-    scal = np.einsum("...jk,...jk->...", P.g_inv, _ricci(P, ConnKind.LC_G))
-    n2 = np.einsum("...i,...i->...", P.dsigma, P.grad_sigma)
-    return scal + n2 - P.laplace_sigma
+    scal = np.einsum("...jk,...jk->...", P.g_inv, P.ricci(ConnKind.LC_G))
+    return scal + P.dsigma_sq - P.laplace_sigma
 
 
 def hadamard2d_scan(M, points):
@@ -204,7 +200,7 @@ def _identity_residuals(P):
     lc = _covariant_metric_residual(dg, gam, g)
     # nabla-tilde(e^sigma g) / e^sigma, exactly: in g's units, whatever the weight
     lct = _covariant_metric_residual(np.einsum("...k,...ij->...kij", ds, g) + dg, til, g)
-    cod = _covariant_metric_residual(dg, nab, g) - _cubic_form(P)
+    cod = _covariant_metric_residual(dg, nab, g) - P.cubic_form
     dual = (
         dg
         - np.einsum("...lki,...lj->...kij", nab, g)
@@ -228,16 +224,12 @@ def _point_residuals(P):
     out["curvature-eq3"] = rel["eq3"]
     out["curvature-eq4"] = rel["eq4"]
     out["curvature-eq5"] = rel["eq5"]
-    ric = _ricci(P, ConnKind.NABLA)
+    ric = P.ricci(ConnKind.NABLA)
     out["ricci-symmetry"] = _max_abs(P, ric - np.swapaxes(ric, -1, -2))
     out["volume-parallel"] = _max_abs(P, _parallel_volume_residual(P))
     out["trace-k"] = _max_abs(P, _trace_K(P) + (P.n + 2) / 2.0 * P.dsigma)
-    eye = np.eye(P.n)
-    sec = 0.0
-    for a, b in combinations(range(P.n), 2):
-        direct, via = _sectional_tilde(P, (eye[a], eye[b]))
-        sec = np.maximum(sec, np.abs(direct - via))
-    out["sectional-tilde-agreement"] = sec
+    direct, via = _sectional_tilde(P, _coordinate_planes(P.n))
+    out["sectional-tilde-agreement"] = np.abs(direct - via).max(axis=-1)
     out["conjugate-symmetry"] = _conjugate_symmetry_residual(P)
     return out
 

@@ -21,11 +21,11 @@ import numpy as np
 
 from .analyze import CheckOpts, check_suite, hadamard_scan
 from .connect import NoConvergenceError, ShootOpts, contrast, shoot_connect
-from .curvature import _conjugate_symmetry_residual, _ricci
+from .curvature import _conjugate_symmetry_residual
 from .exprcore import ExprError
 from .geodesic import GeodesicError, IntegratorOpts, integrate_geodesic
 from .manifold import ConnKind, DefinitionError, OutOfDomainError, load_manifold
-from .statstruct import _cubic_form, conjugate
+from .statstruct import conjugate
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -53,8 +53,6 @@ def _jtext(obj, indent=0):
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
         if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
             return "[" + ", ".join(_jtext(v) for v in obj) + "]"
         items = [f"{pad}  {_jtext(v, indent + 1)}" for v in obj]
@@ -175,9 +173,9 @@ def _cmd_describe(args):
         "hess_sigma": P.hess_sigma,
         "laplace_sigma": P.laplace_sigma,
         "K": P.K,
-        "C": _cubic_form(P),
+        "C": P.cubic_form,
         "gamma": {k.value: P.gamma(k) for k in ConnKind},
-        "ricci_nabla": _ricci(P, ConnKind.NABLA),
+        "ricci_nabla": P.ricci(ConnKind.NABLA),
         "conjugate_symmetry_residual": _conjugate_symmetry_residual(P),
     }
     sys.stdout.write(_jtext(doc) + "\n")
@@ -371,8 +369,7 @@ def run(argv):
         # numpy overflows are numerical failures, not warnings beside nan
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return _DISPATCH[args.cmd](args)
-    except (DefinitionError, OutOfDomainError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (DefinitionError, OutOfDomainError, ValueError, OSError) as exc:
         return _diag(exc, 2)
     except MemoryError as exc:
         # numpy refuses an array too large for the request (a grid or a

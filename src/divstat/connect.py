@@ -11,11 +11,12 @@ numerical differentiation), so a column runs no step controller and
 differences the same discrete map as the defect it corrects.  Starts run
 in index order, and a start whose iterate comes within _JOIN of a branch
 an earlier start converged to, at any tier, joins it and stops: it is in
-that branch's Newton basin and would only find it again.  The canonical
-contrast rho(p, q) = e^{-sigma(p)} dtilde^2 comes from the shortest
-connecting geodesic found; differentiating it on the diagonal recovers g
-and the nabla connection, which contrast_structure_check verifies by
-finite differences.
+that branch's Newton basin and would only find it again.  That test, run
+on every iterate, the last included, is the one "same branch" rule.  The
+canonical contrast rho(p, q) = e^{-sigma(p)} dtilde^2 comes from the
+shortest connecting geodesic found; differentiating it on the diagonal
+recovers g and the nabla connection, which contrast_structure_check
+verifies by finite differences.
 
 Failure to connect is informative output (see the punctured plane, where
 the antipodal problem has no solution), so shoot_connect reports a
@@ -52,11 +53,9 @@ _FINE = IntegratorOpts(rtol=1e-10, atol=1e-12)
 _TIERS = ((_SCOUT, 1e-2), (_COARSE, 1e-5), (_FINE, 0.0))
 # Gauss-Newton iterations per start
 _MAX_ITER = 60
-# two converged velocities within _SAME (relative) are one branch; a start
-# whose iterate comes within _JOIN of a branch an earlier start found, at
-# any tier, joins that branch and stops
-_SAME = 1e-6
-_JOIN = 1e3 * _SAME
+# a start whose iterate comes within _JOIN (relative) of a branch an
+# earlier start found, at any tier, joins that branch and stops
+_JOIN = 1e-3
 
 
 class NoConvergenceError(Exception):
@@ -96,8 +95,7 @@ class ConnectResult:
     "failed"; branch is the index into solutions of the branch the start
     reached, or None; endpoint_error is the defect it ended with, for a
     joined start measured at the tier it had reached.  A joined start adds
-    no solution, just as a start that converges onto a known branch adds
-    none.
+    no solution; a converged one adds its own.
 
     nabla_path is None when the best tilde path left the domain with too
     few samples to reparametrize, or when the nabla parameter cannot be
@@ -164,12 +162,15 @@ def _gauss_newton(M, p, q, v0, target, found):
         return False, v, np.inf, None
     err = float(np.linalg.norm(r))
     history = [err]
-    for _ in range(_MAX_ITER):
+    for it in range(_MAX_ITER + 1):
         # inside the Newton basin of a branch already found, at whatever
-        # tier, the rest of the iteration would only find it again
+        # tier, the rest of the iteration would only find it again; the
+        # last pass tests only this, on the final iterate
         for i, s in enumerate(found):
             if np.linalg.norm(v - s) <= _JOIN * max(1.0, np.linalg.norm(s)):
                 return True, v, err, i
+        if it == _MAX_ITER:
+            break
         # closing nine orders of magnitude within the iteration budget needs
         # a mean contraction near 0.2 per five iterations; branches that
         # cannot even halve are stuck on a wall or a fold, so cut them loose
@@ -249,7 +250,11 @@ def _solve_bvp(M, p, q, opts):
     # returns (distinct solutions sorted by (length, start index), the best
     # failure or None, one record per start); solutions and failure are
     # records {start, v0, tilde_length, endpoint_error}, the per-start
-    # records {start, ended, branch, endpoint_error}
+    # records {start, ended, branch, endpoint_error}.  For p == q the one
+    # solution is the constant path, with no start attempted
+    if np.array_equal(p, q):
+        return [{"start": 0, "v0": np.zeros(M.n), "tilde_length": 0.0,
+                 "endpoint_error": 0.0}], None, []
     starts = _start_velocities(M, p, q, opts)
     P = M.at(p)
     # math.exp, not P.exp_sigma: numpy's exp rounds differently on a few
@@ -279,11 +284,8 @@ def _solve_bvp(M, p, q, opts):
             continue
         ended = "converged" if joined is None else "joined"
         if joined is None:
-            # a start that converged onto a known branch adds no solution
-            joined = next((i for i, s in enumerate(sols) if np.linalg.norm(
-                v - s["v0"]) <= _SAME * max(1.0, np.linalg.norm(v))), len(sols))
-            if joined == len(sols):
-                sols.append(rec)
+            joined = len(sols)
+            sols.append(rec)
         ends.append((k, ended, sols[joined]["start"], err))
     sols.sort(key=lambda s: (s["tilde_length"], s["start"]))
     rank = {s["start"]: i for i, s in enumerate(sols)}
@@ -306,12 +308,7 @@ def shoot_connect(M, p, q, opts=None):
     opts = opts if opts is not None else ShootOpts()
     p = np.array(_require(M, p))
     q = np.array(_require(M, q))
-    if np.array_equal(p, q):
-        sols = [{"start": 0, "v0": np.zeros(M.n), "tilde_length": 0.0,
-                 "endpoint_error": 0.0}]
-        fail, starts = None, []
-    else:
-        sols, fail, starts = _solve_bvp(M, p, q, opts)
+    sols, fail, starts = _solve_bvp(M, p, q, opts)
     best = sols[0] if sols else fail
     tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, best["v0"], 1.0, _FINE)
     # a solution's error is re-measured on the fine path it is reported by
@@ -342,8 +339,6 @@ def distance_tilde(M, p, q, opts=None):
     """
     p = np.array(_require(M, p))
     q = np.array(_require(M, q))
-    if np.array_equal(p, q):
-        return 0.0
     opts = opts if opts is not None else ShootOpts()
     sols, fail, _ = _solve_bvp(M, p, q, opts)
     if not sols:

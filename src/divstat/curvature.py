@@ -3,13 +3,15 @@
 Conventions: riemann returns R[l,k,i,j] with R(d_i, d_j) d_k = R^l_kij d_l,
 built from R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
 - Gamma^l_jm Gamma^m_ik by manifold.PointGeometry.riemann, and ricci
-returns its trace Ric_jk = R^a_kaj.  Everything runs on the symbolic jets;
-no finite differences enter any curvature quantity.  Each public (M, x)
-function reads the geometry at x once; the private forms take that
-PointGeometry, so a caller that evaluates several quantities at one point
-shares its tensors.  The private forms are written once for both shapes
-of PointGeometry: on a batch from ManifoldDef.at_many every result gains
-the batch's leading axis, and a residual is one max per row.
+returns its trace Ric_jk = R^a_kaj.  Both, and the statistical curvature
+S = (R + Rbar)/2, are read from PointGeometry, as the other tensors are.
+Everything runs on the symbolic jets; no finite differences enter any
+curvature quantity.  Each public (M, x) function reads the geometry at x
+once; the private forms take that PointGeometry, so a caller that
+evaluates several quantities at one point shares its tensors.  The
+private forms are written once for both shapes of PointGeometry: on a
+batch from ManifoldDef.at_many every result gains the batch's leading
+axis, and a residual is one max per row.
 
 The identities checked by curvature_relation_residuals are stated with the
 signs that actually close numerically, which for eq5 means
@@ -35,21 +37,12 @@ def riemann(M, x, kind):
 
 def ricci(M, x, kind):
     """Ric[j,k] = R^a_kaj, the trace of X -> R(X, d_j) d_k."""
-    return _ricci(M.at(x), kind)
-
-
-def _ricci(P, kind):
-    P.g_spd  # outside the SPD region this raises, as metric_at does
-    return np.einsum("...akaj->...jk", P.riemann(kind))
+    return M.at(x).ricci(kind)
 
 
 def statistical_curvature(M, x):
     """S = (R + Rbar)/2, coefficientwise."""
-    return _statistical_curvature(M.at(x))
-
-
-def _statistical_curvature(P):
-    return 0.5 * (P.riemann(ConnKind.NABLA) + P.riemann(ConnKind.NABLA_BAR))
+    return M.at(x).statistical_curvature
 
 
 def _max_abs(P, a):
@@ -74,6 +67,17 @@ def _plane_basis(g, u, v):
     return X, w / np.sqrt(np.where(ok, _quad(w, g, w), 1.0))[..., None], ok
 
 
+def _scan_term(P, X, Y):
+    # the Cartan-Hadamard plane term 2 g(S(X,Y)Y, X) - Hess sigma(X,X)
+    # - Hess sigma(Y,Y) on each g-orthonormal pair X, Y (..., planes, n):
+    # hadamard_scan takes its max over the planes, and _sectional_tilde's
+    # second route is (term - |dsigma|^2_g) / (2 e^sigma)
+    gS = np.einsum("...lm,...mkij->...lkij", P.g_spd, P.statistical_curvature)
+    H = P.hess_sigma[..., None, :, :]
+    sval = np.einsum("...lkij,...pi,...pj,...pk,...pl->...p", gS, X, Y, Y, X)
+    return 2.0 * sval - _quad(X, H, X) - _quad(Y, H, Y)
+
+
 def sectional_tilde(M, x, plane):
     """Sectional curvature of gtilde = e^sigma g on the plane, two ways.
 
@@ -85,29 +89,27 @@ def sectional_tilde(M, x, plane):
     on the g-orthonormalized pair. The two must agree; keeping both routes
     separate is the point of the check.
     """
-    direct, via = _sectional_tilde(M.at(x), plane)
-    return float(direct), float(via)
+    u, v = (np.asarray(w, dtype=float)[None] for w in plane)
+    direct, via = _sectional_tilde(M.at(x), (u, v))
+    return float(direct[0]), float(via[0])
 
 
-def _sectional_tilde(P, plane):
-    # plane is (u, v), each of shape (n,) or one vector per row of P
+def _sectional_tilde(P, planes):
+    # planes is (U, V), each (..., planes, n): a stack of planes at each
+    # point of P; one (direct, via) per plane
     g = P.g_spd
-    X, Y, ok = _plane_basis(g, *plane)
+    gp = g[..., None, :, :]  # broadcast against the planes axis
+    X, Y, ok = _plane_basis(gp, *planes)
     if not np.all(ok):
         raise DegeneratePlaneError("vectors do not span a 2-plane")
-    es = P.exp_sigma
+    es = P.exp_sigma[..., None]
     # with gtilde = e^sigma g the ratio is num_g / (e^sigma den_g), which
     # stays finite where e^{2 sigma} overflows
     Rt = P.riemann(ConnKind.LC_G_TILDE)
-    num = np.einsum("...lm,...mkij,...i,...j,...k,...l->...", g, Rt, X, Y, Y, X)
-    den = _quad(X, g, X) * _quad(Y, g, Y) - _quad(X, g, Y) ** 2
+    num = np.einsum("...lm,...mkij,...pi,...pj,...pk,...pl->...p", g, Rt, X, Y, Y, X)
+    den = _quad(X, gp, X) * _quad(Y, gp, Y) - _quad(X, gp, Y) ** 2
     direct = num / (es * den)
-
-    S = _statistical_curvature(P)
-    H = P.hess_sigma
-    n2 = np.einsum("...i,...i->...", P.dsigma, P.grad_sigma)
-    sval = np.einsum("...lm,...mkij,...i,...j,...k,...l->...", g, S, X, Y, Y, X)
-    via = (sval - 0.5 * (_quad(X, H, X) + _quad(Y, H, Y) + n2)) / es
+    via = (_scan_term(P, X, Y) - P.dsigma_sq[..., None]) / (2.0 * es)
     return direct, via
 
 
@@ -201,7 +203,7 @@ def closed_form_residuals(M, x):
     grad = P.grad_sigma
     H = P.hess_sigma
     G = P.dgrad_sigma + np.einsum("lim,m->il", gam, grad)  # G[i,l] = (nabla_i grad)^l
-    n2 = float(ds @ grad)
+    n2 = P.dsigma_sq
     lap = P.laplace_sigma
     eye = np.eye(n)
 
@@ -222,14 +224,12 @@ def closed_form_residuals(M, x):
     )
     want_R = Rg - 0.5 * block_h + quad
 
-    ric = _ricci(P, ConnKind.NABLA)
-    ric_g = _ricci(P, ConnKind.LC_G)
     want_ric = (
-        ric_g
+        P.ricci(ConnKind.LC_G)
         + 0.5 * (n * H - lap * g)
         + 0.25 * ((n - 2) * np.outer(ds, ds) + n * n2 * g)
     )
     return {
         "riemann": float(np.abs(R - want_R).max()),
-        "ricci": float(np.abs(ric - want_ric).max()),
+        "ricci": float(np.abs(P.ricci(ConnKind.NABLA) - want_ric).max()),
     }

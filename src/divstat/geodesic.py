@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprcore import _exec_kernel
-from .manifold import ConnKind, _require, in_domain
+from .manifold import ConnKind, _require
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -587,11 +587,6 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
         xs[-1], vs[-1] = y_end[:n], y_end[n:]
         if status == "completed":
             ts, xs, vs = _refine_by_sigma(M, pieces, ts, xs, vs)
-    if status == "exited-domain":
-        keep = len(ts)
-        while keep > 1 and not in_domain(M, xs[keep - 1]):
-            keep -= 1
-        ts, xs, vs = ts[:keep], xs[:keep], vs[:keep]
     return GeodesicPath(kind=kind, ts=ts, xs=xs, vs=vs, status=status,
                         meta={"integrator": counts})
 

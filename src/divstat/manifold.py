@@ -13,8 +13,9 @@ integrator's emitted steps included.
 
 ManifoldDef.at(x) checks the domain once and returns a PointGeometry,
 which evaluates those kernels and derives g^-1, the coefficients of the
-four connections, the difference tensor K, their derivatives and the
-curvature on first use, each at most once.  Everything downstream reads
+four connections, the difference tensor K, their derivatives, the
+curvature and Ricci, the statistical curvature S, the cubic form C and
+|dsigma|^2_g on first use, each at most once.  Everything downstream reads
 pointwise quantities from that object; the (M, x) functions here are thin
 wrappers over it.
 
@@ -305,7 +306,7 @@ class ManifoldDef:
         box = doc.get("sample_box")
         try:
             box = np.asarray([[-1.0, 1.0]] * n if box is None else box, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             box = None
         # a width that is finite in floats bounds both ends, and NaN fails it
         if box is None or box.shape != (n, 2) or not all(
@@ -569,7 +570,8 @@ class PointGeometry:
     The other attributes evaluate their kernel or derive their tensor on
     first use and keep it.  Each has one formula, written once for both
     shapes: grad_sigma is the linear solve g grad = dsigma, which K, dK,
-    the checks and the scans all read, and dgrad_sigma is its derivative.
+    dsigma_sq, the checks and the scans all read, and dgrad_sigma is its
+    derivative.
     A derivative that cannot be evaluated raises EvalDomainError when it
     is first asked for, so a query never pays for, or fails on, a jet it
     does not use; in a batch the error names the first failing row, as
@@ -755,6 +757,29 @@ class PointGeometry:
             out = self._by_kind[key] = A - self._t(A, 0, 1, 3, 2)
         return out
 
+    def ricci(self, kind):
+        """Ric[j,k] = R^a_kaj, the trace of X -> R(X, d_j) d_k; needs g SPD."""
+        self.g_spd  # outside the SPD region this raises, as metric_at does
+        return np.einsum("...akaj->...jk", self.riemann(kind))
+
+    @cached_property
+    def statistical_curvature(self):
+        """S = (R + Rbar)/2, coefficientwise."""
+        return 0.5 * (self.riemann(ConnKind.NABLA) + self.riemann(ConnKind.NABLA_BAR))
+
+    @cached_property
+    def cubic_form(self):
+        """Totally symmetric C[i,j,k] = d_i sigma g_jk + d_j sigma g_ki + d_k sigma g_ij."""
+        # each unordered triple is evaluated once and written to all six
+        # slots, so permutation symmetry holds exactly, not just to rounding
+        g, ds, n = self.g, self.dsigma, self.n
+        C = np.empty(self._lead + (n, n, n))
+        for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+            v = ds[..., i] * g[..., j, k] + ds[..., j] * g[..., k, i] + ds[..., k] * g[..., i, j]
+            for a, b, c in itertools.permutations((i, j, k)):
+                C[..., a, b, c] = v
+        return C
+
     @cached_property
     def hess_sigma(self):
         """Covariant Hessian d_i d_j sigma - Gamma^k_ij d_k sigma."""
@@ -763,6 +788,11 @@ class PointGeometry:
     @cached_property
     def laplace_sigma(self):
         return np.einsum("...ij,...ij->...", self.g_inv, self.hess_sigma)
+
+    @cached_property
+    def dsigma_sq(self):
+        """|dsigma|^2_g = dsigma . grad sigma."""
+        return np.einsum("...i,...i->...", self.dsigma, self.grad_sigma)
 
 
 def _require(M, x):
@@ -836,14 +866,15 @@ def sample_domain(M, count, seed=0):
     """`count` in-domain points from the sample box, deterministic per seed."""
     rng = np.random.default_rng(seed)
     lo, hi = M.sample_box[:, 0], M.sample_box[:, 1]
-    out = []
-    attempts = 0
+    # allocated up front, so numpy refuses a count no array can hold at once
+    out = np.empty((count, M.n))
+    found = attempts = 0
     limit = 200 * count + 1000
-    while len(out) < count:
+    while found < count:
         if attempts >= limit:
             raise DefinitionError(
                 f"{M.name}: could not draw {count} in-domain samples "
-                f"({len(out)} found in {attempts} attempts)"
+                f"({found} found in {attempts} attempts)"
             )
         batch = rng.uniform(lo, hi, size=(min(count, 64), M.n))
         attempts += len(batch)
@@ -851,5 +882,7 @@ def sample_domain(M, count, seed=0):
         ok = ~np.isnan(M._values_many(batch)[:, 0])
         if M.sample_guard is not None:
             ok &= M.sample_guard.many(batch)
-        out.extend(batch[ok][: count - len(out)])
-    return np.asarray(out)
+        rows = batch[ok][: count - found]
+        out[found:found + len(rows)] = rows
+        found += len(rows)
+    return out

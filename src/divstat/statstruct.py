@@ -5,9 +5,10 @@ the difference tensor K, the four connections that the pair carries
 (Levi-Civita of g, the statistical connection nabla = LC + K, its conjugate
 nabla-bar, and the Levi-Civita connection of gtilde = e^sigma g), the
 conjugate structure sigma -> -sigma, and the nabla-parallel volume density.
-The tensors themselves are computed by manifold.PointGeometry; the (M, x)
-functions here read them from the geometry at x.  The private forms take
-a PointGeometry of either shape, one point or a batch of rows.
+The tensors themselves, C among them, are computed by
+manifold.PointGeometry; the (M, x) functions here read them from the
+geometry at x.  The private forms take a PointGeometry of either shape,
+one point or a batch of rows.
 
 Index conventions follow manifold.py: connection arrays are gamma[k, i, j] =
 Gamma^k_ij and derivative stacks put the new derivative index first.
@@ -26,22 +27,7 @@ def difference_tensor(M, x):
 
 def cubic_form(M, x):
     """Totally symmetric C[i,j,k] = d_i sigma g_jk + d_j sigma g_ki + d_k sigma g_ij."""
-    return _cubic_form(M.at(x))
-
-
-def _cubic_form(P):
-    # each unordered triple is evaluated once and written to all six slots,
-    # so permutation symmetry holds exactly, not just to rounding
-    g, ds, n = P.g, P.dsigma, P.n
-    C = np.empty(P._lead + (n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                v = (ds[..., i] * g[..., j, k] + ds[..., j] * g[..., k, i]
-                     + ds[..., k] * g[..., i, j])
-                C[..., i, j, k] = C[..., i, k, j] = C[..., j, i, k] = v
-                C[..., j, k, i] = C[..., k, i, j] = C[..., k, j, i] = v
-    return C
+    return M.at(x).cubic_form
 
 
 def cubic_form_via_difference(M, x):

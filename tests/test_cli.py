@@ -421,6 +421,7 @@ _BAD_FIELDS = [
     {"sample_box": [[-float("inf"), 1], [0, 1]]},
     {"sample_box": [[1, -1], [0, 1]]},
     {"sample_box": [[-1e308, 1e308], [0, 1]]},
+    {"sample_box": [[-1, 10**400], [0, 1]]},
 ]
 
 
@@ -640,19 +641,35 @@ _SOUPS = st.lists(st.sampled_from([
     "=", "and", "or", "true", "&", "|", "!", ",",
 ]), min_size=1, max_size=8).map(" ".join)
 _CMPS = st.tuples(_EXPRS, st.sampled_from(["<", "<=", ">", ">="]), _EXPRS).map(" ".join)
+# wrong-typed and out-of-range values for any field: null, booleans,
+# numbers (401-digit integers among them), strings, lists and dicts, and
+# pairs of pairs, the shape of a 2-D sample_box, coords or metric
+_JUNK_NUMBERS = st.one_of(st.integers(-10**401, 10**401), st.floats())
+_JUNK_ATOMS = st.one_of(st.none(), st.booleans(), _JUNK_NUMBERS,
+                        st.sampled_from(["", "x1", "x2", "1", "-1", "true"]))
+_JUNK = st.one_of(
+    st.recursive(_JUNK_ATOMS, lambda j: st.one_of(
+        st.lists(j, max_size=3), st.dictionaries(st.sampled_from(["a", "x1"]), j, max_size=2),
+    ), max_leaves=6),
+    st.lists(st.lists(_JUNK_NUMBERS, min_size=2, max_size=2), min_size=2, max_size=2),
+)
 _FIELDS = st.one_of(
     st.tuples(st.sampled_from(["domain", "sample_guard"]),
               st.one_of(_CMPS, st.lists(_CMPS, min_size=2, max_size=3).map(" or ".join), _SOUPS)),
     st.tuples(st.sampled_from(["sigma", "metric"]), st.one_of(_EXPRS, _SOUPS)),
+    st.tuples(st.sampled_from(["name", "dim", "coords", "metric", "sigma", "domain",
+                               "sample_guard", "sample_box"]), _JUNK),
 )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+@settings(max_examples=160, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(field=_FIELDS)
 def test_hostile_documents_exit_cleanly(tmp_path, capsys, field):
+    # an expression or predicate string goes into its field (a metric's
+    # into one entry); any other value replaces the whole field
     key, text = field
-    value = [[text, "0"], ["0", "1"]] if key == "metric" else text
+    value = [[text, "0"], ["0", "1"]] if key == "metric" and isinstance(text, str) else text
     doc = tmp_path / "hostile.json"
     doc.write_text(json.dumps({**CUT_PLANE, "domain": "true", key: value}))
     for argv in (["describe", str(doc), "--at", "0.5,0.5"],
@@ -708,6 +725,40 @@ def test_hostile_argument_vectors_exit_cleanly(tmp_path, capsys, monkeypatch, ar
         assert len(err.splitlines()) == 1 and err.startswith("divstat: "), (argv, err)
     else:
         assert err == "", (argv, err)
+
+
+# counts no array can hold, for every integer option: numpy refuses the
+# array before any work is done
+_COUNTS = st.one_of(st.integers(10**19, 10**25), st.integers(10**400, 10**401 - 1)).map(str)
+_HUGE_ARGVS = st.one_of(
+    st.tuples(st.just("geodesic"), _CHARTS,
+              st.just("--conn"), st.sampled_from(["lc", "nabla", "bar", "lc-tilde"]),
+              st.just("--from"), st.just("0.5,0.5"), st.just("--vel"), st.just("1,0.5"),
+              st.just("--t-max"), st.just("1"), st.just("--steps"), _COUNTS),
+    st.tuples(st.just("check"), _CHARTS, st.just("--samples"), _COUNTS,
+              st.just("--seed"), _COUNTS),
+    st.tuples(st.just("hadamard"), _CHARTS,
+              st.just("--grid"), st.one_of(
+                  _COUNTS.map("x1:0.5:1:{},x2:0.5:1:2".format),
+                  st.just("x1:0.5:1:2,x2:0.5:1:2")),
+              st.just("--planes"), _COUNTS, st.just("--seed"), _COUNTS),
+    st.tuples(st.just("connect"), _CHARTS, st.just("--from"), st.just("0.5,0.5"),
+              st.just("--to"), st.just("1,0.75"), st.just("--multistart"), _COUNTS,
+              st.just("--seed"), _COUNTS),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_HUGE_ARGVS)
+def test_counts_no_array_can_hold_are_refused_at_once(tmp_path, capsys, argv):
+    doc = tmp_path / "cut-plane"
+    doc.write_text(json.dumps(CUT_PLANE))
+    argv = [str(doc) if a == "cut-plane" else a for a in argv]
+    code, out, err = run_out(capsys, argv)
+    assert (code, out) == (2, ""), (argv, err)
+    assert len(err.splitlines()) == 1 and err.startswith("divstat: "), (argv, err)
+    assert "Maximum allowed" in err, (argv, err)
 
 
 def test_connect_converged_but_nabla_parameter_overflows(capsys):

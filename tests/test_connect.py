@@ -249,6 +249,12 @@ def test_shoot_connect_same_point():
     assert res.nabla_path is not None
     assert np.abs(res.nabla_path.xs - p).max() <= 1e-15
     assert np.all(res.nabla_path.vs == 0.0)
+    # the solve answers p == q before it computes any start
+    sols, fail, starts = _solve_bvp(m, p, p.copy(), ShootOpts())
+    assert fail is None and starts == [] and len(sols) == 1
+    assert _same_record(sols[0], sol)
+    assert distance_tilde(m, p, p) == 0.0
+    assert contrast(m, p, p) == 0.0
 
 
 # criterion 10's points: its pairs are (_HALF[i], _HALF[20 + i])
@@ -375,3 +381,23 @@ def test_later_starts_join_before_the_fine_tier(monkeypatch, name, p, q):
                               ShootOpts(multistart=6, seed=42))
     assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * 5
     assert start[0] == 5 and fine and set(fine) == {0}
+
+
+def test_a_final_iterate_within_join_of_a_branch_ends_joined(monkeypatch):
+    # the iteration budget's exit runs the join test the loop runs: start 1
+    # is 1 % off start 0's branch, one Gauss-Newton step brings it within
+    # _JOIN of it, and the budget ends there, at the scout tier
+    m = load_manifold("half-plane-exp")
+    p, q = np.array(JOIN_CASES[0][1]), np.array(JOIN_CASES[0][2])
+    sols, _, _ = _solve_bvp(m, p, q, ShootOpts(multistart=1))
+    s = sols[0]["v0"]
+    monkeypatch.setattr(divstat.connect, "_MAX_ITER", 1)
+    monkeypatch.setattr(divstat.connect, "_start_velocities",
+                        lambda M, p, q, opts: [s.copy(), 1.01 * s])
+    sols, fail, starts = _solve_bvp(m, p, q, ShootOpts(multistart=2))
+    assert [(r["ended"], r["branch"]) for r in starts] == [("converged", 0), ("joined", 0)]
+    assert len(sols) == 1 and fail is None
+    assert 1e-5 < starts[1]["endpoint_error"] < 1e-2
+    ok, v, err, joined = _gauss_newton(m, p, q, 1.01 * s, 0.25e-8, [s])
+    assert ok and joined == 0
+    assert np.linalg.norm(v - s) <= divstat.connect._JOIN * np.linalg.norm(s)

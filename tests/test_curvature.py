@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from divstat.analyze import hadamard2d_scan
+from divstat.analyze import _coordinate_planes, hadamard2d_scan
 from divstat.curvature import (
     DegeneratePlaneError,
     _conjugate_symmetry_residual,
+    _sectional_tilde,
     closed_form_residuals,
     conjugate_symmetry_residual,
     constant_curvature_residual,
@@ -286,6 +287,23 @@ _SKEW_3D = {
                ["0.1*x3", "0.2*sin(x1)", "1.5 + x3^2"]],
     "sigma": "sin(x1) + x2*x3",
 }
+
+
+@pytest.mark.parametrize("doc", sorted(BUILTINS) + [_SKEW_3D],
+                         ids=lambda d: d if isinstance(d, str) else d["name"])
+def test_sectional_tilde_on_a_stack_of_planes_is_one_call_per_plane(doc):
+    # the coordinate planes as one stack give, bit for bit, what one call
+    # per plane gives, at one point and over a batch of rows
+    M = load_manifold(doc)
+    U, V = _coordinate_planes(M.n)
+    xs = sample_domain(M, 20, seed=75)
+    for P in [M.at(x) for x in xs] + [M.at_many(xs)]:
+        direct, via = _sectional_tilde(P, (U, V))
+        assert direct.shape == via.shape == P._lead + (len(U),)
+        for k in range(len(U)):
+            d1, v1 = _sectional_tilde(P, (U[k:k + 1], V[k:k + 1]))
+            assert np.array_equal(direct[..., k], d1[..., 0]), (M.name, k)
+            assert np.array_equal(via[..., k], v1[..., 0]), (M.name, k)
 
 
 @pytest.mark.parametrize("doc", sorted(BUILTINS) + [_SKEW_3D],

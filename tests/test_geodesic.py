@@ -109,13 +109,33 @@ def test_punctured_nabla_image_is_vertical_line():
     assert np.abs(path.xs[:, 0] - 1.0).max() < 1e-6
 
 
+_WALL = {
+    "name": "walled", "dim": 2, "coords": ["x1", "x2"], "domain": "x1 < 2",
+    "metric": [["1", "0"], ["0", "1 + x1^2"]], "sigma": "0.3*x1 + 0.2*x2^2",
+}
+
+
 def test_punctured_tilde_geodesic_exits_at_wall():
     punc = load_manifold("punctured-plane")
     path = integrate_geodesic(punc, ConnKind.LC_G_TILDE, (1.0, 0.0), (-1.0, 0.0), 2.0)
     assert path.status == "exited-domain"
     assert 0.9 < path.ts[-1] < 0.96
-    for t, x, v in path.samples:
-        assert in_domain(punc, x)
+    # an exited path ends at its last accepted state, which the step or the
+    # start has already found inside the chart: so does every sample, for
+    # each connection, aimed at the puncture, at x2 = 0 and at a wall x1 = 2
+    exited = 0
+    for doc, x0, vels in [("punctured-plane", (1.0, 0.0), [(-1, 0), (-1, 0.05), (-2, -0.1)]),
+                          ("half-plane-exp", (0.2, 1.0), [(3, -4), (0.5, -5), (0, -8)]),
+                          (_WALL, (0.0, 0.0), [(1, 0), (3, 1), (5, -2)])]:
+        M = load_manifold(doc)
+        for kind in ConnKind:
+            for v0 in vels:
+                path = integrate_geodesic(M, kind, x0, v0, 20.0)
+                if path.status == "exited-domain":
+                    exited += 1
+                    assert len(path.ts) == IntegratorOpts().dense_samples, (M.name, kind, v0)
+                    assert all(in_domain(M, x) for x in path.xs), (M.name, kind, v0)
+    assert exited >= 12
 
 
 def test_exit_bisection_is_tight():
