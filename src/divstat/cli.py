@@ -6,8 +6,9 @@ JSON), contrast (print rho(p, q)), check (identity suite as a table),
 hadamard (curvature-sign scan over a coordinate grid).
 
 Exit codes: 0 success or passing scan, 1 failing check or scan, 2
-invalid input, 3 numerical failure such as no converged geodesic or a
-derivative of g or sigma that cannot be evaluated at a point in the chart.
+invalid input, 3 numerical failure such as no converged geodesic, a
+derivative of g or sigma that cannot be evaluated at a point in the chart,
+or a plane or matrix at such a point that the numerics cannot use.
 Diagnostics are single lines on stderr.  All numbers are printed with
 17 significant digits, so equal seeds give byte-identical output.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .analyze import CheckOpts, check_suite, hadamard_scan
 from .connect import NoConvergenceError, ShootOpts, contrast, shoot_connect
-from .curvature import _conjugate_symmetry_residual
+from .curvature import DegeneratePlaneError, _conjugate_symmetry_residual
 from .exprcore import ExprError
 from .geodesic import GeodesicError, IntegratorOpts, integrate_geodesic
 from .manifold import ConnKind, DefinitionError, OutOfDomainError, load_manifold
@@ -369,6 +370,10 @@ def run(argv):
         # numpy overflows are numerical failures, not warnings beside nan
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return _DISPATCH[args.cmd](args)
+    except (DegeneratePlaneError, np.linalg.LinAlgError) as exc:
+        # ValueErrors, but of the numbers at a point in the chart, not of
+        # the input: a plane the scan chose, a matrix numpy cannot factor
+        return _diag(f"numerical failure: {exc}", 3)
     except (DefinitionError, OutOfDomainError, ValueError, OSError) as exc:
         return _diag(exc, 2)
     except MemoryError as exc:

@@ -100,8 +100,10 @@ def _sectional_tilde(P, planes):
     g = P.g_spd
     gp = g[..., None, :, :]  # broadcast against the planes axis
     X, Y, ok = _plane_basis(gp, *planes)
-    if not np.all(ok):
-        raise DegeneratePlaneError("vectors do not span a 2-plane")
+    bad = np.flatnonzero(~ok.all(axis=-1))
+    if bad.size:
+        x = tuple(P.x[bad[0]].tolist()) if P._lead else P.x
+        raise DegeneratePlaneError(f"vectors do not span a 2-plane at {x}")
     es = P.exp_sigma[..., None]
     # with gtilde = e^sigma g the ratio is num_g / (e^sigma den_g), which
     # stays finite where e^{2 sigma} overflows

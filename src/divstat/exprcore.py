@@ -285,8 +285,9 @@ _EXCERPT = 100
 
 def _text(root, limit=None):
     # root's text, which parses back to root over the same coordinates, or
-    # with a limit its first `limit` characters, then "..." if it is longer
-    cut = None if limit is None else limit + 1
+    # with a limit its first `limit` characters, then "..." if it is longer.
+    # Each node's text is a tuple of pieces, strings and its children's
+    # tuples, joined once at the end: no string is copied per tree level
 
     def leaf(e):
         # e's (text, printing precedence); a diagnostic names the coordinate
@@ -299,18 +300,27 @@ def _text(root, limit=None):
         if isinstance(e, Una):
             s, q = yield e.arg
             if e.op != "neg":
-                return f"{e.op}({s})"[:cut], _P_ATOM
-            return (f"-({s})" if q < _P_UNARY else f"-{s}")[:cut], _P_UNARY
+                return (f"{e.op}(", s, ")"), _P_ATOM
+            return (("-(", s, ")") if q < _P_UNARY else ("-", s)), _P_UNARY
         sym, p = _BINARY_OPS[e.op]
         # the operand on the associating side is parenthesized at equal
         # precedence too, so the printed tree re-parses to the same shape
         lp, rp = (p + 1, p) if e.op == "pow" else (p, p + 1)
         (ls, lq), (rs, rq) = (yield e.left), (yield e.right)
-        ls = ls if lq >= lp else f"({ls})"
-        rs = rs if rq >= rp else f"({rs})"
-        return f"{ls}{f' {sym} ' if p == _P_ADD else sym}{rs}"[:cut], p
+        ls = ls if lq >= lp else ("(", ls, ")")
+        rs = rs if rq >= rp else ("(", rs, ")")
+        return (ls, f" {sym} " if p == _P_ADD else sym, rs), p
 
-    s = _walk((root,), leaf, step)[0][0]
+    # the strings in order, on an explicit stack, until past the limit
+    out, size, stack = [], 0, [_walk((root,), leaf, step)[0][0]]
+    while stack and (limit is None or size <= limit):
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+            size += len(piece)
+        else:
+            stack.extend(reversed(piece))
+    s = "".join(out)
     return s if limit is None or len(s) <= limit else s[:limit] + "..."
 
 

@@ -3,8 +3,8 @@
 Geodesics of any of the four connections solve x'' + Gamma(x', x') = 0 in the
 chart.  The integrator is an adaptive Dormand-Prince 5(4) loop on Python
 floats with the coefficients and step controller of scipy's RK45, so its
-steps follow RK45's up to rounding; when a trial step needs points outside
-the chart domain the step is bisected down to a 1e-10 window so the exit
+steps follow RK45's up to rounding; a step attempt that leaves the chart
+domain is retried at half its step, down to a 1e-10 window, so the exit
 parameter is sharp.  Because nabla is projectively equivalent to the
 Levi-Civita connection of gtilde = e^sigma g, a nabla-geodesic becomes a
 gtilde-geodesic under the parameter change ds/dt = e^{2 sigma} along the path
@@ -20,9 +20,14 @@ the chart test and the values of g and sigma the same way; no
 PointGeometry is built.  Both are compiled on the first integration and
 kept in the manifold's cache of compiled code (ManifoldDef.compiled).
 A point outside the chart (see manifold), or where the acceleration is
-not finite, stops the stage, and the step is halved, down to the exit
-bisection window.  The generic step on the right-hand side (_dopri5 on
-_rhs_factory's RHS) is the reference the emitted step is tested against.
+not finite, stops the stage.  One rule settles every attempt that leaves
+the chart, at a stage or along its chord: the next attempt starts from
+the same state with half the step tried, and the path ends
+"exited-domain" once the step tried is within the exit window
+(EXIT_BISECT_TOL) or half of it is below the shortest step at t, ten
+spacings of the doubles there.  The generic step on the right-hand side
+(_dopri5 on _rhs_factory's RHS) is the reference the emitted step is
+tested against.
 _replay takes the accepted step sizes an integration recorded through
 the same steps again, with no step control, from any start: from the
 integration's own start it gives its endpoint bit for bit, which makes
@@ -99,10 +104,12 @@ class GeodesicPath:
     boundary, or at the last state before one that overflows), or
     "step-limit" (budget or step-size underflow; the prefix that was
     integrated is still returned).  meta["integrator"] counts the
-    accepted and rejected steps, the chord rewinds and the domain-exit
-    halvings of the integration, and its RHS evaluations: 2 for the first
-    derivative and step size, and 6 per step attempt, also where an
-    attempt left the chart before its last stage.
+    accepted steps, the attempts the error estimate rejected, the chart
+    retries, each at half the step tried (rewinds where an attempt's
+    chord left the chart, halvings where one of its stages did), and the
+    RHS evaluations: 2 for the first derivative and step size, and 6 per
+    step attempt, also where an attempt left the chart before its last
+    stage.
     """
 
     kind: ConnKind
@@ -314,31 +321,6 @@ def _initial_step(rhs, y, f, t1, max_step, rtol, atol):
     return min(100 * h0, h1, t1, max_step)
 
 
-def _advance(step, t, y, f, h_abs, cap, t1, rtol, atol, counts):
-    # one accepted step from (t, y, f), trying h_abs capped at cap and
-    # shrinking on error rejections: (t_new, y_new, f_new, next h_abs), or
-    # None once the step falls below ten spacings of the doubles at t
-    min_step = 10 * (math.nextafter(t, math.inf) - t)
-    h = cap if h_abs > cap else max(h_abs, min_step)
-    rejected = False
-    while h >= min_step:
-        t_new = min(t + h, t1)
-        h = t_new - t
-        counts["rhs_calls"] += 6
-        y_new, f_new, err = step(y, f, h, rtol, atol)
-        if err < 1.0:
-            factor = _MAX_FACTOR
-            if err > 0.0:
-                factor = min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            if rejected:
-                factor = min(1.0, factor)
-            return t_new, y_new, f_new, h * factor
-        h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-        rejected = True
-        counts["rejected"] += 1
-    return None
-
-
 def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None):
     """Integrate the geodesic from (x0, v0) over [0, t1].
 
@@ -374,48 +356,65 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
         return "exited-domain", 0.0, np.array(y), [], counts
     segs = []
     status = "completed"
+    h = None  # the step of the next attempt from (t, y), None after an accepted one
     while t < t1:
-        if counts["accepted"] >= MAX_STEPS:
-            status = "step-limit"
-            break
-        # cap the chart displacement of one step so the chord probes below
-        # cannot straddle a hole at a scale they do not resolve
-        cap = max_step
-        speed = max(map(abs, y[n:]))
-        if speed > 0.0:
-            cap = min(max_step, 0.5 * (1.0 + max(map(abs, y[:n]))) / speed)
-        try:
-            done = _advance(step, t, y, f, h_abs, cap, t1, rtol, atol, counts)
-        except _DomainExit:
-            if h_abs <= EXIT_BISECT_TOL:
-                status = "exited-domain"
+        if h is None:
+            if counts["accepted"] >= MAX_STEPS:
+                status = "step-limit"
                 break
-            h_abs *= 0.5
-            counts["halvings"] += 1
-            continue
-        if done is None:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            # cap the chart displacement of one step so the chord probes below
+            # cannot straddle a hole at a scale they do not resolve
+            cap = max_step
+            speed = max(map(abs, y[n:]))
+            if speed > 0.0:
+                cap = min(max_step, 0.5 * (1.0 + max(map(abs, y[:n]))) / speed)
+            h = cap if h_abs > cap else max(h_abs, min_step)
+            rejected = False
+        if h < min_step:
             # step-size underflow: stiffness, reported through the status
             status = "step-limit"
             break
-        t_new, y_new, f_new, h_next = done
-        if not all(map(math.isfinite, y_new)):
-            # the state no longer fits in doubles: it has left every chart
-            status = "exited-domain"
-            break
-        if not probe(y[:n], y_new[:n]):
-            if t_new - t <= EXIT_BISECT_TOL:
+        t_new = min(t + h, t1)
+        h = t_new - t
+        counts["rhs_calls"] += 6
+        try:
+            y_new, f_new, err = step(y, f, h, rtol, atol)
+        except _DomainExit:
+            left = "halvings"
+        else:
+            if not err < 1.0:
+                # the error estimate is too large, or NaN: RK45's shrink
+                h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                rejected = True
+                counts["rejected"] += 1
+                continue
+            if not all(map(math.isfinite, y_new)):
+                # the state no longer fits in doubles: it has left every chart
                 status = "exited-domain"
                 break
-            # rewind to the last good state and retry with half the step
-            h_abs = min(0.5 * (t_new - t), t1 - t)
-            counts["rewinds"] += 1
+            left = None if probe(y[:n], y_new[:n]) else "rewinds"
+        if left:
+            # a stage or the chord left the chart: retry from (t, y) at half
+            # the step tried, down to the exit window or the shortest step at t
+            if h <= EXIT_BISECT_TOL or 0.5 * h < min_step:
+                status = "exited-domain"
+                break
+            h *= 0.5
+            rejected = False  # as in RK45 restarted from (t, y)
+            counts[left] += 1
             continue
+        factor = _MAX_FACTOR
+        if err > 0.0:
+            factor = min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+        if rejected:
+            factor = min(1.0, factor)
         counts["accepted"] += 1
         if collect:
             segs.append((t, t_new, y, y_new, f, f_new))
         if steps is not None:
-            steps.append(t_new - t)
-        t, y, f, h_abs = t_new, y_new, f_new, h_next
+            steps.append(h)
+        t, y, f, h_abs, h = t_new, y_new, f_new, h * factor, None
         if escape is not None and max(map(abs, y[:n])) > escape:
             status = "escaped"
             break

@@ -499,6 +499,31 @@ def test_numpy_overflow_is_numerical_failure(tmp_path, capsys):
                    "(0.5479120971119267, -0.12224312049589536)\n")
 
 
+def test_check_where_a_coordinate_plane_degenerates(tmp_path, capsys):
+    # g's eigenvalue ratio, 5e-12, passes the SPD test, but the Gram
+    # determinant of the coordinate plane the check chose falls below the
+    # plane test's floor: a numerical failure naming the sample, not
+    # invalid input
+    doc = tmp_path / "skew.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, name="skew", domain="true", sigma="x1",
+                                   metric=[["1", "0.99999999999"], ["0.99999999999", "1"]])))
+    code, out, err = run_out(capsys, ["check", str(doc), "--samples", "5"])
+    assert code == 3 and out == ""
+    assert err == ("divstat: numerical failure: vectors do not span a 2-plane at "
+                   "(0.5479120971119267, -0.12224312049589536)\n")
+
+
+def test_linalg_error_is_numerical_failure(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, but one of the numbers at a
+    # point in the chart, not of the input
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    code, out, err = run_out(capsys, ["describe", "paraboloid", "--at", "0,0"])
+    assert (code, out, err) == (3, "", "divstat: numerical failure: Singular matrix\n")
+
+
 def test_geodesic_whose_dense_output_overflows(capsys):
     # the path reaches x1 = 1e308 in steps of 1e154 and more, where the
     # Hermite term h^2 a no longer fits in a double: exit 3, naming it and

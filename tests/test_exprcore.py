@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from divstat.exprcore import (
     _FUNCTIONS,
+    _text,
     Bin,
     EvalDomainError,
     Num,
@@ -183,6 +184,20 @@ def test_walks_do_not_recurse_per_level():
         evaluate(parse(f"1/({deep} - 6000)", XY), (1.0, 2.0))
     head = "1.0/(" + "x1 + x2 + " * 10
     assert str(ei.value) == f"division by zero in '{head[:100]}...' at (1.0, 2.0)"
+
+
+def test_excerpt_is_the_head_of_the_text():
+    # the text is joined once from its pieces; with a limit, the pieces stop
+    # past it, and the excerpt is the full text's head
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        e = _random_expr(rng, 6)
+        full = str(e)
+        for limit in (1, 7, 40, 100, len(full) - 1, len(full)):
+            want = full if len(full) <= limit else full[:limit] + "..."
+            assert _text(e, limit) == want, (full, limit)
+    terms = [f"{k}.0*x{k % 2 + 1}" for k in range(1, 20001)]
+    assert str(parse(" + ".join(terms), XY)) == " + ".join(terms)
 
 
 def _central_fd(e, i, x, h):

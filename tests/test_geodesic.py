@@ -14,11 +14,13 @@ Closed-form oracles used here:
 import io
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import RK45
 from scipy.integrate._ivp import common as _ivp_common
+from scipy.integrate._ivp import rk as _scipy_rk
 from scipy.integrate._ivp.common import select_initial_step
 from scipy.optimize import brentq
 
@@ -55,6 +57,8 @@ from divstat.manifold import (
     sample_domain,
 )
 from divstat.statstruct import ConnKind, conjugate
+
+_RK_STEP = _scipy_rk.rk_step
 
 HALF_SPACE = {
     "name": "half-space-flat",
@@ -642,7 +646,9 @@ def _integrate_core_rk45(M, kind, x0, v0, t1, opts, collect, escape=None):
     """The integrator loop driven by scipy's RK45: the reference.
 
     Returns (status, t_end, y_end, segs, accepted steps), with segs as
-    geodesic._integrate_core gives them when collect is set.
+    geodesic._integrate_core gives them when collect is set.  Where a
+    stage or the chord of an attempt leaves the chart, RK45 restarts from
+    the last accepted state with half the step that attempt tried.
     """
     n = M.n
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)])
@@ -650,6 +656,12 @@ def _integrate_core_rk45(M, kind, x0, v0, t1, opts, collect, escape=None):
 
     def rhs(t, y):
         return rhs_list(y.tolist())
+
+    tried = [None]  # the step of RK45's last attempt
+
+    def rk_step(fun, t, y, f, h, *tableau):
+        tried[0] = h
+        return _RK_STEP(fun, t, y, f, h, *tableau)
 
     max_step = t1 / 48.0 if collect else np.inf
     try:
@@ -672,24 +684,24 @@ def _integrate_core_rk45(M, kind, x0, v0, t1, opts, collect, escape=None):
             rk.max_step = min(max_step, cap)
         t_prev, y_prev, f_prev = rk.t, rk.y, rk.f
         try:
-            rk.step()
+            with mock.patch.object(_scipy_rk, "rk_step", rk_step):
+                rk.step()
         except _DomainExit:
-            if rk.h_abs <= EXIT_BISECT_TOL:
-                status = "exited-domain"
+            left = True
+        else:
+            if rk.status == "failed":
+                status = "step-limit"
                 break
-            rk.h_abs = 0.5 * rk.h_abs
-            continue
-        if rk.status == "failed":
-            status = "step-limit"
-            break
-        h_used = rk.t - t_prev
-        if not _chord_ok_numpy(M, np.array(y[:n]), rk.y[:n]):
-            if h_used <= EXIT_BISECT_TOL:
+            left = not _chord_ok_numpy(M, np.array(y[:n]), rk.y[:n])
+        if left:
+            h = tried[0]
+            min_step = 10 * (np.nextafter(t_prev, np.inf) - t_prev)
+            if h <= EXIT_BISECT_TOL or 0.5 * h < min_step:
                 status = "exited-domain"
                 break
             rk = RK45(rhs, t_prev, y_prev, t_bound=t1,
                       rtol=opts.rtol, atol=opts.atol, max_step=max_step,
-                      first_step=min(0.5 * h_used, t1 - t_prev))
+                      first_step=0.5 * h)
             continue
         t_end, y_end = rk.t, rk.y
         steps += 1
@@ -705,7 +717,8 @@ def _assert_same_run(M, kind, x0, v0, t1, opts, collect, escape=None, t_tol=1e-1
     got = _integrate_core(M, kind, x0, v0, t1, opts, collect, escape)
     want = _integrate_core_rk45(M, kind, x0, v0, t1, opts, collect, escape)
     assert got[0] == want[0], (M.name, kind, got[0], want[0])
-    if got[0] == "completed":
+    # an exited path takes the reference's chart retries too
+    if got[0] in ("completed", "exited-domain"):
         assert got[4]["accepted"] == want[4], (M.name, kind)
         ends, ends_want = [s[1] for s in got[3]], [s[1] for s in want[3]]
         assert np.abs(np.subtract(ends, ends_want)).max(initial=0.0) <= t_tol * t1
@@ -847,3 +860,80 @@ def test_integrator_counts_in_meta():
     assert counts["accepted"] >= 48
     # the counts travel with the path through the parameter change
     assert reparam_to_tilde(para, path).meta["integrator"] == counts
+
+
+def test_a_wall_met_at_large_t_ends_the_path():
+    # the puncture is met near t = 9.47e6, where ten spacings of the
+    # doubles (the shortest step) exceed the exit window: the halving
+    # stops there, and the path ends at the wall, not at the step budget
+    punct = load_manifold("punctured-plane")
+    args = (punct, ConnKind.LC_G_TILDE, (1.0, 0.0), (-1e-7, 0.0), 1e7)
+    path = integrate_geodesic(*args)
+    assert path.status == "exited-domain"
+    assert 9465064.19 < path.ts[-1] < 9465064.2
+    counts = path.meta["integrator"]
+    assert counts["accepted"] + counts["halvings"] < 300
+    _assert_same_run(*args, IntegratorOpts(), True)
+
+
+def test_a_chart_retry_tries_half_the_step(monkeypatch):
+    # where a stage or the chord of an attempt leaves the chart, the next
+    # attempt starts from the same state with half the step tried, its
+    # end rounded onto the doubles as every attempt's end is: exactly half
+    # wherever t + h/2 is a double.  The log holds [y, h, outcome] per attempt
+    log = []
+    fused, chord = divstat.geodesic._fused_step, divstat.geodesic._chord_probe
+
+    def logged_step(M, kind):
+        step = fused(M, kind)
+
+        def attempt(y, f, h, rtol, atol):
+            log.append([y, h, "halving"])
+            out = step(y, f, h, rtol, atol)
+            log[-1][2] = "accepted" if out[2] < 1.0 else "rejected"
+            return out
+        return attempt
+
+    def logged_probe(M):
+        probe = chord(M)
+
+        def check(x_a, x_b):
+            if probe(x_a, x_b):
+                return True
+            log[-1][2] = "rewind"
+            return False
+        return check
+
+    monkeypatch.setattr(divstat.geodesic, "_fused_step", logged_step)
+    monkeypatch.setattr(divstat.geodesic, "_chord_probe", logged_probe)
+    punct = load_manifold("punctured-plane")
+    retries = {"halving": 0, "rewind": 0, "exact": 0}
+    for x0, v0, t1, opts in [
+            ((1.0, 0.0), (-1.0, 0.0), 3.0, IntegratorOpts()),
+            ((1.0, 0.0), (-1e-7, 0.0), 1e7, IntegratorOpts()),
+            ((0.3456209967315167, -0.7556183548414255),
+             (-0.5079181629548555, 1.3164552433014556), 48.0, IntegratorOpts(rtol=1e-5, atol=1e-7))]:
+        del log[:]
+        status, _, _, segs, counts = _integrate_core(
+            punct, ConnKind.LC_G_TILDE, x0, v0, t1, opts, True)
+        # the parameter of each accepted state, by the state's own list
+        t_at = {id(log[0][0]): 0.0}
+        for t, t_new, y, y_new, _, _ in segs:
+            t_at[id(y)], t_at[id(y_new)] = t, t_new
+        for (y, h, outcome), (y_next, h_next, _) in zip(log, log[1:]):
+            if outcome in ("halving", "rewind"):
+                t = t_at[id(y)]
+                assert y_next is y and h_next == (t + 0.5 * h) - t, (x0, t, h, h_next)
+                retries[outcome] += 1
+                retries["exact"] += h_next == 0.5 * h
+        # an exited path's last attempt is not retried, nor counted
+        retried = log[:-1] if status == "exited-domain" else log
+        assert counts["halvings"] == sum(e[2] == "halving" for e in retried)
+        assert counts["rewinds"] == sum(e[2] == "rewind" for e in retried)
+        if status == "exited-domain":
+            # the last attempt left the chart with a step that may not be halved
+            y, h, outcome = log[-1]
+            t = t_at[id(y)]
+            assert outcome in ("halving", "rewind")
+            assert h <= EXIT_BISECT_TOL or 0.5 * h < 10 * (math.nextafter(t, math.inf) - t)
+    assert min(retries.values()) > 0, retries
