@@ -33,6 +33,7 @@ from .curvature import (
     _conjugate_symmetry_residual,
     _constant_curvature_terms,
     _max_abs,
+    _per_plane,
     _plane_basis,
     _relation_residuals,
     _scan_term,
@@ -41,8 +42,12 @@ from .curvature import (
 from .manifold import ConnKind, sample_domain
 from .statstruct import _parallel_volume_residual, _trace_K
 
-# rows per ManifoldDef.at_many call: large enough that numpy's per-call
-# cost vanishes, small enough that a block's tensors stay a few MB
+# rows per ManifoldDef.at_many call, so that a block's tensors stay a few
+# MB.  A typical CLI scan (check's default 100 samples, a grid of a few
+# hundred points) is one block, and at 100 to 324 rows numpy's per-call
+# cost is far from vanishing: the hot per-point contractions are matrix
+# products on contiguous operands (see curvature), not einsum's generic
+# loop
 _BLOCK = 2048
 
 
@@ -122,7 +127,7 @@ def _careq_worst(P, draws):
     shape = draws.shape[:-3] + E.shape  # the coordinate planes at each point
     U = np.concatenate([np.broadcast_to(E, shape), draws[..., 0]], axis=-2)
     V = np.concatenate([np.broadcast_to(F, shape), draws[..., 1]], axis=-2)
-    X, Y, ok = _plane_basis(P.g_spd[..., None, :, :], U, V)
+    X, Y, ok = _plane_basis(_per_plane(P.g_spd, U), U, V)
     return np.where(ok, _scan_term(P, X, Y), -np.inf).max(axis=-1)
 
 
@@ -240,9 +245,21 @@ _INFORMATIONAL = ("conjugate-symmetry",)
 def _lambda_fit(terms):
     # least-squares constant-curvature coefficient over all samples, and
     # the residual that the fitted value leaves at each sample; terms
-    # holds each block's _constant_curvature_terms for nabla
+    # holds each block's _constant_curvature_terms for nabla.  The sums
+    # run on W scaled by a power of two, which is exact, so sum W^2 does
+    # not underflow where W does not, and lambda is what the unscaled
+    # sums give wherever neither underflows
     low, W = (np.concatenate(t) for t in zip(*terms))
-    lam = float(np.sum(low * W)) / float(np.sum(W * W))
+    e = int(np.frexp(np.abs(W).max())[1])
+    Ws = np.ldexp(W, -e)
+    den = float(np.sum(Ws * Ws))
+    if not den > 0.0:
+        raise FloatingPointError(
+            "the constant-curvature fit has nothing to fit: "
+            "g_jk g_il - g_ik g_jl underflows to 0 at every sample"
+        )
+    # numpy's scalars: an overflow is numpy's, under the caller's errstate
+    lam = float(np.ldexp(np.sum(low * Ws) / den, -e))
     return lam, np.abs(low - lam * W).reshape(len(low), -1).max(axis=1)
 
 

@@ -11,9 +11,14 @@ derivative of g or sigma that cannot be evaluated at a point in the chart,
 or a plane or matrix at such a point that the numerics cannot use.
 Diagnostics are single lines on stderr.  All numbers are printed with
 17 significant digits, so equal seeds give byte-identical output.
+
+run() builds the argument parser on its first call and reuses it for
+every later call in the process, so a program that runs many commands in
+one process pays for one parser; importing this module builds none.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -301,6 +306,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """A new parser for the divstat command line."""
     ap = _ArgumentParser(
         prog="divstat",
         description="chart computations for metrics paired with a "
@@ -356,11 +362,21 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    # run's parser, built on its first call: parsing keeps no state in the
+    # parser, so one serves every later call in the process
+    return build_parser()
+
+
 def run(argv):
-    """Parse argv (without the program name) and execute; returns exit code."""
-    parser = build_parser()
+    """Parse argv (without the program name) and execute; returns exit code.
+
+    The parser is built on the first call and reused by every later one in
+    the process; importing this module builds none.
+    """
     try:
-        args = parser.parse_args(_fuse_negative_values(list(argv)))
+        args = _parser().parse_args(_fuse_negative_values(list(argv)))
     except argparse.ArgumentError as exc:
         return _diag(exc, 2)
     except SystemExit as exc:

@@ -55,16 +55,44 @@ def _quad(a, g, b):
     return np.einsum("...j,...j->...", np.einsum("...i,...ij->...j", a, g), b)
 
 
+def _per_plane(a, planes):
+    # the point tensor a (..., n, n) once for each of the planes (...,
+    # planes, n), as a contiguous array: einsum is several times slower on
+    # an operand broadcast across the planes axis
+    shape = a.shape[:-2] + planes.shape[-2:-1] + a.shape[-2:]
+    return np.ascontiguousarray(np.broadcast_to(a[..., None, :, :], shape))
+
+
 def _plane_basis(g, u, v):
     # g-orthonormal (X, Y) spanning each plane (u, v), g (..., n, n)
     # broadcasting against u, v (..., n), and ok, False where the vectors
-    # do not span a 2-plane (X and Y are finite there, and meaningless)
+    # do not span a 2-plane (X and Y are finite there, and meaningless);
+    # the test is on |v|^2 - <u,v>^2/|u|^2, the squared g-length of v off
+    # u, which neither overflows nor underflows where g and the vectors
+    # are finite
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     nu2, nv2, uv = _quad(u, g, u), _quad(v, g, v), _quad(u, g, v)
-    ok = ~((nu2 <= 0.0) | (nv2 <= 0.0) | (nu2 * nv2 - uv * uv <= 1e-10 * nu2 * nv2))
+    off = nv2 - uv * (uv / np.where(nu2 > 0.0, nu2, 1.0))
+    ok = (nu2 > 0.0) & (nv2 > 0.0) & (off > 1e-10 * nv2)
     X = u / np.sqrt(np.where(ok, nu2, 1.0))[..., None]
     w = v - _quad(X, g, v)[..., None] * X
     return X, w / np.sqrt(np.where(ok, _quad(w, g, w), 1.0))[..., None], ok
+
+
+def _lower(g, R):
+    # g_lm R^m_kij: R's first index lowered by g (..., n, n), one product per point
+    return (g @ R.reshape(g.shape[:-1] + (-1,))).reshape(R.shape)
+
+
+def _plane_form(P, R, X, Y):
+    # g(R(X,Y)Y, X) for the curvature coefficients R[l,k,i,j] at each
+    # point of P and each pair X, Y (..., planes, n): the bilinear form
+    # of g_lm R^m_kij in Z = X (x) Y, Z[i,j] = X_i Y_j, one product per
+    # plane, so a plane's value does not depend on the others in its stack
+    n = P.n
+    T = _lower(P.g_spd, R).reshape(P._lead + (1, n * n, n * n))
+    Z = (X[..., :, None] * Y[..., None, :]).reshape(X.shape[:-1] + (1, n * n))
+    return np.einsum("...i,...i->...", (Z @ T)[..., 0, :], Z[..., 0, :])
 
 
 def _scan_term(P, X, Y):
@@ -72,9 +100,8 @@ def _scan_term(P, X, Y):
     # - Hess sigma(Y,Y) on each g-orthonormal pair X, Y (..., planes, n):
     # hadamard_scan takes its max over the planes, and _sectional_tilde's
     # second route is (term - |dsigma|^2_g) / (2 e^sigma)
-    gS = np.einsum("...lm,...mkij->...lkij", P.g_spd, P.statistical_curvature)
-    H = P.hess_sigma[..., None, :, :]
-    sval = np.einsum("...lkij,...pi,...pj,...pk,...pl->...p", gS, X, Y, Y, X)
+    H = _per_plane(P.hess_sigma, X)
+    sval = _plane_form(P, P.statistical_curvature, X, Y)
     return 2.0 * sval - _quad(X, H, X) - _quad(Y, H, Y)
 
 
@@ -97,8 +124,7 @@ def sectional_tilde(M, x, plane):
 def _sectional_tilde(P, planes):
     # planes is (U, V), each (..., planes, n): a stack of planes at each
     # point of P; one (direct, via) per plane
-    g = P.g_spd
-    gp = g[..., None, :, :]  # broadcast against the planes axis
+    gp = _per_plane(P.g_spd, planes[0])
     X, Y, ok = _plane_basis(gp, *planes)
     bad = np.flatnonzero(~ok.all(axis=-1))
     if bad.size:
@@ -107,8 +133,7 @@ def _sectional_tilde(P, planes):
     es = P.exp_sigma[..., None]
     # with gtilde = e^sigma g the ratio is num_g / (e^sigma den_g), which
     # stays finite where e^{2 sigma} overflows
-    Rt = P.riemann(ConnKind.LC_G_TILDE)
-    num = np.einsum("...lm,...mkij,...pi,...pj,...pk,...pl->...p", g, Rt, X, Y, Y, X)
+    num = _plane_form(P, P.riemann(ConnKind.LC_G_TILDE), X, Y)
     den = _quad(X, gp, X) * _quad(Y, gp, Y) - _quad(X, gp, Y) ** 2
     direct = num / (es * den)
     via = (_scan_term(P, X, Y) - P.dsigma_sq[..., None]) / (2.0 * es)
@@ -131,7 +156,7 @@ def _relation_residuals(P):
     R = P.riemann(ConnKind.NABLA)
     Rb = P.riemann(ConnKind.NABLA_BAR)
 
-    KK = np.einsum("...lim,...mjk->...lkij", K, K)
+    KK = P._compose(K, K)
     KK = KK - P._t(KK, 0, 1, 3, 2)
     # (nabla_m K)^l_jk
     DK = (
@@ -143,8 +168,8 @@ def _relation_residuals(P):
     B = P._t(DK, 1, 3, 0, 2)
     alt = B - P._t(B, 0, 1, 3, 2)
 
-    low_R = np.einsum("...lm,...mkij->...lkij", g, R)
-    low_Rb_swapped = np.einsum("...km,...mlij->...lkij", g, Rb)
+    low_R = _lower(g, R)
+    low_Rb_swapped = P._t(_lower(g, Rb), 1, 0, 2, 3)
     return {
         "eq3": _max_abs(P, low_R + low_Rb_swapped),
         "eq4": _max_abs(P, R - Rg - alt - KK),
@@ -174,7 +199,7 @@ def _conjugate_symmetry_residual(P):
 def _constant_curvature_terms(P, kind):
     # (g(R(di,dj)dk,dl), g_jk g_il - g_ik g_jl), both indexed [l,k,i,j]
     g = P.g_spd
-    low = np.einsum("...lm,...mkij->...lkij", g, P.riemann(kind))
+    low = _lower(g, P.riemann(kind))
     W = np.einsum("...jk,...il->...lkij", g, g) - np.einsum("...ik,...jl->...lkij", g, g)
     return low, W
 

@@ -604,6 +604,13 @@ class PointGeometry:
             return a.transpose(axes)
         return a.transpose(0, *(1 + i for i in axes))
 
+    def _compose(self, a, b):
+        # a^l_im b^m_jk, indexed [l,k,i,j]: one product of a as (li, m) by
+        # b as (m, jk) per point, read as [l,i,j,k]
+        n = self.n
+        ab = a.reshape(self._lead + (n * n, n)) @ b.reshape(self._lead + (n, n * n))
+        return self._t(ab.reshape(self._lead + (n,) * 4), 0, 3, 1, 2)
+
     @cached_property
     def dg(self):
         """dg[k, i, j] = d_k g_ij."""
@@ -654,8 +661,8 @@ class PointGeometry:
     @cached_property
     def dg_inv(self):
         """d_m (g^-1) = -g^-1 (d_m g) g^-1."""
-        gi = self.g_inv
-        return -np.einsum("...ka,...mab,...bl->...mkl", gi, self.dg, gi)
+        gi = self.g_inv[..., None, :, :]  # one product per m
+        return -(gi @ self.dg @ gi)
 
     @cached_property
     def grad_sigma(self):
@@ -751,9 +758,7 @@ class PointGeometry:
         out = self._by_kind.get(key)
         if out is None:
             gam = self.gamma(kind)
-            A = self._t(self.dgamma(kind), 1, 3, 0, 2) + np.einsum(
-                "...lim,...mjk->...lkij", gam, gam
-            )
+            A = self._t(self.dgamma(kind), 1, 3, 0, 2) + self._compose(gam, gam)
             out = self._by_kind[key] = A - self._t(A, 0, 1, 3, 2)
         return out
 

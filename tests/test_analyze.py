@@ -384,6 +384,18 @@ def test_scans_do_not_depend_on_the_block_size(doc, monkeypatch):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("doc", SCAN_DOCS, ids=lambda d: d if isinstance(d, str) else d["name"])
+def test_lambda_fit_is_the_quotient_of_the_unscaled_sums(doc):
+    # the fit sums a copy of W scaled by a power of two: where nothing
+    # underflows, lambda is bit for bit the quotient of the plain sums
+    M = load_manifold(doc)
+    P = M.at_many(sample_domain(M, 30, seed=5))
+    low, W = analyze._constant_curvature_terms(P, ConnKind.NABLA)
+    lam, res = analyze._lambda_fit([(low[:7], W[:7]), (low[7:], W[7:])])
+    assert lam == float(np.sum(low * W)) / float(np.sum(W * W))
+    assert np.array_equal(res, np.abs(low - lam * W).reshape(30, -1).max(axis=1))
+
+
 def test_degenerate_plane_in_a_batch_is_skipped():
     # every value on the half plane is below -2; a zero plane left in
     # would read 0

@@ -42,6 +42,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 
 import divstat
 import divstat.geodesic
+from divstat import cli
 from divstat.cli import run
 from divstat.exprcore import MAX_DEPTH
 from divstat.manifold import load_manifold
@@ -511,6 +512,105 @@ def test_check_where_a_coordinate_plane_degenerates(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == ("divstat: numerical failure: vectors do not span a 2-plane at "
                    "(0.5479120971119267, -0.12224312049589536)\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    # g reaches about 1e241 on this grid, every point in the chart; the
+    # closed form 16 r^-6 e^(-2/r^2) > 0 fails the scan
+    (["hadamard", "punctured-plane", "--grid", "x1:0.04:0.1:7,x2:0.04:0.1:7"], 1),
+    (["hadamard", "paraboloid", "--grid", "x1:1e100:1e102:4,x2:1e100:1e102:4"], 3),
+    (["hadamard", "half-plane-exp", "--grid", "x1:-1:1:5,x2:1e-80:1e-60:5"], 3),
+    (["hadamard", "euclidean", "--grid", "x1:1e300:1e301:3,x2:0:1:3"], 0),
+    (["describe", "punctured-plane", "--at", "0.06,0"], 0),
+])
+def test_exit_codes_near_walls_and_at_huge_coordinates(capsys, argv, want):
+    # a matrix product raises under the CLI's np.errstate where einsum
+    # would return inf: these exits hold either way
+    code, out, err = run_out(capsys, argv)
+    assert code == want, err
+    if want == 3:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("divstat: ")
+    else:
+        assert err == ""
+    if argv[0] == "hadamard" and want != 3:
+        assert out.endswith("result: pass\n" if want == 0 else "result: FAIL\n")
+
+
+def _scaled_identity(c):
+    return dict(CUT_PLANE, name="scaled", domain="true", sigma="x1",
+                metric=[[c, "0"], ["0", c]])
+
+
+def test_check_where_the_fit_scale_underflows(tmp_path, capsys):
+    # for g = c I and sigma = x1 the fit gives lambda = 1/(2c); at c =
+    # 1e-150 every g_jk g_il is about 1e-300 and the sum of their squares
+    # underflows to 0 unless it is taken on a rescaled copy
+    doc = tmp_path / "small.json"
+    doc.write_text(json.dumps(_scaled_identity("1e-150")))
+    code, out, err = run_out(capsys, ["check", str(doc), "--samples", "5"])
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[-1] == ("result: pass" if code == 0 else "result: FAIL")
+    fit = next(line for line in lines if line.startswith("constant-curvature-fit"))
+    lam = float(fit.rpartition("lambda=")[2])
+    assert abs(lam * 1e-150 - 0.5) <= 1e-15
+    # at c = 1e-170 the products themselves underflow: nothing to fit
+    doc.write_text(json.dumps(_scaled_identity("1e-170")))
+    code, out, err = run_out(capsys, ["check", str(doc), "--samples", "5"])
+    assert (code, out) == (3, "")
+    assert err == ("divstat: numerical failure: the constant-curvature fit has "
+                   "nothing to fit: g_jk g_il - g_ik g_jl underflows to 0 at every sample\n")
+
+
+# each subcommand, and options that give it other values
+_EACH_COMMAND = [
+    (["describe", "half-plane-exp", "--at", "0.5,1"], ["--at", "0.25,2"]),
+    (["geodesic", "euclidean", "--conn", "lc", "--from", "-1,0", "--vel", "1,2",
+      "--t-max", "1", "--steps", "3"], ["--steps", "5"]),
+    (["connect", "euclidean", "--from", "0,0", "--to", "1,-1", "--multistart", "1"],
+     ["--seed", "7", "--conjugate"]),
+    (["contrast", "euclidean", "--p", "0,0", "--q", "1,-1"], ["--seed", "7"]),
+    (["check", "paraboloid", "--samples", "4"], ["--seed", "7", "--tol", "1"]),
+    (["hadamard", "half-plane-exp", "--grid", "x1:-1:1:2,x2:0.5:1:2"], ["--planes", "1"]),
+]
+
+
+def test_the_reused_parser_carries_no_state(capsys, monkeypatch):
+    # one parser serves every run() in a process: a usage error, --help
+    # and a run with other option values between two equal runs leave
+    # the second run's output equal to the first's
+    builds = []
+
+    def build():
+        builds.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        for argv, other in _EACH_COMMAND:
+            first = run_out(capsys, argv)
+            assert first[0] == 0 and first[2] == "", argv
+            assert run_out(capsys, argv[:2] + ["--bogus"])[0] == 2
+            assert run_out(capsys, [argv[0], "--help"])[0] == 0
+            assert run_out(capsys, argv + other)[0] == 0
+            assert run_out(capsys, argv) == first, argv
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+    # build_parser itself still makes a new parser on every call
+    assert real() is not real()
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import divstat.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=_same_divstat_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_linalg_error_is_numerical_failure(capsys, monkeypatch):

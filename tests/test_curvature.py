@@ -19,6 +19,11 @@ from divstat.analyze import _coordinate_planes, hadamard2d_scan
 from divstat.curvature import (
     DegeneratePlaneError,
     _conjugate_symmetry_residual,
+    _lower as _lower_batched,
+    _per_plane,
+    _plane_basis,
+    _plane_form,
+    _quad,
     _sectional_tilde,
     closed_form_residuals,
     conjugate_symmetry_residual,
@@ -352,3 +357,74 @@ def test_closed_form_cross_checks():
             res = closed_form_residuals(m, x)
             assert res["riemann"] < 1e-8, (name, x)
             assert res["ricci"] < 1e-8, (name, x)
+
+
+def test_plane_test_does_not_depend_on_the_scale_of_g():
+    # the test once multiplied |u|^2 |v|^2, which overflows for g about
+    # 1e241 and underflows for 1e-200 while g and the vectors are finite
+    u = np.array([[1.0, 0.0], [1.0, 2.0], [1.0, 1.0], [0.0, 0.0], [3.0, -1.0]])
+    v = np.array([[0.3, 2.0], [-2.0, -4.0], [1.0, 1.0 + 1e-6], [1.0, 0.0], [0.0, 0.0]])
+    want = np.array([True, False, False, False, False])
+    X1, Y1, _ = _plane_basis(np.eye(2), u, v)
+    for c in (1e-300, 1e-200, 1.0, 1e241, 1e300):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            X, Y, ok = _plane_basis(c * np.eye(2), u, v)
+        assert np.array_equal(ok, want), c
+        # X and Y are g-unit: c^(1/2) times them is the basis for c = 1
+        assert np.abs(X[ok] * math.sqrt(c) - X1[ok]).max() <= 1e-15, c
+        assert np.abs(Y[ok] * math.sqrt(c) - Y1[ok]).max() <= 1e-15, c
+
+
+# the einsums that the batched products replaced, as references: each
+# rewritten contraction agrees with its einsum to 1e-14 of the same
+# contraction on absolute values, which bounds the rounding of either
+
+def _agree(got, ref, ref_abs):
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) <= 1e-14 * ref_abs).all(), np.abs(got - ref).max()
+
+
+def _ref_plane_form(g, R, X, Y):
+    return np.einsum("...lm,...mkij,...pi,...pj,...pk,...pl->...p", g, R, X, Y, Y, X)
+
+
+@pytest.mark.parametrize("doc", sorted(BUILTINS) + [_SKEW_3D],
+                         ids=lambda d: d if isinstance(d, str) else d["name"])
+def test_rewritten_contractions_match_their_einsums(doc):
+    M = load_manifold(doc)
+    n = M.n
+    xs = sample_domain(M, 12, seed=41)
+    # one point, a single row, and a batch of rows
+    for P in [M.at(xs[0]), M.at_many(xs[:1]), M.at_many(xs)]:
+        a = np.abs
+        gi = P.g_inv
+        _agree(P.dg_inv, -np.einsum("...ka,...mab,...bl->...mkl", gi, P.dg, gi),
+               np.einsum("...ka,...mab,...bl->...mkl", a(gi), a(P.dg), a(gi)))
+        ref = "...lim,...mjk->...lkij"
+        for kind in ConnKind:
+            gam = P.gamma(kind)
+            _agree(P._compose(gam, gam), np.einsum(ref, gam, gam),
+                   np.einsum(ref, a(gam), a(gam)))
+            R = P.riemann(kind)
+            _agree(_lower_batched(P.g, R), np.einsum("...lm,...mkij->...lkij", P.g, R),
+                   np.einsum("...lm,...mkij->...lkij", a(P.g), a(R)))
+        _agree(P._compose(P.K, P.K), np.einsum(ref, P.K, P.K),
+               np.einsum(ref, a(P.K), a(P.K)))
+        # the coordinate planes alone, then with three random planes
+        E, F = _coordinate_planes(n)
+        shape = P._lead + E.shape
+        draws = np.random.default_rng(3).standard_normal(P._lead + (3, n, 2))
+        for U, V in [
+            (np.broadcast_to(E, shape), np.broadcast_to(F, shape)),
+            (np.concatenate([np.broadcast_to(E, shape), draws[..., 0]], axis=-2),
+             np.concatenate([np.broadcast_to(F, shape), draws[..., 1]], axis=-2)),
+        ]:
+            gp = _per_plane(P.g_spd, U)
+            X, Y, ok = _plane_basis(gp, U, V)
+            assert ok.all()
+            H = P.hess_sigma[..., None, :, :]
+            _agree(_quad(X, _per_plane(P.hess_sigma, X), Y), _quad(X, H, Y),
+                   _quad(a(X), a(H), a(Y)))
+            for R in (P.statistical_curvature, P.riemann(ConnKind.LC_G_TILDE)):
+                _agree(_plane_form(P, R, X, Y), _ref_plane_form(P.g, R, X, Y),
+                       _ref_plane_form(a(P.g), a(R), a(X), a(Y)))
