@@ -14,7 +14,10 @@ Diagnostics are single lines on stderr.  All numbers are printed with
 
 run() builds the argument parser on its first call and reuses it for
 every later call in the process, so a program that runs many commands in
-one process pays for one parser; importing this module builds none.
+one process pays for one parser; importing this module builds none.  A
+built-in manifold name likewise loads one shared definition per process
+(load_manifold), so its jets and kernels are compiled once; a definition
+file is read and loaded afresh by every command.
 """
 
 import argparse
@@ -373,7 +376,8 @@ def run(argv):
     """Parse argv (without the program name) and execute; returns exit code.
 
     The parser is built on the first call and reused by every later one in
-    the process; importing this module builds none.
+    the process; importing this module builds none.  A built-in name
+    reuses the process's one definition of it; a file is loaded anew.
     """
     try:
         args = _parser().parse_args(_fuse_negative_values(list(argv)))

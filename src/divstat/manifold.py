@@ -46,7 +46,7 @@ import itertools
 import json
 import math
 import os
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
@@ -244,7 +244,9 @@ class ManifoldDef:
     deep copy of the document as given.  Immutable after construction; all
     geometry queries are pure and go through at(x), which holds no state
     between calls.  The exception is the one cache of compiled code,
-    compiled(key), filled on first use.
+    compiled(key), filled on first use.  load_manifold shares one
+    definition of each built-in across the process, so callers must not
+    modify a definition or its doc (conjugate builds a new document).
     """
 
     def __init__(self, doc):
@@ -530,11 +532,25 @@ def _list_of(seq, count, kind):
     )
 
 
+@cache
+def _builtin(name):
+    # the process's one ManifoldDef of the built-in `name`, made on its
+    # first request: at most len(BUILTINS) entries, none made at import
+    return ManifoldDef(BUILTINS[name])
+
+
 def load_manifold(doc):
-    """Load a manifold from a built-in name, a JSON file path, or a dict."""
+    """Load a manifold from a built-in name, a JSON file path, or a dict.
+
+    A built-in name gives one shared ManifoldDef per process, built on the
+    first request, so its parse, jets, SPD check and compiled kernels are
+    paid once; a dict or a file gives a new ManifoldDef on every call (a
+    file may change between calls).  Callers must not modify a returned
+    definition or its doc.
+    """
     if isinstance(doc, str):
         if doc in BUILTINS:
-            doc = BUILTINS[doc]
+            return _builtin(doc)
         elif os.path.isfile(doc):
             try:
                 with open(doc) as fh:

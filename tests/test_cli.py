@@ -19,6 +19,7 @@ Oracles:
     chart cut at x1 < 2 stops a unit ray at x1 = 2, status exited-domain.
 """
 
+import builtins
 import importlib
 import json
 import math
@@ -42,10 +43,10 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 
 import divstat
 import divstat.geodesic
-from divstat import cli
+from divstat import cli, manifold
 from divstat.cli import run
 from divstat.exprcore import MAX_DEPTH
-from divstat.manifold import load_manifold
+from divstat.manifold import BUILTINS, load_manifold
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
@@ -607,6 +608,127 @@ def test_importing_the_cli_builds_no_parser():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import divstat.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=_same_divstat_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def _each_kind(name):
+    # every command kind on the built-in `name`, each exit 0 or 1
+    return [
+        ["describe", name, "--at", "0.5,1"],
+        ["check", name, "--samples", "4"],
+        ["hadamard", name, "--grid", "x1:0.5:1:2,x2:0.5:1:2"],
+        ["geodesic", name, "--conn", "nabla", "--from", "0.5,1", "--vel", "0.2,0.1",
+         "--t-max", "1", "--steps", "3"],
+        ["connect", name, "--from", "0.5,1", "--to", "1,0.5", "--multistart", "2"],
+        ["contrast", name, "--p", "0.5,1", "--q", "1,0.5"],
+    ]
+
+
+# an exit-3 command on each built-in, each failing after its definition
+# is loaded and some of its kernels are compiled
+_FAILING = [
+    ["geodesic", "euclidean", "--conn", "lc", "--from", "0,0", "--vel", "1,0",
+     "--t-max", "1e308", "--steps", "3"],
+    ["hadamard", "paraboloid", "--grid", "x1:1e100:1e102:4,x2:1e100:1e102:4"],
+    ["describe", "punctured-plane", "--at", "0.0535,0"],
+    ["hadamard", "half-plane-exp", "--grid", "x1:-1:1:5,x2:1e-80:1e-60:5"],
+]
+
+_REPEATS = """
+import contextlib, io, json, sys
+from divstat import manifold
+from divstat.cli import run
+
+def out(argv, fresh=False):
+    if fresh:
+        manifold._builtin.cache_clear()
+    o, e = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):
+        code = run(argv)
+    return [code, o.getvalue(), e.getvalue()]
+
+commands, between = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+first = [out(argv) for argv in commands]
+errors = [out(argv) for argv in between]
+again = [out(argv) for argv in commands]
+loads = manifold._builtin.cache_info().misses
+fresh = [out(argv, fresh=True) for argv in commands]
+print(json.dumps([first, errors, again, loads, fresh]))
+"""
+
+
+def test_repeats_on_a_shared_builtin_print_what_the_first_use_printed():
+    # in a fresh interpreter: every command kind on every built-in, then
+    # an exit-3 command and usage errors on each, then the same commands
+    # again on the shared definitions, then each on a definition loaded
+    # afresh; the three passes print the same bytes
+    commands = [argv for name in BUILTINS for argv in _each_kind(name)]
+    between = _FAILING + [["check", name, "--bogus"] for name in BUILTINS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPEATS, json.dumps(commands), json.dumps(between)],
+        capture_output=True, text=True, env=_same_divstat_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, errors, again, loads, fresh = json.loads(proc.stdout)
+    assert [code for code, _, _ in first] == [
+        1 if argv[0] == "hadamard" and argv[1] in ("paraboloid", "punctured-plane") else 0
+        for argv in commands]
+    assert [code for code, _, _ in errors] == [3] * len(BUILTINS) + [2] * len(BUILTINS)
+    assert all(out == "" and err.startswith("divstat: ") for _, out, err in errors)
+    for argv, a, b, c in zip(commands, first, again, fresh):
+        assert a == b == c, argv
+    assert loads == len(BUILTINS)
+
+
+def test_a_repeated_command_on_a_builtin_compiles_nothing(tmp_path, capsys, monkeypatch):
+    # the first use of a built-in loads it and compiles its kernels; a
+    # repeat builds no definition and compiles nothing, and a file with
+    # the same document builds and compiles again
+    commands = [argv for argv in _each_kind("half-plane-exp")
+                if argv[0] in ("check", "hadamard", "geodesic")]
+    first = [run_out(capsys, argv) for argv in commands]
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    compiled, built = [], []
+    real_compile, real_init = builtins.compile, manifold.ManifoldDef.__init__
+
+    def counting_compile(src, filename, *args, **kwargs):
+        compiled.append(filename)
+        return real_compile(src, filename, *args, **kwargs)
+
+    def counting_init(self, doc):
+        built.append(doc["name"])
+        real_init(self, doc)
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    monkeypatch.setattr(manifold.ManifoldDef, "__init__", counting_init)
+    assert [run_out(capsys, argv) for argv in commands] == first
+    assert (compiled, built) == ([], [])
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(BUILTINS["half-plane-exp"]))
+    assert run_out(capsys, ["check", str(path), "--samples", "4"]) == first[0]
+    assert built == ["half-plane-exp"] and compiled
+
+
+def test_a_rewritten_definition_file_is_read_again(tmp_path, capsys):
+    # one path, rewritten between two runs in one process: each run
+    # prints the result of the definition the file holds at the time
+    path = tmp_path / "surface.json"
+    got = []
+    for base in ("euclidean", "paraboloid"):
+        path.write_text(json.dumps(dict(BUILTINS[base], name="surface")))
+        got.append(run_out(capsys, ["check", str(path), "--samples", "4"]))
+        code, out, err = run_out(capsys, ["check", base, "--samples", "4"])
+        assert got[-1] == (code, out.replace(f"manifold: {base}", "manifold: surface", 1), err)
+    assert got[0] != got[1]
+
+
+def test_importing_the_cli_loads_no_builtin():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import divstat.cli, divstat.manifold as m; print(m._builtin.cache_info().currsize)"],
         capture_output=True, text=True, env=_same_divstat_env(),
     )
     assert proc.returncode == 0, proc.stderr

@@ -6,10 +6,13 @@ Christoffel formula, and hand-substituted potential derivatives.
 
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from divstat import manifold
 from divstat.exprcore import EvalDomainError
 from divstat.manifold import (
     BUILTINS,
@@ -182,6 +185,45 @@ def test_load_json_file(tmp_path):
     m = load_manifold(str(p))
     g = metric_at(m, (0.5, 0.0))
     assert np.allclose(g, [[2.0, 0.5], [0.5, 2.25]], atol=1e-15)
+
+
+def test_builtins_are_shared_and_documents_are_not(tmp_path):
+    # a built-in name gives one definition per process; a dict, even the
+    # built-in's own, and a file give a new one on every call
+    for name in BUILTINS:
+        assert load_manifold(name) is load_manifold(name)
+        assert load_manifold(BUILTINS[name]) is not load_manifold(BUILTINS[name])
+        assert load_manifold(BUILTINS[name]) is not load_manifold(name)
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps(BUILTINS["euclidean"]))
+    assert load_manifold(str(p)) is not load_manifold(str(p))
+
+
+def test_concurrent_first_uses_of_a_builtin_agree_with_a_fresh_load():
+    # threads that load and first evaluate the built-ins at once, with a
+    # short switch interval, read what a definition of their own gives
+    xs = np.array([(0.5, 1.0), (1.0, 0.5), (-0.7, 1.3)])
+
+    def values(M):
+        P = M.at_many(xs)
+        return [P.g, P.dg, P.d2g, P.dsigma, P.d2sigma, P.riemann(ConnKind.NABLA)] + [
+            np.array(M.spray(kind)((0.5, 1.0, 0.2, 0.1))) for kind in ConnKind]
+
+    names = list(BUILTINS) * 4
+    want = {name: values(load_manifold(dict(BUILTINS[name]))) for name in BUILTINS}
+    manifold._builtin.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(lambda n=name: values(load_manifold(n))) for name in names]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for name, arrays in zip(names, got):
+        for a, b in zip(arrays, want[name]):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+    assert all(load_manifold(name) is load_manifold(name) for name in BUILTINS)
 
 
 def test_load_rejects_bad_documents():
