@@ -30,6 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .curvature import (
+    DegeneratePlaneError,
     _conjugate_symmetry_residual,
     _constant_curvature_terms,
     _max_abs,
@@ -128,6 +129,10 @@ def _careq_worst(P, draws):
     U = np.concatenate([np.broadcast_to(E, shape), draws[..., 0]], axis=-2)
     V = np.concatenate([np.broadcast_to(F, shape), draws[..., 1]], axis=-2)
     X, Y, ok = _plane_basis(_per_plane(P.g_spd, U), U, V)
+    bad = np.flatnonzero(~ok.any(axis=-1))
+    if bad.size:
+        x = tuple(P.x[bad[0]].tolist())
+        raise DegeneratePlaneError(f"no tested plane spans a 2-plane at {x}")
     return np.where(ok, _scan_term(P, X, Y), -np.inf).max(axis=-1)
 
 
@@ -135,7 +140,10 @@ def hadamard_scan(M, points, planes_per_point=4, seed=42):
     """Scan the plane-curvature condition; pass iff the worst value <= 0.
 
     Each point is tested on every coordinate plane plus planes_per_point
-    seeded pseudo-random planes, all g-orthonormalized.
+    seeded pseudo-random planes, all g-orthonormalized.  A plane whose
+    vectors do not span a 2-plane is left out at its point; where that
+    leaves no plane, nothing was tested, and DegeneratePlaneError names
+    the first such point.
     """
     xs = _rows(points)
     planes_per_point = int(planes_per_point)

@@ -25,6 +25,7 @@ helpers raise NoConvergenceError since they must return a number.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -40,8 +41,7 @@ from .geodesic import (
     integrate_geodesic,
     reparam_from_tilde,
 )
-from .manifold import ConnKind, _require, metric_at, sigma_at
-from .statstruct import connection_coeffs
+from .manifold import ConnKind, _require
 
 _SCOUT = IntegratorOpts(rtol=1e-5, atol=1e-7)
 _COARSE = IntegratorOpts(rtol=1e-7, atol=1e-9)
@@ -258,12 +258,18 @@ def _solve_bvp(M, p, q, opts):
     starts = _start_velocities(M, p, q, opts)
     P = M.at(p)
     # math.exp, not P.exp_sigma: numpy's exp rounds differently on a few
-    # percent of inputs, which would move tilde_length's last bits
+    # percent of inputs, which would move tilde_length's last bits.  e^sigma
+    # must be a normal double for a gtilde length to carry its digits, so
+    # the solve is refused where it overflows or underflows to 0 or a
+    # subnormal
     try:
-        gt = math.exp(P.sigma) * P.g_spd
+        w = math.exp(P.sigma)
     except OverflowError:
         # the error P.exp_sigma gives where e^sigma overflows
         raise EvalDomainError(Una("exp", M._sigma), "overflow", p.tolist()) from None
+    if w < sys.float_info.min:
+        raise EvalDomainError(Una("exp", M._sigma), "underflow", p.tolist())
+    gt = w * P.g_spd
     target = 0.25 * opts.eps_bvp
     # starts run in index order, so the reduction is a deterministic
     # function of that order
@@ -349,15 +355,20 @@ def distance_tilde(M, p, q, opts=None):
     return sols[0]["tilde_length"]
 
 
-def distance_symmetry_gap(M, p, q, opts=None):
-    """|dtilde(p,q) - dtilde(q,p)|, a consistency check on the solver."""
-    return abs(distance_tilde(M, p, q, opts) - distance_tilde(M, q, p, opts))
-
-
 def contrast(M, p, q, opts=None):
-    """Canonical contrast rho(p, q) = e^{-sigma(p)} dtilde(p, q)^2."""
+    """Canonical contrast rho(p, q) = e^{-sigma(p)} dtilde(p, q)^2.
+
+    Raises EvalDomainError where rho overflows.
+    """
+    P = M.at(p)
     d = distance_tilde(M, p, q, opts)
-    return math.exp(-sigma_at(M, p)) * d * d
+    try:
+        rho = math.exp(-P.sigma) * d * d
+    except OverflowError:
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise EvalDomainError("e^{-sigma(p)} dtilde(p, q)^2", "overflow", P.x)
+    return rho
 
 
 @dataclass
@@ -384,7 +395,8 @@ def contrast_structure_check(M, p, h, opts=None):
     The contrast-calculus derivatives carry the usual 1/2 normalization of
     divergence derivatives, applied to the raw chart differences here.
     """
-    p = np.array(_require(M, p))
+    P = M.at(p)
+    p = np.array(P.x)
     n = M.n
     h = float(h)
     if not h > 0.0:
@@ -426,8 +438,8 @@ def contrast_structure_check(M, p, h, opts=None):
                     ) / (4.0 * h * h)
     g_fd = -0.5 * raw2
     nabla_fd = -0.5 * raw3
-    g = metric_at(M, p)
-    target = np.einsum("mij,mk->ijk", connection_coeffs(M, p, ConnKind.NABLA), g)
+    g = P.g_spd
+    target = np.einsum("mij,mk->ijk", P.gamma(ConnKind.NABLA), g)
     return ContrastReport(
         g_fd=g_fd,
         nabla_fd=nabla_fd,

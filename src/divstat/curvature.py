@@ -1,20 +1,22 @@
 """Curvature tensors of the derived connections and their structural identities.
 
-Conventions: riemann returns R[l,k,i,j] with R(d_i, d_j) d_k = R^l_kij d_l,
-built from R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
-- Gamma^l_jm Gamma^m_ik by manifold.PointGeometry.riemann, and ricci
-returns its trace Ric_jk = R^a_kaj.  Both, and the statistical curvature
-S = (R + Rbar)/2, are read from PointGeometry, as the other tensors are.
-Everything runs on the symbolic jets; no finite differences enter any
-curvature quantity.  Each public (M, x) function reads the geometry at x
-once; the private forms take that PointGeometry, so a caller that
-evaluates several quantities at one point shares its tensors.  The
-private forms are written once for both shapes of PointGeometry: on a
-batch from ManifoldDef.at_many every result gains the batch's leading
-axis, and a residual is one max per row.
+Conventions: R[l,k,i,j] with R(d_i, d_j) d_k = R^l_kij d_l, built from
+R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
+- Gamma^l_jm Gamma^m_ik, and Ric_jk = R^a_kaj.  The curvature of each
+connection (P.riemann(kind)), its Ricci trace (P.ricci(kind)) and the
+statistical curvature S = (R + Rbar)/2 (P.statistical_curvature) are
+members of manifold.PointGeometry, as the other tensors are.  Everything
+runs on the symbolic jets; no finite differences enter any curvature
+quantity.  This module gives what is built from those members: the
+sectional curvature of e^sigma g by two routes, the Cartan-Hadamard plane
+term, the identity residuals and the constant-curvature fit.  Its
+private forms take a PointGeometry of either shape: on a batch from
+ManifoldDef.at_many every result gains the batch's leading axis, and a
+residual is one max per row.  ricci, sectional_tilde and
+constant_curvature_residual take (M, x) and read one point.
 
-The identities checked by curvature_relation_residuals are stated with the
-signs that actually close numerically, which for eq5 means
+The identities checked by _relation_residuals are stated with the signs
+that actually close numerically, which for eq5 means
 
     2 R_g = R + Rbar - 2 [K_X, K_Y]Z
 
@@ -30,19 +32,9 @@ class DegeneratePlaneError(ValueError):
     """The two given vectors do not span a 2-plane at the base point."""
 
 
-def riemann(M, x, kind):
-    """Curvature coefficients R[l,k,i,j] of the requested connection at x."""
-    return M.at(x).riemann(kind)
-
-
 def ricci(M, x, kind):
     """Ric[j,k] = R^a_kaj, the trace of X -> R(X, d_j) d_k."""
     return M.at(x).ricci(kind)
-
-
-def statistical_curvature(M, x):
-    """S = (R + Rbar)/2, coefficientwise."""
-    return M.at(x).statistical_curvature
 
 
 def _max_abs(P, a):
@@ -140,17 +132,12 @@ def _sectional_tilde(P, planes):
     return direct, via
 
 
-def curvature_relation_residuals(M, x):
-    """Max-norm residuals of the identities tying R, Rbar and R_g together.
-
-    eq3: g(R(X,Y)Z, W) + g(Z, Rbar(X,Y)W) = 0
-    eq4: R = R_g + alt(nabla_g K) + [K_X, K_Y]Z
-    eq5: 2 R_g = R + Rbar - 2 [K_X, K_Y]Z
-    """
-    return {k: float(v) for k, v in _relation_residuals(M.at(x)).items()}
-
-
 def _relation_residuals(P):
+    # max-norm residuals, one per point, of the identities tying R, Rbar
+    # and R_g together:
+    #   eq3: g(R(X,Y)Z, W) + g(Z, Rbar(X,Y)W) = 0
+    #   eq4: R = R_g + alt(nabla_g K) + [K_X, K_Y]Z
+    #   eq5: 2 R_g = R + Rbar - 2 [K_X, K_Y]Z
     g, gam, K = P.g, P.christoffel, P.K
     Rg = P.riemann(ConnKind.LC_G)
     R = P.riemann(ConnKind.NABLA)
@@ -177,18 +164,12 @@ def _relation_residuals(P):
     }
 
 
-def conjugate_symmetry_residual(M, x):
-    """Eigenvalue spread of g^{-1} Hess sigma; 0 iff Hess sigma = f g at x.
-
-    The spread is invariant under shifting by multiples of g, so this equals
-    the deviation of Hess sigma from its best trace-fitted multiple of g
-    measured through g itself, with no coordinate-dependent norm involved.
-    """
-    return float(_conjugate_symmetry_residual(M.at(x)))
-
-
 def _conjugate_symmetry_residual(P):
-    # the eigenvalues of the pencil (Hess sigma, g) by the Cholesky
+    # the eigenvalue spread of g^-1 Hess sigma, 0 iff Hess sigma = f g at
+    # the point; the spread is invariant under shifting by multiples of g,
+    # so it measures the deviation of Hess sigma from its best multiple of
+    # g through g itself, with no coordinate-dependent norm.  The
+    # eigenvalues of the pencil (Hess sigma, g) by the Cholesky
     # reduction g = L L^T: those of L^-1 Hess sigma L^-T
     L = np.linalg.cholesky(P.g_spd)
     A = np.linalg.solve(L, P.hess_sigma)
@@ -208,55 +189,3 @@ def constant_curvature_residual(M, x, lam, kind=ConnKind.NABLA):
     """max |g(R(di,dj)dk,dl) - lam (g_jk g_il - g_ik g_jl)| at x."""
     low, W = _constant_curvature_terms(M.at(x), kind)
     return float(np.abs(low - lam * W).max())
-
-
-def closed_form_residuals(M, x):
-    """Residuals of riemann/ricci of nabla against their Hessian closed forms.
-
-    With a = dsigma, H = Hess sigma, G_X = nabla^g_X grad sigma:
-
-      R(X,Y)Z = R_g(X,Y)Z - (H(X,Z)Y - H(Y,Z)X + g(Y,Z)G_X - g(X,Z)G_Y)/2
-                + (a(Y)a(Z)X - a(X)a(Z)Y)/4
-                + |a|^2 (g(Y,Z)X - g(X,Z)Y)/4
-                + (g(Y,Z)a(X) - g(X,Z)a(Y)) grad sigma / 4
-
-      Ric = Ric_g + (n H - (lap sigma) g)/2 + ((n-2) a (x) a + n |a|^2 g)/4
-
-    These are cross-checks only; the primary computation stays with the
-    connection jets.
-    """
-    P = M.at(x)
-    g, ds, gam, n = P.g, P.dsigma, P.christoffel, P.n
-    grad = P.grad_sigma
-    H = P.hess_sigma
-    G = P.dgrad_sigma + np.einsum("lim,m->il", gam, grad)  # G[i,l] = (nabla_i grad)^l
-    n2 = P.dsigma_sq
-    lap = P.laplace_sigma
-    eye = np.eye(n)
-
-    Rg = P.riemann(ConnKind.LC_G)
-    R = P.riemann(ConnKind.NABLA)
-    block_h = (
-        np.einsum("ik,lj->lkij", H, eye)
-        - np.einsum("jk,li->lkij", H, eye)
-        + np.einsum("jk,il->lkij", g, G)
-        - np.einsum("ik,jl->lkij", g, G)
-    )
-    quad = 0.25 * (
-        np.einsum("j,k,li->lkij", ds, ds, eye)
-        - np.einsum("i,k,lj->lkij", ds, ds, eye)
-        + n2 * (np.einsum("jk,li->lkij", g, eye) - np.einsum("ik,lj->lkij", g, eye))
-        + np.einsum("jk,i,l->lkij", g, ds, grad)
-        - np.einsum("ik,j,l->lkij", g, ds, grad)
-    )
-    want_R = Rg - 0.5 * block_h + quad
-
-    want_ric = (
-        P.ricci(ConnKind.LC_G)
-        + 0.5 * (n * H - lap * g)
-        + 0.25 * ((n - 2) * np.outer(ds, ds) + n * n2 * g)
-    )
-    return {
-        "riemann": float(np.abs(R - want_R).max()),
-        "ricci": float(np.abs(P.ricci(ConnKind.NABLA) - want_ric).max()),
-    }

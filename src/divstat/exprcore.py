@@ -36,7 +36,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Una", "Bin", "ExprError", "ParseError",
-    "EvalDomainError", "parse", "parse_pred", "evaluate", "compile_many",
+    "EvalDomainError", "parse", "parse_pred", "compile_many",
 ]
 
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
@@ -127,11 +127,6 @@ class Expr:
 
     def __str__(self):
         return _text(self)
-
-
-def evaluate(expr, x):
-    """Evaluate `expr` at point `x` (sequence of floats)."""
-    return expr.eval(x)
 
 
 @dataclass(slots=True, eq=False, unsafe_hash=True)

@@ -15,9 +15,10 @@ ManifoldDef.at(x) checks the domain once and returns a PointGeometry,
 which evaluates those kernels and derives g^-1, the coefficients of the
 four connections, the difference tensor K, their derivatives, the
 curvature and Ricci, the statistical curvature S, the cubic form C and
-|dsigma|^2_g on first use, each at most once.  Everything downstream reads
-pointwise quantities from that object; the (M, x) functions here are thin
-wrappers over it.
+|dsigma|^2_g on first use, each at most once.  M.at(x) and M.at_many(xs)
+are the one way to read pointwise geometry: everything downstream reads
+its members.  metric_at, hess_sigma and laplace_sigma each read one member
+of M.at(x), and in_domain tests membership without raising.
 
 The geodesic integrator asks for one thing only, the spray
 a = -Gamma(v, v) of a connection at (x, v), and ManifoldDef.spray(kind)
@@ -75,12 +76,6 @@ __all__ = [
     "load_manifold",
     "in_domain",
     "metric_at",
-    "metric_inverse_at",
-    "metric_jet",
-    "sigma_at",
-    "sigma_jet",
-    "christoffel_g",
-    "grad_sigma",
     "hess_sigma",
     "laplace_sigma",
     "sample_domain",
@@ -829,45 +824,6 @@ def in_domain(M, x):
 def metric_at(M, x):
     """g(x) as an (n, n) SPD matrix."""
     return M.at(x).g_spd
-
-
-def metric_inverse_at(M, x):
-    P = M.at(x)
-    P.g_spd  # outside the SPD region this raises, as metric_at does
-    return P.g_inv
-
-
-def metric_jet(M, x, order):
-    """(g,) or (g, dg) or (g, dg, d2g); dg[k,i,j] = d_k g_ij."""
-    P = M.at(x)
-    if order == 0:
-        return (P.g,)
-    if order == 1:
-        return P.g, P.dg
-    return P.g, P.dg, P.d2g
-
-
-def sigma_at(M, x):
-    return M.at(x).sigma
-
-
-def sigma_jet(M, x, order):
-    """(s,) or (s, ds) or (s, ds, d2s) with exact symmetric second order."""
-    P = M.at(x)
-    if order == 0:
-        return (P.sigma,)
-    if order == 1:
-        return P.sigma, P.dsigma
-    return P.sigma, P.dsigma, P.d2sigma
-
-
-def christoffel_g(M, x):
-    """Levi-Civita coefficients, gamma[k,i,j] = Gamma^k_ij."""
-    return M.at(x).christoffel
-
-
-def grad_sigma(M, x):
-    return M.at(x).grad_sigma
 
 
 def hess_sigma(M, x):

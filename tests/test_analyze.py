@@ -33,10 +33,7 @@ from divstat.manifold import (
     ConnKind,
     OutOfDomainError,
     load_manifold,
-    metric_inverse_at,
     sample_domain,
-    sigma_at,
-    sigma_jet,
 )
 
 EUCL3 = {
@@ -130,10 +127,10 @@ def test_hadamard_consistent_with_sectional():
     for name, x in (("half-plane-exp", (0.4, 0.7)), ("paraboloid", (1.1, -0.3))):
         m = load_manifold(name)
         rep = hadamard_scan(m, [x], planes_per_point=0)
-        _, ds = sigma_jet(m, x, 1)
-        n2 = float(ds @ metric_inverse_at(m, x) @ ds)
+        P = m.at(x)
+        n2 = float(P.dsigma @ P.g_inv @ P.dsigma)
         _, via = sectional_tilde(m, x, ((1.0, 0.0), (0.0, 1.0)))
-        want = 2.0 * math.exp(sigma_at(m, x)) * via + n2
+        want = 2.0 * math.exp(P.sigma) * via + n2
         assert abs(rep.worst_value - want) < 1e-10, name
 
 
@@ -339,7 +336,7 @@ def test_batched_scans_match_per_point_reference(doc):
         assert _close(rep.worst_value, ref[k]) and rep.passed == (ref[k] <= 0.0)
         assert np.array_equal(rep.worst_point, pts[k])
     smin, pmin, smax, pmax = sigma_bounds_scan(M, pts)
-    ref = [sigma_at(M, x) for x in pts]
+    ref = [M.at(x).sigma for x in pts]
     assert _close(smin, min(ref)) and _close(smax, max(ref))
     assert np.array_equal(pmin, pts[int(np.argmin(ref))])
     assert np.array_equal(pmax, pts[int(np.argmax(ref))])

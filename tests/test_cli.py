@@ -515,6 +515,53 @@ def test_check_where_a_coordinate_plane_degenerates(tmp_path, capsys):
                    "(0.5479120971119267, -0.12224312049589536)\n")
 
 
+def test_hadamard_where_no_tested_plane_spans(tmp_path, capsys):
+    # with no random planes, every plane tested at a point of the skew
+    # chart is its degenerate coordinate plane: that point proves nothing,
+    # so the scan fails naming it rather than passing on -inf
+    doc = tmp_path / "skew.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, name="skew", domain="true", sigma="x1",
+                                   metric=[["1", "0.99999999999"], ["0.99999999999", "1"]])))
+    grid = ["--grid", "x1:-1:1:3,x2:-1:1:3"]
+    code, out, err = run_out(capsys, ["hadamard", str(doc), *grid, "--planes", "0"])
+    assert code == 3 and out == ""
+    assert err == "divstat: numerical failure: no tested plane spans a 2-plane at (-1.0, -1.0)\n"
+    # with two random planes one spans at (-1, -1), none at (-1, 1)
+    code, out, err = run_out(capsys, ["hadamard", str(doc), *grid, "--planes", "2"])
+    assert code == 3 and out == ""
+    assert err == "divstat: numerical failure: no tested plane spans a 2-plane at (-1.0, 1.0)\n"
+
+
+def test_contrast_and_connect_where_e_sigma_is_not_a_normal_double(tmp_path, capsys):
+    # rho is invariant under x1 -> x1 + c for sigma = x1 and flat g.  A
+    # gtilde length needs e^{sigma(p)} as a normal double: below
+    # log(2.2e-308) ~ -708.4 it is subnormal or 0 and the solve exits 3
+    # rather than print a length with few or no correct digits
+    doc = tmp_path / "tilt.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, name="tilt", domain="true", sigma="x1")))
+
+    def rho(x1):
+        code, out, err = run_out(capsys, ["contrast", str(doc), f"--p={x1},0",
+                                          f"--q={x1 + 0.5},0.3"])
+        assert code == 0 and err == ""
+        return float(out)
+
+    assert rho(-700) == 0.43802751994588657
+    assert abs(rho(-708) / rho(-700) - 1.0) < 1e-9
+    for x1 in (-709, -740, -744, -800):
+        for argv in (["contrast", str(doc), f"--p={x1},0", f"--q={x1 + 0.5},0.3"],
+                     ["connect", str(doc), f"--from={x1},0", f"--to={x1 + 0.5},0.3"]):
+            code, out, err = run_out(capsys, argv)
+            assert (code, out) == (3, ""), argv
+            assert err == f"divstat: underflow in 'exp(x1)' at ({x1}.0, 0.0)\n"
+    # p == q needs no solve; rho = 0 wherever the weight e^{-sigma(p)} fits
+    code, out, err = run_out(capsys, ["contrast", str(doc), "--p=-709,0", "--q=-709,0"])
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run_out(capsys, ["contrast", str(doc), "--p=-800,0", "--q=-800,0"])
+    assert (code, out) == (3, "")
+    assert err == "divstat: overflow in 'e^{-sigma(p)} dtilde(p, q)^2' at (-800.0, 0.0)\n"
+
+
 @pytest.mark.parametrize("argv, want", [
     # g reaches about 1e241 on this grid, every point in the chart; the
     # closed form 16 r^-6 e^(-2/r^2) > 0 fails the scan

@@ -24,24 +24,18 @@ from divstat.curvature import (
     _plane_basis,
     _plane_form,
     _quad,
+    _relation_residuals,
     _sectional_tilde,
-    closed_form_residuals,
-    conjugate_symmetry_residual,
     constant_curvature_residual,
-    curvature_relation_residuals,
     ricci,
-    riemann,
     sectional_tilde,
-    statistical_curvature,
 )
 from divstat.manifold import (
     BUILTINS,
     OutOfDomainError,
-    grad_sigma,
     load_manifold,
     metric_at,
     sample_domain,
-    sigma_jet,
 )
 from divstat.statstruct import ConnKind
 
@@ -58,7 +52,7 @@ def _lower(g, R):
 
 def _sec(M, x, kind, u, v):
     g = metric_at(M, x)
-    R = riemann(M, x, kind)
+    R = M.at(x).riemann(kind)
     num = float(np.einsum("lm,mkij,i,j,k,l->", g, R, u, v, v, u))
     den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     return num / den
@@ -67,7 +61,7 @@ def _sec(M, x, kind, u, v):
 def test_euclidean_flat_all_kinds():
     eucl = load_manifold("euclidean")
     for kind in ConnKind:
-        R = riemann(eucl, (0.7, -2.1), kind)
+        R = eucl.at((0.7, -2.1)).riemann(kind)
         assert np.array_equal(R, np.zeros((2, 2, 2, 2)))
         assert np.array_equal(ricci(eucl, (0.7, -2.1), kind), np.zeros((2, 2)))
 
@@ -77,7 +71,7 @@ def test_antisymmetry_exact():
         m = load_manifold(name)
         for x in sample_domain(m, 10, seed=61):
             for kind in ConnKind:
-                R = riemann(m, x, kind)
+                R = m.at(x).riemann(kind)
                 assert np.array_equal(R, -R.transpose(0, 1, 3, 2)), (name, kind)
 
 
@@ -85,7 +79,7 @@ def test_paraboloid_nabla_is_constant_curvature_one():
     para = load_manifold("paraboloid")
     x = (1.0, 0.0)
     g = metric_at(para, x)
-    Rlow = _lower(g, riemann(para, x, ConnKind.NABLA))
+    Rlow = _lower(g, para.at(x).riemann(ConnKind.NABLA))
     # g(R(d1,d2)d2,d1) = det g = 1 at this point
     assert abs(Rlow[0, 1, 0, 1] - 1.0) < 1e-10
     for x in sample_domain(para, 30, seed=62):
@@ -148,7 +142,7 @@ def test_ricci_matches_its_frame_definition():
             g = metric_at(m, x)
             E = _gram_schmidt(g)
             for kind in ConnKind:
-                R = riemann(m, x, kind)
+                R = m.at(x).riemann(kind)
                 want = np.einsum("ia,lkaj,lm,im->jk", E, R, g, E)
                 got = ricci(m, x, kind)
                 tol = 1e-12 * (1.0 + np.abs(got).max())
@@ -175,16 +169,17 @@ def test_ricci_outside_the_spd_region_fails():
 def test_statistical_curvature_basics():
     para = load_manifold("paraboloid")
     for x in sample_domain(para, 25, seed=65):
-        S = statistical_curvature(para, x)
-        R = riemann(para, x, ConnKind.NABLA)
-        Rb = riemann(para, x, ConnKind.NABLA_BAR)
+        P = para.at(x)
+        S = P.statistical_curvature
+        R = P.riemann(ConnKind.NABLA)
+        Rb = P.riemann(ConnKind.NABLA_BAR)
         assert np.array_equal(S, 0.5 * (R + Rb))
         # conjugate symmetric manifold: R = Rbar = S
         assert np.abs(S - R).max() < 1e-9
     half = load_manifold("half-plane-exp")
     x = (0.0, 1.0)
     g = metric_at(half, x)  # identity here, coordinate frame is orthonormal
-    S = statistical_curvature(half, x)
+    S = half.at(x).statistical_curvature
     u = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
     val = float(np.einsum("lm,mkij,i,j,k,l->", g, S, u, v, v, u))
@@ -198,11 +193,11 @@ def test_2d_sectional_of_S_identity():
         m = load_manifold(name)
         for x in sample_domain(m, 25, seed=67):
             g = metric_at(m, x)
-            _, ds = sigma_jet(m, x, 1)
+            ds = m.at(x).dsigma
             n2 = float(ds @ np.linalg.solve(g, ds))
             u, v = rng.standard_normal((2, 2))
             kg = _sec(m, x, ConnKind.LC_G, u, v)
-            S = statistical_curvature(m, x)
+            S = m.at(x).statistical_curvature
             # orthonormalize the pair for the S side
             u1 = u / math.sqrt(u @ g @ u)
             w = v - (u1 @ g @ v) * u1
@@ -260,28 +255,29 @@ def test_curvature_relation_residuals():
     for name in BUILTINS:
         m = load_manifold(name)
         for x in sample_domain(m, 100, seed=71):
-            res = curvature_relation_residuals(m, x)
+            res = _relation_residuals(m.at(x))
             assert res["eq3"] < 1e-8, (name, x, res)
             assert res["eq4"] < 1e-8, (name, x, res)
             assert res["eq5"] < 1e-8, (name, x, res)
     eucl = load_manifold("euclidean")
-    res = curvature_relation_residuals(eucl, (1.0, 1.0))
+    res = _relation_residuals(eucl.at((1.0, 1.0)))
     assert res["eq3"] == res["eq4"] == res["eq5"] == 0.0
     para = load_manifold("paraboloid")
-    assert curvature_relation_residuals(para, (1.0, 0.0))["eq3"] < 1e-10
+    assert _relation_residuals(para.at((1.0, 0.0)))["eq3"] < 1e-10
 
 
 def test_conjugate_symmetry_residual():
     para = load_manifold("paraboloid")
     for x in sample_domain(para, 30, seed=72):
-        assert conjugate_symmetry_residual(para, x) < 1e-9
-        R = riemann(para, x, ConnKind.NABLA)
-        Rb = riemann(para, x, ConnKind.NABLA_BAR)
+        P = para.at(x)
+        assert _conjugate_symmetry_residual(P) < 1e-9
+        R = P.riemann(ConnKind.NABLA)
+        Rb = P.riemann(ConnKind.NABLA_BAR)
         assert np.abs(R - Rb).max() < 1e-8
     eucl = load_manifold("euclidean")
-    assert conjugate_symmetry_residual(eucl, (0.0, 0.0)) == 0.0
+    assert _conjugate_symmetry_residual(eucl.at((0.0, 0.0))) == 0.0
     half = load_manifold("half-plane-exp")
-    got = conjugate_symmetry_residual(half, (0.0, 1.0))
+    got = _conjugate_symmetry_residual(half.at((0.0, 1.0)))
     assert abs(got - math.exp(-1.0)) < 1e-12
 
 
@@ -340,7 +336,7 @@ def test_first_bianchi():
         m = load_manifold(name)
         for x in sample_domain(m, 30, seed=73):
             for kind in ConnKind:
-                R = riemann(m, x, kind)
+                R = m.at(x).riemann(kind)
                 # R[l,k,i,j]: slots are R(di,dj)dk; cyclic sum over (i,j,k)
                 cyc = (
                     R
@@ -350,11 +346,63 @@ def test_first_bianchi():
                 assert np.abs(cyc).max() < 1e-8, (name, kind)
 
 
+def _closed_form_residuals(M, x):
+    """Residuals of riemann/ricci of nabla against their Hessian closed forms.
+
+    With a = dsigma, H = Hess sigma, G_X = nabla^g_X grad sigma:
+
+      R(X,Y)Z = R_g(X,Y)Z - (H(X,Z)Y - H(Y,Z)X + g(Y,Z)G_X - g(X,Z)G_Y)/2
+                + (a(Y)a(Z)X - a(X)a(Z)Y)/4
+                + |a|^2 (g(Y,Z)X - g(X,Z)Y)/4
+                + (g(Y,Z)a(X) - g(X,Z)a(Y)) grad sigma / 4
+
+      Ric = Ric_g + (n H - (lap sigma) g)/2 + ((n-2) a (x) a + n |a|^2 g)/4
+
+    These are cross-checks only; the primary computation stays with the
+    connection jets.
+    """
+    P = M.at(x)
+    g, ds, gam, n = P.g, P.dsigma, P.christoffel, P.n
+    grad = P.grad_sigma
+    H = P.hess_sigma
+    G = P.dgrad_sigma + np.einsum("lim,m->il", gam, grad)  # G[i,l] = (nabla_i grad)^l
+    n2 = P.dsigma_sq
+    lap = P.laplace_sigma
+    eye = np.eye(n)
+
+    Rg = P.riemann(ConnKind.LC_G)
+    R = P.riemann(ConnKind.NABLA)
+    block_h = (
+        np.einsum("ik,lj->lkij", H, eye)
+        - np.einsum("jk,li->lkij", H, eye)
+        + np.einsum("jk,il->lkij", g, G)
+        - np.einsum("ik,jl->lkij", g, G)
+    )
+    quad = 0.25 * (
+        np.einsum("j,k,li->lkij", ds, ds, eye)
+        - np.einsum("i,k,lj->lkij", ds, ds, eye)
+        + n2 * (np.einsum("jk,li->lkij", g, eye) - np.einsum("ik,lj->lkij", g, eye))
+        + np.einsum("jk,i,l->lkij", g, ds, grad)
+        - np.einsum("ik,j,l->lkij", g, ds, grad)
+    )
+    want_R = Rg - 0.5 * block_h + quad
+
+    want_ric = (
+        P.ricci(ConnKind.LC_G)
+        + 0.5 * (n * H - lap * g)
+        + 0.25 * ((n - 2) * np.outer(ds, ds) + n * n2 * g)
+    )
+    return {
+        "riemann": float(np.abs(R - want_R).max()),
+        "ricci": float(np.abs(P.ricci(ConnKind.NABLA) - want_ric).max()),
+    }
+
+
 def test_closed_form_cross_checks():
     for name in BUILTINS:
         m = load_manifold(name)
         for x in sample_domain(m, 50, seed=74):
-            res = closed_form_residuals(m, x)
+            res = _closed_form_residuals(m, x)
             assert res["riemann"] < 1e-8, (name, x)
             assert res["ricci"] < 1e-8, (name, x)
 

@@ -1,11 +1,13 @@
-"""Code hygiene of the package: every imported name and private function is used."""
+"""Code hygiene of the package: every imported name and function is used or documented."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "divstat"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "divstat"
 
 
 def _unused_imports(source):
@@ -71,3 +73,74 @@ def test_every_private_function_is_referenced():
     # the generic step is the tests' reference for the emitted one
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert _unreferenced_private_functions(sources) == ["geodesic._dopri5"]
+
+
+def _names_from(tree, module):
+    """Names the AST `tree` takes from `module`.
+
+    That is `from ..module import name`, or `name` read as an attribute of
+    something called `module`.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == module
+                    or isinstance(owner, ast.Attribute) and owner.attr == module):
+                out.add(node.attr)
+    return out
+
+
+def _unnamed_public_functions(sources, others, readme):
+    """Public top-level functions of `sources` that nothing outside their module names.
+
+    sources maps a module name to its text, others holds the text of the
+    Python files outside the package that count (the acceptance tests, the
+    bench), and readme is the README's text.  A top-level def whose name
+    does not start with an underscore is named where another module of
+    sources or a file of others takes it from its module (_names_from), or
+    where it is a name in an inline code span (`...`) of readme, not read
+    as an attribute (`P.name` names a member); a fenced block (```...```)
+    shows a transcript and names nothing.  Returns "module.name" strings,
+    sorted.
+    """
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    code = " ".join(re.findall(r"`([^`\n]*)`", prose))
+    spans = set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", code))
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    outside = [ast.parse(source) for source in others]
+    unnamed = []
+    for module, tree in trees.items():
+        named = spans.union(*(_names_from(t, module) for m, t in trees.items() if m != module),
+                            *(_names_from(t, module) for t in outside))
+        unnamed += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_") and node.name not in named]
+    return sorted(unnamed)
+
+
+def test_unnamed_public_function_is_found():
+    sources = {"a": "def kept():\n    pass\n\ndef told():\n    pass\n\ndef orphan():\n"
+                    "    orphan()\n\ndef _private():\n    pass\n",
+               "b": "from .a import kept\n\ndef used_outside():\n    kept()\n\n"
+                    "class C:\n    def method(self):\n        pass\n"}
+    others = ["import divstat.b\ndivstat.b.used_outside()\norphan()\n"]
+    readme = ("`told(x)` is documented; orphan is prose, `P.orphan` a member.\n"
+              "```\n$ divstat kept\nused_outside: 1\n```\n")
+    assert _unnamed_public_functions(sources, others, readme) == ["a.orphan"]
+    # a name shown only inside a fenced block is not documented
+    sources["b"] = sources["b"].replace("used_outside", "shown")
+    readme = readme.replace("used_outside", "shown")
+    assert _unnamed_public_functions(sources, others, readme) == ["a.orphan", "b.shown"]
+
+
+def test_every_public_function_is_named():
+    # the package's API is what another module, README, the acceptance
+    # tests or the bench use; a pointwise wrapper nothing names is not API
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    others = [(ROOT / "tests" / "test_acceptance.py").read_text()]
+    others += [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert _unnamed_public_functions(sources, others, readme) == []

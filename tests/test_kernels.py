@@ -51,9 +51,7 @@ from divstat.manifold import (
     OutOfDomainError,
     in_domain,
     load_manifold,
-    metric_jet,
     sample_domain,
-    sigma_jet,
 )
 
 XY = ("x1", "x2")
@@ -141,10 +139,11 @@ def test_jet_orders_fail_separately():
     # first derivatives are finite, g's second derivatives overflow
     M = load_manifold("punctured-plane")
     x = (0.012957232788265117, 0.05189942006798701)
-    assert np.isfinite(sigma_jet(M, x, 2)[2]).all()
-    assert np.isfinite(metric_jet(M, x, 1)[1]).all()
+    P = M.at(x)
+    assert np.isfinite(P.d2sigma).all()
+    assert np.isfinite(P.dg).all()
     with pytest.raises(EvalDomainError):
-        metric_jet(M, x, 2)
+        P.d2g
 
 
 def test_folded_factor_is_not_evaluated():

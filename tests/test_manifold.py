@@ -19,17 +19,12 @@ from divstat.manifold import (
     ConnKind,
     DefinitionError,
     OutOfDomainError,
-    christoffel_g,
-    grad_sigma,
     hess_sigma,
     in_domain,
     laplace_sigma,
     load_manifold,
     metric_at,
-    metric_inverse_at,
-    metric_jet,
     sample_domain,
-    sigma_at,
 )
 
 
@@ -58,7 +53,7 @@ def test_metric_inverse():
         m = load_manifold(name)
         for x in sample_domain(m, 10, seed=3):
             g = metric_at(m, x)
-            gi = metric_inverse_at(m, x)
+            gi = m.at(x).g_inv
             assert np.allclose(g @ gi, np.eye(m.n), atol=1e-13)
 
 
@@ -67,7 +62,7 @@ def test_christoffel_hyperbolic_oracle():
     # G^1_{12} = G^1_{21} = G^2_{22} = -1/y and G^2_{11} = 1/y
     half = load_manifold("half-plane-exp")
     for y in (1.0, 0.4, 3.7):
-        gam = christoffel_g(half, (0.3, y))
+        gam = half.at((0.3, y)).christoffel
         want = np.zeros((2, 2, 2))
         want[0, 0, 1] = want[0, 1, 0] = -1.0 / y
         want[1, 1, 1] = -1.0 / y
@@ -89,19 +84,19 @@ def test_christoffel_conformal_oracle():
                     want[k, i, j] = (
                         dphi[j] * (k == i) + dphi[i] * (k == j) - dphi[k] * (i == j)
                     )
-        assert np.allclose(christoffel_g(para, x), want, atol=1e-12)
-    assert np.allclose(christoffel_g(para, (0.0, 0.0)), 0.0, atol=1e-15)
+        assert np.allclose(para.at(x).christoffel, want, atol=1e-12)
+    assert np.allclose(para.at((0.0, 0.0)).christoffel, 0.0, atol=1e-15)
 
 
 def test_christoffel_euclidean_zero():
     eucl = load_manifold("euclidean")
-    assert np.allclose(christoffel_g(eucl, (3.0, -5.0)), 0.0, atol=0)
+    assert np.allclose(eucl.at((3.0, -5.0)).christoffel, 0.0, atol=0)
 
 
 def test_sigma_derivatives_paraboloid():
     para = load_manifold("paraboloid")
-    assert abs(sigma_at(para, (0.0, 0.0)) - math.log(2.0)) < 1e-15
-    assert np.allclose(grad_sigma(para, (1.0, 0.0)), (-1.0, 0.0), atol=1e-14)
+    assert abs(para.at((0.0, 0.0)).sigma - math.log(2.0)) < 1e-15
+    assert np.allclose(para.at((1.0, 0.0)).grad_sigma, (-1.0, 0.0), atol=1e-14)
     assert np.allclose(hess_sigma(para, (1.0, 0.0)), -0.5 * np.eye(2), atol=1e-14)
     assert abs(laplace_sigma(para, (0.0, 0.0)) + 2.0) < 1e-14
     assert abs(laplace_sigma(para, (1.0, 0.0)) + 1.0) < 1e-14
@@ -110,9 +105,9 @@ def test_sigma_derivatives_paraboloid():
 def test_sigma_derivatives_halfplane():
     half = load_manifold("half-plane-exp")
     e1 = math.exp(-1.0)
-    assert np.allclose(grad_sigma(half, (0.0, 1.0)), (0.0, -e1), atol=1e-15)
+    assert np.allclose(half.at((0.0, 1.0)).grad_sigma, (0.0, -e1), atol=1e-15)
     # g^{-1} = y^2 delta scales the gradient
-    assert np.allclose(grad_sigma(half, (0.0, 2.0)), (0.0, -4.0 * math.exp(-2.0)), atol=1e-15)
+    assert np.allclose(half.at((0.0, 2.0)).grad_sigma, (0.0, -4.0 * math.exp(-2.0)), atol=1e-15)
     assert np.allclose(hess_sigma(half, (0.0, 1.0)), np.diag([e1, 0.0]), atol=1e-15)
     assert abs(laplace_sigma(half, (0.0, 1.0)) - e1) < 1e-15
     # Lap sigma = y^2 e^{-y}
@@ -151,7 +146,7 @@ def test_out_of_domain_queries_fail():
     with pytest.raises(OutOfDomainError):
         metric_at(half, (0.0, -2.0))
     with pytest.raises(OutOfDomainError):
-        grad_sigma(half, (1.0, 0.0))
+        half.at((1.0, 0.0)).grad_sigma
 
 
 def test_load_json_document():
@@ -168,7 +163,7 @@ def test_load_json_document():
     # grad = d sigma since g is flat
     x = (1.0, 2.0)
     den = 1 + x[0] ** 2 + x[1] ** 2
-    assert np.allclose(grad_sigma(m, x), (2 * x[0] / den, 2 * x[1] / den), atol=1e-15)
+    assert np.allclose(m.at(x).grad_sigma, (2 * x[0] / den, 2 * x[1] / den), atol=1e-15)
 
 
 def test_load_json_file(tmp_path):
@@ -405,8 +400,8 @@ def test_metric_compatibility_invariant():
         m = load_manifold(name)
         worst = 0.0
         for x in sample_domain(m, 100, seed=11):
-            gam = christoffel_g(m, x)
-            g, dg = metric_jet(m, x, 1)
+            P = m.at(x)
+            gam, g, dg = P.christoffel, P.g, P.dg
             res = (
                 dg
                 - np.einsum("lki,lj->kij", gam, g)
@@ -422,7 +417,7 @@ def test_metric_jet_matches_fd():
     for name in BUILTINS:
         m = load_manifold(name)
         for x in sample_domain(m, 10, seed=11):
-            _, dg = metric_jet(m, x, 1)
+            dg = m.at(x).dg
             for k in range(m.n):
                 xp = np.array(x, float)
                 xm = np.array(x, float)
@@ -439,7 +434,7 @@ def test_hessian_symmetry_and_trace():
         for x in sample_domain(m, 20, seed=5):
             hess = hess_sigma(m, x)
             assert np.array_equal(hess, hess.T)
-            gi = metric_inverse_at(m, x)
+            gi = m.at(x).g_inv
             assert laplace_sigma(m, x) == float(np.einsum("ij,ij->", gi, hess))
 
 
@@ -449,17 +444,17 @@ def test_hessian_matches_fd_of_dsigma():
     for name in ("paraboloid", "half-plane-exp"):
         m = load_manifold(name)
         for x in sample_domain(m, 10, seed=9):
-            gam = christoffel_g(m, x)
-            g = metric_at(m, x)
-            ds = g @ grad_sigma(m, x)  # lower the index back to dsigma
+            P = m.at(x)
+            gam, g = P.christoffel, P.g_spd
+            ds = g @ P.grad_sigma  # lower the index back to dsigma
             fd = np.zeros((m.n, m.n))
             for i in range(m.n):
                 xp = np.array(x, float)
                 xm = np.array(x, float)
                 xp[i] += h
                 xm[i] -= h
-                dsp = metric_at(m, xp) @ grad_sigma(m, xp)
-                dsm = metric_at(m, xm) @ grad_sigma(m, xm)
+                dsp = metric_at(m, xp) @ m.at(xp).grad_sigma
+                dsm = metric_at(m, xm) @ m.at(xm).grad_sigma
                 fd[i] = (dsp - dsm) / (2 * h)
             want = fd - np.einsum("kij,k->ij", gam, ds)
             assert np.allclose(hess_sigma(m, x), want, atol=1e-6)
@@ -477,4 +472,4 @@ def test_custom_coordinate_names():
     }
     m = load_manifold(doc)
     assert np.allclose(metric_at(m, (2.0, 1.0)), np.diag([1.0, 4.0]), atol=0)
-    assert np.allclose(grad_sigma(m, (2.0, 0.0)), (-0.5, 0.0), atol=1e-15)
+    assert np.allclose(m.at((2.0, 0.0)).grad_sigma, (-0.5, 0.0), atol=1e-15)

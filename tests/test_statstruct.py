@@ -16,21 +16,16 @@ from divstat.manifold import (
     BUILTINS,
     load_manifold,
     metric_at,
-    metric_jet,
     sample_domain,
-    sigma_at,
 )
 from divstat.statstruct import (
     ConnKind,
+    _parallel_volume_residual,
+    _trace_K,
+    _volume_form,
     conjugate,
     connection_coeffs,
     connection_dcoeffs,
-    cubic_form,
-    cubic_form_via_difference,
-    difference_tensor,
-    parallel_volume_residual,
-    trace_K,
-    volume_density,
 )
 
 
@@ -43,34 +38,40 @@ def test_connkind_names():
 
 def test_difference_tensor_values():
     para = load_manifold("paraboloid")
-    assert np.allclose(difference_tensor(para, (0.0, 0.0)), 0.0, atol=1e-15)
-    K = difference_tensor(para, (1.0, 0.0))
+    assert np.allclose(para.at((0.0, 0.0)).K, 0.0, atol=1e-15)
+    K = para.at((1.0, 0.0)).K
     want = np.zeros((2, 2, 2))  # indexed [k, i, j]
     want[0, 0, 0] = 1.5
     want[0, 1, 1] = 0.5
     want[1, 0, 1] = want[1, 1, 0] = 0.5
     assert np.allclose(K, want, atol=1e-14)
     eucl = load_manifold("euclidean")
-    assert np.allclose(difference_tensor(eucl, (2.0, -1.0)), 0.0, atol=0)
+    assert np.allclose(eucl.at((2.0, -1.0)).K, 0.0, atol=0)
 
 
 def test_cubic_form_values():
     para = load_manifold("paraboloid")
-    C = cubic_form(para, (1.0, 0.0))
+    C = para.at((1.0, 0.0)).cubic_form
     assert abs(C[0, 0, 0] + 3.0) < 1e-14
     assert abs(C[0, 1, 1] + 1.0) < 1e-14
     assert abs(C[0, 0, 1]) < 1e-14
-    assert np.allclose(cubic_form(para, (0.0, 0.0)), 0.0, atol=1e-15)
+    assert np.allclose(para.at((0.0, 0.0)).cubic_form, 0.0, atol=1e-15)
+
+
+def _cubic_form_via_difference(P):
+    """Cross-check route C_ijk = -2 g_kl K^l_ij."""
+    return -2.0 * np.einsum("lij,kl->ijk", P.K, P.g_spd)
 
 
 def test_cubic_form_total_symmetry_and_cross_check():
     for name in BUILTINS:
         m = load_manifold(name)
         for x in sample_domain(m, 20, seed=8):
-            C = cubic_form(m, x)
+            P = m.at(x)
+            C = P.cubic_form
             for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
                 assert np.array_equal(C, np.transpose(C, perm)), name
-            C2 = cubic_form_via_difference(m, x)
+            C2 = _cubic_form_via_difference(P)
             assert np.abs(C - C2).max() < 1e-12, name
 
 
@@ -137,9 +138,10 @@ def test_codazzi_property():
         m = load_manifold(name)
         worst = 0.0
         for x in sample_domain(m, 100, seed=21):
-            g, dg = metric_jet(m, x, 1)
+            P = m.at(x)
+            g, dg = P.g, P.dg
             nab = connection_coeffs(m, x, ConnKind.NABLA)
-            C = cubic_form(m, x)
+            C = P.cubic_form
             grad = (
                 dg
                 - np.einsum("lki,lj->kij", nab, g)
@@ -155,7 +157,8 @@ def test_duality_identity():
         m = load_manifold(name)
         worst = 0.0
         for x in sample_domain(m, 100, seed=22):
-            g, dg = metric_jet(m, x, 1)
+            P = m.at(x)
+            g, dg = P.g, P.dg
             nab = connection_coeffs(m, x, ConnKind.NABLA)
             bar = connection_coeffs(m, x, ConnKind.NABLA_BAR)
             res = (
@@ -173,11 +176,8 @@ def test_conformal_projective_consistency():
     for name in BUILTINS:
         m = load_manifold(name)
         for x in sample_domain(m, 30, seed=23):
-            g, dg = metric_jet(m, x, 1)
-            from divstat.manifold import grad_sigma, sigma_jet
-
-            _, ds = sigma_jet(m, x, 1)
-            grad = grad_sigma(m, x)
+            P = m.at(x)
+            g, ds, grad = P.g, P.dsigma, P.grad_sigma
             gam = connection_coeffs(m, x, ConnKind.LC_G)
             nab = connection_coeffs(m, x, ConnKind.NABLA)
             til = connection_coeffs(m, x, ConnKind.LC_G_TILDE)
@@ -211,7 +211,7 @@ def test_connection_dcoeffs_match_fd():
 def test_conjugate_swaps_connections():
     para = load_manifold("paraboloid")
     conj = conjugate(para)
-    assert abs(sigma_at(conj, (0.0, 0.0)) + math.log(2.0)) < 1e-15
+    assert abs(conj.at((0.0, 0.0)).sigma + math.log(2.0)) < 1e-15
     for x in sample_domain(para, 100, seed=41):
         bar = connection_coeffs(para, x, ConnKind.NABLA_BAR)
         nab_conj = connection_coeffs(conj, x, ConnKind.NABLA)
@@ -224,7 +224,7 @@ def test_conjugate_swaps_connections():
         assert np.abs(a - b).max() < 1e-12
     # gtilde of the conjugate structure is flat Euclidean
     x = (0.7, -0.3)
-    gt = math.exp(sigma_at(conj, x)) * metric_at(conj, x)
+    gt = math.exp(conj.at(x).sigma) * metric_at(conj, x)
     assert np.allclose(gt, np.eye(2), atol=1e-14)
 
 
@@ -232,7 +232,7 @@ def test_conjugate_euclidean_is_identity():
     eucl = load_manifold("euclidean")
     conj = conjugate(eucl)
     x = (1.0, 1.0)
-    assert sigma_at(conj, x) == 0.0
+    assert conj.at(x).sigma == 0.0
     assert np.allclose(
         connection_coeffs(conj, x, ConnKind.NABLA),
         connection_coeffs(eucl, x, ConnKind.NABLA),
@@ -257,10 +257,10 @@ def test_conjugate_negates_the_sigma_tree():
     m = load_manifold({**base, "sigma": "-(x1) + (x2)"})
     c = conjugate(m)
     for x in sample_domain(m, 10, seed=43):
-        assert sigma_at(c, x) == -sigma_at(m, x)
+        assert c.at(x).sigma == -m.at(x).sigma
     # chart names that are positional names in another order
     m = load_manifold({**base, "coords": ["x2", "x1"], "sigma": "x2 + 2*x1^2"})
-    assert sigma_at(conjugate(m), (0.5, 0.25)) == -(0.5 + 2 * 0.25**2)
+    assert conjugate(m).at((0.5, 0.25)).sigma == -(0.5 + 2 * 0.25**2)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -282,10 +282,10 @@ def test_document_is_kept_as_given():
 
 def test_volume_density_values():
     para = load_manifold("paraboloid")
-    assert abs(volume_density(para, (0.0, 0.0)) - 0.5) < 1e-14
+    assert abs(float(_volume_form(para.at((0.0, 0.0)))) - 0.5) < 1e-14
     eucl = load_manifold("euclidean")
-    assert volume_density(eucl, (0.3, 0.4)) == 1.0
-    assert np.allclose(parallel_volume_residual(eucl, (0.3, 0.4)), 0.0, atol=0)
+    assert float(_volume_form(eucl.at((0.3, 0.4)))) == 1.0
+    assert np.allclose(_parallel_volume_residual(eucl.at((0.3, 0.4))), 0.0, atol=0)
 
 
 def test_volume_parallel_under_nabla():
@@ -293,24 +293,22 @@ def test_volume_parallel_under_nabla():
         m = load_manifold(name)
         worst = 0.0
         for x in sample_domain(m, 100, seed=51):
-            worst = max(worst, float(np.abs(parallel_volume_residual(m, x)).max()))
+            worst = max(worst, float(np.abs(_parallel_volume_residual(m.at(x))).max()))
         assert worst < 1e-8, (name, worst)
 
 
 def test_trace_K_identity():
     para = load_manifold("paraboloid")
-    assert np.allclose(trace_K(para, (1.0, 0.0)), (2.0, 0.0), atol=1e-12)
+    assert np.allclose(_trace_K(para.at((1.0, 0.0))), (2.0, 0.0), atol=1e-12)
     half = load_manifold("half-plane-exp")
     assert np.allclose(
-        trace_K(half, (0.0, 1.0)), (0.0, 2.0 * math.exp(-1.0)), atol=1e-12
+        _trace_K(half.at((0.0, 1.0))), (0.0, 2.0 * math.exp(-1.0)), atol=1e-12
     )
     eucl = load_manifold("euclidean")
-    assert np.allclose(trace_K(eucl, (5.0, 5.0)), 0.0, atol=0)
-    from divstat.manifold import sigma_jet
-
+    assert np.allclose(_trace_K(eucl.at((5.0, 5.0))), 0.0, atol=0)
     for name in BUILTINS:
         m = load_manifold(name)
         for x in sample_domain(m, 50, seed=52):
-            _, ds = sigma_jet(m, x, 1)
-            want = -(m.n + 2) / 2.0 * ds
-            assert np.abs(trace_K(m, x) - want).max() < 1e-10, name
+            P = m.at(x)
+            want = -(m.n + 2) / 2.0 * P.dsigma
+            assert np.abs(_trace_K(P) - want).max() < 1e-10, name
