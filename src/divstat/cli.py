@@ -30,7 +30,7 @@ import numpy as np
 
 from .analyze import CheckOpts, check_suite, hadamard_scan
 from .connect import NoConvergenceError, ShootOpts, contrast, shoot_connect
-from .curvature import DegeneratePlaneError, _conjugate_symmetry_residual
+from .curvature import _conjugate_symmetry_residual
 from .exprcore import ExprError
 from .geodesic import GeodesicError, IntegratorOpts, integrate_geodesic
 from .manifold import ConnKind, DefinitionError, OutOfDomainError, load_manifold
@@ -390,9 +390,8 @@ def run(argv):
         # numpy overflows are numerical failures, not warnings beside nan
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return _DISPATCH[args.cmd](args)
-    except (DegeneratePlaneError, np.linalg.LinAlgError) as exc:
-        # ValueErrors, but of the numbers at a point in the chart, not of
-        # the input: a plane the scan chose, a matrix numpy cannot factor
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but of a matrix at a point in the chart, not of the input
         return _diag(f"numerical failure: {exc}", 3)
     except (DefinitionError, OutOfDomainError, ValueError, OSError) as exc:
         return _diag(exc, 2)

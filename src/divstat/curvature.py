@@ -25,7 +25,7 @@ that actually close numerically, which for eq5 means
 
 import numpy as np
 
-from .manifold import ConnKind
+from .manifold import SPD_EIG_FLOOR, ConnKind
 
 
 class DegeneratePlaneError(ValueError):
@@ -61,11 +61,11 @@ def _plane_basis(g, u, v):
     # do not span a 2-plane (X and Y are finite there, and meaningless);
     # the test is on |v|^2 - <u,v>^2/|u|^2, the squared g-length of v off
     # u, which neither overflows nor underflows where g and the vectors
-    # are finite
+    # are finite, against the floor of g's own SPD test
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     nu2, nv2, uv = _quad(u, g, u), _quad(v, g, v), _quad(u, g, v)
     off = nv2 - uv * (uv / np.where(nu2 > 0.0, nu2, 1.0))
-    ok = (nu2 > 0.0) & (nv2 > 0.0) & (off > 1e-10 * nv2)
+    ok = (nu2 > 0.0) & (nv2 > 0.0) & (off > SPD_EIG_FLOOR * nv2)
     X = u / np.sqrt(np.where(ok, nu2, 1.0))[..., None]
     w = v - _quad(X, g, v)[..., None] * X
     return X, w / np.sqrt(np.where(ok, _quad(w, g, w), 1.0))[..., None], ok
@@ -118,9 +118,7 @@ def _sectional_tilde(P, planes):
     # point of P; one (direct, via) per plane
     gp = _per_plane(P.g_spd, planes[0])
     X, Y, ok = _plane_basis(gp, *planes)
-    bad = np.flatnonzero(~ok.all(axis=-1))
-    if bad.size:
-        x = tuple(P.x[bad[0]].tolist()) if P._lead else P.x
+    if x := P._failing(~ok.all(axis=-1)):
         raise DegeneratePlaneError(f"vectors do not span a 2-plane at {x}")
     es = P.exp_sigma[..., None]
     # with gtilde = e^sigma g the ratio is num_g / (e^sigma den_g), which

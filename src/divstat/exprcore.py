@@ -273,16 +273,18 @@ def _eval_step(e, x):
     return _apply_bin(e.op, a, (yield e.right), e, x)
 
 
-# an EvalDomainError quotes this many characters of its node at most: a
-# derived node printed as a tree can be far longer than its DAG
-_EXCERPT = 100
+# an EvalDomainError quotes at most this many characters from each end of
+# its node: a derived node printed as a tree can be far longer than its
+# DAG, and its tail names the node's own operator and last operand
+_EXCERPT = 50
 
 
 def _text(root, limit=None):
     # root's text, which parses back to root over the same coordinates, or
-    # with a limit its first `limit` characters, then "..." if it is longer.
-    # Each node's text is a tuple of pieces, strings and its children's
-    # tuples, joined once at the end: no string is copied per tree level
+    # with a limit, where it is longer than 2 * limit characters, its first
+    # and last `limit` characters around "...".  Each node's text is a
+    # tuple of pieces, strings and its children's tuples, joined once at
+    # the end: no string is copied per tree level
 
     def leaf(e):
         # e's (text, printing precedence); a diagnostic names the coordinate
@@ -306,17 +308,25 @@ def _text(root, limit=None):
         rs = rs if rq >= rp else ("(", rs, ")")
         return (ls, f" {sym} " if p == _P_ADD else sym, rs), p
 
-    # the strings in order, on an explicit stack, until past the limit
-    out, size, stack = [], 0, [_walk((root,), leaf, step)[0][0]]
-    while stack and (limit is None or size <= limit):
-        piece = stack.pop()
-        if isinstance(piece, str):
-            out.append(piece)
-            size += len(piece)
-        else:
-            stack.extend(reversed(piece))
-    s = "".join(out)
-    return s if limit is None or len(s) <= limit else s[:limit] + "..."
+    pieces = _walk((root,), leaf, step)[0][0]
+
+    def read(count, backward=False):
+        # the strings from one end, on an explicit stack, until past count
+        # characters (all of them for None), joined in reading order
+        out, size, stack = [], 0, [pieces]
+        while stack and (count is None or size <= count):
+            piece = stack.pop()
+            if isinstance(piece, str):
+                out.append(piece)
+                size += len(piece)
+            else:
+                stack.extend(piece if backward else reversed(piece))
+        return "".join(reversed(out) if backward else out)
+
+    s = read(None if limit is None else 2 * limit)
+    if limit is None or len(s) <= 2 * limit:
+        return s
+    return s[:limit] + "..." + read(limit, backward=True)[-limit:]
 
 
 # evaluation guards; shared by the guarded walk and constant folding

@@ -6,10 +6,10 @@ scalar potential sigma, all parsed by exprcore.  Loading a definition
 builds the symbolic jets of g and sigma up to second order, in groups a
 query can ask for alone: the values of g and sigma, dg, d2g, dsigma and
 d2sigma.  It checks g positive definite at 32 seeded samples, with the
-test every metric query makes (PointGeometry.g_spd).  Each group is
-compiled into a kernel when it is first read; ManifoldDef.compiled(key)
-is the one cache of a manifold's compiled code, the sprays and the
-integrator's emitted steps included.
+scale-free test every metric query makes (PointGeometry.g_spd).  Each
+group is compiled into a kernel when it is first read;
+ManifoldDef.compiled(key) is the one cache of a manifold's compiled
+code, the sprays and the integrator's emitted steps included.
 
 ManifoldDef.at(x) checks the domain once and returns a PointGeometry,
 which evaluates those kernels and derives g^-1, the coefficients of the
@@ -81,7 +81,12 @@ __all__ = [
     "sample_domain",
 ]
 
-SPD_EIG_FLOOR = 1e-12
+# the one degeneracy floor.  PointGeometry.g_spd passes g where C =
+# D^-1/2 g D^-1/2, D = diag(g), has lambda_min(C) > floor lambda_max(C), and
+# curvature._plane_basis passes a plane whose relative Gram determinant
+# exceeds it.  So coordinate plane (a, b) spans where g passes: 1 - C_ab^2
+# >= lambda_min(C) > floor lambda_max(C) >= floor, by interlacing and C_aa = 1
+SPD_EIG_FLOOR = 1e-10
 
 
 class ConnKind(enum.Enum):
@@ -427,11 +432,10 @@ class ManifoldDef:
                 f"expected an (N, {self.n}) array of points, got shape {xs.shape}"
             )
         values = self._values_many(xs)
-        outside = np.flatnonzero(np.isnan(values[:, 0]))
-        if outside.size:
-            raise self._outside(tuple(xs[outside[0]].tolist()))
-        g = values[:, :-1].reshape(len(xs), self.n, self.n)
-        return PointGeometry(self, xs, g, values[:, -1])
+        P = PointGeometry(self, xs, values[:, :-1].reshape(-1, self.n, self.n), values[:, -1])
+        if x := P._failing(np.isnan(values[:, 0])):
+            raise self._outside(x)
+        return P
 
     def _outside(self, x):
         return OutOfDomainError(f"{x} is outside the domain of {self.name}")
@@ -604,10 +608,16 @@ class PointGeometry:
         if not self._lead:
             return np.array(kernel(self.x)).reshape(shape)
         out = kernel.many(self.x)
-        failed = np.flatnonzero(np.isnan(out[:, 0]))
-        if failed.size:
-            kernel(tuple(self.x[failed[0]].tolist()))  # raises that row's error
+        if x := self._failing(np.isnan(out[:, 0])):
+            kernel(x)  # raises that row's error
         return out.reshape(self._lead + shape)
+
+    def _failing(self, bad):
+        # the chart point of the first row where bad holds (x itself, for
+        # one point), or None where it holds nowhere
+        i = np.flatnonzero(bad)
+        if i.size:
+            return tuple(self.x[i[0]].tolist()) if self._lead else self.x
 
     def _t(self, a, *axes):
         # permute the per-point axes of a; a batch keeps its leading axis
@@ -646,11 +656,12 @@ class PointGeometry:
 
     @cached_property
     def g_spd(self):
-        """g, once it is checked to be positive definite (at every row of a batch)."""
-        eig = np.linalg.eigvalsh(self.g)  # a relative floor: c g gets g's verdict
-        bad = np.flatnonzero(eig[..., 0] <= SPD_EIG_FLOOR * eig[..., -1])
-        if bad.size:
-            x = tuple(self.x[bad[0]].tolist()) if self._lead else self.x
+        """g, once checked positive definite at each row by a scale-free test (SPD_EIG_FLOOR)."""
+        d = np.diagonal(self.g, axis1=-2, axis2=-1)
+        r = np.sqrt(np.where(d > 0.0, d, 1.0))  # r_i = 1 leaves C_ii = g_ii <= 0: fails
+        with np.errstate(over="ignore"):  # overflows only where g fails, to NaN eigenvalues
+            eig = np.linalg.eigvalsh(self.g / r[..., :, None] / r[..., None, :])
+        if x := self._failing(~(eig[..., 0] > SPD_EIG_FLOOR * eig[..., -1])):
             raise OutOfDomainError(f"{self.M.name}: metric not SPD at {x}")
         return self.g
 
@@ -659,9 +670,7 @@ class PointGeometry:
         """e^sigma, the conformal factor of gtilde; EvalDomainError where it overflows."""
         with np.errstate(over="ignore"):
             es = np.exp(self.sigma)
-        bad = np.flatnonzero(np.isinf(es))
-        if bad.size:
-            x = tuple(self.x[bad[0]].tolist()) if self._lead else self.x
+        if x := self._failing(np.isinf(es)):
             raise EvalDomainError(Una("exp", self.M._sigma), "overflow", x)
         return es
 

@@ -54,10 +54,8 @@ def _volume_form(P):
     # fit in a double
     with np.errstate(over="ignore", invalid="ignore"):
         theta = np.exp(-(P.n + 2) * P.sigma / 2.0) * np.sqrt(np.linalg.det(P.g))
-    bad = np.flatnonzero(~np.isfinite(theta))
-    if bad.size:
-        x = np.reshape(P.x, (-1, P.n))[bad[0]]
-        raise EvalDomainError("e^{-(n+2) sigma/2} sqrt(det g)", "overflow", x.tolist())
+    if x := P._failing(~np.isfinite(theta)):
+        raise EvalDomainError("e^{-(n+2) sigma/2} sqrt(det g)", "overflow", x)
     return theta
 
 

@@ -501,35 +501,35 @@ def test_numpy_overflow_is_numerical_failure(tmp_path, capsys):
                    "(0.5479120971119267, -0.12224312049589536)\n")
 
 
-def test_check_where_a_coordinate_plane_degenerates(tmp_path, capsys):
-    # g's eigenvalue ratio, 5e-12, passes the SPD test, but the Gram
-    # determinant of the coordinate plane the check chose falls below the
-    # plane test's floor: a numerical failure naming the sample, not
-    # invalid input
+def test_metric_too_near_singular_to_scan_does_not_load(tmp_path, capsys):
+    # g's unit-diagonal eigenvalue ratio, 5e-12, is below the one floor
+    # that both the SPD test and the plane test read: the definition is
+    # refused at load, invalid input, before any scan picks a plane
     doc = tmp_path / "skew.json"
     doc.write_text(json.dumps(dict(CUT_PLANE, name="skew", domain="true", sigma="x1",
                                    metric=[["1", "0.99999999999"], ["0.99999999999", "1"]])))
-    code, out, err = run_out(capsys, ["check", str(doc), "--samples", "5"])
-    assert code == 3 and out == ""
-    assert err == ("divstat: numerical failure: vectors do not span a 2-plane at "
-                   "(0.5479120971119267, -0.12224312049589536)\n")
+    for argv in (["check", str(doc), "--samples", "5"],
+                 ["hadamard", str(doc), "--grid", "x1:-1:1:3,x2:-1:1:3", "--planes", "0"]):
+        code, out, err = run_out(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err == ("divstat: skew: metric not SPD at "
+                       "(-0.6816920285312484, -0.3625406643531197)\n"), argv
 
 
-def test_hadamard_where_no_tested_plane_spans(tmp_path, capsys):
-    # with no random planes, every plane tested at a point of the skew
-    # chart is its degenerate coordinate plane: that point proves nothing,
-    # so the scan fails naming it rather than passing on -inf
-    doc = tmp_path / "skew.json"
-    doc.write_text(json.dumps(dict(CUT_PLANE, name="skew", domain="true", sigma="x1",
-                                   metric=[["1", "0.99999999999"], ["0.99999999999", "1"]])))
-    grid = ["--grid", "x1:-1:1:3,x2:-1:1:3"]
-    code, out, err = run_out(capsys, ["hadamard", str(doc), *grid, "--planes", "0"])
-    assert code == 3 and out == ""
-    assert err == "divstat: numerical failure: no tested plane spans a 2-plane at (-1.0, -1.0)\n"
-    # with two random planes one spans at (-1, -1), none at (-1, 1)
-    code, out, err = run_out(capsys, ["hadamard", str(doc), *grid, "--planes", "2"])
-    assert code == 3 and out == ""
-    assert err == "divstat: numerical failure: no tested plane spans a 2-plane at (-1.0, 1.0)\n"
+def test_metric_with_unequal_coordinate_scales_loads_and_scans(tmp_path, capsys):
+    # g = diag(1e6, 1e-6) is 1e-12 from singular by its raw eigenvalues
+    # but the identity scaled to unit diagonal: it loads, and the plane
+    # term is 2k + |dsigma|^2_g - Lap sigma = 0.25e-6 + 0.04e6 x2^2 - 2e5,
+    # worst at x2 = -1 (the first grid row attaining it)
+    doc = tmp_path / "stretch.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, name="stretch", domain="true",
+                                   metric=[["1e6", "0"], ["0", "1e-6"]],
+                                   sigma="0.5*x1 + 0.1*x2^2")))
+    code, out, err = run_out(capsys, ["hadamard", str(doc), "--grid", "x1:-1:1:3,x2:-1:1:3"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == ["worst: -159999.99999974994 at -1,-1", "result: pass"]
+    worst = float(out.splitlines()[-2].split()[1])
+    assert abs(worst - (0.25e-6 + 0.04e6 - 2e5)) <= 1e-14 * 2e5
 
 
 def test_contrast_and_connect_where_e_sigma_is_not_a_normal_double(tmp_path, capsys):
@@ -873,8 +873,10 @@ def test_derived_tree_too_deep_to_print_is_one_line(tmp_path, capsys):
     doc.write_text(json.dumps(dict(CUT_PLANE, name="deep", sigma=_DEEP["quotient"][0](150))))
     code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0.0085,0.0085"])
     assert code == 3 and out == ""
-    # the node's text opens with hundreds of parentheses; 100 characters of it
-    assert err == "divstat: overflow in '" + "(" * 100 + "...' at (0.0085, 0.0085)\n"
+    # the node's text, 35893 characters, opens with hundreds of parentheses
+    # and ends in the division that overflows: 50 characters of each end
+    tail = "2/x1/x2/x1/x2/x1/x2/x1/x2/x1/x2/x1/x2*1.0)/(x1*x1)"
+    assert err == f"divstat: overflow in '{'(' * 50}...{tail}' at (0.0085, 0.0085)\n"
 
 
 _DEEP_GUARD = """

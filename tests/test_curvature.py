@@ -10,10 +10,13 @@ Numeric oracles frozen from independent closed forms:
 """
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divstat.analyze import _coordinate_planes, hadamard2d_scan
 from divstat.curvature import (
@@ -32,7 +35,9 @@ from divstat.curvature import (
 )
 from divstat.manifold import (
     BUILTINS,
+    SPD_EIG_FLOOR,
     OutOfDomainError,
+    PointGeometry,
     load_manifold,
     metric_at,
     sample_domain,
@@ -421,6 +426,46 @@ def test_plane_test_does_not_depend_on_the_scale_of_g():
         # X and Y are g-unit: c^(1/2) times them is the basis for c = 1
         assert np.abs(X[ok] * math.sqrt(c) - X1[ok]).max() <= 1e-15, c
         assert np.abs(Y[ok] * math.sqrt(c) - Y1[ok]).max() <= 1e-15, c
+
+
+@cache
+def _flat(n):
+    return load_manifold({
+        "name": f"flat-{n}", "dim": n, "coords": [f"x{i + 1}" for i in range(n)],
+        "metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)], "sigma": "0",
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), excess=st.floats(1.001, 2.0),
+       exponents=st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4))
+def test_coordinate_planes_span_wherever_g_passes(n, seed, excess, exponents):
+    # B = C - s I for a random unit-diagonal SPD C keeps a uniform diagonal,
+    # so B's eigenvalue ratio is its unit-diagonal scaling's; s sets that
+    # ratio to the floor times excess (B's smallest eigenvalue is set, not
+    # computed, so no cancellation enters), and g = T B T for a diagonal T
+    # of 10^exponents.  g passes its SPD test and every coordinate plane
+    # spans; the ratio the floor divided by excess fails, at every scale
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = (Q * rng.uniform(0.1, 1.0, n)) @ Q.T
+    r = np.sqrt(np.diag(A))
+    lam, V = np.linalg.eigh(A / r[:, None] / r[None, :])
+    t = 10.0 ** np.array(exponents[:n])
+    E, F = _coordinate_planes(n)
+    for ratio in (SPD_EIG_FLOOR * excess, SPD_EIG_FLOOR / excess):
+        s = (lam[0] - ratio * lam[-1]) / (1.0 - ratio)
+        mu = lam - s
+        mu[0] = ratio * mu[-1]
+        B = (V * mu) @ V.T
+        g = (B + B.T) / 2.0 * t[:, None] * t[None, :]
+        P = PointGeometry(_flat(n), (0.0,) * n, g, 0.0)
+        if ratio < SPD_EIG_FLOOR:
+            with pytest.raises(OutOfDomainError, match="metric not SPD"):
+                P.g_spd
+            continue
+        assert P.g_spd is g
+        assert _plane_basis(g, E, F)[2].all()
 
 
 # the einsums that the batched products replaced, as references: each

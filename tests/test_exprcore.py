@@ -178,22 +178,26 @@ def test_walks_do_not_recurse_per_level():
     with pytest.raises(EvalDomainError) as ei:
         err.eval((1.0, -1.0))
     assert str(ei.value).startswith("log of non-positive value in 'log(x2)'")
-    # a failing node with a long text is quoted in a bounded excerpt
+    # a failing node with a long text is quoted in a bounded excerpt: its
+    # head, and its tail, which shows the division
     with pytest.raises(EvalDomainError) as ei:
         parse(f"1/({deep} - 6000)", XY).eval((1.0, 2.0))
-    head = "1.0/(" + "x1 + x2 + " * 10
-    assert str(ei.value) == f"division by zero in '{head[:100]}...' at (1.0, 2.0)"
+    text = "1.0/(" + " + ".join(["x1", "x2"] * 2000) + " - 6000.0)"
+    assert str(ei.value) == (
+        f"division by zero in '{text[:50]}...{text[-50:]}' at (1.0, 2.0)"
+    )
 
 
-def test_excerpt_is_the_head_of_the_text():
+def test_excerpt_is_the_head_and_tail_of_the_text():
     # the text is joined once from its pieces; with a limit, the pieces stop
-    # past it, and the excerpt is the full text's head
+    # past it from each end, and the excerpt is the full text's head and
+    # tail
     rng = np.random.default_rng(11)
     for _ in range(200):
         e = _random_expr(rng, 6)
         full = str(e)
-        for limit in (1, 7, 40, 100, len(full) - 1, len(full)):
-            want = full if len(full) <= limit else full[:limit] + "..."
+        for limit in (1, 7, 40, 100, max(1, (len(full) - 1) // 2), (len(full) + 1) // 2):
+            want = full if len(full) <= 2 * limit else full[:limit] + "..." + full[-limit:]
             assert _text(e, limit) == want, (full, limit)
     terms = [f"{k}.0*x{k % 2 + 1}" for k in range(1, 20001)]
     assert str(parse(" + ".join(terms), XY)) == " + ".join(terms)

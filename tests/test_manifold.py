@@ -6,8 +6,10 @@ Christoffel formula, and hand-substituted potential derivatives.
 
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from divstat.manifold import (
     metric_at,
     sample_domain,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_builtin_registry():
@@ -281,8 +285,9 @@ def test_domain_parse_errors_name_offsets_in_the_whole_predicate():
 
 
 def test_load_rejects_indefinite_metric():
-    # the SPD floor is relative to the largest eigenvalue: c g gets the
-    # verdict g gets, however small or large c is
+    # the SPD test reads g scaled to unit diagonal: c g, and g with one
+    # coordinate rescaled, get the verdict g gets, however small or large
+    # c is
     for c in ("1e-13", "1", "1e13"):
         doc = {
             "name": "bad",
@@ -298,6 +303,14 @@ def test_load_rejects_indefinite_metric():
         ), c
         M = load_manifold(dict(doc, name="good", metric=[[c, "0"], ["0", c]]))
         assert np.array_equal(metric_at(M, (0.1, 0.2)), float(c) * np.eye(2)), c
+        M = load_manifold(dict(doc, name="good", metric=[[c, "0"], ["0", "1"]]))
+        assert np.array_equal(metric_at(M, (0.1, 0.2)), np.diag([float(c), 1.0])), c
+
+
+def test_readme_spd_floor_matches_the_code():
+    text = " ".join(README.read_text().split())
+    floor = re.search(r"smallest eigenvalue is at most `([^`]+)` times", text).group(1)
+    assert float(floor) == manifold.SPD_EIG_FLOOR
 
 
 def test_domain_predicate_from_json():
