@@ -501,19 +501,32 @@ def test_numpy_overflow_is_numerical_failure(tmp_path, capsys):
                    "(0.5479120971119267, -0.12224312049589536)\n")
 
 
-def test_metric_too_near_singular_to_scan_does_not_load(tmp_path, capsys):
+_SKEW = dict(CUT_PLANE, name="skew", domain="true", sigma="x1",
+             metric=[["1", "0.99999999999"], ["0.99999999999", "1"]])
+_SKEW_NOT_SPD = "divstat: skew: metric not SPD at (-0.6816920285312484, -0.3625406643531197)\n"
+
+
+def test_check_where_a_coordinate_plane_degenerates(tmp_path, capsys):
     # g's unit-diagonal eigenvalue ratio, 5e-12, is below the one floor
     # that both the SPD test and the plane test read: the definition is
-    # refused at load, invalid input, before any scan picks a plane
+    # refused at load, invalid input, before the check picks a plane
     doc = tmp_path / "skew.json"
-    doc.write_text(json.dumps(dict(CUT_PLANE, name="skew", domain="true", sigma="x1",
-                                   metric=[["1", "0.99999999999"], ["0.99999999999", "1"]])))
-    for argv in (["check", str(doc), "--samples", "5"],
-                 ["hadamard", str(doc), "--grid", "x1:-1:1:3,x2:-1:1:3", "--planes", "0"]):
-        code, out, err = run_out(capsys, argv)
-        assert code == 2 and out == "", argv
-        assert err == ("divstat: skew: metric not SPD at "
-                       "(-0.6816920285312484, -0.3625406643531197)\n"), argv
+    doc.write_text(json.dumps(_SKEW))
+    code, out, err = run_out(capsys, ["check", str(doc), "--samples", "5"])
+    assert code == 2 and out == ""
+    assert err == _SKEW_NOT_SPD
+
+
+def test_hadamard_where_no_tested_plane_spans(tmp_path, capsys):
+    # the same chart: no scan starts, with or without random planes, so
+    # no point is reached where a tested plane could fail to span
+    doc = tmp_path / "skew.json"
+    doc.write_text(json.dumps(_SKEW))
+    grid = ["--grid", "x1:-1:1:3,x2:-1:1:3"]
+    for planes in ("0", "2"):
+        code, out, err = run_out(capsys, ["hadamard", str(doc), *grid, "--planes", planes])
+        assert code == 2 and out == "", planes
+        assert err == _SKEW_NOT_SPD, planes
 
 
 def test_metric_with_unequal_coordinate_scales_loads_and_scans(tmp_path, capsys):
