@@ -12,9 +12,11 @@ jet is a DAG, and every walk (_walk) visits each distinct node once on an
 explicit stack: no tree is too deep to differentiate, compile or print.
 
 Evaluation compiles trees to Python functions (compile_many; Expr.eval
-goes through it too), whose bodies _emit writes, also for the geodesic
-integrator.  The emitter folds the exact identities ``e*1``, ``1*e``,
-``e+0``, ``0+e``, ``e-0``, ``e/1`` and ``e^1`` to ``e``.  A factor
+goes through it too).  A kernel's trees are walked once, into a plan
+(_plan) that the kernel keeps; _render writes the body from it, for the
+kernel and wherever the geodesic integrator inlines the kernel.  The
+plan folds the exact identities ``e*1``, ``1*e``, ``e+0``, ``0+e``,
+``e-0``, ``e/1`` and ``e^1`` to ``e``.  A factor
 multiplied by a literal ``0``, a divisor under a literal ``0`` numerator,
 or a base raised to a literal ``0``, is not evaluated at all, so a domain
 error inside it is not reported.  Any other evaluation outside the real
@@ -402,13 +404,15 @@ def _num_key(value):
     return ("num", value, math.copysign(1.0, value))
 
 
-def _emit(roots, arg, prefix, named=False):
-    """compile_many's kernel body for `roots` as (lines, outputs), unindented.
+def _plan(roots):
+    """The emission plan of `roots`: (rows, outs, uses), computed once.
 
-    Coordinate i is the text arg(i), and locals are named prefix + row.
-    Each output is a literal, an argument, a local, or (unless `named`)
-    an inlined expression.  The lines need _exec_kernel's names, raise
-    what the operations raise and pass non-finite values through.
+    rows are the distinct structural keys the walk meets, children before
+    parents, after the folding of exact identities; outs gives each root's
+    row, and uses how often each row is read by the rows and outputs the
+    roots reach (0 for the rest).  compile_many keeps the plan on its
+    kernel (kernel.plan), and _render writes code from it at any call
+    site, so a kernel's DAG is walked once however often it is inlined.
     """
     rows = []     # structural keys, children before parents
     index = {}    # structural key -> row; structurally equal copies hit here
@@ -445,19 +449,29 @@ def _emit(roots, arg, prefix, named=False):
         return row((e.op, a, b)) if r is None else r
 
     outs = _walk(roots, leaf, step)
-
-    # use counts over the rows the outputs reach; a row used once is
-    # inlined into its user unless that nests too deep, any other gets a
-    # local, and so does every output when `named` is set
     uses = [0] * len(rows)
     for r in outs:
-        uses[r] += 2 if named else 1
+        uses[r] += 1
     for r in range(len(rows) - 1, -1, -1):
         key = rows[r]
         if uses[r] and key[0] not in ("num", "var"):
             for c in key[1:]:
                 uses[c] += 1
+    return rows, outs, uses
 
+
+def _render(plan, arg, prefix, named=False):
+    """The code of a _plan as (lines, outputs), unindented.
+
+    Coordinate i is the text arg(i), and locals are named prefix + row.
+    A row used once is inlined into its user unless that nests too deep;
+    any other gets a local, and so does every output when `named` is set.
+    Each output is a literal, an argument, a local, or (unless `named`)
+    an inlined expression.  The lines need _exec_kernel's names, raise
+    what the operations raise and pass non-finite values through.
+    """
+    rows, outs, uses = plan
+    own = set(outs) if named else ()  # the rows that get a local of their own
     code = [None] * len(rows)
     depth = [0] * len(rows)
     lines = []
@@ -481,7 +495,8 @@ def _emit(roots, arg, prefix, named=False):
             else:
                 text = f"({a[0]} {_BINARY_OPS[op][0]} {a[1]})"
         # an argument that is a plain name is read as it is
-        if (uses[r] > 1 or depth[r] > _INLINE_DEPTH) and not text.isidentifier():
+        if ((uses[r] > 1 or r in own or depth[r] > _INLINE_DEPTH)
+                and not text.isidentifier()):
             lines.append(f"{prefix}{r} = {text}")
             text = f"{prefix}{r}"
             depth[r] = 0
@@ -513,7 +528,8 @@ def compile_many(roots):
     ``math``'s on a few percent of inputs.
     """
     roots = tuple(roots)
-    lines, outs = _emit(roots, "x[{}]".format, "t")
+    plan = _plan(roots)
+    lines, outs = _render(plan, "x[{}]".format, "t")
     body = "".join(f"    {line}\n" for line in lines)
     body += f"    return ({', '.join(outs)},)\n"
     compiled = compile(f"def _kernel(x):\n{body}", "<kernel>", "exec")
@@ -564,12 +580,13 @@ def compile_many(roots):
     kernel.get = get
     kernel.many = many
     kernel.roots = roots
+    kernel.plan = plan
     return kernel
 
 
 def _exec_kernel(code, lib, **extra):
     # the _kernel function of `code`, with the math of `lib` (math or
-    # numpy) bound to the names _emit's lines use
+    # numpy) bound to the names _render's lines use
     ns = {f"_{op}": getattr(lib, op) for op in ("exp", "log", "sin", "cos", "sqrt")}
     ns["_abs"], ns["_pow"] = (abs, math.pow) if lib is math else (np.abs, np.power)
     ns.update(extra)

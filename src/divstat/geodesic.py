@@ -13,23 +13,29 @@ perform that change by two-point quintic Hermite quadrature between the dense
 samples, with the weight's first two parameter derivatives taken from the
 geodesic equation.
 
-Each step is emitted per manifold and connection: every stage inlines,
-on local Python floats, the chart test and the connection's spray
-(ManifoldDef._inline, ManifoldDef.spray), and the chord probe inlines
-the chart test and the values of g and sigma the same way; no
-PointGeometry is built.  Both are compiled on the first integration and
-kept in the manifold's cache of compiled code (ManifoldDef.compiled).
+The integration is one function emitted per manifold and connection
+(_integrator) that runs the adaptive loop on local Python floats, with
+the counts as local ints: every stage inlines the chart test and the
+connection's spray (ManifoldDef._inline, ManifoldDef.spray), the chord
+probe inlines the chart test and the values of g and sigma, and the
+finiteness test of the new state is inlined too; no PointGeometry is
+built.  The code is rendered from the plans kept on the compiled
+kernels (exprcore._plan), compiled on the first integration and kept
+in the manifold's cache of compiled code (ManifoldDef.compiled).
 A point outside the chart (see manifold), or where the acceleration is
 not finite, stops the stage.  One rule settles every attempt that leaves
 the chart, at a stage or along its chord: the next attempt starts from
 the same state with half the step tried, and the path ends
 "exited-domain" once the step tried is within the exit window
 (EXIT_BISECT_TOL) or half of it is below the shortest step at t, ten
-spacings of the doubles there.  The generic step on the right-hand side
-(_dopri5 on _rhs_factory's RHS) is the reference the emitted step is
-tested against.
-_replay takes the accepted step sizes an integration recorded through
-the same steps again, with no step control, from any start: from the
+spacings of the doubles there.  _integrate_core checks the arguments,
+takes the first derivative and step (_initial_step) and packages the
+result; each accepted step comes back as one flat row, and _stack
+builds the table of Hermite data the dense output reads.  The tests
+hold the Python loop over the generic step on _rhs_factory's RHS as the
+reference the emitted function is tested against.
+_replay runs the same function on the accepted step sizes an
+integration recorded, with no step control, from any start: from the
 integration's own start it gives its endpoint bit for bit, which makes
 it the shooting Jacobian's column integrator.
 
@@ -38,7 +44,8 @@ geodesic_residual read the geometry of all a path's samples in one
 batched call.  Each round of the refinement tests only the gaps the
 round before bisected, a gap that passed once passing for good, and
 evaluates positions at their midpoints only; the inserted samples are
-merged once at the end, their velocities in one pass.  The parameter
+merged once at the end, where only their velocities are evaluated, in
+one pass.  The parameter
 change checks its weight e^{+-2 sigma} first and takes Gamma(v, v) from
 the connection's spray kernel (spray(kind).many), never building the
 connection tensors.  Batched jets come from numpy's
@@ -47,7 +54,6 @@ percent of inputs, so their results can differ from a sample-by-sample
 evaluation in the last bits.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -178,118 +184,217 @@ _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
 
 
-def _dp_lines(N, stage):
-    """The lines of one Dormand-Prince 5(4) step on N floats, unindented.
+def _combo(coeffs, i):
+    # sum_s c_s k_s[i] over the nonzero c_s, left to right
+    return " + ".join(f"k{s}_{i} * {c!r}" for s, c in enumerate(coeffs, start=1) if c != 0.0)
 
-    They read the state y and its derivative f as lists and the floats h,
-    rtol and atol, and return (y_new, f_new, error) with error the RMS norm
-    of the embedded estimate scaled by atol + max(|y|, |y_new|) * rtol, as
-    scipy's RK45 computes it.  stage(s, state) gives the lines that set the
-    derivative k{s}_0, ..., k{s}_{N-1} at stage s = 2..7 from the texts of
-    the stage's state.  Zero tableau entries are left out.
+
+def _step_lines(M, kind):
+    """One Dormand-Prince 5(4) step of the geodesic equation, unindented.
+
+    The lines read the state y0, ..., y{N-1} (N = 2n, positions first),
+    its derivative k1_0, ..., k1_{N-1} and the step h, and set the new
+    state n0, ..., n{N-1} and its derivative k7_0, ..., k7_{N-1}.  Stage s
+    inlines M's chart test and kind's spray (ManifoldDef._inline) at its
+    positions z{s}_i and velocities k{s}_i, the first n derivatives; the
+    spray's last n values are the other n.  Where a stage leaves the chart
+    the lines raise _DomainExit, or ArithmeticError or ValueError.  Zero
+    tableau entries are left out.
     """
-    def combo(coeffs, i):
-        # sum_s c_s k_s[i] over the nonzero c_s, left to right
-        return " + ".join(f"k{s}_{i} * {c!r}"
-                          for s, c in enumerate(coeffs, start=1) if c != 0.0)
-
-    lines = [f"{_names('y{}', N)} = y", f"{_names('k1_{}', N)} = f"]
-    for s, row in enumerate(_DP_A, start=2):
-        lines += stage(s, [f"y{i} + ({combo(row, i)}) * h" for i in range(N)])
-    lines += [f"n{i} = y{i} + h * ({combo(_DP_B, i)})" for i in range(N)]
-    lines += stage(7, [f"n{i}" for i in range(N)])
-    lines += [f"e{i} = ({combo(_DP_E, i)}) * h"
-              f" / (atol + _max(abs(y{i}), abs(n{i})) * rtol)" for i in range(N)]
-    sq = " + ".join(f"e{i} * e{i}" for i in range(N))
-    lines.append(f"return [{_names('n{}', N)}], [{_names('k7_{}', N)}], "
-                 f"_sqrt({sq}) / {N ** 0.5!r}")
-    return lines
-
-
-def _names(fmt, N):
-    return ", ".join(fmt.format(i) for i in range(N)) + ","
-
-
-def _exec(params, lines, filename, fallback=None, **names):
-    # the function of `params` with `lines` as its body, compiled; with a
-    # fallback, that statement runs where the lines raise ArithmeticError
-    # or ValueError: where inlined code does not evaluate (_inline)
-    if fallback:
-        lines = ["try:", *(f"    {line}" for line in lines),
-                 "except (ArithmeticError, ValueError):", f"    {fallback}"]
-    src = f"def _kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
-    code = compile(src, filename, "exec")
-    return _exec_kernel(code, math, _max=max, _isfinite=math.isfinite, **names)
-
-
-@functools.cache
-def _dopri5(N):
-    """The generic step on N floats: step(rhs, y, f, h, rtol, atol).
-
-    Each stage calls rhs on a list, so a _DomainExit from rhs propagates.
-    The fused steps are tested against it on _rhs_factory's RHS.
-    """
-    def stage(s, state):
-        return [f"{_names(f'k{s}_{{}}', N)} = rhs([{', '.join(state)}])"]
-
-    return _exec("rhs, y, f, h, rtol, atol", _dp_lines(N, stage), f"<dopri5 N={N}>")
-
-
-def _fused_step(M, kind):
-    """step(y, f, h, rtol, atol): _dopri5(2n) on _rhs_factory(M, kind)'s RHS.
-
-    M's chart test and kind's spray are inlined in the stages: the same
-    results bit for bit, and _DomainExit where a stage leaves the chart.
-    Compiled on first use, kept in M's cache (M.compiled).
-    """
-    kind = ConnKind(kind)
     n = M.n
+    spray = M.spray(kind)
 
     def stage(s, state):
-        # the positions z, then the velocities, which are the first n
-        # derivatives; the spray's last n values are the other n
         args = [f"z{s}_{i}" for i in range(n)] + [f"k{s}_{i}" for i in range(n)]
-        lines, outs = M._inline(M.spray(kind), args, f"_{s}", "raise _DomainExit")
+        lines, outs = M._inline(spray, args, f"_{s}", "raise _DomainExit")
         return ([f"{a} = {e}" for a, e in zip(args, state)] + lines
                 + [f"k{s}_{n + i} = {a}" for i, a in enumerate(outs[-n:])])
 
-    return M.compiled(("step", kind), lambda: _exec(
-        "y, f, h, rtol, atol", _dp_lines(2 * n, stage), f"<step {M.name} {kind.value}>",
-        "raise _DomainExit from None", _DomainExit=_DomainExit))
+    N = 2 * n
+    lines = []
+    for s, row in enumerate(_DP_A, start=2):
+        lines += stage(s, [f"y{i} + ({_combo(row, i)}) * h" for i in range(N)])
+    lines += [f"n{i} = y{i} + h * ({_combo(_DP_B, i)})" for i in range(N)]
+    return lines + stage(7, [f"n{i}" for i in range(N)])
 
 
-def _chord_probe(M):
-    """probe(x_a, x_b): whether the chord from x_a to x_b stays in M's chart.
+def _probe_lines(M):
+    """Whether the chord from y to n stays in M's chart, unindented.
 
     A large step can vault a hole in the chart with all its stage points
-    inside.  The chord is tested at np.linspace's k interior fractions, k =
-    ceil(r) clamped to [3, 31] (3 for a NaN r), r the largest coordinate gap
-    over 0.03 (1 + the largest |coordinate|).  Kept in M.compiled.
+    inside.  The chord from the positions y0, ..., y{n-1} to n0, ...,
+    n{n-1} is tested at np.linspace's k interior fractions, k = ceil(r)
+    clamped to [3, 31] (3 for a NaN r), r the largest coordinate gap over
+    0.03 (1 + the largest |coordinate|).  The lines raise _DomainExit, or
+    ArithmeticError or ValueError, where a point of the chord is outside.
     """
-    def build():
-        a, b, x = ([f"{c}{i}" for i in range(M.n)] for c in "abx")
-        lines, _ = M._inline(M.compiled("values"), x, "_", "return False")
-        gap = ", ".join(f"abs({q} - {p})" for p, q in zip(a, b))
-        body = [
-            f"{', '.join(a)}, = x_a",
-            f"{', '.join(b)}, = x_b",
-            f"gap = _max({gap})",
-            f"scale = 1.0 + _max(_max({', '.join(f'abs({p})' for p in a)}), "
-            f"_max({', '.join(f'abs({q})' for q in b)}))",
-            "r = gap / (0.03 * scale)",
-            "k = 3 if not r > 3.0 else (31 if r > 30.0 else _ceil(r))",
-            "step = 1.0 / (k + 1)",
-            "for j in range(1, k + 1):",
-            "    frac = j * step",
-            "    w = 1.0 - frac",
-            *(f"    {y} = w * {p} + frac * {q}" for y, p, q in zip(x, a, b)),
-            *(f"    {line}" for line in lines),
-            "return True",
-        ]
-        return _exec("x_a, x_b", body, f"<probe {M.name}>", "return False",
-                     _ceil=math.ceil)
+    n = M.n
+    a, b, x = ([f"{c}{i}" for i in range(n)] for c in "ync")
+    lines, _ = M._inline(M.compiled("values"), x, "_p", "raise _DomainExit")
+    gap = ", ".join(f"abs({q} - {p})" for p, q in zip(a, b))
+    return [
+        f"gap = _max({gap})",
+        f"scale = 1.0 + _max(_max({', '.join(f'abs({p})' for p in a)}), "
+        f"_max({', '.join(f'abs({q})' for q in b)}))",
+        "r = gap / (0.03 * scale)",
+        "k = 3 if not r > 3.0 else (31 if r > 30.0 else _ceil(r))",
+        "frac_step = 1.0 / (k + 1)",
+        "for i in range(1, k + 1):",
+        "    frac = i * frac_step",
+        "    w = 1.0 - frac",
+        *(f"    {c} = w * {p} + frac * {q}" for c, p, q in zip(x, a, b)),
+        *(f"    {line}" for line in lines),
+    ]
 
-    return M.compiled("probe", build)
+
+def _indent(lines, depth):
+    return [" " * (4 * depth) + line for line in lines]
+
+
+def _integrator(M, kind):
+    """The whole integration of kind's geodesics on M, as one function.
+
+    run(y, f, steps, replay, t1, h_abs, max_step, rtol, atol, escape,
+    max_steps, rows) starts from the state y, the list of 2n floats (x,
+    v), and its derivative f.  It returns (status, t, y, f, accepted,
+    rejected, rewinds, halvings, attempts, left, err): the status, the
+    last accepted parameter, state and derivative, the counts as local
+    ints, and how the last attempt ended: left is 1 where one of its
+    stages left the chart, 2 where its chord did, else 0, and err is the
+    error estimate of the last attempt that computed one (None before
+    any, and in a replay).
+
+    Integrating (replay false), it runs _integrate_core's adaptive loop:
+    the Dormand-Prince step of _step_lines with RK45's controller from the
+    first step h_abs, the chord probe of _probe_lines, the finiteness test
+    of the new state, the chart retries at half the step, the step cap,
+    the step budget max_steps and the escape radius.  Each accepted step
+    is appended to the list rows, unless that is None, as one flat row
+    (t0, t1, x0, v0, a0, x1, v1, a1), a being the acceleration, and its
+    size to the list steps, unless that is None.  Replaying, it takes the
+    sizes in steps one by one with no step control, and the status is
+    "exited-domain" as soon as a stage or a chord leaves the chart.
+
+    The stages and the probe are written once, from the plans of the
+    spray, values and domain kernels; the function is compiled on the
+    first integration of kind and kept in M's cache (M.compiled).
+    """
+    kind = ConnKind(kind)
+    return M.compiled(("loop", kind), lambda: _build_integrator(M, kind))
+
+
+def _build_integrator(M, kind):
+    n = M.n
+    N = 2 * n
+    join = ", ".join
+    y, f, new, f_new = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "n", "k7_"))
+    errors = [f"e{i} = ({_combo(_DP_E, i)}) * h / (atol + _max(abs(y{i}), abs(n{i})) * rtol)"
+              for i in range(N)]
+    finite = " and ".join(f"_isfinite({a})" for a in new)
+    speed = join(f"abs({a})" for a in y[n:])
+    reach = join(f"abs({a})" for a in y[:n])
+    catch = "except (ArithmeticError, ValueError, _DomainExit):"
+    body = [
+        f"{join(y)}, = y",
+        f"{join(f)}, = f",
+        "t = 0.0",
+        "accepted = rejected = rewinds = halvings = attempts = j = 0",
+        "status = 'completed'",
+        "h = None  # the step of the next attempt from (t, y), None after an accepted one",
+        "left = 0",
+        "err = None",
+        "while True:",
+        "    if replay:",
+        "        if j == len(steps):",
+        "            break",
+        "        h = steps[j]",
+        "        j += 1",
+        "    else:",
+        "        if not t < t1:",
+        "            break",
+        "        if h is None:",
+        "            if accepted >= max_steps:",
+        "                status = 'step-limit'",
+        "                break",
+        "            min_step = 10 * (_nextafter(t, _inf) - t)",
+        "            # cap the chart displacement of one step so the chord probes",
+        "            # cannot straddle a hole at a scale they do not resolve",
+        "            cap = max_step",
+        f"            speed = _max({speed})",
+        "            if speed > 0.0:",
+        f"                cap = _min(max_step, 0.5 * (1.0 + _max({reach})) / speed)",
+        "            h = cap if h_abs > cap else _max(h_abs, min_step)",
+        "            shrunk = False",
+        "        if h < min_step:",
+        "            # step-size underflow: stiffness, reported through the status",
+        "            status = 'step-limit'",
+        "            break",
+        "        t_new = _min(t + h, t1)",
+        "        h = t_new - t",
+        "        attempts += 1",
+        "    try:",
+        *_indent(_step_lines(M, kind), 2),
+        f"    {catch}",
+        "        left = 1",
+        "    else:",
+        "        left = 0",
+        "        if not replay:",
+        *_indent(errors, 3),
+        f"            err = _sqrt({' + '.join(f'e{i} * e{i}' for i in range(N))}) / {N ** 0.5!r}",
+        "            if not err < 1.0:",
+        "                # the error estimate is too large, or NaN: RK45's shrink",
+        f"                h *= _max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** {_ERROR_EXPONENT!r})",
+        "                shrunk = True",
+        "                rejected += 1",
+        "                continue",
+        f"            if not ({finite}):",
+        "                # the state no longer fits in doubles: it has left every chart",
+        "                status = 'exited-domain'",
+        "                break",
+        "        try:",
+        *_indent(_probe_lines(M), 3),
+        f"        {catch}",
+        "            left = 2",
+        "    if left:",
+        "        # a stage (1) or the chord (2) left the chart: retry from (t, y) at",
+        "        # half the step tried, down to the exit window or the shortest step",
+        f"        if replay or h <= {EXIT_BISECT_TOL!r} or 0.5 * h < min_step:",
+        "            status = 'exited-domain'",
+        "            break",
+        "        h *= 0.5",
+        "        shrunk = False  # as in RK45 restarted from (t, y)",
+        "        if left == 1:",
+        "            halvings += 1",
+        "        else:",
+        "            rewinds += 1",
+        "        continue",
+        "    if not replay:",
+        f"        factor = {_MAX_FACTOR!r}",
+        "        if err > 0.0:",
+        f"            factor = _min({_MAX_FACTOR!r}, {_SAFETY!r} * err ** {_ERROR_EXPONENT!r})",
+        "        if shrunk:",
+        "            factor = _min(1.0, factor)",
+        "        accepted += 1",
+        "        if rows is not None:",
+        f"            rows.append((t, t_new, {join(y + f[n:] + new + f_new[n:])}))",
+        "        if steps is not None:",
+        "            steps.append(h)",
+        "        t, h_abs, h = t_new, h * factor, None",
+        f"    {join(y)} = {join(new)}",
+        f"    {join(f)} = {join(f_new)}",
+        f"    if escape is not None and _max({reach}) > escape:",
+        "        status = 'escaped'",
+        "        break",
+        f"return (status, t, [{join(y)}], [{join(f)}], accepted, rejected, rewinds, halvings,"
+        " attempts, left, err)",
+    ]
+    src = ("def _kernel(y, f, steps, replay, t1=0.0, h_abs=0.0, max_step=0.0, rtol=1.0,"
+           " atol=1.0, escape=None, max_steps=0, rows=None):\n"
+           + "".join(f"    {line}\n" for line in body))
+    code = compile(src, f"<loop {M.name} {kind.value}>", "exec")
+    return _exec_kernel(code, math, _max=max, _min=min, _isfinite=math.isfinite,
+                        _ceil=math.ceil, _nextafter=math.nextafter, _inf=math.inf,
+                        _DomainExit=_DomainExit)
 
 
 def _rms(xs):
@@ -321,14 +426,19 @@ def _initial_step(rhs, y, f, t1, max_step, rtol, atol):
     return min(100 * h0, h1, t1, max_step)
 
 
+_COUNTS = ("accepted", "rejected", "rewinds", "halvings")
+
+
 def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None):
     """Integrate the geodesic from (x0, v0) over [0, t1].
 
-    Returns (status, t_end, y_end, segs, counts): the status, the last
-    accepted parameter and state (x, v), the accepted steps as
-    (t, t_new, y, y_new, f, f_new) when collect is set, and the counts of
-    GeodesicPath.meta["integrator"].  Where steps is a list, the size of
-    each accepted step is appended to it, for _replay.
+    Returns (status, t_end, y_end, rows, counts): the status, the last
+    accepted parameter and state (x, v), the accepted steps as the flat
+    rows (t0, t1, x0, v0, a0, x1, v1, a1) when collect is set, and the
+    counts of GeodesicPath.meta["integrator"].  Where steps is a list, the
+    size of each accepted step is appended to it, for _replay.  The
+    arguments are checked and the first derivative and step are taken
+    here; the loop is the emitted integrator of (M, kind) (_integrator).
     """
     x0 = np.array(_require(M, x0), dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -339,137 +449,75 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     t1 = float(t1)
     if not 0.0 < t1 < math.inf:
         raise ValueError("t1 must be positive and finite")
-    n = M.n
     rhs = _rhs_factory(M, kind)
-    step = _fused_step(M, kind)
-    probe = _chord_probe(M)
     rtol, atol = opts.rtol, opts.atol
     # keep steps short enough that the dense interpolant tracks the
     # acceleration, not just the position, of the solution
     max_step = t1 / 48.0 if collect else math.inf
-    counts = {"accepted": 0, "rejected": 0, "rewinds": 0, "halvings": 0, "rhs_calls": 2}
-    t, y = 0.0, x0.tolist() + v0.tolist()
+    y = x0.tolist() + v0.tolist()
     try:
         f = rhs(y)
         h_abs = _initial_step(rhs, y, f, t1, max_step, rtol, atol)
     except _DomainExit:
-        return "exited-domain", 0.0, np.array(y), [], counts
-    segs = []
-    status = "completed"
-    h = None  # the step of the next attempt from (t, y), None after an accepted one
-    while t < t1:
-        if h is None:
-            if counts["accepted"] >= MAX_STEPS:
-                status = "step-limit"
-                break
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            # cap the chart displacement of one step so the chord probes below
-            # cannot straddle a hole at a scale they do not resolve
-            cap = max_step
-            speed = max(map(abs, y[n:]))
-            if speed > 0.0:
-                cap = min(max_step, 0.5 * (1.0 + max(map(abs, y[:n]))) / speed)
-            h = cap if h_abs > cap else max(h_abs, min_step)
-            rejected = False
-        if h < min_step:
-            # step-size underflow: stiffness, reported through the status
-            status = "step-limit"
-            break
-        t_new = min(t + h, t1)
-        h = t_new - t
-        counts["rhs_calls"] += 6
-        try:
-            y_new, f_new, err = step(y, f, h, rtol, atol)
-        except _DomainExit:
-            left = "halvings"
-        else:
-            if not err < 1.0:
-                # the error estimate is too large, or NaN: RK45's shrink
-                h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                rejected = True
-                counts["rejected"] += 1
-                continue
-            if not all(map(math.isfinite, y_new)):
-                # the state no longer fits in doubles: it has left every chart
-                status = "exited-domain"
-                break
-            left = None if probe(y[:n], y_new[:n]) else "rewinds"
-        if left:
-            # a stage or the chord left the chart: retry from (t, y) at half
-            # the step tried, down to the exit window or the shortest step at t
-            if h <= EXIT_BISECT_TOL or 0.5 * h < min_step:
-                status = "exited-domain"
-                break
-            h *= 0.5
-            rejected = False  # as in RK45 restarted from (t, y)
-            counts[left] += 1
-            continue
-        factor = _MAX_FACTOR
-        if err > 0.0:
-            factor = min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-        if rejected:
-            factor = min(1.0, factor)
-        counts["accepted"] += 1
-        if collect:
-            segs.append((t, t_new, y, y_new, f, f_new))
-        if steps is not None:
-            steps.append(h)
-        t, y, f, h_abs, h = t_new, y_new, f_new, h * factor, None
-        if escape is not None and max(map(abs, y[:n])) > escape:
-            status = "escaped"
-            break
-    return status, t, np.array(y), segs, counts
+        return "exited-domain", 0.0, np.array(y), [], dict.fromkeys(_COUNTS, 0) | {"rhs_calls": 2}
+    rows = [] if collect else None
+    status, t, y, _, *counts, attempts, _, _ = _integrator(M, kind)(
+        y, f, steps, False, t1, h_abs, max_step, rtol, atol, escape, MAX_STEPS, rows)
+    # 2 RHS calls for the first derivative and step, 6 per step attempt
+    counts = dict(zip(_COUNTS, counts), rhs_calls=2 + 6 * attempts)
+    return status, t, np.array(y), rows if collect else [], counts
 
 
 def _replay(M, kind, x0, v0, steps):
     """The state (x, v) after the step sizes `steps` from (x0, v0), or None.
 
-    The accepted steps of an _integrate_core run, taken again with the
-    same fused step and chord probe but no step control: no initial step,
-    no error test, no rejected attempt.  From the run's own start the
-    state is the run's endpoint, bit for bit; from a nearby start it is
-    the same discrete map's value, which is what a forward difference of
-    the endpoint needs (internal numerical differentiation: Bock 1981;
+    The accepted steps of an _integrate_core run, taken again by the same
+    emitted integrator (_integrator) with no step control: no initial
+    step, no error test, no rejected attempt.  From the run's own start
+    the state is the run's endpoint, bit for bit; from a nearby start it
+    is the same discrete map's value, which is what a forward difference
+    of the endpoint needs (internal numerical differentiation: Bock 1981;
     Hairer, Norsett & Wanner, Solving ODEs I, II.4).  None where a stage
     or a chord leaves the chart.
     """
-    n = M.n
-    rhs = _rhs_factory(M, kind)
-    step = _fused_step(M, kind)
-    probe = _chord_probe(M)
     y = [*map(float, x0), *map(float, v0)]
     try:
-        f = rhs(y)
-        for h in steps:
-            # the error estimate is not read; unit tolerances keep it finite
-            y_new, f, _ = step(y, f, h, 1.0, 1.0)
-            if not probe(y[:n], y_new[:n]):
-                return None
-            y = y_new
+        f = _rhs_factory(M, kind)(y)
     except _DomainExit:
         return None
-    return np.array(y)
+    status, _, y, *_ = _integrator(M, kind)(y, f, steps, True)
+    return np.array(y) if status == "completed" else None
 
 
 _TABLE = ("x(t0)", "h v(t0)", "h^2 a(t0)", "x(t1)", "h v(t1)", "h^2 a(t1)")
 
 
-def _stack(segs):
-    # the accepted steps of _integrate_core as arrays (t0, t1, y0, y1, f0,
-    # f1), one row per step: what _eval_pieces reads
-    return tuple(map(np.array, zip(*segs)))
+def _stack(rows):
+    # the rows of _integrate_core as (t0, t1, table): the ends of each
+    # step, and table[j] the Hermite datum _TABLE[j] of every step, shape
+    # (6, steps, n), formed once per step; a datum that does not fit in a
+    # double is inf or nan there, and _eval_pieces reports it where it is read
+    a = np.array(rows)
+    t0, t1 = a[:, 0], a[:, 1]
+    h = (t1 - t0)[:, None]
+    table = a[:, 2:].reshape(len(a), 6, -1).transpose(1, 0, 2).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        table[[1, 4]] *= h
+        table[[2, 5]] *= h * h
+    return t0, t1, table
 
 
-def _eval_pieces(pieces, ts, n, velocities=True):
+def _eval_pieces(pieces, ts, velocities=True, positions=True):
     # quintic Hermite from (x, v, a) at both ends of the step that holds
     # each query time, all times at once; the stored RHS values make the
     # interpolant match the accelerations the solver actually saw.
-    # pieces is _stack's; returns (xs, vs), vs None unless velocities is
+    # pieces is _stack's; returns (xs, vs), each None unless its flag is
     # set.  Each time's row is computed alone, so any subset of the times
     # gives the same rows bit for bit.  Raises GeodesicError where a
     # position, or the Hermite data _TABLE of the step it is formed from,
-    # do not fit in a double
-    t0, t1, y0, y1, f0, f1 = pieces
+    # do not fit in a double; without positions nothing is checked, for
+    # times whose positions were checked before
+    t0, t1, table = pieces
     k = np.minimum(np.searchsorted(t1, ts, side="left"), len(t1) - 1)
     h = (t1 - t0)[k]
     u = (np.asarray(ts, dtype=float) - t0[k]) / h
@@ -478,40 +526,38 @@ def _eval_pieces(pieces, ts, n, velocities=True):
     u3 = u2 * u
     w2 = w * w
     w3 = w2 * w
-    # factored basis: bounded factors keep the cancellation error at a few ulp
-    H = (
-        w3 * (1.0 + 3.0 * u + 6.0 * u2),
-        u * w3 * (1.0 + 3.0 * u),
-        0.5 * u2 * w3,
-        u3 * (10.0 - 15.0 * u + 6.0 * u2),
-        -u3 * w * (4.0 - 3.0 * u),
-        0.5 * u3 * w2,
-    )
-    h = h[:, None]
-    y0, y1, f0, f1 = y0[k], y1[k], f0[k], f1[k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = (y0[:, :n], h * y0[:, n:], h * h * f0[:, n:],
-             y1[:, :n], h * y1[:, n:], h * h * f1[:, n:])
-        xs = sum(c[:, None] * d for c, d in zip(H, D))
-    # a datum that does not fit in a double leaves its row of xs inf or nan
-    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
-    if bad.size:
-        i = bad[0]
-        term = next((j for j, d in enumerate(D) if not np.isfinite(d[i]).all()), None)
-        raise GeodesicError(
-            f"dense output overflows: {'x(t)' if term is None else _TABLE[term]} "
-            f"is not finite on the step [{float(t0[k[i]])!r}, {float(t1[k[i]])!r}]")
-    if not velocities:
-        return xs, None
-    Hp = (
-        -30.0 * u2 * w2,
-        w2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
-        0.5 * u * w2 * (2.0 - 5.0 * u),
-        30.0 * u2 * w2,
-        -u2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
-        0.5 * u2 * w * (3.0 - 5.0 * u),
-    )
-    vs = sum(c[:, None] * d for c, d in zip(Hp, D)) / h
+    D = table[:, k]
+    xs = vs = None
+    if positions:
+        # factored basis: bounded factors keep the cancellation error at a few ulp
+        H = (
+            w3 * (1.0 + 3.0 * u + 6.0 * u2),
+            u * w3 * (1.0 + 3.0 * u),
+            0.5 * u2 * w3,
+            u3 * (10.0 - 15.0 * u + 6.0 * u2),
+            -u3 * w * (4.0 - 3.0 * u),
+            0.5 * u3 * w2,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = sum(c[:, None] * d for c, d in zip(H, D))
+        # a datum that does not fit in a double leaves its row of xs inf or nan
+        bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+        if bad.size:
+            i = bad[0]
+            term = next((j for j, d in enumerate(D) if not np.isfinite(d[i]).all()), None)
+            raise GeodesicError(
+                f"dense output overflows: {'x(t)' if term is None else _TABLE[term]} "
+                f"is not finite on the step [{float(t0[k[i]])!r}, {float(t1[k[i]])!r}]")
+    if velocities:
+        Hp = (
+            -30.0 * u2 * w2,
+            w2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
+            0.5 * u * w2 * (2.0 - 5.0 * u),
+            30.0 * u2 * w2,
+            -u2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
+            0.5 * u2 * w * (3.0 - 5.0 * u),
+        )
+        vs = sum(c[:, None] * d for c, d in zip(Hp, D)) / h[:, None]
     return xs, vs
 
 
@@ -530,8 +576,8 @@ def _refine_by_sigma(M, pieces, ts, xs, vs):
     # (left time, right time, 2 sigma at both ends, key of its left end),
     # the key being the sample index plus the dyadic fraction of the
     # original gap, exact in a double, which orders the one merge at the
-    # end; the inserted samples' velocities come there in one pass
-    n = xs.shape[1]
+    # end; the inserted samples' velocities come there in one pass, with
+    # no new positions: the rounds computed and checked those
     s2 = 2.0 * M._values_many(xs)[:, -1]
     gaps = (ts[:-1], ts[1:], s2[:-1], s2[1:], np.arange(len(ts) - 1.0))
     width, size, added = 1.0, len(ts), []
@@ -542,7 +588,7 @@ def _refine_by_sigma(M, pieces, ts, xs, vs):
             break
         t_lo, t_hi, s_lo, s_hi, key = (a[bad] for a in gaps)
         mid = 0.5 * (t_lo + t_hi)
-        xm, _ = _eval_pieces(pieces, mid, n, velocities=False)
+        xm, _ = _eval_pieces(pieces, mid, velocities=False)
         sm = 2.0 * M._values_many(xm)[:, -1]
         width *= 0.5
         added.append((mid, xm, key + width))
@@ -554,7 +600,7 @@ def _refine_by_sigma(M, pieces, ts, xs, vs):
         order = np.argsort(np.concatenate((np.arange(len(ts)), km)))
         ts = np.concatenate((ts, tm))[order]
         xs = np.concatenate((xs, xm))[order]
-        vs = np.concatenate((vs, _eval_pieces(pieces, tm, n)[1]))[order]
+        vs = np.concatenate((vs, _eval_pieces(pieces, tm, positions=False)[1]))[order]
     return ts, xs, vs
 
 
@@ -581,7 +627,7 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
     else:
         pieces = _stack(segs)
         ts = np.linspace(0.0, t_end, opts.dense_samples)
-        xs, vs = _eval_pieces(pieces, ts, n)
+        xs, vs = _eval_pieces(pieces, ts)
         xs[0], vs[0] = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
         xs[-1], vs[-1] = y_end[:n], y_end[n:]
         if status == "completed":
@@ -682,6 +728,14 @@ def reparam_from_tilde(M, path):
     return _reparam(M, path, -2.0, ConnKind.NABLA, ConnKind.LC_G_TILDE)
 
 
+def _sample_indices(idx, m):
+    # the distinct indices idx into m samples, sorted: np.unique's result
+    # without its first call's import of numpy.ma
+    mask = np.zeros(m, dtype=bool)
+    mask[idx] = True
+    return np.flatnonzero(mask)
+
+
 def geodesic_residual(M, kind, path):
     """Worst defect max_k |x''^k + Gamma^k_ij x'^i x'^j| over interior samples.
 
@@ -701,9 +755,9 @@ def geodesic_residual(M, kind, path):
     centers = {}
     for stride in strides:
         lo, hi = 2 * stride, m - 1 - 2 * stride
-        centers[stride] = np.unique(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int))
+        centers[stride] = _sample_indices(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int), m)
     # the connection at every center of every stride, in one batch
-    at = np.unique(np.concatenate(list(centers.values())))
+    at = _sample_indices(np.concatenate(list(centers.values())), m)
     gam = M.at_many(xs[at]).gamma(kind)
     v = vs[at]
     # quad[c, k] = Gamma^k_ij v^i v^j at center at[c]

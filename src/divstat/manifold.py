@@ -9,7 +9,7 @@ d2sigma.  It checks g positive definite at 32 seeded samples, with the
 scale-free test every metric query makes (PointGeometry.g_spd).  Each
 group is compiled into a kernel when it is first read;
 ManifoldDef.compiled(key) is the one cache of a manifold's compiled
-code, the sprays and the integrator's emitted steps included.
+code, the sprays and the integrators emitted per connection included.
 
 ManifoldDef.at(x) checks the domain once and returns a PointGeometry,
 which evaluates those kernels and derives g^-1, the coefficients of the
@@ -29,7 +29,7 @@ and (dsigma . v) v.  g^-1 is applied by an emitted LDL^T solve, before
 anything is contracted with v, so no intermediate is larger than Gamma
 or grad sigma themselves.
 PointGeometry.gamma is the reference the spray is tested against.  The
-integrator's emitted steps inline its code after the predicate's (_inline).
+emitted integrator inlines its code after the predicate's (_inline).
 
 A point is in the chart where every side of every comparison in the
 domain, and every entry of g and sigma, evaluates finite, and the
@@ -58,7 +58,7 @@ from .exprcore import (
     Una,
     Var,
     _bin,
-    _emit,
+    _render,
     _una,
     compile_many,
     parse,
@@ -349,7 +349,8 @@ class ManifoldDef:
         A jet group name (a key of jet_roots) gives that group's kernel,
         and a ConnKind the spray of that connection (spray(kind)).  Under
         any other key, build() makes the code the first time; the geodesic
-        integrator keeps its emitted steps and chord probe so.  Loading
+        integrator keeps its function per connection so.  A kernel keeps
+        its emission plan (kernel.plan), which _inline renders.  Loading
         compiles the "values" kernel only.
         """
         code = self._compiled.get(key)
@@ -382,23 +383,24 @@ class ManifoldDef:
         Where x is outside the chart, or kernel's get would give None, the
         lines run `outside`, or raise ArithmeticError or ValueError where a
         side or a value does not evaluate; elsewhere they assign kernel's
-        values to `names`.
+        values to `names`.  The lines are rendered from the plans kept on
+        the compiled kernels (exprcore._plan), so no tree is walked again.
         """
         def finite(names):
             # get's test; literals are finite, and a repeat proves nothing
             names = [a for a in dict.fromkeys(names) if a.isidentifier()]
-            if not names:
-                return []
+            if len(names) < 2:
+                return [f"if not _isfinite({a}): {outside}" for a in names]
             each = " and ".join(f"_isfinite({a})" for a in names)
             return [f"if not (_isfinite({' + '.join(names)}) or {each}): {outside}"]
 
         lines = []
         if self.domain._sides is not None:
-            body, sides = _emit(self.domain._sides.roots, args.__getitem__,
-                                prefix + "d", named=True)
+            body, sides = _render(self.domain._sides.plan, args.__getitem__,
+                                  prefix + "d", named=True)
             lines += body + finite(sides)
             lines.append(f"if not {_verdict(self.domain.tree, sides.__getitem__)}: {outside}")
-        body, outs = _emit(kernel.roots, args.__getitem__, prefix + "v", named=True)
+        body, outs = _render(kernel.plan, args.__getitem__, prefix + "v", named=True)
         return lines + body + finite(outs), outs
 
     def _values(self, x):

@@ -1,0 +1,201 @@
+"""The Python reference the emitted integrator (geodesic._integrator) is tested against.
+
+dopri5_step is the generic Dormand-Prince 5(4) step on a right-hand side
+(geodesic._rhs_factory's), chord_ok the scalar chord probe on the chart
+test ManifoldDef._values, run the emitted integrator's adaptive loop,
+integrate_core geodesic._integrate_core over it, and replay
+geodesic._replay, with one Python call per step, stage and chord point.  Each does, operation for
+operation, what the emitted code does, so the results agree bit for bit.
+"""
+
+import math
+from functools import reduce
+from operator import add
+
+import numpy as np
+
+from divstat import geodesic
+from divstat.geodesic import (
+    _DP_A,
+    _DP_B,
+    _DP_E,
+    _ERROR_EXPONENT,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _COUNTS,
+    _SAFETY,
+    EXIT_BISECT_TOL,
+    _DomainExit,
+    _initial_step,
+    _rhs_factory,
+)
+
+
+def _combo(coeffs, ks, i):
+    # sum_s c_s k_s[i] over the nonzero c_s, left to right
+    return reduce(add, (k[i] * c for k, c in zip(ks, coeffs) if c != 0.0))
+
+
+def dopri5_step(rhs, y, f, h, rtol, atol):
+    """One step from the state y with derivative f: (y_new, f_new, err).
+
+    Each stage calls rhs on a list, so a _DomainExit from rhs propagates.
+    err is the RMS norm of the embedded estimate scaled by atol +
+    max(|y|, |y_new|) * rtol, as scipy's RK45 computes it.
+    """
+    N = len(y)
+    ks = [f]
+    for row in _DP_A:
+        ks.append(rhs([y[i] + _combo(row, ks, i) * h for i in range(N)]))
+    y_new = [y[i] + h * _combo(_DP_B, ks, i) for i in range(N)]
+    ks.append(rhs(y_new))
+    e = [_combo(_DP_E, ks, i) * h / (atol + max(abs(y[i]), abs(y_new[i])) * rtol)
+         for i in range(N)]
+    return y_new, ks[-1], math.sqrt(reduce(add, (a * a for a in e))) / N ** 0.5
+
+
+def chord_ok(M, x_a, x_b):
+    """Whether the chord from x_a to x_b stays in M's chart.
+
+    It is tested at np.linspace's k interior fractions, k = ceil(r)
+    clamped to [3, 31] (3 for a NaN r), r the largest coordinate gap over
+    0.03 (1 + the largest |coordinate|).
+    """
+    gap = max(abs(q - p) for p, q in zip(x_a, x_b))
+    scale = 1.0 + max(max(map(abs, x_a)), max(map(abs, x_b)))
+    r = gap / (0.03 * scale)
+    k = 3 if not r > 3.0 else (31 if r > 30.0 else math.ceil(r))
+    step = 1.0 / (k + 1)
+    for j in range(1, k + 1):
+        frac = j * step
+        w = 1.0 - frac
+        if M._values([w * p + frac * q for p, q in zip(x_a, x_b)]) is None:
+            return False
+    return True
+
+
+def run(M, kind, y, f, steps, t1, h_abs, max_step, rtol, atol, escape, max_steps, rows,
+        log=None):
+    """The emitted integrator's adaptive loop in Python: the same return value.
+
+    The arguments are those of geodesic._integrator(M, kind)'s function
+    integrating (steps before t1, no replay flag), and so is the value:
+    (status, t, y, f, accepted, rejected, rewinds, halvings, attempts,
+    left, err).  Where log is a list, each step attempt appends [t, y, h,
+    outcome] to it: the parameter and the list of the state it starts
+    from, the same object for every attempt from that state, the step
+    tried, and outcome "accepted", "rejected", "halving" (a stage left the
+    chart), "rewind" (the chord did) or "overflow" (the new state does not
+    fit in doubles).
+    """
+    n = M.n
+    rhs = _rhs_factory(M, kind)
+    t = 0.0
+    accepted = rejected = rewinds = halvings = attempts = 0
+    status = "completed"
+    h = None  # the step of the next attempt from (t, y), None after an accepted one
+    left, err = 0, None
+    while t < t1:
+        if h is None:
+            if accepted >= max_steps:
+                status = "step-limit"
+                break
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            cap = max_step
+            speed = max(map(abs, y[n:]))
+            if speed > 0.0:
+                cap = min(max_step, 0.5 * (1.0 + max(map(abs, y[:n]))) / speed)
+            h = cap if h_abs > cap else max(h_abs, min_step)
+            shrunk = False
+        if h < min_step:
+            status = "step-limit"
+            break
+        t_new = min(t + h, t1)
+        h = t_new - t
+        attempts += 1
+        if log is not None:
+            log.append([t, y, h, None])
+        try:
+            y_new, f_new, err = dopri5_step(rhs, y, f, h, rtol, atol)
+        except _DomainExit:
+            left = 1
+        else:
+            left = 0
+            if not err < 1.0:
+                h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                shrunk = True
+                rejected += 1
+                if log is not None:
+                    log[-1][3] = "rejected"
+                continue
+            if not all(map(math.isfinite, y_new)):
+                status = "exited-domain"
+                if log is not None:
+                    log[-1][3] = "overflow"
+                break
+            if not chord_ok(M, y[:n], y_new[:n]):
+                left = 2
+        if log is not None:
+            log[-1][3] = ("accepted", "halving", "rewind")[left]
+        if left:
+            if h <= EXIT_BISECT_TOL or 0.5 * h < min_step:
+                status = "exited-domain"
+                break
+            h *= 0.5
+            shrunk = False
+            if left == 1:
+                halvings += 1
+            else:
+                rewinds += 1
+            continue
+        factor = _MAX_FACTOR
+        if err > 0.0:
+            factor = min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+        if shrunk:
+            factor = min(1.0, factor)
+        accepted += 1
+        if rows is not None:
+            rows.append((t, t_new, *y, *f[n:], *y_new, *f_new[n:]))
+        if steps is not None:
+            steps.append(h)
+        t, y, f, h_abs, h = t_new, y_new, f_new, h * factor, None
+        if escape is not None and max(map(abs, y[:n])) > escape:
+            status = "escaped"
+            break
+    return status, t, y, f, accepted, rejected, rewinds, halvings, attempts, left, err
+
+
+def integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None, log=None):
+    """geodesic._integrate_core in Python, over run: the same return value."""
+    rhs = _rhs_factory(M, kind)
+    rtol, atol = opts.rtol, opts.atol
+    max_step = t1 / 48.0 if collect else math.inf
+    y = [*map(float, x0), *map(float, v0)]
+    try:
+        f = rhs(y)
+        h_abs = _initial_step(rhs, y, f, t1, max_step, rtol, atol)
+    except _DomainExit:
+        return "exited-domain", 0.0, np.array(y), [], dict.fromkeys(_COUNTS, 0) | {"rhs_calls": 2}
+    rows = [] if collect else None
+    status, t, y, _, *counts, attempts, _, _ = run(
+        M, kind, y, f, steps, t1, h_abs, max_step, rtol, atol, escape, geodesic.MAX_STEPS,
+        rows, log)
+    counts = dict(zip(_COUNTS, counts), rhs_calls=2 + 6 * attempts)
+    return status, t, np.array(y), rows if collect else [], counts
+
+
+def replay(M, kind, x0, v0, steps):
+    """geodesic._replay in Python: the state after `steps`, or None."""
+    n = M.n
+    rhs = _rhs_factory(M, kind)
+    y = [*map(float, x0), *map(float, v0)]
+    try:
+        f = rhs(y)
+        for h in steps:
+            y_new, f, _ = dopri5_step(rhs, y, f, h, 1.0, 1.0)
+            if not chord_ok(M, y[:n], y_new[:n]):
+                return None
+            y = y_new
+    except _DomainExit:
+        return None
+    return np.array(y)

@@ -1179,6 +1179,25 @@ def test_runtime_imports_no_scipy():
     assert scipy_mods == "[]"
 
 
+def test_geodesic_residual_imports_no_numpy_ma():
+    # np.unique's first call imports numpy.ma, some 20 ms once per
+    # process; the residual picks its centers without it
+    script = (
+        "import sys\n"
+        "from divstat.geodesic import geodesic_residual, integrate_geodesic\n"
+        "from divstat.manifold import load_manifold\n"
+        "M = load_manifold('paraboloid')\n"
+        "path = integrate_geodesic(M, 'nabla', (0.1, 0.2), (0.5, 0.3), 1.0)\n"
+        "print(geodesic_residual(M, 'nabla', path) < 1e-3, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=_same_divstat_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
+
+
 def test_sample_guard_runs_on_floats(tmp_path):
     # sampling hands the guard plain floats: on numpy scalars the compiled
     # guard's overflow printed a RuntimeWarning before the tree walk

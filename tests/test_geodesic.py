@@ -34,7 +34,6 @@ from divstat.geodesic import (
     GeodesicError,
     GeodesicPath,
     IntegratorOpts,
-    _chord_probe,
     _DomainExit,
     _eval_pieces,
     _initial_step,
@@ -57,6 +56,7 @@ from divstat.manifold import (
     sample_domain,
 )
 from divstat.statstruct import ConnKind, conjugate
+from integrator_reference import chord_ok, integrate_core, replay
 
 _RK_STEP = _scipy_rk.rk_step
 
@@ -413,7 +413,7 @@ def _hermite_per_segment(seg, tq):
     against the factored quintic basis, one step at a time.
     """
     t0, t1 = seg[:2]
-    y0, y1, f0, f1 = map(np.asarray, seg[2:])
+    x0, v0, a0, x1, v1, a1 = np.split(np.asarray(seg[2:]), 6)
     h = t1 - t0
     u = (np.asarray(tq, dtype=float) - t0) / h
     w = 1.0 - u
@@ -433,9 +433,7 @@ def _hermite_per_segment(seg, tq):
         -u**2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
         0.5 * u**2 * w * (3.0 - 5.0 * u),
     ], axis=-1)
-    n = len(y0) // 2
-    D = np.stack([y0[:n], h * y0[n:], h * h * f0[n:],
-                  y1[:n], h * y1[n:], h * h * f1[n:]])
+    D = np.stack([x0, h * v0, h * h * a0, x1, h * v1, h * h * a1])
     return H @ D, (Hp @ D) / h
 
 
@@ -466,7 +464,7 @@ def test_dense_output_matches_per_segment_hermite(name):
             rng.uniform(0.0, t_end, 200),
             [seg[1] for seg in segs],
         ]))
-        xs, vs = _eval_pieces(_stack(segs), ts, 2)
+        xs, vs = _eval_pieces(_stack(segs), ts)
         xr, vr = _eval_pieces_per_segment(segs, ts, 2)
         assert np.abs(xs - xr).max() <= 1e-13 * np.abs(xr).max(), (name, kind)
         assert np.abs(vs - vr).max() <= 1e-13 * np.abs(vr).max(), (name, kind)
@@ -503,7 +501,7 @@ def _refine_per_round(M, segs, ts, xs, vs):
         if bad.size == 0 or len(ts) + bad.size > DENSE_CAP:
             return ts, xs, vs, bad.size > 0
         mid = 0.5 * (ts[bad] + ts[bad + 1])
-        xm, vm = _eval_pieces(pieces, mid, xs.shape[1])
+        xm, vm = _eval_pieces(pieces, mid)
         ts = np.insert(ts, bad + 1, mid)
         xs = np.insert(xs, bad + 1, xm, axis=0)
         vs = np.insert(vs, bad + 1, vm, axis=0)
@@ -528,7 +526,7 @@ def test_refine_by_sigma_matches_the_per_round_reference(name, kind, x0, v0, cap
     status, t_end, y_end, segs, _ = _integrate_core(M, kind, x0, v0, 1.0, opts, True)
     assert status == "completed"
     ts = np.linspace(0.0, t_end, opts.dense_samples)
-    xs, vs = _eval_pieces(_stack(segs), ts, 2)
+    xs, vs = _eval_pieces(_stack(segs), ts)
     xs[0], vs[0] = x0, v0
     xs[-1], vs[-1] = y_end[:2], y_end[2:]
     want = _refine_per_round(M, segs, ts, xs, vs)
@@ -614,6 +612,8 @@ def _chord_ok_numpy(M, x_a, x_b):
     ("half-plane-exp", (0.0, 0.05), 0.2),
 ])
 def test_scalar_chord_probe_matches_numpy(name, center, spread):
+    # the scalar probe as the reference writes it, which the emitted
+    # integrator inlines bit for bit (test_emitted_integrator_is_the_reference)
     M = load_manifold(name)
     rng = np.random.default_rng(93)
     verdicts = []
@@ -624,7 +624,7 @@ def test_scalar_chord_probe_matches_numpy(name, center, spread):
         # lengths from far below to far above the probe spacing
         x_b = x_a + 10.0 ** rng.uniform(-4.0, 0.5) * rng.standard_normal(2)
         want = _chord_ok_numpy(M, x_a, x_b)
-        assert _chord_probe(M)(x_a.tolist(), x_b.tolist()) == want, (x_a, x_b)
+        assert chord_ok(M, x_a.tolist(), x_b.tolist()) == want, (x_a, x_b)
         verdicts.append(want)
     assert 100 < sum(verdicts) < len(verdicts) - 100
 
@@ -706,7 +706,7 @@ def _integrate_core_rk45(M, kind, x0, v0, t1, opts, collect, escape=None):
         t_end, y_end = rk.t, rk.y
         steps += 1
         if collect:
-            segs.append((t_prev, rk.t, y_prev, rk.y, f_prev, rk.f))
+            segs.append((t_prev, rk.t, *y_prev, *f_prev[n:], *rk.y, *rk.f[n:]))
         if escape is not None and max(map(abs, rk.y[:n].tolist())) > escape:
             status = "escaped"
             break
@@ -876,36 +876,30 @@ def test_a_wall_met_at_large_t_ends_the_path():
     _assert_same_run(*args, IntegratorOpts(), True)
 
 
-def test_a_chart_retry_tries_half_the_step(monkeypatch):
+def _hex(values):
+    return [float(a).hex() for a in values]
+
+
+def _assert_is_the_reference(M, kind, x0, v0, t1, opts, collect, escape=None, log=None):
+    # the emitted integrator against the reference loop, bit for bit: the
+    # status, end, every row, the counts and the recorded step sizes
+    steps, steps_want = [], []
+    got = _integrate_core(M, kind, x0, v0, t1, opts, collect, escape, steps)
+    want = integrate_core(M, kind, x0, v0, t1, opts, collect, escape, steps_want, log)
+    where = (M.name, kind, tuple(x0), tuple(v0), t1)
+    assert got[0] == want[0] and got[1].hex() == want[1].hex(), where
+    assert _hex(got[2]) == _hex(want[2]), where
+    assert [_hex(r) for r in got[3]] == [_hex(r) for r in want[3]], where
+    assert got[4] == want[4] and _hex(steps) == _hex(steps_want), where
+    return got, steps
+
+
+def test_a_chart_retry_tries_half_the_step():
     # where a stage or the chord of an attempt leaves the chart, the next
     # attempt starts from the same state with half the step tried, its
     # end rounded onto the doubles as every attempt's end is: exactly half
-    # wherever t + h/2 is a double.  The log holds [y, h, outcome] per attempt
-    log = []
-    fused, chord = divstat.geodesic._fused_step, divstat.geodesic._chord_probe
-
-    def logged_step(M, kind):
-        step = fused(M, kind)
-
-        def attempt(y, f, h, rtol, atol):
-            log.append([y, h, "halving"])
-            out = step(y, f, h, rtol, atol)
-            log[-1][2] = "accepted" if out[2] < 1.0 else "rejected"
-            return out
-        return attempt
-
-    def logged_probe(M):
-        probe = chord(M)
-
-        def check(x_a, x_b):
-            if probe(x_a, x_b):
-                return True
-            log[-1][2] = "rewind"
-            return False
-        return check
-
-    monkeypatch.setattr(divstat.geodesic, "_fused_step", logged_step)
-    monkeypatch.setattr(divstat.geodesic, "_chord_probe", logged_probe)
+    # wherever t + h/2 is a double.  The reference loop logs [t, y, h,
+    # outcome] per attempt, and the emitted loop takes the same steps
     punct = load_manifold("punctured-plane")
     retries = {"halving": 0, "rewind": 0, "exact": 0}
     for x0, v0, t1, opts in [
@@ -913,27 +907,59 @@ def test_a_chart_retry_tries_half_the_step(monkeypatch):
             ((1.0, 0.0), (-1e-7, 0.0), 1e7, IntegratorOpts()),
             ((0.3456209967315167, -0.7556183548414255),
              (-0.5079181629548555, 1.3164552433014556), 48.0, IntegratorOpts(rtol=1e-5, atol=1e-7))]:
-        del log[:]
-        status, _, _, segs, counts = _integrate_core(
-            punct, ConnKind.LC_G_TILDE, x0, v0, t1, opts, True)
-        # the parameter of each accepted state, by the state's own list
-        t_at = {id(log[0][0]): 0.0}
-        for t, t_new, y, y_new, _, _ in segs:
-            t_at[id(y)], t_at[id(y_new)] = t, t_new
-        for (y, h, outcome), (y_next, h_next, _) in zip(log, log[1:]):
+        log = []
+        (status, _, _, _, counts), _ = _assert_is_the_reference(
+            punct, ConnKind.LC_G_TILDE, x0, v0, t1, opts, True, log=log)
+        for (t, y, h, outcome), (_, y_next, h_next, _) in zip(log, log[1:]):
             if outcome in ("halving", "rewind"):
-                t = t_at[id(y)]
                 assert y_next is y and h_next == (t + 0.5 * h) - t, (x0, t, h, h_next)
                 retries[outcome] += 1
                 retries["exact"] += h_next == 0.5 * h
         # an exited path's last attempt is not retried, nor counted
         retried = log[:-1] if status == "exited-domain" else log
-        assert counts["halvings"] == sum(e[2] == "halving" for e in retried)
-        assert counts["rewinds"] == sum(e[2] == "rewind" for e in retried)
+        assert counts["halvings"] == sum(e[3] == "halving" for e in retried)
+        assert counts["rewinds"] == sum(e[3] == "rewind" for e in retried)
         if status == "exited-domain":
             # the last attempt left the chart with a step that may not be halved
-            y, h, outcome = log[-1]
-            t = t_at[id(y)]
+            t, _, h, outcome = log[-1]
             assert outcome in ("halving", "rewind")
             assert h <= EXIT_BISECT_TOL or 0.5 * h < 10 * (math.nextafter(t, math.inf) - t)
     assert min(retries.values()) > 0, retries
+
+
+def test_emitted_integrator_is_the_reference(monkeypatch):
+    # 4 kinds x 16 starts on each built-in, speeds from far below to far
+    # above the chart's scale, a quarter aimed at the origin (through the
+    # puncture, into the half plane's wall), both tolerances, with and
+    # without rows, an escape radius or a budget of 20 steps on some:
+    # every path, its counts and steps, and the replays of its steps from
+    # its start and a nearby one, are the reference's bit for bit
+    rng = np.random.default_rng(101)
+    seen = {"statuses": set(), "rejected": 0, "halvings": 0, "rewinds": 0, "replays": 0}
+    for name in sorted(BUILTINS):
+        M = load_manifold(name)
+        for kind in ConnKind:
+            for i, x0 in enumerate(sample_domain(M, 16, seed=102)):
+                v0 = rng.standard_normal(2)
+                v0 *= 10.0 ** rng.uniform(-1.5, 1.5) / np.linalg.norm(v0)
+                if i % 4 == 2:
+                    v0 = -x0 * 10.0 ** rng.uniform(0.0, 2.0)
+                opts = IntegratorOpts() if i % 2 else IntegratorOpts(rtol=1e-5, atol=1e-7)
+                escape = 3.0 * (1.0 + np.abs(x0).max()) if i % 4 == 1 else None
+                with monkeypatch.context() as patch:
+                    if i % 4 == 3:
+                        patch.setattr(divstat.geodesic, "MAX_STEPS", 20)
+                    (status, *_, counts), steps = _assert_is_the_reference(
+                        M, kind, x0, v0, 1.0, opts, i % 3 != 0, escape)
+                seen["statuses"].add(status)
+                for key in ("rejected", "halvings", "rewinds"):
+                    seen[key] += counts[key]
+                for dv in (0.0, 1e-6):
+                    got = _replay(M, kind, x0, v0 + dv, steps)
+                    want = replay(M, kind, x0, v0 + dv, steps)
+                    assert (got is None) == (want is None), (name, kind, x0, v0, dv)
+                    if got is not None:
+                        assert _hex(got) == _hex(want), (name, kind, x0, v0, dv)
+                        seen["replays"] += 1
+    assert seen.pop("statuses") == {"completed", "exited-domain", "escaped", "step-limit"}
+    assert min(seen.values()) > 0, seen

@@ -9,12 +9,15 @@ The batched forms (kernel.many, DomainPred.many, ManifoldDef.at_many)
 are checked row by row against the single-point ones.  The spray kernels
 (ManifoldDef.spray) are checked against -Gamma(v, v) from
 PointGeometry.gamma, and the compiled domain predicate against its tree
-walk.  The integrator's fused steps, which inline the chart test and the
-spray, are checked bit for bit against the generic step on the RHS.
+walk.  One step of the emitted integrator, whose stages inline the chart
+test and the spray and whose chord probe inlines the chart test, is
+checked bit for bit against the generic step on the RHS and the scalar
+probe (integrator_reference): replayed, its new state or whether a stage
+or the chord left the chart; integrated, its outcome, counts and error
+estimate against the reference loop.
 """
 
 import builtins
-import functools
 import gc
 import math
 
@@ -37,10 +40,9 @@ from divstat.exprcore import (
     parse,
 )
 from divstat.geodesic import (
-    _chord_probe,
     _DomainExit,
-    _dopri5,
-    _fused_step,
+    _integrator,
+    _replay,
     _rhs_factory,
     integrate_geodesic,
 )
@@ -53,6 +55,8 @@ from divstat.manifold import (
     load_manifold,
     sample_domain,
 )
+
+from integrator_reference import chord_ok, dopri5_step, run as reference_run
 
 XY = ("x1", "x2")
 
@@ -518,29 +522,53 @@ def test_each_manifold_has_its_own_spray():
         gc.collect()
 
 
-def _step_outcome(step, y, f, h):
-    # the step's (y_new, f_new, err) as bit patterns, or the exit
+_EXITS = ("stage-exit", "chord-exit")
+
+
+def _hex(values):
+    return [float.hex(a) for a in values]
+
+
+def _run_outcome(out):
+    # a run's (status, t, y, f, counts..., left, err), floats as bit patterns
+    status, t, y, f, *counts, left, err = out
+    return [status, t.hex(), _hex(y), _hex(f), counts, left, None if err is None else err.hex()]
+
+
+def _step_outcome(M, kind, y, f, h):
+    # the emitted integrator from (y, f): a replay of [h], as the new state
+    # and derivative in bit patterns or the exit where a stage or the chord
+    # leaves the chart; and one step integrating over [0, h] with h the
+    # first step, as its status, end, counts, the last attempt's exit and
+    # its error estimate
+    run = _integrator(M, kind)
+    _, _, y_new, f_new, *_, left, _ = run(y, f, [h], True)
+    replayed = _EXITS[left - 1] if left else _hex(y_new + f_new)
+    out = run(y, f, None, False, h, h, math.inf, 1e-9, 1e-11, None, 1, None)
+    return replayed, _run_outcome(out)
+
+
+def _generic_outcome(M, kind, y, f, h):
+    # the same from the generic step on the RHS, the scalar chord probe
+    # and the Python loop over them
     try:
-        y_new, f_new, err = step(y, f, h, 1e-9, 1e-11)
+        y_new, f_new, _ = dopri5_step(_rhs_factory(M, kind), y, f, h, 1.0, 1.0)
     except _DomainExit:
-        return "exit"
-    return [float.hex(a) for a in (*y_new, *f_new, err)]
-
-
-def _generic_step(M, kind):
-    # the generic step on the RHS, as a step(y, f, h, rtol, atol)
-    return functools.partial(_dopri5(2 * M.n), _rhs_factory(M, kind))
+        replayed = "stage-exit"
+    else:
+        replayed = _hex(y_new + f_new) if chord_ok(M, y[:M.n], y_new[:M.n]) else "chord-exit"
+    out = reference_run(M, kind, y, f, None, h, h, math.inf, 1e-9, 1e-11, None, 1, None)
+    return replayed, _run_outcome(out)
 
 
 def _assert_fused_is_generic(M, kind, states, steps):
-    # the fused step against the generic one on the RHS; returns the
+    # the emitted step against the generic one on the RHS; returns the
     # outcome of every (state, step) in order
-    fused, generic = _fused_step(M, kind), _generic_step(M, kind)
     outcomes = []
     for y, f in states:
         for h in steps:
-            got = _step_outcome(fused, y, f, h)
-            assert got == _step_outcome(generic, y, f, h), (M.name, kind, y, h)
+            got = _step_outcome(M, kind, y, f, h)
+            assert got == _generic_outcome(M, kind, y, f, h), (M.name, kind, y, h)
             outcomes.append(got)
     return outcomes
 
@@ -569,7 +597,7 @@ def test_fused_step_on_the_wall_rows(name, rows):
     states = [([*x, *v], [*v, 0.5, -0.5]) for x in rows for v in ((0.3, -0.2), (-2.0, 3.0))]
     for kind in ConnKind:
         outcomes = _assert_fused_is_generic(M, kind, states, (1e-6, 0.01, 0.3))
-        assert {o == "exit" for o in outcomes} == {True, False}, kind
+        assert {o[0] in _EXITS for o in outcomes} == {True, False}, kind
 
 
 @pytest.mark.parametrize("domain", ["log(x1) < 5 or x2 > 0", "x2 > 0 or log(x1) < 5"])
@@ -583,7 +611,7 @@ def test_fused_step_where_a_predicate_side_fails(domain):
         M = load_manifold(dict(BUILTINS["euclidean"], name="cut", domain=src))
         outcomes.append(_assert_fused_is_generic(M, ConnKind.LC_G, states, (0.02, 0.2)))
     assert outcomes[0] == outcomes[1]
-    assert {o == "exit" for o in outcomes[0]} == {True, False}
+    assert {o[0] in _EXITS for o in outcomes[0]} == {True, False}
 
 
 def test_fused_step_where_the_spray_overflows():
@@ -597,30 +625,30 @@ def test_fused_step_where_the_spray_overflows():
             v = 10.0 ** rng.uniform(150.0, 156.0) * rng.standard_normal(2)
             states.append(([0.3, -0.2, *v.tolist()], [*v.tolist(), 0.0, 0.0]))
         outcomes = _assert_fused_is_generic(M, kind, states, (1e-300, 1e-160))
-        assert "exit" in outcomes, kind
+        assert any(o[0] == "stage-exit" for o in outcomes), kind
 
 
 def test_each_manifold_has_its_own_fused_code():
-    # as with the sprays: each manifold compiles its own steps and probe,
+    # as with the sprays: each manifold compiles its own integrators,
     # keeps them, and a dropped manifold's code never serves the next one
     y = [0.3, -0.4, 0.7, 0.2]
     for c in (1.0, 2.0, 3.0, 4.0):
         doc = dict(BUILTINS["paraboloid"], name=f"tilted-{c}", sigma=f"{c}*x1 - x2")
         M = load_manifold(doc)
         rhs = _rhs_factory(M, ConnKind.NABLA)
-        step = _fused_step(M, ConnKind.NABLA)
-        assert _fused_step(M, "nabla") is step and _chord_probe(M) is _chord_probe(M)
-        want = _step_outcome(_generic_step(M, ConnKind.NABLA), y, rhs(y), 0.1)
-        assert _step_outcome(step, y, rhs(y), 0.1) == want, c
-        del M, rhs, step
+        run = _integrator(M, ConnKind.NABLA)
+        assert _integrator(M, "nabla") is run
+        want = _generic_outcome(M, ConnKind.NABLA, y, rhs(y), 0.1)
+        assert _step_outcome(M, ConnKind.NABLA, y, rhs(y), 0.1) == want, c
+        del M, rhs, run
         gc.collect()
 
 
 def test_integrator_code_compiles_on_first_use_only(monkeypatch):
     # loading compiles the domain predicate, the sample guard and the
     # values kernel, and nothing else; each jet compiles on its first read;
-    # the first integration of a kind compiles its spray and fused step,
-    # and the manifold's chord probe once; later uses compile nothing
+    # the first integration of a kind compiles its spray and its one
+    # emitted integrator; later integrations and replays compile nothing
     compiled, asked = [], []
     real = builtins.compile
 
@@ -644,7 +672,6 @@ def test_integrator_code_compiles_on_first_use_only(monkeypatch):
         del asked[:], compiled[:]
         return out
 
-    _dopri5(4)  # the generic step is shared by every manifold of the size
     monkeypatch.setattr(builtins, "compile", counting)
     monkeypatch.setattr(manifold, "compile_many", asking)
     M = load_manifold(dict(BUILTINS["punctured-plane"], name="fresh"))
@@ -656,18 +683,18 @@ def test_integrator_code_compiles_on_first_use_only(monkeypatch):
         assert news(M) == ([], []), group
     M.at((0.3, 0.4)).riemann(ConnKind.NABLA)
     assert news(M) == ([], [])
-    for kind, new in ((ConnKind.NABLA, ["<kernel>", "<step fresh nabla>", "<probe fresh>"]),
-                      (ConnKind.LC_G, ["<kernel>", "<step fresh lc>"])):
+    for kind in (ConnKind.NABLA, ConnKind.LC_G):
         integrate_geodesic(M, kind, (1.0, 0.5), (0.2, 0.1), 1.0)
-        assert news(M) == (["spray"], new), kind
+        assert news(M) == (["spray"], ["<kernel>", f"<loop fresh {kind.value}>"]), kind
         integrate_geodesic(M, kind, (0.5, 1.0), (0.1, -0.3), 1.0)
+        assert _replay(M, kind, (0.5, 1.0), (0.1, -0.3), [0.25, 0.5]) is not None
         assert news(M) == ([], []), kind
     # a shooting solve, its Jacobian replays and its reparametrization
-    # compile the lc-tilde spray and step, the probe, and the dsigma and
+    # compile the lc-tilde spray and integrator, and the dsigma and
     # d2sigma kernels the reparametrization reads, and nothing else
     S = load_manifold(dict(BUILTINS["punctured-plane"], name="shot"))
     news(S)
     res = shoot_connect(S, (1.0, 0.5), (0.4, 1.2), ShootOpts(multistart=2))
     assert res.converged and res.nabla_path is not None
     assert news(S) == (["spray", "dsigma", "d2sigma"],
-                       ["<kernel>", "<step shot lc-tilde>", "<probe shot>", "<kernel>", "<kernel>"])
+                       ["<kernel>", "<loop shot lc-tilde>", "<kernel>", "<kernel>"])
