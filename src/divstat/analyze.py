@@ -62,7 +62,6 @@ class ScanReport:
 
     manifold: str
     check: str
-    sample_spec: str
     worst_value: float
     worst_point: np.ndarray
     passed: bool | None
@@ -97,14 +96,13 @@ def _blocks(M, xs):
         yield M.at_many(xs[start:start + _BLOCK])
 
 
-def _worst(M, check, spec, vals, xs, tol):
+def _worst(M, check, vals, xs, tol):
     # the report on the first sample attaining the largest value, judged
     # against tol, or informational when tol is None
     k = int(np.argmax(vals))
     return ScanReport(
         manifold=M.name,
         check=check,
-        sample_spec=spec,
         worst_value=float(vals[k]),
         worst_point=xs[k],
         passed=None if tol is None else bool(vals[k] <= tol),
@@ -150,12 +148,7 @@ def hadamard_scan(M, points, planes_per_point=4, seed=42):
         _careq_worst(P, rng.standard_normal((len(P.x), planes_per_point, M.n, 2)))
         for P in _blocks(M, xs)
     ])
-    coord = M.n * (M.n - 1) // 2
-    spec = (
-        f"{len(xs)} points, {coord} coordinate planes"
-        f" + {planes_per_point} random planes each, seed {seed}"
-    )
-    return _worst(M, "cartan-hadamard", spec, vals, xs, 0.0)
+    return _worst(M, "cartan-hadamard", vals, xs, 0.0)
 
 
 def _careq2_at(P):
@@ -174,7 +167,7 @@ def hadamard2d_scan(M, points):
         raise ValueError("the planar scan needs a 2-dimensional manifold")
     xs = _rows(points)
     vals = np.concatenate([_careq2_at(P) for P in _blocks(M, xs)])
-    return _worst(M, "cartan-hadamard-2d", f"{len(xs)} points", vals, xs, 0.0)
+    return _worst(M, "cartan-hadamard-2d", vals, xs, 0.0)
 
 
 def sigma_bounds_scan(M, samples):
@@ -285,14 +278,13 @@ def check_suite(M, opts=None):
         for name, vals in _point_residuals(P).items():
             rows.setdefault(name, []).append(vals)
         terms.append(_constant_curvature_terms(P, ConnKind.NABLA))
-    spec = f"{opts.samples} seeded domain samples, seed {opts.seed}"
     reports = [
-        _worst(M, name, spec, np.concatenate(vals), xs,
+        _worst(M, name, np.concatenate(vals), xs,
                None if name in _INFORMATIONAL else opts.tol)
         for name, vals in rows.items()
     ]
     lam, res = _lambda_fit(terms)
-    fit = _worst(M, "constant-curvature-fit", spec, res, xs, None)
+    fit = _worst(M, "constant-curvature-fit", res, xs, None)
     fit.extra["lambda"] = lam
     reports.append(fit)
     return reports

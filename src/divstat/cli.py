@@ -171,22 +171,27 @@ def _cmd_describe(args):
     M = load_manifold(args.manifold)
     x = _coords(args.at, M.n)
     P = M.at(x)
-    doc = {
-        "manifold": M.name,
-        "point": x,
-        "g": P.g_spd,
-        "g_inv": P.g_inv,
-        "sigma": P.sigma,
-        "dsigma": P.dsigma,
-        "grad_sigma": P.grad_sigma,
-        "hess_sigma": P.hess_sigma,
-        "laplace_sigma": P.laplace_sigma,
-        "K": P.K,
-        "C": P.cubic_form,
-        "gamma": {k.value: P.gamma(k) for k in ConnKind},
-        "ricci_nabla": P.ricci(ConnKind.NABLA),
-        "conjugate_symmetry_residual": _conjugate_symmetry_residual(P),
-    }
+    members = (
+        ("g", lambda: P.g_spd),
+        ("g_inv", lambda: P.g_inv),
+        ("sigma", lambda: P.sigma),
+        ("dsigma", lambda: P.dsigma),
+        ("grad_sigma", lambda: P.grad_sigma),
+        ("hess_sigma", lambda: P.hess_sigma),
+        ("laplace_sigma", lambda: P.laplace_sigma),
+        ("K", lambda: P.K),
+        ("C", lambda: P.cubic_form),
+        ("gamma", lambda: {k.value: P.gamma(k) for k in ConnKind}),
+        ("ricci_nabla", lambda: P.ricci(ConnKind.NABLA)),
+        ("conjugate_symmetry_residual", lambda: _conjugate_symmetry_residual(P)),
+    )
+    doc = {"manifold": M.name, "point": x}
+    for key, member in members:
+        try:
+            doc[key] = member()
+        except FloatingPointError as exc:
+            # numpy names the operation only: say which member, and where
+            raise FloatingPointError(f"{key} at {P.x}: {exc}") from None
     sys.stdout.write(_jtext(doc) + "\n")
     return 0
 
@@ -215,7 +220,7 @@ def _cmd_connect(args):
         "converged": res.converged,
         "tilde_length": res.tilde_length,
         "endpoint_error": res.endpoint_error,
-        "attempts": res.attempts,
+        "attempts": len(res.starts),
     }
     if res.nabla_path is not None:
         doc["samples"] = [
@@ -399,9 +404,7 @@ def run(argv):
         # numpy refuses an array too large for the request (a grid or a
         # plane count) before allocating any of it
         return _diag(f"request too large: {exc}", 2)
-    except NoConvergenceError as exc:
-        return _diag(f"no converged geodesic: {exc}", 3)
-    except (GeodesicError, ExprError) as exc:
+    except (NoConvergenceError, GeodesicError, ExprError) as exc:
         # ExprError here is a derived quantity that cannot be evaluated at
         # an in-chart point: the definition parsed, so it is numerical
         return _diag(exc, 3)

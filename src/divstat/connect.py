@@ -41,7 +41,7 @@ from .geodesic import (
     integrate_geodesic,
     reparam_from_tilde,
 )
-from .manifold import ConnKind, _require
+from .manifold import ConnKind
 
 _SCOUT = IntegratorOpts(rtol=1e-5, atol=1e-7)
 _COARSE = IntegratorOpts(rtol=1e-7, atol=1e-9)
@@ -111,7 +111,6 @@ class ConnectResult:
     nabla_path: GeodesicPath | None
     tilde_length: float
     endpoint_error: float
-    attempts: int
     solutions: list = field(default_factory=list)
     starts: list = field(default_factory=list)
 
@@ -312,8 +311,8 @@ def shoot_connect(M, p, q, opts=None):
     the constant path, with no start attempted.
     """
     opts = opts if opts is not None else ShootOpts()
-    p = np.array(_require(M, p))
-    q = np.array(_require(M, q))
+    p = np.array(M.at(p).x)
+    q = np.array(M.at(q).x)
     sols, fail, starts = _solve_bvp(M, p, q, opts)
     best = sols[0] if sols else fail
     tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, best["v0"], 1.0, _FINE)
@@ -329,7 +328,6 @@ def shoot_connect(M, p, q, opts=None):
         nabla_path=nabla,
         tilde_length=best["tilde_length"],
         endpoint_error=err,
-        attempts=len(starts),
         solutions=sols,
         starts=starts,
     )
@@ -343,14 +341,17 @@ def distance_tilde(M, p, q, opts=None):
     built-in geometries the closed-form oracles confirm the minimizer is
     found.  Raises NoConvergenceError when no start connects.
     """
-    p = np.array(_require(M, p))
-    q = np.array(_require(M, q))
+    p = np.array(M.at(p).x)
+    q = np.array(M.at(q).x)
     opts = opts if opts is not None else ShootOpts()
     sols, fail, _ = _solve_bvp(M, p, q, opts)
     if not sols:
+        err = fail["endpoint_error"]
+        p_text, q_text = (",".join(map(repr, x.tolist())) for x in (p, q))
         raise NoConvergenceError(
-            f"no converged geodesic from {p} to {q} on {M.name}",
-            fail["endpoint_error"],
+            f"no converged geodesic from {p_text} to {q_text} on {M.name} "
+            f"(best endpoint error {err:.17g})",
+            err,
         )
     return sols[0]["tilde_length"]
 

@@ -39,13 +39,10 @@ integration recorded, with no step control, from any start: from the
 integration's own start it gives its endpoint bit for bit, which makes
 it the shooting Jacobian's column integrator.
 
-The parameter change, the refinement of the samples by sigma and
-geodesic_residual read the geometry of all a path's samples in one
-batched call.  Each round of the refinement tests only the gaps the
-round before bisected, a gap that passed once passing for good, and
-evaluates positions at their midpoints only; the inserted samples are
-merged once at the end, where only their velocities are evaluated, in
-one pass.  The parameter
+The parameter change and geodesic_residual read the geometry of all a
+path's samples in one batched call, and the refinement of the samples
+by sigma that of each round's new samples: each round bisects every gap
+across which 2 sigma moves by more than SIGMA_STEP.  The parameter
 change checks its weight e^{+-2 sigma} first and takes Gamma(v, v) from
 the connection's spray kernel (spray(kind).many), never building the
 connection tensors.  Batched jets come from numpy's
@@ -60,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprcore import _exec_kernel
-from .manifold import ConnKind, _require
+from .manifold import ConnKind
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -440,7 +437,7 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     arguments are checked and the first derivative and step are taken
     here; the loop is the emitted integrator of (M, kind) (_integrator).
     """
-    x0 = np.array(_require(M, x0), dtype=float)
+    x0 = np.array(M.at(x0).x, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (M.n,):
         raise ValueError(f"velocity must have {M.n} components")
@@ -507,16 +504,14 @@ def _stack(rows):
     return t0, t1, table
 
 
-def _eval_pieces(pieces, ts, velocities=True, positions=True):
+def _eval_pieces(pieces, ts):
     # quintic Hermite from (x, v, a) at both ends of the step that holds
     # each query time, all times at once; the stored RHS values make the
     # interpolant match the accelerations the solver actually saw.
-    # pieces is _stack's; returns (xs, vs), each None unless its flag is
-    # set.  Each time's row is computed alone, so any subset of the times
-    # gives the same rows bit for bit.  Raises GeodesicError where a
-    # position, or the Hermite data _TABLE of the step it is formed from,
-    # do not fit in a double; without positions nothing is checked, for
-    # times whose positions were checked before
+    # pieces is _stack's; returns (xs, vs).  Each time's row is computed
+    # alone, so any subset of the times gives the same rows bit for bit.
+    # Raises GeodesicError where a position, or the Hermite data _TABLE of
+    # the step it is formed from, do not fit in a double
     t0, t1, table = pieces
     k = np.minimum(np.searchsorted(t1, ts, side="left"), len(t1) - 1)
     h = (t1 - t0)[k]
@@ -527,37 +522,34 @@ def _eval_pieces(pieces, ts, velocities=True, positions=True):
     w2 = w * w
     w3 = w2 * w
     D = table[:, k]
-    xs = vs = None
-    if positions:
-        # factored basis: bounded factors keep the cancellation error at a few ulp
-        H = (
-            w3 * (1.0 + 3.0 * u + 6.0 * u2),
-            u * w3 * (1.0 + 3.0 * u),
-            0.5 * u2 * w3,
-            u3 * (10.0 - 15.0 * u + 6.0 * u2),
-            -u3 * w * (4.0 - 3.0 * u),
-            0.5 * u3 * w2,
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            xs = sum(c[:, None] * d for c, d in zip(H, D))
-        # a datum that does not fit in a double leaves its row of xs inf or nan
-        bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
-        if bad.size:
-            i = bad[0]
-            term = next((j for j, d in enumerate(D) if not np.isfinite(d[i]).all()), None)
-            raise GeodesicError(
-                f"dense output overflows: {'x(t)' if term is None else _TABLE[term]} "
-                f"is not finite on the step [{float(t0[k[i]])!r}, {float(t1[k[i]])!r}]")
-    if velocities:
-        Hp = (
-            -30.0 * u2 * w2,
-            w2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
-            0.5 * u * w2 * (2.0 - 5.0 * u),
-            30.0 * u2 * w2,
-            -u2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
-            0.5 * u2 * w * (3.0 - 5.0 * u),
-        )
-        vs = sum(c[:, None] * d for c, d in zip(Hp, D)) / h[:, None]
+    # factored basis: bounded factors keep the cancellation error at a few ulp
+    H = (
+        w3 * (1.0 + 3.0 * u + 6.0 * u2),
+        u * w3 * (1.0 + 3.0 * u),
+        0.5 * u2 * w3,
+        u3 * (10.0 - 15.0 * u + 6.0 * u2),
+        -u3 * w * (4.0 - 3.0 * u),
+        0.5 * u3 * w2,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = sum(c[:, None] * d for c, d in zip(H, D))
+    # a datum that does not fit in a double leaves its row of xs inf or nan
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+    if bad.size:
+        i = bad[0]
+        term = next((j for j, d in enumerate(D) if not np.isfinite(d[i]).all()), None)
+        raise GeodesicError(
+            f"dense output overflows: {'x(t)' if term is None else _TABLE[term]} "
+            f"is not finite on the step [{float(t0[k[i]])!r}, {float(t1[k[i]])!r}]")
+    Hp = (
+        -30.0 * u2 * w2,
+        w2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
+        0.5 * u * w2 * (2.0 - 5.0 * u),
+        30.0 * u2 * w2,
+        -u2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
+        0.5 * u2 * w * (3.0 - 5.0 * u),
+    )
+    vs = sum(c[:, None] * d for c, d in zip(Hp, D)) / h[:, None]
     return xs, vs
 
 
@@ -568,39 +560,21 @@ DENSE_CAP = 8192
 def _refine_by_sigma(M, pieces, ts, xs, vs):
     # subdivide dense-output intervals until the conformal weight e^{2 sigma}
     # changes slowly across each one; reparametrization quadrature needs the
-    # weight resolved along the path, not just the positions.  sigma is NaN
-    # outside the chart, so no gap there counts as too large.  A gap that
-    # passes keeps its ends, so it passes in every later round: each round
-    # tests only the frontier, the halves of the gaps the round before
-    # bisected, and evaluates positions at their midpoints only.  A gap is
-    # (left time, right time, 2 sigma at both ends, key of its left end),
-    # the key being the sample index plus the dyadic fraction of the
-    # original gap, exact in a double, which orders the one merge at the
-    # end; the inserted samples' velocities come there in one pass, with
-    # no new positions: the rounds computed and checked those
+    # weight resolved along the path, not just the positions.  Each round
+    # bisects every gap where 2 sigma moves by more than SIGMA_STEP and
+    # evaluates the dense output at the new times.  sigma is NaN outside
+    # the chart, so no gap there counts as too large
     s2 = 2.0 * M._values_many(xs)[:, -1]
-    gaps = (ts[:-1], ts[1:], s2[:-1], s2[1:], np.arange(len(ts) - 1.0))
-    width, size, added = 1.0, len(ts), []
     for _ in range(16):
-        bad = np.abs(gaps[3] - gaps[2]) > SIGMA_STEP
-        count = np.count_nonzero(bad)
-        if count == 0 or size + count > DENSE_CAP:
+        bad = np.flatnonzero(np.abs(np.diff(s2)) > SIGMA_STEP)
+        if bad.size == 0 or len(ts) + bad.size > DENSE_CAP:
             break
-        t_lo, t_hi, s_lo, s_hi, key = (a[bad] for a in gaps)
-        mid = 0.5 * (t_lo + t_hi)
-        xm, _ = _eval_pieces(pieces, mid, velocities=False)
-        sm = 2.0 * M._values_many(xm)[:, -1]
-        width *= 0.5
-        added.append((mid, xm, key + width))
-        size += count
-        gaps = tuple(map(np.concatenate, ((t_lo, mid), (mid, t_hi), (s_lo, sm),
-                                          (sm, s_hi), (key, key + width))))
-    if added:
-        tm, xm, km = map(np.concatenate, zip(*added))
-        order = np.argsort(np.concatenate((np.arange(len(ts)), km)))
-        ts = np.concatenate((ts, tm))[order]
-        xs = np.concatenate((xs, xm))[order]
-        vs = np.concatenate((vs, _eval_pieces(pieces, tm, positions=False)[1]))[order]
+        mid = 0.5 * (ts[bad] + ts[bad + 1])
+        xm, vm = _eval_pieces(pieces, mid)
+        ts = np.insert(ts, bad + 1, mid)
+        xs = np.insert(xs, bad + 1, xm, axis=0)
+        vs = np.insert(vs, bad + 1, vm, axis=0)
+        s2 = np.insert(s2, bad + 1, 2.0 * M._values_many(xm)[:, -1])
     return ts, xs, vs
 
 

@@ -822,11 +822,6 @@ class PointGeometry:
         return np.einsum("...i,...i->...", self.dsigma, self.grad_sigma)
 
 
-def _require(M, x):
-    # x as a validated chart tuple; OutOfDomainError outside the chart
-    return M.at(x).x
-
-
 def in_domain(M, x):
     """Chart membership: the predicate holds and g, sigma evaluate finite."""
     return M._values(_pt(M, x)) is not None

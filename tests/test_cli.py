@@ -139,6 +139,32 @@ def test_describe_invalid_inputs(capsys):
         assert err.count("\n") == 1 and err.startswith("divstat:")
 
 
+def test_describe_names_the_member_and_point_of_a_numpy_overflow(tmp_path, capsys):
+    # sigma = (x1 + x2)^-149: at 0.0085 every member before Ricci is
+    # finite, and the Gamma Gamma product of nabla's curvature overflows
+    doc = tmp_path / "steep.json"
+    doc.write_text(json.dumps(dict(CUT_PLANE, name="steep", domain="x1 > 0 and x2 > 0",
+                                   sigma="1/(x1+x2)" + "/(x1+x2)" * 148,
+                                   sample_box=[[0.5, 1], [0.5, 1]])))
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0.0085,0.0085"])
+    assert (code, out) == (3, "")
+    assert err == ("divstat: numerical failure: ricci_nabla at (0.0085, 0.0085): "
+                   "overflow encountered in matmul\n")
+
+
+def test_a_file_that_is_not_a_definition_is_invalid_input(tmp_path, capsys):
+    doc = tmp_path / "bad.json"
+    doc.write_text("{not json")
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0,0"])
+    assert (code, out) == (2, "")
+    assert err == (f"divstat: cannot read manifold file {doc}: Expecting property name "
+                   "enclosed in double quotes: line 1 column 2 (char 1)\n")
+    doc.write_text("[1, 2]")
+    code, out, err = run_out(capsys, ["describe", str(doc), "--at", "0,0"])
+    assert (code, out) == (2, "")
+    assert err == "divstat: manifold document must be a dict or a name/path\n"
+
+
 def test_geodesic_csv_straight_line(tmp_path, capsys):
     dest = tmp_path / "line.csv"
     argv = ["geodesic", "euclidean", "--conn", "nabla", "--from", "0,0",
@@ -302,6 +328,17 @@ def test_contrast_values(capsys):
         "contrast", "euclidean", "--p", "1,1", "--q", "1,1",
     ])
     assert code == 0 and float(out) == 0.0
+
+
+def test_contrast_reports_no_convergence(capsys):
+    # every nabla-geodesic of the punctured plane is a straight line, and
+    # the segment between these points passes through the puncture
+    code, out, err = run_out(capsys, [
+        "contrast", "punctured-plane", "--p", "1.2,0.3", "--q=-1.2,-0.3",
+    ])
+    assert (code, out) == (3, "")
+    assert err == ("divstat: no converged geodesic from 1.2,0.3 to -1.2,-0.3 on "
+                   "punctured-plane (best endpoint error 0.099756820191230958)\n")
 
 
 def test_check_pass_fail_and_file_doc(tmp_path, capsys):
@@ -1100,6 +1137,13 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     code, out, err = run_out(capsys, argv + ["--seed", "-1"])
     assert (code, out) == (2, "")
     assert err == "divstat: argument --seed: expected a non-negative integer, got '-1'\n"
+
+
+def test_non_integer_seed_is_a_usage_error(capsys):
+    code, out, err = run_out(capsys, ["contrast", "euclidean", "--p", "0,0", "--q", "1,0",
+                                      "--seed", "x"])
+    assert (code, out) == (2, "")
+    assert err == "divstat: argument --seed: expected a non-negative integer, got 'x'\n"
 
 
 def test_seed_determinism(tmp_path, capsys):

@@ -57,7 +57,7 @@ def test_conjugate_paraboloid_straight_segment():
     assert res.converged
     assert res.endpoint_error <= 1e-8
     assert abs(res.tilde_length - 1.0) < 1e-8
-    assert res.attempts >= 1
+    assert len(res.starts) >= 1
     assert res.solutions
     # straight image: the nabla path stays on the segment
     assert np.abs(res.nabla_path.xs[:, 1]).max() < 1e-7
@@ -94,7 +94,7 @@ def test_punctured_antipodal_fails_same_side_works():
     res = shoot_connect(m, [1.0, 0.0], [-1.0, 0.0])
     assert not res.converged
     assert res.endpoint_error > 0.05
-    assert len(res.starts) == res.attempts == 16
+    assert len(res.starts) == 16
     assert all(s["ended"] == "failed" and s["branch"] is None for s in res.starts)
     with pytest.raises(NoConvergenceError) as exc:
         distance_tilde(m, [1.0, 0.0], [-1.0, 0.0])
@@ -163,6 +163,8 @@ def test_contrast_structure_paraboloid():
     assert rep.g_dev < 5e-3
     assert rep.nabla_dev < 5e-2
     assert np.abs(rep.g_fd - metric_at(m, p)).max() == rep.g_dev
+    target = np.einsum("mij,mk->ijk", m.at(p).gamma(ConnKind.NABLA), metric_at(m, p))
+    assert np.abs(rep.nabla_fd - target).max() == rep.nabla_dev
     assert np.linalg.eigvalsh(rep.g_fd).min() > 0.0
 
 
@@ -236,7 +238,7 @@ def test_shoot_connect_same_point():
     p = np.array([0.3, -0.2])
     res = shoot_connect(m, p, p)
     assert res.converged
-    assert res.attempts == 0
+    assert len(res.starts) == 0
     assert res.tilde_length == 0.0 and res.endpoint_error == 0.0
     assert len(res.solutions) == 1
     sol = res.solutions[0]
@@ -401,3 +403,54 @@ def test_a_final_iterate_within_join_of_a_branch_ends_joined(monkeypatch):
     ok, v, err, joined = _gauss_newton(m, p, q, 1.01 * s, 0.25e-8, [s])
     assert ok and joined == 0
     assert np.linalg.norm(v - s) <= divstat.connect._JOIN * np.linalg.norm(s)
+
+
+def test_the_iteration_budget_ends_the_solve(monkeypatch):
+    # from the chart difference the paraboloid solve takes one step per
+    # tier: with a budget of three the loop ends on the fine tier's iterate
+    # and judges it after the loop, with two it ends short of the target
+    m = load_manifold("paraboloid")
+    p, q = np.zeros(2), np.array([0.4, 0.3])
+    ok, v, err, joined = _gauss_newton(m, p, q, q - p, 0.25e-8, [])
+    assert ok and joined is None
+    monkeypatch.setattr(divstat.connect, "_MAX_ITER", 3)
+    got = _gauss_newton(m, p, q, q - p, 0.25e-8, [])
+    assert got[0] and np.array_equal(got[1], v) and got[2:] == (err, None)
+    monkeypatch.setattr(divstat.connect, "_MAX_ITER", 2)
+    ok, v, err, joined = _gauss_newton(m, p, q, q - p, 0.25e-8, [])
+    assert not ok and joined is None and 0.25e-8 < err < 1e-5
+
+
+def test_a_tier_whose_trial_path_does_not_complete_fails_the_start(monkeypatch):
+    # a path the scout tier completes may leave the chart at the coarse
+    # tier's tolerance: the start fails there, with its last scout error
+    m = load_manifold("paraboloid")
+    p, q = np.zeros(2), np.array([0.4, 0.3])
+    core, tiers = divstat.connect._integrate_core, []
+
+    def integrate(M, kind, x0, v0, t1, opts, *args, **kwargs):
+        tiers.append(opts)
+        status, *rest = core(M, kind, x0, v0, t1, opts, *args, **kwargs)
+        return ("exited-domain" if opts is _COARSE else status), *rest
+
+    monkeypatch.setattr(divstat.connect, "_integrate_core", integrate)
+    ok, v, err, joined = _gauss_newton(m, p, q, q - p, 0.25e-8, [])
+    assert not ok and joined is None
+    assert 1e-5 < err < 1e-2 and tiers[-1] is _COARSE and _FINE not in tiers
+
+
+def test_a_jacobian_column_that_leaves_the_chart_fails_the_start():
+    # the base path ends 1e-9 short of the wall x2 = 1 and completes; the
+    # column that speeds it up crosses the wall, so no step is taken
+    m = load_manifold(dict(BUILTINS["euclidean"], name="below-one", domain="x2 < 1"))
+    p, q, v0 = np.zeros(2), np.array([0.0, 0.5]), np.array([0.0, 1.0 - 1e-9])
+    ok, v, err, joined = _gauss_newton(m, p, q, v0, 0.25e-8, [])
+    assert not ok and joined is None
+    assert np.array_equal(v, v0) and abs(err - 0.5) < 1e-8
+
+
+def test_contrast_structure_check_needs_a_positive_step():
+    m = load_manifold("euclidean")
+    for h in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="stencil step must be positive"):
+            contrast_structure_check(m, [0.0, 0.0], h)

@@ -34,6 +34,7 @@ from divstat.geodesic import (
     GeodesicError,
     GeodesicPath,
     IntegratorOpts,
+    StepLimitError,
     _DomainExit,
     _eval_pieces,
     _initial_step,
@@ -195,6 +196,29 @@ def test_a_state_that_overflows_ends_the_path():
     assert path.status == "exited-domain"
     assert np.all(np.isfinite(path.xs)) and path.xs[-1, 0] > 1e307
     assert path.meta["integrator"]["accepted"] < 2000
+
+
+def test_step_limit_raised_by_exp_map(monkeypatch):
+    para = load_manifold("paraboloid")
+    monkeypatch.setattr(divstat.geodesic, "MAX_STEPS", 2)
+    with pytest.raises(StepLimitError, match="geodesic integration on paraboloid stopped at"):
+        exp_map(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0))
+
+
+def test_integrate_validates_the_velocity():
+    para = load_manifold("paraboloid")
+    with pytest.raises(ValueError, match="velocity must have 2 components"):
+        integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
+    for v0 in ((math.nan, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError, match="velocity components must be finite"):
+            integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), v0, 1.0)
+
+
+def test_replay_from_outside_the_chart_is_none():
+    # the puncture is outside: the first derivative there is not taken
+    punct = load_manifold("punctured-plane")
+    for kind in ConnKind:
+        assert _replay(punct, kind, (0.0, 0.0), (1.0, 0.0), [0.1]) is None
 
 
 def test_integrate_validates_input():
@@ -404,6 +428,41 @@ def test_reparam_raises_where_the_new_parameter_stops_increasing():
         assert np.any(np.diff(ts) <= 0.0)
         with pytest.raises(GeodesicError, match="stops increasing"):
             transform(punct, path)
+
+
+def test_reparam_validates_the_path():
+    para = load_manifold("paraboloid")
+    lc = integrate_geodesic(para, ConnKind.LC_G, (0.0, 0.0), (1.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match="expected a nabla path"):
+        reparam_to_tilde(para, lc)
+    with pytest.raises(ValueError, match="expected a lc-tilde path"):
+        reparam_from_tilde(para, lc)
+    # sigma = 0: no refinement adds samples to the four asked for
+    eucl = load_manifold("euclidean")
+    short = integrate_geodesic(eucl, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 1.0,
+                               IntegratorOpts(dense_samples=4))
+    assert len(short.ts) == 4
+    with pytest.raises(ValueError, match="need at least 5 samples"):
+        reparam_to_tilde(eucl, short)
+    path = integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 1.0)
+    ts = path.ts.copy()
+    ts[3] = ts[2]
+    stalled = GeodesicPath(kind=ConnKind.NABLA, ts=ts, xs=path.xs, vs=path.vs,
+                           status="completed")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        reparam_to_tilde(para, stalled)
+
+
+def test_reparam_where_the_weight_is_finite_and_its_derivatives_are_not():
+    # speeds of 1e200: e^{2 sigma} is finite at every sample, but the
+    # square of its log-derivative dsigma(v) overflows
+    para = load_manifold("paraboloid")
+    xs = np.column_stack([np.linspace(0.1, 0.2, 6), np.full(6, 0.1)])
+    assert np.all(np.isfinite(np.exp(2.0 * para.at_many(xs).sigma)))
+    fast = GeodesicPath(kind=ConnKind.NABLA, ts=np.linspace(0.0, 1e-200, 6), xs=xs,
+                        vs=np.full((6, 2), 1e200), status="completed")
+    with pytest.raises(GeodesicError, match="parameter transform diverges"):
+        reparam_to_tilde(para, fast)
 
 
 def _hermite_per_segment(seg, tq):

@@ -143,3 +143,49 @@ def test_every_public_function_is_named():
     others += [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
     readme = (ROOT / "README.md").read_text()
     assert _unnamed_public_functions(sources, others, readme) == []
+
+
+def _is_dataclass(decorator):
+    # @dataclass, @dataclass(...), @dataclasses.dataclass(...)
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def _unread_dataclass_fields(sources, others):
+    """Fields of the dataclasses of `sources` that nothing reads.
+
+    sources maps a module name to its text, and others holds the text of
+    the other Python files that count (the tests and the bench).  A field
+    is an annotated name in the body of a class decorated with dataclass;
+    it is read where an attribute of that name is loaded anywhere in
+    sources or others (a store, as in `r.x = 1`, is no read).  Returns
+    "module.Class.field" strings, sorted.
+    """
+    fields, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields += [(f"{module}.{node.name}", stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    for source in [*sources.values(), *others]:
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return sorted(f"{owner}.{name}" for owner, name in fields if name not in read)
+
+
+def test_unread_dataclass_field_is_found():
+    sources = {"a": "from dataclasses import dataclass\n\n@dataclass\nclass R:\n    kept: int\n"
+                    "    orphan: int\n    written: int = 0\n\n"
+                    "@dataclass(slots=True)\nclass S:\n    told: str\n\n"
+                    "class Plain:\n    note: str\n\n"
+                    "def f(r):\n    r.written = 1\n    return r.kept\n"}
+    others = ["def g(s):\n    return s.told\n"]
+    assert _unread_dataclass_fields(sources, others) == ["a.R.orphan", "a.R.written"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    others = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))]
+    others += [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    assert _unread_dataclass_fields(sources, others) == []
