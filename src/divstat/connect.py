@@ -27,6 +27,7 @@ helpers raise NoConvergenceError since they must return a number.
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from statistics import NormalDist
 
 import numpy as np
@@ -226,22 +227,32 @@ def _halton(k, n):
     return pts
 
 
-def _start_velocities(M, p, q, opts):
-    # start 0 is the chart difference; the rest come from a deterministic
+@cache
+def _start_directions(k, n, seed):
+    # the k unit directions of starts 1..k: a deterministic
     # low-discrepancy sphere sequence (Halton points through the inverse
-    # normal CDF), rotated by the seed and scaled by the chart distance
-    n = M.n
+    # normal CDF), rotated by the seed; built once per (k, n, seed) and
+    # kept read-only.  No direction is zero: the base-3 coordinate is
+    # never 1/2
+    dirs = np.vectorize(NormalDist().inv_cdf)(_halton(k, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    out = np.array([rot @ dirs[i] for i in range(k)])
+    out.flags.writeable = False
+    return out
+
+
+def _start_velocities(M, p, q, opts):
+    # start 0 is the chart difference; the rest are _start_directions
+    # scaled by the chart distance
     d = q - p
     starts = [d.copy()]
     k = int(opts.multistart) - 1
     if k > 0:
-        # no direction is zero: the base-3 coordinate is never 1/2
-        dirs = np.vectorize(NormalDist().inv_cdf)(_halton(k, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        rng = np.random.default_rng(opts.seed)
-        rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        units = _start_directions(k, M.n, opts.seed)
         mags = np.linalg.norm(d) * (1.0 + 0.5 * (np.arange(k) % 4))
-        starts.extend(mags[i] * (rot @ dirs[i]) for i in range(k))
+        starts.extend(mags[i] * units[i] for i in range(k))
     return starts
 
 

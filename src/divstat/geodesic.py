@@ -19,21 +19,27 @@ the counts as local ints: every stage inlines the chart test and the
 connection's spray (ManifoldDef._inline, ManifoldDef.spray), the chord
 probe inlines the chart test and the values of g and sigma, and the
 finiteness test of the new state is inlined too; no PointGeometry is
-built.  The code is rendered from the plans kept on the compiled
-kernels (exprcore._plan), compiled on the first integration and kept
-in the manifold's cache of compiled code (ManifoldDef.compiled).
+built.  The function takes its own start: the first derivative and
+scipy's first step, whose two evaluations call the compiled domain test
+and the spray's get, and where either leaves the chart the path ends
+"exited-domain" at t = 0.  The code is rendered from the plans kept on
+the compiled kernels (exprcore._plan), compiled on the first
+integration and kept in the manifold's cache of compiled code
+(ManifoldDef.compiled).
 A point outside the chart (see manifold), or where the acceleration is
 not finite, stops the stage.  One rule settles every attempt that leaves
 the chart, at a stage or along its chord: the next attempt starts from
 the same state with half the step tried, and the path ends
 "exited-domain" once the step tried is within the exit window
 (EXIT_BISECT_TOL) or half of it is below the shortest step at t, ten
-spacings of the doubles there.  _integrate_core checks the arguments,
-takes the first derivative and step (_initial_step) and packages the
-result; each accepted step comes back as one flat row, and _stack
-builds the table of Hermite data the dense output reads.  The tests
-hold the Python loop over the generic step on _rhs_factory's RHS as the
-reference the emitted function is tested against.
+spacings of the doubles there.  _integrate_core checks the arguments on
+floats, makes one call of the emitted function, and packages the result;
+each accepted step comes back as one flat row, and _stack builds the
+table of Hermite data, shape (6, n, steps), that the dense output reads
+on (n, N) coordinate columns.  The tests hold a Python loop over the
+generic step on a right-hand side, with the start taken in Python, as
+the reference the emitted function is tested against
+(tests/integrator_reference.py).
 _replay runs the same function on the accepted step sizes an
 integration recorded, with no step control, from any start: from the
 integration's own start it gives its endpoint bit for bit, which makes
@@ -82,7 +88,8 @@ class StepLimitError(GeodesicError):
 
 
 class _DomainExit(Exception):
-    # internal: a right-hand-side evaluation fell outside the chart
+    # internal: a stage or chord point of the emitted integrator fell
+    # outside the chart
     pass
 
 
@@ -142,23 +149,6 @@ class GeodesicPath:
             row = [t, *self.xs[i], *self.vs[i]]
             fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
         fh.write(f"# status={self.status}\n")
-
-
-def _rhs_factory(M, kind):
-    # the geodesic equation as a first-order system on the list of 2n
-    # floats y = (x, v): returns (v, -Gamma(v, v)), or raises _DomainExit
-    n = M.n
-    domain = M.domain
-    spray = M.spray(kind).get
-
-    def rhs(y):
-        # the verdict alone: no diagnostic names the node that failed
-        out = spray(y) if domain(y) else None
-        if out is None:
-            raise _DomainExit
-        return [*y[n:], *out[-n:]]
-
-    return rhs
 
 
 # The Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -251,15 +241,20 @@ def _indent(lines, depth):
 def _integrator(M, kind):
     """The whole integration of kind's geodesics on M, as one function.
 
-    run(y, f, steps, replay, t1, h_abs, max_step, rtol, atol, escape,
-    max_steps, rows) starts from the state y, the list of 2n floats (x,
-    v), and its derivative f.  It returns (status, t, y, f, accepted,
-    rejected, rewinds, halvings, attempts, left, err): the status, the
-    last accepted parameter, state and derivative, the counts as local
-    ints, and how the last attempt ended: left is 1 where one of its
-    stages left the chart, 2 where its chord did, else 0, and err is the
-    error estimate of the last attempt that computed one (None before
-    any, and in a replay).
+    run(y, steps, replay, t1, max_step, rtol, atol, escape, max_steps,
+    rows) starts from the state y, the list of 2n floats (x, v), and
+    takes its own start: the first derivative f, and, integrating, the
+    first step h_abs by scipy's select_initial_step (_rms's norm), each
+    of the two evaluations being the domain test and then the spray's
+    get.  It returns (status, t, y, f, h_abs, accepted, rejected, rewinds,
+    halvings, attempts, left, err): the status, the last accepted
+    parameter, state and derivative, the step the controller proposes
+    from that state (None in a replay), the counts as local ints, and how
+    the last attempt ended: left is 1 where one of its stages left the
+    chart, 2 where its chord did, else 0, and err is the error estimate
+    of the last attempt that computed one (None before any, and in a
+    replay).  Where either start evaluation leaves the chart it returns
+    ("exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0, 1, None).
 
     Integrating (replay false), it runs _integrate_core's adaptive loop:
     the Dormand-Prince step of _step_lines with RK45's controller from the
@@ -273,11 +268,54 @@ def _integrator(M, kind):
     "exited-domain" as soon as a stage or a chord leaves the chart.
 
     The stages and the probe are written once, from the plans of the
-    spray, values and domain kernels; the function is compiled on the
-    first integration of kind and kept in M's cache (M.compiled).
+    spray, values and domain kernels, and the start calls the compiled
+    domain test and spray; the function is compiled on the first
+    integration of kind and kept in M's cache (M.compiled).
     """
     kind = ConnKind(kind)
     return M.compiled(("loop", kind), lambda: _build_integrator(M, kind))
+
+
+def _start_lines(n):
+    """The start of a run, unindented: its first derivative and first step.
+
+    The lines read the state y0, ..., y{N-1} (N = 2n) and its list y, and
+    set the derivative k1_0, ..., k1_{N-1} and, unless replaying, h_abs:
+    scipy's select_initial_step for an order-4 error estimate from t = 0
+    (Hairer, Norsett & Wanner, II.4), with the RMS norm _rms.  Each of the
+    two evaluations is the domain test and then the spray's get, and the
+    lines return the exit result where either leaves the chart.
+    """
+    N = 2 * n
+    join = ", ".join
+    y, f, s = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "s"))
+    leave = "    return 'exited-domain', 0.0, y, None, None, 0, 0, 0, 0, 0, 1, None"
+    f1 = [f"z[{n + i}]" for i in range(n)] + [f"out[{i - n}]" for i in range(n)]
+    return [
+        "out = _spray(y) if _domain(y) else None",
+        "if out is None:",
+        leave,
+        f"{join(f)} = {join(y[n:])}, *out[{-n}:]",
+        "h_abs = None",
+        "if not replay:",
+        f"    {join(s)} = {join(f'atol + abs({a}) * rtol' for a in y)}",
+        f"    d0 = _rms(({join(f'{a} / {c}' for a, c in zip(y, s))}))",
+        f"    d1 = _rms(({join(f'{a} / {c}' for a, c in zip(f, s))}))",
+        "    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1",
+        "    h0 = _min(h0, t1)",
+        f"    z = [{join(f'{a} + h0 * {b}' for a, b in zip(y, f))}]",
+        "    out = _spray(z) if _domain(z) else None",
+        "    if out is None:",
+        f"    {leave}",
+        "    # h0 is 0 where d1 is infinite; numpy's division would give inf there",
+        f"    d2 = _rms(({join(f'({b} - {a}) / {c}' for a, b, c in zip(f, f1, s))})) / h0"
+        " if h0 else _inf",
+        "    if d1 <= 1e-15 and d2 <= 1e-15:",
+        "        h_abs = _max(1e-6, h0 * 1e-3)",
+        "    else:",
+        f"        h_abs = (0.01 / _max(d1, d2)) ** {1 / 5!r}",
+        "    h_abs = _min(100 * h0, h_abs, t1, max_step)",
+    ]
 
 
 def _build_integrator(M, kind):
@@ -293,7 +331,7 @@ def _build_integrator(M, kind):
     catch = "except (ArithmeticError, ValueError, _DomainExit):"
     body = [
         f"{join(y)}, = y",
-        f"{join(f)}, = f",
+        *_start_lines(n),
         "t = 0.0",
         "accepted = rejected = rewinds = halvings = attempts = j = 0",
         "status = 'completed'",
@@ -382,16 +420,17 @@ def _build_integrator(M, kind):
         f"    if escape is not None and _max({reach}) > escape:",
         "        status = 'escaped'",
         "        break",
-        f"return (status, t, [{join(y)}], [{join(f)}], accepted, rejected, rewinds, halvings,"
-        " attempts, left, err)",
+        f"return (status, t, [{join(y)}], [{join(f)}], h_abs, accepted, rejected, rewinds,"
+        " halvings, attempts, left, err)",
     ]
-    src = ("def _kernel(y, f, steps, replay, t1=0.0, h_abs=0.0, max_step=0.0, rtol=1.0,"
-           " atol=1.0, escape=None, max_steps=0, rows=None):\n"
+    src = ("def _kernel(y, steps, replay, t1=0.0, max_step=0.0, rtol=1.0, atol=1.0,"
+           " escape=None, max_steps=0, rows=None):\n"
            + "".join(f"    {line}\n" for line in body))
     code = compile(src, f"<loop {M.name} {kind.value}>", "exec")
     return _exec_kernel(code, math, _max=max, _min=min, _isfinite=math.isfinite,
                         _ceil=math.ceil, _nextafter=math.nextafter, _inf=math.inf,
-                        _DomainExit=_DomainExit)
+                        _DomainExit=_DomainExit, _rms=_rms, _domain=M.domain,
+                        _spray=M.spray(kind).get)
 
 
 def _rms(xs):
@@ -405,24 +444,6 @@ def _rms(xs):
     return math.sqrt(sq) / len(xs) ** 0.5
 
 
-def _initial_step(rhs, y, f, t1, max_step, rtol, atol):
-    # scipy's select_initial_step for an order-4 error estimate from t = 0
-    # (Hairer, Norsett & Wanner, II.4)
-    scale = [atol + abs(a) * rtol for a in y]
-    d0 = _rms([a / s for a, s in zip(y, scale)])
-    d1 = _rms([a / s for a, s in zip(f, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t1)
-    f1 = rhs([a + h0 * b for a, b in zip(y, f)])
-    # h0 is 0 where d1 is infinite; numpy's division would give inf there
-    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0 if h0 else math.inf
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, t1, max_step)
-
-
 _COUNTS = ("accepted", "rejected", "rewinds", "halvings")
 
 
@@ -434,32 +455,26 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     rows (t0, t1, x0, v0, a0, x1, v1, a1) when collect is set, and the
     counts of GeodesicPath.meta["integrator"].  Where steps is a list, the
     size of each accepted step is appended to it, for _replay.  The
-    arguments are checked and the first derivative and step are taken
-    here; the loop is the emitted integrator of (M, kind) (_integrator).
+    arguments are checked here, on floats; the start (first derivative
+    and step) and the loop are one call of the emitted integrator of
+    (M, kind) (_integrator).
     """
-    x0 = np.array(M.at(x0).x, dtype=float)
+    x0 = M.at(x0).x
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (M.n,):
         raise ValueError(f"velocity must have {M.n} components")
-    if not np.all(np.isfinite(v0)):
+    v0 = v0.tolist()
+    if not all(map(math.isfinite, v0)):
         raise ValueError("velocity components must be finite")
     t1 = float(t1)
     if not 0.0 < t1 < math.inf:
         raise ValueError("t1 must be positive and finite")
-    rhs = _rhs_factory(M, kind)
-    rtol, atol = opts.rtol, opts.atol
     # keep steps short enough that the dense interpolant tracks the
     # acceleration, not just the position, of the solution
     max_step = t1 / 48.0 if collect else math.inf
-    y = x0.tolist() + v0.tolist()
-    try:
-        f = rhs(y)
-        h_abs = _initial_step(rhs, y, f, t1, max_step, rtol, atol)
-    except _DomainExit:
-        return "exited-domain", 0.0, np.array(y), [], dict.fromkeys(_COUNTS, 0) | {"rhs_calls": 2}
     rows = [] if collect else None
-    status, t, y, _, *counts, attempts, _, _ = _integrator(M, kind)(
-        y, f, steps, False, t1, h_abs, max_step, rtol, atol, escape, MAX_STEPS, rows)
+    status, t, y, _, _, *counts, attempts, _, _ = _integrator(M, kind)(
+        [*x0, *v0], steps, False, t1, max_step, opts.rtol, opts.atol, escape, MAX_STEPS, rows)
     # 2 RHS calls for the first derivative and step, 6 per step attempt
     counts = dict(zip(_COUNTS, counts), rhs_calls=2 + 6 * attempts)
     return status, t, np.array(y), rows if collect else [], counts
@@ -474,15 +489,11 @@ def _replay(M, kind, x0, v0, steps):
     the state is the run's endpoint, bit for bit; from a nearby start it
     is the same discrete map's value, which is what a forward difference
     of the endpoint needs (internal numerical differentiation: Bock 1981;
-    Hairer, Norsett & Wanner, Solving ODEs I, II.4).  None where a stage
-    or a chord leaves the chart.
+    Hairer, Norsett & Wanner, Solving ODEs I, II.4).  None where the start,
+    a stage or a chord leaves the chart.  The start is not checked: one
+    call of the emitted integrator takes its first derivative and replays.
     """
-    y = [*map(float, x0), *map(float, v0)]
-    try:
-        f = _rhs_factory(M, kind)(y)
-    except _DomainExit:
-        return None
-    status, _, y, *_ = _integrator(M, kind)(y, f, steps, True)
+    status, _, y, *_ = _integrator(M, kind)([*map(float, x0), *map(float, v0)], steps, True)
     return np.array(y) if status == "completed" else None
 
 
@@ -491,13 +502,14 @@ _TABLE = ("x(t0)", "h v(t0)", "h^2 a(t0)", "x(t1)", "h v(t1)", "h^2 a(t1)")
 
 def _stack(rows):
     # the rows of _integrate_core as (t0, t1, table): the ends of each
-    # step, and table[j] the Hermite datum _TABLE[j] of every step, shape
-    # (6, steps, n), formed once per step; a datum that does not fit in a
-    # double is inf or nan there, and _eval_pieces reports it where it is read
+    # step, and table[j, i] the Hermite datum _TABLE[j] of coordinate i of
+    # every step, shape (6, n, steps), formed once per step; a datum that
+    # does not fit in a double is inf or nan there, and _eval_pieces
+    # reports it where it is read
     a = np.array(rows)
     t0, t1 = a[:, 0], a[:, 1]
-    h = (t1 - t0)[:, None]
-    table = a[:, 2:].reshape(len(a), 6, -1).transpose(1, 0, 2).copy()
+    h = t1 - t0
+    table = a[:, 2:].reshape(len(a), 6, -1).transpose(1, 2, 0).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         table[[1, 4]] *= h
         table[[2, 5]] *= h * h
@@ -508,10 +520,12 @@ def _eval_pieces(pieces, ts):
     # quintic Hermite from (x, v, a) at both ends of the step that holds
     # each query time, all times at once; the stored RHS values make the
     # interpolant match the accelerations the solver actually saw.
-    # pieces is _stack's; returns (xs, vs).  Each time's row is computed
-    # alone, so any subset of the times gives the same rows bit for bit.
-    # Raises GeodesicError where a position, or the Hermite data _TABLE of
-    # the step it is formed from, do not fit in a double
+    # pieces is _stack's; returns (xs, vs), each (N, n), the transposes
+    # of the (n, N) coordinate columns they are formed on.  Each time's
+    # row is computed alone, so any subset of the times gives the same
+    # rows bit for bit.  Raises GeodesicError where a position, or the
+    # Hermite data _TABLE of the step it is formed from, do not fit in a
+    # double
     t0, t1, table = pieces
     k = np.minimum(np.searchsorted(t1, ts, side="left"), len(t1) - 1)
     h = (t1 - t0)[k]
@@ -521,7 +535,7 @@ def _eval_pieces(pieces, ts):
     u3 = u2 * u
     w2 = w * w
     w3 = w2 * w
-    D = table[:, k]
+    D = table[:, :, k]
     # factored basis: bounded factors keep the cancellation error at a few ulp
     H = (
         w3 * (1.0 + 3.0 * u + 6.0 * u2),
@@ -532,12 +546,12 @@ def _eval_pieces(pieces, ts):
         0.5 * u3 * w2,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = sum(c[:, None] * d for c, d in zip(H, D))
-    # a datum that does not fit in a double leaves its row of xs inf or nan
-    bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))
+        xs = sum(c * d for c, d in zip(H, D))
+    # a datum that does not fit in a double leaves its column of xs inf or nan
+    bad = np.flatnonzero(~np.isfinite(xs).all(axis=0))
     if bad.size:
         i = bad[0]
-        term = next((j for j, d in enumerate(D) if not np.isfinite(d[i]).all()), None)
+        term = next((j for j, d in enumerate(D) if not np.isfinite(d[:, i]).all()), None)
         raise GeodesicError(
             f"dense output overflows: {'x(t)' if term is None else _TABLE[term]} "
             f"is not finite on the step [{float(t0[k[i]])!r}, {float(t1[k[i]])!r}]")
@@ -549,8 +563,8 @@ def _eval_pieces(pieces, ts):
         -u2 * (6.0 - 5.0 * u) * (2.0 - 3.0 * u),
         0.5 * u2 * w * (3.0 - 5.0 * u),
     )
-    vs = sum(c[:, None] * d for c, d in zip(Hp, D)) / h[:, None]
-    return xs, vs
+    vs = sum(c * d for c, d in zip(Hp, D)) / h
+    return xs.T, vs.T
 
 
 SIGMA_STEP = 0.05
@@ -632,8 +646,9 @@ _DIVERGES = ("parameter transform diverges: the conformal weight overflows "
 
 
 def _reparam(M, path, sign, out_kind, in_kind):
-    if ConnKind(path.kind) is not in_kind:
-        raise ValueError(f"expected a {in_kind.value} path, got {path.kind}")
+    kind = ConnKind(path.kind)
+    if kind is not in_kind:
+        raise ValueError(f"expected a {in_kind.value} path, got {kind.value}")
     ts = np.asarray(path.ts, dtype=float)
     xs = np.asarray(path.xs, dtype=float)
     vs = np.asarray(path.vs, dtype=float)
@@ -726,25 +741,28 @@ def geodesic_residual(M, kind, path):
     if m < 5:
         raise ValueError("need at least 5 samples for a fourth-order residual")
     strides = [s for s in (1, 2, 4, 8) if 4 * s <= m - 1]
-    centers = {}
+    centers = []
     for stride in strides:
         lo, hi = 2 * stride, m - 1 - 2 * stride
-        centers[stride] = _sample_indices(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int), m)
+        centers.append(_sample_indices(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int), m))
+    sizes = [len(c) for c in centers]
+    cs = np.concatenate(centers)
     # the connection at every center of every stride, in one batch
-    at = _sample_indices(np.concatenate(list(centers.values())), m)
+    at = _sample_indices(cs, m)
     gam = M.at_many(xs[at]).gamma(kind)
     v = vs[at]
     # quad[c, k] = Gamma^k_ij v^i v^j at center at[c]
     quad = np.einsum("ckij,ci,cj->ck", gam, v, v)
+    # the five-sample windows of every stride, in one solve
+    win = cs[:, None] + np.repeat(strides, sizes)[:, None] * np.arange(-2, 3)
+    tau = ts[win] - ts[cs][:, None]
+    scale = np.abs(tau).max(axis=1)
+    V = (tau / scale[:, None])[..., None] ** np.arange(5)
+    acc = 2.0 * np.linalg.solve(V, xs[win])[:, 2] / (scale * scale)[:, None]
+    res = np.abs(acc + quad[np.searchsorted(at, cs)])
     best = np.inf
-    for stride, cs in centers.items():
-        win = cs[:, None] + stride * np.arange(-2, 3)
-        tau = ts[win] - ts[cs][:, None]
-        scale = np.abs(tau).max(axis=1)
-        V = (tau / scale[:, None])[..., None] ** np.arange(5)
-        acc = 2.0 * np.linalg.solve(V, xs[win])[:, 2] / (scale * scale)[:, None]
-        res = acc + quad[np.searchsorted(at, cs)]
+    for part in np.split(res, np.cumsum(sizes)[:-1]):
         # every stride overestimates the true defect (truncation and sample
         # noise only add), so the smallest estimate is the sharpest
-        best = min(best, float(np.abs(res).max()))
+        best = min(best, float(part.max()))
     return best

@@ -1,11 +1,13 @@
 """The Python reference the emitted integrator (geodesic._integrator) is tested against.
 
-dopri5_step is the generic Dormand-Prince 5(4) step on a right-hand side
-(geodesic._rhs_factory's), chord_ok the scalar chord probe on the chart
-test ManifoldDef._values, run the emitted integrator's adaptive loop,
-integrate_core geodesic._integrate_core over it, and replay
-geodesic._replay, with one Python call per step, stage and chord point.  Each does, operation for
-operation, what the emitted code does, so the results agree bit for bit.
+rhs_factory gives the geodesic equation's right-hand side on a list of
+floats, initial_step scipy's first step on it, dopri5_step the generic
+Dormand-Prince 5(4) step on it, chord_ok the scalar chord probe on the
+chart test ManifoldDef._values, run the emitted integrator's start and
+adaptive loop, integrate_core geodesic._integrate_core over it, and
+replay geodesic._replay, with one Python call per evaluation, step,
+stage and chord point.  Each does, operation for operation, what the
+emitted code does, so the results agree bit for bit.
 """
 
 import math
@@ -26,9 +28,50 @@ from divstat.geodesic import (
     _SAFETY,
     EXIT_BISECT_TOL,
     _DomainExit,
-    _initial_step,
-    _rhs_factory,
+    _rms,
 )
+
+
+def rhs_factory(M, kind):
+    """The geodesic equation as a first-order system on the list of 2n floats.
+
+    rhs(y), y = (x, v), returns (v, -Gamma(v, v)), or raises _DomainExit
+    where x is outside the chart or the spray's get gives None: the
+    domain test, then the spray, as each start evaluation of the emitted
+    integrator makes them.
+    """
+    n = M.n
+    domain = M.domain
+    spray = M.spray(kind).get
+
+    def rhs(y):
+        out = spray(y) if domain(y) else None
+        if out is None:
+            raise _DomainExit
+        return [*y[n:], *out[-n:]]
+
+    return rhs
+
+
+def initial_step(rhs, y, f, t1, max_step, rtol, atol):
+    """scipy's select_initial_step for an order-4 error estimate from t = 0.
+
+    Hairer, Norsett & Wanner, II.4; the norm is geodesic._rms, the one the
+    emitted start calls.
+    """
+    scale = [atol + abs(a) * rtol for a in y]
+    d0 = _rms([a / s for a, s in zip(y, scale)])
+    d1 = _rms([a / s for a, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t1)
+    f1 = rhs([a + h0 * b for a, b in zip(y, f)])
+    # h0 is 0 where d1 is infinite; numpy's division would give inf there
+    d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0 if h0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t1, max_step)
 
 
 def _combo(coeffs, ks, i):
@@ -74,22 +117,29 @@ def chord_ok(M, x_a, x_b):
     return True
 
 
-def run(M, kind, y, f, steps, t1, h_abs, max_step, rtol, atol, escape, max_steps, rows,
-        log=None):
-    """The emitted integrator's adaptive loop in Python: the same return value.
+def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, log=None):
+    """The emitted integrator's start and adaptive loop in Python: the same return value.
 
     The arguments are those of geodesic._integrator(M, kind)'s function
     integrating (steps before t1, no replay flag), and so is the value:
-    (status, t, y, f, accepted, rejected, rewinds, halvings, attempts,
-    left, err).  Where log is a list, each step attempt appends [t, y, h,
-    outcome] to it: the parameter and the list of the state it starts
-    from, the same object for every attempt from that state, the step
-    tried, and outcome "accepted", "rejected", "halving" (a stage left the
-    chart), "rewind" (the chord did) or "overflow" (the new state does not
-    fit in doubles).
+    (status, t, y, f, h_abs, accepted, rejected, rewinds, halvings,
+    attempts, left, err).  The start is rhs_factory's first derivative
+    and initial_step's first step; where either evaluation raises
+    _DomainExit the value is ("exited-domain", 0.0, y, None, None, 0, 0,
+    0, 0, 0, 1, None).  Where log is a list, each step attempt appends
+    [t, y, h, outcome] to it: the parameter and the list of the state it
+    starts from, the same object for every attempt from that state, the
+    step tried, and outcome "accepted", "rejected", "halving" (a stage
+    left the chart), "rewind" (the chord did) or "overflow" (the new
+    state does not fit in doubles).
     """
     n = M.n
-    rhs = _rhs_factory(M, kind)
+    rhs = rhs_factory(M, kind)
+    try:
+        f = rhs(y)
+        h_abs = initial_step(rhs, y, f, t1, max_step, rtol, atol)
+    except _DomainExit:
+        return "exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0, 1, None
     t = 0.0
     accepted = rejected = rewinds = halvings = attempts = 0
     status = "completed"
@@ -162,23 +212,16 @@ def run(M, kind, y, f, steps, t1, h_abs, max_step, rtol, atol, escape, max_steps
         if escape is not None and max(map(abs, y[:n])) > escape:
             status = "escaped"
             break
-    return status, t, y, f, accepted, rejected, rewinds, halvings, attempts, left, err
+    return status, t, y, f, h_abs, accepted, rejected, rewinds, halvings, attempts, left, err
 
 
 def integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None, log=None):
     """geodesic._integrate_core in Python, over run: the same return value."""
-    rhs = _rhs_factory(M, kind)
-    rtol, atol = opts.rtol, opts.atol
     max_step = t1 / 48.0 if collect else math.inf
     y = [*map(float, x0), *map(float, v0)]
-    try:
-        f = rhs(y)
-        h_abs = _initial_step(rhs, y, f, t1, max_step, rtol, atol)
-    except _DomainExit:
-        return "exited-domain", 0.0, np.array(y), [], dict.fromkeys(_COUNTS, 0) | {"rhs_calls": 2}
     rows = [] if collect else None
-    status, t, y, _, *counts, attempts, _, _ = run(
-        M, kind, y, f, steps, t1, h_abs, max_step, rtol, atol, escape, geodesic.MAX_STEPS,
+    status, t, y, _, _, *counts, attempts, _, _ = run(
+        M, kind, y, steps, t1, max_step, opts.rtol, opts.atol, escape, geodesic.MAX_STEPS,
         rows, log)
     counts = dict(zip(_COUNTS, counts), rhs_calls=2 + 6 * attempts)
     return status, t, np.array(y), rows if collect else [], counts
@@ -187,7 +230,7 @@ def integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None, 
 def replay(M, kind, x0, v0, steps):
     """geodesic._replay in Python: the state after `steps`, or None."""
     n = M.n
-    rhs = _rhs_factory(M, kind)
+    rhs = rhs_factory(M, kind)
     y = [*map(float, x0), *map(float, v0)]
     try:
         f = rhs(y)

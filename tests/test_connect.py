@@ -14,6 +14,7 @@ Closed-form oracles:
 """
 
 import math
+from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from divstat.connect import (
     _halton,
     _jacobian,
     _solve_bvp,
+    _start_directions,
     _start_velocities,
     contrast,
     contrast_structure_check,
@@ -231,6 +233,45 @@ def test_start_velocities_match_the_scipy_reference(n):
         assert np.array_equal(got[0], want[0])
         for a, b in zip(got, want):
             assert np.linalg.norm(a - b) <= 1e-15 * np.linalg.norm(b)
+
+
+def test_start_velocities_are_built_once():
+    # the unit directions are built once per (k, n, seed), read-only, and
+    # the starts are those of an uncached build, bit for bit
+    M = SimpleNamespace(n=2)
+    p, q = np.array([0.3, -0.2]), np.array([-0.5, 0.4])
+    for multistart, seed in ((6, 42), (16, 42), (6, 7), (1, 42)):
+        opts = ShootOpts(multistart=multistart, seed=seed)
+        first = _start_velocities(M, p, q, opts)
+        k = multistart - 1
+        if k:
+            units = _start_directions(k, 2, seed)
+            assert _start_directions(k, 2, seed) is units
+            assert not units.flags.writeable
+            with pytest.raises(ValueError):
+                units[0, 0] = 1.0
+            fresh = _start_directions.__wrapped__(k, 2, seed)
+            assert fresh is not units and fresh.tobytes() == units.tobytes()
+        # the build of every call, as it was before the directions were kept
+        want = [q - p]
+        if k:
+            dirs = np.vectorize(NormalDist().inv_cdf)(_halton(k, 2))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            rot = np.linalg.qr(np.random.default_rng(seed).standard_normal((2, 2)))[0]
+            mags = np.linalg.norm(q - p) * (1.0 + 0.5 * (np.arange(k) % 4))
+            want += [mags[i] * (rot @ dirs[i]) for i in range(k)]
+        again = _start_velocities(M, p, q, opts)
+        assert len(first) == len(again) == multistart
+        for a, b, c in zip(first, again, want):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+            assert a.flags.writeable and a is not b
+    # a start handed out is the caller's: changing it changes no later start
+    opts = ShootOpts(multistart=6, seed=42)
+    starts = _start_velocities(M, p, q, opts)
+    keep = [a.copy() for a in starts]
+    for a in starts:
+        a += 1.0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_start_velocities(M, p, q, opts), keep))
 
 
 def test_shoot_connect_same_point():

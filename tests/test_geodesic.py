@@ -35,13 +35,13 @@ from divstat.geodesic import (
     GeodesicPath,
     IntegratorOpts,
     StepLimitError,
+    MAX_STEPS,
     _DomainExit,
     _eval_pieces,
-    _initial_step,
     _integrate_core,
+    _integrator,
     _refine_by_sigma,
     _replay,
-    _rhs_factory,
     _stack,
     exp_map,
     geodesic_residual,
@@ -57,7 +57,14 @@ from divstat.manifold import (
     sample_domain,
 )
 from divstat.statstruct import ConnKind, conjugate
-from integrator_reference import chord_ok, integrate_core, replay
+from integrator_reference import (
+    chord_ok,
+    initial_step,
+    integrate_core,
+    replay,
+    rhs_factory,
+    run as reference_run,
+)
 
 _RK_STEP = _scipy_rk.rk_step
 
@@ -325,6 +332,53 @@ def test_residual_needs_five_samples():
         geodesic_residual(para, ConnKind.NABLA, stub)
 
 
+def _residual_per_stride(M, kind, path):
+    """geodesic_residual with one solve and one max per stride: the reference."""
+    ts, xs, vs = (np.asarray(a, dtype=float) for a in (path.ts, path.xs, path.vs))
+    m = len(ts)
+    best = np.inf
+    for stride in (s for s in (1, 2, 4, 8) if 4 * s <= m - 1):
+        lo, hi = 2 * stride, m - 1 - 2 * stride
+        cs = np.unique(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int))
+        quad = np.einsum("ckij,ci,cj->ck", M.at_many(xs[cs]).gamma(kind), vs[cs], vs[cs])
+        win = cs[:, None] + stride * np.arange(-2, 3)
+        tau = ts[win] - ts[cs][:, None]
+        scale = np.abs(tau).max(axis=1)
+        V = (tau / scale[:, None])[..., None] ** np.arange(5)
+        acc = 2.0 * np.linalg.solve(V, xs[win])[:, 2] / (scale * scale)[:, None]
+        best = min(best, float(np.abs(acc + quad).max()))
+    return best
+
+
+def test_residual_is_the_per_stride_reference():
+    # the windows of all strides solved at once give the per-stride
+    # residual bit for bit: on refined gtilde paths, on paths of 5 to 40
+    # samples (one to four strides), and on a jittered path
+    rng = np.random.default_rng(87)
+    compared = 0
+    for name in sorted(BUILTINS):
+        M = load_manifold(name)
+        for x0 in sample_domain(M, 4, seed=88):
+            v = rng.standard_normal(2)
+            v = 0.6 * v / np.linalg.norm(v)
+            path = integrate_geodesic(M, ConnKind.NABLA, x0, v, 1.0)
+            if path.status != "completed":
+                continue
+            tilde = reparam_to_tilde(M, path)
+            short = integrate_geodesic(M, ConnKind.LC_G, x0, v, 0.5,
+                                       IntegratorOpts(dense_samples=int(rng.integers(5, 41))))
+            jittered = GeodesicPath(kind=path.kind, ts=path.ts, vs=path.vs, status=path.status,
+                                    xs=path.xs + 1e-4 * rng.standard_normal(path.xs.shape))
+            for kind, p in ((ConnKind.LC_G_TILDE, tilde), (ConnKind.LC_G, short),
+                            (ConnKind.NABLA, jittered)):
+                if p.status != "completed":
+                    continue
+                got = geodesic_residual(M, kind, p)
+                assert got.hex() == _residual_per_stride(M, kind, p).hex(), (name, kind)
+                compared += 1
+    assert compared >= 30
+
+
 def test_csv_export():
     eucl = load_manifold("euclidean")
     path = integrate_geodesic(eucl, ConnKind.LC_G, (0.0, 0.0), (1.0, -0.5), 1.0)
@@ -433,9 +487,9 @@ def test_reparam_raises_where_the_new_parameter_stops_increasing():
 def test_reparam_validates_the_path():
     para = load_manifold("paraboloid")
     lc = integrate_geodesic(para, ConnKind.LC_G, (0.0, 0.0), (1.0, 0.0), 1.0)
-    with pytest.raises(ValueError, match="expected a nabla path"):
+    with pytest.raises(ValueError, match=r"^expected a nabla path, got lc$"):
         reparam_to_tilde(para, lc)
-    with pytest.raises(ValueError, match="expected a lc-tilde path"):
+    with pytest.raises(ValueError, match=r"^expected a lc-tilde path, got lc$"):
         reparam_from_tilde(para, lc)
     # sigma = 0: no refinement adds samples to the four asked for
     eucl = load_manifold("euclidean")
@@ -711,7 +765,7 @@ def _integrate_core_rk45(M, kind, x0, v0, t1, opts, collect, escape=None):
     """
     n = M.n
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)])
-    rhs_list = _rhs_factory(M, kind)
+    rhs_list = rhs_factory(M, kind)
 
     def rhs(t, y):
         return rhs_list(y.tolist())
@@ -830,13 +884,13 @@ def test_integrator_counts_rhs_calls(name, monkeypatch):
     # RK45 calls the RHS once for f0, once for its initial step and six
     # times per step attempt, as the count in meta["integrator"] says
     calls = []
-    factory = _rhs_factory
+    factory = rhs_factory
 
     def counting(M, kind):
         rhs = factory(M, kind)
         return lambda y: calls.append(1) or rhs(y)
 
-    monkeypatch.setattr(sys.modules[__name__], "_rhs_factory", counting)
+    monkeypatch.setattr(sys.modules[__name__], "rhs_factory", counting)
     M = load_manifold(name)
     rng = np.random.default_rng(95)
     compared = 0
@@ -862,7 +916,7 @@ def test_initial_step_matches_scipy():
     for name in sorted(BUILTINS):
         M = load_manifold(name)
         for kind in ConnKind:
-            rhs = _rhs_factory(M, kind)
+            rhs = rhs_factory(M, kind)
             for x in sample_domain(M, 5, seed=98):
                 y = [*x.tolist(), *(rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 1)).tolist()]
                 f = rhs(y)
@@ -871,7 +925,7 @@ def test_initial_step_matches_scipy():
                     want = select_initial_step(
                         lambda t, yy: np.asarray(rhs(yy.tolist())), 0.0, np.array(y), t1,
                         max_step, np.array(f), 1.0, 4, rtol, atol)
-                    got = _initial_step(rhs, y, f, t1, max_step, rtol, atol)
+                    got = initial_step(rhs, y, f, t1, max_step, rtol, atol)
                     assert abs(got - want) <= 1e-14 * want, (name, kind, y)
 
 
@@ -890,7 +944,7 @@ def test_initial_step_at_overflowing_speeds_matches_scipy(speed, monkeypatch):
     # scaled velocity itself is inf, so h0 = 0 and both steps are 0,
     # scipy's by dividing by h0
     monkeypatch.setattr(_ivp_common, "norm", _scaled_norm)
-    rhs = _rhs_factory(load_manifold("euclidean"), ConnKind.LC_G)
+    rhs = rhs_factory(load_manifold("euclidean"), ConnKind.LC_G)
     y = [0.0, 0.0, speed, 0.0]
     f = rhs(y)
     got = []
@@ -900,7 +954,7 @@ def test_initial_step_at_overflowing_speeds_matches_scipy(speed, monkeypatch):
             want = select_initial_step(
                 lambda t, yy: np.asarray(rhs(yy.tolist())), 0.0, np.array(y), t1,
                 max_step, np.array(f), 1.0, 4, rtol, atol)
-        got.append(_initial_step(rhs, y, f, t1, max_step, rtol, atol))
+        got.append(initial_step(rhs, y, f, t1, max_step, rtol, atol))
         assert abs(got[-1] - want) <= 1e-14 * want, (speed, got[-1], want)
     assert (got[0] == 0.0) == (speed == 1e300) and got[1] > 0.0
 
@@ -986,15 +1040,12 @@ def test_a_chart_retry_tries_half_the_step():
     assert min(retries.values()) > 0, retries
 
 
-def test_emitted_integrator_is_the_reference(monkeypatch):
+def _reference_sweep():
     # 4 kinds x 16 starts on each built-in, speeds from far below to far
     # above the chart's scale, a quarter aimed at the origin (through the
-    # puncture, into the half plane's wall), both tolerances, with and
-    # without rows, an escape radius or a budget of 20 steps on some:
-    # every path, its counts and steps, and the replays of its steps from
-    # its start and a nearby one, are the reference's bit for bit
+    # puncture, into the half plane's wall), both tolerances, an escape
+    # radius on some: (M, kind, i, x0, v0, opts, escape)
     rng = np.random.default_rng(101)
-    seen = {"statuses": set(), "rejected": 0, "halvings": 0, "rewinds": 0, "replays": 0}
     for name in sorted(BUILTINS):
         M = load_manifold(name)
         for kind in ConnKind:
@@ -1005,20 +1056,80 @@ def test_emitted_integrator_is_the_reference(monkeypatch):
                     v0 = -x0 * 10.0 ** rng.uniform(0.0, 2.0)
                 opts = IntegratorOpts() if i % 2 else IntegratorOpts(rtol=1e-5, atol=1e-7)
                 escape = 3.0 * (1.0 + np.abs(x0).max()) if i % 4 == 1 else None
-                with monkeypatch.context() as patch:
-                    if i % 4 == 3:
-                        patch.setattr(divstat.geodesic, "MAX_STEPS", 20)
-                    (status, *_, counts), steps = _assert_is_the_reference(
-                        M, kind, x0, v0, 1.0, opts, i % 3 != 0, escape)
-                seen["statuses"].add(status)
-                for key in ("rejected", "halvings", "rewinds"):
-                    seen[key] += counts[key]
-                for dv in (0.0, 1e-6):
-                    got = _replay(M, kind, x0, v0 + dv, steps)
-                    want = replay(M, kind, x0, v0 + dv, steps)
-                    assert (got is None) == (want is None), (name, kind, x0, v0, dv)
-                    if got is not None:
-                        assert _hex(got) == _hex(want), (name, kind, x0, v0, dv)
-                        seen["replays"] += 1
+                yield M, kind, i, x0, v0, opts, escape
+
+
+def test_emitted_start_is_the_reference():
+    # the emitted integrator's own start, its first derivative and first
+    # step, is the reference's RHS and initial_step bit for bit, over the
+    # sweep's starts, with the step cap of a dense run and without; a
+    # budget of 0 steps returns right after the start
+    for M, kind, _, x0, v0, opts, _ in _reference_sweep():
+        y = [*x0.tolist(), *v0.tolist()]
+        rhs = rhs_factory(M, kind)
+        f = rhs(y)
+        for max_step in (1.0 / 48.0, math.inf):
+            got = _integrator(M, kind)(y, None, False, 1.0, max_step, opts.rtol, opts.atol,
+                                       None, 0, None)
+            h_abs = initial_step(rhs, y, f, 1.0, max_step, opts.rtol, opts.atol)
+            where = (M.name, kind, tuple(x0), tuple(v0), max_step)
+            assert got[0] == "step-limit" and got[2] == y, where
+            assert _hex(got[3]) == _hex(f) and got[4].hex() == h_abs.hex(), where
+
+
+def test_a_start_that_leaves_the_chart_ends_at_once():
+    # outside the chart _integrate_core refuses the start and _replay
+    # gives None.  From x1 = 0.99 at unit speed, the first-step evaluation
+    # y + h0 f lies past the wall x1 = 1: the path ends "exited-domain" at
+    # t = 0 with 2 RHS calls, as the reference's does, and the replay,
+    # which takes no first step, is the reference's
+    wall = load_manifold(dict(BUILTINS["euclidean"], name="wall", domain="x1 < 1"))
+    x0, v0, outside = (0.99, 0.0), (1.0, 0.0), (1.5, 0.0)
+    for kind in ConnKind:
+        for collect in (True, False):
+            want = integrate_core(wall, kind, x0, v0, 1.0, IntegratorOpts(), collect)
+            got = _integrate_core(wall, kind, x0, v0, 1.0, IntegratorOpts(), collect)
+            assert got[:2] == want[:2] == ("exited-domain", 0.0), kind
+            assert _hex(got[2]) == _hex(want[2]) == _hex((*x0, *v0))
+            assert got[3] == want[3] == []
+            assert got[4] == want[4] == {"accepted": 0, "rejected": 0, "rewinds": 0,
+                                         "halvings": 0, "rhs_calls": 2}
+            with pytest.raises(OutOfDomainError):
+                _integrate_core(wall, kind, outside, v0, 1.0, IntegratorOpts(), collect)
+        path = integrate_geodesic(wall, kind, x0, v0, 1.0)
+        assert path.status == "exited-domain" and path.ts.tolist() == [0.0]
+        for start in ((*x0, *v0), (*outside, *v0)):
+            out = _integrator(wall, kind)(list(start), None, False, 1.0, math.inf, 1e-9,
+                                          1e-11, None, MAX_STEPS, None)
+            assert out == reference_run(wall, kind, list(start), None, 1.0, math.inf, 1e-9,
+                                        1e-11, None, MAX_STEPS, None)
+            assert out == ("exited-domain", 0.0, list(start), None, None, 0, 0, 0, 0, 0, 1, None)
+        got = _replay(wall, kind, x0, v0, [0.005])
+        assert got is not None and _hex(got) == _hex(replay(wall, kind, x0, v0, [0.005]))
+        assert _replay(wall, kind, outside, v0, [0.005]) is None
+        assert replay(wall, kind, outside, v0, [0.005]) is None
+
+
+def test_emitted_integrator_is_the_reference(monkeypatch):
+    # the sweep's starts, with and without rows, a budget of 20 steps on
+    # some: every path, its counts and steps, and the replays of its
+    # steps from its start and a nearby one, are the reference's bit for bit
+    seen = {"statuses": set(), "rejected": 0, "halvings": 0, "rewinds": 0, "replays": 0}
+    for M, kind, i, x0, v0, opts, escape in _reference_sweep():
+        with monkeypatch.context() as patch:
+            if i % 4 == 3:
+                patch.setattr(divstat.geodesic, "MAX_STEPS", 20)
+            (status, *_, counts), steps = _assert_is_the_reference(
+                M, kind, x0, v0, 1.0, opts, i % 3 != 0, escape)
+        seen["statuses"].add(status)
+        for key in ("rejected", "halvings", "rewinds"):
+            seen[key] += counts[key]
+        for dv in (0.0, 1e-6):
+            got = _replay(M, kind, x0, v0 + dv, steps)
+            want = replay(M, kind, x0, v0 + dv, steps)
+            assert (got is None) == (want is None), (M.name, kind, x0, v0, dv)
+            if got is not None:
+                assert _hex(got) == _hex(want), (M.name, kind, x0, v0, dv)
+                seen["replays"] += 1
     assert seen.pop("statuses") == {"completed", "exited-domain", "escaped", "step-limit"}
     assert min(seen.values()) > 0, seen
