@@ -7,25 +7,26 @@ The central scan evaluates, over g-orthonormal tangent planes (X, Y),
 with S the statistical curvature operator.  Nonpositivity of this quantity
 forces the sectional curvature of the conformal metric e^sigma g below
 -e^{-sigma} |dsigma|^2_g / 2, so a clean scan is evidence for the
-Cartan-Hadamard situation in which connecting geodesics are unique.  In
+Cartan-Hadamard situation in which connecting geodesics are unique.
+hadamard_scan takes its maximum over all planes at each point.  In
 dimension two the quantity collapses to 2k + |dsigma|^2_g - Lap sigma with
 k the Gauss curvature of g, which hadamard2d_scan evaluates directly (2k
 as the scalar curvature of g); the two scans agree on 2-manifolds and the
 tests pin that down.
 
-Scans sample: none of them can prove a global property, and
-sigma_bounds_scan in particular only reports the extrema of sigma over the
-points it was given.  All randomness is seeded.  The points are read in
-blocks of _BLOCK rows in sample order, each block through one batched
-PointGeometry (ManifoldDef.at_many), so a scan's memory does not grow with
-its grid.  Each point's values are computed from its own row, and the
-aggregation does not depend on where the blocks split: the worst point is
-the first sample attaining the max, and the constant-curvature fit sums
-over the whole sample set.  Fixed inputs give bit-identical reports.
+A scan reads the points it is given and nothing between them, so none of
+them can prove a global property; sigma_bounds_scan in particular only
+reports the extrema of sigma over its points.  check_suite's samples are
+seeded.  The points are read in blocks of _BLOCK rows in sample order,
+each block through one batched PointGeometry (ManifoldDef.at_many), so a
+scan's memory does not grow with its grid.  Each point's values are
+computed from its own row, and the aggregation does not depend on where
+the blocks split: the worst point is the first sample attaining the max,
+and the constant-curvature fit sums over the whole sample set.  Fixed
+inputs give bit-identical reports.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -33,10 +34,8 @@ from .curvature import (
     _conjugate_symmetry_residual,
     _constant_curvature_terms,
     _max_abs,
-    _per_plane,
-    _plane_basis,
+    _plane_max,
     _relation_residuals,
-    _scan_term,
     _sectional_tilde,
 )
 from .manifold import ConnKind, sample_domain
@@ -112,43 +111,22 @@ def _worst(M, check, vals, xs, tol):
 
 def _coordinate_planes(n):
     # (U, V), each (planes, n): the coordinate planes (e_a, e_b), a < b
-    a, b = np.array(list(combinations(range(n), 2))).T
+    a, b = np.triu_indices(n, 1)
     return np.eye(n)[a], np.eye(n)[b]
-
-
-def _careq_worst(P, draws):
-    # the worst scan value at each point of P over all coordinate planes
-    # plus that point's random planes, draws[..., plane, :, (u, v)]; the
-    # value depends on the plane only, not on the orthonormal basis chosen
-    # inside it, and a random plane that does not span is left out
-    E, F = _coordinate_planes(P.n)
-    shape = draws.shape[:-3] + E.shape  # the coordinate planes at each point
-    U = np.concatenate([np.broadcast_to(E, shape), draws[..., 0]], axis=-2)
-    V = np.concatenate([np.broadcast_to(F, shape), draws[..., 1]], axis=-2)
-    X, Y, ok = _plane_basis(_per_plane(P.g_spd, U), U, V)
-    return np.where(ok, _scan_term(P, X, Y), -np.inf).max(axis=-1)
 
 
 def hadamard_scan(M, points, planes_per_point=4, seed=42):
     """Scan the plane-curvature condition; pass iff the worst value <= 0.
 
-    Each point is tested on every coordinate plane plus planes_per_point
-    seeded pseudo-random planes, all g-orthonormalized; a random plane
-    whose vectors do not span a 2-plane is left out at its point (the
-    coordinate planes span wherever g passes its SPD test).
+    A point's value is the plane term's maximum over all its planes,
+    exact for n <= 3 ("cartan-hadamard"); for n >= 4 an upper bound
+    ("cartan-hadamard-bound"), whose failure says only that the bound is
+    positive.  planes_per_point and seed change nothing.
     """
     xs = _rows(points)
-    planes_per_point = int(planes_per_point)
-    if planes_per_point < 0:
-        raise ValueError("planes_per_point must be nonnegative")
-    rng = np.random.default_rng(seed)
-    # block by block, the draws continue one stream in sample order, so
-    # every point gets the planes one draw for all points would give it
-    vals = np.concatenate([
-        _careq_worst(P, rng.standard_normal((len(P.x), planes_per_point, M.n, 2)))
-        for P in _blocks(M, xs)
-    ])
-    return _worst(M, "cartan-hadamard", vals, xs, 0.0)
+    vals = np.concatenate([_plane_max(P) for P in _blocks(M, xs)])
+    check = "cartan-hadamard" if M.n <= 3 else "cartan-hadamard-bound"
+    return _worst(M, check, vals, xs, 0.0)
 
 
 def _careq2_at(P):

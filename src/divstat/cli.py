@@ -8,7 +8,7 @@ hadamard (curvature-sign scan over a coordinate grid).
 Exit codes: 0 success or passing scan, 1 failing check or scan, 2
 invalid input, 3 numerical failure such as no converged geodesic, a
 derivative of g or sigma that cannot be evaluated at a point in the chart,
-or a plane or matrix at such a point that the numerics cannot use.
+or a matrix at such a point that the numerics cannot use.
 Diagnostics are single lines on stderr.  All numbers are printed with
 17 significant digits, so equal seeds give byte-identical output.
 
@@ -280,10 +280,10 @@ def _cmd_check(args):
 def _cmd_hadamard(args):
     M = load_manifold(args.manifold)
     pts = _grid_points(M, args.grid)
-    rep = hadamard_scan(M, pts, planes_per_point=args.planes, seed=args.seed)
+    rep = hadamard_scan(M, pts)
     print(f"manifold: {M.name}")
     print(f"check: {rep.check}")
-    print(f"grid: {args.grid}  planes: {args.planes}  seed: {args.seed}")
+    print(f"grid: {args.grid}")
     at = ",".join(_fmt(c) for c in rep.worst_point)
     print(f"worst: {_fmt(rep.worst_value)} at {at}")
     print(f"result: {'pass' if rep.passed else 'FAIL'}")
@@ -363,9 +363,6 @@ def build_parser():
     p.add_argument("manifold")
     p.add_argument("--grid", required=True, metavar="x1:lo:hi:n,...",
                    help="one name:lo:hi:count segment per coordinate")
-    p.add_argument("--planes", type=int, default=4,
-                   help="random planes per grid point (default 4)")
-    p.add_argument("--seed", type=_seed, default=42)
 
     return ap
 
@@ -402,7 +399,7 @@ def run(argv):
         return _diag(exc, 2)
     except MemoryError as exc:
         # numpy refuses an array too large for the request (a grid or a
-        # plane count) before allocating any of it
+        # sample count) before allocating any of it
         return _diag(f"request too large: {exc}", 2)
     except (NoConvergenceError, GeodesicError, ExprError) as exc:
         # ExprError here is a derived quantity that cannot be evaluated at

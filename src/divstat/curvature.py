@@ -9,10 +9,10 @@ members of manifold.PointGeometry, as the other tensors are.  Everything
 runs on the symbolic jets; no finite differences enter any curvature
 quantity.  This module gives what is built from those members: the
 sectional curvature of e^sigma g by two routes, the Cartan-Hadamard plane
-term, the identity residuals and the constant-curvature fit.  Its
-private forms take a PointGeometry of either shape: on a batch from
-ManifoldDef.at_many every result gains the batch's leading axis, and a
-residual is one max per row.  ricci, sectional_tilde and
+term and its maximum over planes, the identity residuals and the
+constant-curvature fit.  Its private forms take a PointGeometry of either
+shape: on a batch from ManifoldDef.at_many every result gains the batch's
+leading axis, and a residual is one max per row.  ricci, sectional_tilde and
 constant_curvature_residual take (M, x) and read one point.
 
 The identities checked by _relation_residuals are stated with the signs
@@ -90,8 +90,8 @@ def _plane_form(P, R, X, Y):
 def _scan_term(P, X, Y):
     # the Cartan-Hadamard plane term 2 g(S(X,Y)Y, X) - Hess sigma(X,X)
     # - Hess sigma(Y,Y) on each g-orthonormal pair X, Y (..., planes, n):
-    # hadamard_scan takes its max over the planes, and _sectional_tilde's
-    # second route is (term - |dsigma|^2_g) / (2 e^sigma)
+    # _sectional_tilde's second route is (term - |dsigma|^2_g) / (2
+    # e^sigma), independent of _plane_max's route through Rt
     H = _per_plane(P.hess_sigma, X)
     sval = _plane_form(P, P.statistical_curvature, X, Y)
     return 2.0 * sval - _quad(X, H, X) - _quad(Y, H, Y)
@@ -162,16 +162,41 @@ def _relation_residuals(P):
     }
 
 
+def _pencil_eigvalsh(A, B):
+    # the eigenvalues, ascending, of the symmetric-definite pencil (A, B)
+    # by the Cholesky reduction B = L L^T: those of L^-1 A L^-T
+    L = np.linalg.cholesky(B)
+    C = np.linalg.solve(L, A)
+    return np.linalg.eigvalsh(np.linalg.solve(L, np.swapaxes(C, -1, -2)))
+
+
+def _plane_max(P):
+    # the plane term's maximum over all planes at each point, exact for
+    # n <= 3, where every 2-vector is a plane, and an upper bound for n >= 4.
+    # On g-orthonormal X, Y the term is 2 g(Rt(X,Y)Y, X) + |dsigma|^2_g: Q
+    # (g_lm Rt^m_kij antisymmetrized in (l, k) and (i, j), pairs a < b) on
+    # X ^ Y, against g's Gram form G_(ab),(cd) = g_ac g_bd - g_ad g_bc, with
+    # coordinate a scaled by 2^-k_a ~ 1/sqrt(g_aa), exactly, lest G overflow
+    g = P.g_spd
+    T = _lower(g, P.riemann(ConnKind.LC_G_TILDE))
+    T = T - np.swapaxes(T, -4, -3)
+    T = 0.25 * (T - np.swapaxes(T, -2, -1))
+    a, b = np.triu_indices(P.n, 1)
+    ra, rb = a[:, None], b[:, None]
+    k = np.frexp(np.diagonal(g, axis1=-2, axis2=-1))[1] // 2
+    h = np.ldexp(g, -k[..., :, None] - k[..., None, :])
+    kp = k[..., a] + k[..., b]
+    Q = np.ldexp(T[..., ra, rb, a, b], -kp[..., :, None] - kp[..., None, :])
+    G = h[..., ra, a] * h[..., rb, b] - h[..., ra, b] * h[..., rb, a]
+    return 2.0 * _pencil_eigvalsh(Q, G)[..., -1] + P.dsigma_sq
+
+
 def _conjugate_symmetry_residual(P):
-    # the eigenvalue spread of g^-1 Hess sigma, 0 iff Hess sigma = f g at
-    # the point; the spread is invariant under shifting by multiples of g,
-    # so it measures the deviation of Hess sigma from its best multiple of
-    # g through g itself, with no coordinate-dependent norm.  The
-    # eigenvalues of the pencil (Hess sigma, g) by the Cholesky
-    # reduction g = L L^T: those of L^-1 Hess sigma L^-T
-    L = np.linalg.cholesky(P.g_spd)
-    A = np.linalg.solve(L, P.hess_sigma)
-    w = np.linalg.eigvalsh(np.linalg.solve(L, np.swapaxes(A, -1, -2)))
+    # the eigenvalue spread of the pencil (Hess sigma, g), 0 iff Hess sigma
+    # = f g at the point; the spread is invariant under shifting by
+    # multiples of g, so it measures the deviation of Hess sigma from its
+    # best multiple of g through g itself, with no coordinate-dependent norm
+    w = _pencil_eigvalsh(P.hess_sigma, P.g_spd)
     return w[..., -1] - w[..., 0]
 
 

@@ -17,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from divstat import analyze
 from divstat.analyze import (
@@ -27,7 +28,14 @@ from divstat.analyze import (
     hadamard_scan,
     sigma_bounds_scan,
 )
-from divstat.curvature import ricci, sectional_tilde
+from divstat.curvature import (
+    _per_plane,
+    _plane_basis,
+    _plane_max,
+    _scan_term,
+    ricci,
+    sectional_tilde,
+)
 from divstat.manifold import (
     BUILTINS,
     ConnKind,
@@ -101,11 +109,14 @@ def test_hadamard_matches_2d_reduction():
     for name in ("euclidean", "paraboloid", "punctured-plane", "half-plane-exp"):
         m = load_manifold(name)
         pts = sample_domain(m, 25, seed=91)
-        full = hadamard_scan(m, pts, planes_per_point=3, seed=5)
+        full = hadamard_scan(m, pts)
         flat = hadamard2d_scan(m, pts)
+        assert full.check == "cartan-hadamard", name
         assert abs(full.worst_value - flat.worst_value) < 1e-8, name
         assert np.array_equal(full.worst_point, flat.worst_point), name
         assert full.passed == flat.passed, name
+        P = m.at_many(pts)
+        assert np.abs(_plane_max(P) - analyze._careq2_at(P)).max() < 1e-8, name
 
 
 def test_hadamard_grid_half_plane():
@@ -126,7 +137,7 @@ def test_hadamard_consistent_with_sectional():
     # 2 e^sigma sec_tilde + |dsigma|^2_g
     for name, x in (("half-plane-exp", (0.4, 0.7)), ("paraboloid", (1.1, -0.3))):
         m = load_manifold(name)
-        rep = hadamard_scan(m, [x], planes_per_point=0)
+        rep = hadamard_scan(m, [x])
         P = m.at(x)
         n2 = float(P.dsigma @ P.g_inv @ P.dsigma)
         _, via = sectional_tilde(m, x, ((1.0, 0.0), (0.0, 1.0)))
@@ -136,7 +147,7 @@ def test_hadamard_consistent_with_sectional():
 
 def test_hadamard_dim3_smoke():
     m = load_manifold(EUCL3)
-    rep = hadamard_scan(m, [(0.0, 0.0, 0.0), (1.0, -2.0, 0.5)], planes_per_point=2)
+    rep = hadamard_scan(m, [(0.0, 0.0, 0.0), (1.0, -2.0, 0.5)])
     assert rep.worst_value == 0.0
     assert rep.passed is True
     with pytest.raises(ValueError):
@@ -149,8 +160,6 @@ def test_scan_input_validation():
         hadamard_scan(m, [])
     with pytest.raises(ValueError):
         hadamard2d_scan(m, [])
-    with pytest.raises(ValueError):
-        hadamard_scan(m, [(0.0, 0.0)], planes_per_point=-1)
     with pytest.raises(ValueError):
         sigma_bounds_scan(m, [])
     with pytest.raises(ValueError):
@@ -241,8 +250,8 @@ def test_scan_determinism():
 
     half = load_manifold("half-plane-exp")
     pts = sample_domain(half, 20, seed=12)
-    r1 = hadamard_scan(half, pts, planes_per_point=4, seed=11)
-    r2 = hadamard_scan(half, pts, planes_per_point=4, seed=11)
+    r1 = hadamard_scan(half, pts)
+    r2 = hadamard_scan(half, pts)
     assert r1.worst_value == r2.worst_value
     assert np.array_equal(r1.worst_point, r2.worst_point)
 
@@ -257,26 +266,39 @@ def _close(got, want):
     return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def _ref_hadamard(M, pts, planes, seed):
-    # M.at(x) per point, Gram-Schmidt in g plane by plane, and every
-    # point's planes drawn in one call
-    draws = np.random.default_rng(seed).standard_normal((len(pts), planes, M.n, 2))
-    eye = np.eye(M.n)
-    coord = [(eye[a], eye[b]) for a, b in combinations(range(M.n), 2)]
+def _pencil(P):
+    # the plane term's quadratic form Q on 2-vectors and g's Gram form G,
+    # entry by entry on the pairs a < b, at the one point of P
+    pairs = list(combinations(range(P.n), 2))
+    g = P.g_spd
+    T = np.einsum("lm,mkij->lkij", g, P.riemann(ConnKind.LC_G_TILDE))
+    Q = [[(T[l, k, i, j] - T[k, l, i, j] - T[l, k, j, i] + T[k, l, j, i]) / 4.0
+          for i, j in pairs] for l, k in pairs]
+    G = [[g[a, c] * g[b, d] - g[a, d] * g[b, c] for c, d in pairs] for a, b in pairs]
+    return np.array(Q), np.array(G)
+
+
+def _ref_hadamard(M, pts):
+    # M.at(x) per point, and the pencil's top eigenvalue from scipy
     vals = []
-    for x, d in zip(pts, draws):
+    for x in pts:
         P = M.at(x)
-        g, H = P.g_spd, P.hess_sigma
-        S = 0.5 * (P.riemann(ConnKind.NABLA) + P.riemann(ConnKind.NABLA_BAR))
-        best = -math.inf
-        for u, v in coord + [(p[:, 0], p[:, 1]) for p in d]:
-            X = u / math.sqrt(u @ g @ u)
-            w = v - (X @ g @ v) * X
-            Y = w / math.sqrt(w @ g @ w)
-            sval = np.einsum("lm,mkij,i,j,k,l->", g, S, X, Y, Y, X)
-            best = max(best, 2.0 * sval - X @ H @ X - Y @ H @ Y)
-        vals.append(best)
+        top = eigh(*_pencil(P), eigvals_only=True)[-1]
+        vals.append(2.0 * top + float(P.dsigma @ P.grad_sigma))
     return vals
+
+
+def _sampled_worst(P, draws):
+    # the largest plane term at each point of P over all coordinate planes
+    # plus that point's random planes, draws[..., plane, :, (u, v)]; the
+    # value depends on the plane only, not on the orthonormal basis chosen
+    # inside it, and a random plane that does not span is left out
+    E, F = analyze._coordinate_planes(P.n)
+    shape = draws.shape[:-3] + E.shape  # the coordinate planes at each point
+    U = np.concatenate([np.broadcast_to(E, shape), draws[..., 0]], axis=-2)
+    V = np.concatenate([np.broadcast_to(F, shape), draws[..., 1]], axis=-2)
+    X, Y, ok = _plane_basis(_per_plane(P.g_spd, U), U, V)
+    return np.where(ok, _scan_term(P, X, Y), -np.inf).max(axis=-1)
 
 
 def _ref_hadamard2d(M, pts):
@@ -306,7 +328,7 @@ def _ref_check_suite(M, opts):
     return pts, out, lam
 
 
-# curved in 3-D, so that a point's value depends on which planes it draws
+# curved in 3-D, so that a point's value depends on the plane
 SKEW3 = {
     "name": "skew-3d",
     "dim": 3,
@@ -324,8 +346,8 @@ SCAN_DOCS = sorted(BUILTINS) + [EUCL3, SKEW3]
 def test_batched_scans_match_per_point_reference(doc):
     M = load_manifold(doc)
     pts = sample_domain(M, 40, seed=13)
-    rep = hadamard_scan(M, pts, planes_per_point=3, seed=8)
-    ref = _ref_hadamard(M, pts, 3, 8)
+    rep = hadamard_scan(M, pts)
+    ref = _ref_hadamard(M, pts)
     k = int(np.argmax(ref))
     assert _close(rep.worst_value, ref[k]) and rep.passed == (ref[k] <= 0.0)
     assert np.array_equal(rep.worst_point, pts[k])
@@ -363,7 +385,7 @@ def test_scans_do_not_depend_on_the_block_size(doc, monkeypatch):
     opts = CheckOpts(samples=30, seed=3)
 
     def scans():
-        out = [hadamard_scan(M, pts, planes_per_point=2, seed=4)]
+        out = [hadamard_scan(M, pts)]
         if M.n == 2:
             out.append(hadamard2d_scan(M, pts))
         return out + check_suite(M, opts), sigma_bounds_scan(M, pts)
@@ -399,11 +421,68 @@ def test_degenerate_plane_in_a_batch_is_skipped():
     M = load_manifold("half-plane-exp")
     B = M.at_many([(0.5, 0.5), (1.0, 2.0)])
     draws = np.random.default_rng(2).standard_normal((2, 2, 2, 2))
-    want = analyze._careq_worst(B, draws)
+    want = _sampled_worst(B, draws)
     assert (want < -2.0).all()
     bad = np.concatenate([draws, np.zeros((2, 2, 2, 2))], axis=1)
     bad[1, 2, :, 0] = bad[1, 2, :, 1] = (1.0, -3.0)  # two equal vectors
-    assert np.array_equal(analyze._careq_worst(B, bad), want)
+    assert np.array_equal(_sampled_worst(B, bad), want)
+
+
+def test_plane_max_is_the_maximum_over_planes_in_3d():
+    # every 2-vector in dimension 3 is a plane: the value is at least the
+    # best of 3000 random planes at each point, and the plane of the top
+    # eigenvector attains it
+    M = load_manifold(SKEW3)
+    pts = sample_domain(M, 40, seed=13)
+    P = M.at_many(pts)
+    vals = _plane_max(P)
+    sampled = _sampled_worst(P, np.random.default_rng(1).standard_normal((40, 3000, 3, 2)))
+    assert (vals >= sampled).all()
+    for x, val in zip(pts, vals):
+        Px = M.at(x)
+        w = eigh(*_pencil(Px))[1][:, -1]
+        # X ^ Y has components w_01, w_02, w_12 on the pairs a < b, so the
+        # plane is the Euclidean complement of (w_12, -w_02, w_01)
+        U, V = np.linalg.svd([[w[2], -w[1], w[0]]])[2][1:]
+        X, Y, ok = _plane_basis(Px.g_spd, U, V)
+        assert ok
+        assert abs(_scan_term(Px, X[None], Y[None])[0] - val) <= 1e-12 * abs(val)
+
+
+# a 4-D definition, where a 2-vector need not be a plane
+SKEW4 = {
+    "name": "skew-4d",
+    "dim": 4,
+    "coords": ["x1", "x2", "x3", "x4"],
+    "metric": [["2 + x1^2", "0.3*x2", "0", "0.1*x4"],
+               ["0.3*x2", "1 + x2^2", "0.2*sin(x1)", "0"],
+               ["0", "0.2*sin(x1)", "1.5 + x3^2", "0.1*x1"],
+               ["0.1*x4", "0", "0.1*x1", "1 + x4^2"]],
+    "sigma": "sin(x1) + x2*x3 - 0.2*x4^2",
+}
+
+
+def test_plane_max_bounds_the_planes_in_4d():
+    M = load_manifold(SKEW4)
+    pts = sample_domain(M, 20, seed=13)
+    rep = hadamard_scan(M, pts)
+    assert rep.check == "cartan-hadamard-bound"
+    P = M.at_many(pts)
+    vals = _plane_max(P)
+    assert rep.worst_value == vals.max()
+    sampled = _sampled_worst(P, np.random.default_rng(1).standard_normal((20, 1000, 4, 2)))
+    assert (vals >= sampled).all()
+
+
+def test_plane_max_near_a_singular_metric():
+    # g = [[e^x2, a e^(x2/2)], [a e^(x2/2), 1]], a = 1 - 1e-9: the scan
+    # agrees with the surface form where the sampled planes did not
+    a = "0.999999999*exp(x2/2)"
+    M = load_manifold({"name": "near-exp", "dim": 2, "coords": ["x1", "x2"],
+                       "metric": [["exp(x2)", a], [a, "1"]], "sigma": "x1 + sin(x2)"})
+    grid = [(x1, x2) for x1 in (-1.0, 0.0, 1.0) for x2 in (-1.0, 0.0, 1.0)]
+    rep, flat = hadamard_scan(M, grid), hadamard2d_scan(M, grid)
+    assert abs(rep.worst_value / flat.worst_value - 1.0) <= 1e-6
 
 
 def test_scan_raises_the_first_outside_row(monkeypatch):

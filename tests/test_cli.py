@@ -365,7 +365,7 @@ def test_check_pass_fail_and_file_doc(tmp_path, capsys):
 def test_hadamard_grid_scan(capsys):
     code, out, err = run_out(capsys, [
         "hadamard", "half-plane-exp",
-        "--grid", "x1:-5:5:12,x2:0.1:10:12", "--planes", "2", "--seed", "7",
+        "--grid", "x1:-5:5:12,x2:0.1:10:12",
     ])
     assert code == 0
     assert "result: pass" in out
@@ -423,11 +423,10 @@ def test_hadamard_names_the_first_point_where_g_is_not_spd(tmp_path, capsys):
 
 
 def test_oversized_scan_is_invalid_input(capsys):
-    # numpy refuses the plane draws up front (hundreds of TiB) and
-    # allocates nothing; the refusal is one diagnostic line and exit 2
+    # numpy refuses a grid axis no array can hold up front and allocates
+    # nothing; the refusal is one diagnostic line and exit 2
     code, out, err = run_out(capsys, [
-        "hadamard", "euclidean", "--grid", "x1:0:1:18,x2:0:1:18",
-        "--planes", "100000000000",
+        "hadamard", "euclidean", "--grid", "x1:0:1:10000000000000000000,x2:0:1:18",
     ])
     assert code == 2 and out == ""
     lines = err.splitlines()
@@ -555,15 +554,25 @@ def test_check_where_a_coordinate_plane_degenerates(tmp_path, capsys):
 
 
 def test_hadamard_where_no_tested_plane_spans(tmp_path, capsys):
-    # the same chart: no scan starts, with or without random planes, so
-    # no point is reached where a tested plane could fail to span
+    # the same chart: refused at load, so the scan reads no point
     doc = tmp_path / "skew.json"
     doc.write_text(json.dumps(_SKEW))
-    grid = ["--grid", "x1:-1:1:3,x2:-1:1:3"]
-    for planes in ("0", "2"):
-        code, out, err = run_out(capsys, ["hadamard", str(doc), *grid, "--planes", planes])
-        assert code == 2 and out == "", planes
-        assert err == _SKEW_NOT_SPD, planes
+    code, out, err = run_out(capsys, ["hadamard", str(doc), "--grid", "x1:-1:1:3,x2:-1:1:3"])
+    assert code == 2 and out == ""
+    assert err == _SKEW_NOT_SPD
+
+
+def test_hadamard_fails_where_g_is_near_singular(tmp_path, capsys):
+    # flat g = [[1, a], [a, 1]], a = 0.999999999, and sigma = x1: the plane
+    # term is |dsigma|^2_g = 1/(1 - a^2) > 0 at every point
+    doc = tmp_path / "near.json"
+    doc.write_text(json.dumps(dict(_SKEW, name="near", metric=[["1", "0.999999999"],
+                                                               ["0.999999999", "1"]])))
+    code, out, err = run_out(capsys, ["hadamard", str(doc), "--grid", "x1:-1:1:3,x2:-1:1:3"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "result: FAIL"
+    worst = float(out.splitlines()[-2].split()[1])
+    assert abs(worst / 500000014.1409661 - 1.0) <= 1e-9
 
 
 def test_metric_with_unequal_coordinate_scales_loads_and_scans(tmp_path, capsys):
@@ -577,7 +586,7 @@ def test_metric_with_unequal_coordinate_scales_loads_and_scans(tmp_path, capsys)
                                    sigma="0.5*x1 + 0.1*x2^2")))
     code, out, err = run_out(capsys, ["hadamard", str(doc), "--grid", "x1:-1:1:3,x2:-1:1:3"])
     assert code == 0 and err == ""
-    assert out.splitlines()[-2:] == ["worst: -159999.99999974994 at -1,-1", "result: pass"]
+    assert out.splitlines()[-2:] == ["worst: -159999.99999975 at -1,-1", "result: pass"]
     worst = float(out.splitlines()[-2].split()[1])
     assert abs(worst - (0.25e-6 + 0.04e6 - 2e5)) <= 1e-14 * 2e5
 
@@ -669,7 +678,8 @@ _EACH_COMMAND = [
      ["--seed", "7", "--conjugate"]),
     (["contrast", "euclidean", "--p", "0,0", "--q", "1,-1"], ["--seed", "7"]),
     (["check", "paraboloid", "--samples", "4"], ["--seed", "7", "--tol", "1"]),
-    (["hadamard", "half-plane-exp", "--grid", "x1:-1:1:2,x2:0.5:1:2"], ["--planes", "1"]),
+    (["hadamard", "half-plane-exp", "--grid", "x1:-1:1:2,x2:0.5:1:2"],
+     ["--grid", "x1:-1:1:3,x2:0.5:1:2"]),
 ]
 
 
@@ -1086,8 +1096,7 @@ _HUGE_ARGVS = st.one_of(
     st.tuples(st.just("hadamard"), _CHARTS,
               st.just("--grid"), st.one_of(
                   _COUNTS.map("x1:0.5:1:{},x2:0.5:1:2".format),
-                  st.just("x1:0.5:1:2,x2:0.5:1:2")),
-              st.just("--planes"), _COUNTS, st.just("--seed"), _COUNTS),
+                  _COUNTS.map("x1:0.5:1:2,x2:0.5:1:{}".format))),
     st.tuples(st.just("connect"), _CHARTS, st.just("--from"), st.just("0.5,0.5"),
               st.just("--to"), st.just("1,0.75"), st.just("--multistart"), _COUNTS,
               st.just("--seed"), _COUNTS),
@@ -1128,7 +1137,8 @@ def test_connect_converged_but_nabla_parameter_overflows(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["check", "euclidean", "--samples", "2"],
-    ["hadamard", "euclidean", "--grid", "x1:0:1:2,x2:0:1:2"],
+    ["connect", "euclidean", "--from", "0,0", "--to", "1,0", "--conjugate",
+     "--multistart", "1"],
     ["connect", "euclidean", "--from", "0,0", "--to", "1,0", "--multistart", "1"],
     ["contrast", "euclidean", "--p", "0,0", "--q", "1,0"],
 ])
@@ -1146,6 +1156,15 @@ def test_non_integer_seed_is_a_usage_error(capsys):
     assert err == "divstat: argument --seed: expected a non-negative integer, got 'x'\n"
 
 
+def test_hadamard_takes_no_planes_or_seed(capsys):
+    # the scan reads every plane at a point at once: it draws none
+    for opt in ("--planes", "--seed"):
+        code, out, err = run_out(capsys, ["hadamard", "euclidean", "--grid",
+                                          "x1:0:1:2,x2:0:1:2", opt, "2"])
+        assert (code, out) == (2, ""), opt
+        assert err == f"divstat: unrecognized arguments: {opt} 2\n"
+
+
 def test_seed_determinism(tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json"):
@@ -1161,7 +1180,6 @@ def test_seed_determinism(tmp_path, capsys):
     for _ in range(2):
         code, out, _ = run_out(capsys, [
             "hadamard", "paraboloid", "--grid", "x1:1:2:4,x2:1:2:4",
-            "--planes", "3", "--seed", "5",
         ])
         texts.append(out)
     assert texts[0] == texts[1]
