@@ -3,58 +3,31 @@
 Geodesics of any of the four connections solve x'' + Gamma(x', x') = 0 in the
 chart.  The integrator is an adaptive Dormand-Prince 5(4) loop on Python
 floats with the coefficients and step controller of scipy's RK45, so its
-steps follow RK45's up to rounding; a step attempt that leaves the chart
-domain is retried at half its step, down to a 1e-10 window, so the exit
-parameter is sharp.  Because nabla is projectively equivalent to the
-Levi-Civita connection of gtilde = e^sigma g, a nabla-geodesic becomes a
-gtilde-geodesic under the parameter change ds/dt = e^{2 sigma} along the path
-(and back with the reciprocal weight); reparam_to_tilde / reparam_from_tilde
-perform that change by two-point quintic Hermite quadrature between the dense
-samples, with the weight's first two parameter derivatives taken from the
-geodesic equation.
-
-The integration is one function emitted per manifold and connection
-(_integrator) that runs the adaptive loop on local Python floats, with
-the counts as local ints: every stage inlines the chart test and the
-connection's spray (ManifoldDef._inline, ManifoldDef.spray), the chord
-probe inlines the chart test and the values of g and sigma, and the
-finiteness test of the new state is inlined too; no PointGeometry is
-built.  The function takes its own start: the first derivative and
-scipy's first step, whose two evaluations call the compiled domain test
-and the spray's get, and where either leaves the chart the path ends
-"exited-domain" at t = 0.  The code is rendered from the plans kept on
-the compiled kernels (exprcore._plan), compiled on the first
-integration and kept in the manifold's cache of compiled code
-(ManifoldDef.compiled).
-A point outside the chart (see manifold), or where the acceleration is
-not finite, stops the stage.  One rule settles every attempt that leaves
-the chart, at a stage or along its chord: the next attempt starts from
-the same state with half the step tried, and the path ends
-"exited-domain" once the step tried is within the exit window
-(EXIT_BISECT_TOL) or half of it is below the shortest step at t, ten
-spacings of the doubles there.  _integrate_core checks the arguments on
-floats, makes one call of the emitted function, and packages the result;
-each accepted step comes back as one flat row, and _stack builds the
-table of Hermite data, shape (6, n, steps), that the dense output reads
-on (n, N) coordinate columns.  The tests hold a Python loop over the
-generic step on a right-hand side, with the start taken in Python, as
-the reference the emitted function is tested against
+steps follow RK45's up to rounding; an attempt that leaves the chart, at a
+stage or along its chord, is retried at half its step, down to the exit
+window EXIT_BISECT_TOL, so the exit parameter is sharp.  The whole loop is
+one function emitted per manifold and connection (_integrator, see there),
+with the chart test and the spray inlined at every stage; _replay runs it
+on the step sizes an integration recorded, with no step control, which
+makes it the shooting Jacobian's column integrator.  The tests hold a
+Python loop over the generic step as its reference
 (tests/integrator_reference.py).
-_replay runs the same function on the accepted step sizes an
-integration recorded, with no step control, from any start: from the
-integration's own start it gives its endpoint bit for bit, which makes
-it the shooting Jacobian's column integrator.
 
-The parameter change and geodesic_residual read the geometry of all a
-path's samples in one batched call, and the refinement of the samples
-by sigma that of each round's new samples: each round bisects every gap
-across which 2 sigma moves by more than SIGMA_STEP.  The parameter
-change checks its weight e^{+-2 sigma} first and takes Gamma(v, v) from
-the connection's spray kernel (spray(kind).many), never building the
-connection tensors.  Batched jets come from numpy's
-ufuncs, whose exp and power round differently from math's on a few
-percent of inputs, so their results can differ from a sample-by-sample
-evaluation in the last bits.
+Because nabla is projectively equivalent to the Levi-Civita connection of
+gtilde = e^sigma g, a nabla-geodesic becomes a gtilde-geodesic under the
+parameter change ds/dt = e^{2 sigma} along the path (and back with the
+reciprocal weight).  On a nabla or lc-tilde path the integrator carries
+the new parameter s as a quadrature state: each accepted step adds the
+order-5 sum of the weight at its stage points, s feeds back into no stage
+and no error estimate, and the path keeps s at its step ends
+(GeodesicPath.knots).  reparam_to_tilde / reparam_from_tilde read s there
+and, between step ends, its quintic Hermite from the weight and its first
+parameter derivative.  The parameter change and geodesic_residual read
+the geometry of a path's points in one batched call and take Gamma(v, v)
+from the connection's spray kernel (spray(kind).many), never building the
+connection tensors.  Batched jets come from numpy's ufuncs, whose exp and
+power round differently from math's on a few percent of inputs, so their
+results can differ from a point-by-point evaluation in the last bits.
 """
 
 import math
@@ -69,6 +42,9 @@ from .manifold import ConnKind
 EXIT_BISECT_TOL = 1e-10
 # accepted steps after which an integration stops, status "step-limit"
 MAX_STEPS = 10**6
+# the kinds whose paths carry the new parameter s = int e^{c sigma}, by c:
+# e^{2 sigma} takes nabla-geodesics to gtilde-geodesics, its reciprocal back
+_WEIGHT = {ConnKind.NABLA: 2.0, ConnKind.LC_G_TILDE: -2.0}
 
 
 class GeodesicError(Exception):
@@ -119,7 +95,10 @@ class GeodesicPath:
     chord left the chart, halvings where one of its stages did), and the
     RHS evaluations: 2 for the first derivative and step size, and 6 per
     step attempt, also where an attempt left the chart before its last
-    stage.
+    stage.  knots is (ts, ss, xs, vs) at the integrator's step ends: the
+    parameter, the new parameter of reparam_to_tilde / reparam_from_tilde,
+    the position and the velocity; None on lc and bar paths and on a
+    curve built by hand.
     """
 
     kind: ConnKind
@@ -128,6 +107,7 @@ class GeodesicPath:
     vs: np.ndarray
     status: str
     meta: dict = field(default_factory=dict)
+    knots: tuple = None
 
     @property
     def samples(self):
@@ -179,21 +159,25 @@ def _combo(coeffs, i):
 def _step_lines(M, kind):
     """One Dormand-Prince 5(4) step of the geodesic equation, unindented.
 
-    The lines read the state y0, ..., y{N-1} (N = 2n, positions first),
-    its derivative k1_0, ..., k1_{N-1} and the step h, and set the new
-    state n0, ..., n{N-1} and its derivative k7_0, ..., k7_{N-1}.  Stage s
-    inlines M's chart test and kind's spray (ManifoldDef._inline) at its
-    positions z{s}_i and velocities k{s}_i, the first n derivatives; the
-    spray's last n values are the other n.  Where a stage leaves the chart
-    the lines raise _DomainExit, or ArithmeticError or ValueError.  Zero
-    tableau entries are left out.
+    Returns (lines, sigmas).  The lines read the state y0, ..., y{N-1}
+    (N = 2n, positions first), its derivative k1_0, ..., k1_{N-1} and the
+    step h, and set the new state n0, ..., n{N-1} and its derivative
+    k7_0, ..., k7_{N-1}.  Stage s inlines M's chart test and kind's spray
+    (ManifoldDef._inline) at its positions z{s}_i and velocities k{s}_i,
+    the first n derivatives; the spray's last n values are the other n.
+    The spray lists the values of g and sigma first: sigmas holds the
+    name (or literal) of sigma at stages 2, ..., 7.  Where a stage leaves
+    the chart the lines raise _DomainExit, or ArithmeticError or
+    ValueError.  Zero tableau entries are left out.
     """
     n = M.n
     spray = M.spray(kind)
+    sigmas = []
 
     def stage(s, state):
         args = [f"z{s}_{i}" for i in range(n)] + [f"k{s}_{i}" for i in range(n)]
         lines, outs = M._inline(spray, args, f"_{s}", "raise _DomainExit")
+        sigmas.append(outs[n * n])
         return ([f"{a} = {e}" for a, e in zip(args, state)] + lines
                 + [f"k{s}_{n + i} = {a}" for i, a in enumerate(outs[-n:])])
 
@@ -202,7 +186,7 @@ def _step_lines(M, kind):
     for s, row in enumerate(_DP_A, start=2):
         lines += stage(s, [f"y{i} + ({_combo(row, i)}) * h" for i in range(N)])
     lines += [f"n{i} = y{i} + h * ({_combo(_DP_B, i)})" for i in range(N)]
-    return lines + stage(7, [f"n{i}" for i in range(N)])
+    return lines + stage(7, [f"n{i}" for i in range(N)]), sigmas
 
 
 def _probe_lines(M):
@@ -262,8 +246,9 @@ def _integrator(M, kind):
     of the new state, the chart retries at half the step, the step cap,
     the step budget max_steps and the escape radius.  Each accepted step
     is appended to the list rows, unless that is None, as one flat row
-    (t0, t1, x0, v0, a0, x1, v1, a1), a being the acceleration, and its
-    size to the list steps, unless that is None.  Replaying, it takes the
+    (t0, t1, x0, v0, a0, x1, v1, a1), a being the acceleration, ending
+    with s at t1 for kind nabla or lc-tilde (_WEIGHT), and its size to the
+    list steps, unless that is None.  Replaying, it takes the
     sizes in steps one by one with no step control, and the status is
     "exited-domain" as soon as a stage or a chord leaves the chart.
 
@@ -276,15 +261,16 @@ def _integrator(M, kind):
     return M.compiled(("loop", kind), lambda: _build_integrator(M, kind))
 
 
-def _start_lines(n):
+def _start_lines(n, quad):
     """The start of a run, unindented: its first derivative and first step.
 
     The lines read the state y0, ..., y{N-1} (N = 2n) and its list y, and
-    set the derivative k1_0, ..., k1_{N-1} and, unless replaying, h_abs:
-    scipy's select_initial_step for an order-4 error estimate from t = 0
-    (Hairer, Norsett & Wanner, II.4), with the RMS norm _rms.  Each of the
-    two evaluations is the domain test and then the spray's get, and the
-    lines return the exit result where either leaves the chart.
+    set the derivative k1_0, ..., k1_{N-1}, where quad sigma at y as q and
+    the new parameter s = 0, and, unless replaying, h_abs: scipy's
+    select_initial_step for an order-4 error estimate from t = 0 (Hairer,
+    Norsett & Wanner, II.4), with the RMS norm _rms.  Each of the two
+    evaluations is the domain test and then the spray's get, and the lines
+    return the exit result where either leaves the chart.
     """
     N = 2 * n
     join = ", ".join
@@ -296,6 +282,7 @@ def _start_lines(n):
         "if out is None:",
         leave,
         f"{join(f)} = {join(y[n:])}, *out[{-n}:]",
+        *([f"q, s = out[{n * n}], 0.0"] if quad else []),
         "h_abs = None",
         "if not replay:",
         f"    {join(s)} = {join(f'atol + abs({a}) * rtol' for a in y)}",
@@ -322,6 +309,16 @@ def _build_integrator(M, kind):
     n = M.n
     N = 2 * n
     join = ", ".join
+    step, sigmas = _step_lines(M, kind)
+    quad = []
+    if kind in _WEIGHT:
+        # s over an accepted step: e^{c sigma} at stages 1 (q) to 6 with the
+        # order-5 weights, feeding back into nothing; a weight that overflows
+        # makes s infinite, not the path end.  q takes sigma at stage 7
+        terms = " + ".join(f"_exp({_WEIGHT[kind]!r} * {q}) * {b!r}"
+                           for q, b in zip(["q", *sigmas], _DP_B) if b != 0.0)
+        quad = ["try:", f"    s += h * ({terms})", "except OverflowError:", "    s = _inf",
+                f"q = {sigmas[5]}"]
     y, f, new, f_new = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "n", "k7_"))
     errors = [f"e{i} = ({_combo(_DP_E, i)}) * h / (atol + _max(abs(y{i}), abs(n{i})) * rtol)"
               for i in range(N)]
@@ -331,7 +328,7 @@ def _build_integrator(M, kind):
     catch = "except (ArithmeticError, ValueError, _DomainExit):"
     body = [
         f"{join(y)}, = y",
-        *_start_lines(n),
+        *_start_lines(n, bool(quad)),
         "t = 0.0",
         "accepted = rejected = rewinds = halvings = attempts = j = 0",
         "status = 'completed'",
@@ -368,7 +365,7 @@ def _build_integrator(M, kind):
         "        h = t_new - t",
         "        attempts += 1",
         "    try:",
-        *_indent(_step_lines(M, kind), 2),
+        *_indent(step, 2),
         f"    {catch}",
         "        left = 1",
         "    else:",
@@ -411,7 +408,9 @@ def _build_integrator(M, kind):
         "            factor = _min(1.0, factor)",
         "        accepted += 1",
         "        if rows is not None:",
-        f"            rows.append((t, t_new, {join(y + f[n:] + new + f_new[n:])}))",
+        *_indent(quad, 3),
+        f"            rows.append((t, t_new, {join(y + f[n:] + new + f_new[n:])}"
+        f"{', s' if quad else ''}))",
         "        if steps is not None:",
         "            steps.append(h)",
         "        t, h_abs, h = t_new, h * factor, None",
@@ -452,7 +451,7 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
 
     Returns (status, t_end, y_end, rows, counts): the status, the last
     accepted parameter and state (x, v), the accepted steps as the flat
-    rows (t0, t1, x0, v0, a0, x1, v1, a1) when collect is set, and the
+    rows (t0, t1, x0, v0, a0, x1, v1, a1[, s]) when collect is set, and the
     counts of GeodesicPath.meta["integrator"].  Where steps is a list, the
     size of each accepted step is appended to it, for _replay.  The
     arguments are checked here, on floats; the start (first derivative
@@ -500,16 +499,16 @@ def _replay(M, kind, x0, v0, steps):
 _TABLE = ("x(t0)", "h v(t0)", "h^2 a(t0)", "x(t1)", "h v(t1)", "h^2 a(t1)")
 
 
-def _stack(rows):
-    # the rows of _integrate_core as (t0, t1, table): the ends of each
-    # step, and table[j, i] the Hermite datum _TABLE[j] of coordinate i of
-    # every step, shape (6, n, steps), formed once per step; a datum that
-    # does not fit in a double is inf or nan there, and _eval_pieces
-    # reports it where it is read
-    a = np.array(rows)
+def _stack(rows, n):
+    # the rows of _integrate_core, n coordinates, as (t0, t1, table): the
+    # ends of each step, and table[j, i] the Hermite datum _TABLE[j] of
+    # coordinate i of every step, shape (6, n, steps), formed once per
+    # step; a datum that does not fit in a double is inf or nan there, and
+    # _eval_pieces reports it where it is read
+    a = np.asarray(rows)
     t0, t1 = a[:, 0], a[:, 1]
     h = t1 - t0
-    table = a[:, 2:].reshape(len(a), 6, -1).transpose(1, 2, 0).copy()
+    table = a[:, 2:2 + 6 * n].reshape(len(a), 6, n).transpose(1, 2, 0).copy()
     with np.errstate(over="ignore", invalid="ignore"):
         table[[1, 4]] *= h
         table[[2, 5]] *= h * h
@@ -567,61 +566,40 @@ def _eval_pieces(pieces, ts):
     return xs.T, vs.T
 
 
-SIGMA_STEP = 0.05
-DENSE_CAP = 8192
-
-
-def _refine_by_sigma(M, pieces, ts, xs, vs):
-    # subdivide dense-output intervals until the conformal weight e^{2 sigma}
-    # changes slowly across each one; reparametrization quadrature needs the
-    # weight resolved along the path, not just the positions.  Each round
-    # bisects every gap where 2 sigma moves by more than SIGMA_STEP and
-    # evaluates the dense output at the new times.  sigma is NaN outside
-    # the chart, so no gap there counts as too large
-    s2 = 2.0 * M._values_many(xs)[:, -1]
-    for _ in range(16):
-        bad = np.flatnonzero(np.abs(np.diff(s2)) > SIGMA_STEP)
-        if bad.size == 0 or len(ts) + bad.size > DENSE_CAP:
-            break
-        mid = 0.5 * (ts[bad] + ts[bad + 1])
-        xm, vm = _eval_pieces(pieces, mid)
-        ts = np.insert(ts, bad + 1, mid)
-        xs = np.insert(xs, bad + 1, xm, axis=0)
-        vs = np.insert(vs, bad + 1, vm, axis=0)
-        s2 = np.insert(s2, bad + 1, 2.0 * M._values_many(xm)[:, -1])
-    return ts, xs, vs
-
-
 def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
     """Integrate the geodesic of the given connection from (x0, v0) to t1.
 
     Returns a GeodesicPath with dense_samples evenly spaced samples over the
-    integrated parameter range; completed paths get extra samples inserted
-    where e^{2 sigma} moves quickly between neighbours, so reparametrization
-    quadrature stays accurate on stiff conformal factors.  Leaving the chart
-    or exhausting the step budget is reported through the status field,
-    never raised; a step that holds a sample and whose Hermite data h v
-    or h^2 a do not fit in a double (steps of 1e154 and more) raises
-    GeodesicError naming it.
+    integrated parameter range.  A nabla or lc-tilde path also keeps the
+    integrator's step ends as its knots, with the new parameter of the
+    parameter change there, which the integrator carries as a quadrature.
+    Leaving the chart or exhausting the step budget is reported through
+    the status field, never raised; a step that holds a sample and whose
+    Hermite data h v or h^2 a do not fit in a double (steps of 1e154 and
+    more) raises GeodesicError naming it.
     """
     opts = opts if opts is not None else IntegratorOpts()
     kind = ConnKind(kind)
     status, t_end, y_end, segs, counts = _integrate_core(M, kind, x0, v0, t1, opts, True)
     n = M.n
+    knots = None
     if not segs:
         ts = np.zeros(1)
         xs = y_end[:n].reshape(1, n).copy()
         vs = y_end[n:].reshape(1, n).copy()
     else:
-        pieces = _stack(segs)
+        rows = np.array(segs)
         ts = np.linspace(0.0, t_end, opts.dense_samples)
-        xs, vs = _eval_pieces(pieces, ts)
+        xs, vs = _eval_pieces(_stack(rows, n), ts)
         xs[0], vs[0] = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
         xs[-1], vs[-1] = y_end[:n], y_end[n:]
-        if status == "completed":
-            ts, xs, vs = _refine_by_sigma(M, pieces, ts, xs, vs)
+        if kind in _WEIGHT:
+            # (x, v) at the start of the first step and at every step's end
+            ends = np.vstack([rows[:1, 2:2 + 2 * n], rows[:, 2 + 3 * n:2 + 5 * n]])
+            knots = (np.append(0.0, rows[:, 1]), np.append(0.0, rows[:, -1]),
+                     ends[:, :n], ends[:, n:])
     return GeodesicPath(kind=kind, ts=ts, xs=xs, vs=vs, status=status,
-                        meta={"integrator": counts})
+                        meta={"integrator": counts}, knots=knots)
 
 
 def exp_map(M, kind, p, v, opts=None):
@@ -645,7 +623,26 @@ _DIVERGES = ("parameter transform diverges: the conformal weight overflows "
              "or underflows along the path")
 
 
-def _reparam(M, path, sign, out_kind, in_kind):
+def _weight(c):
+    # e^c, GeodesicError where it is not a positive double
+    with np.errstate(over="ignore"):
+        F = np.exp(c)
+    if not (np.all(np.isfinite(F)) and np.all(F > 0.0)):
+        raise GeodesicError(_DIVERGES)
+    return F
+
+
+def _check_increasing(s):
+    # where the weight spans more orders of magnitude than a double holds,
+    # the later increments vanish in the sum
+    if not np.all(np.isfinite(s)):
+        raise GeodesicError(_DIVERGES)
+    if np.any(np.diff(s) <= 0.0):
+        raise GeodesicError("parameter transform loses resolution: the new parameter "
+                            "stops increasing along the path")
+
+
+def _reparam(M, path, out_kind, in_kind):
     kind = ConnKind(path.kind)
     if kind is not in_kind:
         raise ValueError(f"expected a {in_kind.value} path, got {kind.value}")
@@ -656,65 +653,68 @@ def _reparam(M, path, sign, out_kind, in_kind):
         raise ValueError("need at least 5 samples to reparametrize")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("path parameters must be strictly increasing")
-    # parameter derivatives of F = e^{sign * sigma} along the path come for
-    # free from the chain rule plus the geodesic equation, so the new
-    # parameter integrates by two-point quintic Hermite quadrature: local,
-    # insensitive to grid spacing, per-interval error O(h^7).  The weight
-    # is checked before any derivative is evaluated, and the acceleration
-    # is the integrator's own spray kernel
-    P = M.at_many(xs)
-    with np.errstate(over="ignore"):
-        F = np.exp(sign * P.sigma)
-    if not (np.all(np.isfinite(F)) and np.all(F > 0.0)):
-        raise GeodesicError(_DIVERGES)
-    acc = M.spray(in_kind).many(np.hstack([xs, vs]))[:, -M.n:]
+    sign = _WEIGHT[in_kind]
+    # a curve built by hand has no knots: its samples are its step ends
+    tk, sk, xk, vk = path.knots or (ts, None, xs, vs)
+    if sk is not None:
+        # the integrator's new parameter is read, not computed, so one that
+        # stops increasing costs no geometry
+        _check_increasing(sk)
+    # the weight F = e^{sign * sigma} at the step ends, checked before any
+    # derivative is evaluated, and F' = sign * dsigma(v) F
+    P = M.at_many(xk)
+    F = _weight(sign * P.sigma)
+    h = np.diff(tk)
     with np.errstate(over="ignore", invalid="ignore"):
-        lp = sign * np.einsum("ni,ni->n", P.dsigma, vs)
-        lpp = sign * (np.einsum("ni,nij,nj->n", vs, P.d2sigma, vs)
-                      + np.einsum("ni,ni->n", P.dsigma, acc))
+        lp = sign * np.einsum("ni,ni->n", P.dsigma, vk)
         Fp = lp * F
-        Fpp = (lpp + lp * lp) * F
-    if not (np.all(np.isfinite(Fp)) and np.all(np.isfinite(Fpp))):
+        cubic = 0.5 * h * (F[:-1] + F[1:]) + h * h / 12.0 * (Fp[:-1] - Fp[1:])
+        if sk is None:
+            # two-point quintic Hermite quadrature, with F'' from the chain
+            # rule and the geodesic equation, whose acceleration is the
+            # integrator's own spray kernel: per-interval error O(h^7)
+            acc = M.spray(in_kind).many(np.hstack([xs, vs]))[:, -M.n:]
+            lpp = sign * (np.einsum("ni,nij,nj->n", vs, P.d2sigma, vs)
+                          + np.einsum("ni,ni->n", P.dsigma, acc))
+            Fpp = (lpp + lp * lp) * F
+            seg = (0.5 * h * (F[:-1] + F[1:])
+                   + 0.1 * h * h * (Fp[:-1] - Fp[1:])
+                   + h ** 3 / 120.0 * (Fpp[:-1] + Fpp[1:]))
+            sk = np.concatenate([[0.0], np.cumsum(seg)])
+            _check_increasing(sk)
+        else:
+            seg = np.diff(sk)
+    if not np.all(np.isfinite(Fp)):
         raise GeodesicError(_DIVERGES)
-    h = np.diff(ts)
-    seg = (0.5 * h * (F[:-1] + F[1:])
-           + 0.1 * h * h * (Fp[:-1] - Fp[1:])
-           + h ** 3 / 120.0 * (Fpp[:-1] + Fpp[1:]))
-    cubic = 0.5 * h * (F[:-1] + F[1:]) + h * h / 12.0 * (Fp[:-1] - Fp[1:])
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    if np.any(np.diff(s) <= 0.0):
-        # where the weight spans more orders of magnitude than a double
-        # holds, the later increments vanish in the sum
-        raise GeodesicError(
-            "parameter transform loses resolution: the new parameter stops "
-            "increasing along the path"
-        )
+    # between step ends, the quintic Hermite of s in (s, F, F'); exact at
+    # the step ends
+    rows = np.column_stack([tk[:-1], tk[1:], sk[:-1], F[:-1], Fp[:-1], sk[1:], F[1:], Fp[1:]])
+    s = _eval_pieces(_stack(rows, 1), ts)[0][:, 0]
+    _check_increasing(s)
     meta = dict(path.meta)
     meta["quadrature_error"] = abs(float(np.sum(seg - cubic)))
-    # F is the derivative of the new parameter with respect to the old one
-    return GeodesicPath(
-        kind=out_kind,
-        ts=s,
-        xs=xs.copy(),
-        vs=vs / F[:, None],
-        status=path.status,
-        meta=meta,
-    )
+    # the weight is the derivative of the new parameter with respect to the old one
+    return GeodesicPath(kind=out_kind, ts=s, xs=xs.copy(),
+                        vs=vs / _weight(sign * M.at_many(xs).sigma)[:, None],
+                        status=path.status, meta=meta, knots=(sk, tk, xk, vk / F[:, None]))
 
 
 def reparam_to_tilde(M, path):
     """Turn a nabla-geodesic into the gtilde-geodesic with the same image.
 
     New parameter s(t) = integral of e^{2 sigma} along the path, velocities
-    rescaled by e^{-2 sigma}.  A quadrature consistency estimate (difference
-    against a lower-order rule) is stored under meta["quadrature_error"].
+    rescaled by e^{-2 sigma}.  s is read at the path's knots (the
+    integrator's quadrature) or, on a curve built by hand, integrated
+    between its samples; the returned path's knots are the step ends in s,
+    with t there.  The sum of the differences of s's steps from a
+    lower-order rule is stored under meta["quadrature_error"].
     """
-    return _reparam(M, path, 2.0, ConnKind.LC_G_TILDE, ConnKind.NABLA)
+    return _reparam(M, path, ConnKind.LC_G_TILDE, ConnKind.NABLA)
 
 
 def reparam_from_tilde(M, path):
     """Inverse of reparam_to_tilde: weight e^{-2 sigma}, velocities e^{2 sigma}."""
-    return _reparam(M, path, -2.0, ConnKind.NABLA, ConnKind.LC_G_TILDE)
+    return _reparam(M, path, ConnKind.NABLA, ConnKind.LC_G_TILDE)
 
 
 def _sample_indices(idx, m):
@@ -747,12 +747,10 @@ def geodesic_residual(M, kind, path):
         centers.append(_sample_indices(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int), m))
     sizes = [len(c) for c in centers]
     cs = np.concatenate(centers)
-    # the connection at every center of every stride, in one batch
+    # quad[c, k] = Gamma^k_ij v^i v^j at center at[c], every center of
+    # every stride in one batch: the connection's spray kernel gives -quad
     at = _sample_indices(cs, m)
-    gam = M.at_many(xs[at]).gamma(kind)
-    v = vs[at]
-    # quad[c, k] = Gamma^k_ij v^i v^j at center at[c]
-    quad = np.einsum("ckij,ci,cj->ck", gam, v, v)
+    quad = -M.spray(kind).many(np.hstack([xs[at], vs[at]]))[:, -M.n:]
     # the five-sample windows of every stride, in one solve
     win = cs[:, None] + np.repeat(strides, sizes)[:, None] * np.arange(-2, 3)
     tau = ts[win] - ts[cs][:, None]

@@ -30,15 +30,17 @@ from divstat.geodesic import (
     _DomainExit,
     _rms,
 )
+from divstat.manifold import ConnKind
 
 
-def rhs_factory(M, kind):
+def rhs_factory(M, kind, sigmas=None):
     """The geodesic equation as a first-order system on the list of 2n floats.
 
     rhs(y), y = (x, v), returns (v, -Gamma(v, v)), or raises _DomainExit
     where x is outside the chart or the spray's get gives None: the
     domain test, then the spray, as each start evaluation of the emitted
-    integrator makes them.
+    integrator makes them.  Where sigmas is a list, each evaluation that
+    returns appends to it sigma at x, the spray's value there.
     """
     n = M.n
     domain = M.domain
@@ -48,6 +50,8 @@ def rhs_factory(M, kind):
         out = spray(y) if domain(y) else None
         if out is None:
             raise _DomainExit
+        if sigmas is not None:
+            sigmas.append(out[n * n])
         return [*y[n:], *out[-n:]]
 
     return rhs
@@ -126,20 +130,27 @@ def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, lo
     attempts, left, err).  The start is rhs_factory's first derivative
     and initial_step's first step; where either evaluation raises
     _DomainExit the value is ("exited-domain", 0.0, y, None, None, 0, 0,
-    0, 0, 0, 1, None).  Where log is a list, each step attempt appends
-    [t, y, h, outcome] to it: the parameter and the list of the state it
-    starts from, the same object for every attempt from that state, the
-    step tried, and outcome "accepted", "rejected", "halving" (a stage
-    left the chart), "rewind" (the chord did) or "overflow" (the new
-    state does not fit in doubles).
+    0, 0, 0, 1, None).  On a nabla or lc-tilde run with rows, each row
+    ends with the new parameter s at the step's end: s = 0 at t = 0, and
+    each accepted step adds its quadrature of e^{c sigma}, c being
+    geodesic._WEIGHT[kind], with the weights _DP_B at the stage points,
+    or makes s infinite where a weight overflows.  Where log is a list,
+    each step attempt appends [t, y, h, outcome] to it: the parameter and
+    the list of the state it starts from, the same object for every
+    attempt from that state, the step tried, and outcome "accepted",
+    "rejected", "halving" (a stage left the chart), "rewind" (the chord
+    did) or "overflow" (the new state does not fit in doubles).
     """
     n = M.n
-    rhs = rhs_factory(M, kind)
+    sign = geodesic._WEIGHT.get(ConnKind(kind)) if rows is not None else None
+    sigmas = []
+    rhs = rhs_factory(M, kind, sigmas)
     try:
         f = rhs(y)
         h_abs = initial_step(rhs, y, f, t1, max_step, rtol, atol)
     except _DomainExit:
         return "exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0, 1, None
+    q, s = sigmas[0], 0.0
     t = 0.0
     accepted = rejected = rewinds = halvings = attempts = 0
     status = "completed"
@@ -165,6 +176,7 @@ def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, lo
         attempts += 1
         if log is not None:
             log.append([t, y, h, None])
+        sigmas.clear()
         try:
             y_new, f_new, err = dopri5_step(rhs, y, f, h, rtol, atol)
         except _DomainExit:
@@ -204,7 +216,16 @@ def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, lo
         if shrunk:
             factor = min(1.0, factor)
         accepted += 1
-        if rows is not None:
+        if sign is not None:
+            # sigma at stages 1 to 6, then at stage 7, the new state
+            try:
+                s = s + h * reduce(add, (math.exp(sign * a) * b
+                                         for a, b in zip([q, *sigmas], _DP_B) if b != 0.0))
+            except OverflowError:
+                s = math.inf
+            q = sigmas[5]
+            rows.append((t, t_new, *y, *f[n:], *y_new, *f_new[n:], s))
+        elif rows is not None:
             rows.append((t, t_new, *y, *f[n:], *y_new, *f_new[n:]))
         if steps is not None:
             steps.append(h)

@@ -27,9 +27,7 @@ from scipy.optimize import brentq
 import divstat.geodesic
 from divstat.exprcore import EvalDomainError
 from divstat.geodesic import (
-    DENSE_CAP,
     EXIT_BISECT_TOL,
-    SIGMA_STEP,
     ExitedDomainError,
     GeodesicError,
     GeodesicPath,
@@ -40,7 +38,6 @@ from divstat.geodesic import (
     _eval_pieces,
     _integrate_core,
     _integrator,
-    _refine_by_sigma,
     _replay,
     _stack,
     exp_map,
@@ -340,7 +337,7 @@ def _residual_per_stride(M, kind, path):
     for stride in (s for s in (1, 2, 4, 8) if 4 * s <= m - 1):
         lo, hi = 2 * stride, m - 1 - 2 * stride
         cs = np.unique(np.linspace(lo, hi, min(48, hi - lo + 1)).astype(int))
-        quad = np.einsum("ckij,ci,cj->ck", M.at_many(xs[cs]).gamma(kind), vs[cs], vs[cs])
+        quad = -M.spray(kind).many(np.hstack([xs[cs], vs[cs]]))[:, -M.n:]
         win = cs[:, None] + stride * np.arange(-2, 3)
         tau = ts[win] - ts[cs][:, None]
         scale = np.abs(tau).max(axis=1)
@@ -352,7 +349,7 @@ def _residual_per_stride(M, kind, path):
 
 def test_residual_is_the_per_stride_reference():
     # the windows of all strides solved at once give the per-stride
-    # residual bit for bit: on refined gtilde paths, on paths of 5 to 40
+    # residual bit for bit: on reparametrized gtilde paths, on paths of 5 to 40
     # samples (one to four strides), and on a jittered path
     rng = np.random.default_rng(87)
     compared = 0
@@ -433,25 +430,26 @@ def _reparam_per_sample(M, path, sign, in_kind):
 
 def test_reparam_matches_its_per_sample_definition():
     # a gtilde-straight line past the puncture at distance 0.4: sigma moves
-    # fast, so refinement leaves over a thousand samples, and the weights
-    # e^{-+4/r^2} still span few enough orders of magnitude for both new
-    # parameters to keep increasing (at 0.2 they do not: see below)
+    # fast, and the weights e^{-+4/r^2} still span few enough orders of
+    # magnitude for both new parameters to keep increasing (at 0.2 they do
+    # not: see below).  Built by hand, with no knots, the curve's samples
+    # are its step ends, read as a gtilde and as a nabla curve: both
+    # transforms are defined for any sampled curve
     punct = load_manifold("punctured-plane")
     tilde = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.4), (-2.0, 0.0), 1.0)
-    assert tilde.status == "completed" and len(tilde.ts) > 1000
-    # the other direction reads the same samples as a nabla curve; both
-    # transforms are defined for any sampled curve
-    curve = GeodesicPath(kind=ConnKind.NABLA, ts=tilde.ts, xs=tilde.xs,
-                         vs=tilde.vs, status="completed")
-    for got, path, sign, in_kind in (
-        (reparam_from_tilde(punct, tilde), tilde, -2.0, ConnKind.LC_G_TILDE),
-        (reparam_to_tilde(punct, curve), curve, 2.0, ConnKind.NABLA),
-    ):
-        ts, vs, quad = _reparam_per_sample(punct, path, sign, in_kind)
+    assert tilde.status == "completed"
+    for transform, sign, in_kind in ((reparam_from_tilde, -2.0, ConnKind.LC_G_TILDE),
+                                     (reparam_to_tilde, 2.0, ConnKind.NABLA)):
+        curve = GeodesicPath(kind=in_kind, ts=tilde.ts, xs=tilde.xs, vs=tilde.vs,
+                             status="completed")
+        got = transform(punct, curve)
+        ts, vs, quad = _reparam_per_sample(punct, curve, sign, in_kind)
         assert np.abs(got.ts - ts).max() <= 1e-13 * np.abs(ts).max()
         assert np.all(np.abs(got.vs - vs) <= 1e-13 * np.abs(vs))
         assert abs(got.meta["quadrature_error"] - quad) <= 1e-13 * quad
-        assert np.array_equal(got.xs, path.xs)
+        assert np.array_equal(got.xs, curve.xs)
+        # the step ends of the returned path are the samples, in both parameters
+        assert np.array_equal(got.knots[0], got.ts) and np.array_equal(got.knots[1], curve.ts)
     # passing at 0.06 the path stays in the chart, but e^{-2 sigma} = e^{4/r^2}
     # overflows
     close = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.06), (-2.0, 0.0), 1.0)
@@ -462,6 +460,29 @@ def test_reparam_matches_its_per_sample_definition():
         reparam_from_tilde(punct, close)
 
 
+@pytest.mark.parametrize("kind, t1", [
+    (ConnKind.NABLA, 0.5), (ConnKind.NABLA, 2.0), (ConnKind.LC_G_TILDE, 0.5),
+    (ConnKind.LC_G_TILDE, 1.0), (ConnKind.LC_G_TILDE, 1.4), (ConnKind.LC_G_TILDE, 1.5),
+])
+def test_reparam_is_the_closed_form_at_every_sample(kind, t1):
+    # on the paraboloid axis from the origin with chart velocity (1, 0),
+    # the gtilde parameter of the nabla-geodesic is s = 4 arctan(x1), and
+    # the nabla parameter of the gtilde-geodesic t = (x1 + x1^3 / 3) / 4,
+    # at every one of the 129 samples asked for, to 1e-9 relative.  The
+    # weight e^{-+2 sigma} grows as (1 + x1^2)^2 / 4, and x1 reaches 14 by
+    # s = 1.5
+    para = load_manifold("paraboloid")
+    path = integrate_geodesic(para, kind, (0.0, 0.0), (1.0, 0.0), t1)
+    assert path.status == "completed" and len(path.ts) == 129
+    x = path.xs[:, 0]
+    if kind is ConnKind.NABLA:
+        got, want = reparam_to_tilde(para, path).ts, 4.0 * np.arctan(x)
+    else:
+        got, want = reparam_from_tilde(para, path).ts, (x + x ** 3 / 3.0) / 4.0
+    assert got[0] == want[0] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want)), np.max(np.abs(got / want - 1.0)[1:])
+
+
 def test_reparam_raises_where_the_new_parameter_stops_increasing():
     # past the puncture at 0.2 the weight e^{-2 sigma} = e^{4/r^2} reaches
     # e^100: the nabla parameter grows to about 4.8e41, and the increments
@@ -470,7 +491,9 @@ def test_reparam_raises_where_the_new_parameter_stops_increasing():
     # against the parameter gathered before the pass.
     punct = load_manifold("punctured-plane")
     tilde = integrate_geodesic(punct, ConnKind.LC_G_TILDE, (1.0, 0.2), (-2.0, 0.0), 1.0)
-    assert tilde.status == "completed" and len(tilde.ts) > 5000
+    assert tilde.status == "completed"
+    # the integrator's quadrature stalls at the step ends too
+    assert np.any(np.diff(tilde.knots[1]) <= 0.0)
     curve = GeodesicPath(kind=ConnKind.NABLA, ts=tilde.ts, xs=tilde.xs,
                          vs=tilde.vs, status="completed")
     for transform, path, sign, in_kind in (
@@ -484,6 +507,30 @@ def test_reparam_raises_where_the_new_parameter_stops_increasing():
             transform(punct, path)
 
 
+def test_an_overflowing_weight_diverges_the_parameter_not_the_path():
+    # passing the puncture at 0.06, e^{-2 sigma} = e^{4/r^2} overflows at
+    # stage points inside the chart: the new parameter is infinite from
+    # that step on, and the path completes with the reference's rows bit
+    # for bit, and with the steps and end of a run at the same step cap
+    # that carries no quadrature (no rows)
+    punct = load_manifold("punctured-plane")
+    x0, v0 = (1.0, 0.06), (-2.0, 0.0)
+    (status, _, _, rows, counts), steps = _assert_is_the_reference(
+        punct, ConnKind.LC_G_TILDE, x0, v0, 1.0, IntegratorOpts(), True)
+    assert status == "completed"
+    s = np.array([row[-1] for row in rows])
+    first = int(np.argmax(np.isinf(s)))
+    assert np.isinf(s[first:]).all() and np.isfinite(s[:first]).all() and first > 0
+    path = integrate_geodesic(punct, ConnKind.LC_G_TILDE, x0, v0, 1.0)
+    assert path.meta["integrator"] == counts and np.array_equal(path.knots[1][1:], s)
+    run = _integrator(punct, ConnKind.LC_G_TILDE)
+    plain_steps = []
+    plain = run([*x0, *v0], plain_steps, False, 1.0, 1.0 / 48.0, 1e-9, 1e-11, None,
+                MAX_STEPS, None)
+    assert plain[0] == status and plain[5] == counts["accepted"] and plain[6] == counts["rejected"]
+    assert _hex(plain[2]) == _hex(rows[-1][8:12]) and _hex(plain_steps) == _hex(steps)
+
+
 def test_reparam_validates_the_path():
     para = load_manifold("paraboloid")
     lc = integrate_geodesic(para, ConnKind.LC_G, (0.0, 0.0), (1.0, 0.0), 1.0)
@@ -491,7 +538,7 @@ def test_reparam_validates_the_path():
         reparam_to_tilde(para, lc)
     with pytest.raises(ValueError, match=r"^expected a lc-tilde path, got lc$"):
         reparam_from_tilde(para, lc)
-    # sigma = 0: no refinement adds samples to the four asked for
+    # a path has the samples asked for
     eucl = load_manifold("euclidean")
     short = integrate_geodesic(eucl, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 1.0,
                                IntegratorOpts(dense_samples=4))
@@ -519,14 +566,14 @@ def test_reparam_where_the_weight_is_finite_and_its_derivatives_are_not():
         reparam_to_tilde(para, fast)
 
 
-def _hermite_per_segment(seg, tq):
+def _hermite_per_segment(seg, tq, n):
     """The quintic Hermite dense output of one step, at the times tq.
 
     This is its definition: (x, h v, h^2 a) at both ends of the step
     against the factored quintic basis, one step at a time.
     """
     t0, t1 = seg[:2]
-    x0, v0, a0, x1, v1, a1 = np.split(np.asarray(seg[2:]), 6)
+    x0, v0, a0, x1, v1, a1 = np.split(np.asarray(seg[2:2 + 6 * n]), 6)
     h = t1 - t0
     u = (np.asarray(tq, dtype=float) - t0) / h
     w = 1.0 - u
@@ -557,7 +604,7 @@ def _eval_pieces_per_segment(segs, ts, n):
     vs = np.empty((len(ts), n))
     for k in np.unique(idx):
         sel = idx == k
-        xs[sel], vs[sel] = _hermite_per_segment(segs[k], ts[sel])
+        xs[sel], vs[sel] = _hermite_per_segment(segs[k], ts[sel], n)
     return xs, vs
 
 
@@ -577,7 +624,7 @@ def test_dense_output_matches_per_segment_hermite(name):
             rng.uniform(0.0, t_end, 200),
             [seg[1] for seg in segs],
         ]))
-        xs, vs = _eval_pieces(_stack(segs), ts)
+        xs, vs = _eval_pieces(_stack(segs, 2), ts)
         xr, vr = _eval_pieces_per_segment(segs, ts, 2)
         assert np.abs(xs - xr).max() <= 1e-13 * np.abs(xr).max(), (name, kind)
         assert np.abs(vs - vr).max() <= 1e-13 * np.abs(vr).max(), (name, kind)
@@ -597,57 +644,6 @@ def test_dense_output_overflow_names_the_step():
                            IntegratorOpts(dense_samples=3))
     assert str(info.value) == ("dense output overflows: h^2 a(t0) is not finite on the "
                                "step [4.910539231648054e+155, 5.118872564981387e+155]")
-
-
-def _refine_per_round(M, segs, ts, xs, vs):
-    """The refinement by sigma, one round at a time: the reference.
-
-    Each round bisects every gap where 2 sigma moves by more than
-    SIGMA_STEP and evaluates the dense output, positions and velocities,
-    at the new times.  Returns (ts, xs, vs, capped), capped telling
-    whether DENSE_CAP, not a resolved weight, ended the rounds.
-    """
-    pieces = _stack(segs)
-    sig = M._values_many(xs)[:, -1]
-    for _ in range(16):
-        bad = np.flatnonzero(np.abs(np.diff(2.0 * sig)) > SIGMA_STEP)
-        if bad.size == 0 or len(ts) + bad.size > DENSE_CAP:
-            return ts, xs, vs, bad.size > 0
-        mid = 0.5 * (ts[bad] + ts[bad + 1])
-        xm, vm = _eval_pieces(pieces, mid)
-        ts = np.insert(ts, bad + 1, mid)
-        xs = np.insert(xs, bad + 1, xm, axis=0)
-        vs = np.insert(vs, bad + 1, vm, axis=0)
-        sig = np.insert(sig, bad + 1, M._values_many(xm)[:, -1])
-    return ts, xs, vs, False
-
-
-@pytest.mark.parametrize("name, kind, x0, v0, capped", [
-    # gtilde-straight lines past the puncture: at 0.4 and 0.2 the weight is
-    # resolved within the cap, closer in DENSE_CAP ends the rounds
-    ("punctured-plane", ConnKind.LC_G_TILDE, (1.0, 0.4), (-2.0, 0.0), False),
-    ("punctured-plane", ConnKind.LC_G_TILDE, (1.0, 0.2), (-2.0, 0.0), False),
-    ("punctured-plane", ConnKind.LC_G_TILDE, (1.0, 0.1), (-2.0, 0.0), True),
-    ("punctured-plane", ConnKind.LC_G_TILDE, (1.0, 0.06), (-2.0, 0.0), True),
-    ("punctured-plane", ConnKind.NABLA, (0.3, 0.9), (0.4, -1.5), False),
-    ("half-plane-exp", ConnKind.NABLA, (0.2920, 6.6583), (165.1962, 159.1254), False),
-    ("paraboloid", ConnKind.LC_G, (0.3, -0.2), (4.0, 1.0), False),
-])
-def test_refine_by_sigma_matches_the_per_round_reference(name, kind, x0, v0, capped):
-    M = load_manifold(name)
-    opts = IntegratorOpts()
-    status, t_end, y_end, segs, _ = _integrate_core(M, kind, x0, v0, 1.0, opts, True)
-    assert status == "completed"
-    ts = np.linspace(0.0, t_end, opts.dense_samples)
-    xs, vs = _eval_pieces(_stack(segs), ts)
-    xs[0], vs[0] = x0, v0
-    xs[-1], vs[-1] = y_end[:2], y_end[2:]
-    want = _refine_per_round(M, segs, ts, xs, vs)
-    assert want[3] == capped and len(want[0]) > len(ts)
-    got = _refine_by_sigma(M, _stack(segs), ts, xs, vs)
-    path = integrate_geodesic(M, kind, x0, v0, 1.0, opts)
-    for a, b, c in zip(want[:3], got, (path.ts, path.xs, path.vs)):
-        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -1113,14 +1109,20 @@ def test_a_start_that_leaves_the_chart_ends_at_once():
 def test_emitted_integrator_is_the_reference(monkeypatch):
     # the sweep's starts, with and without rows, a budget of 20 steps on
     # some: every path, its counts and steps, and the replays of its
-    # steps from its start and a nearby one, are the reference's bit for bit
-    seen = {"statuses": set(), "rejected": 0, "halvings": 0, "rewinds": 0, "replays": 0}
+    # steps from its start and a nearby one, are the reference's bit for
+    # bit; so is the new parameter s that ends each row of a nabla or
+    # lc-tilde path
+    seen = {"statuses": set(), "rejected": 0, "halvings": 0, "rewinds": 0, "replays": 0,
+            "quadratures": 0}
     for M, kind, i, x0, v0, opts, escape in _reference_sweep():
         with monkeypatch.context() as patch:
             if i % 4 == 3:
                 patch.setattr(divstat.geodesic, "MAX_STEPS", 20)
-            (status, *_, counts), steps = _assert_is_the_reference(
+            (status, _, _, rows, counts), steps = _assert_is_the_reference(
                 M, kind, x0, v0, 1.0, opts, i % 3 != 0, escape)
+        quad = kind in (ConnKind.NABLA, ConnKind.LC_G_TILDE)
+        assert all(len(row) == 2 + 6 * M.n + quad for row in rows)
+        seen["quadratures"] += quad and len(rows) > 0
         seen["statuses"].add(status)
         for key in ("rejected", "halvings", "rewinds"):
             seen[key] += counts[key]

@@ -1,4 +1,4 @@
-"""Code hygiene of the package: every imported name and function is used or documented."""
+"""Code hygiene of the package: every imported name, function and constant is used or documented."""
 
 import ast
 import re
@@ -189,3 +189,46 @@ def test_every_dataclass_field_is_read():
     others = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))]
     others += [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
     assert _unread_dataclass_fields(sources, others) == []
+
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _unread_constants(sources):
+    """Top-level constants of `sources` that no source reads.
+
+    sources maps a module name to its text.  A constant is a name of
+    capitals, digits and underscores after at most one leading
+    underscore (ALL_CAPS or _ALL_CAPS), bound by an assignment at a
+    module's top level.  It is read where the name is loaded, as a name or
+    as an attribute, anywhere in any of the sources; its own binding and
+    an import of it do not count.  Returns "module.NAME" strings, sorted.
+    """
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            defined.update((module, node.id) for target in targets for node in ast.walk(target)
+                           if isinstance(node, ast.Name) and _CONSTANT.fullmatch(node.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_unread_constant_is_found():
+    sources = {"a": "KEPT = 1\n_TOLD = 2\nORPHAN = 3\n_GONE, LEFT = 4, 5\nlower = 6\n"
+                    "Mixed = 7\n\ndef f():\n    LOCAL = 8\n    return KEPT\n",
+               "b": "import a\nfrom a import LEFT\nX2: int = a._TOLD\n"}
+    assert _unread_constants(sources) == ["a.LEFT", "a.ORPHAN", "a._GONE", "b.X2"]
+
+
+def test_every_constant_is_read():
+    # a deleted mechanism must not leave its knob behind: every top-level
+    # constant of the package is read by some module of the package
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert _unread_constants(sources) == []
