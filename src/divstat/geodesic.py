@@ -5,13 +5,18 @@ chart.  The integrator is an adaptive Dormand-Prince 5(4) loop on Python
 floats with the coefficients and step controller of scipy's RK45, so its
 steps follow RK45's up to rounding; an attempt that leaves the chart, at a
 stage or along its chord, is retried at half its step, down to the exit
-window EXIT_BISECT_TOL, so the exit parameter is sharp.  The whole loop is
-one function emitted per manifold and connection (_integrator, see there),
-with the chart test and the spray inlined at every stage; _replay runs it
-on the step sizes an integration recorded, with no step control, which
-makes it the shooting Jacobian's column integrator.  The tests hold a
-Python loop over the generic step as its reference
-(tests/integrator_reference.py).
+window EXIT_BISECT_TOL, so the exit parameter is sharp.  Where the steps
+are collected for dense output, the error control still sizes them, and a
+step longer than t1 / 48 also passes a test of its quintic Hermite
+interpolant: the spray at the interpolant's midpoint against the
+interpolant's own acceleration there, and on nabla and lc-tilde paths the
+new parameter's increment against Simpson's rule (_dense_lines).  The
+whole loop is one function emitted per manifold and connection
+(_integrator, see there), with the chart test and the spray inlined at
+every stage; _replay runs it on the step sizes an integration recorded,
+with no step control, which makes it the shooting Jacobian's column
+integrator.  The tests hold a Python loop over the generic step as its
+reference (tests/integrator_reference.py).
 
 Because nabla is projectively equivalent to the Levi-Civita connection of
 gtilde = e^sigma g, a nabla-geodesic becomes a gtilde-geodesic under the
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprcore import _exec_kernel
-from .manifold import ConnKind
+from .manifold import ConnKind, OutOfDomainError
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -92,13 +97,15 @@ class GeodesicPath:
     integrated is still returned).  meta["integrator"] counts the
     accepted steps, the attempts the error estimate rejected, the chart
     retries, each at half the step tried (rewinds where an attempt's
-    chord left the chart, halvings where one of its stages did), and the
-    RHS evaluations: 2 for the first derivative and step size, and 6 per
-    step attempt, also where an attempt left the chart before its last
-    stage.  knots is (ts, ss, xs, vs) at the integrator's step ends: the
-    parameter, the new parameter of reparam_to_tilde / reparam_from_tilde,
-    the position and the velocity; None on lc and bar paths and on a
-    curve built by hand.
+    chord left the chart, halvings where one of its stages or its dense
+    test's midpoint did), the attempts the dense test rejected
+    (dense_rejected), and the RHS evaluations: 2 for the first
+    derivative and step size, 6 per step attempt, also where an attempt
+    left the chart before its last stage, and 1 per midpoint the dense
+    test evaluates.  knots is (ts, ss, xs, vs) at the integrator's step
+    ends: the parameter, the new parameter of reparam_to_tilde /
+    reparam_from_tilde, the position and the velocity; None on lc and bar
+    paths and on a curve built by hand.
     """
 
     kind: ConnKind
@@ -149,6 +156,8 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
+# a passed dense test caps the step's growth at 0.9 de^{-1/4}
+_DENSE_EXPONENT = -1 / 4
 
 
 def _combo(coeffs, i):
@@ -225,32 +234,35 @@ def _indent(lines, depth):
 def _integrator(M, kind):
     """The whole integration of kind's geodesics on M, as one function.
 
-    run(y, steps, replay, t1, max_step, rtol, atol, escape, max_steps,
-    rows) starts from the state y, the list of 2n floats (x, v), and
-    takes its own start: the first derivative f, and, integrating, the
-    first step h_abs by scipy's select_initial_step (_rms's norm), each
-    of the two evaluations being the domain test and then the spray's
-    get.  It returns (status, t, y, f, h_abs, accepted, rejected, rewinds,
-    halvings, attempts, left, err): the status, the last accepted
-    parameter, state and derivative, the step the controller proposes
-    from that state (None in a replay), the counts as local ints, and how
-    the last attempt ended: left is 1 where one of its stages left the
-    chart, 2 where its chord did, else 0, and err is the error estimate
-    of the last attempt that computed one (None before any, and in a
-    replay).  Where either start evaluation leaves the chart it returns
-    ("exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0, 1, None).
+    run(y, steps, replay, t1, rtol, atol, escape, max_steps, rows)
+    starts from the state y, the list of 2n floats (x, v), and takes its
+    own start: the first derivative f, and, integrating, the first step
+    h_abs by scipy's select_initial_step (_rms's norm), each of the two
+    evaluations being the domain test and then the spray's get.  It
+    returns (status, t, y, f, h_abs, accepted, rejected, rewinds,
+    halvings, dense_rejected, rhs_calls, left, err): the status, the last
+    accepted parameter, state and derivative, the step the controller
+    proposes from that state (None in a replay), the counts of
+    GeodesicPath.meta["integrator"] as local ints, and how the last
+    attempt ended: left is 1 where one of its stages or its dense test's
+    midpoint left the chart, 2 where its chord did, else 0, and err is
+    the error estimate of the last attempt that computed one (None before
+    any, and in a replay).  Where either start evaluation leaves the
+    chart it returns ("exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0,
+    2, 1, None).
 
     Integrating (replay false), it runs _integrate_core's adaptive loop:
     the Dormand-Prince step of _step_lines with RK45's controller from the
     first step h_abs, the chord probe of _probe_lines, the finiteness test
-    of the new state, the chart retries at half the step, the step cap,
-    the step budget max_steps and the escape radius.  Each accepted step
-    is appended to the list rows, unless that is None, as one flat row
-    (t0, t1, x0, v0, a0, x1, v1, a1), a being the acceleration, ending
-    with s at t1 for kind nabla or lc-tilde (_WEIGHT), and its size to the
-    list steps, unless that is None.  Replaying, it takes the
-    sizes in steps one by one with no step control, and the status is
-    "exited-domain" as soon as a stage or a chord leaves the chart.
+    of the new state, the chart retries at half the step, the step budget
+    max_steps and the escape radius.  Where rows is a list, a step longer
+    than t1 / 48 also passes the dense test of _dense_lines, and each
+    accepted step is appended to rows as one flat row (t0, t1, x0, v0,
+    a0, x1, v1, a1), a being the acceleration, ending with s at t1 for
+    kind nabla or lc-tilde (_WEIGHT); its size is appended to the list
+    steps, unless that is None.  Replaying, it takes the sizes in steps
+    one by one with no step control, and the status is "exited-domain" as
+    soon as a stage or a chord leaves the chart.
 
     The stages and the probe are written once, from the plans of the
     spray, values and domain kernels, and the start calls the compiled
@@ -268,14 +280,15 @@ def _start_lines(n, quad):
     set the derivative k1_0, ..., k1_{N-1}, where quad sigma at y as q and
     the new parameter s = 0, and, unless replaying, h_abs: scipy's
     select_initial_step for an order-4 error estimate from t = 0 (Hairer,
-    Norsett & Wanner, II.4), with the RMS norm _rms.  Each of the two
-    evaluations is the domain test and then the spray's get, and the lines
-    return the exit result where either leaves the chart.
+    Norsett & Wanner, II.4) with no max_step, with the RMS norm _rms.
+    Each of the two evaluations is the domain test and then the spray's
+    get, and the lines return the exit result where either leaves the
+    chart.
     """
     N = 2 * n
     join = ", ".join
     y, f, s = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "s"))
-    leave = "    return 'exited-domain', 0.0, y, None, None, 0, 0, 0, 0, 0, 1, None"
+    leave = "    return 'exited-domain', 0.0, y, None, None, 0, 0, 0, 0, 0, 2, 1, None"
     f1 = [f"z[{n + i}]" for i in range(n)] + [f"out[{i - n}]" for i in range(n)]
     return [
         "out = _spray(y) if _domain(y) else None",
@@ -301,7 +314,70 @@ def _start_lines(n, quad):
         "        h_abs = _max(1e-6, h0 * 1e-3)",
         "    else:",
         f"        h_abs = (0.01 / _max(d1, d2)) ** {1 / 5!r}",
-        "    h_abs = _min(100 * h0, h_abs, t1, max_step)",
+        "    h_abs = _min(100 * h0, h_abs, t1)",
+    ]
+
+
+def _dense_lines(n, kind, sigma_new):
+    """The dense test of a collected step longer than t1 / 48, unindented.
+
+    The lines read the step's ends y, k1_ and n, k7_ and its size h, and
+    on a nabla or lc-tilde path (_WEIGHT) the step's increment ds of s,
+    and sigma at its ends, q and sigma_new.  They evaluate the chart and
+    the spray once, at the midpoint of the step's quintic Hermite
+    interpolant (Hairer, Norsett & Wanner, II.6), and set left = 1 where
+    it is outside the chart.  Else de is the defect of the interpolant's
+    acceleration from the spray's there, times h, in the RMS norm of the
+    velocity's error estimate, and times max(1, e^{-4 sigma}) on nabla,
+    whose gtilde velocity sees the defect that much larger; on nabla and
+    lc-tilde de is at least ds's gap from Simpson's rule on e^{c sigma},
+    over atol + |s| rtol.  A de of 1 or more rejects the step, as the
+    error estimate does (counted as dense_rejected); a smaller one is left
+    in de, for the loop to cap the step's growth at 0.9 de^{-1/4}.  Where
+    the midpoint does not fit in a double the test is not made, and where
+    its arithmetic overflows, so that de is not finite, it passes: an
+    overflow never ends, halves or stops the path.
+    """
+    N = 2 * n
+    join = ", ".join
+    y, a0, new, a1 = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "n", "k7_"))
+    x0, v0, x1, v1 = y[:n], y[n:], new[:n], new[n:]
+    a0, a1 = a0[n:], a1[n:]
+    mid = [f"0.5 * ({x0[i]} + {x1[i]}) + 0.15625 * h * ({v0[i]} - {v1[i]})"
+           f" + 0.015625 * hh * ({a0[i]} + {a1[i]})" for i in range(n)]
+    mid += [f"(1.875 * ({x1[i]} - {x0[i]}) - 0.4375 * h * ({v0[i]} + {v1[i]})"
+            f" + 0.03125 * hh * ({a1[i]} - {a0[i]})) / h" for i in range(n)]
+    m = [f"m{i}" for i in range(N)]
+    defect = [f"h * (out[{i - n}] - (1.5 * ({v1[i]} - {v0[i]}) / h - 0.25 * ({a0[i]} + {a1[i]})))"
+              f" / (atol + _max(abs({v0[i]}), abs({v1[i]})) * rtol)" for i in range(n)]
+    sig = f"out[{n * n}]"
+    test = [f"de = _rms(({join(defect)},))"]
+    if kind is ConnKind.NABLA:
+        test[0] += f" * _max(1.0, _exp(-4.0 * {sig}))"
+    if kind in _WEIGHT:
+        c = _WEIGHT[kind]
+        F0, Fm, F1 = (f"_exp({c!r} * {a})" for a in ("q", sig, sigma_new))
+        simpson = f"h / 6.0 * ({F0} + 4.0 * {Fm} + {F1})"
+        test.append(f"de = _max(de, abs(ds - {simpson}) / (atol + abs(s + ds) * rtol))")
+    return [
+        "hh = h * h",
+        *(f"{a} = {e}" for a, e in zip(m, mid)),
+        f"if {' and '.join(f'_isfinite({a})' for a in m)}:",
+        "    calls += 1",
+        f"    z = [{join(m)}]",
+        "    out = _spray(z) if _domain(z) else None",
+        "    if out is None:",
+        "        left = 1",
+        "    else:",
+        "        try:",
+        *_indent(test, 3),
+        "        except OverflowError:",
+        "            de = 0.0",
+        "        if 1.0 <= de < _inf:",
+        f"            h *= _max({_MIN_FACTOR!r}, {_SAFETY!r} * de ** {_ERROR_EXPONENT!r})",
+        "            shrunk = True",
+        "            dense_rejected += 1",
+        "            continue",
     ]
 
 
@@ -310,15 +386,17 @@ def _build_integrator(M, kind):
     N = 2 * n
     join = ", ".join
     step, sigmas = _step_lines(M, kind)
-    quad = []
-    if kind in _WEIGHT:
-        # s over an accepted step: e^{c sigma} at stages 1 (q) to 6 with the
-        # order-5 weights, feeding back into nothing; a weight that overflows
-        # makes s infinite, not the path end.  q takes sigma at stage 7
+    quad = kind in _WEIGHT
+    dense = ["if not left and rows is not None:"]
+    if quad:
+        # s's increment over the step: e^{c sigma} at stages 1 (q) to 6 with
+        # the order-5 weights; a weight that overflows makes it infinite, not
+        # the path end
         terms = " + ".join(f"_exp({_WEIGHT[kind]!r} * {q}) * {b!r}"
                            for q, b in zip(["q", *sigmas], _DP_B) if b != 0.0)
-        quad = ["try:", f"    s += h * ({terms})", "except OverflowError:", "    s = _inf",
-                f"q = {sigmas[5]}"]
+        dense += ["    try:", f"        ds = h * ({terms})", "    except OverflowError:",
+                  "        ds = _inf"]
+    dense += ["    if h > tested:", *_indent(_dense_lines(n, kind, sigmas[5]), 2)]
     y, f, new, f_new = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "n", "k7_"))
     errors = [f"e{i} = ({_combo(_DP_E, i)}) * h / (atol + _max(abs(y{i}), abs(n{i})) * rtol)"
               for i in range(N)]
@@ -328,9 +406,12 @@ def _build_integrator(M, kind):
     catch = "except (ArithmeticError, ValueError, _DomainExit):"
     body = [
         f"{join(y)}, = y",
-        *_start_lines(n, bool(quad)),
+        *_start_lines(n, quad),
         "t = 0.0",
-        "accepted = rejected = rewinds = halvings = attempts = j = 0",
+        "# the collected steps longer than this pass the dense test",
+        "tested = t1 / 48.0",
+        "accepted = rejected = rewinds = halvings = dense_rejected = j = 0",
+        "calls = 2",
         "status = 'completed'",
         "h = None  # the step of the next attempt from (t, y), None after an accepted one",
         "left = 0",
@@ -351,10 +432,10 @@ def _build_integrator(M, kind):
         "            min_step = 10 * (_nextafter(t, _inf) - t)",
         "            # cap the chart displacement of one step so the chord probes",
         "            # cannot straddle a hole at a scale they do not resolve",
-        "            cap = max_step",
+        "            cap = _inf",
         f"            speed = _max({speed})",
         "            if speed > 0.0:",
-        f"                cap = _min(max_step, 0.5 * (1.0 + _max({reach})) / speed)",
+        f"                cap = 0.5 * (1.0 + _max({reach})) / speed",
         "            h = cap if h_abs > cap else _max(h_abs, min_step)",
         "            shrunk = False",
         "        if h < min_step:",
@@ -363,7 +444,7 @@ def _build_integrator(M, kind):
         "            break",
         "        t_new = _min(t + h, t1)",
         "        h = t_new - t",
-        "        attempts += 1",
+        "        calls += 6",
         "    try:",
         *_indent(step, 2),
         f"    {catch}",
@@ -383,13 +464,16 @@ def _build_integrator(M, kind):
         "                # the state no longer fits in doubles: it has left every chart",
         "                status = 'exited-domain'",
         "                break",
+        "            de = 0.0",
         "        try:",
         *_indent(_probe_lines(M), 3),
         f"        {catch}",
         "            left = 2",
+        *_indent(dense, 2),
         "    if left:",
-        "        # a stage (1) or the chord (2) left the chart: retry from (t, y) at",
-        "        # half the step tried, down to the exit window or the shortest step",
+        "        # a stage or the dense test's midpoint (1), or the chord (2), left",
+        "        # the chart: retry from (t, y) at half the step tried, down to the",
+        "        # exit window or the shortest step",
         f"        if replay or h <= {EXIT_BISECT_TOL!r} or 0.5 * h < min_step:",
         "            status = 'exited-domain'",
         "            break",
@@ -404,11 +488,13 @@ def _build_integrator(M, kind):
         f"        factor = {_MAX_FACTOR!r}",
         "        if err > 0.0:",
         f"            factor = _min({_MAX_FACTOR!r}, {_SAFETY!r} * err ** {_ERROR_EXPONENT!r})",
+        "        if 0.0 < de < _inf:",
+        f"            factor = _min(factor, {_SAFETY!r} * de ** {_DENSE_EXPONENT!r})",
         "        if shrunk:",
         "            factor = _min(1.0, factor)",
         "        accepted += 1",
         "        if rows is not None:",
-        *_indent(quad, 3),
+        *(["            s += ds", f"            q = {sigmas[5]}"] if quad else []),
         f"            rows.append((t, t_new, {join(y + f[n:] + new + f_new[n:])}"
         f"{', s' if quad else ''}))",
         "        if steps is not None:",
@@ -420,10 +506,10 @@ def _build_integrator(M, kind):
         "        status = 'escaped'",
         "        break",
         f"return (status, t, [{join(y)}], [{join(f)}], h_abs, accepted, rejected, rewinds,"
-        " halvings, attempts, left, err)",
+        " halvings, dense_rejected, calls, left, err)",
     ]
-    src = ("def _kernel(y, steps, replay, t1=0.0, max_step=0.0, rtol=1.0, atol=1.0,"
-           " escape=None, max_steps=0, rows=None):\n"
+    src = ("def _kernel(y, steps, replay, t1=0.0, rtol=1.0, atol=1.0, escape=None, max_steps=0,"
+           " rows=None):\n"
            + "".join(f"    {line}\n" for line in body))
     code = compile(src, f"<loop {M.name} {kind.value}>", "exec")
     return _exec_kernel(code, math, _max=max, _min=min, _isfinite=math.isfinite,
@@ -443,7 +529,7 @@ def _rms(xs):
     return math.sqrt(sq) / len(xs) ** 0.5
 
 
-_COUNTS = ("accepted", "rejected", "rewinds", "halvings")
+_COUNTS = ("accepted", "rejected", "rewinds", "halvings", "dense_rejected", "rhs_calls")
 
 
 def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None):
@@ -468,15 +554,13 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     t1 = float(t1)
     if not 0.0 < t1 < math.inf:
         raise ValueError("t1 must be positive and finite")
-    # keep steps short enough that the dense interpolant tracks the
-    # acceleration, not just the position, of the solution
-    max_step = t1 / 48.0 if collect else math.inf
+    # the error control sizes every step; where rows are collected, a step
+    # longer than t1 / 48 must also pass the dense test at its midpoint, so
+    # that the interpolant tracks the acceleration, not just the position
     rows = [] if collect else None
-    status, t, y, _, _, *counts, attempts, _, _ = _integrator(M, kind)(
-        [*x0, *v0], steps, False, t1, max_step, opts.rtol, opts.atol, escape, MAX_STEPS, rows)
-    # 2 RHS calls for the first derivative and step, 6 per step attempt
-    counts = dict(zip(_COUNTS, counts), rhs_calls=2 + 6 * attempts)
-    return status, t, np.array(y), rows if collect else [], counts
+    status, t, y, _, _, *counts, _, _ = _integrator(M, kind)(
+        [*x0, *v0], steps, False, t1, opts.rtol, opts.atol, escape, MAX_STEPS, rows)
+    return status, t, np.array(y), rows if collect else [], dict(zip(_COUNTS, counts))
 
 
 def _replay(M, kind, x0, v0, steps):
@@ -693,9 +777,17 @@ def _reparam(M, path, out_kind, in_kind):
     _check_increasing(s)
     meta = dict(path.meta)
     meta["quadrature_error"] = abs(float(np.sum(seg - cubic)))
+    try:
+        sigma = M.at_many(xs).sigma
+    except OutOfDomainError as exc:
+        if path.knots is None:
+            raise
+        # a sample interpolated between two step ends left the chart: the
+        # path's numbers, not the input, are at fault
+        t = float(ts[np.flatnonzero(np.isnan(M._values_many(xs)[:, 0]))[0]])
+        raise GeodesicError(f"dense output leaves the chart at t = {t!r}: {exc}") from None
     # the weight is the derivative of the new parameter with respect to the old one
-    return GeodesicPath(kind=out_kind, ts=s, xs=xs.copy(),
-                        vs=vs / _weight(sign * M.at_many(xs).sigma)[:, None],
+    return GeodesicPath(kind=out_kind, ts=s, xs=xs.copy(), vs=vs / _weight(sign * sigma)[:, None],
                         status=path.status, meta=meta, knots=(sk, tk, xk, vk / F[:, None]))
 
 

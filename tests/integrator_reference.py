@@ -6,8 +6,9 @@ Dormand-Prince 5(4) step on it, chord_ok the scalar chord probe on the
 chart test ManifoldDef._values, run the emitted integrator's start and
 adaptive loop, integrate_core geodesic._integrate_core over it, and
 replay geodesic._replay, with one Python call per evaluation, step,
-stage and chord point.  Each does, operation for operation, what the
-emitted code does, so the results agree bit for bit.
+stage and chord point, and dense_error the dense test of a long
+collected step.  Each does, operation for operation, what the emitted
+code does, so the results agree bit for bit.
 """
 
 import math
@@ -25,6 +26,7 @@ from divstat.geodesic import (
     _MAX_FACTOR,
     _MIN_FACTOR,
     _COUNTS,
+    _DENSE_EXPONENT,
     _SAFETY,
     EXIT_BISECT_TOL,
     _DomainExit,
@@ -121,38 +123,85 @@ def chord_ok(M, x_a, x_b):
     return True
 
 
-def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, log=None):
+def dense_error(rhs, sigmas, kind, y, f, y_new, f_new, h, rtol, atol, q=None, s=None, ds=None):
+    """The dense test of a collected step longer than t1 / 48: its de, or None.
+
+    None where the midpoint of the step's quintic Hermite interpolant does
+    not fit in a double (no test); _DomainExit from rhs where it is outside
+    the chart.  Else de: h times the defect of the interpolant's
+    acceleration from rhs's there, in the RMS norm of the velocity's error
+    estimate, times max(1, e^{-4 sigma}) on nabla, and on a nabla or
+    lc-tilde step at least the gap of its increment ds of s from Simpson's
+    rule on e^{c sigma} (q and sigmas[5] being sigma at the step's ends),
+    over atol + |s + ds| rtol; 0 where a weight overflows.
+    """
+    n = len(y) // 2
+    x0, v0, a0 = y[:n], y[n:], f[n:]
+    x1, v1, a1 = y_new[:n], y_new[n:], f_new[n:]
+    hh = h * h
+    m = [0.5 * (x0[i] + x1[i]) + 0.15625 * h * (v0[i] - v1[i])
+         + 0.015625 * hh * (a0[i] + a1[i]) for i in range(n)]
+    m += [(1.875 * (x1[i] - x0[i]) - 0.4375 * h * (v0[i] + v1[i])
+           + 0.03125 * hh * (a1[i] - a0[i])) / h for i in range(n)]
+    if not all(map(math.isfinite, m)):
+        return None
+    acc = rhs(m)[n:]
+    sm = sigmas[-1]
+    sign = geodesic._WEIGHT.get(ConnKind(kind))
+    try:
+        de = _rms([h * (acc[i] - (1.5 * (v1[i] - v0[i]) / h - 0.25 * (a0[i] + a1[i])))
+                   / (atol + max(abs(v0[i]), abs(v1[i])) * rtol) for i in range(n)])
+        if ConnKind(kind) is ConnKind.NABLA:
+            de = de * max(1.0, math.exp(-4.0 * sm))
+        if sign is not None:
+            de = max(de, abs(ds - h / 6.0 * (math.exp(sign * q) + 4.0 * math.exp(sign * sm)
+                                             + math.exp(sign * sigmas[5])))
+                     / (atol + abs(s + ds) * rtol))
+    except OverflowError:
+        de = 0.0
+    return de
+
+
+def run(M, kind, y, steps, t1, rtol, atol, escape, max_steps, rows, log=None):
     """The emitted integrator's start and adaptive loop in Python: the same return value.
 
     The arguments are those of geodesic._integrator(M, kind)'s function
     integrating (steps before t1, no replay flag), and so is the value:
     (status, t, y, f, h_abs, accepted, rejected, rewinds, halvings,
-    attempts, left, err).  The start is rhs_factory's first derivative
-    and initial_step's first step; where either evaluation raises
-    _DomainExit the value is ("exited-domain", 0.0, y, None, None, 0, 0,
-    0, 0, 0, 1, None).  On a nabla or lc-tilde run with rows, each row
-    ends with the new parameter s at the step's end: s = 0 at t = 0, and
-    each accepted step adds its quadrature of e^{c sigma}, c being
-    geodesic._WEIGHT[kind], with the weights _DP_B at the stage points,
-    or makes s infinite where a weight overflows.  Where log is a list,
-    each step attempt appends [t, y, h, outcome] to it: the parameter and
-    the list of the state it starts from, the same object for every
-    attempt from that state, the step tried, and outcome "accepted",
-    "rejected", "halving" (a stage left the chart), "rewind" (the chord
-    did) or "overflow" (the new state does not fit in doubles).
+    dense_rejected, rhs_calls, left, err).  The start is rhs_factory's
+    first derivative and initial_step's first step; where either
+    evaluation raises _DomainExit the value is ("exited-domain", 0.0, y,
+    None, None, 0, 0, 0, 0, 0, 2, 1, None).  With rows, a step longer than
+    t1 / 48 that passes the error test and the chord probe also passes
+    dense_error's test, or is retried at half its step (a midpoint outside
+    the chart, counted under halvings) or shrunk as the error test shrinks
+    it (a de of 1 or more, under dense_rejected); a passed test caps the
+    step's growth at 0.9 de^{-1/4}.  On a nabla or lc-tilde run with
+    rows, each row ends with the new parameter s at the step's end: s = 0
+    at t = 0, and each accepted step adds its quadrature of e^{c sigma},
+    c being geodesic._WEIGHT[kind], with the weights _DP_B at the stage
+    points, or makes s infinite where a weight overflows.  Where log is a
+    list, each step attempt appends [t, y, h, outcome] to it: the
+    parameter and the list of the state it starts from, the same object
+    for every attempt from that state, the step tried, and outcome
+    "accepted", "rejected", "dense-rejected", "halving" (a stage or the
+    dense test's midpoint left the chart), "rewind" (the chord did) or
+    "overflow" (the new state does not fit in doubles).
     """
     n = M.n
     sign = geodesic._WEIGHT.get(ConnKind(kind)) if rows is not None else None
     sigmas = []
     rhs = rhs_factory(M, kind, sigmas)
+    calls = 2
     try:
         f = rhs(y)
-        h_abs = initial_step(rhs, y, f, t1, max_step, rtol, atol)
+        h_abs = initial_step(rhs, y, f, t1, math.inf, rtol, atol)
     except _DomainExit:
-        return "exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0, 1, None
+        return "exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0, calls, 1, None
     q, s = sigmas[0], 0.0
     t = 0.0
-    accepted = rejected = rewinds = halvings = attempts = 0
+    tested = t1 / 48.0
+    accepted = rejected = rewinds = halvings = dense_rejected = 0
     status = "completed"
     h = None  # the step of the next attempt from (t, y), None after an accepted one
     left, err = 0, None
@@ -162,10 +211,10 @@ def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, lo
                 status = "step-limit"
                 break
             min_step = 10 * (math.nextafter(t, math.inf) - t)
-            cap = max_step
+            cap = math.inf
             speed = max(map(abs, y[n:]))
             if speed > 0.0:
-                cap = min(max_step, 0.5 * (1.0 + max(map(abs, y[:n]))) / speed)
+                cap = 0.5 * (1.0 + max(map(abs, y[:n]))) / speed
             h = cap if h_abs > cap else max(h_abs, min_step)
             shrunk = False
         if h < min_step:
@@ -173,10 +222,11 @@ def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, lo
             break
         t_new = min(t + h, t1)
         h = t_new - t
-        attempts += 1
+        calls += 6
         if log is not None:
             log.append([t, y, h, None])
         sigmas.clear()
+        de = 0.0
         try:
             y_new, f_new, err = dopri5_step(rhs, y, f, h, rtol, atol)
         except _DomainExit:
@@ -197,6 +247,33 @@ def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, lo
                 break
             if not chord_ok(M, y[:n], y_new[:n]):
                 left = 2
+            elif rows is not None:
+                if sign is not None:
+                    # sigma at stages 1 to 6; sigmas[5] is sigma at stage 7
+                    try:
+                        ds = h * reduce(add, (math.exp(sign * a) * b
+                                              for a, b in zip([q, *sigmas], _DP_B) if b != 0.0))
+                    except OverflowError:
+                        ds = math.inf
+                if h > tested:
+                    try:
+                        de = dense_error(rhs, sigmas, kind, y, f, y_new, f_new, h, rtol, atol,
+                                         q, s, ds if sign is not None else None)
+                    except _DomainExit:
+                        calls += 1
+                        left = 1
+                    else:
+                        if de is None:
+                            de = 0.0
+                        else:
+                            calls += 1
+                        if 1.0 <= de < math.inf:
+                            h *= max(_MIN_FACTOR, _SAFETY * de ** _ERROR_EXPONENT)
+                            shrunk = True
+                            dense_rejected += 1
+                            if log is not None:
+                                log[-1][3] = "dense-rejected"
+                            continue
         if log is not None:
             log[-1][3] = ("accepted", "halving", "rewind")[left]
         if left:
@@ -213,16 +290,13 @@ def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, lo
         factor = _MAX_FACTOR
         if err > 0.0:
             factor = min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+        if 0.0 < de < math.inf:
+            factor = min(factor, _SAFETY * de ** _DENSE_EXPONENT)
         if shrunk:
             factor = min(1.0, factor)
         accepted += 1
         if sign is not None:
-            # sigma at stages 1 to 6, then at stage 7, the new state
-            try:
-                s = s + h * reduce(add, (math.exp(sign * a) * b
-                                         for a, b in zip([q, *sigmas], _DP_B) if b != 0.0))
-            except OverflowError:
-                s = math.inf
+            s += ds
             q = sigmas[5]
             rows.append((t, t_new, *y, *f[n:], *y_new, *f_new[n:], s))
         elif rows is not None:
@@ -233,19 +307,17 @@ def run(M, kind, y, steps, t1, max_step, rtol, atol, escape, max_steps, rows, lo
         if escape is not None and max(map(abs, y[:n])) > escape:
             status = "escaped"
             break
-    return status, t, y, f, h_abs, accepted, rejected, rewinds, halvings, attempts, left, err
+    return (status, t, y, f, h_abs, accepted, rejected, rewinds, halvings, dense_rejected, calls,
+            left, err)
 
 
 def integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None, log=None):
     """geodesic._integrate_core in Python, over run: the same return value."""
-    max_step = t1 / 48.0 if collect else math.inf
     y = [*map(float, x0), *map(float, v0)]
     rows = [] if collect else None
-    status, t, y, _, _, *counts, attempts, _, _ = run(
-        M, kind, y, steps, t1, max_step, opts.rtol, opts.atol, escape, geodesic.MAX_STEPS,
-        rows, log)
-    counts = dict(zip(_COUNTS, counts), rhs_calls=2 + 6 * attempts)
-    return status, t, np.array(y), rows if collect else [], counts
+    status, t, y, _, _, *counts, _, _ = run(
+        M, kind, y, steps, t1, opts.rtol, opts.atol, escape, geodesic.MAX_STEPS, rows, log)
+    return status, t, np.array(y), rows if collect else [], dict(zip(_COUNTS, counts))
 
 
 def replay(M, kind, x0, v0, steps):

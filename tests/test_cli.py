@@ -862,7 +862,7 @@ def test_geodesic_whose_dense_output_overflows(capsys):
         "--t-max", "1e308", "--steps", "3"])
     assert code == 3 and out == ""
     assert err == ("divstat: dense output overflows: h^2 a(t0) is not finite on the step "
-                   "[4.871075588443622e+307, 5.079408921776956e+307]\n")
+                   "[3.7670739997437575e+307, 5.650610999615636e+307]\n")
 
 
 def test_literal_out_of_range_is_invalid_input(tmp_path, capsys):
@@ -1132,6 +1132,24 @@ def test_connect_converged_but_nabla_parameter_overflows(capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("divstat:")
+    assert "nabla parameter overflows" in lines[0]
+
+
+def test_connect_whose_weight_overflows_on_a_long_step(capsys):
+    # the fine gtilde path passes within 0.084 of the puncture on steps
+    # longer than t1 / 48, where e^{-2 sigma} overflows at stage points:
+    # the dense test lets the overflow pass, so the path runs on; the
+    # Gauss-Newton runs make no dense test, so the solve and its length
+    # stay; and the nabla parameter overflows
+    code, out, err = run_out(capsys, [
+        "connect", "punctured-plane", "--from=-0.5380181689364749,-1.2769909134364705",
+        "--to=1.021738202481488,1.963055461804913"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["converged"] is True and doc["tilde_length"] == 3.5959338775753031
+    assert "samples" not in doc
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("divstat: the gtilde geodesic from ")
     assert "nabla parameter overflows" in lines[0]
 
 

@@ -548,7 +548,7 @@ def _step_outcome(M, kind, y, h):
     run = _integrator(M, kind)
     _, _, y_new, f_new, *_, left, _ = run(y, [h], True)
     replayed = _EXITS[left - 1] if left else _hex(y_new + f_new)
-    out = run(y, None, False, h, math.inf, 1e-9, 1e-11, None, 1, None)
+    out = run(y, None, False, h, 1e-9, 1e-11, None, 1, None)
     return replayed, _run_outcome(out)
 
 
@@ -562,7 +562,7 @@ def _generic_outcome(M, kind, y, h):
         replayed = "stage-exit"
     else:
         replayed = _hex(y_new + f_new) if chord_ok(M, y[:M.n], y_new[:M.n]) else "chord-exit"
-    out = reference_run(M, kind, y, None, h, math.inf, 1e-9, 1e-11, None, 1, None)
+    out = reference_run(M, kind, y, None, h, 1e-9, 1e-11, None, 1, None)
     return replayed, _run_outcome(out)
 
 
