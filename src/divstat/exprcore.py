@@ -87,23 +87,24 @@ class Expr:
     """Expression node, equal by structure.
 
     diff(i) is the exact partial derivative by coordinate i.  A node is
-    never modified after it is built: compiled kernels, and the kernel
-    eval keeps on the node, hold the tree as it was compiled, and the `_d`
-    slot keeps the node's derivative by each coordinate once diff has built
-    it.  So a subtree that several nodes share is differentiated once, and
-    a jet is a DAG.  == compares whole trees on one _walk; hash reads a
-    node's own fields and not its children, so equal trees hash equal
-    without a walk.  No slot takes part in ==, hash or repr.
+    never modified after it is built: compiled kernels hold the tree as it
+    was compiled, and the `_d` slot keeps the node's derivative by each
+    coordinate once diff has built it.  So a subtree that several nodes
+    share is differentiated once, and a jet is a DAG.  == compares whole
+    trees on one _walk; hash reads a node's own fields and not its
+    children, so equal trees hash equal without a walk.  The slot takes no
+    part in ==, hash or repr.
     """
 
-    __slots__ = ("_fn", "_d")
+    __slots__ = ("_d",)
 
     def eval(self, x):
-        """Evaluate at coordinate tuple `x`."""
-        fn = getattr(self, "_fn", None)
-        if fn is None:
-            fn = self._fn = compile_many((self,))
-        return fn(x)[0]
+        """Evaluate at coordinate tuple `x`: compile_many((self,))(x)[0].
+
+        The kernel is compiled on every call and kept nowhere; code that
+        evaluates a tree more than once compiles it once with compile_many.
+        """
+        return compile_many((self,))(x)[0]
 
     def _walk_eval(self, x):
         # the guarded reference evaluation, which names a failing node

@@ -6,17 +6,19 @@ floats with the coefficients and step controller of scipy's RK45, so its
 steps follow RK45's up to rounding; an attempt that leaves the chart, at a
 stage or along its chord, is retried at half its step, down to the exit
 window EXIT_BISECT_TOL, so the exit parameter is sharp.  Where the steps
-are collected for dense output, the error control still sizes them, and a
-step longer than t1 / 48 also passes a test of its quintic Hermite
-interpolant: the spray at the interpolant's midpoint against the
-interpolant's own acceleration there, and on nabla and lc-tilde paths the
-new parameter's increment against Simpson's rule (_dense_lines).  The
-whole loop is one function emitted per manifold and connection
-(_integrator, see there), with the chart test and the spray inlined at
-every stage; _replay runs it on the step sizes an integration recorded,
-with no step control, which makes it the shooting Jacobian's column
-integrator.  The tests hold a Python loop over the generic step as its
-reference (tests/integrator_reference.py).
+are collected for dense output, the integrator keeps one knot per step
+end, (t, x, v, a) with the start as knot 0, and the dense output is the
+quintic Hermite between consecutive knots (_eval_pieces).  The error
+control still sizes the steps, and a step longer than t1 / 48 also passes
+a test of its interpolant: the spray at the interpolant's midpoint
+against the interpolant's own acceleration there, and on nabla and
+lc-tilde paths the new parameter's increment against Simpson's rule
+(_dense_lines).  The whole loop is one function emitted per manifold and
+connection (_integrator, see there), with the chart test and the spray
+inlined at every stage; _replay runs it on the step sizes an integration
+recorded, with no step control, which makes it the shooting Jacobian's
+column integrator.  The tests hold a Python loop over the generic step as
+its reference (tests/integrator_reference.py).
 
 Because nabla is projectively equivalent to the Levi-Civita connection of
 gtilde = e^sigma g, a nabla-geodesic becomes a gtilde-geodesic under the
@@ -24,12 +26,13 @@ parameter change ds/dt = e^{2 sigma} along the path (and back with the
 reciprocal weight).  On a nabla or lc-tilde path the integrator carries
 the new parameter s as a quadrature state: each accepted step adds the
 order-5 sum of the weight at its stage points, s feeds back into no stage
-and no error estimate, and the path keeps s at its step ends
-(GeodesicPath.knots).  reparam_to_tilde / reparam_from_tilde read s there
-and, between step ends, its quintic Hermite from the weight and its first
-parameter derivative.  The parameter change and geodesic_residual read
-the geometry of a path's points in one batched call and take Gamma(v, v)
-from the connection's spray kernel (spray(kind).many), never building the
+and no error estimate, and each knot ends with s (GeodesicPath.knots).
+reparam_to_tilde / reparam_from_tilde read s at the knots and, between
+them, its quintic Hermite from the weight and its first parameter
+derivative, through the same _eval_pieces.  The parameter change reads
+the geometry of a path's knots and samples, and geodesic_residual that of
+its samples, in batched calls; geodesic_residual takes Gamma(v, v) from
+the connection's spray kernel (spray(kind).many), never building the
 connection tensors.  Batched jets come from numpy's ufuncs, whose exp and
 power round differently from math's on a few percent of inputs, so their
 results can differ from a point-by-point evaluation in the last bits.
@@ -81,8 +84,8 @@ class IntegratorOpts:
     dense_samples: int = 129
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("integrator tolerances must be positive")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError("integrator tolerances must be positive and finite")
         if self.dense_samples < 2:
             raise ValueError("dense_samples must be at least 2")
 
@@ -103,9 +106,10 @@ class GeodesicPath:
     derivative and step size, 6 per step attempt, also where an attempt
     left the chart before its last stage, and 1 per midpoint the dense
     test evaluates.  knots is (ts, ss, xs, vs) at the integrator's step
-    ends: the parameter, the new parameter of reparam_to_tilde /
-    reparam_from_tilde, the position and the velocity; None on lc and bar
-    paths and on a curve built by hand.
+    ends, the start first: the parameter, the new parameter of
+    reparam_to_tilde / reparam_from_tilde, the position and the velocity,
+    each a column slice of the integrator's knot array; None on lc and bar
+    paths and on a path with no accepted step.
     """
 
     kind: ConnKind
@@ -256,13 +260,14 @@ def _integrator(M, kind):
     first step h_abs, the chord probe of _probe_lines, the finiteness test
     of the new state, the chart retries at half the step, the step budget
     max_steps and the escape radius.  Where rows is a list, a step longer
-    than t1 / 48 also passes the dense test of _dense_lines, and each
-    accepted step is appended to rows as one flat row (t0, t1, x0, v0,
-    a0, x1, v1, a1), a being the acceleration, ending with s at t1 for
-    kind nabla or lc-tilde (_WEIGHT); its size is appended to the list
-    steps, unless that is None.  Replaying, it takes the sizes in steps
-    one by one with no step control, and the status is "exited-domain" as
-    soon as a stage or a chord leaves the chart.
+    than t1 / 48 also passes the dense test of _dense_lines, and rows gets
+    one knot (t, x, v, a) per step end, a being the acceleration, ending
+    with s there for kind nabla or lc-tilde (_WEIGHT): the start's knot
+    once the start is in the chart, then one per accepted step.  The size
+    of each accepted step is appended to the list steps, unless that is
+    None.  Replaying, it takes the sizes in steps one by one with no step
+    control, and the status is "exited-domain" as soon as a stage or a
+    chord leaves the chart.
 
     The stages and the probe are written once, from the plans of the
     spray, values and domain kernels, and the start calls the compiled
@@ -283,7 +288,8 @@ def _start_lines(n, quad):
     Norsett & Wanner, II.4) with no max_step, with the RMS norm _rms.
     Each of the two evaluations is the domain test and then the spray's
     get, and the lines return the exit result where either leaves the
-    chart.
+    chart.  Else, where rows is a list, they append the start's knot
+    (0.0, y, a), with s where quad.
     """
     N = 2 * n
     join = ", ".join
@@ -315,6 +321,8 @@ def _start_lines(n, quad):
         "    else:",
         f"        h_abs = (0.01 / _max(d1, d2)) ** {1 / 5!r}",
         "    h_abs = _min(100 * h0, h_abs, t1)",
+        "if rows is not None:",
+        f"    rows.append((0.0, {join(y + f[n:])}{', s' if quad else ''}))",
     ]
 
 
@@ -495,8 +503,7 @@ def _build_integrator(M, kind):
         "        accepted += 1",
         "        if rows is not None:",
         *(["            s += ds", f"            q = {sigmas[5]}"] if quad else []),
-        f"            rows.append((t, t_new, {join(y + f[n:] + new + f_new[n:])}"
-        f"{', s' if quad else ''}))",
+        f"            rows.append((t_new, {join(new + f_new[n:])}{', s' if quad else ''}))",
         "        if steps is not None:",
         "            steps.append(h)",
         "        t, h_abs, h = t_new, h * factor, None",
@@ -535,14 +542,15 @@ _COUNTS = ("accepted", "rejected", "rewinds", "halvings", "dense_rejected", "rhs
 def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None):
     """Integrate the geodesic from (x0, v0) over [0, t1].
 
-    Returns (status, t_end, y_end, rows, counts): the status, the last
-    accepted parameter and state (x, v), the accepted steps as the flat
-    rows (t0, t1, x0, v0, a0, x1, v1, a1[, s]) when collect is set, and the
-    counts of GeodesicPath.meta["integrator"].  Where steps is a list, the
-    size of each accepted step is appended to it, for _replay.  The
-    arguments are checked here, on floats; the start (first derivative
-    and step) and the loop are one call of the emitted integrator of
-    (M, kind) (_integrator).
+    Returns (status, t_end, y_end, knots, counts): the status, the last
+    accepted parameter and state (x, v), the knots (t, x, v, a[, s]) of the
+    start and of every accepted step's end when collect is set (none where
+    the start leaves the chart), and the counts of
+    GeodesicPath.meta["integrator"].  Where steps is a list, the size of
+    each accepted step is appended to it, for _replay.  The arguments are
+    checked here, on floats; the start (first derivative and step) and
+    the loop are one call of the emitted integrator of (M, kind)
+    (_integrator).
     """
     x0 = M.at(x0).x
     v0 = np.asarray(v0, dtype=float)
@@ -554,13 +562,13 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     t1 = float(t1)
     if not 0.0 < t1 < math.inf:
         raise ValueError("t1 must be positive and finite")
-    # the error control sizes every step; where rows are collected, a step
+    # the error control sizes every step; where knots are collected, a step
     # longer than t1 / 48 must also pass the dense test at its midpoint, so
     # that the interpolant tracks the acceleration, not just the position
-    rows = [] if collect else None
+    knots = [] if collect else None
     status, t, y, _, _, *counts, _, _ = _integrator(M, kind)(
-        [*x0, *v0], steps, False, t1, opts.rtol, opts.atol, escape, MAX_STEPS, rows)
-    return status, t, np.array(y), rows if collect else [], dict(zip(_COUNTS, counts))
+        [*x0, *v0], steps, False, t1, opts.rtol, opts.atol, escape, MAX_STEPS, knots)
+    return status, t, np.array(y), knots if collect else [], dict(zip(_COUNTS, counts))
 
 
 def _replay(M, kind, x0, v0, steps):
@@ -583,42 +591,27 @@ def _replay(M, kind, x0, v0, steps):
 _TABLE = ("x(t0)", "h v(t0)", "h^2 a(t0)", "x(t1)", "h v(t1)", "h^2 a(t1)")
 
 
-def _stack(rows, n):
-    # the rows of _integrate_core, n coordinates, as (t0, t1, table): the
-    # ends of each step, and table[j, i] the Hermite datum _TABLE[j] of
-    # coordinate i of every step, shape (6, n, steps), formed once per
-    # step; a datum that does not fit in a double is inf or nan there, and
-    # _eval_pieces reports it where it is read
-    a = np.asarray(rows)
-    t0, t1 = a[:, 0], a[:, 1]
-    h = t1 - t0
-    table = a[:, 2:2 + 6 * n].reshape(len(a), 6, n).transpose(1, 2, 0).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        table[[1, 4]] *= h
-        table[[2, 5]] *= h * h
-    return t0, t1, table
-
-
-def _eval_pieces(pieces, ts):
+def _eval_pieces(knots, ts):
     # quintic Hermite from (x, v, a) at both ends of the step that holds
     # each query time, all times at once; the stored RHS values make the
     # interpolant match the accelerations the solver actually saw.
-    # pieces is _stack's; returns (xs, vs), each (N, n), the transposes
-    # of the (n, N) coordinate columns they are formed on.  Each time's
-    # row is computed alone, so any subset of the times gives the same
-    # rows bit for bit.  Raises GeodesicError where a position, or the
-    # Hermite data _TABLE of the step it is formed from, do not fit in a
-    # double
-    t0, t1, table = pieces
-    k = np.minimum(np.searchsorted(t1, ts, side="left"), len(t1) - 1)
-    h = (t1 - t0)[k]
-    u = (np.asarray(ts, dtype=float) - t0[k]) / h
+    # knots is (t, X, V, A): the step ends and, at each, the (m, n) rows of
+    # x, v and a.  The Hermite data _TABLE are formed for the steps that
+    # hold a time only, on (n, N) coordinate columns; returns (xs, vs),
+    # each (N, n), their transposes.  Each time's row is computed alone, so
+    # any subset of the times gives the same rows bit for bit.  Raises
+    # GeodesicError where a position, or the Hermite data of the step it
+    # is formed from, do not fit in a double
+    t, X, V, A = knots
+    k = np.minimum(np.searchsorted(t[1:], ts, side="left"), len(t) - 2)
+    t0 = t[k]
+    h = t[k + 1] - t0
+    u = (np.asarray(ts, dtype=float) - t0) / h
     w = 1.0 - u
     u2 = u * u
     u3 = u2 * u
     w2 = w * w
     w3 = w2 * w
-    D = table[:, :, k]
     # factored basis: bounded factors keep the cancellation error at a few ulp
     H = (
         w3 * (1.0 + 3.0 * u + 6.0 * u2),
@@ -629,6 +622,8 @@ def _eval_pieces(pieces, ts):
         0.5 * u3 * w2,
     )
     with np.errstate(over="ignore", invalid="ignore"):
+        hh = h * h
+        D = (X[k].T, V[k].T * h, A[k].T * hh, X[k + 1].T, V[k + 1].T * h, A[k + 1].T * hh)
         xs = sum(c * d for c, d in zip(H, D))
     # a datum that does not fit in a double leaves its column of xs inf or nan
     bad = np.flatnonzero(~np.isfinite(xs).all(axis=0))
@@ -637,7 +632,7 @@ def _eval_pieces(pieces, ts):
         term = next((j for j, d in enumerate(D) if not np.isfinite(d[:, i]).all()), None)
         raise GeodesicError(
             f"dense output overflows: {'x(t)' if term is None else _TABLE[term]} "
-            f"is not finite on the step [{float(t0[k[i]])!r}, {float(t1[k[i]])!r}]")
+            f"is not finite on the step [{float(t0[i])!r}, {float(t[k[i] + 1])!r}]")
     Hp = (
         -30.0 * u2 * w2,
         w2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
@@ -664,24 +659,21 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
     """
     opts = opts if opts is not None else IntegratorOpts()
     kind = ConnKind(kind)
-    status, t_end, y_end, segs, counts = _integrate_core(M, kind, x0, v0, t1, opts, True)
+    status, t_end, y_end, knots, counts = _integrate_core(M, kind, x0, v0, t1, opts, True)
     n = M.n
-    knots = None
-    if not segs:
+    if len(knots) < 2:
         ts = np.zeros(1)
         xs = y_end[:n].reshape(1, n).copy()
         vs = y_end[n:].reshape(1, n).copy()
+        knots = None
     else:
-        rows = np.array(segs)
+        K = np.array(knots)
+        t, X, V = K[:, 0], K[:, 1:1 + n], K[:, 1 + n:1 + 2 * n]
         ts = np.linspace(0.0, t_end, opts.dense_samples)
-        xs, vs = _eval_pieces(_stack(rows, n), ts)
+        xs, vs = _eval_pieces((t, X, V, K[:, 1 + 2 * n:1 + 3 * n]), ts)
         xs[0], vs[0] = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
         xs[-1], vs[-1] = y_end[:n], y_end[n:]
-        if kind in _WEIGHT:
-            # (x, v) at the start of the first step and at every step's end
-            ends = np.vstack([rows[:1, 2:2 + 2 * n], rows[:, 2 + 3 * n:2 + 5 * n]])
-            knots = (np.append(0.0, rows[:, 1]), np.append(0.0, rows[:, -1]),
-                     ends[:, :n], ends[:, n:])
+        knots = (t, K[:, -1], X, V) if kind in _WEIGHT else None
     return GeodesicPath(kind=kind, ts=ts, xs=xs, vs=vs, status=status,
                         meta={"integrator": counts}, knots=knots)
 
@@ -730,6 +722,8 @@ def _reparam(M, path, out_kind, in_kind):
     kind = ConnKind(path.kind)
     if kind is not in_kind:
         raise ValueError(f"expected a {in_kind.value} path, got {kind.value}")
+    if path.knots is None:
+        raise ValueError("need the path's knots, its integrator's step ends, to reparametrize")
     ts = np.asarray(path.ts, dtype=float)
     xs = np.asarray(path.xs, dtype=float)
     vs = np.asarray(path.vs, dtype=float)
@@ -738,68 +732,43 @@ def _reparam(M, path, out_kind, in_kind):
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("path parameters must be strictly increasing")
     sign = _WEIGHT[in_kind]
-    # a curve built by hand has no knots: its samples are its step ends
-    tk, sk, xk, vk = path.knots or (ts, None, xs, vs)
-    if sk is not None:
-        # the integrator's new parameter is read, not computed, so one that
-        # stops increasing costs no geometry
-        _check_increasing(sk)
-    # the weight F = e^{sign * sigma} at the step ends, checked before any
+    tk, sk, xk, vk = path.knots
+    # the integrator's new parameter is read, not computed, so one that
+    # stops increasing costs no geometry
+    _check_increasing(sk)
+    # the weight F = e^{sign * sigma} at the knots, checked before any
     # derivative is evaluated, and F' = sign * dsigma(v) F
     P = M.at_many(xk)
     F = _weight(sign * P.sigma)
-    h = np.diff(tk)
     with np.errstate(over="ignore", invalid="ignore"):
-        lp = sign * np.einsum("ni,ni->n", P.dsigma, vk)
-        Fp = lp * F
-        cubic = 0.5 * h * (F[:-1] + F[1:]) + h * h / 12.0 * (Fp[:-1] - Fp[1:])
-        if sk is None:
-            # two-point quintic Hermite quadrature, with F'' from the chain
-            # rule and the geodesic equation, whose acceleration is the
-            # integrator's own spray kernel: per-interval error O(h^7)
-            acc = M.spray(in_kind).many(np.hstack([xs, vs]))[:, -M.n:]
-            lpp = sign * (np.einsum("ni,nij,nj->n", vs, P.d2sigma, vs)
-                          + np.einsum("ni,ni->n", P.dsigma, acc))
-            Fpp = (lpp + lp * lp) * F
-            seg = (0.5 * h * (F[:-1] + F[1:])
-                   + 0.1 * h * h * (Fp[:-1] - Fp[1:])
-                   + h ** 3 / 120.0 * (Fpp[:-1] + Fpp[1:]))
-            sk = np.concatenate([[0.0], np.cumsum(seg)])
-            _check_increasing(sk)
-        else:
-            seg = np.diff(sk)
+        Fp = sign * np.einsum("ni,ni->n", P.dsigma, vk) * F
     if not np.all(np.isfinite(Fp)):
         raise GeodesicError(_DIVERGES)
-    # between step ends, the quintic Hermite of s in (s, F, F'); exact at
-    # the step ends
-    rows = np.column_stack([tk[:-1], tk[1:], sk[:-1], F[:-1], Fp[:-1], sk[1:], F[1:], Fp[1:]])
-    s = _eval_pieces(_stack(rows, 1), ts)[0][:, 0]
+    # between knots, the quintic Hermite of s in (s, F, F'); exact at the knots
+    s = _eval_pieces((tk, sk[:, None], F[:, None], Fp[:, None]), ts)[0][:, 0]
     _check_increasing(s)
-    meta = dict(path.meta)
-    meta["quadrature_error"] = abs(float(np.sum(seg - cubic)))
     try:
         sigma = M.at_many(xs).sigma
     except OutOfDomainError as exc:
-        if path.knots is None:
-            raise
-        # a sample interpolated between two step ends left the chart: the
+        # a sample interpolated between two knots left the chart: the
         # path's numbers, not the input, are at fault
         t = float(ts[np.flatnonzero(np.isnan(M._values_many(xs)[:, 0]))[0]])
         raise GeodesicError(f"dense output leaves the chart at t = {t!r}: {exc}") from None
     # the weight is the derivative of the new parameter with respect to the old one
     return GeodesicPath(kind=out_kind, ts=s, xs=xs.copy(), vs=vs / _weight(sign * sigma)[:, None],
-                        status=path.status, meta=meta, knots=(sk, tk, xk, vk / F[:, None]))
+                        status=path.status, meta=dict(path.meta),
+                        knots=(sk, tk, xk, vk / F[:, None]))
 
 
 def reparam_to_tilde(M, path):
     """Turn a nabla-geodesic into the gtilde-geodesic with the same image.
 
     New parameter s(t) = integral of e^{2 sigma} along the path, velocities
-    rescaled by e^{-2 sigma}.  s is read at the path's knots (the
-    integrator's quadrature) or, on a curve built by hand, integrated
-    between its samples; the returned path's knots are the step ends in s,
-    with t there.  The sum of the differences of s's steps from a
-    lower-order rule is stored under meta["quadrature_error"].
+    rescaled by e^{-2 sigma}.  s is read at the path's knots, where the
+    integrator carries it as a quadrature, and between them is the quintic
+    Hermite of s from the weight and its derivative there; the returned
+    path's knots are the same step ends in s, with t there.  A path with no
+    knots is refused with ValueError.
     """
     return _reparam(M, path, ConnKind.LC_G_TILDE, ConnKind.NABLA)
 

@@ -176,17 +176,18 @@ def run(M, kind, y, steps, t1, rtol, atol, escape, max_steps, rows, log=None):
     dense_error's test, or is retried at half its step (a midpoint outside
     the chart, counted under halvings) or shrunk as the error test shrinks
     it (a de of 1 or more, under dense_rejected); a passed test caps the
-    step's growth at 0.9 de^{-1/4}.  On a nabla or lc-tilde run with
-    rows, each row ends with the new parameter s at the step's end: s = 0
-    at t = 0, and each accepted step adds its quadrature of e^{c sigma},
-    c being geodesic._WEIGHT[kind], with the weights _DP_B at the stage
-    points, or makes s infinite where a weight overflows.  Where log is a
-    list, each step attempt appends [t, y, h, outcome] to it: the
-    parameter and the list of the state it starts from, the same object
-    for every attempt from that state, the step tried, and outcome
-    "accepted", "rejected", "dense-rejected", "halving" (a stage or the
-    dense test's midpoint left the chart), "rewind" (the chord did) or
-    "overflow" (the new state does not fit in doubles).
+    step's growth at 0.9 de^{-1/4}.  rows gets one knot (t, x, v, a) per
+    step end: the start's once the start is in the chart, then one per
+    accepted step.  On a nabla or lc-tilde run each knot ends with the
+    new parameter s there: s = 0 at t = 0, and each accepted step adds its
+    quadrature of e^{c sigma}, c being geodesic._WEIGHT[kind], with the
+    weights _DP_B at the stage points, or makes s infinite where a weight
+    overflows.  Where log is a list, each step attempt appends [t, y, h,
+    outcome] to it: the parameter and the list of the state it starts
+    from, the same object for every attempt from that state, the step
+    tried, and outcome "accepted", "rejected", "dense-rejected", "halving"
+    (a stage or the dense test's midpoint left the chart), "rewind" (the
+    chord did) or "overflow" (the new state does not fit in doubles).
     """
     n = M.n
     sign = geodesic._WEIGHT.get(ConnKind(kind)) if rows is not None else None
@@ -199,6 +200,10 @@ def run(M, kind, y, steps, t1, rtol, atol, escape, max_steps, rows, log=None):
     except _DomainExit:
         return "exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0, calls, 1, None
     q, s = sigmas[0], 0.0
+    if sign is not None:
+        rows.append((0.0, *y, *f[n:], s))
+    elif rows is not None:
+        rows.append((0.0, *y, *f[n:]))
     t = 0.0
     tested = t1 / 48.0
     accepted = rejected = rewinds = halvings = dense_rejected = 0
@@ -298,9 +303,9 @@ def run(M, kind, y, steps, t1, rtol, atol, escape, max_steps, rows, log=None):
         if sign is not None:
             s += ds
             q = sigmas[5]
-            rows.append((t, t_new, *y, *f[n:], *y_new, *f_new[n:], s))
+            rows.append((t_new, *y_new, *f_new[n:], s))
         elif rows is not None:
-            rows.append((t, t_new, *y, *f[n:], *y_new, *f_new[n:]))
+            rows.append((t_new, *y_new, *f_new[n:]))
         if steps is not None:
             steps.append(h)
         t, y, f, h_abs, h = t_new, y_new, f_new, h * factor, None
