@@ -5,7 +5,9 @@ chart.  The integrator is an adaptive Dormand-Prince 5(4) loop on Python
 floats with the coefficients and step controller of scipy's RK45, so its
 steps follow RK45's up to rounding; an attempt that leaves the chart, at a
 stage or along its chord, is retried at half its step, down to the exit
-window EXIT_BISECT_TOL, so the exit parameter is sharp.  Where the steps
+window EXIT_BISECT_TOL, so the exit parameter is sharp.  A retry is a
+rejection like one by the error estimate: the step accepted after it does
+not grow (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Where the steps
 are collected for dense output, the integrator keeps one knot per step
 end, (t, x, v, a) with the start as knot 0, and the dense output is the
 quintic Hermite between consecutive knots (_eval_pieces).  The error
@@ -169,6 +171,21 @@ def _combo(coeffs, i):
     return " + ".join(f"k{s}_{i} * {c!r}" for s, c in enumerate(coeffs, start=1) if c != 0.0)
 
 
+def _fold(target, op, items):
+    # target = max(*items) (op ">") or min(*items) (op "<") as conditionals:
+    # max(a, b) is b if b > a else a and min(a, b) is b if b < a else a, so
+    # the fold is the builtin's result bit for bit, NaN, -0.0 and the
+    # infinities included, without a call.  An item that is not a name is
+    # evaluated once, into _f; only the first item may read target
+    lines = [f"{target} = {items[0]}"] if items[0] != target else []
+    for b in items[1:]:
+        if not b.isidentifier():
+            lines.append(f"_f = {b}")
+            b = "_f"
+        lines.append(f"{target} = {b} if {b} {op} {target} else {target}")
+    return lines
+
+
 def _step_lines(M, kind):
     """One Dormand-Prince 5(4) step of the geodesic equation, unindented.
 
@@ -215,11 +232,11 @@ def _probe_lines(M):
     n = M.n
     a, b, x = ([f"{c}{i}" for i in range(n)] for c in "ync")
     lines, _ = M._inline(M.compiled("values"), x, "_p", "raise _DomainExit")
-    gap = ", ".join(f"abs({q} - {p})" for p, q in zip(a, b))
     return [
-        f"gap = _max({gap})",
-        f"scale = 1.0 + _max(_max({', '.join(f'abs({p})' for p in a)}), "
-        f"_max({', '.join(f'abs({q})' for q in b)}))",
+        *_fold("gap", ">", [f"abs({q} - {p})" for p, q in zip(a, b)]),
+        *_fold("scale", ">", [f"abs({p})" for p in a]),
+        *_fold("far", ">", [f"abs({q})" for q in b]),
+        "scale = 1.0 + (far if far > scale else scale)",
         "r = gap / (0.03 * scale)",
         "k = 3 if not r > 3.0 else (31 if r > 30.0 else _ceil(r))",
         "frac_step = 1.0 / (k + 1)",
@@ -259,20 +276,25 @@ def _integrator(M, kind):
     the Dormand-Prince step of _step_lines with RK45's controller from the
     first step h_abs, the chord probe of _probe_lines, the finiteness test
     of the new state, the chart retries at half the step, the step budget
-    max_steps and the escape radius.  Where rows is a list, a step longer
-    than t1 / 48 also passes the dense test of _dense_lines, and rows gets
-    one knot (t, x, v, a) per step end, a being the acceleration, ending
-    with s there for kind nabla or lc-tilde (_WEIGHT): the start's knot
-    once the start is in the chart, then one per accepted step.  The size
-    of each accepted step is appended to the list steps, unless that is
-    None.  Replaying, it takes the sizes in steps one by one with no step
+    max_steps and the escape radius.  A chart retry, like a rejection by
+    the error estimate or the dense test, caps the growth of the step
+    accepted after it at 1, RK45's min(1, factor).  Where rows is a list,
+    a step longer than t1 / 48 also passes the dense test of _dense_lines,
+    and rows gets one knot (t, x, v, a) per step end, a being the
+    acceleration, ending with s there for kind nabla or lc-tilde
+    (_WEIGHT): the start's knot once the start is in the chart, then one
+    per accepted step.  The size of each accepted step is appended to the
+    list steps, unless that is None.  Replaying, it takes the sizes in steps one by one with no step
     control, and the status is "exited-domain" as soon as a stage or a
     chord leaves the chart.
 
     The stages and the probe are written once, from the plans of the
     spray, values and domain kernels, and the start calls the compiled
-    domain test and spray; the function is compiled on the first
-    integration of kind and kept in M's cache (M.compiled).
+    domain test and spray; every max and min of the bookkeeping (the
+    error norm, the probe, the step clamp and factors, the escape test) is
+    written as conditionals (_fold), bit for bit the builtin's and without
+    its call.  The function is compiled on the first integration of kind
+    and kept in M's cache (M.compiled).
     """
     kind = ConnKind(kind)
     return M.compiled(("loop", kind), lambda: _build_integrator(M, kind))
@@ -308,7 +330,7 @@ def _start_lines(n, quad):
         f"    d0 = _rms(({join(f'{a} / {c}' for a, c in zip(y, s))}))",
         f"    d1 = _rms(({join(f'{a} / {c}' for a, c in zip(f, s))}))",
         "    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1",
-        "    h0 = _min(h0, t1)",
+        "    h0 = t1 if t1 < h0 else h0",
         f"    z = [{join(f'{a} + h0 * {b}' for a, b in zip(y, f))}]",
         "    out = _spray(z) if _domain(z) else None",
         "    if out is None:",
@@ -317,10 +339,10 @@ def _start_lines(n, quad):
         f"    d2 = _rms(({join(f'({b} - {a}) / {c}' for a, b, c in zip(f, f1, s))})) / h0"
         " if h0 else _inf",
         "    if d1 <= 1e-15 and d2 <= 1e-15:",
-        "        h_abs = _max(1e-6, h0 * 1e-3)",
+        *_indent(_fold("h1", ">", ["1e-6", "h0 * 1e-3"]), 2),
         "    else:",
-        f"        h_abs = (0.01 / _max(d1, d2)) ** {1 / 5!r}",
-        "    h_abs = _min(100 * h0, h_abs, t1)",
+        f"        h1 = (0.01 / (d2 if d2 > d1 else d1)) ** {1 / 5!r}",
+        *_indent(_fold("h_abs", "<", ["100 * h0", "h1", "t1"]), 1),
         "if rows is not None:",
         f"    rows.append((0.0, {join(y + f[n:])}{', s' if quad else ''}))",
     ]
@@ -356,17 +378,20 @@ def _dense_lines(n, kind, sigma_new):
     mid += [f"(1.875 * ({x1[i]} - {x0[i]}) - 0.4375 * h * ({v0[i]} + {v1[i]})"
             f" + 0.03125 * hh * ({a1[i]} - {a0[i]})) / h" for i in range(n)]
     m = [f"m{i}" for i in range(N)]
-    defect = [f"h * (out[{i - n}] - (1.5 * ({v1[i]} - {v0[i]}) / h - 0.25 * ({a0[i]} + {a1[i]})))"
-              f" / (atol + _max(abs({v0[i]}), abs({v1[i]})) * rtol)" for i in range(n)]
+    test = []
+    for i in range(n):
+        test += _fold("mag", ">", [f"abs({v0[i]})", f"abs({v1[i]})"])
+        test.append(f"df{i} = h * (out[{i - n}] - (1.5 * ({v1[i]} - {v0[i]}) / h"
+                    f" - 0.25 * ({a0[i]} + {a1[i]}))) / (atol + mag * rtol)")
     sig = f"out[{n * n}]"
-    test = [f"de = _rms(({join(defect)},))"]
+    test.append(f"de = _rms(({join(f'df{i}' for i in range(n))},))")
     if kind is ConnKind.NABLA:
-        test[0] += f" * _max(1.0, _exp(-4.0 * {sig}))"
+        test += [f"_f = _exp(-4.0 * {sig})", "de *= _f if _f > 1.0 else 1.0"]
     if kind in _WEIGHT:
         c = _WEIGHT[kind]
         F0, Fm, F1 = (f"_exp({c!r} * {a})" for a in ("q", sig, sigma_new))
         simpson = f"h / 6.0 * ({F0} + 4.0 * {Fm} + {F1})"
-        test.append(f"de = _max(de, abs(ds - {simpson}) / (atol + abs(s + ds) * rtol))")
+        test += _fold("de", ">", ["de", f"abs(ds - {simpson}) / (atol + abs(s + ds) * rtol)"])
     return [
         "hh = h * h",
         *(f"{a} = {e}" for a, e in zip(m, mid)),
@@ -382,11 +407,18 @@ def _dense_lines(n, kind, sigma_new):
         "        except OverflowError:",
         "            de = 0.0",
         "        if 1.0 <= de < _inf:",
-        f"            h *= _max({_MIN_FACTOR!r}, {_SAFETY!r} * de ** {_ERROR_EXPONENT!r})",
+        *_indent(_shrink("de"), 3),
         "            shrunk = True",
         "            dense_rejected += 1",
         "            continue",
     ]
+
+
+def _shrink(est):
+    # RK45's shrink of a step its estimate est rejects:
+    # h *= max(_MIN_FACTOR, _SAFETY est^_ERROR_EXPONENT), folded as in _fold
+    return [f"_f = {_SAFETY!r} * {est} ** {_ERROR_EXPONENT!r}",
+            f"h *= _f if _f > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}"]
 
 
 def _build_integrator(M, kind):
@@ -406,11 +438,12 @@ def _build_integrator(M, kind):
                   "        ds = _inf"]
     dense += ["    if h > tested:", *_indent(_dense_lines(n, kind, sigmas[5]), 2)]
     y, f, new, f_new = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "n", "k7_"))
-    errors = [f"e{i} = ({_combo(_DP_E, i)}) * h / (atol + _max(abs(y{i}), abs(n{i})) * rtol)"
-              for i in range(N)]
+    errors = []
+    for i in range(N):
+        errors += _fold("mag", ">", [f"abs(y{i})", f"abs(n{i})"])
+        errors.append(f"e{i} = ({_combo(_DP_E, i)}) * h / (atol + mag * rtol)")
     finite = " and ".join(f"_isfinite({a})" for a in new)
-    speed = join(f"abs({a})" for a in y[n:])
-    reach = join(f"abs({a})" for a in y[:n])
+    reach = _fold("far", ">", [f"abs({a})" for a in y[:n]])
     catch = "except (ArithmeticError, ValueError, _DomainExit):"
     body = [
         f"{join(y)}, = y",
@@ -441,16 +474,17 @@ def _build_integrator(M, kind):
         "            # cap the chart displacement of one step so the chord probes",
         "            # cannot straddle a hole at a scale they do not resolve",
         "            cap = _inf",
-        f"            speed = _max({speed})",
+        *_indent(_fold("speed", ">", [f"abs({a})" for a in y[n:]]), 3),
         "            if speed > 0.0:",
-        f"                cap = 0.5 * (1.0 + _max({reach})) / speed",
-        "            h = cap if h_abs > cap else _max(h_abs, min_step)",
+        *_indent(reach, 4),
+        "                cap = 0.5 * (1.0 + far) / speed",
+        "            h = cap if h_abs > cap else (min_step if min_step > h_abs else h_abs)",
         "            shrunk = False",
         "        if h < min_step:",
         "            # step-size underflow: stiffness, reported through the status",
         "            status = 'step-limit'",
         "            break",
-        "        t_new = _min(t + h, t1)",
+        *_indent(_fold("t_new", "<", ["t + h", "t1"]), 2),
         "        h = t_new - t",
         "        calls += 6",
         "    try:",
@@ -464,7 +498,7 @@ def _build_integrator(M, kind):
         f"            err = _sqrt({' + '.join(f'e{i} * e{i}' for i in range(N))}) / {N ** 0.5!r}",
         "            if not err < 1.0:",
         "                # the error estimate is too large, or NaN: RK45's shrink",
-        f"                h *= _max({_MIN_FACTOR!r}, {_SAFETY!r} * err ** {_ERROR_EXPONENT!r})",
+        *_indent(_shrink("err"), 4),
         "                shrunk = True",
         "                rejected += 1",
         "                continue",
@@ -481,12 +515,13 @@ def _build_integrator(M, kind):
         "    if left:",
         "        # a stage or the dense test's midpoint (1), or the chord (2), left",
         "        # the chart: retry from (t, y) at half the step tried, down to the",
-        "        # exit window or the shortest step",
+        "        # exit window or the shortest step; a rejection like the others,",
+        "        # so the step accepted after it does not grow",
         f"        if replay or h <= {EXIT_BISECT_TOL!r} or 0.5 * h < min_step:",
         "            status = 'exited-domain'",
         "            break",
         "        h *= 0.5",
-        "        shrunk = False  # as in RK45 restarted from (t, y)",
+        "        shrunk = True",
         "        if left == 1:",
         "            halvings += 1",
         "        else:",
@@ -495,11 +530,11 @@ def _build_integrator(M, kind):
         "    if not replay:",
         f"        factor = {_MAX_FACTOR!r}",
         "        if err > 0.0:",
-        f"            factor = _min({_MAX_FACTOR!r}, {_SAFETY!r} * err ** {_ERROR_EXPONENT!r})",
+        *_indent(_fold("factor", "<", ["factor", f"{_SAFETY!r} * err ** {_ERROR_EXPONENT!r}"]), 3),
         "        if 0.0 < de < _inf:",
-        f"            factor = _min(factor, {_SAFETY!r} * de ** {_DENSE_EXPONENT!r})",
+        *_indent(_fold("factor", "<", ["factor", f"{_SAFETY!r} * de ** {_DENSE_EXPONENT!r}"]), 3),
         "        if shrunk:",
-        "            factor = _min(1.0, factor)",
+        "            factor = factor if factor < 1.0 else 1.0",
         "        accepted += 1",
         "        if rows is not None:",
         *(["            s += ds", f"            q = {sigmas[5]}"] if quad else []),
@@ -509,9 +544,11 @@ def _build_integrator(M, kind):
         "        t, h_abs, h = t_new, h * factor, None",
         f"    {join(y)} = {join(new)}",
         f"    {join(f)} = {join(f_new)}",
-        f"    if escape is not None and _max({reach}) > escape:",
-        "        status = 'escaped'",
-        "        break",
+        "    if escape is not None:",
+        *_indent(reach, 2),
+        "        if far > escape:",
+        "            status = 'escaped'",
+        "            break",
         f"return (status, t, [{join(y)}], [{join(f)}], h_abs, accepted, rejected, rewinds,"
         " halvings, dense_rejected, calls, left, err)",
     ]
@@ -519,7 +556,7 @@ def _build_integrator(M, kind):
            " rows=None):\n"
            + "".join(f"    {line}\n" for line in body))
     code = compile(src, f"<loop {M.name} {kind.value}>", "exec")
-    return _exec_kernel(code, math, _max=max, _min=min, _isfinite=math.isfinite,
+    return _exec_kernel(code, math, _isfinite=math.isfinite,
                         _ceil=math.ceil, _nextafter=math.nextafter, _inf=math.inf,
                         _DomainExit=_DomainExit, _rms=_rms, _domain=M.domain,
                         _spray=M.spray(kind).get)

@@ -286,7 +286,7 @@ def run(M, kind, y, steps, t1, rtol, atol, escape, max_steps, rows, log=None):
                 status = "exited-domain"
                 break
             h *= 0.5
-            shrunk = False
+            shrunk = True
             if left == 1:
                 halvings += 1
             else:

@@ -12,7 +12,9 @@ Closed-form oracles used here:
 """
 
 import io
+import itertools
 import math
+import struct
 import sys
 from unittest import mock
 
@@ -25,6 +27,7 @@ from scipy.integrate._ivp.common import select_initial_step
 from scipy.optimize import brentq
 
 import divstat.geodesic
+from divstat.connect import _COARSE, _SCOUT
 from divstat.exprcore import EvalDomainError
 from divstat.geodesic import (
     EXIT_BISECT_TOL,
@@ -36,6 +39,7 @@ from divstat.geodesic import (
     MAX_STEPS,
     _DomainExit,
     _eval_pieces,
+    _fold,
     _integrate_core,
     _integrator,
     _replay,
@@ -65,6 +69,25 @@ from integrator_reference import (
 from test_analyze import SKEW3
 
 _RK_STEP = _scipy_rk.rk_step
+
+# the lc-tilde geodesic from here is a straight line (e^sigma g = I on the
+# punctured plane) that passes the puncture at r = 0.05046, inside the disk
+# r < 0.05308 where g = e^{2/r^2} overflows: it leaves the chart there
+INTO_THE_DISK = ((0.3456209967315167, -0.7556183548414255),
+                 (-0.5079181629548555, 1.3164552433014556))
+
+
+def _holed_great_circle():
+    # the unit circle, a great circle of the paraboloid's sphere e^sigma g,
+    # from (1, 0) at unit speed, on a chart with a hole of radius 0.003 cut
+    # just inside it: the path clears the hole by about 0.005, and at rtol 1e-5
+    # the chord of one long step crosses it, so the chord probe rewinds
+    # that step and the path completes.  No lc-tilde line of the punctured
+    # plane is rewound and clears the overflow disk: its chords lie on it
+    M = load_manifold(dict(BUILTINS["paraboloid"], name="holed-paraboloid",
+                           domain="(x1 - 0.8002)^2 + (x2 - 0.5864)^2 > 0.003^2"))
+    return M, (1.0, 0.0), (0.0, 1.0)
+
 
 HALF_SPACE = {
     "name": "half-space-flat",
@@ -705,15 +728,14 @@ def test_replay_of_the_recorded_steps_is_the_endpoint(name):
             assert [a.hex() for a in got] == [a.hex() for a in y_end], (name, kind)
             runs += 1
     assert runs >= 6, name
-    # a step past the puncture that the chord probe rewinds
-    punct = load_manifold("punctured-plane")
-    x0, v0 = (0.3456209967315167, -0.7556183548414255), (-0.5079181629548555, 1.3164552433014556)
+    # a step past a hole the path clears, which the chord probe rewinds
+    holed, x0, v0 = _holed_great_circle()
     steps = []
     status, _, y_end, _, counts = _integrate_core(
-        punct, ConnKind.LC_G_TILDE, x0, v0, 1.0, IntegratorOpts(rtol=1e-5, atol=1e-7), False,
+        holed, ConnKind.LC_G_TILDE, x0, v0, 1.0, IntegratorOpts(rtol=1e-5, atol=1e-7), False,
         steps=steps)
     assert status == "completed" and counts["rewinds"] > 0
-    got = _replay(punct, ConnKind.LC_G_TILDE, x0, v0, steps)
+    got = _replay(holed, ConnKind.LC_G_TILDE, x0, v0, steps)
     assert [a.hex() for a in got] == [a.hex() for a in y_end]
 
 
@@ -792,7 +814,9 @@ def _integrate_core_rk45(M, kind, x0, v0, t1, opts, escape=None):
     Returns (status, t_end, y_end, ends, accepted steps), ends being the
     parameters at the ends of the accepted steps.  Where a stage or the
     chord of an attempt leaves the chart, RK45 restarts from the last
-    accepted state with half the step that attempt tried.
+    accepted state with half the step that attempt tried, and the step
+    accepted after a restart does not grow: RK45's own clamp after a
+    rejected attempt, min(1, factor).
     """
     n = M.n
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)])
@@ -815,6 +839,7 @@ def _integrate_core_rk45(M, kind, x0, v0, t1, opts, escape=None):
     status = "completed"
     steps = 0
     t_end, y_end = 0.0, y0
+    restarted = False
     while rk.status == "running":
         if steps >= divstat.geodesic.MAX_STEPS:
             status = "step-limit"
@@ -842,7 +867,12 @@ def _integrate_core_rk45(M, kind, x0, v0, t1, opts, escape=None):
                 break
             rk = RK45(rhs, t_prev, y_prev, t_bound=t1, rtol=opts.rtol, atol=opts.atol,
                       first_step=0.5 * h)
+            restarted = True
             continue
+        if restarted:
+            # h_abs min(1, factor) is min(h_abs factor, h_abs), bit for bit
+            rk.h_abs = min(rk.h_abs, abs(rk.h_previous))
+            restarted = False
         t_end, y_end = rk.t, rk.y
         steps += 1
         ends.append(rk.t)
@@ -893,11 +923,17 @@ def test_integrator_matches_scipy_rk45_at_walls_and_limits(monkeypatch):
     # into the puncture: domain exits halve the step down to the bisection
     got = _assert_same_run(punct, tilde, (1.0, 0.0), (-1.0, 0.0), 1.0, IntegratorOpts())
     assert got[0] == "exited-domain" and got[4]["halvings"] > 0
-    # a long step past the puncture: the chord probe rewinds it
-    x0, v0 = (0.3456209967315167, -0.7556183548414255), (-0.5079181629548555, 1.3164552433014556)
+    # a long step past a hole the path clears: the chord probe rewinds it
+    holed, x0, v0 = _holed_great_circle()
     opts = IntegratorOpts(rtol=1e-5, atol=1e-7)
-    got = _assert_same_run(punct, tilde, x0, v0, 1.0, opts)
+    got = _assert_same_run(holed, tilde, x0, v0, 1.0, opts)
     assert got[0] == "completed" and got[4]["rewinds"] > 0
+    xs = integrate_geodesic(holed, tilde, x0, v0, 1.0, opts).xs
+    assert np.hypot(xs[:, 0] - 0.8002, xs[:, 1] - 0.5864).min() > 0.003
+    # into the disk where g overflows: rewound and halved, the step accepted
+    # after each retry does not grow, and the path ends at the disk
+    got = _assert_same_run(punct, tilde, *INTO_THE_DISK, 1.0, opts)
+    assert got[0] == "exited-domain" and got[4]["rewinds"] > 0
     # a path that leaves the problem's scale
     got = _assert_same_run(punct, tilde, (1.0, 0.5), (3.0, 2.0), 1.0, opts, escape=2.0)
     assert got[0] == "escaped"
@@ -905,6 +941,25 @@ def test_integrator_matches_scipy_rk45_at_walls_and_limits(monkeypatch):
     monkeypatch.setattr(divstat.geodesic, "MAX_STEPS", 2)
     got = _assert_same_run(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 10.0, IntegratorOpts())
     assert got[0] == "step-limit" and got[4]["accepted"] == 2
+
+
+def test_a_line_into_the_overflow_disk_exits_at_every_tolerance():
+    # the line meets the disk where g overflows, so the path leaves the
+    # chart there.  Without dense output, at the shooting solve's scout and
+    # coarse tolerances and the default one, each run exits within 1e-9 of
+    # the default run with dense output, and so does exp_map: none vaults
+    # the disk on a step that grew after a chart retry
+    punct = load_manifold("punctured-plane")
+    tilde = ConnKind.LC_G_TILDE
+    path = integrate_geodesic(punct, tilde, *INTO_THE_DISK, 1.0)
+    assert path.status == "exited-domain"
+    t_exit = path.ts[-1]
+    for opts in (_SCOUT, _COARSE, IntegratorOpts()):
+        status, t_end, *_ = _integrate_core(punct, tilde, *INTO_THE_DISK, 1.0, opts, False)
+        assert status == "exited-domain" and abs(t_end - t_exit) < 1e-9, (opts, t_end, t_exit)
+    with pytest.raises(ExitedDomainError) as info:
+        exp_map(punct, tilde, *INTO_THE_DISK)
+    assert abs(info.value.t_exit - t_exit) < 1e-9
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -1060,23 +1115,33 @@ def test_a_chart_retry_tries_half_the_step():
     # where a stage or the chord of an attempt leaves the chart, the next
     # attempt starts from the same state with half the step tried, its
     # end rounded onto the doubles as every attempt's end is: exactly half
-    # wherever t + h/2 is a double.  The reference loop logs [t, y, h,
-    # outcome] per attempt, and the emitted loop takes the same steps
+    # wherever t + h/2 is a double.  A retry is a rejection like the
+    # others: the step accepted after it does not grow, so the next
+    # state's first attempt is no longer than that step (rounded at its own
+    # t).  The reference loop logs [t, y, h, outcome] per attempt, and the
+    # emitted loop takes the same steps
     punct = load_manifold("punctured-plane")
-    retries = {"halving": 0, "rewind": 0, "exact": 0}
-    for x0, v0, t1, opts in [
-            ((1.0, 0.0), (-1.0, 0.0), 3.0, IntegratorOpts()),
-            ((1.0, 0.0), (-1e-7, 0.0), 1e7, IntegratorOpts()),
-            ((0.3456209967315167, -0.7556183548414255),
-             (-0.5079181629548555, 1.3164552433014556), 48.0, IntegratorOpts(rtol=1e-5, atol=1e-7))]:
+    retries = {"halving": 0, "rewind": 0, "exact": 0, "no growth": 0}
+    for M, x0, v0, t1, opts in [
+            (punct, (1.0, 0.0), (-1.0, 0.0), 3.0, IntegratorOpts()),
+            (punct, (1.0, 0.0), (-1e-7, 0.0), 1e7, IntegratorOpts()),
+            (punct, *INTO_THE_DISK, 48.0, IntegratorOpts(rtol=1e-5, atol=1e-7)),
+            (*_holed_great_circle(), 1.0, IntegratorOpts(rtol=1e-5, atol=1e-7))]:
         log = []
         (status, _, _, _, counts), _ = _assert_is_the_reference(
-            punct, ConnKind.LC_G_TILDE, x0, v0, t1, opts, True, log=log)
-        for (t, y, h, outcome), (_, y_next, h_next, _) in zip(log, log[1:]):
+            M, ConnKind.LC_G_TILDE, x0, v0, t1, opts, True, log=log)
+        after_retry = False  # whether an attempt from the current state was retried
+        for (t, y, h, outcome), (t_next, y_next, h_next, _) in zip(log, log[1:]):
             if outcome in ("halving", "rewind"):
                 assert y_next is y and h_next == (t + 0.5 * h) - t, (x0, t, h, h_next)
                 retries[outcome] += 1
                 retries["exact"] += h_next == 0.5 * h
+                after_retry = True
+            elif outcome == "accepted":
+                if after_retry:
+                    assert h_next <= (t_next + h) - t_next, (x0, t, h, h_next)
+                    retries["no growth"] += 1
+                after_retry = False
         # an exited path's last attempt is not retried, nor counted
         retried = log[:-1] if status == "exited-domain" else log
         assert counts["halvings"] == sum(e[3] == "halving" for e in retried)
@@ -1087,6 +1152,36 @@ def test_a_chart_retry_tries_half_the_step():
             assert outcome in ("halving", "rewind")
             assert h <= EXIT_BISECT_TOL or 0.5 * h < 10 * (math.nextafter(t, math.inf) - t)
     assert min(retries.values()) > 0, retries
+
+
+_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324)
+
+
+def test_the_emitted_fold_is_the_builtin_bitwise():
+    # the integrator writes max and min as conditionals (geodesic._fold):
+    # on every ordered pair and triple of signed zeros, infinities, NaN and
+    # the smallest subnormals, the builtin's result bit for bit, with the
+    # items as names and as expressions (evaluated once, into _f)
+    def bits(a):
+        return struct.pack("<d", a)
+
+    for op, builtin in ((">", max), ("<", min)):
+        for k in (2, 3):
+            for names in (["a", "b", "c"][:k], ["a", "(b)", "(c)"][:k]):
+                ns = {}
+                body = "".join(f"    {line}\n" for line in _fold("r", op, names))
+                exec(f"def fold(a, b=0.0, c=0.0):\n{body}    return r\n", ns)
+                for args in itertools.product(_SPECIALS, repeat=k):
+                    assert bits(ns["fold"](*args)) == bits(builtin(*args)), (op, args)
+
+
+def test_the_emitted_integrator_calls_no_builtin_max_or_min():
+    for name in sorted(BUILTINS):
+        M = load_manifold(name)
+        for kind in ConnKind:
+            code = _integrator(M, kind).__code__
+            assert code.co_filename.startswith("<loop "), code.co_filename
+            assert not {"_max", "_min", "max", "min"} & set(code.co_names), (name, kind)
 
 
 def _reference_sweep():
