@@ -15,7 +15,7 @@ control still sizes the steps, and a step longer than t1 / 48 also passes
 a test of its interpolant: the spray at the interpolant's midpoint
 against the interpolant's own acceleration there, and on nabla and
 lc-tilde paths the new parameter's increment against Simpson's rule
-(_dense_lines).  The whole loop is one function emitted per manifold and
+(_dense_test).  The whole loop is one function emitted per manifold and
 connection (_integrator, see there), with the chart test and the spray
 inlined at every stage; _replay runs it on the step sizes an integration
 recorded, with no step control, which makes it the shooting Jacobian's
@@ -226,17 +226,17 @@ def _probe_lines(M):
     inside.  The chord from the positions y0, ..., y{n-1} to n0, ...,
     n{n-1} is tested at np.linspace's k interior fractions, k = ceil(r)
     clamped to [3, 31] (3 for a NaN r), r the largest coordinate gap over
-    0.03 (1 + the largest |coordinate|).  The lines raise _DomainExit, or
-    ArithmeticError or ValueError, where a point of the chord is outside.
+    0.03 (1 + the largest |coordinate|), y's being far and n's far_new.
+    The lines raise _DomainExit, or ArithmeticError or ValueError, where a
+    point of the chord is outside.
     """
     n = M.n
     a, b, x = ([f"{c}{i}" for i in range(n)] for c in "ync")
     lines, _ = M._inline(M.compiled("values"), x, "_p", "raise _DomainExit")
     return [
         *_fold("gap", ">", [f"abs({q} - {p})" for p, q in zip(a, b)]),
-        *_fold("scale", ">", [f"abs({p})" for p in a]),
-        *_fold("far", ">", [f"abs({q})" for q in b]),
-        "scale = 1.0 + (far if far > scale else scale)",
+        *_fold("far_new", ">", [f"abs({q})" for q in b]),
+        "scale = 1.0 + (far_new if far_new > far else far)",
         "r = gap / (0.03 * scale)",
         "k = 3 if not r > 3.0 else (31 if r > 30.0 else _ceil(r))",
         "frac_step = 1.0 / (k + 1)",
@@ -272,29 +272,31 @@ def _integrator(M, kind):
     chart it returns ("exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0,
     2, 1, None).
 
-    Integrating (replay false), it runs _integrate_core's adaptive loop:
-    the Dormand-Prince step of _step_lines with RK45's controller from the
-    first step h_abs, the chord probe of _probe_lines, the finiteness test
-    of the new state, the chart retries at half the step, the step budget
-    max_steps and the escape radius.  A chart retry, like a rejection by
-    the error estimate or the dense test, caps the growth of the step
-    accepted after it at 1, RK45's min(1, factor).  Where rows is a list,
-    a step longer than t1 / 48 also passes the dense test of _dense_lines,
-    and rows gets one knot (t, x, v, a) per step end, a being the
-    acceleration, ending with s there for kind nabla or lc-tilde
-    (_WEIGHT): the start's knot once the start is in the chart, then one
-    per accepted step.  The size of each accepted step is appended to the
-    list steps, unless that is None.  Replaying, it takes the sizes in steps one by one with no step
-    control, and the status is "exited-domain" as soon as a stage or a
-    chord leaves the chart.
+    Integrating (replay false), it runs _integrate_core's adaptive loop: the
+    Dormand-Prince step of _step_lines with RK45's controller from the first
+    step h_abs, the chord probe of _probe_lines, the finiteness test of the
+    new state, the chart retries at half the step, the step budget max_steps
+    and the escape radius.  A chart retry, like a rejection by the error
+    estimate or the dense test, caps the growth of the step accepted after
+    it at 1, RK45's min(1, factor).  Where rows is a list, it gets one knot
+    (t, x, v, a) per step end, a being the acceleration, ending with s there
+    for kind nabla or lc-tilde (_WEIGHT): the start's knot once the start is
+    in the chart, then one per accepted step; and a step longer than t1 / 48
+    also passes the dense test (_dense_test), so that the interpolant tracks
+    the acceleration, not just the position: a finite de of 1 or more
+    rejects the step, as the error estimate does, and a smaller one caps its
+    growth at 0.9 de^{-1/4}.  The size of each accepted step is appended to
+    the list steps, unless that is None.  Replaying, it takes the sizes in
+    steps one by one with no step control, and the status is "exited-domain"
+    as soon as a stage or a chord leaves the chart.
 
-    The stages and the probe are written once, from the plans of the
-    spray, values and domain kernels, and the start calls the compiled
-    domain test and spray; every max and min of the bookkeeping (the
-    error norm, the probe, the step clamp and factors, the escape test) is
-    written as conditionals (_fold), bit for bit the builtin's and without
-    its call.  The function is compiled on the first integration of kind
-    and kept in M's cache (M.compiled).
+    The emitted code is what every attempt runs: the stages and the probe,
+    written once from the plans of the spray, values and domain kernels,
+    the error estimate and the bookkeeping, each max and min written as
+    conditionals (_fold), bit for bit the builtin's without its call.  A
+    state's reach max |x_i| is folded once, at the start or by the probe
+    that accepts it.  The function is compiled on the first integration of
+    kind and kept in M's cache (M.compiled).
     """
     kind = ConnKind(kind)
     return M.compiled(("loop", kind), lambda: _build_integrator(M, kind))
@@ -348,70 +350,51 @@ def _start_lines(n, quad):
     ]
 
 
-def _dense_lines(n, kind, sigma_new):
-    """The dense test of a collected step longer than t1 / 48, unindented.
+def _dense_test(M, kind):
+    """The dense test of a collected step longer than t1 / 48, as a function.
 
-    The lines read the step's ends y, k1_ and n, k7_ and its size h, and
-    on a nabla or lc-tilde path (_WEIGHT) the step's increment ds of s,
-    and sigma at its ends, q and sigma_new.  They evaluate the chart and
-    the spray once, at the midpoint of the step's quintic Hermite
-    interpolant (Hairer, Norsett & Wanner, II.6), and set left = 1 where
-    it is outside the chart.  Else de is the defect of the interpolant's
-    acceleration from the spray's there, times h, in the RMS norm of the
-    velocity's error estimate, and times max(1, e^{-4 sigma}) on nabla,
-    whose gtilde velocity sees the defect that much larger; on nabla and
-    lc-tilde de is at least ds's gap from Simpson's rule on e^{c sigma},
-    over atol + |s| rtol.  A de of 1 or more rejects the step, as the
-    error estimate does (counted as dense_rejected); a smaller one is left
-    in de, for the loop to cap the step's growth at 0.9 de^{-1/4}.  Where
-    the midpoint does not fit in a double the test is not made, and where
-    its arithmetic overflows, so that de is not finite, it passes: an
-    overflow never ends, halves or stops the path.
+    dense(x0, v0, a0, x1, v1, a1, h, rtol, atol[, ds, s, q, sigma_new])
+    reads the position, velocity and acceleration at the step's ends, n
+    floats each, its size, and on nabla and lc-tilde (_WEIGHT) the step's
+    increment ds of s from s, and sigma at its ends.  It evaluates the chart
+    and the spray once, at the midpoint of the step's quintic Hermite
+    interpolant (Hairer, Norsett & Wanner, II.6): None where that does not
+    fit in a double (no test), -1.0 where it is outside the chart, else de,
+    h times the defect of the interpolant's acceleration from the spray's in
+    the velocity's error norm, times max(1, e^{-4 sigma}) on nabla, whose
+    gtilde velocity sees the defect that much larger, and on nabla and
+    lc-tilde at least ds's gap from Simpson's rule on e^{c sigma} over atol
+    + |s + ds| rtol; 0 where a weight overflows.  The order of max's
+    arguments decides a NaN.
     """
-    N = 2 * n
-    join = ", ".join
-    y, a0, new, a1 = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "n", "k7_"))
-    x0, v0, x1, v1 = y[:n], y[n:], new[:n], new[n:]
-    a0, a1 = a0[n:], a1[n:]
-    mid = [f"0.5 * ({x0[i]} + {x1[i]}) + 0.15625 * h * ({v0[i]} - {v1[i]})"
-           f" + 0.015625 * hh * ({a0[i]} + {a1[i]})" for i in range(n)]
-    mid += [f"(1.875 * ({x1[i]} - {x0[i]}) - 0.4375 * h * ({v0[i]} + {v1[i]})"
-            f" + 0.03125 * hh * ({a1[i]} - {a0[i]})) / h" for i in range(n)]
-    m = [f"m{i}" for i in range(N)]
-    test = []
-    for i in range(n):
-        test += _fold("mag", ">", [f"abs({v0[i]})", f"abs({v1[i]})"])
-        test.append(f"df{i} = h * (out[{i - n}] - (1.5 * ({v1[i]} - {v0[i]}) / h"
-                    f" - 0.25 * ({a0[i]} + {a1[i]}))) / (atol + mag * rtol)")
-    sig = f"out[{n * n}]"
-    test.append(f"de = _rms(({join(f'df{i}' for i in range(n))},))")
-    if kind is ConnKind.NABLA:
-        test += [f"_f = _exp(-4.0 * {sig})", "de *= _f if _f > 1.0 else 1.0"]
-    if kind in _WEIGHT:
-        c = _WEIGHT[kind]
-        F0, Fm, F1 = (f"_exp({c!r} * {a})" for a in ("q", sig, sigma_new))
-        simpson = f"h / 6.0 * ({F0} + 4.0 * {Fm} + {F1})"
-        test += _fold("de", ">", ["de", f"abs(ds - {simpson}) / (atol + abs(s + ds) * rtol)"])
-    return [
-        "hh = h * h",
-        *(f"{a} = {e}" for a, e in zip(m, mid)),
-        f"if {' and '.join(f'_isfinite({a})' for a in m)}:",
-        "    calls += 1",
-        f"    z = [{join(m)}]",
-        "    out = _spray(z) if _domain(z) else None",
-        "    if out is None:",
-        "        left = 1",
-        "    else:",
-        "        try:",
-        *_indent(test, 3),
-        "        except OverflowError:",
-        "            de = 0.0",
-        "        if 1.0 <= de < _inf:",
-        *_indent(_shrink("de"), 3),
-        "            shrunk = True",
-        "            dense_rejected += 1",
-        "            continue",
-    ]
+    n, domain, spray = M.n, M.domain, M.spray(kind).get
+    nabla, c = kind is ConnKind.NABLA, _WEIGHT.get(kind)
+    exp, isfinite, coords = math.exp, math.isfinite, range(n)
+
+    def dense(x0, v0, a0, x1, v1, a1, h, rtol, atol, ds=None, s=None, q=None, sigma_new=None):
+        hh = h * h
+        m = [0.5 * (x0[i] + x1[i]) + 0.15625 * h * (v0[i] - v1[i])
+             + 0.015625 * hh * (a0[i] + a1[i]) for i in coords]
+        m += [(1.875 * (x1[i] - x0[i]) - 0.4375 * h * (v0[i] + v1[i])
+               + 0.03125 * hh * (a1[i] - a0[i])) / h for i in coords]
+        if not all(map(isfinite, m)):
+            return None
+        out = spray(m) if domain(m) else None
+        if out is None:
+            return -1.0
+        try:
+            de = _rms([h * (out[i - n] - (1.5 * (v1[i] - v0[i]) / h - 0.25 * (a0[i] + a1[i])))
+                       / (atol + max(abs(v0[i]), abs(v1[i])) * rtol) for i in coords])
+            if nabla:
+                de *= max(1.0, exp(-4.0 * out[n * n]))
+            if c is not None:
+                simpson = h / 6.0 * (exp(c * q) + 4.0 * exp(c * out[n * n]) + exp(c * sigma_new))
+                de = max(de, abs(ds - simpson) / (atol + abs(s + ds) * rtol))
+        except OverflowError:
+            de = 0.0
+        return de
+
+    return dense
 
 
 def _shrink(est):
@@ -427,7 +410,10 @@ def _build_integrator(M, kind):
     join = ", ".join
     step, sigmas = _step_lines(M, kind)
     quad = kind in _WEIGHT
+    y, f, new, f_new = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "n", "k7_"))
     dense = ["if not left and rows is not None:"]
+    ends = (y[:n], y[n:], f[n:], new[:n], new[n:], f_new[n:])
+    args = join(f"({join(a)},)" for a in ends) + ", h, rtol, atol"
     if quad:
         # s's increment over the step: e^{c sigma} at stages 1 (q) to 6 with
         # the order-5 weights; a weight that overflows makes it infinite, not
@@ -436,18 +422,34 @@ def _build_integrator(M, kind):
                            for q, b in zip(["q", *sigmas], _DP_B) if b != 0.0)
         dense += ["    try:", f"        ds = h * ({terms})", "    except OverflowError:",
                   "        ds = _inf"]
-    dense += ["    if h > tested:", *_indent(_dense_lines(n, kind, sigmas[5]), 2)]
-    y, f, new, f_new = ([f"{c}{i}" for i in range(N)] for c in ("y", "k1_", "n", "k7_"))
+        args += f", ds, s, q, {sigmas[5]}"
+    # _dense_test's function gives None (no test), -1.0 (outside) or de
+    dense += [
+        "    if h > tested:",
+        f"        de = _dense({args})",
+        "        if de is None:",
+        "            de = 0.0",
+        "        else:",
+        "            calls += 1",
+        "            if de < 0.0:",
+        "                left = 1",
+        "            elif 1.0 <= de < _inf:",
+        *_indent(_shrink("de"), 4),
+        "                shrunk = True",
+        "                dense_rejected += 1",
+        "                continue",
+    ]
     errors = []
     for i in range(N):
         errors += _fold("mag", ">", [f"abs(y{i})", f"abs(n{i})"])
         errors.append(f"e{i} = ({_combo(_DP_E, i)}) * h / (atol + mag * rtol)")
     finite = " and ".join(f"_isfinite({a})" for a in new)
-    reach = _fold("far", ">", [f"abs({a})" for a in y[:n]])
     catch = "except (ArithmeticError, ValueError, _DomainExit):"
     body = [
         f"{join(y)}, = y",
         *_start_lines(n, quad),
+        "# the reach max |x_i| of the state y; the chord probe gives the next one's",
+        *_fold("far", ">", [f"abs({a})" for a in y[:n]]),
         "t = 0.0",
         "# the collected steps longer than this pass the dense test",
         "tested = t1 / 48.0",
@@ -476,7 +478,6 @@ def _build_integrator(M, kind):
         "            cap = _inf",
         *_indent(_fold("speed", ">", [f"abs({a})" for a in y[n:]]), 3),
         "            if speed > 0.0:",
-        *_indent(reach, 4),
         "                cap = 0.5 * (1.0 + far) / speed",
         "            h = cap if h_abs > cap else (min_step if min_step > h_abs else h_abs)",
         "            shrunk = False",
@@ -542,13 +543,11 @@ def _build_integrator(M, kind):
         "        if steps is not None:",
         "            steps.append(h)",
         "        t, h_abs, h = t_new, h * factor, None",
-        f"    {join(y)} = {join(new)}",
+        f"    {join(y)}, far = {join(new)}, far_new",
         f"    {join(f)} = {join(f_new)}",
-        "    if escape is not None:",
-        *_indent(reach, 2),
-        "        if far > escape:",
-        "            status = 'escaped'",
-        "            break",
+        "    if escape is not None and far > escape:",
+        "        status = 'escaped'",
+        "        break",
         f"return (status, t, [{join(y)}], [{join(f)}], h_abs, accepted, rejected, rewinds,"
         " halvings, dense_rejected, calls, left, err)",
     ]
@@ -558,7 +557,8 @@ def _build_integrator(M, kind):
     code = compile(src, f"<loop {M.name} {kind.value}>", "exec")
     return _exec_kernel(code, math, _isfinite=math.isfinite,
                         _ceil=math.ceil, _nextafter=math.nextafter, _inf=math.inf,
-                        _DomainExit=_DomainExit, _rms=_rms, _domain=M.domain,
+                        _DomainExit=_DomainExit, _rms=_rms, _dense=_dense_test(M, kind),
+                        _domain=M.domain,
                         _spray=M.spray(kind).get)
 
 
@@ -599,9 +599,6 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     t1 = float(t1)
     if not 0.0 < t1 < math.inf:
         raise ValueError("t1 must be positive and finite")
-    # the error control sizes every step; where knots are collected, a step
-    # longer than t1 / 48 must also pass the dense test at its midpoint, so
-    # that the interpolant tracks the acceleration, not just the position
     knots = [] if collect else None
     status, t, y, _, _, *counts, _, _ = _integrator(M, kind)(
         [*x0, *v0], steps, False, t1, opts.rtol, opts.atol, escape, MAX_STEPS, knots)

@@ -30,6 +30,7 @@ import divstat.geodesic
 from divstat.connect import _COARSE, _SCOUT
 from divstat.exprcore import EvalDomainError
 from divstat.geodesic import (
+    _DP_B,
     EXIT_BISECT_TOL,
     ExitedDomainError,
     GeodesicError,
@@ -60,6 +61,8 @@ from divstat.statstruct import ConnKind, conjugate
 import integrator_reference
 from integrator_reference import (
     chord_ok,
+    dense_error,
+    dopri5_step,
     initial_step,
     integrate_core,
     replay,
@@ -1182,6 +1185,108 @@ def test_the_emitted_integrator_calls_no_builtin_max_or_min():
             code = _integrator(M, kind).__code__
             assert code.co_filename.startswith("<loop "), code.co_filename
             assert not {"_max", "_min", "max", "min"} & set(code.co_names), (name, kind)
+
+
+def test_the_emitted_integrator_calls_the_dense_test():
+    # the loop keeps the dense test's bookkeeping and calls the plain
+    # function _dense_test builds: no midpoint (m0) or h^2 (hh) of its own
+    for name in sorted(BUILTINS):
+        M = load_manifold(name)
+        for kind in ConnKind:
+            code = _integrator(M, kind).__code__
+            assert not {"hh", "m0"} & set(code.co_varnames), (name, kind)
+            assert "_dense" in code.co_names, (name, kind)
+
+
+def _hand_step(M, kind, x0, v0, h):
+    # one reference Dormand-Prince step from (x0, v0): (y, f, y_new, f_new,
+    # q, sigma_new, ds), sigma at the ends as the spray gives it, and the
+    # order-5 quadrature of s's weight over the step (nabla and lc-tilde)
+    sigmas = []
+    rhs = rhs_factory(M, kind, sigmas)
+    y = [*x0, *v0]
+    f = rhs(y)
+    y_new, f_new, _ = dopri5_step(rhs, y, f, h, 1e-9, 1e-11)
+    c = divstat.geodesic._WEIGHT.get(kind, 0.0)
+    ds = h * sum(math.exp(c * a) * b for a, b in zip(sigmas, _DP_B) if b != 0.0)
+    return y, f, y_new, f_new, sigmas[0], sigmas[-1], ds
+
+
+def test_the_dense_test_is_the_reference(monkeypatch):
+    # _dense_test's function against integrator_reference.dense_error, bit
+    # for bit, on steps built to reach each outcome: no test (a midpoint
+    # that does not fit in doubles, with no chart or spray evaluation,
+    # so the loop counts no RHS call), outside the chart (-1.0, where the
+    # reference raises _DomainExit), the nabla weight e^{-4 sigma} above 1,
+    # Simpson's term above the acceleration term, an overflowing weight
+    # (de = 0), an infinite de, and a plain pass and rejection
+    rtol, atol = 1e-9, 1e-11
+    euclid, parab, punct = (load_manifold(m) for m in ("euclidean", "paraboloid",
+                                                         "punctured-plane"))
+    NABLA, LC, TILDE = ConnKind.NABLA, ConnKind.LC_G, ConnKind.LC_G_TILDE
+
+    def outcome(M, kind, y, f, y_new, f_new, h, q=None, sigma_new=None, ds=None, s=0.25):
+        domain, evaluated = M.domain, []
+        monkeypatch.setattr(M, "domain", lambda x: evaluated.append(x) or domain(x))
+        dense = divstat.geodesic._dense_test(M, kind)
+        monkeypatch.undo()
+        quad = kind in divstat.geodesic._WEIGHT
+        n = M.n
+        got = dense(y[:n], y[n:], f[n:], y_new[:n], y_new[n:], f_new[n:], h, rtol, atol,
+                    *((ds, s, q, sigma_new) if quad else ()))
+        assert len(evaluated) == (got is not None)
+        sigmas = [0.0] * 5 + [sigma_new]
+        try:
+            want = dense_error(rhs_factory(M, kind, sigmas), sigmas, kind, y, f, y_new, f_new,
+                               h, rtol, atol, q, s, ds if quad else None)
+        except _DomainExit:
+            want = -1.0
+        assert got is want is None or got.hex() == want.hex(), (M.name, kind, got, want)
+        return got, sigmas[6:]
+
+    # the positions' sum overflows
+    got, _ = outcome(euclid, LC, [1e308, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                     [1.5e308, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0)
+    assert got is None
+    # the midpoint of a straight step through the puncture is the puncture
+    got, _ = outcome(punct, LC, [-1.0, 0.0, 2.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+                     [1.0, 0.0, 2.0, 0.0], [2.0, 0.0, 0.0, 0.0], 1.0)
+    assert got == -1.0
+    # sigma < 0 everywhere on the punctured plane
+    y, f, y_new, f_new, q, sigma_new, ds = _hand_step(punct, NABLA, (1.0, 0.2), (0.1, 0.3), 0.005)
+    got, (sigma_mid,) = outcome(punct, NABLA, y, f, y_new, f_new, 0.005, q, sigma_new, ds)
+    assert math.exp(-4.0 * sigma_mid) > 1.0 and 0.0 < got < 1.0, (sigma_mid, got)
+    # a real step whose ds is off by 1e-3: Simpson's term is all of de
+    y, f, y_new, f_new, q, sigma_new, ds = _hand_step(parab, TILDE, (0.3, 0.1), (0.5, -0.2), 0.1)
+    acceleration, _ = outcome(parab, TILDE, y, f, y_new, f_new, 0.1, q, sigma_new, ds)
+    ds *= 1.001
+    got, (sigma_mid,) = outcome(parab, TILDE, y, f, y_new, f_new, 0.1, q, sigma_new, ds)
+    c = divstat.geodesic._WEIGHT[TILDE]
+    simpson = 0.1 / 6.0 * (math.exp(c * q) + 4.0 * math.exp(c * sigma_mid)
+                           + math.exp(c * sigma_new))
+    assert got.hex() == (abs(ds - simpson) / (atol + abs(0.25 + ds) * rtol)).hex()
+    assert got > acceleration
+    # the same step where the quadrature overflowed: Simpson's term is
+    # inf / inf, a NaN that max(de, ...) leaves out
+    got, _ = outcome(parab, TILDE, y, f, y_new, f_new, 0.1, q, sigma_new, math.inf)
+    assert got.hex() == acceleration.hex()
+    # a straight step whose end's acceleration is 1e305: the midpoint fits
+    # in doubles, h times the defect over the error scale does not, and the
+    # infinite de passes
+    got, _ = outcome(euclid, LC, [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                     [0.1, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1e305], 0.1)
+    assert got == math.inf
+    # near the puncture e^{-4 sigma} = e^{8 / r^2} overflows: de is 0
+    y, f, y_new, f_new, q, sigma_new, ds = _hand_step(punct, NABLA, (0.1, 0.0), (0.0, 0.01),
+                                                      0.05)
+    got, (sigma_mid,) = outcome(punct, NABLA, y, f, y_new, f_new, 0.05, q, sigma_new, ds)
+    assert -4.0 * sigma_mid > math.log(sys.float_info.max) and got == 0.0, (sigma_mid, got)
+    # a plain pass, and a rejection where the end's acceleration is off by 1
+    y, f, y_new, f_new, *_ = _hand_step(parab, LC, (0.3, 0.1), (0.5, -0.2), 0.1)
+    got, _ = outcome(parab, LC, y, f, y_new, f_new, 0.1)
+    assert 0.0 < got < 1.0, got
+    got, _ = outcome(parab, LC, y, f, y_new, [*f_new[:3], f_new[3] + 1.0], 0.1)
+    assert 1.0 <= got < math.inf, got
 
 
 def _reference_sweep():
