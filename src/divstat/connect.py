@@ -8,11 +8,17 @@ damped Gauss-Newton iteration on the endpoint defect and reparametrizes
 the winner.  Each Gauss-Newton Jacobian is a forward difference taken on
 the base path's own accepted steps (geodesic._replay: Bock's internal
 numerical differentiation), so a column runs no step controller and
-differences the same discrete map as the defect it corrects.  Starts run
-in index order, and a start whose iterate comes within _JOIN of a branch
-an earlier start converged to, at any tier, joins it and stops: it is in
-that branch's Newton basin and would only find it again.  That test, run
-on every iterate, the last included, is the one "same branch" rule.  The
+differences the same discrete map as the defect it corrects.  Each
+trial path and each column is one call of the emitted integrator on
+Python floats (geodesic._run, geodesic._replay), with no argument check:
+p is checked once per solve.  Starts run in index order, and a start
+whose iterate comes within _JOIN of a branch an earlier start converged
+to, at any tier, joins it and stops: it is in that branch's Newton basin
+and would only find it again.  That test, run on every iterate, the last
+included, is the one "same branch" rule; inside the coarse basin (a
+defect below the scout tier's threshold) it also runs on the Newton step
+from the iterate, formed at the tier reached, so that a start whose step
+lands on a found branch joins before any finer integration.  The
 canonical contrast rho(p, q) = e^{-sigma(p)} dtilde^2 comes from the
 shortest connecting geodesic found; differentiating it on the diagonal
 recovers g and the nabla connection, which contrast_structure_check
@@ -37,8 +43,8 @@ from .geodesic import (
     GeodesicError,
     GeodesicPath,
     IntegratorOpts,
-    _integrate_core,
     _replay,
+    _run,
     integrate_geodesic,
     reparam_from_tilde,
 )
@@ -91,11 +97,13 @@ class ConnectResult:
 
     starts has one record {start, ended, branch, endpoint_error} per start,
     in start order (none for p == q).  ended is "converged", "joined" (an
-    iterate of the start came within _JOIN of a branch an earlier start
-    had found, and it stopped there, at whatever tier it had reached) or
-    "failed"; branch is the index into solutions of the branch the start
-    reached, or None; endpoint_error is the defect it ended with, for a
-    joined start measured at the tier it had reached.  A joined start adds
+    iterate of the start, or below a defect of 1e-2 the Newton step from
+    one, came within _JOIN of a branch an earlier start had found, and it
+    stopped there, at whatever tier it had reached) or "failed"; branch is
+    the index into solutions of the branch the start reached, or None;
+    endpoint_error is the defect it ended with, for a joined start
+    measured at the tier it had reached, on the iterate it last
+    integrated.  A joined start adds
     no solution; a converged one adds its own.
 
     nabla_path is None when the best tilde path left the domain with too
@@ -116,59 +124,91 @@ class ConnectResult:
     starts: list = field(default_factory=list)
 
 
-def _jacobian(M, p, q, v, r, steps):
+def _norm(x):
+    # the 2-norm of a real vector as np.linalg.norm computes it, bit for
+    # bit (its formula for a real vector), without its dispatch
+    return math.sqrt(x.dot(x))
+
+
+def _jacobian(M, x, q, v, r, steps):
     # d exptilde_p / dv at v by forward differences, each column replayed
     # on the base path's own accepted steps, so that it differences one
-    # discrete map: r is the base path's miss, which the replay of v
-    # reproduces bit for bit.  None where a column leaves the chart
-    n = len(p)
-    delta = 1e-6 * max(np.linalg.norm(v), 1e-8)
+    # discrete map: x is p as a list of floats, r the base path's miss,
+    # which the replay of v reproduces bit for bit.  None where a column
+    # leaves the chart
+    n = len(x)
+    delta = 1e-6 * max(_norm(v), 1e-8)
+    base = v.tolist()
     J = np.empty((n, n))
     for c in range(n):
-        vp = v.copy()
+        vp = base.copy()
         vp[c] += delta
-        y = _replay(M, ConnKind.LC_G_TILDE, p, vp, steps)
+        y = _replay(M, ConnKind.LC_G_TILDE, x, vp, steps)
         if y is None:
             return None
-        J[:, c] = (y[:n] - q - r) / delta
+        J[:, c] = (np.subtract(y[:n], q) - r) / delta
     return J
+
+
+def _newton_step(M, x, q, v, r, steps):
+    # the Gauss-Newton step -J^+ r at v, or None where a column of J
+    # leaves the chart
+    J = _jacobian(M, x, q, v, r, steps)
+    if J is None:
+        return None
+    try:
+        return np.linalg.solve(J, -r)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(J, -r, rcond=None)[0]
 
 
 def _gauss_newton(M, p, q, v0, target, found):
     # damped Gauss-Newton on r(v) = exptilde_p(v) - q.  Returns (ok, v,
     # err, joined): ok where the start ended on a branch, joined the index
     # into `found` (the velocities of branches earlier starts converged
-    # to) of the branch it joined, or None where it converged itself
+    # to) of the branch it joined, or None where it converged itself.  p
+    # is a point in the chart, checked by the caller; each trial and each
+    # Jacobian column is one call of the emitted integrator on floats
     n = len(p)
+    x = p.tolist()
     v = np.asarray(v0, dtype=float).copy()
-    limit = 50.0 * (np.linalg.norm(q - p) + 1.0)
+    limit = 50.0 * (_norm(q - p) + 1.0)
     # a trial path that races off to chart radii far beyond the problem
     # scale cannot come back to q; cut it off instead of following the
     # excursion at full tolerance
-    escape = 50.0 * (1.0 + max(np.abs(p).max(), np.abs(q).max()))
+    escape = float(50.0 * (1.0 + max(np.abs(p).max(), np.abs(q).max())))
+    radii = [_JOIN * max(1.0, _norm(s)) for s in found]
+
+    def joins(u):
+        # the index of the first found branch within _JOIN of u, or None
+        for i, s in enumerate(found):
+            if _norm(u - s) <= radii[i]:
+                return i
+        return None
 
     def defect(vv, io):
         # the endpoint's miss and the path's accepted step sizes, or
-        # (None, steps) where the trial path did not complete
-        steps = []
-        status, _, y_end, _, _ = _integrate_core(
-            M, ConnKind.LC_G_TILDE, p, vv, 1.0, io, False, escape=escape, steps=steps
-        )
-        return (y_end[:n] - q if status == "completed" else None), steps
+        # (None, steps) where the velocity is not finite (a Newton step
+        # that overflowed) or the trial path did not complete
+        steps, vl = [], vv.tolist()
+        if not all(map(math.isfinite, vl)):
+            return None, steps
+        status, _, y, *_ = _run(M, ConnKind.LC_G_TILDE, x + vl, 1.0, io, escape, steps)
+        return (np.subtract(y[:n], q) if status == "completed" else None), steps
 
     tier, io = 0, _SCOUT
     r, steps = defect(v, io)
     if r is None:
         return False, v, np.inf, None
-    err = float(np.linalg.norm(r))
+    err = _norm(r)
     history = [err]
     for it in range(_MAX_ITER + 1):
         # inside the Newton basin of a branch already found, at whatever
         # tier, the rest of the iteration would only find it again; the
         # last pass tests only this, on the final iterate
-        for i, s in enumerate(found):
-            if np.linalg.norm(v - s) <= _JOIN * max(1.0, np.linalg.norm(s)):
-                return True, v, err, i
+        i = joins(v)
+        if i is not None:
+            return True, v, err, i
         if it == _MAX_ITER:
             break
         # closing nine orders of magnitude within the iteration budget needs
@@ -176,31 +216,43 @@ def _gauss_newton(M, p, q, v0, target, found):
         # cannot even halve are stuck on a wall or a fold, so cut them loose
         if len(history) > 5 and history[-1] > 0.5 * history[-6]:
             return False, v, err, None
+        # inside the coarse basin (below the scout tier's threshold) the
+        # Newton step at this tier already tells whether the start heads
+        # into a found branch: if it lands within _JOIN of one, the start
+        # joins it now, before any finer integration.  Else the step is
+        # kept for as long as the tier stays.  A fine iterate that meets
+        # the target converges below, as it would without this test
+        step, step_io = None, None
+        if found and err < _TIERS[0][1] and not (err <= target and io is _FINE):
+            step, step_io = _newton_step(M, x, q, v, r, steps), io
+            if step is not None:
+                i = joins(v + step)
+                if i is not None:
+                    return True, v + step, err, i
         while err < _TIERS[tier][1]:
             tier += 1
             io = _TIERS[tier][0]
             r, steps = defect(v, io)
             if r is None:
                 return False, v, err, None
-            err = float(np.linalg.norm(r))
+            err = _norm(r)
         if err <= target and io is _FINE:
             return True, v, err, None
-        J = _jacobian(M, p, q, v, r, steps)
-        if J is None:
+        if step_io is not io:
+            step = _newton_step(M, x, q, v, r, steps)
+        if step is None:
             return False, v, err, None
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
         for halvings in range(12):
             vn = v + 0.5**halvings * step
             rn, sn = defect(vn, io)
-            if rn is not None and np.linalg.norm(rn) < err:
-                v, r, steps, err = vn, rn, sn, float(np.linalg.norm(rn))
-                break
+            if rn is not None:
+                en = _norm(rn)
+                if en < err:
+                    v, r, steps, err = vn, rn, sn, en
+                    break
         else:
             return False, v, err, None
-        if np.linalg.norm(v) > limit:
+        if _norm(v) > limit:
             return False, v, err, None
         history.append(err)
     return err <= target and io is _FINE, v, err, None
@@ -251,7 +303,7 @@ def _start_velocities(M, p, q, opts):
     k = int(opts.multistart) - 1
     if k > 0:
         units = _start_directions(k, M.n, opts.seed)
-        mags = np.linalg.norm(d) * (1.0 + 0.5 * (np.arange(k) % 4))
+        mags = _norm(d) * (1.0 + 0.5 * (np.arange(k) % 4))
         starts.extend(mags[i] * units[i] for i in range(k))
     return starts
 
@@ -328,7 +380,7 @@ def shoot_connect(M, p, q, opts=None):
     best = sols[0] if sols else fail
     tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, best["v0"], 1.0, _FINE)
     # a solution's error is re-measured on the fine path it is reported by
-    err = float(np.linalg.norm(tilde.xs[-1] - q)) if sols else fail["endpoint_error"]
+    err = _norm(tilde.xs[-1] - q) if sols else fail["endpoint_error"]
     try:
         nabla = reparam_from_tilde(M, tilde)
     except (ValueError, GeodesicError):

@@ -17,10 +17,12 @@ against the interpolant's own acceleration there, and on nabla and
 lc-tilde paths the new parameter's increment against Simpson's rule
 (_dense_test).  The whole loop is one function emitted per manifold and
 connection (_integrator, see there), with the chart test and the spray
-inlined at every stage; _replay runs it on the step sizes an integration
-recorded, with no step control, which makes it the shooting Jacobian's
-column integrator.  The tests hold a Python loop over the generic step as
-its reference (tests/integrator_reference.py).
+inlined at every stage.  _run calls it on a list of floats with no
+argument check, which makes it the shooting solve's trial integrator, and
+_replay runs it on the step sizes an integration recorded, with no step
+control, which makes it the shooting Jacobian's column integrator.  The
+tests hold a Python loop over the generic step as its reference
+(tests/integrator_reference.py).
 
 Because nabla is projectively equivalent to the Levi-Civita connection of
 gtilde = e^sigma g, a nabla-geodesic becomes a gtilde-geodesic under the
@@ -371,25 +373,36 @@ def _dense_test(M, kind):
     nabla, c = kind is ConnKind.NABLA, _WEIGHT.get(kind)
     exp, isfinite, coords = math.exp, math.isfinite, range(n)
 
+    # plain loops, and each max written out as the builtin decides it
+    # (its first argument unless the second is larger), which makes a call
+    # about a quarter cheaper than comprehensions and builtin calls
     def dense(x0, v0, a0, x1, v1, a1, h, rtol, atol, ds=None, s=None, q=None, sigma_new=None):
         hh = h * h
-        m = [0.5 * (x0[i] + x1[i]) + 0.15625 * h * (v0[i] - v1[i])
-             + 0.015625 * hh * (a0[i] + a1[i]) for i in coords]
-        m += [(1.875 * (x1[i] - x0[i]) - 0.4375 * h * (v0[i] + v1[i])
-               + 0.03125 * hh * (a1[i] - a0[i])) / h for i in coords]
+        m = [0.0] * (2 * n)
+        for i in coords:
+            m[i] = (0.5 * (x0[i] + x1[i]) + 0.15625 * h * (v0[i] - v1[i])
+                    + 0.015625 * hh * (a0[i] + a1[i]))
+            m[n + i] = (1.875 * (x1[i] - x0[i]) - 0.4375 * h * (v0[i] + v1[i])
+                        + 0.03125 * hh * (a1[i] - a0[i])) / h
         if not all(map(isfinite, m)):
             return None
         out = spray(m) if domain(m) else None
         if out is None:
             return -1.0
         try:
-            de = _rms([h * (out[i - n] - (1.5 * (v1[i] - v0[i]) / h - 0.25 * (a0[i] + a1[i])))
-                       / (atol + max(abs(v0[i]), abs(v1[i])) * rtol) for i in coords])
+            gaps = []
+            for i in coords:
+                a, b = abs(v0[i]), abs(v1[i])
+                gaps.append(h * (out[i - n] - (1.5 * (v1[i] - v0[i]) / h - 0.25 * (a0[i] + a1[i])))
+                            / (atol + (b if b > a else a) * rtol))
+            de = _rms(gaps)
             if nabla:
-                de *= max(1.0, exp(-4.0 * out[n * n]))
+                w = exp(-4.0 * out[n * n])
+                de *= w if w > 1.0 else 1.0
             if c is not None:
                 simpson = h / 6.0 * (exp(c * q) + 4.0 * exp(c * out[n * n]) + exp(c * sigma_new))
-                de = max(de, abs(ds - simpson) / (atol + abs(s + ds) * rtol))
+                gap = abs(ds - simpson) / (atol + abs(s + ds) * rtol)
+                de = gap if gap > de else de
         except OverflowError:
             de = 0.0
         return de
@@ -586,8 +599,8 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     GeodesicPath.meta["integrator"].  Where steps is a list, the size of
     each accepted step is appended to it, for _replay.  The arguments are
     checked here, on floats; the start (first derivative and step) and
-    the loop are one call of the emitted integrator of (M, kind)
-    (_integrator).
+    the loop are one call of the emitted integrator of (M, kind), through
+    _run.
     """
     x0 = M.at(x0).x
     v0 = np.asarray(v0, dtype=float)
@@ -600,26 +613,43 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     if not 0.0 < t1 < math.inf:
         raise ValueError("t1 must be positive and finite")
     knots = [] if collect else None
-    status, t, y, _, _, *counts, _, _ = _integrator(M, kind)(
-        [*x0, *v0], steps, False, t1, opts.rtol, opts.atol, escape, MAX_STEPS, knots)
+    status, t, y, _, _, *counts, _, _ = _run(M, kind, [*x0, *v0], t1, opts, escape, steps, knots)
     return status, t, np.array(y), knots if collect else [], dict(zip(_COUNTS, counts))
+
+
+def _run(M, kind, y, t1, opts, escape=None, steps=None, rows=None):
+    """One integration over [0, t1] from the state y, unchecked.
+
+    y is the list of 2n Python floats (x, v); nothing about it, t1 or opts
+    is checked, so the caller answers for a start in the chart with a
+    finite velocity (_integrate_core checks its arguments, then calls
+    this).  Returns the emitted integrator's tuple (_integrator) as it
+    stands, from the status, the last accepted parameter and the state
+    (a list) on.  Where steps is a list the size of each accepted step is
+    appended to it, for _replay, and where rows is a list it gets the
+    knots.
+    """
+    return _integrator(M, kind)(y, steps, False, t1, opts.rtol, opts.atol, escape, MAX_STEPS,
+                                rows)
 
 
 def _replay(M, kind, x0, v0, steps):
     """The state (x, v) after the step sizes `steps` from (x0, v0), or None.
 
-    The accepted steps of an _integrate_core run, taken again by the same
-    emitted integrator (_integrator) with no step control: no initial
-    step, no error test, no rejected attempt.  From the run's own start
-    the state is the run's endpoint, bit for bit; from a nearby start it
-    is the same discrete map's value, which is what a forward difference
-    of the endpoint needs (internal numerical differentiation: Bock 1981;
-    Hairer, Norsett & Wanner, Solving ODEs I, II.4).  None where the start,
-    a stage or a chord leaves the chart.  The start is not checked: one
-    call of the emitted integrator takes its first derivative and replays.
+    The accepted steps of an _integrate_core or _run run, taken again by
+    the same emitted integrator (_integrator) with no step control: no
+    initial step, no error test, no rejected attempt.  From the run's own
+    start the state is the run's endpoint, bit for bit; from a nearby
+    start it is the same discrete map's value, which is what a forward
+    difference of the endpoint needs (internal numerical differentiation:
+    Bock 1981; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The state
+    is a list of 2n floats, None where the start, a stage or a chord
+    leaves the chart.  x0 and v0 are sequences of Python floats, not
+    checked: one call of the emitted integrator takes its first derivative
+    and replays.
     """
-    status, _, y, *_ = _integrator(M, kind)([*map(float, x0), *map(float, v0)], steps, True)
-    return np.array(y) if status == "completed" else None
+    status, _, y, *_ = _integrator(M, kind)([*x0, *v0], steps, True)
+    return y if status == "completed" else None
 
 
 _TABLE = ("x(t0)", "h v(t0)", "h^2 a(t0)", "x(t1)", "h v(t1)", "h^2 a(t1)")

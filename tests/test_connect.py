@@ -13,6 +13,7 @@ Closed-form oracles:
     rho(XY|Z) = -g(nabla_X Y, Z).
 """
 
+import itertools
 import math
 from statistics import NormalDist
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 import divstat.connect
+from divstat.cli import run
 from divstat.connect import (
     _COARSE,
     _FINE,
@@ -33,6 +35,7 @@ from divstat.connect import (
     _gauss_newton,
     _halton,
     _jacobian,
+    _norm,
     _solve_bvp,
     _start_directions,
     _start_velocities,
@@ -125,7 +128,7 @@ def test_replayed_jacobian_on_the_punctured_plane_is_the_identity(opts):
         status, _, y_end, _, _ = _integrate_core(
             m, ConnKind.LC_G_TILDE, p, v, 1.0, opts, False, steps=steps)
         assert status == "completed" and steps
-        J = _jacobian(m, p, q, v, y_end[:2] - q, steps)
+        J = _jacobian(m, p.tolist(), q, v, y_end[:2] - q, steps)
         assert np.abs(J - np.eye(2)).max() <= 1e-8, (v, J)
 
 
@@ -138,7 +141,24 @@ def test_jacobian_column_that_leaves_the_chart_is_none():
     status, _, y_end, _, _ = _integrate_core(
         m, ConnKind.LC_G_TILDE, p, v, 1.0, _SCOUT, False, steps=steps)
     assert status == "completed"
-    assert _jacobian(m, p, np.array([0.0, 0.5]), v, y_end[:2] - [0.0, 0.5], steps) is None
+    assert _jacobian(m, p.tolist(), np.array([0.0, 0.5]), v, y_end[:2] - [0.0, 0.5],
+                     steps) is None
+
+
+_NORM_VALUES = (0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-160, 1.0, -3.5,
+                1e154, -1e155, 1e200, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_is_numpys_bit_for_bit(n):
+    # zeros, subnormals, squares that underflow or overflow, inf and nan,
+    # in every arrangement of n entries; an overflowing dot warns in both
+    for x in itertools.product(_NORM_VALUES, repeat=n):
+        x = np.array(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _norm(x), np.linalg.norm(x)
+        assert type(got) is float
+        assert got.hex() == float(want).hex(), x
 
 
 def test_contrast_values():
@@ -363,6 +383,38 @@ JOIN_CASES = [
 ]
 
 
+# float.hex of tilde_length, endpoint_error and every solution's v0 of
+# shoot_connect with six starts on the first seven JOIN_CASES pairs
+PINNED = [
+    ("0x1.6c8c109064355p-2", "0x1.4589cfbc4223fp-36",
+     [("0x1.66ff0f7f1b85bp+1", "-0x1.9c2f10bc4a52bp-2")]),
+    ("0x1.0b94ddc759b84p-1", "0x1.17952c35b59b2p-38",
+     [("0x1.b17470cb96abep-7", "-0x1.573fe69c92755p-2")]),
+    ("0x1.f0960058c0681p+1", "0x1.965e89cd16738p-41",
+     [("0x1.4923a29c779a6p+1", "-0x1.73d70a3d70a3ep+1")]),
+    ("0x1.a5d698aed74b8p-1", "0x1.7ee445f9107edp-34",
+     [("-0x1.9787732c83352p+0", "0x1.a31ad0bc2a3c6p+1")]),
+    ("0x1.b4882965d8634p-1", "0x1.3eda5dd7c3ac6p-36",
+     [("-0x1.8f38999ab30dfp+1", "-0x1.45b4fab190293p+2")]),
+    ("0x1.a8b21b54bfcd3p-1", "0x1.eb711bf736edap-36",
+     [("0x1.fecd20cfc9a02p+2", "0x1.5942f09382784p+0")]),
+    ("0x1.36eb30feab13ap+0", "0x1.2299f74828ff7p-36",
+     [("-0x1.fe0bf531ff0f7p+2", "-0x1.53395e9db7a7ep+2")]),
+]
+
+
+@pytest.mark.parametrize("case, pinned", list(zip(JOIN_CASES, PINNED)))
+def test_the_solve_is_pinned_bit_for_bit(case, pinned):
+    # one pair per class of the shooting benchmark and criterion 10's four:
+    # no change to the solve's arithmetic may move a bit of its results
+    name, p, q, k = case
+    res = shoot_connect(load_manifold(name), np.array(p), np.array(q),
+                        ShootOpts(multistart=k, seed=42))
+    got = (res.tilde_length.hex(), float(res.endpoint_error).hex(),
+           [tuple(a.hex() for a in s["v0"].tolist()) for s in res.solutions])
+    assert got == pinned
+
+
 def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
     # a start that joins a branch found before it adds nothing to the
     # result: the solutions and the best failure are those of running every
@@ -378,7 +430,7 @@ def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
 
         monkeypatch.setattr(divstat.connect, name, wrapper)
 
-    counted("_integrate_core")
+    counted("_run")
     counted("_replay")
     multi = 0
     for name, p, q, k in JOIN_CASES:
@@ -387,7 +439,7 @@ def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
         opts = ShootOpts(multistart=k, seed=42)
         results, work = [], []
         for solve in (_reference_bvp, _solve_bvp):
-            calls.update(_integrate_core=0, _replay=0)
+            calls.update(_run=0, _replay=0)
             results.append(solve(m, p, q, opts))
             work.append(dict(calls))
         (want, want_fail), (sols, fail, starts) = results
@@ -395,7 +447,7 @@ def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
         assert all(_same_record(a, b) for a, b in zip(sols, want)), (name, p, q)
         assert _same_record(fail, want_fail), (name, p, q)
         assert any(s["ended"] == "joined" for s in starts), (name, p, q)
-        assert work[1]["_integrate_core"] < work[0]["_integrate_core"], (name, p, q)
+        assert work[1]["_run"] < work[0]["_run"], (name, p, q)
         assert work[1]["_replay"] < work[0]["_replay"], (name, p, q)
         multi += len(sols) >= 2
     assert multi >= 2
@@ -407,23 +459,52 @@ def test_later_starts_join_before_the_fine_tier(monkeypatch, name, p, q):
     # its basin at the scout or coarse tier and joins there, before it
     # integrates at fine tolerance
     fine, start = [], [-1]
-    gauss_newton, core = divstat.connect._gauss_newton, divstat.connect._integrate_core
+    gauss_newton, core = divstat.connect._gauss_newton, divstat.connect._run
 
     def next_start(*args):
         start[0] += 1
         return gauss_newton(*args)
 
-    def integrate(M, kind, x0, v0, t1, opts, *args, **kwargs):
+    def integrate(M, kind, y, t1, opts, *args, **kwargs):
         if opts is _FINE:
             fine.append(start[0])
-        return core(M, kind, x0, v0, t1, opts, *args, **kwargs)
+        return core(M, kind, y, t1, opts, *args, **kwargs)
 
     monkeypatch.setattr(divstat.connect, "_gauss_newton", next_start)
-    monkeypatch.setattr(divstat.connect, "_integrate_core", integrate)
+    monkeypatch.setattr(divstat.connect, "_run", integrate)
     _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
                               ShootOpts(multistart=6, seed=42))
     assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * 5
     assert start[0] == 5 and fine and set(fine) == {0}
+
+
+def test_joined_starts_stop_at_the_scout_tier(monkeypatch):
+    # a start that joins does so at the scout tier, on its Newton step
+    # from inside the coarse basin: none of its trial paths runs at the
+    # coarse or fine tolerance
+    start, finer = [-1], []
+    gauss_newton, core = divstat.connect._gauss_newton, divstat.connect._run
+
+    def next_start(*args):
+        start[0] += 1
+        return gauss_newton(*args)
+
+    def integrate(M, kind, y, t1, opts, *args, **kwargs):
+        if opts is not _SCOUT:
+            finer.append(start[0])
+        return core(M, kind, y, t1, opts, *args, **kwargs)
+
+    monkeypatch.setattr(divstat.connect, "_gauss_newton", next_start)
+    monkeypatch.setattr(divstat.connect, "_run", integrate)
+    joined = 0
+    for name, p, q, k in JOIN_CASES:
+        start[0], finer[:] = -1, []
+        _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
+                                  ShootOpts(multistart=k, seed=42))
+        late = {s["start"] for s in starts if s["ended"] == "joined"} & set(finer)
+        assert not late, (name, p, q, sorted(late))
+        joined += sum(s["ended"] == "joined" for s in starts)
+    assert joined >= 30
 
 
 def test_a_final_iterate_within_join_of_a_branch_ends_joined(monkeypatch):
@@ -467,14 +548,14 @@ def test_a_tier_whose_trial_path_does_not_complete_fails_the_start(monkeypatch):
     # tier's tolerance: the start fails there, with its last scout error
     m = load_manifold("paraboloid")
     p, q = np.zeros(2), np.array([0.4, 0.3])
-    core, tiers = divstat.connect._integrate_core, []
+    core, tiers = divstat.connect._run, []
 
-    def integrate(M, kind, x0, v0, t1, opts, *args, **kwargs):
+    def integrate(M, kind, y, t1, opts, *args, **kwargs):
         tiers.append(opts)
-        status, *rest = core(M, kind, x0, v0, t1, opts, *args, **kwargs)
+        status, *rest = core(M, kind, y, t1, opts, *args, **kwargs)
         return ("exited-domain" if opts is _COARSE else status), *rest
 
-    monkeypatch.setattr(divstat.connect, "_integrate_core", integrate)
+    monkeypatch.setattr(divstat.connect, "_run", integrate)
     ok, v, err, joined = _gauss_newton(m, p, q, q - p, 0.25e-8, [])
     assert not ok and joined is None
     assert 1e-5 < err < 1e-2 and tiers[-1] is _COARSE and _FINE not in tiers
@@ -488,6 +569,23 @@ def test_a_jacobian_column_that_leaves_the_chart_fails_the_start():
     ok, v, err, joined = _gauss_newton(m, p, q, v0, 0.25e-8, [])
     assert not ok and joined is None
     assert np.array_equal(v, v0) and abs(err - 0.5) < 1e-8
+
+
+def test_a_newton_step_that_is_not_finite_fails_the_start(monkeypatch, capsys):
+    # a Newton step that overflows gives trial velocities that are not
+    # finite: each is a failed trial, like one that leaves the chart, so
+    # every start fails and the command exits 3, not 2 (invalid input)
+    monkeypatch.setattr(np.linalg, "solve", lambda J, b: np.array([np.inf, 0.0]))
+    m = load_manifold("paraboloid")
+    res = shoot_connect(m, (0.0, 0.0), (0.4, 0.3), ShootOpts(multistart=2))
+    assert not res.converged and not res.solutions
+    assert [(s["ended"], s["branch"]) for s in res.starts] == [("failed", None)] * 2
+    assert all(math.isfinite(s["endpoint_error"]) for s in res.starts)
+    capsys.readouterr()
+    code = run(["connect", "paraboloid", "--from", "0,0", "--to", "0.4,0.3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "no converged geodesic" in err
 
 
 def test_contrast_structure_check_needs_a_positive_step():

@@ -727,7 +727,7 @@ def test_replay_of_the_recorded_steps_is_the_endpoint(name):
             if status != "completed":
                 continue
             assert len(steps) == counts["accepted"] and math.fsum(steps) == pytest.approx(t_end)
-            got = _replay(M, kind, x0, v0, steps)
+            got = _replay(M, kind, x0.tolist(), v0.tolist(), steps)
             assert [a.hex() for a in got] == [a.hex() for a in y_end], (name, kind)
             runs += 1
     assert runs >= 6, name
@@ -1388,7 +1388,7 @@ def test_emitted_integrator_is_the_reference(monkeypatch):
         for key in ("rejected", "halvings", "rewinds", "dense_rejected"):
             seen[key] += counts[key]
         for dv in (0.0, 1e-6):
-            got = _replay(M, kind, x0, v0 + dv, steps)
+            got = _replay(M, kind, x0.tolist(), (v0 + dv).tolist(), steps)
             want = replay(M, kind, x0, v0 + dv, steps)
             assert (got is None) == (want is None), (M.name, kind, x0, v0, dv)
             if got is not None:
