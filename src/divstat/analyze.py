@@ -38,7 +38,7 @@ from .curvature import (
     _relation_residuals,
     _sectional_tilde,
 )
-from .manifold import ConnKind, sample_domain
+from .manifold import ConnKind, _count, sample_domain
 from .statstruct import _parallel_volume_residual, _trace_K
 
 # rows per ManifoldDef.at_many call, so that a block's tensors stay a few
@@ -75,8 +75,7 @@ class CheckOpts:
     seed: int = 42
 
     def __post_init__(self):
-        if int(self.samples) < 1:
-            raise ValueError("samples must be at least 1")
+        self.samples = _count("samples", self.samples, 1)
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 

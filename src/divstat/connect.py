@@ -48,7 +48,7 @@ from .geodesic import (
     integrate_geodesic,
     reparam_from_tilde,
 )
-from .manifold import ConnKind
+from .manifold import ConnKind, _count
 
 _SCOUT = IntegratorOpts(rtol=1e-5, atol=1e-7)
 _COARSE = IntegratorOpts(rtol=1e-7, atol=1e-9)
@@ -80,8 +80,7 @@ class ShootOpts:
     seed: int = 42
 
     def __post_init__(self):
-        if int(self.multistart) < 1:
-            raise ValueError("multistart must be at least 1")
+        self.multistart = _count("multistart", self.multistart, 1)
         if not self.eps_bvp > 0.0:
             raise ValueError("eps_bvp must be positive")
 
@@ -106,8 +105,8 @@ class ConnectResult:
     integrated.  A joined start adds
     no solution; a converged one adds its own.
 
-    nabla_path is None when the best tilde path left the domain with too
-    few samples to reparametrize, or when the nabla parameter cannot be
+    nabla_path is None when the best tilde path has no knots (it left the
+    domain before its first step), or when the nabla parameter cannot be
     computed along it: the weight e^{-2 sigma} overflows where the path
     passes close to a complete end such as the puncture of the punctured
     plane, or grows so large there that the parameter's later increments
@@ -300,7 +299,7 @@ def _start_velocities(M, p, q, opts):
     # scaled by the chart distance
     d = q - p
     starts = [d.copy()]
-    k = int(opts.multistart) - 1
+    k = opts.multistart - 1
     if k > 0:
         units = _start_directions(k, M.n, opts.seed)
         mags = _norm(d) * (1.0 + 0.5 * (np.arange(k) % 4))

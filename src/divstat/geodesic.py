@@ -1,28 +1,27 @@
 """Geodesic integration and the parameter exchange with the conformal metric.
 
-Geodesics of any of the four connections solve x'' + Gamma(x', x') = 0 in the
-chart.  The integrator is an adaptive Dormand-Prince 5(4) loop on Python
-floats with the coefficients and step controller of scipy's RK45, so its
-steps follow RK45's up to rounding; an attempt that leaves the chart, at a
-stage or along its chord, is retried at half its step, down to the exit
-window EXIT_BISECT_TOL, so the exit parameter is sharp.  A retry is a
-rejection like one by the error estimate: the step accepted after it does
-not grow (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  Where the steps
-are collected for dense output, the integrator keeps one knot per step
-end, (t, x, v, a) with the start as knot 0, and the dense output is the
-quintic Hermite between consecutive knots (_eval_pieces).  The error
-control still sizes the steps, and a step longer than t1 / 48 also passes
-a test of its interpolant: the spray at the interpolant's midpoint
-against the interpolant's own acceleration there, and on nabla and
-lc-tilde paths the new parameter's increment against Simpson's rule
-(_dense_test).  The whole loop is one function emitted per manifold and
-connection (_integrator, see there), with the chart test and the spray
-inlined at every stage.  _run calls it on a list of floats with no
-argument check, which makes it the shooting solve's trial integrator, and
-_replay runs it on the step sizes an integration recorded, with no step
-control, which makes it the shooting Jacobian's column integrator.  The
-tests hold a Python loop over the generic step as its reference
-(tests/integrator_reference.py).
+Geodesics of any of the four connections solve x'' + Gamma(x', x') = 0 in
+the chart.  The integrator is an adaptive Dormand-Prince 5(4) loop on
+Python floats with the coefficients and step controller of scipy's RK45,
+so its steps follow RK45's up to rounding; an attempt that leaves the
+chart, at a stage or along its chord, is retried at half its step, down to
+the exit window EXIT_BISECT_TOL, so the exit parameter is sharp.  A retry
+is a rejection like one by the error estimate: the step accepted after it
+does not grow (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The
+checked integration, _integrate_core, is the one run behind
+integrate_geodesic and exp_map, so both answer with the same steps.  It
+collects them: the integrator keeps one knot per step end, (t, x, v, a)
+with the start as knot 0, and the dense output is the quintic Hermite
+between consecutive knots (_eval_pieces); the error control sizes the
+steps, and one longer than t1 / 48 also passes a test of its interpolant
+at its midpoint (_dense_test).  The whole loop is one function emitted per
+manifold and connection (_integrator, see there), with the chart test and
+the spray inlined at every stage.  _run calls it on a list of floats with
+no argument check, and without knots also with no dense test, which makes
+it the shooting solve's trial integrator, and _replay runs it on the step
+sizes an integration recorded, with no step control, which makes it the
+shooting Jacobian's column integrator.  The tests hold a Python loop over
+the generic step as its reference (tests/integrator_reference.py).
 
 Because nabla is projectively equivalent to the Levi-Civita connection of
 gtilde = e^sigma g, a nabla-geodesic becomes a gtilde-geodesic under the
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprcore import _exec_kernel
-from .manifold import ConnKind, OutOfDomainError
+from .manifold import ConnKind, OutOfDomainError, _count
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -76,9 +75,7 @@ class StepLimitError(GeodesicError):
 
 
 class _DomainExit(Exception):
-    # internal: a stage or chord point of the emitted integrator fell
-    # outside the chart
-    pass
+    """Internal: a stage or chord point of the emitted integrator left the chart."""
 
 
 @dataclass
@@ -90,8 +87,7 @@ class IntegratorOpts:
     def __post_init__(self):
         if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValueError("integrator tolerances must be positive and finite")
-        if self.dense_samples < 2:
-            raise ValueError("dense_samples must be at least 2")
+        self.dense_samples = _count("dense_samples", self.dense_samples, 2)
 
 
 @dataclass
@@ -274,23 +270,22 @@ def _integrator(M, kind):
     chart it returns ("exited-domain", 0.0, y, None, None, 0, 0, 0, 0, 0,
     2, 1, None).
 
-    Integrating (replay false), it runs _integrate_core's adaptive loop: the
+    Integrating (replay false), it runs the adaptive loop: the
     Dormand-Prince step of _step_lines with RK45's controller from the first
     step h_abs, the chord probe of _probe_lines, the finiteness test of the
     new state, the chart retries at half the step, the step budget max_steps
     and the escape radius.  A chart retry, like a rejection by the error
     estimate or the dense test, caps the growth of the step accepted after
     it at 1, RK45's min(1, factor).  Where rows is a list, it gets one knot
-    (t, x, v, a) per step end, a being the acceleration, ending with s there
-    for kind nabla or lc-tilde (_WEIGHT): the start's knot once the start is
-    in the chart, then one per accepted step; and a step longer than t1 / 48
-    also passes the dense test (_dense_test), so that the interpolant tracks
-    the acceleration, not just the position: a finite de of 1 or more
-    rejects the step, as the error estimate does, and a smaller one caps its
-    growth at 0.9 de^{-1/4}.  The size of each accepted step is appended to
-    the list steps, unless that is None.  Replaying, it takes the sizes in
-    steps one by one with no step control, and the status is "exited-domain"
-    as soon as a stage or a chord leaves the chart.
+    (t, x, v, a[, s]) per step end, a the acceleration and s there for kind
+    nabla or lc-tilde (_WEIGHT): the start's once the start is in the
+    chart, then one per accepted step; and a step longer than t1 / 48 also
+    passes the dense test (_dense_test): a finite de of 1 or more rejects
+    it, as the error estimate does, and a smaller one caps its growth at
+    0.9 de^{-1/4}.  The size of each accepted step is appended to the list
+    steps, unless that is None.  Replaying, it takes the sizes in steps one
+    by one with no step control, and the status is "exited-domain" as soon
+    as a stage or a chord leaves the chart.
 
     The emitted code is what every attempt runs: the stages and the probe,
     written once from the plans of the spray, values and domain kernels,
@@ -571,8 +566,7 @@ def _build_integrator(M, kind):
     return _exec_kernel(code, math, _isfinite=math.isfinite,
                         _ceil=math.ceil, _nextafter=math.nextafter, _inf=math.inf,
                         _DomainExit=_DomainExit, _rms=_rms, _dense=_dense_test(M, kind),
-                        _domain=M.domain,
-                        _spray=M.spray(kind).get)
+                        _domain=M.domain, _spray=M.spray(kind).get)
 
 
 def _rms(xs):
@@ -589,18 +583,15 @@ def _rms(xs):
 _COUNTS = ("accepted", "rejected", "rewinds", "halvings", "dense_rejected", "rhs_calls")
 
 
-def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None):
-    """Integrate the geodesic from (x0, v0) over [0, t1].
+def _integrate_core(M, kind, x0, v0, t1, opts):
+    """The checked integration from (x0, v0) over [0, t1], with its knots.
 
-    Returns (status, t_end, y_end, knots, counts): the status, the last
-    accepted parameter and state (x, v), the knots (t, x, v, a[, s]) of the
-    start and of every accepted step's end when collect is set (none where
-    the start leaves the chart), and the counts of
-    GeodesicPath.meta["integrator"].  Where steps is a list, the size of
-    each accepted step is appended to it, for _replay.  The arguments are
-    checked here, on floats; the start (first derivative and step) and
-    the loop are one call of the emitted integrator of (M, kind), through
-    _run.
+    The one run behind integrate_geodesic and exp_map.  Returns (status,
+    t_end, y_end, knots, counts): the status, the last accepted parameter
+    and state (x, v), the knots (t, x, v, a[, s]) of the start and of every
+    accepted step's end (none where the start leaves the chart), and the
+    counts of GeodesicPath.meta["integrator"].  The arguments are checked
+    here, on floats; then _run makes one call of the emitted integrator.
     """
     x0 = M.at(x0).x
     v0 = np.asarray(v0, dtype=float)
@@ -612,9 +603,9 @@ def _integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None)
     t1 = float(t1)
     if not 0.0 < t1 < math.inf:
         raise ValueError("t1 must be positive and finite")
-    knots = [] if collect else None
-    status, t, y, _, _, *counts, _, _ = _run(M, kind, [*x0, *v0], t1, opts, escape, steps, knots)
-    return status, t, np.array(y), knots if collect else [], dict(zip(_COUNTS, counts))
+    knots = []
+    status, t, y, _, _, *counts, _, _ = _run(M, kind, [*x0, *v0], t1, opts, rows=knots)
+    return status, t, np.array(y), knots, dict(zip(_COUNTS, counts))
 
 
 def _run(M, kind, y, t1, opts, escape=None, steps=None, rows=None):
@@ -622,10 +613,10 @@ def _run(M, kind, y, t1, opts, escape=None, steps=None, rows=None):
 
     y is the list of 2n Python floats (x, v); nothing about it, t1 or opts
     is checked, so the caller answers for a start in the chart with a
-    finite velocity (_integrate_core checks its arguments, then calls
-    this).  Returns the emitted integrator's tuple (_integrator) as it
-    stands, from the status, the last accepted parameter and the state
-    (a list) on.  Where steps is a list the size of each accepted step is
+    finite velocity: _integrate_core, which checks its arguments and
+    passes rows, or a shooting trial, which passes none and so runs no
+    dense test.  Returns the emitted integrator's tuple (_integrator) as
+    it stands.  Where steps is a list the size of each accepted step is
     appended to it, for _replay, and where rows is a list it gets the
     knots.
     """
@@ -636,7 +627,7 @@ def _run(M, kind, y, t1, opts, escape=None, steps=None, rows=None):
 def _replay(M, kind, x0, v0, steps):
     """The state (x, v) after the step sizes `steps` from (x0, v0), or None.
 
-    The accepted steps of an _integrate_core or _run run, taken again by
+    The accepted steps of a _run run, taken again by
     the same emitted integrator (_integrator) with no step control: no
     initial step, no error test, no rejected attempt.  From the run's own
     start the state is the run's endpoint, bit for bit; from a nearby
@@ -723,7 +714,7 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
     """
     opts = opts if opts is not None else IntegratorOpts()
     kind = ConnKind(kind)
-    status, t_end, y_end, knots, counts = _integrate_core(M, kind, x0, v0, t1, opts, True)
+    status, t_end, y_end, knots, counts = _integrate_core(M, kind, x0, v0, t1, opts)
     n = M.n
     if len(knots) < 2:
         ts = np.zeros(1)
@@ -743,19 +734,19 @@ def integrate_geodesic(M, kind, x0, v0, t1, opts=None):
 
 
 def exp_map(M, kind, p, v, opts=None):
-    """Endpoint of the unit-time geodesic from p with initial velocity v."""
+    """Endpoint of the unit-time geodesic from p with initial velocity v.
+
+    The last state of integrate_geodesic's run to t = 1, with its steps,
+    so its xs[-1] bit for bit; ExitedDomainError (t_exit its ts[-1]) or
+    StepLimitError where that path ends "exited-domain" or "step-limit".
+    """
     opts = opts if opts is not None else IntegratorOpts()
-    kind = ConnKind(kind)
-    status, t_end, y_end, _, _ = _integrate_core(M, kind, p, v, 1.0, opts, False)
+    status, t_end, y_end, _, _ = _integrate_core(M, kind, p, v, 1.0, opts)
     if status == "exited-domain":
-        raise ExitedDomainError(
-            f"geodesic left the domain of {M.name} at parameter {t_end:.12g}",
-            t_exit=t_end,
-        )
+        raise ExitedDomainError(f"geodesic left the domain of {M.name} at parameter {t_end:.12g}",
+                                t_exit=t_end)
     if status == "step-limit":
-        raise StepLimitError(
-            f"geodesic integration on {M.name} stopped at parameter {t_end:.12g}"
-        )
+        raise StepLimitError(f"geodesic integration on {M.name} stopped at parameter {t_end:.12g}")
     return y_end[:M.n].copy()
 
 
@@ -791,8 +782,6 @@ def _reparam(M, path, out_kind, in_kind):
     ts = np.asarray(path.ts, dtype=float)
     xs = np.asarray(path.xs, dtype=float)
     vs = np.asarray(path.vs, dtype=float)
-    if len(ts) < 5:
-        raise ValueError("need at least 5 samples to reparametrize")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("path parameters must be strictly increasing")
     sign = _WEIGHT[in_kind]

@@ -46,6 +46,7 @@ import enum
 import itertools
 import json
 import math
+import operator
 import os
 from functools import cache, cached_property, partial, reduce
 
@@ -843,6 +844,17 @@ def laplace_sigma(M, x):
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+def _count(name, value, least):
+    # an option's count as an int (numpy integers pass), or ValueError naming it
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
 
 
 def sample_domain(M, count, seed=0):

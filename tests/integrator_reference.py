@@ -317,7 +317,12 @@ def run(M, kind, y, steps, t1, rtol, atol, escape, max_steps, rows, log=None):
 
 
 def integrate_core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None, log=None):
-    """geodesic._integrate_core in Python, over run: the same return value."""
+    """geodesic._integrate_core in Python, over run: the same return value.
+
+    With collect unset it collects no knots, so it makes no dense test, as
+    a shooting trial's run of geodesic._run does; escape and steps are
+    that run's escape radius and list of step sizes.
+    """
     y = [*map(float, x0), *map(float, v0)]
     rows = [] if collect else None
     status, t, y, _, _, *counts, _, _ = run(

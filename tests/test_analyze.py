@@ -168,6 +168,21 @@ def test_scan_input_validation():
         CheckOpts(tol=-1.0)
 
 
+def test_check_samples_must_be_an_integer():
+    # a count: a float or a string is refused here, naming the field, not
+    # later inside sample_domain; a numpy integer passes, as a Python int
+    for bad in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError) as info:
+            CheckOpts(samples=bad)
+        assert str(info.value) == f"samples must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=r"^samples must be at least 1$"):
+        CheckOpts(samples=np.int64(0))
+    opts = CheckOpts(samples=np.int32(3))
+    assert type(opts.samples) is int and opts.samples == 3
+    reports = check_suite(load_manifold("paraboloid"), opts)
+    assert all(len(r.worst_point) == 2 for r in reports)
+
+
 def test_sigma_bounds():
     eucl = load_manifold("euclidean")
     smin, pmin, smax, pmax = sigma_bounds_scan(eucl, [(0.0, 0.0), (2.0, -1.0)])

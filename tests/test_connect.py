@@ -44,7 +44,7 @@ from divstat.connect import (
     distance_tilde,
     shoot_connect,
 )
-from divstat.geodesic import _integrate_core, geodesic_residual
+from divstat.geodesic import _run, geodesic_residual
 from divstat.manifold import BUILTINS, load_manifold, metric_at, sample_domain
 from divstat.statstruct import ConnKind, conjugate
 
@@ -116,6 +116,14 @@ def test_punctured_antipodal_fails_same_side_works():
     assert np.abs(offsets).max() < 1e-6
 
 
+def _trial(M, p, v, opts, steps):
+    # a shooting trial's run from (p, v) to t = 1, recording its step
+    # sizes in steps: its status and end state
+    status, _, y, *_ = _run(M, ConnKind.LC_G_TILDE, [*p.tolist(), *v.tolist()], 1.0, opts,
+                            None, steps)
+    return status, np.array(y)
+
+
 @pytest.mark.parametrize("opts", [_SCOUT, _COARSE, _FINE])
 def test_replayed_jacobian_on_the_punctured_plane_is_the_identity(opts):
     # e^sigma g is the Euclidean metric of the chart, so exptilde_p(v) is
@@ -125,8 +133,7 @@ def test_replayed_jacobian_on_the_punctured_plane_is_the_identity(opts):
     p, q = np.array([1.0, 0.0]), np.array([0.2, 1.0])
     for v in (np.array([-0.7, 0.9]), np.array([-2.0, 0.6])):
         steps = []
-        status, _, y_end, _, _ = _integrate_core(
-            m, ConnKind.LC_G_TILDE, p, v, 1.0, opts, False, steps=steps)
+        status, y_end = _trial(m, p, v, opts, steps)
         assert status == "completed" and steps
         J = _jacobian(m, p.tolist(), q, v, y_end[:2] - q, steps)
         assert np.abs(J - np.eye(2)).max() <= 1e-8, (v, J)
@@ -138,8 +145,7 @@ def test_jacobian_column_that_leaves_the_chart_is_none():
     m = load_manifold(dict(BUILTINS["euclidean"], name="below-one", domain="x2 < 1"))
     p, v = np.zeros(2), np.array([0.0, 1.0 - 1e-9])
     steps = []
-    status, _, y_end, _, _ = _integrate_core(
-        m, ConnKind.LC_G_TILDE, p, v, 1.0, _SCOUT, False, steps=steps)
+    status, y_end = _trial(m, p, v, _SCOUT, steps)
     assert status == "completed"
     assert _jacobian(m, p.tolist(), np.array([0.0, 0.5]), v, y_end[:2] - [0.0, 0.5],
                      steps) is None
@@ -188,6 +194,21 @@ def test_contrast_structure_paraboloid():
     target = np.einsum("mij,mk->ijk", m.at(p).gamma(ConnKind.NABLA), metric_at(m, p))
     assert np.abs(rep.nabla_fd - target).max() == rep.nabla_dev
     assert np.linalg.eigvalsh(rep.g_fd).min() > 0.0
+
+
+def test_multistart_must_be_an_integer():
+    # a count: 2.5 no longer runs 2 starts, nor "3" three; a numpy integer
+    # passes, as a Python int
+    for bad in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError) as info:
+            ShootOpts(multistart=bad)
+        assert str(info.value) == f"multistart must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=r"^multistart must be at least 1$"):
+        ShootOpts(multistart=np.int64(0))
+    opts = ShootOpts(multistart=np.int32(3))
+    assert type(opts.multistart) is int and opts.multistart == 3
+    p, q = np.zeros(2), np.array([0.4, 0.3])
+    assert len(_start_velocities(SimpleNamespace(n=2), p, q, opts)) == 3
 
 
 def test_shoot_opts_validation_and_determinism():

@@ -27,7 +27,7 @@ from scipy.integrate._ivp.common import select_initial_step
 from scipy.optimize import brentq
 
 import divstat.geodesic
-from divstat.connect import _COARSE, _SCOUT
+from divstat.connect import _COARSE, _FINE, _SCOUT
 from divstat.exprcore import EvalDomainError
 from divstat.geodesic import (
     _DP_B,
@@ -38,12 +38,14 @@ from divstat.geodesic import (
     IntegratorOpts,
     StepLimitError,
     MAX_STEPS,
+    _COUNTS,
     _DomainExit,
     _eval_pieces,
     _fold,
     _integrate_core,
     _integrator,
     _replay,
+    _run,
     exp_map,
     geodesic_residual,
     integrate_geodesic,
@@ -90,6 +92,16 @@ def _holed_great_circle():
     M = load_manifold(dict(BUILTINS["paraboloid"], name="holed-paraboloid",
                            domain="(x1 - 0.8002)^2 + (x2 - 0.5864)^2 > 0.003^2"))
     return M, (1.0, 0.0), (0.0, 1.0)
+
+
+def _core(M, kind, x0, v0, t1, opts, collect, escape=None, steps=None):
+    # _integrate_core's result through the unchecked _run, with the
+    # shooting trials' hooks: knots (and so the dense test) only where
+    # collect is set, an escape radius, and a list for the step sizes
+    rows = [] if collect else None
+    status, t, y, _, _, *counts, _, _ = _run(
+        M, kind, [*map(float, x0), *map(float, v0)], float(t1), opts, escape, steps, rows)
+    return status, t, np.array(y), rows if collect else [], dict(zip(_COUNTS, counts))
 
 
 HALF_SPACE = {
@@ -236,6 +248,52 @@ def test_step_limit_raised_by_exp_map(monkeypatch):
         exp_map(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0))
 
 
+def test_exp_map_is_the_endpoint_of_integrate_geodesic(monkeypatch):
+    # exp_map reads integrate_geodesic's run to t = 1, with its steps: the
+    # endpoint is the path's last sample bit for bit, and where the path
+    # stops short exp_map raises, at the path's last parameter.  Over the
+    # built-ins, the four kinds and seeded starts at the default and the
+    # fine tolerance.  The line into the overflow disk at the fine
+    # tolerance exits, where a run without the dense test vaults the disk
+    def check(M, kind, x0, v0, opts):
+        path = integrate_geodesic(M, kind, x0, v0, 1.0, opts)
+        where = (M.name, kind, tuple(x0), tuple(v0), opts)
+        if path.status == "completed":
+            assert _hex(exp_map(M, kind, x0, v0, opts)) == _hex(path.xs[-1]), where
+        elif path.status == "exited-domain":
+            with pytest.raises(ExitedDomainError) as info:
+                exp_map(M, kind, x0, v0, opts)
+            assert info.value.t_exit == path.ts[-1], where
+        else:
+            assert path.status == "step-limit", where
+            with pytest.raises(StepLimitError):
+                exp_map(M, kind, x0, v0, opts)
+        return path.status
+
+    punct = load_manifold("punctured-plane")
+    assert check(punct, ConnKind.LC_G_TILDE, *INTO_THE_DISK, _FINE) == "exited-domain"
+    assert _core(punct, ConnKind.LC_G_TILDE, *INTO_THE_DISK, 1.0, _FINE, False)[0] == "completed"
+    rng = np.random.default_rng(105)
+    seen = {}
+    for name in sorted(BUILTINS):
+        M = load_manifold(name)
+        for kind in ConnKind:
+            for i, x0 in enumerate(sample_domain(M, 4, seed=106)):
+                # half aimed at the origin: through the puncture, into the
+                # half plane's wall
+                v0 = rng.standard_normal(2)
+                v0 *= 10.0 ** rng.uniform(-1.0, 1.0) / np.linalg.norm(v0)
+                if i % 2:
+                    v0 = -x0 * 10.0 ** rng.uniform(0.0, 1.0)
+                for opts in (IntegratorOpts(), _FINE):
+                    status = check(M, kind, x0, v0, opts)
+                    seen[status] = seen.get(status, 0) + 1
+    assert seen["completed"] > 0 and seen["exited-domain"] > 0, seen
+    monkeypatch.setattr(divstat.geodesic, "MAX_STEPS", 2)
+    para = load_manifold("paraboloid")
+    assert check(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), IntegratorOpts()) == "step-limit"
+
+
 def test_integrate_validates_the_velocity():
     para = load_manifold("paraboloid")
     with pytest.raises(ValueError, match="velocity must have 2 components"):
@@ -268,6 +326,22 @@ def test_integrate_validates_input():
             with pytest.raises(ValueError, match=r"^integrator tolerances must be positive "
                                                  r"and finite$"):
                 IntegratorOpts(**{key: tol})
+
+
+def test_dense_samples_must_be_an_integer():
+    # a count: a float or a string is refused here, naming the field, not
+    # later inside numpy; a numpy integer passes, as a Python int
+    for bad in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError) as info:
+            IntegratorOpts(dense_samples=bad)
+        assert str(info.value) == f"dense_samples must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=r"^dense_samples must be at least 2$"):
+        IntegratorOpts(dense_samples=np.int64(1))
+    opts = IntegratorOpts(dense_samples=np.int32(3))
+    assert type(opts.dense_samples) is int and opts.dense_samples == 3
+    para = load_manifold("paraboloid")
+    path = integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 1.0, opts)
+    assert len(path.ts) == 3
 
 
 def test_reparam_euclidean_is_identity():
@@ -491,14 +565,17 @@ def test_reparam_validates_the_path():
         reparam_to_tilde(para, lc)
     with pytest.raises(ValueError, match=r"^expected a lc-tilde path, got lc$"):
         reparam_from_tilde(para, lc)
-    # a path has the samples asked for
-    eucl = load_manifold("euclidean")
-    short = integrate_geodesic(eucl, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 1.0,
-                               IntegratorOpts(dense_samples=4))
-    assert len(short.ts) == 4
-    with pytest.raises(ValueError, match="need at least 5 samples"):
-        reparam_to_tilde(eucl, short)
     path = integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 1.0)
+    # a path of any number of samples reparametrizes: s is read at the
+    # knots, and between them its Hermite at each sample time alone, so
+    # the 2, 3 and 5 samples fall on the 129-sample path's s bit for bit
+    full = reparam_to_tilde(para, path)
+    for m in (2, 3, 5):
+        short = integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), 1.0,
+                                   IntegratorOpts(dense_samples=m))
+        assert len(short.ts) == m
+        got = reparam_to_tilde(para, short)
+        assert _hex(got.ts) == _hex(full.ts[::128 // (m - 1)]), m
     ts = path.ts.copy()
     ts[3] = ts[2]
     stalled = GeodesicPath(kind=ConnKind.NABLA, ts=ts, xs=path.xs, vs=path.vs,
@@ -593,7 +670,7 @@ def test_dense_output_matches_per_segment_hermite(name):
         x0 = sample_domain(M, 1, seed=92)[0]
         v0 = rng.standard_normal(2)
         v0 = 0.7 * v0 / np.linalg.norm(v0)
-        status, t_end, _, knots, _ = _integrate_core(M, kind, x0, v0, 1.0, IntegratorOpts(), True)
+        status, t_end, _, knots, _ = _integrate_core(M, kind, x0, v0, 1.0, IntegratorOpts())
         assert len(knots) > 2, (name, kind, status)
         # the sample grid, random times, and every step end
         ts = np.sort(np.concatenate([
@@ -660,7 +737,7 @@ def test_long_collected_steps_meet_the_dense_bound(doc):
             v0 = rng.standard_normal(M.n)
             v0 *= 10.0 ** rng.uniform(-0.5, 0.5) / np.linalg.norm(v0)
             for opts in (IntegratorOpts(), IntegratorOpts(rtol=1e-5, atol=1e-7)):
-                _, _, _, knots, counts = _integrate_core(M, kind, x0, v0, 1.0, opts, True)
+                _, _, _, knots, counts = _integrate_core(M, kind, x0, v0, 1.0, opts)
                 if len(knots) < 2:
                     continue
                 de = _dense_errors(M, kind, knots, 1.0, opts)
@@ -722,7 +799,7 @@ def test_replay_of_the_recorded_steps_is_the_endpoint(name):
             v0 = rng.standard_normal(2)
             v0 = speed * v0 / np.linalg.norm(v0)
             steps = []
-            status, t_end, y_end, _, counts = _integrate_core(
+            status, t_end, y_end, _, counts = _core(
                 M, kind, x0, v0, 1.0, opts, collect, steps=steps)
             if status != "completed":
                 continue
@@ -734,7 +811,7 @@ def test_replay_of_the_recorded_steps_is_the_endpoint(name):
     # a step past a hole the path clears, which the chord probe rewinds
     holed, x0, v0 = _holed_great_circle()
     steps = []
-    status, _, y_end, _, counts = _integrate_core(
+    status, _, y_end, _, counts = _core(
         holed, ConnKind.LC_G_TILDE, x0, v0, 1.0, IntegratorOpts(rtol=1e-5, atol=1e-7), False,
         steps=steps)
     assert status == "completed" and counts["rewinds"] > 0
@@ -889,7 +966,7 @@ def _assert_same_run(M, kind, x0, v0, t1, opts, escape=None, t_tol=1e-12):
     # an integration without dense output against RK45's: the status, the
     # step ends and the endpoint
     steps = []
-    got = _integrate_core(M, kind, x0, v0, t1, opts, False, escape, steps)
+    got = _core(M, kind, x0, v0, t1, opts, False, escape, steps)
     want = _integrate_core_rk45(M, kind, x0, v0, t1, opts, escape)
     assert got[0] == want[0], (M.name, kind, got[0], want[0])
     # an exited path takes the reference's chart retries too
@@ -958,7 +1035,7 @@ def test_a_line_into_the_overflow_disk_exits_at_every_tolerance():
     assert path.status == "exited-domain"
     t_exit = path.ts[-1]
     for opts in (_SCOUT, _COARSE, IntegratorOpts()):
-        status, t_end, *_ = _integrate_core(punct, tilde, *INTO_THE_DISK, 1.0, opts, False)
+        status, t_end, *_ = _core(punct, tilde, *INTO_THE_DISK, 1.0, opts, False)
         assert status == "exited-domain" and abs(t_end - t_exit) < 1e-9, (opts, t_end, t_exit)
     with pytest.raises(ExitedDomainError) as info:
         exp_map(punct, tilde, *INTO_THE_DISK)
@@ -993,7 +1070,7 @@ def test_integrator_counts_rhs_calls(name, monkeypatch):
             want = _integrate_core_rk45(M, kind, x0, v0, t1, IntegratorOpts())
             if want[0] != "completed":
                 continue
-            counts = _integrate_core(M, kind, x0, v0, t1, IntegratorOpts(), False)[4]
+            counts = _core(M, kind, x0, v0, t1, IntegratorOpts(), False)[4]
             assert counts["accepted"] == want[4]
             assert counts["rhs_calls"] == len(calls) == 2 + 6 * (
                 counts["accepted"] + counts["rejected"]), (name, kind, t1)
@@ -1104,7 +1181,7 @@ def _assert_is_the_reference(M, kind, x0, v0, t1, opts, collect, escape=None, lo
     # the emitted integrator against the reference loop, bit for bit: the
     # status, end, every knot, the counts and the recorded step sizes
     steps, steps_want = [], []
-    got = _integrate_core(M, kind, x0, v0, t1, opts, collect, escape, steps)
+    got = _core(M, kind, x0, v0, t1, opts, collect, escape, steps)
     want = integrate_core(M, kind, x0, v0, t1, opts, collect, escape, steps_want, log)
     where = (M.name, kind, tuple(x0), tuple(v0), t1)
     assert got[0] == want[0] and got[1].hex() == want[1].hex(), where
@@ -1340,14 +1417,15 @@ def test_a_start_that_leaves_the_chart_ends_at_once():
     for kind in ConnKind:
         for collect in (True, False):
             want = integrate_core(wall, kind, x0, v0, 1.0, IntegratorOpts(), collect)
-            got = _integrate_core(wall, kind, x0, v0, 1.0, IntegratorOpts(), collect)
+            got = (_integrate_core(wall, kind, x0, v0, 1.0, IntegratorOpts()) if collect
+                   else _core(wall, kind, x0, v0, 1.0, IntegratorOpts(), False))
             assert got[:2] == want[:2] == ("exited-domain", 0.0), kind
             assert _hex(got[2]) == _hex(want[2]) == _hex((*x0, *v0))
             assert got[3] == want[3] == []
             assert got[4] == want[4] == {"accepted": 0, "rejected": 0, "rewinds": 0,
                                          "halvings": 0, "dense_rejected": 0, "rhs_calls": 2}
-            with pytest.raises(OutOfDomainError):
-                _integrate_core(wall, kind, outside, v0, 1.0, IntegratorOpts(), collect)
+        with pytest.raises(OutOfDomainError):
+            _integrate_core(wall, kind, outside, v0, 1.0, IntegratorOpts())
         path = integrate_geodesic(wall, kind, x0, v0, 1.0)
         assert path.status == "exited-domain" and path.ts.tolist() == [0.0]
         for start in ((*x0, *v0), (*outside, *v0)):

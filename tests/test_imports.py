@@ -1,4 +1,4 @@
-"""Code hygiene of the package: every imported name, function and constant is used or documented."""
+"""Package hygiene: every imported name, function, constant and default is used or documented."""
 
 import ast
 import re
@@ -72,6 +72,78 @@ def test_unreferenced_private_function_is_found():
 def test_every_private_function_is_referenced():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert _unreferenced_private_functions(sources) == []
+
+
+def _unpassed_defaults(sources):
+    """Defaulted parameters of private functions that no call in `sources` passes.
+
+    sources maps a module name to its text.  A private function is a def
+    at a module's top level or in a class body whose name starts with one
+    underscore (not a dunder); a method's first parameter, its instance,
+    is bound.  A call of the name, as a name or an attribute, anywhere in
+    any of the sources passes a parameter by keyword, or by position where
+    it has more positional arguments than there are parameters before
+    it; a call with *args or **kwargs passes all.  Returns "module.name:
+    param, ..." strings, sorted, a method's name being "Class.name".
+    """
+    defs, calls = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for owner, body in [(None, tree.body)] + [(node.name, node.body) for node in tree.body
+                                                  if isinstance(node, ast.ClassDef)]:
+            for node in body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.name.startswith("_") and not node.name.startswith("__")):
+                    defs.append((module, owner, node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (star, len(node.args), {k.arg for k in node.keywords}))
+    found = []
+    for module, owner, node in defs:
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args][owner is not None:]
+        defaulted = [(i, a) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        unpassed = [name for i, name in defaulted
+                    if not any(star or (i is not None and npos > i) or name in keywords
+                               for star, npos, keywords in calls.get(node.name, []))]
+        if unpassed:
+            name = node.name if owner is None else f"{owner}.{node.name}"
+            found.append(f"{module}.{name}: {', '.join(unpassed)}")
+    return sorted(found)
+
+
+def test_unpassed_default_is_found():
+    sources = {"a": "def _f(x, y=1, *, z=2, w=3):\n    pass\n\n"
+                    "def _g(x, y=1):\n    pass\n\n"
+                    "def _h(x=0):\n    pass\n\n"
+                    "def public(x=0):\n    pass\n\n"
+                    "def __dunder__(x=0):\n    pass\n\n"
+                    "def outer():\n    def _inner(x=0):\n        pass\n    return _inner\n\n"
+                    "_f(0, 1, z=2)\n_g(*rest)\n",
+               "b": "import a\n\nclass C:\n    def _m(self, x, y=1):\n        pass\n\n"
+                    "    def _k(self, x=1):\n        pass\n\n"
+                    "a._h(**kw)\nC()._m(0, 1)\nC()._k()\n"}
+    assert _unpassed_defaults(sources) == ["a._f: w", "b.C._k: x"]
+    # one passing call is enough, by keyword or by position
+    sources["a"] += "_f(0, w=1)\n"
+    sources["b"] += "C()._k(2)\n"
+    assert _unpassed_defaults(sources) == []
+
+
+def test_every_default_of_a_private_function_is_passed():
+    # a default that no call in the package passes is a knob only tests
+    # turn: they drive the unchecked entry the package itself uses instead
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert _unpassed_defaults(sources) == []
 
 
 def _names_from(tree, module):
