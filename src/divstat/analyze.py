@@ -38,7 +38,7 @@ from .curvature import (
     _relation_residuals,
     _sectional_tilde,
 )
-from .manifold import ConnKind, _count, sample_domain
+from .manifold import ConnKind, _count, _generator_seed, sample_domain
 from .statstruct import _parallel_volume_residual, _trace_K
 
 # rows per ManifoldDef.at_many call, so that a block's tensors stay a few
@@ -76,6 +76,7 @@ class CheckOpts:
 
     def __post_init__(self):
         self.samples = _count("samples", self.samples, 1)
+        self.seed = _generator_seed(self.seed)
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
 

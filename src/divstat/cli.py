@@ -33,7 +33,13 @@ from .connect import NoConvergenceError, ShootOpts, contrast, shoot_connect
 from .curvature import _conjugate_symmetry_residual
 from .exprcore import ExprError
 from .geodesic import GeodesicError, IntegratorOpts, integrate_geodesic
-from .manifold import ConnKind, DefinitionError, OutOfDomainError, load_manifold
+from .manifold import (
+    ConnKind,
+    DefinitionError,
+    OutOfDomainError,
+    _generator_seed,
+    load_manifold,
+)
 from .statstruct import conjugate
 
 __all__ = ["build_parser", "run", "main"]
@@ -158,13 +164,12 @@ def _grid_points(M, spec):
 
 
 def _seed(text):
-    # --seed's type: numpy's generators take non-negative integers only
+    # --seed's type: the integer text spells, through the options' seed check
     try:
-        if int(text) >= 0:
-            return int(text)
+        return _generator_seed(int(text))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}") from None
 
 
 def _cmd_describe(args):

@@ -14,15 +14,19 @@ Python floats (geodesic._run, geodesic._replay), with no argument check:
 p is checked once per solve.  Starts run in index order, and a start
 whose iterate comes within _JOIN of a branch an earlier start converged
 to, at any tier, joins it and stops: it is in that branch's Newton basin
-and would only find it again.  That test, run on every iterate, the last
-included, is the one "same branch" rule; inside the coarse basin (a
-defect below the scout tier's threshold) it also runs on the Newton step
-from the iterate, formed at the tier reached, so that a start whose step
-lands on a found branch joins before any finer integration.  The
-canonical contrast rho(p, q) = e^{-sigma(p)} dtilde^2 comes from the
-shortest connecting geodesic found; differentiating it on the diagonal
-recovers g and the nabla connection, which contrast_structure_check
-verifies by finite differences.
+and would only find it again.  That test runs on every iterate, the last
+included.  Each found branch also keeps the Jacobian its start last
+formed (one formed at its converged iterate where it formed none), and
+every iteration of a later start tests the chord step from the iterate
+on it (simplified Newton: Deuflhard, Newton Methods for Nonlinear
+Problems): a step that lands within _JOIN of that branch joins it at
+once inside the coarse basin (a defect below the scout tier's
+threshold), and outside where one trial at the landing lowers the
+defect, so a start that heads into a found branch forms no Jacobian of
+its own.  The canonical contrast rho(p, q) = e^{-sigma(p)} dtilde^2
+comes from the shortest connecting geodesic found; differentiating it on
+the diagonal recovers g and the nabla connection, which
+contrast_structure_check verifies by finite differences.
 
 Failure to connect is informative output (see the punctured plane, where
 the antipodal problem has no solution), so shoot_connect reports a
@@ -35,6 +39,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cache
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +53,7 @@ from .geodesic import (
     integrate_geodesic,
     reparam_from_tilde,
 )
-from .manifold import ConnKind, _count
+from .manifold import ConnKind, _count, _generator_seed
 
 _SCOUT = IntegratorOpts(rtol=1e-5, atol=1e-7)
 _COARSE = IntegratorOpts(rtol=1e-7, atol=1e-9)
@@ -81,6 +86,7 @@ class ShootOpts:
 
     def __post_init__(self):
         self.multistart = _count("multistart", self.multistart, 1)
+        self.seed = _generator_seed(self.seed)
         if not self.eps_bvp > 0.0:
             raise ValueError("eps_bvp must be positive")
 
@@ -96,9 +102,11 @@ class ConnectResult:
 
     starts has one record {start, ended, branch, endpoint_error} per start,
     in start order (none for p == q).  ended is "converged", "joined" (an
-    iterate of the start, or below a defect of 1e-2 the Newton step from
-    one, came within _JOIN of a branch an earlier start had found, and it
-    stopped there, at whatever tier it had reached) or "failed"; branch is
+    iterate of the start, or the chord step from one on the Jacobian a
+    found branch keeps, came within _JOIN of a branch an earlier start had
+    found, and it stopped there, at whatever tier it had reached: a chord
+    step below a defect of 1e-2 at once, above it where one trial at its
+    landing lowered the defect) or "failed"; branch is
     the index into solutions of the branch the start reached, or None;
     endpoint_error is the defect it ended with, for a joined start
     measured at the tier it had reached, on the iterate it last
@@ -149,25 +157,33 @@ def _jacobian(M, x, q, v, r, steps):
     return J
 
 
-def _newton_step(M, x, q, v, r, steps):
-    # the Gauss-Newton step -J^+ r at v, or None where a column of J
-    # leaves the chart
-    J = _jacobian(M, x, q, v, r, steps)
-    if J is None:
-        return None
+def _solve(J, b):
+    # J^+ b: the solution of J x = b, or its least-squares solution where
+    # J is singular
     try:
-        return np.linalg.solve(J, -r)
+        return np.linalg.solve(J, b)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(J, -r, rcond=None)[0]
+        return np.linalg.lstsq(J, b, rcond=None)[0]
 
 
-def _gauss_newton(M, p, q, v0, target, found):
+class _Branch(NamedTuple):
+    # a branch an earlier start converged to: its velocity, and the
+    # Jacobian its start last formed, or None where a column of the one
+    # formed at its converged iterate left the chart
+    v: np.ndarray
+    J: np.ndarray | None
+
+
+def _gauss_newton(M, p, q, v0, target, found, keep=False):
     # damped Gauss-Newton on r(v) = exptilde_p(v) - q.  Returns (ok, v,
     # err, joined): ok where the start ended on a branch, joined the index
-    # into `found` (the velocities of branches earlier starts converged
-    # to) of the branch it joined, or None where it converged itself.  p
-    # is a point in the chart, checked by the caller; each trial and each
-    # Jacobian column is one call of the emitted integrator on floats
+    # into `found` (the _Branch records of the branches earlier starts
+    # converged to) of the branch it joined, or None where it converged
+    # itself.  With keep (a later start will read found) a start that
+    # converges itself appends its _Branch to found, forming the Jacobian
+    # at its converged iterate if it formed none.  p is a point in the
+    # chart, checked by the caller; each trial and each Jacobian column
+    # is one call of the emitted integrator on floats
     n = len(p)
     x = p.tolist()
     v = np.asarray(v0, dtype=float).copy()
@@ -176,12 +192,12 @@ def _gauss_newton(M, p, q, v0, target, found):
     # scale cannot come back to q; cut it off instead of following the
     # excursion at full tolerance
     escape = float(50.0 * (1.0 + max(np.abs(p).max(), np.abs(q).max())))
-    radii = [_JOIN * max(1.0, _norm(s)) for s in found]
+    radii = [_JOIN * max(1.0, _norm(s.v)) for s in found]
 
     def joins(u):
         # the index of the first found branch within _JOIN of u, or None
         for i, s in enumerate(found):
-            if _norm(u - s) <= radii[i]:
+            if _norm(u - s.v) <= radii[i]:
                 return i
         return None
 
@@ -201,6 +217,7 @@ def _gauss_newton(M, p, q, v0, target, found):
         return False, v, np.inf, None
     err = _norm(r)
     history = [err]
+    J = None
     for it in range(_MAX_ITER + 1):
         # inside the Newton basin of a branch already found, at whatever
         # tier, the rest of the iteration would only find it again; the
@@ -210,24 +227,28 @@ def _gauss_newton(M, p, q, v0, target, found):
             return True, v, err, i
         if it == _MAX_ITER:
             break
+        # the chord step from v on each found branch's Jacobian (a
+        # simplified Newton step) that lands within _JOIN of that branch
+        # tells that the start heads into it.  Inside the coarse basin
+        # (below the scout tier's threshold) the start joins it at once;
+        # outside, one trial at the landing, at this tier, joins it where
+        # it lowers the defect, and anything else leaves the iteration as
+        # it was
+        for i, s in enumerate(found):
+            if s.J is None:
+                continue
+            w = v + _solve(s.J, -r)
+            if _norm(w - s.v) <= radii[i]:
+                if err < _TIERS[0][1]:
+                    return True, w, err, i
+                rw, _ = defect(w, io)
+                if rw is not None and (ew := _norm(rw)) < err:
+                    return True, w, ew, i
         # closing nine orders of magnitude within the iteration budget needs
         # a mean contraction near 0.2 per five iterations; branches that
         # cannot even halve are stuck on a wall or a fold, so cut them loose
         if len(history) > 5 and history[-1] > 0.5 * history[-6]:
             return False, v, err, None
-        # inside the coarse basin (below the scout tier's threshold) the
-        # Newton step at this tier already tells whether the start heads
-        # into a found branch: if it lands within _JOIN of one, the start
-        # joins it now, before any finer integration.  Else the step is
-        # kept for as long as the tier stays.  A fine iterate that meets
-        # the target converges below, as it would without this test
-        step, step_io = None, None
-        if found and err < _TIERS[0][1] and not (err <= target and io is _FINE):
-            step, step_io = _newton_step(M, x, q, v, r, steps), io
-            if step is not None:
-                i = joins(v + step)
-                if i is not None:
-                    return True, v + step, err, i
         while err < _TIERS[tier][1]:
             tier += 1
             io = _TIERS[tier][0]
@@ -236,11 +257,11 @@ def _gauss_newton(M, p, q, v0, target, found):
                 return False, v, err, None
             err = _norm(r)
         if err <= target and io is _FINE:
-            return True, v, err, None
-        if step_io is not io:
-            step = _newton_step(M, x, q, v, r, steps)
-        if step is None:
+            break
+        J = _jacobian(M, x, q, v, r, steps)
+        if J is None:
             return False, v, err, None
+        step = _solve(J, -r)
         for halvings in range(12):
             vn = v + 0.5**halvings * step
             rn, sn = defect(vn, io)
@@ -254,7 +275,10 @@ def _gauss_newton(M, p, q, v0, target, found):
         if _norm(v) > limit:
             return False, v, err, None
         history.append(err)
-    return err <= target and io is _FINE, v, err, None
+    ok = err <= target and io is _FINE
+    if ok and keep:
+        found.append(_Branch(v, J if J is not None else _jacobian(M, x, q, v, r, steps)))
+    return ok, v, err, None
 
 
 def _halton(k, n):
@@ -334,10 +358,10 @@ def _solve_bvp(M, p, q, opts):
     target = 0.25 * opts.eps_bvp
     # starts run in index order, so the reduction is a deterministic
     # function of that order
-    sols, fail, ends = [], None, []
+    sols, fail, ends, found = [], None, [], []
     for k, v0 in enumerate(starts):
         ok, v, err, joined = _gauss_newton(
-            M, p, q, v0, target, [s["v0"] for s in sols])
+            M, p, q, v0, target, found, k + 1 < len(starts))
         rec = {
             "start": k,
             "v0": v,

@@ -857,6 +857,18 @@ def _count(name, value, least):
     return value
 
 
+def _generator_seed(value):
+    # an option's seed as an int (numpy integers pass), or ValueError:
+    # numpy's generators take non-negative integers only
+    try:
+        seed = operator.index(value)
+    except TypeError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def sample_domain(M, count, seed=0):
     """`count` in-domain points from the sample box, deterministic per seed."""
     rng = np.random.default_rng(seed)

@@ -168,6 +168,17 @@ def test_scan_input_validation():
         CheckOpts(tol=-1.0)
 
 
+def test_check_seed_must_be_a_non_negative_integer():
+    # refused here, not later inside sample_domain's generator; a numpy
+    # integer passes, as a Python int
+    for bad in (2.5, -1, "3", None):
+        with pytest.raises(ValueError) as info:
+            CheckOpts(samples=3, seed=bad)
+        assert str(info.value) == f"seed must be a non-negative integer, got {bad!r}"
+    opts = CheckOpts(samples=3, seed=np.int64(5))
+    assert type(opts.seed) is int and opts.seed == 5
+
+
 def test_check_samples_must_be_an_integer():
     # a count: a float or a string is refused here, naming the field, not
     # later inside sample_domain; a numpy integer passes, as a Python int

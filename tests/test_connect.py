@@ -32,6 +32,7 @@ from divstat.connect import (
     ConnectResult,
     NoConvergenceError,
     ShootOpts,
+    _Branch,
     _gauss_newton,
     _halton,
     _jacobian,
@@ -209,6 +210,21 @@ def test_multistart_must_be_an_integer():
     assert type(opts.multistart) is int and opts.multistart == 3
     p, q = np.zeros(2), np.array([0.4, 0.3])
     assert len(_start_velocities(SimpleNamespace(n=2), p, q, opts)) == 3
+
+
+def test_shoot_seed_must_be_a_non_negative_integer():
+    # refused here, not later inside numpy's generator (with two or more
+    # starts); a numpy integer passes, as a Python int
+    for bad in (2.5, -1, "3", None):
+        with pytest.raises(ValueError) as info:
+            ShootOpts(multistart=2, seed=bad)
+        assert str(info.value) == f"seed must be a non-negative integer, got {bad!r}"
+    opts = ShootOpts(multistart=3, seed=np.uint8(7))
+    assert type(opts.seed) is int and opts.seed == 7
+    p, q = np.zeros(2), np.array([0.4, 0.3])
+    got = _start_velocities(SimpleNamespace(n=2), p, q, opts)
+    want = _start_velocities(SimpleNamespace(n=2), p, q, ShootOpts(multistart=3, seed=7))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_shoot_opts_validation_and_determinism():
@@ -401,6 +417,12 @@ JOIN_CASES = [
     ("paraboloid", (0.5566, 0.4514), (0.5653, -0.3332), 16),
     ("paraboloid", (-0.3251, 1.1708), (-0.8185, 0.3696), 16),
     ("paraboloid", (-0.0425, 1.1685), (1.3021, -0.4266), 16),
+    # pairs of sample_domain(paraboloid, 80, seed=7) with two, four and
+    # five branches, on which starts outside the coarse basin join on the
+    # trial at their chord step's landing
+    ("paraboloid", (2.2445, 0.9733), (1.0588, 1.3025), 16),
+    ("paraboloid", (-2.9292, -1.8456), (-2.0936, 2.6005), 16),
+    ("paraboloid", (-0.585, -2.4198), (-2.5877, -0.42), 16),
 ]
 
 
@@ -528,10 +550,95 @@ def test_joined_starts_stop_at_the_scout_tier(monkeypatch):
     assert joined >= 30
 
 
+def test_later_starts_on_an_affine_endpoint_map_form_no_jacobian(monkeypatch):
+    # e^sigma g = I on the punctured plane, so exptilde_p(v) = p + v: start
+    # 0 converges from the chart difference without a Newton step and then
+    # forms its branch's Jacobian once, on its fine steps; every later
+    # start's chord step on that Jacobian lands on the branch, and one
+    # scout trial there joins it.  calls holds one list per start, of
+    # ("trial", tier options) and ("column",) entries
+    calls = []
+    gauss_newton = divstat.connect._gauss_newton
+    run_, replay = divstat.connect._run, divstat.connect._replay
+
+    def next_start(*args):
+        calls.append([])
+        return gauss_newton(*args)
+
+    def trial(M, kind, y, t1, opts, *args):
+        calls[-1].append(("trial", opts))
+        return run_(M, kind, y, t1, opts, *args)
+
+    def column(*args):
+        calls[-1].append(("column",))
+        return replay(*args)
+
+    monkeypatch.setattr(divstat.connect, "_gauss_newton", next_start)
+    monkeypatch.setattr(divstat.connect, "_run", trial)
+    monkeypatch.setattr(divstat.connect, "_replay", column)
+    name, p, q, k = JOIN_CASES[2]
+    _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
+                              ShootOpts(multistart=k, seed=42))
+    assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * (k - 1)
+    scout, coarse, fine = ("trial", _SCOUT), ("trial", _COARSE), ("trial", _FINE)
+    assert calls[0] == [scout, coarse, fine] + [("column",)] * 2
+    assert calls[1:] == [[scout, scout]] * (k - 1)
+
+
+def _hex_result(got):
+    ok, v, err, joined = got
+    return ok, [a.hex() for a in v.tolist()], float(err).hex(), joined
+
+
+def test_a_start_whose_chord_steps_miss_every_branch_iterates_as_alone():
+    # the later starts that converge to a branch of their own, with every
+    # branch found before them (each keeping its Jacobian) to test their
+    # chord steps against, end bit for bit as with no branch found
+    target, later = 0.25e-8, 0
+    for name, p, q, k in JOIN_CASES[-2:]:
+        m, p, q = load_manifold(name), np.array(p), np.array(q)
+        found = []
+        for v0 in _start_velocities(m, p, q, ShootOpts(multistart=k, seed=42)):
+            seen = len(found)
+            got = _gauss_newton(m, p, q, v0, target, found, True)
+            if got[3] is None and got[0] and seen:
+                assert all(s.J is not None for s in found[:seen])
+                assert _hex_result(got) == _hex_result(_gauss_newton(m, p, q, v0, target, []))
+                later += 1
+    assert later >= 4
+
+
+def test_a_chord_landing_whose_trial_misses_leaves_the_iteration(monkeypatch):
+    # a branch forged so that the first chord step lands on it, where the
+    # defect is larger than at the start: the one trial there is all the
+    # start spends on it, and it then iterates as with no branch found
+    m = load_manifold("paraboloid")
+    p, q = np.zeros(2), np.array([0.4, 0.3])
+    v0 = np.array([0.5, 0.2])
+    trials = []
+    run_ = divstat.connect._run
+
+    def trial(M, kind, y, t1, opts, *args):
+        trials.append((tuple(y), opts))
+        return run_(M, kind, y, t1, opts, *args)
+
+    monkeypatch.setattr(divstat.connect, "_run", trial)
+    alone = _gauss_newton(m, p, q, v0, 0.25e-8, [])
+    want, trials[:] = list(trials), []
+    # J (-2 v0) = -r(v0): the chord step from v0 lands on -v0
+    r = _trial(m, p, v0, _SCOUT, [])[1][:2] - q
+    forged = _Branch(-v0, np.diag(r / (2.0 * v0)))
+    got = _gauss_newton(m, p, q, v0, 0.25e-8, [forged])
+    assert _hex_result(got) == _hex_result(alone) and alone[0]
+    assert trials == want[:1] + [(tuple(p.tolist() + (-v0).tolist()), _SCOUT)] + want[1:]
+
+
 def test_a_final_iterate_within_join_of_a_branch_ends_joined(monkeypatch):
     # the iteration budget's exit runs the join test the loop runs: start 1
     # is 1 % off start 0's branch, one Gauss-Newton step brings it within
-    # _JOIN of it, and the budget ends there, at the scout tier
+    # _JOIN of it, and the budget ends there, at the scout tier.  In the
+    # solve start 1 joins on its chord step; the direct call passes a
+    # branch that keeps no Jacobian, so only the budget's exit can join it
     m = load_manifold("half-plane-exp")
     p, q = np.array(JOIN_CASES[0][1]), np.array(JOIN_CASES[0][2])
     sols, _, _ = _solve_bvp(m, p, q, ShootOpts(multistart=1))
@@ -543,7 +650,7 @@ def test_a_final_iterate_within_join_of_a_branch_ends_joined(monkeypatch):
     assert [(r["ended"], r["branch"]) for r in starts] == [("converged", 0), ("joined", 0)]
     assert len(sols) == 1 and fail is None
     assert 1e-5 < starts[1]["endpoint_error"] < 1e-2
-    ok, v, err, joined = _gauss_newton(m, p, q, 1.01 * s, 0.25e-8, [s])
+    ok, v, err, joined = _gauss_newton(m, p, q, 1.01 * s, 0.25e-8, [_Branch(s, None)])
     assert ok and joined == 0
     assert np.linalg.norm(v - s) <= divstat.connect._JOIN * np.linalg.norm(s)
 
