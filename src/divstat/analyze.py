@@ -26,6 +26,7 @@ and the constant-curvature fit sums over the whole sample set.  Fixed
 inputs give bit-identical reports.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .curvature import (
     _relation_residuals,
     _sectional_tilde,
 )
-from .manifold import ConnKind, _count, _generator_seed, sample_domain
+from .manifold import ConnKind, _count, _generator_seed, _real, sample_domain
 from .statstruct import _parallel_volume_residual, _trace_K
 
 # rows per ManifoldDef.at_many call, so that a block's tensors stay a few
@@ -77,8 +78,10 @@ class CheckOpts:
     def __post_init__(self):
         self.samples = _count("samples", self.samples, 1)
         self.seed = _generator_seed(self.seed)
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        self.tol = _real("tol", self.tol)
+        # an infinite tolerance would pass every check
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 def _rows(points):

@@ -17,16 +17,18 @@ to, at any tier, joins it and stops: it is in that branch's Newton basin
 and would only find it again.  That test runs on every iterate, the last
 included.  Each found branch also keeps the Jacobian its start last
 formed (one formed at its converged iterate where it formed none), and
-every iteration of a later start tests the chord step from the iterate
-on it (simplified Newton: Deuflhard, Newton Methods for Nonlinear
-Problems): a step that lands within _JOIN of that branch joins it at
-once inside the coarse basin (a defect below the scout tier's
+every iteration of a later start follows a chain of chord steps on it
+from the iterate (simplified Newton: Deuflhard, Newton Methods for
+Nonlinear Problems): a step that lands within _JOIN of that branch joins
+it at once inside the coarse basin (a defect below the scout tier's
 threshold), and outside where one trial at the landing lowers the
-defect, so a start that heads into a found branch forms no Jacobian of
-its own.  The canonical contrast rho(p, q) = e^{-sigma(p)} dtilde^2
-comes from the shortest connecting geodesic found; differentiating it on
-the diagonal recovers g and the nabla connection, which
-contrast_structure_check verifies by finite differences.
+defect; a step that comes half as close to the branch (_CONTRACT) goes
+on where one trial at its landing lowers the defect.  So a start that
+heads into a found branch forms no Jacobian of its own.  The canonical
+contrast rho(p, q) = e^{-sigma(p)} dtilde^2 comes from the shortest
+connecting geodesic found; differentiating it on the diagonal recovers g
+and the nabla connection, which contrast_structure_check verifies by
+finite differences.
 
 Failure to connect is informative output (see the punctured plane, where
 the antipodal problem has no solution), so shoot_connect reports a
@@ -53,7 +55,7 @@ from .geodesic import (
     integrate_geodesic,
     reparam_from_tilde,
 )
-from .manifold import ConnKind, _count, _generator_seed
+from .manifold import ConnKind, _count, _generator_seed, _real
 
 _SCOUT = IntegratorOpts(rtol=1e-5, atol=1e-7)
 _COARSE = IntegratorOpts(rtol=1e-7, atol=1e-9)
@@ -68,6 +70,12 @@ _MAX_ITER = 60
 # a start whose iterate comes within _JOIN (relative) of a branch an
 # earlier start found, at any tier, joins that branch and stops
 _JOIN = 1e-3
+# a chain of chord steps on a found branch's Jacobian goes on only while
+# each step comes at least this many times as close to the branch as the
+# point it left: a chord iteration that contracts so is inside the branch's
+# Newton basin (Deuflhard, Newton Methods for Nonlinear Problems, ch. 2-3),
+# and the chain ends, since the distance falls geometrically
+_CONTRACT = 0.5
 
 
 class NoConvergenceError(Exception):
@@ -87,8 +95,10 @@ class ShootOpts:
     def __post_init__(self):
         self.multistart = _count("multistart", self.multistart, 1)
         self.seed = _generator_seed(self.seed)
-        if not self.eps_bvp > 0.0:
-            raise ValueError("eps_bvp must be positive")
+        self.eps_bvp = _real("eps_bvp", self.eps_bvp)
+        # an infinite tolerance would call any finite miss converged
+        if not 0.0 < self.eps_bvp < math.inf:
+            raise ValueError(f"eps_bvp must be positive and finite, got {self.eps_bvp!r}")
 
 
 @dataclass
@@ -102,16 +112,17 @@ class ConnectResult:
 
     starts has one record {start, ended, branch, endpoint_error} per start,
     in start order (none for p == q).  ended is "converged", "joined" (an
-    iterate of the start, or the chord step from one on the Jacobian a
-    found branch keeps, came within _JOIN of a branch an earlier start had
-    found, and it stopped there, at whatever tier it had reached: a chord
-    step below a defect of 1e-2 at once, above it where one trial at its
-    landing lowered the defect) or "failed"; branch is
-    the index into solutions of the branch the start reached, or None;
-    endpoint_error is the defect it ended with, for a joined start
-    measured at the tier it had reached, on the iterate it last
-    integrated.  A joined start adds
-    no solution; a converged one adds its own.
+    iterate of the start, or a chord step on the Jacobian a found branch
+    keeps, came within _JOIN of a branch an earlier start had found, and
+    it stopped there, at whatever tier it had reached; the chord steps
+    run as a chain from the iterate, each landing half as close to the
+    branch as the last and lowering the defect, and the final step joins
+    below a defect of 1e-2 at once, above it where one trial at its
+    landing lowered the defect) or "failed"; branch is the index into
+    solutions of the branch the start reached, or None; endpoint_error is
+    the defect it ended with, for a joined start measured at the tier it
+    had reached, on the iterate or chain link it last integrated.  A
+    joined start adds no solution; a converged one adds its own.
 
     nabla_path is None when the best tilde path has no knots (it left the
     domain before its first step), or when the nabla parameter cannot be
@@ -227,23 +238,33 @@ def _gauss_newton(M, p, q, v0, target, found, keep=False):
             return True, v, err, i
         if it == _MAX_ITER:
             break
-        # the chord step from v on each found branch's Jacobian (a
-        # simplified Newton step) that lands within _JOIN of that branch
-        # tells that the start heads into it.  Inside the coarse basin
-        # (below the scout tier's threshold) the start joins it at once;
-        # outside, one trial at the landing, at this tier, joins it where
-        # it lowers the defect, and anything else leaves the iteration as
-        # it was
+        # the chord steps from v on each found branch's Jacobian (simplified
+        # Newton steps) tell whether the start heads into it.  A step from
+        # u that lands within _JOIN of that branch ends the chain: inside
+        # the coarse basin (below the scout tier's threshold) the start
+        # joins it at once, outside where one trial at the landing, at this
+        # tier, lowers the defect.  A step that comes _CONTRACT times as
+        # close to the branch as u gets one trial there, and where that
+        # lowers the defect the chain goes on from the landing.  Anything
+        # else ends the chain and leaves the iteration as it was
         for i, s in enumerate(found):
             if s.J is None:
                 continue
-            w = v + _solve(s.J, -r)
-            if _norm(w - s.v) <= radii[i]:
-                if err < _TIERS[0][1]:
-                    return True, w, err, i
+            u, ru, eu = v, r, err
+            while True:
+                w = u + _solve(s.J, -ru)
+                dw = _norm(w - s.v)
+                lands = dw <= radii[i]
+                if lands and eu < _TIERS[0][1]:
+                    return True, w, eu, i
+                if not lands and dw > _CONTRACT * _norm(u - s.v):
+                    break
                 rw, _ = defect(w, io)
-                if rw is not None and (ew := _norm(rw)) < err:
+                if rw is None or (ew := _norm(rw)) >= eu:
+                    break
+                if lands:
                     return True, w, ew, i
+                u, ru, eu = w, rw, ew
         # closing nine orders of magnitude within the iteration budget needs
         # a mean contraction near 0.2 per five iterations; branches that
         # cannot even halve are stuck on a wall or a fold, so cut them loose

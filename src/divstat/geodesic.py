@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprcore import _exec_kernel
-from .manifold import ConnKind, OutOfDomainError, _count
+from .manifold import ConnKind, OutOfDomainError, _count, _real
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -85,6 +85,7 @@ class IntegratorOpts:
     dense_samples: int = 129
 
     def __post_init__(self):
+        self.rtol, self.atol = _real("rtol", self.rtol), _real("atol", self.atol)
         if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
             raise ValueError("integrator tolerances must be positive and finite")
         self.dense_samples = _count("dense_samples", self.dense_samples, 2)
@@ -293,10 +294,15 @@ def _integrator(M, kind):
     conditionals (_fold), bit for bit the builtin's without its call.  A
     state's reach max |x_i| is folded once, at the start or by the probe
     that accepts it.  The function is compiled on the first integration of
-    kind and kept in M's cache (M.compiled).
+    kind and kept in M's cache (M.compiled); a later call with a ConnKind
+    reads it from there as it stands, with no ConnKind(kind) and no build
+    closure, which took two thirds of such a call's time.
     """
-    kind = ConnKind(kind)
-    return M.compiled(("loop", kind), lambda: _build_integrator(M, kind))
+    run = M._compiled.get(("loop", kind))
+    if run is None:
+        kind = ConnKind(kind)
+        run = M.compiled(("loop", kind), lambda: _build_integrator(M, kind))
+    return run
 
 
 def _start_lines(n, quad):

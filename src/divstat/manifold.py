@@ -46,6 +46,7 @@ import enum
 import itertools
 import json
 import math
+import numbers
 import operator
 import os
 from functools import cache, cached_property, partial, reduce
@@ -855,6 +856,14 @@ def _count(name, value, least):
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
     return value
+
+
+def _real(name, value):
+    # an option's real number as a float (numpy reals and integers pass),
+    # or ValueError naming it: a bool or a string is no number here
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _generator_seed(value):

@@ -168,6 +168,22 @@ def test_scan_input_validation():
         CheckOpts(tol=-1.0)
 
 
+def test_check_tol_must_be_a_positive_finite_number():
+    # refused here, naming the field: an infinite tolerance passed every
+    # check, a bool passed as 1 and a string failed later with TypeError;
+    # a numpy float passes, as a Python float
+    for bad in (True, "1e-8", None):
+        with pytest.raises(ValueError) as info:
+            CheckOpts(tol=bad)
+        assert str(info.value) == f"tol must be a real number, got {bad!r}"
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError) as info:
+            CheckOpts(tol=bad)
+        assert str(info.value) == f"tol must be positive and finite, got {bad!r}"
+    opts = CheckOpts(tol=np.float64(1e-6))
+    assert type(opts.tol) is float and opts.tol == 1e-6
+
+
 def test_check_seed_must_be_a_non_negative_integer():
     # refused here, not later inside sample_domain's generator; a numpy
     # integer passes, as a Python int

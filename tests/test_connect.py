@@ -17,6 +17,7 @@ import itertools
 import math
 from statistics import NormalDist
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -125,6 +126,40 @@ def _trial(M, p, v, opts, steps):
     return status, np.array(y)
 
 
+class _Call(NamedTuple):
+    start: int  # the start that made it: see _record
+    what: str  # "trial" (connect._run) or "column" (connect._replay)
+    opts: object  # a trial's tier options, None for a column
+    y: tuple  # the state it starts from
+
+
+def _record(monkeypatch):
+    # from here on, every shooting trial and Jacobian column in call order
+    # in rec.calls, as _Call records; rec.start is the index of the start
+    # running, counted over the starts that _solve_bvp runs (-1 before the
+    # first, and so for a direct call of _gauss_newton)
+    rec = SimpleNamespace(calls=[], start=-1)
+    gauss_newton = divstat.connect._gauss_newton
+    run_, replay = divstat.connect._run, divstat.connect._replay
+
+    def next_start(*args):
+        rec.start += 1
+        return gauss_newton(*args)
+
+    def trial(M, kind, y, t1, opts, *args):
+        rec.calls.append(_Call(rec.start, "trial", opts, tuple(y)))
+        return run_(M, kind, y, t1, opts, *args)
+
+    def column(M, kind, x0, v0, steps):
+        rec.calls.append(_Call(rec.start, "column", None, (*x0, *v0)))
+        return replay(M, kind, x0, v0, steps)
+
+    monkeypatch.setattr(divstat.connect, "_gauss_newton", next_start)
+    monkeypatch.setattr(divstat.connect, "_run", trial)
+    monkeypatch.setattr(divstat.connect, "_replay", column)
+    return rec
+
+
 @pytest.mark.parametrize("opts", [_SCOUT, _COARSE, _FINE])
 def test_replayed_jacobian_on_the_punctured_plane_is_the_identity(opts):
     # e^sigma g is the Euclidean metric of the chart, so exptilde_p(v) is
@@ -225,6 +260,23 @@ def test_shoot_seed_must_be_a_non_negative_integer():
     got = _start_velocities(SimpleNamespace(n=2), p, q, opts)
     want = _start_velocities(SimpleNamespace(n=2), p, q, ShootOpts(multistart=3, seed=7))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_eps_bvp_must_be_a_positive_finite_number():
+    # refused here, naming the field: an infinite tolerance called any
+    # finite miss converged (from (0,0) to (1,0) on the paraboloid, a
+    # length off by 1.7e-8), a bool passed as a number and a string failed
+    # later with TypeError; a numpy float passes, as a Python float
+    for bad in (True, "1e-8", None):
+        with pytest.raises(ValueError) as info:
+            ShootOpts(eps_bvp=bad)
+        assert str(info.value) == f"eps_bvp must be a real number, got {bad!r}"
+    for bad in (math.inf, math.nan, 0.0, -1e-8):
+        with pytest.raises(ValueError) as info:
+            ShootOpts(eps_bvp=bad)
+        assert str(info.value) == f"eps_bvp must be positive and finite, got {bad!r}"
+    opts = ShootOpts(eps_bvp=np.float64(1e-6))
+    assert type(opts.eps_bvp) is float and opts.eps_bvp == 1e-6
 
 
 def test_shoot_opts_validation_and_determinism():
@@ -423,6 +475,15 @@ JOIN_CASES = [
     ("paraboloid", (2.2445, 0.9733), (1.0588, 1.3025), 16),
     ("paraboloid", (-2.9292, -1.8456), (-2.0936, 2.6005), 16),
     ("paraboloid", (-0.585, -2.4198), (-2.5877, -0.42), 16),
+    # pairs 12 and 35 of those points, at full precision (rounded, they
+    # keep fewer branches): with a chord chain that goes on where a step
+    # merely comes closer to a branch, not half as close, later starts
+    # join branches they do not head into, and five branches become three
+    # and two
+    ("paraboloid", (-2.785918327358423, 0.08933292162822148),
+     (2.236855251388646, -0.934735998023843), 16),
+    ("paraboloid", (1.0305909756677094, -1.1974795111255783),
+     (-1.4940045200114511, 1.8362348835726525), 16),
 ]
 
 
@@ -462,19 +523,7 @@ def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
     # a start that joins a branch found before it adds nothing to the
     # result: the solutions and the best failure are those of running every
     # start to its end, with strictly fewer integrations
-    calls = {}
-
-    def counted(name):
-        fn = getattr(divstat.connect, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(divstat.connect, name, wrapper)
-
-    counted("_run")
-    counted("_replay")
+    rec = _record(monkeypatch)
     multi = 0
     for name, p, q, k in JOIN_CASES:
         m = load_manifold(name)
@@ -482,9 +531,10 @@ def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
         opts = ShootOpts(multistart=k, seed=42)
         results, work = [], []
         for solve in (_reference_bvp, _solve_bvp):
-            calls.update(_run=0, _replay=0)
+            rec.calls.clear()
             results.append(solve(m, p, q, opts))
-            work.append(dict(calls))
+            work.append({"_run": sum(c.what == "trial" for c in rec.calls),
+                         "_replay": sum(c.what == "column" for c in rec.calls)})
         (want, want_fail), (sols, fail, starts) = results
         assert len(sols) == len(want), (name, p, q)
         assert all(_same_record(a, b) for a, b in zip(sols, want)), (name, p, q)
@@ -501,49 +551,25 @@ def test_later_starts_join_before_the_fine_tier(monkeypatch, name, p, q):
     # once start 0 has found the one branch, every later start reaches
     # its basin at the scout or coarse tier and joins there, before it
     # integrates at fine tolerance
-    fine, start = [], [-1]
-    gauss_newton, core = divstat.connect._gauss_newton, divstat.connect._run
-
-    def next_start(*args):
-        start[0] += 1
-        return gauss_newton(*args)
-
-    def integrate(M, kind, y, t1, opts, *args, **kwargs):
-        if opts is _FINE:
-            fine.append(start[0])
-        return core(M, kind, y, t1, opts, *args, **kwargs)
-
-    monkeypatch.setattr(divstat.connect, "_gauss_newton", next_start)
-    monkeypatch.setattr(divstat.connect, "_run", integrate)
+    rec = _record(monkeypatch)
     _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
                               ShootOpts(multistart=6, seed=42))
+    fine = [c.start for c in rec.calls if c.opts is _FINE]
     assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * 5
-    assert start[0] == 5 and fine and set(fine) == {0}
+    assert rec.start == 5 and fine and set(fine) == {0}
 
 
 def test_joined_starts_stop_at_the_scout_tier(monkeypatch):
     # a start that joins does so at the scout tier, on its Newton step
     # from inside the coarse basin: none of its trial paths runs at the
     # coarse or fine tolerance
-    start, finer = [-1], []
-    gauss_newton, core = divstat.connect._gauss_newton, divstat.connect._run
-
-    def next_start(*args):
-        start[0] += 1
-        return gauss_newton(*args)
-
-    def integrate(M, kind, y, t1, opts, *args, **kwargs):
-        if opts is not _SCOUT:
-            finer.append(start[0])
-        return core(M, kind, y, t1, opts, *args, **kwargs)
-
-    monkeypatch.setattr(divstat.connect, "_gauss_newton", next_start)
-    monkeypatch.setattr(divstat.connect, "_run", integrate)
+    rec = _record(monkeypatch)
     joined = 0
     for name, p, q, k in JOIN_CASES:
-        start[0], finer[:] = -1, []
+        rec.start, rec.calls = -1, []
         _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
                                   ShootOpts(multistart=k, seed=42))
+        finer = [c.start for c in rec.calls if c.what == "trial" and c.opts is not _SCOUT]
         late = {s["start"] for s in starts if s["ended"] == "joined"} & set(finer)
         assert not late, (name, p, q, sorted(late))
         joined += sum(s["ended"] == "joined" for s in starts)
@@ -557,28 +583,12 @@ def test_later_starts_on_an_affine_endpoint_map_form_no_jacobian(monkeypatch):
     # start's chord step on that Jacobian lands on the branch, and one
     # scout trial there joins it.  calls holds one list per start, of
     # ("trial", tier options) and ("column",) entries
-    calls = []
-    gauss_newton = divstat.connect._gauss_newton
-    run_, replay = divstat.connect._run, divstat.connect._replay
-
-    def next_start(*args):
-        calls.append([])
-        return gauss_newton(*args)
-
-    def trial(M, kind, y, t1, opts, *args):
-        calls[-1].append(("trial", opts))
-        return run_(M, kind, y, t1, opts, *args)
-
-    def column(*args):
-        calls[-1].append(("column",))
-        return replay(*args)
-
-    monkeypatch.setattr(divstat.connect, "_gauss_newton", next_start)
-    monkeypatch.setattr(divstat.connect, "_run", trial)
-    monkeypatch.setattr(divstat.connect, "_replay", column)
+    rec = _record(monkeypatch)
     name, p, q, k = JOIN_CASES[2]
     _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
                               ShootOpts(multistart=k, seed=42))
+    calls = [[("trial", c.opts) if c.what == "trial" else ("column",)
+              for c in rec.calls if c.start == i] for i in range(k)]
     assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * (k - 1)
     scout, coarse, fine = ("trial", _SCOUT), ("trial", _COARSE), ("trial", _FINE)
     assert calls[0] == [scout, coarse, fine] + [("column",)] * 2
@@ -591,21 +601,22 @@ def _hex_result(got):
 
 
 def test_a_start_whose_chord_steps_miss_every_branch_iterates_as_alone():
-    # the later starts that converge to a branch of their own, with every
-    # branch found before them (each keeping its Jacobian) to test their
-    # chord steps against, end bit for bit as with no branch found
-    target, later = 0.25e-8, 0
-    for name, p, q, k in JOIN_CASES[-2:]:
+    # the later starts that do not join, whether they converge to a branch
+    # of their own or fail, with every branch found before them (each
+    # keeping its Jacobian) to test their chord chains against, end bit
+    # for bit as with no branch found
+    target, ended = 0.25e-8, {True: 0, False: 0}
+    for name, p, q, k in JOIN_CASES:
         m, p, q = load_manifold(name), np.array(p), np.array(q)
         found = []
         for v0 in _start_velocities(m, p, q, ShootOpts(multistart=k, seed=42)):
             seen = len(found)
             got = _gauss_newton(m, p, q, v0, target, found, True)
-            if got[3] is None and got[0] and seen:
+            if got[3] is None and seen:
                 assert all(s.J is not None for s in found[:seen])
                 assert _hex_result(got) == _hex_result(_gauss_newton(m, p, q, v0, target, []))
-                later += 1
-    assert later >= 4
+                ended[got[0]] += 1
+    assert ended[True] >= 4 and ended[False] >= 4
 
 
 def test_a_chord_landing_whose_trial_misses_leaves_the_iteration(monkeypatch):
@@ -615,22 +626,63 @@ def test_a_chord_landing_whose_trial_misses_leaves_the_iteration(monkeypatch):
     m = load_manifold("paraboloid")
     p, q = np.zeros(2), np.array([0.4, 0.3])
     v0 = np.array([0.5, 0.2])
-    trials = []
-    run_ = divstat.connect._run
-
-    def trial(M, kind, y, t1, opts, *args):
-        trials.append((tuple(y), opts))
-        return run_(M, kind, y, t1, opts, *args)
-
-    monkeypatch.setattr(divstat.connect, "_run", trial)
+    rec = _record(monkeypatch)
     alone = _gauss_newton(m, p, q, v0, 0.25e-8, [])
-    want, trials[:] = list(trials), []
+    want, rec.calls = [(c.y, c.opts) for c in rec.calls if c.what == "trial"], []
     # J (-2 v0) = -r(v0): the chord step from v0 lands on -v0
     r = _trial(m, p, v0, _SCOUT, [])[1][:2] - q
     forged = _Branch(-v0, np.diag(r / (2.0 * v0)))
     got = _gauss_newton(m, p, q, v0, 0.25e-8, [forged])
+    trials = [(c.y, c.opts) for c in rec.calls if c.what == "trial"]
     assert _hex_result(got) == _hex_result(alone) and alone[0]
     assert trials == want[:1] + [(tuple(p.tolist() + (-v0).tolist()), _SCOUT)] + want[1:]
+
+
+def test_a_chord_chain_that_stops_halving_leaves_the_iteration(monkeypatch):
+    # a branch forged a quarter of the way from the start's solution back
+    # to v0, keeping twice the Jacobian at v0: the chord steps on it are
+    # half Newton steps, which come half as close to the branch twice, each
+    # lowering the defect, and then no longer.  The two trials at those
+    # landings are all the start spends on the chain; no later iterate
+    # comes half as close, and the start iterates as with no branch found
+    m = load_manifold("paraboloid")
+    p, q = np.zeros(2), np.array([0.4, 0.3])
+    v0 = np.array([0.5, 0.2])
+    rec = _record(monkeypatch)
+    alone = _gauss_newton(m, p, q, v0, 0.25e-8, [])
+    want, rec.calls = [(c.y, c.opts) for c in rec.calls if c.what == "trial"], []
+    assert alone[0]
+    steps = []
+    r0 = _trial(m, p, v0, _SCOUT, steps)[1][:2] - q
+    forged = _Branch(alone[1] + 0.25 * (v0 - alone[1]),
+                     2.0 * _jacobian(m, p.tolist(), q, v0, r0, steps))
+    chain, u, ru = [], v0, r0
+    for _ in range(3):
+        w = u + np.linalg.solve(forged.J, -ru)
+        rw = _trial(m, p, w, _SCOUT, [])[1][:2] - q
+        chain.append((w, _norm(w - forged.v) <= 0.5 * _norm(u - forged.v), _norm(rw) < _norm(ru)))
+        u, ru = w, rw
+    assert [c[1:] for c in chain] == [(True, True), (True, True), (False, True)]
+    got = _gauss_newton(m, p, q, v0, 0.25e-8, [forged])
+    trials = [(c.y, c.opts) for c in rec.calls if c.what == "trial"]
+    assert _hex_result(got) == _hex_result(alone)
+    assert trials == want[:1] + [(tuple(p.tolist() + w.tolist()), _SCOUT)
+                                 for w, *_ in chain[:2]] + want[1:]
+
+
+def test_later_starts_replay_fewer_columns_than_one_jacobian(monkeypatch):
+    # on the first three JOIN_CASES pairs (one branch each) the later
+    # starts follow their chord chains into start 0's branch: all five
+    # together replay fewer columns than one Jacobian has (2), where each
+    # formed one or two Jacobians of its own on a single chord step
+    rec = _record(monkeypatch)
+    for name, p, q, k in JOIN_CASES[:3]:
+        rec.start, rec.calls = -1, []
+        _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
+                                  ShootOpts(multistart=k, seed=42))
+        assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * (k - 1)
+        later = sum(c.what == "column" and c.start > 0 for c in rec.calls)
+        assert later <= 2, (name, later)
 
 
 def test_a_final_iterate_within_join_of_a_branch_ends_joined(monkeypatch):

@@ -328,6 +328,20 @@ def test_integrate_validates_input():
                 IntegratorOpts(**{key: tol})
 
 
+def test_integrator_tolerances_must_be_numbers():
+    # a string failed inside the range test with TypeError, and a bool
+    # passed as 1; both are refused here, naming the field.  A numpy float
+    # or an int passes, as a Python float
+    for key in ("rtol", "atol"):
+        for bad in ("1e-9", True, None):
+            with pytest.raises(ValueError) as info:
+                IntegratorOpts(**{key: bad})
+            assert str(info.value) == f"{key} must be a real number, got {bad!r}"
+    opts = IntegratorOpts(rtol=np.float32(0.5), atol=1)
+    assert type(opts.rtol) is float and opts.rtol == 0.5
+    assert type(opts.atol) is float and opts.atol == 1.0
+
+
 def test_dense_samples_must_be_an_integer():
     # a count: a float or a string is refused here, naming the field, not
     # later inside numpy; a numpy integer passes, as a Python int
