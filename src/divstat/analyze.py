@@ -26,7 +26,6 @@ and the constant-curvature fit sums over the whole sample set.  Fixed
 inputs give bit-identical reports.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,7 @@ from .curvature import (
     _relation_residuals,
     _sectional_tilde,
 )
-from .manifold import ConnKind, _count, _generator_seed, _real, sample_domain
+from .manifold import ConnKind, _count, _generator_seed, _positive, sample_domain
 from .statstruct import _parallel_volume_residual, _trace_K
 
 # rows per ManifoldDef.at_many call, so that a block's tensors stay a few
@@ -78,10 +77,8 @@ class CheckOpts:
     def __post_init__(self):
         self.samples = _count("samples", self.samples, 1)
         self.seed = _generator_seed(self.seed)
-        self.tol = _real("tol", self.tol)
         # an infinite tolerance would pass every check
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        self.tol = _positive("tol", self.tol)
 
 
 def _rows(points):

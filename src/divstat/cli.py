@@ -38,6 +38,7 @@ from .manifold import (
     DefinitionError,
     OutOfDomainError,
     _generator_seed,
+    _positive,
     load_manifold,
 )
 from .statstruct import conjugate
@@ -205,8 +206,7 @@ def _cmd_geodesic(args):
     M = load_manifold(args.manifold)
     x0 = _coords(args.start, M.n)
     v0 = _coords(args.vel, M.n)
-    if not 0.0 < args.t_max < math.inf:
-        raise ValueError("--t-max must be positive and finite")
+    _positive("--t-max", args.t_max)
     opts = IntegratorOpts(dense_samples=args.steps)
     path = integrate_geodesic(M, ConnKind(args.conn), x0, v0, args.t_max, opts)
     path.to_csv(args.out or sys.stdout)

@@ -55,7 +55,7 @@ from .geodesic import (
     integrate_geodesic,
     reparam_from_tilde,
 )
-from .manifold import ConnKind, _count, _generator_seed, _real
+from .manifold import ConnKind, _count, _generator_seed, _positive
 
 _SCOUT = IntegratorOpts(rtol=1e-5, atol=1e-7)
 _COARSE = IntegratorOpts(rtol=1e-7, atol=1e-9)
@@ -95,10 +95,8 @@ class ShootOpts:
     def __post_init__(self):
         self.multistart = _count("multistart", self.multistart, 1)
         self.seed = _generator_seed(self.seed)
-        self.eps_bvp = _real("eps_bvp", self.eps_bvp)
         # an infinite tolerance would call any finite miss converged
-        if not 0.0 < self.eps_bvp < math.inf:
-            raise ValueError(f"eps_bvp must be positive and finite, got {self.eps_bvp!r}")
+        self.eps_bvp = _positive("eps_bvp", self.eps_bvp)
 
 
 @dataclass
@@ -353,11 +351,11 @@ def _start_velocities(M, p, q, opts):
 
 
 def _solve_bvp(M, p, q, opts):
-    # returns (distinct solutions sorted by (length, start index), the best
-    # failure or None, one record per start); solutions and failure are
-    # records {start, v0, tilde_length, endpoint_error}, the per-start
-    # records {start, ended, branch, endpoint_error}.  For p == q the one
-    # solution is the constant path, with no start attempted
+    # returns (the distinct solutions sorted by (length, start index), the
+    # best failure where no start converged, else None, and one record per
+    # start): records {start, v0, tilde_length, endpoint_error}, the last
+    # {start, ended, branch, endpoint_error}.  For p == q the one solution
+    # is the constant path, with no start attempted
     if np.array_equal(p, q):
         return [{"start": 0, "v0": np.zeros(M.n), "tilde_length": 0.0,
                  "endpoint_error": 0.0}], None, []
@@ -405,7 +403,7 @@ def _solve_bvp(M, p, q, opts):
         {"start": k, "ended": ended, "branch": rank.get(b), "endpoint_error": err}
         for k, ended, b, err in ends
     ]
-    return sols, fail, records
+    return sols, None if sols else fail, records
 
 
 def shoot_connect(M, p, q, opts=None):
@@ -506,9 +504,7 @@ def contrast_structure_check(M, p, h, opts=None):
     P = M.at(p)
     p = np.array(P.x)
     n = M.n
-    h = float(h)
-    if not h > 0.0:
-        raise ValueError("stencil step must be positive")
+    h = _positive("stencil step", h)
     if opts is None:
         opts = ShootOpts(multistart=1, eps_bvp=1e-10)
     cache = {}

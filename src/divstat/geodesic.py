@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprcore import _exec_kernel
-from .manifold import ConnKind, OutOfDomainError, _count, _real
+from .manifold import ConnKind, OutOfDomainError, _count, _positive
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -85,9 +85,7 @@ class IntegratorOpts:
     dense_samples: int = 129
 
     def __post_init__(self):
-        self.rtol, self.atol = _real("rtol", self.rtol), _real("atol", self.atol)
-        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
-            raise ValueError("integrator tolerances must be positive and finite")
+        self.rtol, self.atol = _positive("rtol", self.rtol), _positive("atol", self.atol)
         self.dense_samples = _count("dense_samples", self.dense_samples, 2)
 
 
@@ -606,9 +604,7 @@ def _integrate_core(M, kind, x0, v0, t1, opts):
     v0 = v0.tolist()
     if not all(map(math.isfinite, v0)):
         raise ValueError("velocity components must be finite")
-    t1 = float(t1)
-    if not 0.0 < t1 < math.inf:
-        raise ValueError("t1 must be positive and finite")
+    t1 = _positive("t1", t1)
     knots = []
     status, t, y, _, _, *counts, _, _ = _run(M, kind, [*x0, *v0], t1, opts, rows=knots)
     return status, t, np.array(y), knots, dict(zip(_COUNTS, counts))

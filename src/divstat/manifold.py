@@ -31,10 +31,12 @@ or grad sigma themselves.
 PointGeometry.gamma is the reference the spray is tested against.  The
 emitted integrator inlines its code after the predicate's (_inline).
 
-A point is in the chart where every side of every comparison in the
-domain, and every entry of g and sigma, evaluates finite, and the
-comparisons, joined by `and` / `or`, hold: DomainPred, _values and
-_inline all decide that, and the sample guard is decided the same way.
+A point is in the chart where its coordinates, every side of every
+comparison in the domain and every entry of g and sigma are finite, and
+the comparisons, joined by `and` / `or`, hold: _values decides that, and
+_inline all of it but the coordinates, which the integrator keeps finite
+from a start that at() checked.  A sample guard is decided as DomainPred is.
+An option is checked where it enters, by _count, _generator_seed or _positive.
 
 Index conventions: connection arrays are gamma[k, i, j] = Gamma^k_ij,
 derivative stacks put the new derivative index first, and curvature
@@ -406,13 +408,14 @@ class ManifoldDef:
         return lines + body + finite(outs), outs
 
     def _values(self, x):
-        # the entries of g, then sigma, at chart tuple x; None outside the chart
-        return self.compiled("values").get(x) if self.domain(x) else None
+        # the entries of g, then sigma, at the float tuple x; None outside the chart
+        if all(map(math.isfinite, x)) and self.domain(x):
+            return self.compiled("values").get(x)
 
     def _values_many(self, xs):
         # _values at each row of xs (N, n), NaN rows outside the chart
         values = self.compiled("values").many(xs)
-        values[~self.domain.many(xs)] = np.nan
+        values[~(np.isfinite(xs).all(axis=1) & self.domain.many(xs))] = np.nan
         return values
 
     def at(self, x):
@@ -825,7 +828,7 @@ class PointGeometry:
 
 
 def in_domain(M, x):
-    """Chart membership: the predicate holds and g, sigma evaluate finite."""
+    """Chart membership: x is finite, the predicate holds and g, sigma evaluate finite."""
     return M._values(_pt(M, x)) is not None
 
 
@@ -848,22 +851,24 @@ def laplace_sigma(M, x):
 
 
 def _count(name, value, least):
-    # an option's count as an int (numpy integers pass), or ValueError naming it
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    # an option's count as an int (numpy integers pass), or ValueError
+    # naming it: a bool is no count here
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
-    return value
+    return int(value)
 
 
-def _real(name, value):
-    # an option's real number as a float (numpy reals and integers pass),
-    # or ValueError naming it: a bool or a string is no number here
+def _positive(name, value):
+    # an option's positive, finite real as a float (numpy reals and integers
+    # pass), or ValueError naming it: a bool or a string is no number here
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def _generator_seed(value):
@@ -880,7 +885,8 @@ def _generator_seed(value):
 
 def sample_domain(M, count, seed=0):
     """`count` in-domain points from the sample box, deterministic per seed."""
-    rng = np.random.default_rng(seed)
+    count = _count("count", count, 0)
+    rng = np.random.default_rng(_generator_seed(seed))
     lo, hi = M.sample_box[:, 0], M.sample_box[:, 1]
     # allocated up front, so numpy refuses a count no array can hold at once
     out = np.empty((count, M.n))

@@ -227,7 +227,7 @@ def test_geodesic_rejects_bad_options(capsys):
         assert err != ""
     code, out, err = run_out(capsys, base + ["--conn", "lc", "--t-max", "-nan"])
     assert code == 2
-    assert err == "divstat: --t-max must be positive and finite\n"
+    assert err == "divstat: --t-max must be positive and finite, got nan\n"
 
 
 _LINE = ["geodesic", "euclidean", "--conn", "lc", "--from", "0,0", "--vel", "1,0",

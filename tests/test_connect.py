@@ -15,6 +15,7 @@ Closed-form oracles:
 
 import itertools
 import math
+from functools import cache
 from statistics import NormalDist
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -133,18 +134,27 @@ class _Call(NamedTuple):
     y: tuple  # the state it starts from
 
 
+class _Run(NamedTuple):
+    found: list  # the branches found before the start, as it began
+    got: tuple  # the start's end: _gauss_newton's (ok, v, err, joined)
+
+
 def _record(monkeypatch):
     # from here on, every shooting trial and Jacobian column in call order
     # in rec.calls, as _Call records; rec.start is the index of the start
     # running, counted over the starts that _solve_bvp runs (-1 before the
-    # first, and so for a direct call of _gauss_newton)
-    rec = SimpleNamespace(calls=[], start=-1)
+    # first, and so for a direct call of _gauss_newton), and rec.runs holds
+    # one _Run record per such start
+    rec = SimpleNamespace(calls=[], start=-1, runs=[])
     gauss_newton = divstat.connect._gauss_newton
     run_, replay = divstat.connect._run, divstat.connect._replay
 
     def next_start(*args):
         rec.start += 1
-        return gauss_newton(*args)
+        found = list(args[5])
+        got = gauss_newton(*args)
+        rec.runs.append(_Run(found, got))
+        return got
 
     def trial(M, kind, y, t1, opts, *args):
         rec.calls.append(_Call(rec.start, "trial", opts, tuple(y)))
@@ -432,11 +442,14 @@ def test_start_records_on_a_cartan_hadamard_pair():
 
 def _reference_bvp(M, p, q, opts):
     # every start run to its end with no branch to join, its converged
-    # velocity kept unless one within 1e-6 (relative) is kept already
+    # velocity kept unless one within 1e-6 (relative) is kept already.
+    # Returns the solutions, the best failure where there is none (else
+    # None) and each start's end, as _gauss_newton gives it
     gt = math.exp(M.at(p).sigma) * metric_at(M, p)
-    sols, fail = [], None
+    sols, fail, runs = [], None, []
     for k, v0 in enumerate(_start_velocities(M, p, q, opts)):
-        ok, v, err, joined = _gauss_newton(M, p, q, v0, 0.25 * opts.eps_bvp, [])
+        ok, v, err, joined = got = _gauss_newton(M, p, q, v0, 0.25 * opts.eps_bvp, [])
+        runs.append(got)
         assert joined is None
         rec = {"start": k, "v0": v, "tilde_length": float(math.sqrt(v @ gt @ v)),
                "endpoint_error": err}
@@ -447,7 +460,7 @@ def _reference_bvp(M, p, q, opts):
                      for s in sols):
             sols.append(rec)
     sols.sort(key=lambda s: (s["tilde_length"], s["start"]))
-    return sols, fail
+    return sols, None if sols else fail, runs
 
 
 def _same_record(a, b):
@@ -484,7 +497,36 @@ JOIN_CASES = [
      (2.236855251388646, -0.934735998023843), 16),
     ("paraboloid", (1.0305909756677094, -1.1974795111255783),
      (-1.4940045200114511, 1.8362348835726525), 16),
+    # pair 3 (points 3 and 43) of those points, at full precision: three
+    # branches, and start 8, which fails alone, joins one on a chord chain,
+    # so the best failure of the solve (start 3's) is not the reference's
+    # (start 8's); both report none, since there is a solution
+    ("paraboloid", (-2.9684081726065514, 1.9273705102965977),
+     (0.41816564684284785, -0.7422729832204791), 16),
 ]
+
+
+class _Solved(NamedTuple):
+    solve: tuple  # _solve_bvp's (solutions, best failure, start records)
+    calls: list  # its trials and columns in call order, as _Call records
+    runs: list  # its starts, as _Run records
+    reference: tuple  # _reference_bvp's (solutions, best failure, ends)
+    reference_calls: list  # the reference's trials and columns
+
+
+@cache
+def _solved(case):
+    # a JOIN_CASES pair solved once by _reference_bvp and once by
+    # _solve_bvp, at seed 42, with every trial, column and start recorded
+    name, p, q, k = case
+    m, p, q = load_manifold(name), np.array(p), np.array(q)
+    opts = ShootOpts(multistart=k, seed=42)
+    with pytest.MonkeyPatch.context() as mp:
+        rec = _record(mp)
+        reference = _reference_bvp(m, p, q, opts)
+        reference_calls, rec.calls = rec.calls, []
+        solve = _solve_bvp(m, p, q, opts)
+    return _Solved(solve, rec.calls, rec.runs, reference, reference_calls)
 
 
 # float.hex of tilde_length, endpoint_error and every solution's v0 of
@@ -519,23 +561,18 @@ def test_the_solve_is_pinned_bit_for_bit(case, pinned):
     assert got == pinned
 
 
-def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
+def test_joined_starts_leave_the_solutions_as_they_were():
     # a start that joins a branch found before it adds nothing to the
     # result: the solutions and the best failure are those of running every
     # start to its end, with strictly fewer integrations
-    rec = _record(monkeypatch)
     multi = 0
-    for name, p, q, k in JOIN_CASES:
-        m = load_manifold(name)
-        p, q = np.array(p), np.array(q)
-        opts = ShootOpts(multistart=k, seed=42)
-        results, work = [], []
-        for solve in (_reference_bvp, _solve_bvp):
-            rec.calls.clear()
-            results.append(solve(m, p, q, opts))
-            work.append({"_run": sum(c.what == "trial" for c in rec.calls),
-                         "_replay": sum(c.what == "column" for c in rec.calls)})
-        (want, want_fail), (sols, fail, starts) = results
+    for case in JOIN_CASES:
+        name, p, q, k = case
+        solved = _solved(case)
+        work = [{"_run": sum(c.what == "trial" for c in calls),
+                 "_replay": sum(c.what == "column" for c in calls)}
+                for calls in (solved.reference_calls, solved.calls)]
+        (want, want_fail, _), (sols, fail, starts) = solved.reference, solved.solve
         assert len(sols) == len(want), (name, p, q)
         assert all(_same_record(a, b) for a, b in zip(sols, want)), (name, p, q)
         assert _same_record(fail, want_fail), (name, p, q)
@@ -547,48 +584,45 @@ def test_joined_starts_leave_the_solutions_as_they_were(monkeypatch):
 
 
 @pytest.mark.parametrize("name, p, q", [JOIN_CASES[0][:3], JOIN_CASES[2][:3]])
-def test_later_starts_join_before_the_fine_tier(monkeypatch, name, p, q):
+def test_later_starts_join_before_the_fine_tier(name, p, q):
     # once start 0 has found the one branch, every later start reaches
     # its basin at the scout or coarse tier and joins there, before it
     # integrates at fine tolerance
-    rec = _record(monkeypatch)
-    _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
-                              ShootOpts(multistart=6, seed=42))
-    fine = [c.start for c in rec.calls if c.opts is _FINE]
+    solved = _solved((name, p, q, 6))
+    _, _, starts = solved.solve
+    fine = [c.start for c in solved.calls if c.opts is _FINE]
     assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * 5
-    assert rec.start == 5 and fine and set(fine) == {0}
+    assert len(solved.runs) == 6 and fine and set(fine) == {0}
 
 
-def test_joined_starts_stop_at_the_scout_tier(monkeypatch):
+def test_joined_starts_stop_at_the_scout_tier():
     # a start that joins does so at the scout tier, on its Newton step
     # from inside the coarse basin: none of its trial paths runs at the
     # coarse or fine tolerance
-    rec = _record(monkeypatch)
     joined = 0
-    for name, p, q, k in JOIN_CASES:
-        rec.start, rec.calls = -1, []
-        _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
-                                  ShootOpts(multistart=k, seed=42))
-        finer = [c.start for c in rec.calls if c.what == "trial" and c.opts is not _SCOUT]
+    for case in JOIN_CASES:
+        name, p, q, k = case
+        solved = _solved(case)
+        _, _, starts = solved.solve
+        finer = [c.start for c in solved.calls if c.what == "trial" and c.opts is not _SCOUT]
         late = {s["start"] for s in starts if s["ended"] == "joined"} & set(finer)
         assert not late, (name, p, q, sorted(late))
         joined += sum(s["ended"] == "joined" for s in starts)
     assert joined >= 30
 
 
-def test_later_starts_on_an_affine_endpoint_map_form_no_jacobian(monkeypatch):
+def test_later_starts_on_an_affine_endpoint_map_form_no_jacobian():
     # e^sigma g = I on the punctured plane, so exptilde_p(v) = p + v: start
     # 0 converges from the chart difference without a Newton step and then
     # forms its branch's Jacobian once, on its fine steps; every later
     # start's chord step on that Jacobian lands on the branch, and one
     # scout trial there joins it.  calls holds one list per start, of
     # ("trial", tier options) and ("column",) entries
-    rec = _record(monkeypatch)
-    name, p, q, k = JOIN_CASES[2]
-    _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
-                              ShootOpts(multistart=k, seed=42))
+    k = JOIN_CASES[2][3]
+    solved = _solved(JOIN_CASES[2])
+    _, _, starts = solved.solve
     calls = [[("trial", c.opts) if c.what == "trial" else ("column",)
-              for c in rec.calls if c.start == i] for i in range(k)]
+              for c in solved.calls if c.start == i] for i in range(k)]
     assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * (k - 1)
     scout, coarse, fine = ("trial", _SCOUT), ("trial", _COARSE), ("trial", _FINE)
     assert calls[0] == [scout, coarse, fine] + [("column",)] * 2
@@ -604,17 +638,14 @@ def test_a_start_whose_chord_steps_miss_every_branch_iterates_as_alone():
     # the later starts that do not join, whether they converge to a branch
     # of their own or fail, with every branch found before them (each
     # keeping its Jacobian) to test their chord chains against, end bit
-    # for bit as with no branch found
-    target, ended = 0.25e-8, {True: 0, False: 0}
-    for name, p, q, k in JOIN_CASES:
-        m, p, q = load_manifold(name), np.array(p), np.array(q)
-        found = []
-        for v0 in _start_velocities(m, p, q, ShootOpts(multistart=k, seed=42)):
-            seen = len(found)
-            got = _gauss_newton(m, p, q, v0, target, found, True)
-            if got[3] is None and seen:
-                assert all(s.J is not None for s in found[:seen])
-                assert _hex_result(got) == _hex_result(_gauss_newton(m, p, q, v0, target, []))
+    # for bit as with no branch found: as the reference runs them alone
+    ended = {True: 0, False: 0}
+    for case in JOIN_CASES:
+        solved = _solved(case)
+        for (found, got), alone in zip(solved.runs, solved.reference[2], strict=True):
+            if got[3] is None and found:
+                assert all(s.J is not None for s in found)
+                assert _hex_result(got) == _hex_result(alone)
                 ended[got[0]] += 1
     assert ended[True] >= 4 and ended[False] >= 4
 
@@ -670,18 +701,17 @@ def test_a_chord_chain_that_stops_halving_leaves_the_iteration(monkeypatch):
                                  for w, *_ in chain[:2]] + want[1:]
 
 
-def test_later_starts_replay_fewer_columns_than_one_jacobian(monkeypatch):
+def test_later_starts_replay_fewer_columns_than_one_jacobian():
     # on the first three JOIN_CASES pairs (one branch each) the later
     # starts follow their chord chains into start 0's branch: all five
     # together replay fewer columns than one Jacobian has (2), where each
     # formed one or two Jacobians of its own on a single chord step
-    rec = _record(monkeypatch)
-    for name, p, q, k in JOIN_CASES[:3]:
-        rec.start, rec.calls = -1, []
-        _, _, starts = _solve_bvp(load_manifold(name), np.array(p), np.array(q),
-                                  ShootOpts(multistart=k, seed=42))
+    for case in JOIN_CASES[:3]:
+        name, p, q, k = case
+        solved = _solved(case)
+        _, _, starts = solved.solve
         assert [s["ended"] for s in starts] == ["converged"] + ["joined"] * (k - 1)
-        later = sum(c.what == "column" and c.start > 0 for c in rec.calls)
+        later = sum(c.what == "column" and c.start > 0 for c in solved.calls)
         assert later <= 2, (name, later)
 
 
@@ -770,6 +800,7 @@ def test_a_newton_step_that_is_not_finite_fails_the_start(monkeypatch, capsys):
 
 def test_contrast_structure_check_needs_a_positive_step():
     m = load_manifold("euclidean")
-    for h in (0.0, -1e-3, math.nan):
+    # an infinite step ran its solves from (inf, nan)
+    for h in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="stencil step must be positive"):
             contrast_structure_check(m, [0.0, 0.0], h)

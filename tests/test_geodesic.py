@@ -15,6 +15,7 @@ import io
 import itertools
 import math
 import struct
+import subprocess
 import sys
 from unittest import mock
 
@@ -72,6 +73,7 @@ from integrator_reference import (
     run as reference_run,
 )
 from test_analyze import SKEW3
+from test_cli import _same_divstat_env
 
 _RK_STEP = _scipy_rk.rk_step
 
@@ -310,22 +312,44 @@ def test_replay_from_outside_the_chart_is_none():
         assert _replay(punct, kind, (0.0, 0.0), (1.0, 0.0), [0.1]) is None
 
 
+# a start with a NaN coordinate made every step NaN, so neither the step
+# floor nor the end of the interval was ever reached and these never returned
+_NAN_STARTS = """
+import math
+from divstat.geodesic import exp_map, integrate_geodesic
+from divstat.manifold import OutOfDomainError, load_manifold
+M = load_manifold("euclidean")
+for call in (lambda: integrate_geodesic(M, "lc", (math.nan, 0.0), (1.0, 0.0), 1.0),
+             lambda: exp_map(M, "nabla", (0.0, math.nan), (1.0, 0.0))):
+    try:
+        call()
+    except OutOfDomainError as err:
+        print(err)
+"""
+
+
 def test_integrate_validates_input():
     para = load_manifold("paraboloid")
-    for t1 in (0.0, math.inf, math.nan):
+    for t1 in (0.0, math.inf, math.nan, True):
         with pytest.raises(ValueError):
             integrate_geodesic(para, ConnKind.NABLA, (0.0, 0.0), (1.0, 0.0), t1)
     half = load_manifold("half-plane-exp")
     with pytest.raises(OutOfDomainError):
         integrate_geodesic(half, ConnKind.LC_G, (0.0, -1.0), (1.0, 0.0), 1.0)
+    # in a subprocess, so that a start that hangs fails the test at its timeout
+    proc = subprocess.run([sys.executable, "-c", _NAN_STARTS], capture_output=True, text=True,
+                          timeout=60, env=_same_divstat_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(nan, 0.0) is outside the domain of euclidean",
+                                        "(0.0, nan) is outside the domain of euclidean"]
     # a NaN tolerance would fail every error test, so the path would end
     # at t = 0 with its start inside the chart; an infinite one would pass
     # every error test, so the path would complete with no error control
     for tol in (-1.0, 0.0, math.nan, math.inf):
         for key in ("rtol", "atol"):
-            with pytest.raises(ValueError, match=r"^integrator tolerances must be positive "
-                                                 r"and finite$"):
+            with pytest.raises(ValueError) as info:
                 IntegratorOpts(**{key: tol})
+            assert str(info.value) == f"{key} must be positive and finite, got {tol!r}"
 
 
 def test_integrator_tolerances_must_be_numbers():

@@ -304,3 +304,47 @@ def test_every_constant_is_read():
     # constant of the package is read by some module of the package
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert _unread_constants(sources) == []
+
+
+def _is_math_inf(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def _hand_written_range_checks(sources):
+    """Chained comparisons of `sources` that end in math.inf, outside manifold._positive.
+
+    sources maps a module name to its text.  A comparison such as `0.0 <
+    x < math.inf` checks a positive, finite number by hand; the package
+    has one rule for that, manifold._positive, and each such comparison
+    outside it is a second copy.  Returns "module:line" strings, one per
+    comparison, in module and line order.
+    """
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        rule = [node for node in tree.body if module == "manifold"
+                and isinstance(node, ast.FunctionDef) and node.name == "_positive"]
+        inside = {id(node) for r in rule for node in ast.walk(r)}
+        found += [(module, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and len(node.ops) > 1
+                  and _is_math_inf(node.comparators[-1]) and id(node) not in inside]
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_hand_written_range_check_is_found():
+    sources = {"manifold": "import math\n\ndef _positive(name, value):\n"
+                           "    return 0.0 < value < math.inf\n",
+               "a": "import math\n\ndef f(x, y):\n    if not (0.0 < x < math.inf\n"
+                    "            and 0 < y < math.inf):\n        pass\n"
+                    "    return x < math.inf, 0 < x <= 1, math.inf > y > 0\n\n"
+                    "def _positive(x):\n    return 0 < x < math.inf\n"}
+    # a _positive outside manifold is no exception
+    assert _hand_written_range_checks(sources) == ["a:4", "a:5", "a:10"]
+
+
+def test_every_range_check_is_the_one_rule():
+    # "a positive, finite number" is checked by manifold._positive only, so
+    # that each option states it in one message
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert _hand_written_range_checks(sources) == []

@@ -143,6 +143,18 @@ def test_domain_membership():
     assert not in_domain(punc, (0.0, 0.0))
     # the metric overflows doubles near the puncture: treated as outside
     assert not in_domain(punc, (0.01, 0.0))
+    # a coordinate that is not finite is no point, on a chart with no
+    # domain predicate as on one whose predicate and values it passes
+    for M, inside in ((load_manifold("euclidean"), (0.0, 0.0)), (half, (0.0, 1.0))):
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(2):
+                x = list(inside)
+                x[i] = bad
+                assert not in_domain(M, x)
+                with pytest.raises(OutOfDomainError, match=re.escape(f"{tuple(x)} is outside")):
+                    M.at(x)
+                with pytest.raises(OutOfDomainError, match=re.escape(f"{tuple(x)} is outside")):
+                    M.at_many([inside, x, (bad, bad)])
 
 
 def test_out_of_domain_queries_fail():
@@ -331,6 +343,18 @@ def test_domain_predicate_from_json():
 
 def test_sample_domain_deterministic():
     punc = load_manifold("punctured-plane")
+    # a count or a seed is refused here, naming it, not inside numpy
+    for bad, message in ((2.5, "count must be an integer, got 2.5"),
+                         ("3", "count must be an integer, got '3'"),
+                         (True, "count must be an integer, got True"),
+                         (-1, "count must be at least 0")):
+        with pytest.raises(ValueError) as info:
+            sample_domain(punc, bad, seed=42)
+        assert str(info.value) == message
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError) as info:
+            sample_domain(punc, 3, seed=bad)
+        assert str(info.value) == f"seed must be a non-negative integer, got {bad!r}"
     a = sample_domain(punc, 25, seed=42)
     b = sample_domain(punc, 25, seed=42)
     assert np.array_equal(a, b)
