@@ -489,6 +489,12 @@ def _render(plan, arg, prefix, named=False):
             depth[r] = 1 + max(depth[c] for c in args)
             if op == "neg":
                 text = f"(-{a[0]})"
+            elif op == "pow" and rows[args[1]][0] == "num" and rows[args[1]][1].is_integer():
+                # an integer literal exponent: Python's ** on floats gives
+                # math.pow's bits and raises where it raises, with no complex
+                # result; the base keeps its parentheses, since -1.0 ** 2.0
+                # is -(1.0 ** 2.0)
+                text = f"(({a[0]}) ** {a[1]})"
             elif op == "pow":
                 text = f"_pow({a[0]}, {a[1]})"
             elif len(a) == 1:

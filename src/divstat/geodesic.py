@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprcore import _exec_kernel
-from .manifold import ConnKind, OutOfDomainError, _count, _positive
+from .manifold import ConnKind, _count, _positive
 
 # unreachable parameter gap left by the exit bisection
 EXIT_BISECT_TOL = 1e-10
@@ -648,14 +648,15 @@ def _replay(M, kind, x0, v0, steps):
 _TABLE = ("x(t0)", "h v(t0)", "h^2 a(t0)", "x(t1)", "h v(t1)", "h^2 a(t1)")
 
 
-def _eval_pieces(knots, ts):
+def _eval_pieces(knots, ts, velocities=True):
     # quintic Hermite from (x, v, a) at both ends of the step that holds
     # each query time, all times at once; the stored RHS values make the
     # interpolant match the accelerations the solver actually saw.
     # knots is (t, X, V, A): the step ends and, at each, the (m, n) rows of
     # x, v and a.  The Hermite data _TABLE are formed for the steps that
     # hold a time only, on (n, N) coordinate columns; returns (xs, vs),
-    # each (N, n), their transposes.  Each time's row is computed alone, so
+    # each (N, n), their transposes, and (xs, None) without velocities,
+    # whose basis is then never formed.  Each time's row is computed alone, so
     # any subset of the times gives the same rows bit for bit.  Raises
     # GeodesicError where a position, or the Hermite data of the step it
     # is formed from, do not fit in a double
@@ -690,6 +691,8 @@ def _eval_pieces(knots, ts):
         raise GeodesicError(
             f"dense output overflows: {'x(t)' if term is None else _TABLE[term]} "
             f"is not finite on the step [{float(t0[i])!r}, {float(t[k[i] + 1])!r}]")
+    if not velocities:
+        return xs.T, None
     Hp = (
         -30.0 * u2 * w2,
         w2 * (1.0 + 5.0 * u) * (1.0 - 3.0 * u),
@@ -776,6 +779,16 @@ def _check_increasing(s):
 
 
 def _reparam(M, path, out_kind, in_kind):
+    """The in_kind path as an out_kind path: the parameter change of both ways.
+
+    s is read at the knots; the weight F and its derivative F' there come
+    from one batched geometry of the knots, and between them s is the
+    positions-only quintic Hermite of _eval_pieces in (s, F, F'), with no
+    velocity basis.  The samples keep their positions; their velocities
+    are divided by the weight from sigma, which one chart evaluation of
+    the samples gives (M._values_many), with no other geometry.
+    GeodesicError names the first sample outside the chart.
+    """
     kind = ConnKind(path.kind)
     if kind is not in_kind:
         raise ValueError(f"expected a {in_kind.value} path, got {kind.value}")
@@ -800,15 +813,17 @@ def _reparam(M, path, out_kind, in_kind):
     if not np.all(np.isfinite(Fp)):
         raise GeodesicError(_DIVERGES)
     # between knots, the quintic Hermite of s in (s, F, F'); exact at the knots
-    s = _eval_pieces((tk, sk[:, None], F[:, None], Fp[:, None]), ts)[0][:, 0]
+    s = _eval_pieces((tk, sk[:, None], F[:, None], Fp[:, None]), ts, velocities=False)[0][:, 0]
     _check_increasing(s)
-    try:
-        sigma = M.at_many(xs).sigma
-    except OutOfDomainError as exc:
+    values = M._values_many(xs)
+    outside = np.flatnonzero(np.isnan(values[:, 0]))
+    if outside.size:
         # a sample interpolated between two knots left the chart: the
         # path's numbers, not the input, are at fault
-        t = float(ts[np.flatnonzero(np.isnan(M._values_many(xs)[:, 0]))[0]])
-        raise GeodesicError(f"dense output leaves the chart at t = {t!r}: {exc}") from None
+        i = outside[0]
+        raise GeodesicError(f"dense output leaves the chart at t = {float(ts[i])!r}: "
+                            f"{M._outside(tuple(xs[i].tolist()))}")
+    sigma = values[:, -1]
     # the weight is the derivative of the new parameter with respect to the old one
     return GeodesicPath(kind=out_kind, ts=s, xs=xs.copy(), vs=vs / _weight(sign * sigma)[:, None],
                         status=path.status, meta=dict(path.meta),
@@ -841,13 +856,32 @@ def _sample_indices(idx, m):
     return np.flatnonzero(mask)
 
 
+def _centre_acceleration(tau, X):
+    # x''(0) of the quartic through the five samples (tau_j, X_j) of each
+    # window, tau (N, 5) with tau_2 = 0 and X (N, 5, n), from the window's
+    # Newton divided differences: with d_j = -tau_j,
+    #   x''(0) = 2 c_2 + 2 (d_0 + d_1 + d_2) c_3 + 2 e_2(d_0, ..., d_3) c_4,
+    # e_2 the second elementary symmetric polynomial.  Differencing first
+    # rounds less than a solve of the window's Vandermonde system
+    c = np.array(X, dtype=float)
+    for k in range(1, 5):
+        c[:, k:] = (c[:, k:] - c[:, k - 1:-1]) / (tau[:, k:] - tau[:, :-k])[..., None]
+    d0, d1, d2, d3 = -tau[:, 0], -tau[:, 1], -tau[:, 2], -tau[:, 3]
+    e1 = d0 + d1 + d2
+    e2 = d0 * d1 + (d0 + d1) * d2 + e1 * d3
+    return 2.0 * (c[:, 2] + e1[:, None] * c[:, 3] + e2[:, None] * c[:, 4])
+
+
 def geodesic_residual(M, kind, path):
     """Worst defect max_k |x''^k + Gamma^k_ij x'^i x'^j| over interior samples.
 
-    Acceleration is estimated from the sampled positions by a local
-    quartic fit through five samples, fourth-order accurate (on a uniform
-    grid, the classical five-point stencil up to rounding); velocities are
-    taken from the stored samples.
+    Acceleration is estimated from the sampled positions as the centre
+    second derivative of the quartic through five samples, fourth-order
+    accurate (on a uniform grid, the classical five-point stencil up to
+    rounding), read from the window's Newton divided differences with no
+    power of the offsets and no linear solve; velocities are taken from
+    the stored samples.  Windows of strides 1, 2, 4 and 8 samples, as many
+    as fit, give an estimate each; the smallest is returned.
     """
     kind = ConnKind(kind)
     ts = np.asarray(path.ts, dtype=float)
@@ -867,16 +901,12 @@ def geodesic_residual(M, kind, path):
     # every stride in one batch: the connection's spray kernel gives -quad
     at = _sample_indices(cs, m)
     quad = -M.spray(kind).many(np.hstack([xs[at], vs[at]]))[:, -M.n:]
-    # the five-sample windows of every stride, in one solve
+    # the five-sample windows of every stride at once
     win = cs[:, None] + np.repeat(strides, sizes)[:, None] * np.arange(-2, 3)
-    tau = ts[win] - ts[cs][:, None]
-    scale = np.abs(tau).max(axis=1)
-    V = (tau / scale[:, None])[..., None] ** np.arange(5)
-    acc = 2.0 * np.linalg.solve(V, xs[win])[:, 2] / (scale * scale)[:, None]
-    res = np.abs(acc + quad[np.searchsorted(at, cs)])
-    best = np.inf
-    for part in np.split(res, np.cumsum(sizes)[:-1]):
-        # every stride overestimates the true defect (truncation and sample
-        # noise only add), so the smallest estimate is the sharpest
-        best = min(best, float(part.max()))
-    return best
+    acc = _centre_acceleration(ts[win] - ts[cs][:, None], xs[win])
+    res = np.abs(acc + quad[np.searchsorted(at, cs)]).max(axis=1)
+    # every stride overestimates the true defect (truncation and sample
+    # noise only add), so the smallest estimate is the sharpest; a NaN
+    # stride is passed over, as min passes over it
+    worst = np.maximum.reduceat(res, np.cumsum([0] + sizes[:-1]))
+    return min([math.inf, *worst.tolist()])

@@ -873,9 +873,10 @@ def _positive(name, value):
 
 def _generator_seed(value):
     # an option's seed as an int (numpy integers pass), or ValueError:
-    # numpy's generators take non-negative integers only
+    # numpy's generators take non-negative integers only, and a bool is
+    # no seed here, as it is no count
     try:
-        seed = operator.index(value)
+        seed = -1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         seed = -1
     if seed < 0:

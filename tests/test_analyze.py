@@ -195,6 +195,12 @@ def test_check_seed_must_be_a_non_negative_integer():
     assert type(opts.seed) is int and opts.seed == 5
 
 
+def test_check_seed_refuses_a_bool():
+    with pytest.raises(ValueError) as info:
+        CheckOpts(samples=3, seed=False)
+    assert str(info.value) == "seed must be a non-negative integer, got False"
+
+
 def test_check_samples_must_be_an_integer():
     # a count: a float or a string is refused here, naming the field, not
     # later inside sample_domain; a numpy integer passes, as a Python int

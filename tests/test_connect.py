@@ -272,6 +272,12 @@ def test_shoot_seed_must_be_a_non_negative_integer():
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_shoot_seed_refuses_a_bool():
+    with pytest.raises(ValueError) as info:
+        ShootOpts(multistart=2, seed=True)
+    assert str(info.value) == "seed must be a non-negative integer, got True"
+
+
 def test_eps_bvp_must_be_a_positive_finite_number():
     # refused here, naming the field: an infinite tolerance called any
     # finite miss converged (from (0,0) to (1,0) on the paraboloid, a

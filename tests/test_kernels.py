@@ -18,6 +18,7 @@ integrated, its outcome, first derivative and step, counts and error
 estimate against the reference loop.
 """
 
+import ast
 import builtins
 import gc
 import math
@@ -165,6 +166,70 @@ def test_folded_factor_is_not_evaluated():
         compile_many([kept])((-1.0, 0.0))
     assert str(ei.value.node) == "log(x1)"
     assert ei.value.point == (-1.0, 0.0)
+
+
+def test_integer_powers_are_math_pow():
+    # an integer literal exponent is emitted as **, which gives math.pow's
+    # bits, fails where it fails, and keeps a negative base's parentheses
+    x = Var(0, "x1")
+    rng = np.random.default_rng(141)
+    draws = rng.standard_normal(2000) * 10.0 ** rng.uniform(-3.0, 3.0, 2000)
+    for base, sign, k in ((x, 1.0, 2.0), (Una("neg", x), -1.0, 3.0), (x, 1.0, -2.0)):
+        f = compile_many([Bin("pow", base, Num(k))])
+        for a in draws.tolist():
+            assert f((a, 0.0))[0] == math.pow(sign * a, k), (k, a)
+        rows = np.column_stack([draws, np.zeros_like(draws)])
+        # batched, np.power's bits, the route before ** (for squares, numpy's
+        # x * x, which differs from math.pow in the last bit on a draw in
+        # about 1200)
+        assert np.array_equal(f.many(rows)[:, 0], np.power(sign * draws, k)), k
+    assert compile_many([Bin("pow", Num(-1.0), Num(2.0))])((0.0,)) == (1.0,)
+    # x^-2 at 0 and an overflowing square give no value, as math.pow does
+    inverse = compile_many([Bin("pow", x, Num(-2.0))])
+    square = compile_many([Bin("pow", x, Num(2.0))])
+    for f, a in ((inverse, 0.0), (square, 1e200), (square, -1e200)):
+        assert f.get((a, 0.0)) is None
+        with pytest.raises(EvalDomainError):
+            f((a, 0.0))
+        assert np.isnan(f.many([[a, 0.0], [2.0, 0.0]])[0]).all()
+    assert square.many([[1e200, 0.0], [3.0, 0.0]])[1, 0] == 9.0
+
+
+def _pow_exponents(src):
+    # the exponent of every _pow call in the code src
+    return [ast.unparse(node.args[1]) for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pow"]
+
+
+def test_no_emitted_code_calls_pow_with_an_integer_literal(monkeypatch):
+    # every kernel and integrator of fresh copies of the built-ins, whose
+    # metrics hold squares: ** where the exponent is an integer literal,
+    # _pow only where it is not one
+    sources = []
+    real = builtins.compile
+
+    def keeping(src, filename, *args, **kwargs):
+        sources.append(src)
+        return real(src, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", keeping)
+    for name in sorted(BUILTINS):
+        M = load_manifold(dict(BUILTINS[name], name=f"fresh-{name}"))
+        x = tuple(sample_domain(M, 1, seed=143)[0].tolist())
+        P = M.at(x)
+        for group in ("dsigma", "dg", "d2sigma", "d2g"):
+            getattr(P, group)
+        for kind in ConnKind:
+            integrate_geodesic(M, kind, x, (0.1, 0.2), 0.5)
+    monkeypatch.undo()
+    assert len(sources) > 30 and sum(" ** " in src for src in sources) > 20
+    for src in sources:
+        for e in _pow_exponents(src):
+            try:
+                integer = float(e).is_integer()
+            except ValueError:
+                integer = False  # not a literal
+            assert not integer, e
 
 
 def test_deep_expression_compiles():

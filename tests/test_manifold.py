@@ -365,6 +365,14 @@ def test_sample_domain_deterministic():
         assert in_domain(punc, x)
 
 
+def test_sample_domain_refuses_a_bool_seed():
+    # True is an integer to operator.index, but no seed here, as it is no count
+    punc = load_manifold("punctured-plane")
+    with pytest.raises(ValueError) as info:
+        sample_domain(punc, 3, seed=True)
+    assert str(info.value) == "seed must be a non-negative integer, got True"
+
+
 def _sample_domain_by_points(M, count, seed):
     # the scalar reference: one draw at a time through in_domain and the
     # guard, a guard that cannot be evaluated meaning False
