@@ -115,13 +115,13 @@ def _coordinate_planes(n):
     return np.eye(n)[a], np.eye(n)[b]
 
 
-def hadamard_scan(M, points, planes_per_point=4, seed=42):
+def hadamard_scan(M, points):
     """Scan the plane-curvature condition; pass iff the worst value <= 0.
 
     A point's value is the plane term's maximum over all its planes,
     exact for n <= 3 ("cartan-hadamard"); for n >= 4 an upper bound
     ("cartan-hadamard-bound"), whose failure says only that the bound is
-    positive.  planes_per_point and seed change nothing.
+    positive.
     """
     xs = _rows(points)
     vals = np.concatenate([_plane_max(P) for P in _blocks(M, xs)])
@@ -161,11 +161,13 @@ def sigma_bounds_scan(M, samples):
     return float(vals[i]), xs[i], float(vals[j]), xs[j]
 
 
-def _covariant_metric_residual(dg, conn, g):
+def _covariant_metric_residual(dg, g, a, b):
+    # dg_kij - g(a_k e_i, e_j) - g(e_i, b_k e_j): the covariant derivative
+    # of g with the connection a on its first slot and b on its second
     return (
         dg
-        - np.einsum("...lki,...lj->...kij", conn, g)
-        - np.einsum("...lkj,...il->...kij", conn, g)
+        - np.einsum("...lki,...lj->...kij", a, g)
+        - np.einsum("...lkj,...il->...kij", b, g)
     )
 
 
@@ -175,15 +177,11 @@ def _identity_residuals(P):
     nab = P.gamma(ConnKind.NABLA)
     bar = P.gamma(ConnKind.NABLA_BAR)
     til = P.gamma(ConnKind.LC_G_TILDE)
-    lc = _covariant_metric_residual(dg, gam, g)
+    lc = _covariant_metric_residual(dg, g, gam, gam)
     # nabla-tilde(e^sigma g) / e^sigma, exactly: in g's units, whatever the weight
-    lct = _covariant_metric_residual(np.einsum("...k,...ij->...kij", ds, g) + dg, til, g)
-    cod = _covariant_metric_residual(dg, nab, g) - P.cubic_form
-    dual = (
-        dg
-        - np.einsum("...lki,...lj->...kij", nab, g)
-        - np.einsum("...lkj,...il->...kij", bar, g)
-    )
+    lct = _covariant_metric_residual(np.einsum("...k,...ij->...kij", ds, g) + dg, g, til, til)
+    cod = _covariant_metric_residual(dg, g, nab, nab) - P.cubic_form
+    dual = _covariant_metric_residual(dg, g, nab, bar)
     sym = P.projective
     contrans = til - gam - 0.5 * (sym - np.einsum("...ij,...k->...kij", g, P.grad_sigma))
     proj = til - nab - sym

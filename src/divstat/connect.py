@@ -11,7 +11,7 @@ numerical differentiation), so a column runs no step controller and
 differences the same discrete map as the defect it corrects.  Each
 trial path and each column is one call of the emitted integrator on
 Python floats (geodesic._run, geodesic._replay), with no argument check:
-p is checked once per solve.  Starts run in index order, and a start
+p and q are checked once per solve.  Starts run in index order, and a start
 whose iterate comes within _JOIN of a branch an earlier start converged
 to, at any tier, joins it and stops: it is in that branch's Newton basin
 and would only find it again.  That test runs on every iterate, the last
@@ -203,13 +203,6 @@ def _gauss_newton(M, p, q, v0, target, found, keep=False):
     escape = float(50.0 * (1.0 + max(np.abs(p).max(), np.abs(q).max())))
     radii = [_JOIN * max(1.0, _norm(s.v)) for s in found]
 
-    def joins(u):
-        # the index of the first found branch within _JOIN of u, or None
-        for i, s in enumerate(found):
-            if _norm(u - s.v) <= radii[i]:
-                return i
-        return None
-
     def defect(vv, io):
         # the endpoint's miss and the path's accepted step sizes, or
         # (None, steps) where the velocity is not finite (a Newton step
@@ -231,9 +224,9 @@ def _gauss_newton(M, p, q, v0, target, found, keep=False):
         # inside the Newton basin of a branch already found, at whatever
         # tier, the rest of the iteration would only find it again; the
         # last pass tests only this, on the final iterate
-        i = joins(v)
-        if i is not None:
-            return True, v, err, i
+        for i, s in enumerate(found):
+            if _norm(v - s.v) <= radii[i]:
+                return True, v, err, i
         if it == _MAX_ITER:
             break
         # the chord steps from v on each found branch's Jacobian (simplified
@@ -355,12 +348,14 @@ def _solve_bvp(M, p, q, opts):
     # best failure where no start converged, else None, and one record per
     # start): records {start, v0, tilde_length, endpoint_error}, the last
     # {start, ended, branch, endpoint_error}.  For p == q the one solution
-    # is the constant path, with no start attempted
+    # is the constant path, with no start attempted.  p and q are checked
+    # here, once each
+    P = M.at(p)
+    p, q = np.array(P.x), np.array(M.at(q).x)
     if np.array_equal(p, q):
         return [{"start": 0, "v0": np.zeros(M.n), "tilde_length": 0.0,
                  "endpoint_error": 0.0}], None, []
     starts = _start_velocities(M, p, q, opts)
-    P = M.at(p)
     # math.exp, not P.exp_sigma: numpy's exp rounds differently on a few
     # percent of inputs, which would move tilde_length's last bits.  e^sigma
     # must be a normal double for a gtilde length to carry its digits, so
@@ -416,8 +411,6 @@ def shoot_connect(M, p, q, opts=None):
     the constant path, with no start attempted.
     """
     opts = opts if opts is not None else ShootOpts()
-    p = np.array(M.at(p).x)
-    q = np.array(M.at(q).x)
     sols, fail, starts = _solve_bvp(M, p, q, opts)
     best = sols[0] if sols else fail
     tilde = integrate_geodesic(M, ConnKind.LC_G_TILDE, p, best["v0"], 1.0, _FINE)
@@ -446,13 +439,11 @@ def distance_tilde(M, p, q, opts=None):
     built-in geometries the closed-form oracles confirm the minimizer is
     found.  Raises NoConvergenceError when no start connects.
     """
-    p = np.array(M.at(p).x)
-    q = np.array(M.at(q).x)
     opts = opts if opts is not None else ShootOpts()
     sols, fail, _ = _solve_bvp(M, p, q, opts)
     if not sols:
         err = fail["endpoint_error"]
-        p_text, q_text = (",".join(map(repr, x.tolist())) for x in (p, q))
+        p_text, q_text = (",".join(map(repr, map(float, x))) for x in (p, q))
         raise NoConvergenceError(
             f"no converged geodesic from {p_text} to {q_text} on {M.name} "
             f"(best endpoint error {err:.17g})",

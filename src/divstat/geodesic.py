@@ -881,7 +881,11 @@ def geodesic_residual(M, kind, path):
     rounding), read from the window's Newton divided differences with no
     power of the offsets and no linear solve; velocities are taken from
     the stored samples.  Windows of strides 1, 2, 4 and 8 samples, as many
-    as fit, give an estimate each; the smallest is returned.
+    as fit, give an estimate each; the smallest is returned.  The fit's
+    truncation, not the integrator, sets the number on a path too fast
+    for its samples: a half-plane-exp nabla path at chart speed 229 with
+    129 samples reads 28.9 against accelerations near 1e4, though its
+    integration meets its tolerance.
     """
     kind = ConnKind(kind)
     ts = np.asarray(path.ts, dtype=float)

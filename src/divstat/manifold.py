@@ -355,7 +355,8 @@ class ManifoldDef:
         any other key, build() makes the code the first time; the geodesic
         integrator keeps its function per connection so.  A kernel keeps
         its emission plan (kernel.plan), which _inline renders.  Loading
-        compiles the "values" kernel only.
+        compiles three kernels: the sides of the domain predicate and of
+        the sample guard, each where it has any, and "values".
         """
         code = self._compiled.get(key)
         if code is None:

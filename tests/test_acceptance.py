@@ -253,7 +253,7 @@ def test_criterion_10_cartan_hadamard():
     for name in NAMES:
         m = load_manifold(name)
         pts = sample_domain(m, 25, seed=42)
-        full = hadamard_scan(m, pts, planes_per_point=4, seed=42)
+        full = hadamard_scan(m, pts)
         planar = hadamard2d_scan(m, pts)
         assert abs(full.worst_value - planar.worst_value) < 1e-8, name
         assert np.allclose(full.worst_point, planar.worst_point), name

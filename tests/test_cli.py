@@ -139,6 +139,31 @@ def test_describe_invalid_inputs(capsys):
         assert err.count("\n") == 1 and err.startswith("divstat:")
 
 
+@pytest.mark.parametrize("bad", ["0.5,0.5,0.5", "nan,0.5", "inf,0.5", "-inf,0.5", "0.5,1e400"])
+@pytest.mark.parametrize("argv", [
+    ["describe", "euclidean", "--at={}"],
+    ["geodesic", "euclidean", "--conn", "lc", "--from={}", "--vel=1,0", "--t-max", "1"],
+    ["geodesic", "euclidean", "--conn", "lc", "--from=0.5,0.5", "--vel={}", "--t-max", "1"],
+    ["connect", "euclidean", "--from={}", "--to=1,0.25"],
+    ["connect", "euclidean", "--from=0.5,0.5", "--to={}"],
+    ["contrast", "euclidean", "--p={}", "--q=1,0.25"],
+    ["contrast", "euclidean", "--p=0.5,0.5", "--q={}"],
+], ids=["describe --at", "geodesic --from", "geodesic --vel", "connect --from",
+        "connect --to", "contrast --p", "contrast --q"])
+def test_a_bad_coordinate_is_refused_by_the_library(capsys, argv, bad):
+    # the CLI only parses the numbers: the point's count and chart, and
+    # the velocity's, are checked where the library takes them
+    M = load_manifold("euclidean")
+    vals = [float(s) for s in bad.split(",")]
+    with pytest.raises((ValueError, manifold.OutOfDomainError)) as exc:
+        if "--vel={}" in argv:
+            divstat.geodesic.integrate_geodesic(M, "lc", (0.5, 0.5), vals, 1.0)
+        else:
+            M.at(vals)
+    code, out, err = run_out(capsys, [a.format(bad) for a in argv])
+    assert (code, out, err) == (2, "", f"divstat: {exc.value}\n")
+
+
 def test_describe_names_the_member_and_point_of_a_numpy_overflow(tmp_path, capsys):
     # sigma = (x1 + x2)^-149: at 0.0085 every member before Ricci is
     # finite, and the Gamma Gamma product of nabla's curvature overflows

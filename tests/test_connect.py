@@ -48,7 +48,14 @@ from divstat.connect import (
     shoot_connect,
 )
 from divstat.geodesic import _run, geodesic_residual
-from divstat.manifold import BUILTINS, load_manifold, metric_at, sample_domain
+from divstat.manifold import (
+    BUILTINS,
+    ManifoldDef,
+    OutOfDomainError,
+    load_manifold,
+    metric_at,
+    sample_domain,
+)
 from divstat.statstruct import ConnKind, conjugate
 
 
@@ -423,6 +430,33 @@ def test_shoot_connect_same_point():
     assert _same_record(sols[0], sol)
     assert distance_tilde(m, p, p) == 0.0
     assert contrast(m, p, p) == 0.0
+
+
+def test_each_point_is_checked_where_it_enters(monkeypatch):
+    # the solve checks p and q once each; shoot_connect's final path
+    # checks p again in its own integration, and contrast reads sigma(p)
+    m = load_manifold("paraboloid")
+    p, q = (0.1, 0.2), (0.4, -0.1)
+    counts = {}
+    at = ManifoldDef.at
+
+    def counted(self, x):
+        key = tuple(map(float, x))
+        counts[key] = counts.get(key, 0) + 1
+        return at(self, x)
+
+    monkeypatch.setattr(ManifoldDef, "at", counted)
+    opts = ShootOpts(multistart=2)
+    for solve, want in ((shoot_connect, {p: 2, q: 1}), (distance_tilde, {p: 1, q: 1}),
+                        (contrast, {p: 2, q: 1})):
+        counts.clear()
+        solve(m, p, q, opts)
+        assert counts == want, solve.__name__
+    # the p == q answer comes after the check, so a NaN point is refused
+    nan = (math.nan, 0.0)
+    for solve in (distance_tilde, contrast):
+        with pytest.raises(OutOfDomainError):
+            solve(m, nan, nan, opts)
 
 
 # criterion 10's points: its pairs are (_HALF[i], _HALF[20 + i])

@@ -146,6 +146,64 @@ def test_every_default_of_a_private_function_is_passed():
     assert _unpassed_defaults(sources) == []
 
 
+def _unread_parameters(sources):
+    """Parameters of the functions of `sources` that their bodies never read.
+
+    sources maps a module name to its text.  A function is any def,
+    nested ones included, but not a method (a def directly in a class
+    body), whose signature an interface may fix.  A parameter is read
+    where its name is loaded anywhere in the function's body, a nested
+    def or lambda included.  Returns "module.name: param, ..." strings,
+    sorted, a nested def's name being "outer.name".
+    """
+    found = []
+
+    def visit(module, body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(module, node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + node.name
+                if not in_class:
+                    args = node.args
+                    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                    read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                    unread = [a for a in params if a not in read]
+                    if unread:
+                        found.append(f"{module}.{name}: {', '.join(unread)}")
+                visit(module, node.body, name + ".", False)
+            else:
+                # a def under an if, a with or a loop is still this scope's
+                visit(module, [n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt)],
+                      prefix, in_class)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source).body, "", False)
+    return sorted(found)
+
+
+def test_unread_parameter_is_found():
+    sources = {"a": "def f(x, y, *rest, z=1, **kw):\n    return x + z\n\n"
+                    "def g(x, y):\n    y = 2\n    def h(u, w):\n        return x + u\n"
+                    "    return h\n\n"
+                    "def k(x):\n    return lambda: x\n\n"
+                    "if True:\n    def m(x):\n        pass\n",
+               "b": "class C:\n    def diff(self, i):\n        return 0\n\n"
+                    "    def f(self):\n        def inner(v):\n            pass\n"
+                    "        return inner\n"}
+    assert _unread_parameters(sources) == [
+        "a.f: y, rest, kw", "a.g.h: w", "a.g: y", "a.m: x", "b.C.f.inner: v"]
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is an argument that changes
+    # nothing; a method is exempt, its interface fixes its signature
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert _unread_parameters(sources) == []
+
+
 def _names_from(tree, module):
     """Names the AST `tree` takes from `module`.
 
